@@ -212,59 +212,54 @@ let analyze ?(in_bounds = false) ?(quick = true) (prog : Ir.program) : result =
    output and anti-dependences" though its implementation, like our
    default driver, leaves them untouched).  For output dependences the
    destinations are writes; for anti dependences the sources are reads
-   (and the killers remain writes). *)
+   (and the killers remain writes).  [deps] are all the dependences of
+   one storage kind, computed in [ctx]: only the kill step runs here. *)
+let classify_storage ?(in_bounds = false) ?(quick = true) (ctx : Depctx.t)
+    (deps : Deps.dep list) : flow_result list =
+  let prog = ctx.Depctx.prog in
+  Par.map_list
+    (fun (b : Ir.access) ->
+      let cands =
+        List.filter_map
+          (fun (dep : Deps.dep) ->
+            if dep.Deps.dst.Ir.acc_id <> b.Ir.acc_id then None
+            else Some { dep; refined = None; covers = false; dead = None })
+          deps
+      in
+      (* pairwise killing: an intervening write to the same element makes
+         the dependence transitive *)
+      let arr = Array.of_list cands in
+      Array.iteri
+        (fun i fr ->
+          if fr.dead = None && not fr.dep.Deps.assumed then begin
+            let killer =
+              List.find_opt
+                (fun (k : Ir.access) ->
+                  k.Ir.acc_id <> fr.dep.Deps.src.Ir.acc_id
+                  && k.Ir.acc_id <> b.Ir.acc_id
+                  && k.Ir.array = b.Ir.array
+                  && ((not quick)
+                      || Deps.exists ctx ~src:fr.dep.Deps.src ~dst:k)
+                  && Analyses.kills ~in_bounds ctx ~src:fr.dep.Deps.src
+                       ~killer:k ~dst:b)
+                (Ir.writes prog)
+            in
+            match killer with
+            | Some k -> arr.(i) <- { fr with dead = Some (Killed k) }
+            | None -> ()
+          end)
+        arr;
+      Array.to_list arr)
+    (Ir.writes prog)
+  |> List.concat
+
 let classify_kind ?(in_bounds = false) ?(quick = true) (prog : Ir.program)
     (kind : Deps.kind) : flow_result list =
   match kind with
   | Deps.Flow -> (analyze ~in_bounds ~quick prog).flows
   | Deps.Output | Deps.Anti ->
     let ctx = Depctx.create prog in
-    let dsts = Ir.writes prog in
-    let srcs =
-      match kind with Deps.Output -> Ir.writes prog | _ -> Ir.reads prog
-    in
-    Par.map_list
-      (fun (b : Ir.access) ->
-        let cands =
-          List.filter_map
-            (fun (a : Ir.access) ->
-              if a.Ir.array <> b.Ir.array then None
-              else if
-                kind = Deps.Output && a.Ir.acc_id = b.Ir.acc_id
-                && Ir.depth a = 0
-              then None
-              else
-                match Deps.compute ~in_bounds ctx ~src:a ~dst:b ~kind with
-                | None -> None
-                | Some dep -> Some { dep; refined = None; covers = false; dead = None })
-            srcs
-        in
-        (* pairwise killing: an intervening write to the same element makes
-           the dependence transitive *)
-        let arr = Array.of_list cands in
-        Array.iteri
-          (fun i fr ->
-            if fr.dead = None && not fr.dep.Deps.assumed then begin
-              let killer =
-                List.find_opt
-                  (fun (k : Ir.access) ->
-                    k.Ir.acc_id <> fr.dep.Deps.src.Ir.acc_id
-                    && k.Ir.acc_id <> b.Ir.acc_id
-                    && k.Ir.array = b.Ir.array
-                    && ((not quick)
-                        || Deps.exists ctx ~src:fr.dep.Deps.src ~dst:k)
-                    && Analyses.kills ~in_bounds ctx ~src:fr.dep.Deps.src
-                         ~killer:k ~dst:b)
-                  (Ir.writes prog)
-              in
-              match killer with
-              | Some k -> arr.(i) <- { fr with dead = Some (Killed k) }
-              | None -> ()
-            end)
-          arr;
-        Array.to_list arr)
-      dsts
-    |> List.concat
+    classify_storage ~in_bounds ~quick ctx (Deps.all ~in_bounds ctx kind)
 
 (* ------------------------------------------------------------------ *)
 (* Report rendering (the Figure 3 / Figure 4 tables)                   *)

@@ -35,7 +35,22 @@ val classify_kind :
 (** Live/dead classification of the given dependence kind.  [Flow] is
     {!analyze}'s pipeline; [Output]/[Anti] apply the pairwise kill test to
     storage dependences (an extension the paper describes but leaves
-    unimplemented: an intervening write makes them transitive). *)
+    unimplemented: an intervening write makes them transitive).  A
+    standalone run: it computes the dependences of [kind] in a fresh
+    context, then defers to {!classify_storage}.  Callers that already
+    hold an {!analyze} result should call {!classify_storage} on its
+    [antis]/[outputs] instead of computing them a second time. *)
+
+val classify_storage :
+  ?in_bounds:bool -> ?quick:bool -> Depctx.t -> Deps.dep list ->
+  flow_result list
+(** [classify_storage ctx deps]: the kill step of {!classify_kind} over
+    [deps], all the anti or all the output dependences of
+    [ctx]'s program (as {!analyze} returns them in [antis]/[outputs]).
+    Results come grouped by destination write, in write order, and
+    within a destination in the order of [deps] — the order
+    {!classify_kind} returns.  [Deps.compute] is a pure function of its
+    query, so the results equal a standalone {!classify_kind}. *)
 
 (** {1 Quick screens} (exposed for the benches) *)
 

@@ -175,8 +175,9 @@ let assemble prog ~(flows : Driver.flow_result list)
 
 let build ?(in_bounds = false) ?(quick = true) (prog : Ir.program) : t =
   let res = Driver.analyze ~in_bounds ~quick prog in
-  let antis = Driver.classify_kind ~in_bounds ~quick prog Deps.Anti in
-  let outputs = Driver.classify_kind ~in_bounds ~quick prog Deps.Output in
+  let classify = Driver.classify_storage ~in_bounds ~quick res.Driver.ctx in
+  let antis = classify res.Driver.antis in
+  let outputs = classify res.Driver.outputs in
   assemble prog ~flows:res.Driver.flows ~antis ~outputs
 
 let of_result (prog : Ir.program) (res : Driver.result) : t =

@@ -56,8 +56,10 @@ type t = {
 
 val build : ?in_bounds:bool -> ?quick:bool -> Ir.program -> t
 (** Run {!Driver.analyze} for the flow dependences and
-    {!Driver.classify_kind} for the anti and output dependences, and
-    assemble the graph. *)
+    {!Driver.classify_storage} on the anti and output dependences that
+    analysis already computed, and assemble the graph.  Each dependence
+    is computed once; the anti and output edges equal a standalone
+    {!Driver.classify_kind}. *)
 
 val of_result : Ir.program -> Driver.result -> t
 (** Assemble a graph from an existing analysis result; anti and output

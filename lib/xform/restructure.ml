@@ -100,6 +100,9 @@ let try_graph (p : Ast.program) : Graph.t option =
   | g -> Some g
   | exception _ -> None
 
+(* [g], when given, is the graph of [p] already built. *)
+let graph_of ?g p = match g with Some _ -> g | None -> try_graph p
+
 (* ------------------------------------------------------------------ *)
 (* Fusion                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -171,20 +174,38 @@ let find_fusion ~refused (p : Ast.program) =
   | None -> None
   | Some (key, ls1, ls2) -> Some ({ p with Ast.stmts = stmts' }, key, ls1, ls2)
 
-(* Legal iff the trial program's graph has no dependence (any kind, any
-   status) from a second-body statement to a first-body statement: in
-   the original program every first-body instance ran before every
-   second-body instance, so such an edge is an order reversal. *)
-let fusion_legal (g : Graph.t) ~ls1 ~ls2 =
-  let in_l1 = Hashtbl.create 8 and in_l2 = Hashtbl.create 8 in
-  List.iter (fun l -> Hashtbl.replace in_l1 l ()) ls1;
-  List.iter (fun l -> Hashtbl.replace in_l2 l ()) ls2;
-  not
-    (List.exists
-       (fun (e : Graph.edge) ->
-         Hashtbl.mem in_l2 e.e_src.Ir.label
-         && Hashtbl.mem in_l1 e.e_dst.Ir.label)
-       g.edges)
+(* Legal iff the trial program has no dependence (any kind, live or
+   dead) from a second-body access to a first-body access: in the
+   original program every first-body instance ran before every
+   second-body instance, so such a dependence is an order reversal.
+   Only the pairs that cross the two bodies are asked - flow
+   (write -> read), anti (read -> write), output (write -> write) -
+   which is exactly whether the trial program's graph would have an
+   edge from [ls2] to [ls1].  A failed analysis refuses. *)
+let fusion_legal (p : Ast.program) ~ls1 ~ls2 =
+  let reversed () =
+    let ir = Sema.analyze p in
+    let ctx = Depend.Depctx.create ir in
+    let side ls accs =
+      List.filter (fun (a : Ir.access) -> List.mem a.Ir.label ls) accs
+    in
+    let w1 = side ls1 (Ir.writes ir) and r1 = side ls1 (Ir.reads ir) in
+    let w2 = side ls2 (Ir.writes ir) and r2 = side ls2 (Ir.reads ir) in
+    let crosses kind srcs dsts =
+      List.exists
+        (fun (a : Ir.access) ->
+          List.exists
+            (fun (b : Ir.access) ->
+              a.Ir.array = b.Ir.array
+              && Depend.Deps.compute ctx ~src:a ~dst:b ~kind <> None)
+            dsts)
+        srcs
+    in
+    crosses Depend.Deps.Flow w2 r1
+    || crosses Depend.Deps.Anti r2 w1
+    || crosses Depend.Deps.Output w2 w1
+  in
+  match reversed () with r -> not r | exception _ -> false
 
 let fusion_pass p =
   let refused = Hashtbl.create 8 in
@@ -192,14 +213,15 @@ let fusion_pass p =
   let rec go p =
     match find_fusion ~refused p with
     | None -> p
-    | Some (p_trial, key, ls1, ls2) -> (
-      match try_graph p_trial with
-      | Some g when fusion_legal g ~ls1 ~ls2 ->
+    | Some (p_trial, key, ls1, ls2) ->
+      if fusion_legal p_trial ~ls1 ~ls2 then begin
         incr fused;
         go p_trial
-      | _ ->
+      end
+      else begin
         Hashtbl.replace refused key ();
-        go p)
+        go p
+      end
   in
   let p = go p in
   (p, !fused)
@@ -356,25 +378,27 @@ let find_interchange ~refused (g : Graph.t) verdicts (p : Ast.program) =
   | None -> None
   | Some key -> Some ({ p with Ast.stmts = stmts' }, key)
 
-let interchange_pass p =
+(* Returns the final program with its graph, when the last round
+   examined it, so write-kill can start from that graph. *)
+let interchange_pass ?g p =
   let refused = Hashtbl.create 8 in
   let swapped = ref 0 in
-  let rec go p rounds =
-    if rounds = 0 then p
+  let rec go p g rounds =
+    if rounds = 0 then (p, None)
     else
-      match try_graph p with
-      | None -> p
+      match graph_of ?g p with
+      | None -> (p, None)
       | Some g -> (
         let verdicts = Parallel.analyze g in
         match find_interchange ~refused g verdicts p with
-        | None -> p
+        | None -> (p, Some g)
         | Some (p', key) ->
           Hashtbl.replace refused key ();
           incr swapped;
-          go p' (rounds - 1))
+          go p' None (rounds - 1))
   in
-  let p = go p 8 in
-  (p, !swapped)
+  let p, g = go p g 8 in
+  (p, g, !swapped)
 
 (* ------------------------------------------------------------------ *)
 (* Write-kill deletion                                                 *)
@@ -394,67 +418,69 @@ let rec delete_labeled l stmts =
 (* One deletion: a write none of whose values are observed (all flow
    edges out are dead) and which a later write terminates (section 4.3:
    every cell it writes is overwritten afterwards). *)
-let find_kill (p : Ast.program) =
-  match Sema.analyze p with
-  | exception _ -> None
-  | ir -> (
-    match Graph.build ir with
-    | exception _ -> None
-    | g ->
-      let ctx = Depend.Depctx.create ir in
-      let writes = Ir.writes ir in
-      let deletable (w : Ir.access) =
-        let flows_live =
-          List.exists
-            (fun (e : Graph.edge) ->
-              e.e_kind = Depend.Deps.Flow
-              && e.e_src.Ir.acc_id = w.Ir.acc_id
-              && Graph.live e)
-            g.edges
-        in
-        (not flows_live)
-        && List.exists
-             (fun (w' : Ir.access) ->
-               w'.Ir.stmt_id <> w.Ir.stmt_id
-               && (match Depend.Analyses.terminates ctx ~src:w ~dst:w' with
-                  | r -> r
-                  | exception _ -> false))
-             writes
-      in
-      List.find_map
-        (fun (w : Ir.access) -> if deletable w then Some w.Ir.label else None)
-        writes)
+let find_kill (g : Graph.t) =
+  let ctx = Depend.Depctx.create g.Graph.prog in
+  let writes = Ir.writes g.Graph.prog in
+  let deletable (w : Ir.access) =
+    let flows_live =
+      List.exists
+        (fun (e : Graph.edge) ->
+          e.e_kind = Depend.Deps.Flow
+          && e.e_src.Ir.acc_id = w.Ir.acc_id
+          && Graph.live e)
+        g.edges
+    in
+    (not flows_live)
+    && List.exists
+         (fun (w' : Ir.access) ->
+           w'.Ir.stmt_id <> w.Ir.stmt_id
+           && (match Depend.Analyses.terminates ctx ~src:w ~dst:w' with
+              | r -> r
+              | exception _ -> false))
+         writes
+  in
+  List.find_map
+    (fun (w : Ir.access) -> if deletable w then Some w.Ir.label else None)
+    writes
 
-let writekill_pass p =
+let writekill_pass ?g p =
   let killed = ref 0 in
-  let rec go p rounds =
+  let rec go p g rounds =
     if rounds = 0 then p
     else
-      match find_kill p with
+      match Option.bind (graph_of ?g p) find_kill with
       | None -> p
       | Some label ->
         incr killed;
-        go { p with Ast.stmts = delete_labeled label p.Ast.stmts } (rounds - 1)
+        go
+          { p with Ast.stmts = delete_labeled label p.Ast.stmts }
+          None (rounds - 1)
   in
-  let p = go p 8 in
+  let p = go p g 8 in
   (p, !killed)
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* One graph per distinct program: the guard graph is interchange's
+   first round unless fusion changed the program, and the last graph
+   interchange built is write-kill's first round. *)
 let optimize (p : Ast.program) =
   let p = prelabel p in
-  match try_graph p with
-  | None -> (p, empty_report)
-  | Some _ ->
-    let p, fused, swapped =
-      if !Opt.restructure then begin
-        let p, fused = fusion_pass p in
-        let p, swapped = interchange_pass p in
-        (p, fused, swapped)
-      end
-      else (p, 0, 0)
-    in
-    let p, killed = if !Opt.writekill then writekill_pass p else (p, 0) in
-    (p, { x_fused = fused; x_interchanged = swapped; x_killed = killed })
+  if not (!Opt.restructure || !Opt.writekill) then (p, empty_report)
+  else
+    match try_graph p with
+    | None -> (p, empty_report)
+    | Some g ->
+      let p, g, fused, swapped =
+        if !Opt.restructure then begin
+          let p, fused = fusion_pass p in
+          let g = if fused = 0 then Some g else None in
+          let p, g, swapped = interchange_pass ?g p in
+          (p, g, fused, swapped)
+        end
+        else (p, Some g, 0, 0)
+      in
+      let p, killed = if !Opt.writekill then writekill_pass ?g p else (p, 0) in
+      (p, { x_fused = fused; x_interchanged = swapped; x_killed = killed })

@@ -7,10 +7,12 @@
     - {b loop fusion} (gated by [Opt.restructure]): adjacent sibling
       loops with syntactically equal bounds and step fuse after
       alpha-renaming the second loop's variable.  Legality is checked on
-      the {e trial-fused} program's own graph: the fusion is refused if
-      any dependence (any kind, live or dead) runs from a second-loop
-      statement to a first-loop statement — exactly the dependences the
-      original order forbids to reverse.
+      the {e trial-fused} program ({!fusion_legal}): the fusion is
+      refused if any dependence (any kind, live or dead) runs from a
+      second-loop statement to a first-loop statement — exactly the
+      dependences the original order forbids to reverse.  Only the
+      access pairs crossing the two bodies are analyzed, not the whole
+      trial program.
     - {b loop interchange} (gated by [Opt.restructure]): a perfect
       2-nest with rectangular inner bounds interchanges when no refined
       direction vector is [(+, -)] at the two levels under an all-zero
@@ -23,10 +25,13 @@
       it ([Analyses.terminates], section 4.3 — every cell it writes is
       overwritten later), so the final store is unchanged.
 
-    All passes re-run semantic analysis and the dependence driver on
-    each trial, so a transformation is only committed with a fresh
-    graph as witness.  Statements are pre-labeled so identities survive
-    restructuring. *)
+    A transformation is only committed with the dependences of the
+    program it produces as witness, and each distinct program is
+    analyzed once: one graph per program that interchange or write-kill
+    examines, shared between the passes (the guard graph of the input
+    is interchange's first, the last graph interchange built is
+    write-kill's first), and fusion checked on its crossing pairs.
+    Statements are pre-labeled so identities survive restructuring. *)
 
 type report = {
   x_fused : int;  (** loop pairs fused *)
@@ -43,10 +48,21 @@ val prelabel : Ast.program -> Ast.program
 
 val optimize : Ast.program -> Ast.program * report
 (** Apply the enabled passes (fusion, then interchange, then
-    write-kill) to a fixpoint with bounded rounds.  A program [Sema]
-    cannot analyze is returned unchanged.  The result is always
-    observably equivalent: same interpreter trace modulo deleted dead
-    stores, same final store. *)
+    write-kill) to a fixpoint with bounded rounds.  With no pass
+    enabled the prelabeled program is returned without any analysis; a
+    program [Sema] cannot analyze is returned prelabeled and otherwise
+    unchanged.  The result is always observably equivalent: same
+    interpreter trace modulo deleted dead stores, same final store. *)
+
+val fusion_legal : Ast.program -> ls1:string list -> ls2:string list -> bool
+(** The fusion test, exposed for the unit tests: given the trial-fused
+    program and the labels of the first ([ls1]) and second ([ls2])
+    loop's statements, is there no dependence from a second-body access
+    to a first-body access?  Asks [Deps.compute] only for the crossing
+    pairs on the same array — flow (write to read), anti (read to
+    write), output (write to write) — which equals "no edge of
+    [Graph.build] from [ls2] to [ls1]".  [false] when the analysis
+    raises. *)
 
 val interchange_hazard : Graph.t -> outer:int -> inner:int -> bool
 (** The permutation test, exposed for the refusal unit tests: is there

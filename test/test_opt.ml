@@ -135,6 +135,144 @@ let test_fusion () =
       | diffs ->
         Alcotest.failf "fused loops diverge: %s" (Vm.diff_string diffs))
 
+(* The pairwise fusion test against the full graph of the trial
+   program: fusion_legal must say "legal" exactly when no Graph.build
+   edge runs from a second-body label to a first-body label. *)
+
+let rec stmt_labels (s : Ast.stmt) =
+  match s with
+  | Ast.Assign { label; _ } -> Option.to_list label
+  | Ast.For { body; _ } -> List.concat_map stmt_labels body
+
+let graph_fusion_legal (fused : Ast.program) ~ls1 ~ls2 =
+  match Xform.Graph.build (Sema.analyze fused) with
+  | exception _ -> false
+  | g ->
+    not
+      (List.exists
+         (fun (e : Xform.Graph.edge) ->
+           List.mem e.e_src.Ir.label ls2 && List.mem e.e_dst.Ir.label ls1)
+         g.edges)
+
+let check_fusion_agrees what (fused : Ast.program) ~ls1 ~ls2 =
+  let pairwise = Xform.Restructure.fusion_legal fused ~ls1 ~ls2 in
+  check bool_t
+    (Printf.sprintf "%s: pairwise check = full-graph check" what)
+    (graph_fusion_legal fused ~ls1 ~ls2)
+    pairwise;
+  pairwise
+
+(* Every adjacent pair of loops with the same variable, bounds and step,
+   at any depth, textually fused: (fused program, ls1, ls2). *)
+let fusion_sites (p : Ast.program) =
+  let rec sites (stmts : Ast.stmt list) =
+    let here =
+      let rec pairs before = function
+        | (Ast.For a as s1) :: (Ast.For b as s2) :: rest
+          when a.var = b.var && a.lo = b.lo && a.hi = b.hi && a.step = b.step
+          ->
+          let fused = Ast.For { a with body = a.body @ b.body } in
+          ( List.rev_append before (fused :: rest),
+            stmt_labels s1,
+            stmt_labels s2 )
+          :: pairs (s1 :: before) (s2 :: rest)
+        | s :: rest -> pairs (s :: before) rest
+        | [] -> []
+      in
+      pairs [] stmts
+    in
+    let nested =
+      List.concat
+        (List.mapi
+           (fun i (s : Ast.stmt) ->
+             match s with
+             | Ast.For f ->
+               List.map
+                 (fun (body, ls1, ls2) ->
+                   ( List.mapi
+                       (fun j s' -> if i = j then Ast.For { f with body } else s')
+                       stmts,
+                     ls1,
+                     ls2 ))
+                 (sites f.body)
+             | Ast.Assign _ -> [])
+           stmts)
+    in
+    here @ nested
+  in
+  List.map
+    (fun (stmts, ls1, ls2) -> ({ p with Ast.stmts }, ls1, ls2))
+    (sites p.Ast.stmts)
+
+let test_fusion_pairwise () =
+  let backward =
+    "symbolic n; real a[0:100], b[0:100];\n\
+     for i := 0 to 100 do a(i) := i; endfor\n\
+     for i := 0 to 100 do b(i) := a(100 - i) + 1; endfor"
+  in
+  let verdicts =
+    List.concat_map
+      (fun (name, src) ->
+        let p = Xform.Restructure.prelabel (Parser.parse_string src) in
+        List.map
+          (fun (fused, ls1, ls2) -> check_fusion_agrees name fused ~ls1 ~ls2)
+          (fusion_sites p))
+      [
+        ("kill_chain", Corpus.find "kill_chain");
+        ("overwrite_rows", Corpus.find "overwrite_rows");
+        ("strided", Corpus.find "strided");
+        ("backward", backward);
+      ]
+  in
+  check bool_t "some site legal" true (List.mem true verdicts);
+  check bool_t "some site refused" true (List.mem false verdicts)
+
+(* Two adjacent [for i := lo to n] loops over Test_e2e's arrays, each
+   body one or two statements plus, sometimes, an inner [j] loop. *)
+let gen_fusion_pair =
+  QCheck.Gen.(
+    let pos = { Ast.line = 0; col = 0 } in
+    let loop var lo body =
+      Ast.For { var; lo = Ast.Int lo; hi = Ast.Name "n"; step = 1; body; pos }
+    in
+    let gen_body idx =
+      let* n = int_range 1 2 in
+      let* ss =
+        flatten_l
+          (List.init n (fun k -> Test_e2e.gen_stmt ~vars:[ "i" ] ~idx:(idx + k)))
+      in
+      let* nested = bool in
+      if nested then
+        let* s = Test_e2e.gen_stmt ~vars:[ "i"; "j" ] ~idx:(idx + 5) in
+        return (ss @ [ loop "j" 1 [ s ] ])
+      else return ss
+    in
+    let* lo = int_range 0 2 in
+    let* b1 = gen_body 0 in
+    let* b2 = gen_body 10 in
+    let range = (Ast.Int (-60), Ast.Int 60) in
+    return
+      {
+        Ast.decls =
+          [
+            Ast.Symbolic [ "n" ];
+            Ast.Array [ ("a", [ range ]); ("x", [ range; range ]) ];
+          ];
+        stmts = [ loop "i" lo b1; loop "i" lo b2 ];
+      })
+
+let qcheck_fusion_pairwise =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"pairwise fusion check = full-graph check"
+       (QCheck.make ~print:Ast.program_to_string gen_fusion_pair)
+       (fun p ->
+         List.for_all
+           (fun (fused, ls1, ls2) ->
+             Xform.Restructure.fusion_legal fused ~ls1 ~ls2
+             = graph_fusion_legal fused ~ls1 ~ls2)
+           (fusion_sites p)))
+
 (* ------------------------------------------------------------------ *)
 (* Write-kill deletion                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -170,6 +308,93 @@ let test_writekill () =
         Xform.Restructure.optimize (Parser.parse_string observed)
       in
       check int_t "observed store survives" 0 rep2.Xform.Restructure.x_killed)
+
+(* ------------------------------------------------------------------ *)
+(* Analysis cost and decisions of the whole restructurer               *)
+(* ------------------------------------------------------------------ *)
+
+(* A program no pass changes is analyzed once: optimize asks the solver
+   exactly the queries of one Graph.build (the verdict cache is off so
+   every query counts).  With no source pass enabled it asks none. *)
+let test_analyzed_once () =
+  let memo = !Depend.Analyses.Memo.enabled in
+  Depend.Analyses.Memo.enabled := false;
+  Fun.protect
+    ~finally:(fun () -> Depend.Analyses.Memo.enabled := memo)
+    (fun () ->
+      with_flags (true, true, true, true) (fun () ->
+          let queries () =
+            (Omega.Budget.Telemetry.current ()).Omega.Budget.Telemetry.queries
+          in
+          let delta f =
+            let q0 = queries () in
+            ignore (f ());
+            queries () - q0
+          in
+          List.iter
+            (fun name ->
+              let ast = Parser.parse_string (Corpus.find name) in
+              let build =
+                delta (fun () -> Xform.Graph.build (Sema.analyze ast))
+              in
+              let ast', rep = Xform.Restructure.optimize ast in
+              check bool_t (name ^ " unchanged") true
+                (rep = Xform.Restructure.empty_report
+                && Ast.program_to_string ast'
+                   = Ast.program_to_string (Xform.Restructure.prelabel ast));
+              check int_t
+                (name ^ ": optimize queries = one Graph.build")
+                build
+                (delta (fun () -> Xform.Restructure.optimize ast)))
+            [ "matmul"; "sor"; "wavefront1" ];
+          (* and with no source pass enabled, not at all *)
+          with_flags (false, true, true, false) (fun () ->
+              check int_t "no source pass: no queries" 0
+                (delta (fun () ->
+                     Xform.Restructure.optimize
+                       (Parser.parse_string (Corpus.find "cholsky")))))))
+
+(* The decisions of every corpus program, all flags on: (fused,
+   interchanged, killed). *)
+let expected_reports =
+  [
+    ("example1", (0, 0, 1)); ("example1m", (0, 0, 0));
+    ("example1m_assert", (0, 0, 1)); ("example2", (0, 0, 0));
+    ("example3", (0, 0, 0)); ("example4", (0, 0, 0)); ("example5", (0, 0, 0));
+    ("example6", (0, 2, 0)); ("example7", (0, 0, 0)); ("example8", (0, 0, 0));
+    ("example9", (0, 0, 0)); ("example10", (0, 0, 0));
+    ("example11", (0, 0, 0)); ("cholsky", (0, 4, 0));
+    ("cholesky_tiny", (0, 0, 0)); ("lu", (0, 0, 0));
+    ("wavefront1", (0, 0, 0)); ("wavefront2", (0, 0, 0));
+    ("wavefront3", (0, 0, 0)); ("sor", (0, 0, 0)); ("matmul", (0, 0, 0));
+    ("transpose_sum", (0, 0, 0)); ("kill_chain", (2, 0, 1));
+    ("partial_kill", (1, 0, 0)); ("triangle_cover", (0, 0, 0));
+    ("independent_kill", (0, 0, 1)); ("temp_reuse", (0, 0, 0));
+    ("copyin", (0, 0, 0)); ("gauss_seidel", (0, 0, 0));
+    ("red_black", (0, 0, 0)); ("fib_like", (0, 0, 0));
+    ("running_sum", (0, 0, 0)); ("copy_shift", (0, 0, 0));
+    ("stencil9", (0, 0, 0)); ("overwrite_rows", (2, 0, 1));
+    ("diag_init", (1, 0, 0)); ("strided", (1, 0, 0));
+    ("reverse_copy", (0, 0, 0)); ("multi_kill", (0, 0, 1));
+    ("triangular_update", (0, 0, 0)); ("even_odd_phases", (0, 0, 0));
+    ("countdown_copy", (0, 0, 0)); ("prefix_sum_scalar", (0, 0, 0));
+    ("banded", (0, 0, 0)); ("row_dot_private", (0, 0, 0));
+  ]
+
+let test_corpus_reports () =
+  with_flags (true, true, true, true) (fun () ->
+      check int_t "every corpus program pinned"
+        (List.length Corpus.all)
+        (List.length expected_reports);
+      List.iter
+        (fun (name, src) ->
+          let _, rep = Xform.Restructure.optimize (Parser.parse_string src) in
+          check
+            Alcotest.(triple int int int)
+            (name ^ ": (fused, interchanged, killed)")
+            (List.assoc name expected_reports)
+            Xform.Restructure.(rep.x_fused, rep.x_interchanged, rep.x_killed))
+        Corpus.all)
 
 (* ------------------------------------------------------------------ *)
 (* Bytecode passes on a simple kernel                                  *)
@@ -310,7 +535,14 @@ let suite =
       Alcotest.test_case "interchange licensing" `Quick
         test_interchange_refusal;
       Alcotest.test_case "fusion licensing" `Quick test_fusion;
+      Alcotest.test_case "fusion refusal programs: pairwise = graph" `Quick
+        test_fusion_pairwise;
+      qcheck_fusion_pairwise;
       Alcotest.test_case "write-kill deletion" `Quick test_writekill;
+      Alcotest.test_case "unchanged program analyzed once" `Quick
+        test_analyzed_once;
+      Alcotest.test_case "corpus restructure reports pinned" `Quick
+        test_corpus_reports;
       Alcotest.test_case "bytecode elision + fusion" `Quick
         test_bytecode_passes;
       Alcotest.test_case "paranoid re-checks over the corpus" `Slow

@@ -360,6 +360,92 @@ let prop_tests =
       ~count:60 Test_e2e.arb_program prop_doall_sound;
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Storage classification                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Graph.build classifies the anti and output dependences the driver
+   already computed; the edges must equal a standalone classify_kind,
+   and so must the classification itself, [assumed] included (which
+   the edges do not carry). *)
+let check_storage_classification what : int =
+  let dead_id = function
+    | None -> None
+    | Some (Depend.Driver.Killed a) -> Some ("killed", a.Ir.acc_id)
+    | Some (Depend.Driver.Covered a) -> Some ("covered", a.Ir.acc_id)
+  in
+  let of_fr (fr : Depend.Driver.flow_result) =
+    let d = fr.Depend.Driver.dep in
+    ( d.Depend.Deps.src.Ir.acc_id,
+      d.Depend.Deps.dst.Ir.acc_id,
+      List.map Depend.Dirvec.to_string d.Depend.Deps.vectors,
+      d.Depend.Deps.levels,
+      d.Depend.Deps.assumed,
+      dead_id fr.Depend.Driver.dead )
+  in
+  let of_edge (e : Xform.Graph.edge) =
+    ( e.e_src.Ir.acc_id,
+      e.e_dst.Ir.acc_id,
+      List.map Depend.Dirvec.to_string e.e_std_vectors,
+      e.e_std_levels,
+      match e.e_status with
+      | Xform.Graph.Live -> None
+      | Xform.Graph.Dead r -> dead_id (Some r) )
+  in
+  let edge_part (s, d, v, l, _, r) = (s, d, v, l, r) in
+  let assumed = ref 0 in
+  List.iter
+    (fun (name, src) ->
+      let prog = Sema.analyze (Parser.parse_string src) in
+      let g = Xform.Graph.build prog in
+      let res = Depend.Driver.analyze prog in
+      List.iter
+        (fun (kind, deps) ->
+          let standalone =
+            List.map of_fr (Depend.Driver.classify_kind prog kind)
+          in
+          let label =
+            Printf.sprintf "%s %s: %s" what name (Xform.Graph.kind_string kind)
+          in
+          (* grouped by destination write, sources in program order *)
+          let pairs = List.map (fun (s, d, _, _, _, _) -> (s, d)) standalone in
+          let srcs =
+            if kind = Depend.Deps.Anti then Ir.reads prog else Ir.writes prog
+          in
+          check bool_t (label ^ " order") true
+            (pairs
+            = List.concat_map
+                (fun (b : Ir.access) ->
+                  List.filter_map
+                    (fun (a : Ir.access) ->
+                      let p = (a.Ir.acc_id, b.Ir.acc_id) in
+                      if List.mem p pairs then Some p else None)
+                    srcs)
+                (Ir.writes prog));
+          check bool_t (label ^ " edges") true
+            (List.map of_edge (Xform.Graph.kind_edges g kind)
+            = List.map edge_part standalone);
+          check bool_t (label ^ " classification") true
+            (List.map of_fr
+               (Depend.Driver.classify_storage res.Depend.Driver.ctx deps)
+            = standalone);
+          List.iter
+            (fun (_, _, _, _, a, _) -> if a then incr assumed)
+            standalone)
+        [
+          (Depend.Deps.Anti, res.Depend.Driver.antis);
+          (Depend.Deps.Output, res.Depend.Driver.outputs);
+        ])
+    (Corpus.all @ Corpus.stress);
+  !assumed
+
+let test_storage_classification () =
+  ignore (check_storage_classification "clean");
+  Depend.Analyses.set_fault_injection ~seed:11 ~rate:0.2;
+  Fun.protect ~finally:Depend.Analyses.clear_fault_injection (fun () ->
+      check bool_t "faults reach some storage dependence" true
+        (check_storage_classification "faulted" > 0))
+
 let suite =
   ( "xform",
     [
@@ -390,5 +476,7 @@ let suite =
           test_example9_opaque_bounds;
         Alcotest.test_case "oracle confirms the corpus" `Quick
           test_oracle_corpus;
+        Alcotest.test_case "graph storage edges = classify_kind" `Quick
+          test_storage_classification;
       ]
     @ List.map (QCheck_alcotest.to_alcotest ~long:false) prop_tests )
