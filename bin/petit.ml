@@ -227,9 +227,10 @@ let print_daemon_result resp =
     | Some m ->
       Printf.eprintf
         "memo: this request %d hit(s), %d miss(es); daemon lifetime %d \
-         hit(s), %d miss(es), %d/%d entries, %d evicted\n"
-        m.mr_req_hits m.mr_req_misses m.mr_hits m.mr_misses m.mr_size
-        m.mr_capacity m.mr_evictions
+         hit(s), %d miss(es), %d vector hit(s), %d vector miss(es), %d/%d \
+         entries, %d evicted\n"
+        m.mr_req_hits m.mr_req_misses m.mr_hits m.mr_misses m.mr_vec_hits
+        m.mr_vec_misses m.mr_size m.mr_capacity m.mr_evictions
     | None -> ())
 
 let analyze_domains_arg =
@@ -313,12 +314,13 @@ let analyze_cmd =
     let m = Analyses.Memo.stats in
     Printf.printf
       "memo: %d distinct problems, %d cache hits (%.0f%% hit rate; by \
-       tier: %d screen, %d fast, %d complete), %d/%d entries held, %d \
-       evicted\n"
+       tier: %d screen, %d fast, %d complete), %d vector hits / %d \
+       misses, %d/%d entries held, %d evicted\n"
       m.Analyses.Memo.misses m.Analyses.Memo.hits
       (100. *. Analyses.Memo.hit_rate ())
       m.Analyses.Memo.hits_screen m.Analyses.Memo.hits_fast
-      m.Analyses.Memo.hits_complete
+      m.Analyses.Memo.hits_complete m.Analyses.Memo.vec_hits
+      m.Analyses.Memo.vec_misses
       (Analyses.Memo.size ()) !Analyses.Memo.capacity
       m.Analyses.Memo.evictions;
     Printf.printf "solver: %s\n" (Omega.Tuning.Stats.summary ());

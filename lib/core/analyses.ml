@@ -16,201 +16,9 @@ open Omega
    passes on go straight to the complete Presburger procedure. *)
 let use_fast_path = ref true
 
-(* ------------------------------------------------------------------ *)
-(* Verdict memoization                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Repeated kill/cover/refinement queries over a corpus are often
-   textually identical problems in fresh variables ([Depctx.instantiate]
-   allocates per call, so raw ids never match).  The cache key is a
-   canonical serialization: variables renumbered by first occurrence in
-   a fixed traversal order (hyp, then LHS problems, then the
-   existentials, then RHS problems), tagged with their kind, and the
-   existentials listed explicitly.  Alpha-equivalent queries in the same
-   allocation order therefore share a key, and validity is invariant
-   under renaming, so a hit is always sound.
-
-   Entries carry the budget limits they were computed under.  [Proved]
-   and [Disproved] replay at any budget (the solver is deterministic, so
-   a completed verdict is a fact).  A [Gave_up] replays only while the
-   current budget is no larger than the recorded one: raising the budget
-   invalidates cached give-ups, which then recompute.  Fault-injected
-   runs bypass the cache entirely (a fault is a property of the run, not
-   of the problem).
-
-   Timing benches that reproduce the paper's per-query figures must
-   disable the cache ([Memo.enabled := false]) or they would measure
-   hash lookups instead of eliminations. *)
-module Memo = struct
-  type t = {
-    mutable hits : int;
-    mutable misses : int;
-    mutable evictions : int;
-    (* hits attributed to the tier that computed the cached verdict *)
-    mutable hits_screen : int;
-    mutable hits_fast : int;
-    mutable hits_complete : int;
-  }
-
-  let make_t () =
-    {
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-      hits_screen = 0;
-      hits_fast = 0;
-      hits_complete = 0;
-    }
-
-  let enabled = ref true
-  let stats = make_t ()
-
-  (* Entries are tagged with the portfolio tier that decided them
-     ([None] for a cached give-up), so replays keep the per-tier
-     attribution honest. *)
-  let table :
-      (string, Budget.verdict * Budget.limits * Portfolio.tier option)
-      Hashtbl.t =
-    Hashtbl.create 4096
-
-  (* The daemon shares one cache across connection threads, so the
-     table, the eviction queue, and the counters live behind a mutex.
-     The lock covers only lookup and insertion — solver work happens
-     outside it — so contention is a hash probe, not an elimination. *)
-  let lock = Mutex.create ()
-
-  let locked f =
-    Mutex.lock lock;
-    match f () with
-    | v ->
-      Mutex.unlock lock;
-      v
-    | exception e ->
-      Mutex.unlock lock;
-      raise e
-
-  (* Attribution of the shared cache's traffic.
-
-     [local]: per-domain hit/miss counters a client may reset and read
-     around a request.  The petitd service reports per-request memo
-     traffic this way: a request's solver work runs entirely on one
-     worker domain, so the domain-local delta is exact even while other
-     sessions hammer the shared table (the old scheme — deltas of the
-     shared lifetime counters — would misattribute concurrent traffic).
-
-     [by_domain]: lifetime per-domain totals, bumped under the same lock
-     as the shared counters; `bench analysis` reports per-domain hit
-     rates from it. *)
-  type local = { mutable l_hits : int; mutable l_misses : int }
-
-  let local_key = Domain.DLS.new_key (fun () -> { l_hits = 0; l_misses = 0 })
-
-  let local_reset () =
-    let l = Domain.DLS.get local_key in
-    l.l_hits <- 0;
-    l.l_misses <- 0
-
-  let local_counts () =
-    let l = Domain.DLS.get local_key in
-    (l.l_hits, l.l_misses)
-
-  let by_domain : (int, t) Hashtbl.t = Hashtbl.create 8
-
-  let domain_slot () =
-    let id = (Domain.self () :> int) in
-    match Hashtbl.find_opt by_domain id with
-    | Some s -> s
-    | None ->
-      let s = make_t () in
-      Hashtbl.add by_domain id s;
-      s
-
-  let domain_stats () =
-    locked (fun () ->
-        Hashtbl.fold
-          (fun id s acc -> (id, { s with evictions = s.evictions }) :: acc)
-          by_domain []
-        |> List.sort (fun (a, _) (b, _) -> compare a b))
-
-  (* The cache is bounded: beyond [capacity] entries the oldest keys are
-     evicted first-in-first-out.  FIFO (rather than LRU) keeps hits
-     O(1) with no bookkeeping on the hot path; corpus-shaped workloads
-     re-ask a query soon after first posing it, so recency tracking buys
-     little.  [order] may retain keys whose entry was since replaced;
-     eviction skips the stale ones. *)
-  let capacity = ref 32_768
-  let order : string Queue.t = Queue.create ()
-
-  let size () = locked (fun () -> Hashtbl.length table)
-
-  let reset () =
-    locked (fun () ->
-        Hashtbl.reset table;
-        Queue.clear order;
-        stats.hits <- 0;
-        stats.misses <- 0;
-        stats.evictions <- 0;
-        stats.hits_screen <- 0;
-        stats.hits_fast <- 0;
-        stats.hits_complete <- 0;
-        Hashtbl.reset by_domain)
-
-  let hit_rate () =
-    locked (fun () ->
-        let total = stats.hits + stats.misses in
-        if total = 0 then 0.
-        else float_of_int stats.hits /. float_of_int total)
-
-  let replayable (verdict, lims, _tier) =
-    match verdict with
-    | Budget.Proved | Budget.Disproved -> true
-    | Budget.Gave_up _ -> Budget.le (Budget.current_limits ()) lims
-
-  let add key verdict tier =
-    (* Read the ambient limits before taking the lock: the entry
-       records the budget the verdict was computed under. *)
-    let entry = (verdict, Budget.current_limits (), tier) in
-    locked (fun () ->
-        let fresh = not (Hashtbl.mem table key) in
-        Hashtbl.replace table key entry;
-        if fresh then begin
-          Queue.push key order;
-          while
-            Hashtbl.length table > !capacity && not (Queue.is_empty order)
-          do
-            let victim = Queue.pop order in
-            if Hashtbl.mem table victim then begin
-              Hashtbl.remove table victim;
-              stats.evictions <- stats.evictions + 1
-            end
-          done
-        end)
-
-  let bump_tier s tier =
-    match tier with
-    | None -> ()
-    | Some Portfolio.Tier_screen -> s.hits_screen <- s.hits_screen + 1
-    | Some Portfolio.Tier_fast -> s.hits_fast <- s.hits_fast + 1
-    | Some Portfolio.Tier_complete -> s.hits_complete <- s.hits_complete + 1
-
-  let find key =
-    let l = Domain.DLS.get local_key in
-    locked (fun () ->
-        match Hashtbl.find_opt table key with
-        | Some ((verdict, _, tier) as entry) when replayable entry ->
-          stats.hits <- stats.hits + 1;
-          bump_tier stats tier;
-          let slot = domain_slot () in
-          slot.hits <- slot.hits + 1;
-          bump_tier slot tier;
-          l.l_hits <- l.l_hits + 1;
-          Some (verdict, tier)
-        | _ ->
-          stats.misses <- stats.misses + 1;
-          (domain_slot ()).misses <- (domain_slot ()).misses + 1;
-          l.l_misses <- l.l_misses + 1;
-          None)
-end
+(* The solver-result cache (verdicts here, vectors and minimums in
+   [Deps] and [refine]) lives in [Memo], below [Deps]. *)
+module Memo = Memo
 
 (* The canonical alpha-renamed serialization lives in [Canon]: it is
    both the memo key (shareable across domains — renumbering by first
@@ -285,7 +93,7 @@ let implies_exists_decide ?(label = "query") ~hyp lhs ~evars rhs :
       ~fault_key:(fun () -> label ^ ":" ^ Lazy.force canon)
       tiers
   in
-  if (not !Memo.enabled) || Budget.fault_injection_active () then compute ()
+  if not (Memo.active ()) then compute ()
   else begin
     let key = Lazy.force canon in
     match Memo.find key with
@@ -460,26 +268,30 @@ let refine ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access) :
   (* minimum possible distance in loop [l], given the already-fixed
      distances [fixed] (outermost-first) *)
   let min_distance fixed l =
-    let fix_constrs =
+    let fix =
       List.mapi
         (fun l' d ->
           Constr.eq2 (Linexpr.var pair.Deps.dvars.(l')) (Linexpr.of_int d))
         fixed
     in
+    let d = pair.Deps.dvars.(l) in
     let mins =
-      List.filter_map
+      Memo.per_level
+        ~key:(fun () ->
+          Deps.levels_key ~tag:"min" ~fix pair levels ~evars:[ d ])
+        ~wrap:(fun ms -> Memo.Minima ms)
+        ~unwrap:(function Memo.Minima ms -> Some ms | Memo.Vectors _ -> None)
         (fun (_, order) ->
-          let p = Problem.add_list (fix_constrs @ order) pair.Deps.base in
-          match
-            Budget.run ~label:"refine/minimize"
-              ~fault_key:(fun () -> Canon.of_problems ~tag:"min" [ p ])
-              (fun () -> Omega.minimize p pair.Deps.dvars.(l))
-          with
-          | Ok (`Min m) -> Zint.to_int_opt m
-          | Ok (`Unbounded | `Unsat) -> None
-          (* give-up: cannot bound the distance, stop refining *)
-          | Error _ -> None)
+          let p = Problem.add_list (fix @ order) pair.Deps.base in
+          Budget.run ~label:"refine/minimize"
+            ~fault_key:(fun () -> Canon.of_problems ~tag:"min" [ p ])
+            (fun () ->
+              match Omega.minimize p d with
+              | `Min m -> Zint.to_int_opt m
+              | `Unbounded | `Unsat -> None))
         levels
+      (* give-up: cannot bound the distance, stop refining *)
+      |> List.filter_map (function Ok m -> m | Error _ -> None)
     in
     match mins with [] -> None | m :: rest -> Some (List.fold_left min m rest)
   in
@@ -511,21 +323,16 @@ let refine ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access) :
 let refined_vectors ?(in_bounds = false) ctx ~(src : Ir.access)
     ~(dst : Ir.access) (pinned : int list) : Dirvec.t list =
   let pair = Deps.make_pair ~in_bounds ctx src dst in
-  let fix_constrs =
+  let fix =
     List.mapi
       (fun l d ->
         Constr.eq2 (Linexpr.var pair.Deps.dvars.(l)) (Linexpr.of_int d))
       pinned
   in
   let levels = Depctx.order_before ctx pair.Deps.a pair.Deps.b in
-  List.concat_map
-    (fun (lvl, order) ->
-      let p = Problem.add_list (fix_constrs @ order) pair.Deps.base in
-      match
-        Budget.run ~label:"refine/vectors"
-          ~fault_key:(fun () -> Canon.of_problems ~tag:"rvec" [ p ])
-          (fun () -> Dirvec.vectors_of_level p pair.Deps.dvars ~carried:lvl)
-      with
+  List.map2
+    (fun (lvl, _) r ->
+      match r with
       | Ok vecs -> vecs
       (* give-up: the weakest vectors of the level, never an
          under-approximation of the refined dependence *)
@@ -533,6 +340,8 @@ let refined_vectors ?(in_bounds = false) ctx ~(src : Ir.access)
         Dirvec.conservative_of_level (Array.length pair.Deps.dvars)
           ~carried:lvl)
     levels
+    (Deps.level_vectors ~label:"refine/vectors" ~tag:"rvec" ~fix pair levels)
+  |> List.concat
   |> List.sort_uniq Dirvec.compare
 
 (* ------------------------------------------------------------------ *)

@@ -17,82 +17,13 @@ val use_fast_path : bool ref
 (** Ablation switch: when [false], the portfolio plan omits the
     dark-shadow fast path (tier 1). *)
 
-module Memo : sig
-  type t = {
-    mutable hits : int;
-    mutable misses : int;
-    mutable evictions : int;
-    mutable hits_screen : int;
-        (** hits whose cached verdict was decided by tier 0 *)
-    mutable hits_fast : int;  (** ... by the dark-shadow fast path *)
-    mutable hits_complete : int;  (** ... by the complete procedure *)
-  }
-
-  val enabled : bool ref
-  (** Verdict cache for {!implies_exists}, keyed on a canonical
-      (alpha-renamed) serialization of the query ({!Canon.key}) — which
-      also erases variable-id slots, so verdicts are shareable across
-      allocating domains.  Sound because validity is invariant under
-      variable renaming.  Entries record the
-      {!Budget.current_limits} they were computed under: completed verdicts
-      replay at any budget, a [Gave_up] only while the current budget is
-      no larger than the recorded one.  Fault-injected runs bypass the
-      cache.  Disable in timing benches that reproduce per-query
-      figures — a hit would measure a hash lookup, not an
-      elimination. *)
-
-  val capacity : int ref
-  (** Maximum number of cached verdicts; beyond it the oldest entries
-      are evicted first-in-first-out, so long-running sessions hold a
-      bounded table instead of growing without limit. *)
-
-  val size : unit -> int
-  (** Entries currently cached. *)
-
-  val stats : t
-  val reset : unit -> unit
-  (** Clears the table, the eviction queue, and all counters. *)
-
-  val hit_rate : unit -> float
-  (** Hits over total queries since the last [reset]; [0.] when no
-      query ran. *)
-
-  (** {2 Concurrency}
-
-      The table, the eviction queue, and the counters are guarded by an
-      internal mutex, so the cache is safe to share across threads (the
-      petitd daemon keeps one warm across every connection).  The lock
-      covers lookups and insertions only — never solver work — and the
-      counter fields of {!stats} must be read, not written, by
-      clients. *)
-
-  val find : string -> (Budget.verdict * Portfolio.tier option) option
-  (** Replayable cached verdict under the current domain's
-      {!Budget.current_limits}, with the tier that computed it; counts a
-      hit or a miss. *)
-
-  val add : string -> Budget.verdict -> Portfolio.tier option -> unit
-  (** Record a verdict computed under the current domain's
-      {!Budget.current_limits}, tagged with the deciding tier, evicting
-      FIFO beyond {!capacity}. *)
-
-  (** {2 Traffic attribution} *)
-
-  val local_reset : unit -> unit
-  (** Zero the calling domain's private hit/miss counters.  A client
-      whose solver work runs on one domain (a petitd request dispatched
-      to a worker) brackets it with [local_reset]/[local_counts] to get
-      an exact per-request memo report, unaffected by concurrent
-      sessions. *)
-
-  val local_counts : unit -> int * int
-  (** The calling domain's private (hits, misses) since
-      {!local_reset}. *)
-
-  val domain_stats : unit -> (int * t) list
-  (** Lifetime cache traffic per domain id, sorted ([evictions] is
-      global and repeated in every row). *)
-end
+module Memo = Memo
+(** The solver-result cache: {!implies_exists} verdicts, plus the
+    completed per-level vectors of {!Deps.compute} and {!refined_vectors}
+    and the minimum distances of {!refine}, in one bounded table keyed
+    by canonical ({!Canon.key}) serializations.  One [enabled] switch,
+    one [capacity], one [reset] for every kind of entry; fault-injected
+    runs bypass it.  See {!Depend.Memo}. *)
 
 val implies_exists_decide :
   ?label:string ->
@@ -194,7 +125,9 @@ val refine :
   ?in_bounds:bool -> Depctx.t -> src:Ir.access -> dst:Ir.access -> int list
 (** The paper's candidate generator: pin the distance of each common
     loop, outermost first, to its minimum possible value, stopping at the
-    first failure.  Returns the pinned distances. *)
+    first failure.  Returns the pinned distances.  Each step's per-level
+    minimums are one {!Memo} entry, keyed over the minimized distance
+    variable; the candidate checks are memoized verdicts. *)
 
 val refined_vectors :
   ?in_bounds:bool ->
@@ -203,9 +136,11 @@ val refined_vectors :
   dst:Ir.access ->
   int list ->
   Dirvec.t list
-(** Direction vectors of the dependence under the pinned distances.  A
-    level whose vector analysis gives up contributes its weakest
-    (conservative) vectors instead. *)
+(** Direction vectors of the dependence under the pinned distances
+    ({!Deps.level_vectors} with the pins as extra constraints, so the
+    completed levels are one {!Memo} entry).  A level whose vector
+    analysis gives up contributes its weakest (conservative) vectors
+    instead. *)
 
 val set_fault_injection : seed:int -> rate:float -> unit
 (** Deterministically force a pseudo-random fraction [rate] of solver

@@ -11,38 +11,73 @@
 
 open Omega
 
-(* Serializing a coefficient or a canonical id re-enters [string_of_int]
-   constantly with the same small values; a precomputed table of the
-   common range removes the allocation from the key hot path (gated with
-   the other caches on [Tuning.hashcons]). *)
-let int_str =
-  let cache = Array.init 1024 (fun i -> string_of_int (i - 256)) in
-  fun n ->
-    if !Tuning.hashcons && n >= -256 && n < 768 then
-      Array.unsafe_get cache (n + 256)
-    else string_of_int n
+(* Coefficients and canonical ids are written as decimal digits
+   straight into the buffer: the key is built on every memo lookup, and
+   a [string_of_int] per term would allocate and dominate its cost. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
 
-let zint_str z =
+let add_int buf n =
+  if n >= 0 then add_digits buf n
+  else if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end
+
+let add_zint buf z =
   match Zint.to_int_opt z with
-  | Some n -> int_str n
-  | None -> Zint.to_string z
+  | Some n -> add_int buf n
+  | None -> Buffer.add_string buf (Zint.to_string z)
+
+(* Canonical ids by variable id; ids are distinct ints already, so
+   they hash to themselves. *)
+module Ids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id land max_int
+end)
+
+(* Kill-query keys run to several kilobytes, past the minor heap's
+   object size limit, so a fresh buffer grown to that size leaves
+   major-heap garbage on every lookup: most of a warm request's major
+   allocation, and with it the daemon's peak memory.  One scratch
+   buffer is reused instead; a caller that finds it taken (another
+   thread or domain mid-key) serializes into a fresh one. *)
+let scratch = Buffer.create 4096
+let scratch_lock = Mutex.create ()
+
+let with_buffer f =
+  if Mutex.try_lock scratch_lock then begin
+    Buffer.clear scratch;
+    match f scratch with
+    | s ->
+      Mutex.unlock scratch_lock;
+      s
+    | exception e ->
+      Mutex.unlock scratch_lock;
+      raise e
+  end
+  else f (Buffer.create 256)
 
 let key ?tag ~(hyp : Constr.t list) (lhs : Problem.t list)
     ~(evars : Var.t list) (rhs : Problem.t list) : string =
-  let buf = Buffer.create 256 in
+  with_buffer @@ fun buf ->
   (match tag with
   | Some t ->
     Buffer.add_string buf t;
     Buffer.add_char buf ':'
   | None -> ());
-  let canon : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let canon = Ids.create 16 in
   let cid v =
     let id = Var.id v in
-    match Hashtbl.find_opt canon id with
+    match Ids.find_opt canon id with
     | Some c -> c
     | None ->
-      let c = Hashtbl.length canon in
-      Hashtbl.add canon id c;
+      let c = Ids.length canon in
+      Ids.add canon id c;
       c
   in
   let kind_char v =
@@ -51,13 +86,13 @@ let key ?tag ~(hyp : Constr.t list) (lhs : Problem.t list)
   let add_lin le =
     Linexpr.iter_terms
       (fun v c ->
-        Buffer.add_string buf (zint_str c);
+        add_zint buf c;
         Buffer.add_char buf '*';
         Buffer.add_char buf (kind_char v);
-        Buffer.add_string buf (int_str (cid v));
+        add_int buf (cid v);
         Buffer.add_char buf '+')
       le;
-    Buffer.add_string buf (zint_str (Linexpr.constant le))
+    add_zint buf (Linexpr.constant le)
   in
   let add_constr c =
     Buffer.add_char buf
@@ -76,7 +111,7 @@ let key ?tag ~(hyp : Constr.t list) (lhs : Problem.t list)
   Buffer.add_char buf '|';
   List.iter
     (fun v ->
-      Buffer.add_string buf (int_str (cid v));
+      add_int buf (cid v);
       Buffer.add_char buf ',')
     evars;
   Buffer.add_char buf '|';

@@ -9,12 +9,6 @@
 
 open Omega
 
-val int_str : int -> string
-(** [string_of_int] with a small-value cache (gated on
-    {!Tuning.hashcons}). *)
-
-val zint_str : Zint.t -> string
-
 val key :
   ?tag:string ->
   hyp:Constr.t list ->

@@ -71,6 +71,40 @@ let level_problem (p : pair) (level, constrs) =
   ignore level;
   Problem.add_list constrs p.base
 
+(* Memo key of a query family posed once per ordering level of [p]:
+   the base problem, the extra constraints [fix], and each level's
+   ordering constraints, with the distinguished variables [evars] (the
+   distance variables a result is stated over) listed so their
+   positions are canonical, and the carried levels in the tag.  Two
+   pairs share a key only when they are the same problem up to a
+   renaming that maps each distinguished variable to its counterpart. *)
+let levels_key ~tag ?(fix = []) (p : pair) levels ~evars =
+  let carried = List.map (fun (lvl, _) -> string_of_int lvl) levels in
+  Canon.key
+    ~tag:(tag ^ String.concat "," carried)
+    ~hyp:fix [ p.base ] ~evars
+    (List.map (fun (_, constrs) -> Problem.of_list constrs) levels)
+
+let vectors_of_entry = function
+  | Memo.Vectors vs -> Some vs
+  | Memo.Minima _ -> None
+
+(* The vectors of each ordering level of [p] under [fix], one governed
+   query per level ([label] in telemetry, [tag] in the fault key); the
+   completed results of all levels are one memo entry. *)
+let level_vectors ~label ~tag ?(fix = []) (p : pair) levels =
+  Memo.per_level
+    ~key:(fun () ->
+      levels_key ~tag ~fix p levels ~evars:(Array.to_list p.dvars))
+    ~wrap:(fun vs -> Memo.Vectors vs)
+    ~unwrap:vectors_of_entry
+    (fun (lvl, constrs) ->
+      let prob = Problem.add_list (fix @ constrs) p.base in
+      Budget.run ~label
+        ~fault_key:(fun () -> Canon.of_problems ~tag [ prob ])
+        (fun () -> Dirvec.vectors_of_level prob p.dvars ~carried:lvl))
+    levels
+
 (* Compute the dependence (if any) from [src] to [dst]. *)
 let compute ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access)
     ~(kind : kind) : dep option =
@@ -78,24 +112,18 @@ let compute ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access)
   let levels = Depctx.order_before ctx p.a p.b in
   let gave_up = ref false in
   let results =
-    List.filter_map
-      (fun (lvl, constrs) ->
-        let prob = Problem.add_list constrs p.base in
-        let vecs =
-          match
-            Budget.run ~label:"deps/vectors"
-              ~fault_key:(fun () -> Canon.of_problems ~tag:"vec" [ prob ])
-              (fun () -> Dirvec.vectors_of_level prob p.dvars ~carried:lvl)
-          with
-          | Ok vecs -> vecs
-          (* give-up: assume the level carries a dependence with the
-             weakest possible vectors *)
-          | Error _ ->
-            gave_up := true;
-            Dirvec.conservative_of_level p.common ~carried:lvl
-        in
-        if vecs = [] then None else Some (lvl, vecs))
+    List.map2
+      (fun (lvl, _) r ->
+        match r with
+        | Ok vecs -> (lvl, vecs)
+        (* give-up: assume the level carries a dependence with the
+           weakest possible vectors *)
+        | Error _ ->
+          gave_up := true;
+          (lvl, Dirvec.conservative_of_level p.common ~carried:lvl))
       levels
+      (level_vectors ~label:"deps/vectors" ~tag:"vec" p levels)
+    |> List.filter (fun (_, vecs) -> vecs <> [])
   in
   if results = [] then None
   else begin
@@ -114,20 +142,36 @@ let compute ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access)
       }
   end
 
-(* Does any dependence (ignoring direction refinement) exist at all? *)
+(* Does any dependence (ignoring direction refinement) exist at all?  A
+   completed level has no vectors exactly when its problem is
+   unsatisfiable, so the pair's cached vector entry answers without
+   solver work ([Driver.classify_storage] asks about pairs that [all]
+   has just computed); without one, one satisfiability query per
+   level. *)
 let exists ctx ~src ~dst : bool =
   let p = make_pair ctx src dst in
-  List.exists
-    (fun lc ->
-      let prob = level_problem p lc in
-      match
-        Budget.run ~label:"deps/exists"
-          ~fault_key:(fun () -> Canon.of_problems ~tag:"ex" [ prob ])
-          (fun () -> Elim.satisfiable prob)
-      with
-      | Ok b -> b
-      | Error _ -> true (* cannot refute: assume the dependence *))
-    (Depctx.order_before ctx p.a p.b)
+  let levels = Depctx.order_before ctx p.a p.b in
+  let cached =
+    if levels <> [] && Memo.active () then
+      Memo.find_levels
+        (levels_key ~tag:"vec" p levels ~evars:(Array.to_list p.dvars))
+        vectors_of_entry
+    else None
+  in
+  match cached with
+  | Some vs -> List.exists (fun v -> v <> []) vs
+  | None ->
+    List.exists
+      (fun lc ->
+        let prob = level_problem p lc in
+        match
+          Budget.run ~label:"deps/exists"
+            ~fault_key:(fun () -> Canon.of_problems ~tag:"ex" [ prob ])
+            (fun () -> Elim.satisfiable prob)
+        with
+        | Ok b -> b
+        | Error _ -> true (* cannot refute: assume the dependence *))
+      levels
 
 (* All dependences of a given kind in a program.  Each surviving access
    pair is an independent solver workload, so the pair population shards

@@ -36,6 +36,36 @@ val make_pair : ?in_bounds:bool -> Depctx.t -> Ir.access -> Ir.access -> pair
 
 val level_problem : pair -> int * Constr.t list -> Problem.t
 
+val levels_key :
+  tag:string ->
+  ?fix:Constr.t list ->
+  pair ->
+  (int * Constr.t list) list ->
+  evars:Var.t list ->
+  string
+(** [levels_key ~tag ~fix p levels ~evars]: the {!Memo} key of a query
+    family posed once per ordering level of [p] under the extra
+    constraints [fix] — the {!Canon.key} of the base problem, [fix] and
+    each level's ordering constraints, with the distinguished variables
+    [evars] at canonical positions and the carried levels in the tag.
+    Alpha-equivalent families share a key only under a renaming that
+    maps each distinguished variable to its counterpart, so permuting
+    [evars] changes the key. *)
+
+val level_vectors :
+  label:string ->
+  tag:string ->
+  ?fix:Constr.t list ->
+  pair ->
+  (int * Constr.t list) list ->
+  (Dirvec.t list, Omega.Budget.reason) result list
+(** The vectors of each ordering level of the pair under the extra
+    constraints [fix]: one governed query per level ([label] names it in
+    telemetry, [tag] prefixes its fault key).  With the {!Memo} active,
+    the completed results of all levels are one entry keyed by
+    {!levels_key} over the distance variables; a level that gives up
+    returns [Error] and nothing is cached. *)
+
 val compute :
   ?in_bounds:bool ->
   Depctx.t ->
@@ -43,9 +73,19 @@ val compute :
   dst:Ir.access ->
   kind:kind ->
   dep option
-(** The dependence from [src] to [dst], or [None] when none exists. *)
+(** The dependence from [src] to [dst], or [None] when none exists.
+    The per-level vectors come from {!level_vectors}, so a pair whose
+    problem is alpha-equivalent to one already solved (in this request
+    or an earlier one) is answered from the {!Memo} without solver
+    work; a level that gives up is assumed with its weakest vectors and
+    the result is not cached. *)
 
 val exists : Depctx.t -> src:Ir.access -> dst:Ir.access -> bool
+(** Does any dependence from [src] to [dst] exist (no vectors, no
+    [in_bounds])?  Answered from the pair's cached {!level_vectors}
+    entry when the {!Memo} holds one (a level's vectors are empty
+    exactly when it is unsatisfiable); otherwise one governed
+    satisfiability query per level, uncached. *)
 
 val all : ?in_bounds:bool -> Depctx.t -> kind -> dep list
 (** All dependences of one kind in the program. *)

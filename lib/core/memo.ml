@@ -1,0 +1,252 @@
+(* Memoized solver results, shared across requests.
+
+   Repeated kill/cover/refinement queries over a corpus are often
+   textually identical problems in fresh variables ([Depctx.instantiate]
+   allocates per call, so raw ids never match).  Every key is a
+   canonical serialization ([Canon.key]): variables renumbered by first
+   occurrence in a fixed traversal order and tagged with their kind, the
+   distinguished variables listed explicitly.  Alpha-equivalent queries
+   in the same allocation order therefore share a key, and every cached
+   answer is invariant under renaming, so a hit is always sound.
+
+   One table holds three kinds of entry:
+
+   - a section-4 verdict ([Analyses.implies_exists_decide]) with the
+     portfolio tier that decided it and the budget limits it was
+     computed under.  [Proved] and [Disproved] replay at any budget (the
+     solver is deterministic, so a completed verdict is a fact).  A
+     [Gave_up] replays only while the current budget is no larger than
+     the recorded one: raising the budget invalidates cached give-ups,
+     which then recompute;
+   - the per-level direction vectors of a dependence pair ([Deps.compute],
+     [Analyses.refined_vectors]), one list per ordering level;
+   - the per-level minimum distances of a refinement step
+     ([Analyses.refine]).
+
+   Vector and minimum entries are stored only when every level
+   completed: a completed result is a fact and replays at any budget,
+   like a completed verdict, while a give-up recomputes.  Fault-injected
+   runs bypass the cache entirely (a fault is a property of the run, not
+   of the problem).
+
+   Timing benches that reproduce the paper's per-query figures must
+   disable the cache ([enabled := false]) or they would measure hash
+   lookups instead of eliminations. *)
+
+open Omega
+
+type t = {
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+  (* verdict hits attributed to the tier that computed the cached verdict *)
+  mutable hits_screen : int;
+  mutable hits_fast : int;
+  mutable hits_complete : int;
+  (* vector and minimum lookups; kept apart so [hits]/[misses] and
+     [hit_rate] stay verdict-only *)
+  mutable vec_hits : int;
+  mutable vec_misses : int;
+}
+
+let make_t () =
+  {
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+    hits_screen = 0;
+    hits_fast = 0;
+    hits_complete = 0;
+    vec_hits = 0;
+    vec_misses = 0;
+  }
+
+type levels = Vectors of Dirvec.t list list | Minima of int option list
+
+(* Verdicts are tagged with the portfolio tier that decided them
+   ([None] for a cached give-up), so replays keep the per-tier
+   attribution honest. *)
+type entry =
+  | Verdict of Budget.verdict * Budget.limits * Portfolio.tier option
+  | Levels of levels
+
+let enabled = ref true
+let stats = make_t ()
+
+let active () = !enabled && not (Budget.fault_injection_active ())
+
+let table : (string, entry) Hashtbl.t = Hashtbl.create 4096
+
+(* The daemon shares one cache across connection threads, so the table,
+   the eviction queue, and the counters live behind a mutex.  The lock
+   covers only lookup and insertion — solver work happens outside it —
+   so contention is a hash probe, not an elimination. *)
+let lock = Mutex.create ()
+
+let locked f =
+  Mutex.lock lock;
+  match f () with
+  | v ->
+    Mutex.unlock lock;
+    v
+  | exception e ->
+    Mutex.unlock lock;
+    raise e
+
+(* Attribution of the shared cache's traffic.
+
+   [local]: per-domain verdict hit/miss counters a client may reset and
+   read around a request.  The petitd service reports per-request memo
+   traffic this way: a request's solver work runs entirely on one worker
+   domain, so the domain-local delta is exact even while other sessions
+   hammer the shared table.
+
+   [by_domain]: lifetime per-domain totals, bumped under the same lock
+   as the shared counters; `bench analysis` reports per-domain hit rates
+   from it. *)
+type local = { mutable l_hits : int; mutable l_misses : int }
+
+let local_key = Domain.DLS.new_key (fun () -> { l_hits = 0; l_misses = 0 })
+
+let local_reset () =
+  let l = Domain.DLS.get local_key in
+  l.l_hits <- 0;
+  l.l_misses <- 0
+
+let local_counts () =
+  let l = Domain.DLS.get local_key in
+  (l.l_hits, l.l_misses)
+
+let by_domain : (int, t) Hashtbl.t = Hashtbl.create 8
+
+let domain_slot () =
+  let id = (Domain.self () :> int) in
+  match Hashtbl.find_opt by_domain id with
+  | Some s -> s
+  | None ->
+    let s = make_t () in
+    Hashtbl.add by_domain id s;
+    s
+
+let domain_stats () =
+  locked (fun () ->
+      Hashtbl.fold
+        (fun id s acc -> (id, { s with evictions = stats.evictions }) :: acc)
+        by_domain []
+      |> List.sort (fun (a, _) (b, _) -> compare a b))
+
+(* The cache is bounded: beyond [capacity] entries the oldest keys are
+   evicted first-in-first-out.  FIFO (rather than LRU) keeps hits O(1)
+   with no bookkeeping on the hot path; corpus-shaped workloads re-ask a
+   query soon after first posing it, so recency tracking buys little.
+   [order] may retain keys whose entry was since replaced; eviction
+   skips the stale ones. *)
+let capacity = ref 32_768
+let order : string Queue.t = Queue.create ()
+
+let size () = locked (fun () -> Hashtbl.length table)
+
+let reset () =
+  locked (fun () ->
+      Hashtbl.reset table;
+      Queue.clear order;
+      stats.hits <- 0;
+      stats.misses <- 0;
+      stats.evictions <- 0;
+      stats.hits_screen <- 0;
+      stats.hits_fast <- 0;
+      stats.hits_complete <- 0;
+      stats.vec_hits <- 0;
+      stats.vec_misses <- 0;
+      Hashtbl.reset by_domain)
+
+let hit_rate () =
+  locked (fun () ->
+      let total = stats.hits + stats.misses in
+      if total = 0 then 0.
+      else float_of_int stats.hits /. float_of_int total)
+
+let insert key entry =
+  locked (fun () ->
+      let fresh = not (Hashtbl.mem table key) in
+      Hashtbl.replace table key entry;
+      if fresh then begin
+        Queue.push key order;
+        while Hashtbl.length table > !capacity && not (Queue.is_empty order) do
+          let victim = Queue.pop order in
+          if Hashtbl.mem table victim then begin
+            Hashtbl.remove table victim;
+            stats.evictions <- stats.evictions + 1
+          end
+        done
+      end)
+
+(* Read the ambient limits before taking the lock: the entry records
+   the budget the verdict was computed under. *)
+let add key verdict tier =
+  insert key (Verdict (verdict, Budget.current_limits (), tier))
+
+let bump_tier s tier =
+  match tier with
+  | None -> ()
+  | Some Portfolio.Tier_screen -> s.hits_screen <- s.hits_screen + 1
+  | Some Portfolio.Tier_fast -> s.hits_fast <- s.hits_fast + 1
+  | Some Portfolio.Tier_complete -> s.hits_complete <- s.hits_complete + 1
+
+let replayable verdict lims =
+  match verdict with
+  | Budget.Proved | Budget.Disproved -> true
+  | Budget.Gave_up _ -> Budget.le (Budget.current_limits ()) lims
+
+let find key =
+  let l = Domain.DLS.get local_key in
+  locked (fun () ->
+      let slot = domain_slot () in
+      match Hashtbl.find_opt table key with
+      | Some (Verdict (verdict, lims, tier)) when replayable verdict lims ->
+        stats.hits <- stats.hits + 1;
+        bump_tier stats tier;
+        slot.hits <- slot.hits + 1;
+        bump_tier slot tier;
+        l.l_hits <- l.l_hits + 1;
+        Some (verdict, tier)
+      | _ ->
+        stats.misses <- stats.misses + 1;
+        slot.misses <- slot.misses + 1;
+        l.l_misses <- l.l_misses + 1;
+        None)
+
+(* A lookup counts as a hit only when the entry is of the kind the
+   caller expects ([unwrap]); tags keep the kinds' keys apart anyway. *)
+let find_levels key unwrap =
+  locked (fun () ->
+      let slot = domain_slot () in
+      let found =
+        match Hashtbl.find_opt table key with
+        | Some (Levels r) -> unwrap r
+        | Some (Verdict _) | None -> None
+      in
+      (match found with
+      | Some _ ->
+        stats.vec_hits <- stats.vec_hits + 1;
+        slot.vec_hits <- slot.vec_hits + 1
+      | None ->
+        stats.vec_misses <- stats.vec_misses + 1;
+        slot.vec_misses <- slot.vec_misses + 1);
+      found)
+
+let per_level ~key ~wrap ~unwrap solve levels =
+  if levels = [] || not (active ()) then List.map solve levels
+  else begin
+    let key = key () in
+    match find_levels key unwrap with
+    | Some rs -> List.map Result.ok rs
+    | None ->
+      (* Racing threads on a fresh key both compute and both add; the
+         solver is deterministic, so the second add replaces an equal
+         entry. *)
+      let rs = List.map solve levels in
+      if List.for_all Result.is_ok rs then
+        insert key (Levels (wrap (List.map Result.get_ok rs)));
+      rs
+  end

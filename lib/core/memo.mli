@@ -1,0 +1,118 @@
+(** The solver-result cache shared by every request: section-4 verdicts
+    ({!Analyses.implies_exists_decide}) and the completed per-level
+    results of the dependence-vector and refinement queries
+    ({!Deps.compute}, {!Analyses.refined_vectors}, {!Analyses.refine}),
+    in one bounded table behind one lock.
+
+    Every key is a canonical (alpha-renamed) serialization of the query
+    ({!Canon.key}) with its distinguished variables listed explicitly,
+    which also erases variable-id slots, so entries are shareable across
+    allocating domains.  Sound because every cached answer is invariant
+    under variable renaming.  {!Analyses.Memo} is this module. *)
+
+open Omega
+
+type t = {
+  mutable hits : int;  (** verdict hits *)
+  mutable misses : int;  (** verdict misses *)
+  mutable evictions : int;  (** entries of any kind evicted *)
+  mutable hits_screen : int;
+      (** verdict hits whose cached verdict was decided by tier 0 *)
+  mutable hits_fast : int;  (** ... by the dark-shadow fast path *)
+  mutable hits_complete : int;  (** ... by the complete procedure *)
+  mutable vec_hits : int;  (** vector and minimum hits *)
+  mutable vec_misses : int;  (** vector and minimum misses *)
+}
+
+val enabled : bool ref
+(** Turns the whole cache on or off.  Verdict entries record the
+    {!Budget.current_limits} they were computed under: completed
+    verdicts replay at any budget, a [Gave_up] only while the current
+    budget is no larger than the recorded one.  Vector and minimum
+    entries are stored only when every level completed, and replay at
+    any budget.  Fault-injected runs bypass the cache.  Disable in
+    timing benches that reproduce per-query figures — a hit would
+    measure a hash lookup, not an elimination. *)
+
+val active : unit -> bool
+(** [enabled] and no fault injection active: whether lookups and
+    insertions happen at all. *)
+
+val capacity : int ref
+(** Maximum number of cached entries of all kinds; beyond it the oldest
+    entries are evicted first-in-first-out, so long-running sessions
+    hold a bounded table instead of growing without limit. *)
+
+val size : unit -> int
+(** Entries currently cached. *)
+
+val stats : t
+
+val reset : unit -> unit
+(** Clears the table (every kind of entry), the eviction queue, and all
+    counters. *)
+
+val hit_rate : unit -> float
+(** Verdict hits over verdict lookups since the last [reset]; [0.] when
+    none ran. *)
+
+(** {2 Concurrency}
+
+    The table, the eviction queue, and the counters are guarded by an
+    internal mutex, so the cache is safe to share across threads (the
+    petitd daemon keeps one warm across every connection).  The lock
+    covers lookups and insertions only — never solver work — and the
+    counter fields of {!stats} must be read, not written, by clients. *)
+
+(** {2 Verdicts} *)
+
+val find : string -> (Budget.verdict * Portfolio.tier option) option
+(** Replayable cached verdict under the current domain's
+    {!Budget.current_limits}, with the tier that computed it; counts a
+    hit or a miss. *)
+
+val add : string -> Budget.verdict -> Portfolio.tier option -> unit
+(** Record a verdict computed under the current domain's
+    {!Budget.current_limits}, tagged with the deciding tier, evicting
+    FIFO beyond {!capacity}. *)
+
+(** {2 Per-level results} *)
+
+type levels =
+  | Vectors of Dirvec.t list list  (** direction vectors, per level *)
+  | Minima of int option list  (** minimum distances, per level *)
+
+val find_levels : string -> (levels -> 'a option) -> 'a option
+(** [find_levels key unwrap]: the cached per-level results under [key]
+    when they are of the kind [unwrap] accepts; counts a vector hit or
+    miss. *)
+
+val per_level :
+  key:(unit -> string) ->
+  wrap:('a list -> levels) ->
+  unwrap:(levels -> 'a list option) ->
+  ('l -> ('a, Budget.reason) result) ->
+  'l list ->
+  ('a, Budget.reason) result list
+(** [per_level ~key ~wrap ~unwrap solve levels]: [List.map solve levels],
+    answered from one cache entry under [key ()] when there is one (a
+    vector hit) and stored there when every level returned [Ok] (a
+    vector miss).  When the cache is not {!active} or [levels] is
+    empty, [key] is never forced and nothing is counted. *)
+
+(** {2 Traffic attribution} *)
+
+val local_reset : unit -> unit
+(** Zero the calling domain's private verdict hit/miss counters.  A
+    client whose solver work runs on one domain (a petitd request
+    dispatched to a worker) brackets it with [local_reset]/[local_counts]
+    to get an exact per-request memo report, unaffected by concurrent
+    sessions. *)
+
+val local_counts : unit -> int * int
+(** The calling domain's private verdict (hits, misses) since
+    {!local_reset}. *)
+
+val domain_stats : unit -> (int * t) list
+(** Lifetime cache traffic per domain id, sorted ([evictions] is global
+    and repeated in every row). *)

@@ -291,6 +291,8 @@ type memo_report = {
   mr_size : int;
   mr_capacity : int;
   mr_evictions : int;
+  mr_vec_hits : int;
+  mr_vec_misses : int;
 }
 
 type error_code =
@@ -345,6 +347,8 @@ let memo_json m =
       ("size", Json.Int m.mr_size);
       ("capacity", Json.Int m.mr_capacity);
       ("evictions", Json.Int m.mr_evictions);
+      ("vec_hits", Json.Int m.mr_vec_hits);
+      ("vec_misses", Json.Int m.mr_vec_misses);
     ]
 
 let encode_response = function
@@ -380,7 +384,7 @@ let encode_response = function
 let decode_memo j =
   let i name = Option.bind (Json.member name j) Json.to_int_opt in
   match (i "req_hits", i "req_misses", i "hits", i "misses", i "size",
-         i "capacity", i "evictions")
+         i "capacity", i "evictions", i "vec_hits", i "vec_misses")
   with
   | ( Some mr_req_hits,
       Some mr_req_misses,
@@ -388,7 +392,9 @@ let decode_memo j =
       Some mr_misses,
       Some mr_size,
       Some mr_capacity,
-      Some mr_evictions ) ->
+      Some mr_evictions,
+      Some mr_vec_hits,
+      Some mr_vec_misses ) ->
     Some
       {
         mr_req_hits;
@@ -398,6 +404,8 @@ let decode_memo j =
         mr_size;
         mr_capacity;
         mr_evictions;
+        mr_vec_hits;
+        mr_vec_misses;
       }
   | _ -> None
 

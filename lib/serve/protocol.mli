@@ -79,8 +79,11 @@ val decode_request : Json.t -> (int * request, string) result
 
 (** {1 Responses} *)
 
-(** Verdict-cache telemetry attached to a successful response:
-    [mr_req_*] count this request only, the rest are daemon-lifetime. *)
+(** Solver-cache telemetry attached to a successful response:
+    [mr_req_*] count this request's verdict lookups only, the rest are
+    daemon-lifetime.  Hits and misses count verdict lookups; [mr_vec_*]
+    count the dependence-vector and minimum lookups that share the
+    table ({!Depend.Memo}). *)
 type memo_report = {
   mr_req_hits : int;
   mr_req_misses : int;
@@ -89,6 +92,8 @@ type memo_report = {
   mr_size : int;
   mr_capacity : int;
   mr_evictions : int;
+  mr_vec_hits : int;
+  mr_vec_misses : int;
 }
 
 type error_code =

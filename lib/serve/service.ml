@@ -269,6 +269,8 @@ let memo_report ~req_hits ~req_misses =
     mr_size = D.Analyses.Memo.size ();
     mr_capacity = !D.Analyses.Memo.capacity;
     mr_evictions = m.D.Analyses.Memo.evictions;
+    mr_vec_hits = m.D.Analyses.Memo.vec_hits;
+    mr_vec_misses = m.D.Analyses.Memo.vec_misses;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -188,7 +188,216 @@ let test_memo_bound () =
         (Analyses.Memo.size () <= 4);
       check Alcotest.bool "pressure causes evictions" true
         (Analyses.Memo.stats.Analyses.Memo.evictions > 0);
+      List.iter
+        (fun (_, (row : Analyses.Memo.t)) ->
+          check Alcotest.int "global evictions repeated in every domain row"
+            Analyses.Memo.stats.Analyses.Memo.evictions
+            row.Analyses.Memo.evictions)
+        (Analyses.Memo.domain_stats ());
       check_outcome "cholsky under tiny memo" unbounded bounded)
+
+(* ------------------------------------------------------------------ *)
+(* Memo identity                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let memo_programs = Corpus.all @ Corpus.stress
+
+(* Everything a client sees of one program: the two daemon payloads and
+   the dependence graph, each parsed afresh. *)
+let outputs src =
+  let prog () = Lang.Sema.analyze (Lang.Parser.parse_string src) in
+  let analyze = Serve.Service.analyze_payload ~in_bounds:false (prog ()) in
+  let parallelize =
+    Serve.Service.parallelize_payload ~in_bounds:false (prog ())
+  in
+  [
+    Serve.Json.to_string analyze;
+    Serve.Json.to_string parallelize;
+    Xform.Graph.to_json (Xform.Graph.build (prog ()));
+  ]
+
+let all_outputs ?(reset = false) () =
+  List.map
+    (fun (name, src) ->
+      if reset then Analyses.Memo.reset ();
+      (name, outputs src))
+    memo_programs
+
+let check_outputs what expected got =
+  List.iter2
+    (fun (name, e) (_, g) ->
+      check slist (Printf.sprintf "%s: %s" name what) e g)
+    expected got
+
+let with_memo_restored f =
+  let enabled = !Analyses.Memo.enabled in
+  Fun.protect
+    ~finally:(fun () ->
+      Analyses.clear_fault_injection ();
+      Analyses.Memo.enabled := enabled;
+      Analyses.Memo.reset ())
+    f
+
+let test_memo_identity () =
+  with_memo_restored @@ fun () ->
+  Analyses.Memo.enabled := true;
+  let cold = all_outputs ~reset:true () in
+  (* warm the cache over the corpus in another order first, so a key
+     shared by mistake between programs would hand one program another
+     program's vectors *)
+  Analyses.Memo.reset ();
+  let rng = Random.State.make [| 13 |] in
+  memo_programs
+  |> List.map (fun p -> (Random.State.bits rng, p))
+  |> List.sort compare
+  |> List.iter (fun (_, (_, src)) -> ignore (outputs src));
+  check_outputs "warm = cold" cold (all_outputs ());
+  check Alcotest.bool "vector entries were replayed" true
+    (Analyses.Memo.stats.Analyses.Memo.vec_hits > 0);
+  (* keyed faults bypass the cache: a warm cache and a reset one give
+     the same degraded outputs *)
+  Analyses.set_fault_injection ~seed:7 ~rate:0.2;
+  let faulted_warm = all_outputs () in
+  let faulted_cold = all_outputs ~reset:true () in
+  check_outputs "faulted warm = faulted cold" faulted_cold faulted_warm;
+  Analyses.clear_fault_injection ();
+  Analyses.Memo.enabled := false;
+  check_outputs "disabled = cold" cold (all_outputs ())
+
+(* A repeat request is answered from the cache: the second parallelize
+   of a program poses no solver query at all (vectors, minimums,
+   verdicts and existence checks all replay). *)
+let test_memo_warm_repeat () =
+  with_memo_restored @@ fun () ->
+  Analyses.Memo.enabled := true;
+  Analyses.Memo.reset ();
+  List.iter
+    (fun (name, src) ->
+      let parallelize () =
+        ignore
+          (Serve.Service.parallelize_payload ~in_bounds:false
+             (Lang.Sema.analyze (Lang.Parser.parse_string src)))
+      in
+      parallelize ();
+      Budget.Telemetry.reset ();
+      parallelize ();
+      check Alcotest.int
+        (name ^ ": solver queries of a warm repeat")
+        0 (Budget.Telemetry.current ()).Budget.Telemetry.queries)
+    Corpus.all
+
+(* The key of a per-level family lists the distinguished variables, so
+   the same problem stated over its distance variables in another order
+   is another key, while a fresh instantiation of the same pair (new
+   variables, same order) is the same key. *)
+let test_memo_key_positions () =
+  let prog = Lang.Sema.parse_and_analyze Corpus.cholsky in
+  let ctx = Depctx.create prog in
+  let w =
+    List.find (fun a -> Lang.Ir.depth a >= 2) (Lang.Ir.writes prog)
+  in
+  let key_of ?(permute = false) () =
+    let p = Deps.make_pair ctx w w in
+    let levels = Depctx.order_before ctx p.Deps.a p.Deps.b in
+    let dvars = Array.to_list p.Deps.dvars in
+    Deps.levels_key ~tag:"vec" p levels
+      ~evars:(if permute then List.rev dvars else dvars)
+  in
+  check Alcotest.string "fresh instantiation, same key" (key_of ())
+    (key_of ());
+  check Alcotest.bool "permuted distance variables, different key" false
+    (key_of () = key_of ~permute:true ())
+
+(* Random affine access pairs: a write and a read of [a] in a nest of
+   depth 1-3 (rectangular or triangular), the read at a random depth.
+   Small coefficients make alpha-equivalent pairs across programs
+   common, so a later program's pairs often hit entries an earlier one
+   filled. *)
+let gen_pair_program =
+  QCheck.Gen.(
+    let* depth = int_range 1 3 in
+    let* triangular = bool in
+    let* rdepth = int_range 1 depth in
+    let var k = Printf.sprintf "i%d" k in
+    let gen_sub vars =
+      let* c0 = int_range (-1) 1 in
+      let* cs = flatten_l (List.map (fun _ -> int_range (-1) 2) vars) in
+      return
+        (List.fold_left2
+           (fun e v c -> if c = 0 then e else Printf.sprintf "%s + %d*%s" e c v)
+           (string_of_int c0) vars cs)
+    in
+    let vars_to d = List.init d (fun k -> var (k + 1)) in
+    let* w1 = gen_sub (vars_to depth) in
+    let* w2 = gen_sub (vars_to depth) in
+    let* r1 = gen_sub (vars_to rdepth) in
+    let* r2 = gen_sub (vars_to rdepth) in
+    let buf = Buffer.create 256 in
+    Buffer.add_string buf
+      "symbolic n;\nreal a[-60:60, -60:60], x[-60:60];\n";
+    for k = 1 to depth do
+      let hi = if triangular && k > 1 then var (k - 1) else "n" in
+      Buffer.add_string buf
+        (Printf.sprintf "for %s := 1 to %s do\n" (var k) hi)
+    done;
+    Buffer.add_string buf (Printf.sprintf "W: a(%s, %s) := x(i1);\n" w1 w2);
+    for k = depth downto 1 do
+      if k = rdepth then
+        Buffer.add_string buf
+          (Printf.sprintf "R: x(i1) := a(%s, %s);\n" r1 r2);
+      Buffer.add_string buf "endfor\n"
+    done;
+    return (Buffer.contents buf))
+
+(* The flow, anti and output dependences of the pair, the flow
+   dependence's refinement, and its vectors under several pinnings, as
+   plain data. *)
+let pair_results src =
+  let prog = Lang.Sema.parse_and_analyze src in
+  let ctx = Depctx.create prog in
+  let on_a = List.filter (fun a -> a.Lang.Ir.array = "a") in
+  let w = List.hd (on_a (Lang.Ir.writes prog)) in
+  let r = List.hd (on_a (Lang.Ir.reads prog)) in
+  let dep ~src ~dst kind =
+    Option.map
+      (fun (d : Deps.dep) ->
+        ( List.map Dirvec.to_string d.Deps.vectors,
+          d.Deps.levels,
+          d.Deps.assumed ))
+      (Deps.compute ctx ~src ~dst ~kind)
+  in
+  let pinned = Analyses.refine ctx ~src:w ~dst:r in
+  (* besides the generator's own pins, distances it would not choose:
+     entries that differ only in their pinned distances must not share *)
+  let c = Lang.Ir.common_loops w r in
+  let refined =
+    List.map
+      (fun pins ->
+        List.map Dirvec.to_string
+          (Analyses.refined_vectors ctx ~src:w ~dst:r pins))
+      (pinned :: List.map (fun d -> List.init c (fun _ -> d)) [ 0; 1 ])
+  in
+  ( [ dep ~src:w ~dst:r Deps.Flow; dep ~src:r ~dst:w Deps.Anti;
+      dep ~src:w ~dst:w Deps.Output ],
+    pinned,
+    refined )
+
+let prop_memo_pairs_sound =
+  QCheck.Test.make ~count:40
+    ~name:"cached vectors and refinements = uncached, across pairs"
+    QCheck.(
+      make
+        ~print:(fun ps -> String.concat "----\n" ps)
+        Gen.(list_size (int_range 2 5) gen_pair_program))
+    (fun srcs ->
+      with_memo_restored @@ fun () ->
+      Analyses.Memo.enabled := false;
+      let uncached = List.map pair_results srcs in
+      Analyses.Memo.enabled := true;
+      Analyses.Memo.reset ();
+      let filling = List.map pair_results srcs in
+      let replayed = List.map pair_results (List.rev srcs) |> List.rev in
+      uncached = filling && uncached = replayed)
 
 let unit_tests =
   [
@@ -197,6 +406,12 @@ let unit_tests =
     Alcotest.test_case "determinism across Var-id shifts" `Quick
       test_determinism_var_ids;
     Alcotest.test_case "memo bound and eviction" `Quick test_memo_bound;
+    Alcotest.test_case "memo identity: cold, warm, disabled, faulted" `Quick
+      test_memo_identity;
+    Alcotest.test_case "memo: warm repeat makes no solver query" `Quick
+      test_memo_warm_repeat;
+    Alcotest.test_case "memo: keys fix distance-variable positions" `Quick
+      test_memo_key_positions;
   ]
 
 let suite =
@@ -209,4 +424,5 @@ let suite =
           prop_redundancy_preserves_solutions;
           prop_var_ids_disjoint;
           prop_canon_key_domain_invariant;
+          prop_memo_pairs_sound;
         ] )

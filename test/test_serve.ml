@@ -189,6 +189,8 @@ let memo_sample =
     mr_size = 7;
     mr_capacity = 64;
     mr_evictions = 0;
+    mr_vec_hits = 5;
+    mr_vec_misses = 2;
   }
 
 let all_responses : Protocol.response list =
