@@ -834,7 +834,6 @@ type vm_row = {
   vr_ext_regions : int;
   vr_std_inline : int;
   vr_ext_inline : int;
-  vr_elided : int;
   vr_fused : int;
   vr_loopi : int;
   vr_x_fused : int;
@@ -843,7 +842,7 @@ type vm_row = {
   vr_dyn_base : int; (* dynamic instructions, unoptimized serial VM *)
   vr_dyn_opt : int; (* dynamic instructions, optimized serial VM *)
   vr_identical : bool;
-  vr_subsets_ok : bool; (* all 16 optimizer-flag subsets bit-identical *)
+  vr_subsets_ok : bool; (* every optimizer-flag subset bit-identical *)
 }
 
 let geomean = function
@@ -860,16 +859,18 @@ let ratio num den =
 let dyn_ratio r = float_of_int r.vr_dyn_base /. float_of_int (max 1 r.vr_dyn_opt)
 
 (* The per-pass ablation configurations, as (label, flags) with flags =
-   (restructure, superinst, elide, writekill).  Each row switches one
-   pass off with the other three on, so its whole-pipeline contribution
-   is the gap to the all-on row. *)
+   (restructure, superinst, writekill).  Each row switches one pass off
+   with the other two on, so its whole-pipeline contribution is the gap
+   to the all-on row. *)
 let ablation_configs =
   [
-    ("no_restructure", (false, true, true, true));
-    ("no_superinst", (true, false, true, true));
-    ("no_elide", (true, true, false, true));
-    ("no_writekill", (true, true, true, false));
+    ("no_restructure", (false, true, true));
+    ("no_superinst", (true, false, true));
+    ("no_writekill", (true, true, false));
   ]
+
+(* Size of the bit-identity gate: every subset of the optimizer flags. *)
+let flag_subsets = 1 lsl List.length (Lang.Opt.flags ())
 
 let json_of_vm_speedup ~domains ~smoke ~repeat (rows : vm_row list) =
   let row r =
@@ -894,7 +895,6 @@ let json_of_vm_speedup ~domains ~smoke ~repeat (rows : vm_row list) =
         ( "ablation",
           Json.Obj
             (List.map (fun (label, t) -> (label, jf (ms t))) r.vr_ablation) );
-        ("elided", Json.Int r.vr_elided);
         ("fused", Json.Int r.vr_fused);
         ("loopi", Json.Int r.vr_loopi);
         ( "restructure",
@@ -949,7 +949,7 @@ let json_of_vm_speedup ~domains ~smoke ~repeat (rows : vm_row list) =
       ("smoke", Json.Bool smoke);
       ("repeat", Json.Int repeat);
       ("all_identical", Json.Bool (List.for_all (fun r -> r.vr_identical) rows));
-      ("flag_subsets", Json.Int 16);
+      ("flag_subsets", Json.Int flag_subsets);
       ( "all_subsets_identical",
         Json.Bool (List.for_all (fun r -> r.vr_subsets_ok) rows) );
       ( "geomean_compile_speedup",
@@ -1069,9 +1069,9 @@ let speedup_vm_suite ~smoke ~domains ~repeat ~out () =
                  The source-level passes (restructure/write-kill) change
                  what gets compiled, so each of the four
                  (restructure, writekill) pairs is restructured and
-                 compiled once; the bytecode passes (superinst/elide)
-                 then apply to the compiled unit.  Reused by the
-                 16-subset identity gate and the ablation rows. *)
+                 compiled once; the bytecode pass (superinst) then
+                 applies to the compiled unit.  Reused by the
+                 flag-subset identity gate and the ablation rows. *)
               let ast = Lang.Parser.parse_string (Corpus.find name) in
               let flag_pairs =
                 [ (false, false); (true, false); (false, true); (true, true) ]
@@ -1079,47 +1079,44 @@ let speedup_vm_suite ~smoke ~domains ~repeat ~out () =
               let rw_units =
                 List.map
                   (fun (r, w) ->
-                    Lang.Opt.set ~restructure:r ~superinst:false ~elide:false
-                      ~writekill:w;
+                    Lang.Opt.set ~restructure:r ~superinst:false ~writekill:w;
                     let ast', xr = Xform.Restructure.optimize ast in
                     ( (r, w),
                       (Lang.Compile.program (Lang.Sema.analyze ast') ~syms, xr)
                     ))
                   flag_pairs
               in
-              let unit_for (r, s, e, w) =
+              let unit_for (r, s, w) =
                 let u_rw, _ = List.assoc (r, w) rw_units in
-                Lang.Opt.set ~restructure:r ~superinst:s ~elide:e ~writekill:w;
+                Lang.Opt.set ~restructure:r ~superinst:s ~writekill:w;
                 fst (Lang.Opt.optimize u_rw)
               in
-              (* bit-identity gate: all 16 optimizer-flag subsets must
+              (* bit-identity gate: every optimizer-flag subset must
                  reproduce the interpreter's final memory exactly (the
                  interp-memory check, since restructuring may change the
-                 arena layout), with every elision proof in bounds *)
+                 arena layout) *)
               let subsets_ok =
                 List.for_all
-                  (fun ((r, w), (u_rw, _)) ->
+                  (fun ((r, w), _) ->
                     List.for_all
-                      (fun (s, e) ->
-                        Lang.Opt.set ~restructure:r ~superinst:s ~elide:e
-                          ~writekill:w;
-                        let u, rep = Lang.Opt.optimize u_rw in
-                        let t = Lang.Vm.create ~init:speedup_init u in
+                      (fun s ->
+                        let t =
+                          Lang.Vm.create ~init:speedup_init
+                            (unit_for (r, s, w))
+                        in
                         Lang.Vm.run t;
                         let ok =
                           Lang.Vm.check_against ~init:speedup_init t serial_mem
                           = []
-                          && Lang.Opt.check_proofs u_rw rep = []
                         in
                         if not ok then
                           gate_failures :=
                             Printf.sprintf
-                              "%s (restructure=%b superinst=%b elide=%b \
-                               writekill=%b)"
-                              name r s e w
+                              "%s (restructure=%b superinst=%b writekill=%b)"
+                              name r s w
                             :: !gate_failures;
                         ok)
-                      flag_pairs)
+                      [ false; true ])
                   rw_units
               in
               (* the production configuration: everything on *)
@@ -1224,7 +1221,6 @@ let speedup_vm_suite ~smoke ~domains ~repeat ~out () =
                   vr_ext_regions = ext_stats.Xform.Exec.x_regions;
                   vr_std_inline = std_stats.Xform.Exec.x_inline;
                   vr_ext_inline = ext_stats.Xform.Exec.x_inline;
-                  vr_elided = orep.Lang.Opt.r_elided;
                   vr_fused = orep.Lang.Opt.r_fused;
                   vr_loopi = orep.Lang.Opt.r_loopi;
                   vr_x_fused = xr.Xform.Restructure.x_fused;
@@ -1258,7 +1254,7 @@ let speedup_vm_suite ~smoke ~domains ~repeat ~out () =
     "\n\
      %d kernels; geomean interp->VM speedup %.1fx; geomean optimizer speedup \
      %.2fx (dynamic instructions %.2fx down); ext VM beats serial VM on %d, \
-     beats std VM on %d; all final states identical: %b; all 16 flag subsets \
+     beats std VM on %d; all final states identical: %b; all %d flag subsets \
      identical: %b\n"
     (List.length rows)
     (geomean (List.map (fun r -> ratio r.vr_interp r.vr_vm) rows))
@@ -1266,7 +1262,7 @@ let speedup_vm_suite ~smoke ~domains ~repeat ~out () =
     (geomean (List.map dyn_ratio rows))
     (n (fun r -> r.vr_ext < r.vr_vm))
     (n (fun r -> r.vr_ext < r.vr_std))
-    all_ok subsets_ok;
+    all_ok flag_subsets subsets_ok;
   List.iter
     (fun d -> Printf.printf "DIVERGENT SUBSET: %s\n" d)
     (List.rev !gate_failures);

@@ -59,8 +59,7 @@ let stats_arg =
     & info [ "stats" ]
         ~doc:
           "Print solver statistics (eliminations, pruned constraints, \
-           intern hits, portfolio-tier traffic) to stderr after the \
-           query.")
+           portfolio-tier traffic) to stderr after the query.")
 
 let backend_arg =
   Arg.(

@@ -24,7 +24,7 @@ let with_errors f =
     Printf.eprintf "parse error at line %d, column %d: %s\n" pos.Lang.Ast.line
       pos.Lang.Ast.col msg;
     exit 1
-  | Lang.Sema.Error msg ->
+  | Lang.Sema.Error msg | Lang.Compile.Unsupported msg ->
     Printf.eprintf "error: %s\n" msg;
     exit 1
   | Invalid_argument msg ->
@@ -634,7 +634,7 @@ let run_cmd =
     Term.(const run $ file_arg $ syms_arg)
 
 let disasm_cmd =
-  let run file syms paranoid =
+  let run file syms =
     with_errors @@ fun () ->
     let ast = load file in
     Lang.Opt.all_on ();
@@ -666,7 +666,7 @@ let disasm_cmd =
       print_string (Lang.Ast.program_to_string ast')
     end;
     let u0 = Lang.Compile.program prog ~syms in
-    let u, rep = Lang.Opt.optimize ~paranoid u0 in
+    let u, rep = Lang.Opt.optimize u0 in
     let size u =
       Array.fold_left
         (fun n (r : Lang.Compile.region) ->
@@ -685,40 +685,19 @@ let disasm_cmd =
     counts u0;
     Printf.printf
       "\n\
-       ;; optimized bytecode (%d instructions): %d bounds check(s) elided, %d \
-       instruction(s) fused away, %d immediate back-edge(s)%s\n"
-      (size u) rep.Lang.Opt.r_elided rep.Lang.Opt.r_fused rep.Lang.Opt.r_loopi
-      (if paranoid then ", paranoid re-checks planted" else "");
+       ;; optimized bytecode (%d instructions): %d instruction(s) fused \
+       away, %d immediate back-edge(s)\n"
+      (size u) rep.Lang.Opt.r_fused rep.Lang.Opt.r_loopi;
     print_string (Lang.Compile.disasm u);
     print_endline ";; static opcode counts:";
-    counts u;
-    if rep.Lang.Opt.r_proofs <> [] then begin
-      print_endline ";; elision proofs:";
-      List.iter
-        (fun p -> Printf.printf ";;   %s\n" (Lang.Opt.proof_string p))
-        rep.Lang.Opt.r_proofs;
-      match Lang.Opt.check_proofs u0 rep with
-      | [] -> ()
-      | viols ->
-        List.iter (Printf.printf ";; PROOF VIOLATION: %s\n") viols;
-        exit 1
-    end
-  in
-  let paranoid_arg =
-    Arg.(
-      value & flag
-      & info [ "paranoid" ]
-          ~doc:
-            "Plant an assertion in front of every register-addressed \
-             unchecked access (the elision debug mode).")
+    counts u
   in
   Cmd.v
     (Cmd.info "disasm"
        ~doc:
          "Compile through the optimizer and print the unoptimized and \
-          optimized bytecode with per-opcode static counts and elision \
-          proofs.")
-    Term.(const run $ file_arg $ syms_arg $ paranoid_arg)
+          optimized bytecode with per-opcode static counts.")
+    Term.(const run $ file_arg $ syms_arg)
 
 let restraint_conv : Depend.Symbolic.restraint Arg.conv =
   let parse s =

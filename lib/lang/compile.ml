@@ -34,31 +34,17 @@ type instr =
   | Region of int
   | Halt
   (* Optimizer-only opcodes below: the compiler never emits these; they
-     are introduced by [Opt] (bounds-check elision, superinstruction
-     fusion, proof re-checking).  Unchecked ([..u]) memory opcodes skip
-     the arena bounds check — every occurrence is justified by a
-     recorded interval proof. *)
-  | Ldu of int * int
-  | Ldui of int * int
-  | Stu of int * int
-  | Stui of int * int
+     are introduced by [Opt] (superinstruction fusion).  Every memory
+     opcode bounds-checks its arena access. *)
   | MuladdLd of int * int * int * int
-  | MuladdLdu of int * int * int * int
   | MuladdSt of int * int * int * int
-  | MuladdStu of int * int * int * int
   | AddiLd of int * int * int
-  | AddiLdu of int * int * int
   | AddiSt of int * int * int
-  | AddiStu of int * int * int
   | AddSt of int * int * int
-  | AddStu of int * int * int
   | SubSt of int * int * int
-  | SubStu of int * int * int
   | MulSt of int * int * int
-  | MulStu of int * int * int
   | LoopUpi of int * int * int * int
   | LoopDowni of int * int * int * int
-  | AssertRange of int * int * int
 
 type dim = { d_lo : int; d_hi : int; d_stride : int }
 
@@ -665,31 +651,16 @@ let instr_string = function
     Printf.sprintf "loop- r%d += %d >= r%d -> %d" v s l t
   | Region r -> Printf.sprintf "region %d" r
   | Halt -> "halt"
-  | Ldu (d, a) -> Printf.sprintf "ld.u  r%d, [r%d]" d a
-  | Ldui (d, a) -> Printf.sprintf "ld.u  r%d, [%d]" d a
-  | Stu (a, s) -> Printf.sprintf "st.u  [r%d], r%d" a s
-  | Stui (a, s) -> Printf.sprintf "st.u  [%d], r%d" a s
   | MuladdLd (d, s, n, t) -> Printf.sprintf "mald  r%d, [r%d + %d*r%d]" d s n t
-  | MuladdLdu (d, s, n, t) ->
-    Printf.sprintf "mald.u r%d, [r%d + %d*r%d]" d s n t
   | MuladdSt (s, n, t, v) -> Printf.sprintf "mast  [r%d + %d*r%d], r%d" s n t v
-  | MuladdStu (s, n, t, v) ->
-    Printf.sprintf "mast.u [r%d + %d*r%d], r%d" s n t v
   | AddiLd (d, s, n) -> Printf.sprintf "aild  r%d, [r%d + %d]" d s n
-  | AddiLdu (d, s, n) -> Printf.sprintf "aild.u r%d, [r%d + %d]" d s n
   | AddiSt (s, n, v) -> Printf.sprintf "aist  [r%d + %d], r%d" s n v
-  | AddiStu (s, n, v) -> Printf.sprintf "aist.u [r%d + %d], r%d" s n v
   | AddSt (a, b, c) -> Printf.sprintf "addst [r%d], r%d + r%d" a b c
-  | AddStu (a, b, c) -> Printf.sprintf "addst.u [r%d], r%d + r%d" a b c
   | SubSt (a, b, c) -> Printf.sprintf "subst [r%d], r%d - r%d" a b c
-  | SubStu (a, b, c) -> Printf.sprintf "subst.u [r%d], r%d - r%d" a b c
   | MulSt (a, b, c) -> Printf.sprintf "mulst [r%d], r%d * r%d" a b c
-  | MulStu (a, b, c) -> Printf.sprintf "mulst.u [r%d], r%d * r%d" a b c
   | LoopUpi (v, s, l, t) -> Printf.sprintf "loop+ r%d += %d <= %d -> %d" v s l t
   | LoopDowni (v, s, l, t) ->
     Printf.sprintf "loop- r%d += %d >= %d -> %d" v s l t
-  | AssertRange (r, lo, hi) ->
-    Printf.sprintf "arng  %d <= r%d <= %d" lo r hi
 
 let disasm (u : unit_) : string =
   let b = Buffer.create 1024 in

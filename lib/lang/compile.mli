@@ -63,35 +63,20 @@ type instr =
   (* {2 Optimizer opcodes}
 
      The compiler itself never emits anything below; {!Opt} introduces
-     them.  [..u] variants access the arena {e unchecked} — each
-     occurrence is justified by a recorded interval proof (see
-     {!Opt.proof}); the fused ([MuladdLd], [AddSt], ...) variants
-     collapse an address-compute or arithmetic producer into its memory
-     consumer when the intermediate register is provably dead. *)
-  | Ldu of int * int  (** rd <- arena(rs), unchecked *)
-  | Ldui of int * int  (** rd <- arena(imm), unchecked *)
-  | Stu of int * int  (** arena(rd) <- rs, unchecked *)
-  | Stui of int * int  (** arena(imm) <- rs, unchecked *)
+     them.  The fused ([MuladdLd], [AddSt], ...) opcodes collapse an
+     address-compute or arithmetic producer into its memory consumer
+     when the intermediate register is provably dead; like [Ld]/[St]
+     they bounds-check every arena access. *)
   | MuladdLd of int * int * int * int  (** rd <- arena(rs + imm*rt) *)
-  | MuladdLdu of int * int * int * int
   | MuladdSt of int * int * int * int  (** arena(rs + imm*rt) <- rv *)
-  | MuladdStu of int * int * int * int
   | AddiLd of int * int * int  (** rd <- arena(rs + imm) *)
-  | AddiLdu of int * int * int
   | AddiSt of int * int * int  (** arena(rs + imm) <- rv *)
-  | AddiStu of int * int * int
   | AddSt of int * int * int  (** arena(ra) <- rb + rc *)
-  | AddStu of int * int * int
   | SubSt of int * int * int  (** arena(ra) <- rb - rc *)
-  | SubStu of int * int * int
   | MulSt of int * int * int  (** arena(ra) <- rb * rc *)
-  | MulStu of int * int * int
   | LoopUpi of int * int * int * int
       (** var += step; if var <= limit-imm then pc <- target *)
   | LoopDowni of int * int * int * int
-  | AssertRange of int * int * int
-      (** paranoid re-check: raise {!Vm.Proof_failure} unless
-          lo <= reg <= hi (debug mode only, never on the fast path) *)
 
 (** {1 Layout} *)
 

@@ -1,8 +1,8 @@
-(* Bytecode optimizer: bounds-check elision and superinstruction fusion
-   over compiled units (see opt.mli and DESIGN.md section 14).  Both
-   passes rewrite instructions only — registers, regions and the arena
-   layout never change, so an optimized unit is differentially
-   comparable (Vm.equal_state) with the unit it came from. *)
+(* Bytecode optimizer: superinstruction fusion over compiled units (see
+   opt.mli and DESIGN.md section 14).  The pass rewrites instructions
+   only — registers, regions and the arena layout never change, so an
+   optimized unit is differentially comparable (Vm.equal_state) with
+   the unit it came from. *)
 
 open Compile
 
@@ -12,54 +12,28 @@ open Compile
 
 let restructure = ref true
 let superinst = ref true
-let elide = ref true
 let writekill = ref true
 
-let set ~restructure:r ~superinst:s ~elide:e ~writekill:w =
+let set ~restructure:r ~superinst:s ~writekill:w =
   restructure := r;
   superinst := s;
-  elide := e;
   writekill := w
 
-let all_on () = set ~restructure:true ~superinst:true ~elide:true ~writekill:true
-
-let all_off () =
-  set ~restructure:false ~superinst:false ~elide:false ~writekill:false
+let all_on () = set ~restructure:true ~superinst:true ~writekill:true
+let all_off () = set ~restructure:false ~superinst:false ~writekill:false
 
 let flags () =
   [
     ("restructure", restructure);
     ("superinst", superinst);
-    ("elide", elide);
     ("writekill", writekill);
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Proofs and reports                                                  *)
+(* Reports                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type proof = {
-  p_where : string;
-  p_pc : int;
-  p_reg : int option;
-  p_lo : int;
-  p_hi : int;
-  p_arena : int;
-}
-
-let proof_string p =
-  Printf.sprintf "%s pc %d: %s in [%d, %d] < arena %d" p.p_where p.p_pc
-    (match p.p_reg with Some r -> Printf.sprintf "r%d" r | None -> "imm")
-    p.p_lo p.p_hi p.p_arena
-
-type report = {
-  r_elided : int;
-  r_fused : int;
-  r_loopi : int;
-  r_proofs : proof list;
-}
-
-let empty_report = { r_elided = 0; r_fused = 0; r_loopi = 0; r_proofs = [] }
+type report = { r_elided : int; r_fused : int; r_loopi : int }
 
 (* ------------------------------------------------------------------ *)
 (* Register read/write sets                                            *)
@@ -70,41 +44,36 @@ let empty_report = { r_elided = 0; r_fused = 0; r_loopi = 0; r_proofs = [] }
    pass, because they live outside the instruction stream. *)
 let reads_of (i : instr) : int list =
   match i with
-  | Li _ | Ldi _ | Ldui _ | LdSi _ | Region _ | Halt -> []
+  | Li _ | Ldi _ | LdSi _ | Region _ | Halt -> []
   | Mov (_, s) | Addi (_, s, _) | Muli (_, s, _) -> [ s ]
   | Add (_, a, b) | Sub (_, a, b) | Mul (_, a, b) | Maxr (_, a, b)
   | Minr (_, a, b) ->
     [ a; b ]
   | Muladd (_, s, _, t) -> [ s; t ]
-  | Ld (_, a) | Ldu (_, a) | LdS (_, a) -> [ a ]
-  | St (a, s) | Stu (a, s) | StS (a, s) -> [ a; s ]
-  | Sti (_, s) | Stui (_, s) | StSi (_, s) -> [ s ]
+  | Ld (_, a) | LdS (_, a) -> [ a ]
+  | St (a, s) | StS (a, s) -> [ a; s ]
+  | Sti (_, s) | StSi (_, s) -> [ s ]
   | Bgt (a, b, _) | Blt (a, b, _) -> [ a; b ]
   | LoopUp (v, _, lim, _) | LoopDown (v, _, lim, _) -> [ v; lim ]
   | LoopUpi (v, _, _, _) | LoopDowni (v, _, _, _) -> [ v ]
-  | MuladdLd (_, s, _, t) | MuladdLdu (_, s, _, t) -> [ s; t ]
-  | MuladdSt (s, _, t, v) | MuladdStu (s, _, t, v) -> [ s; t; v ]
-  | AddiLd (_, s, _) | AddiLdu (_, s, _) -> [ s ]
-  | AddiSt (s, _, v) | AddiStu (s, _, v) -> [ s; v ]
-  | AddSt (a, b, c) | AddStu (a, b, c) | SubSt (a, b, c) | SubStu (a, b, c)
-  | MulSt (a, b, c) | MulStu (a, b, c) ->
-    [ a; b; c ]
-  | AssertRange (r, _, _) -> [ r ]
+  | MuladdLd (_, s, _, t) -> [ s; t ]
+  | MuladdSt (s, _, t, v) -> [ s; t; v ]
+  | AddiLd (_, s, _) -> [ s ]
+  | AddiSt (s, _, v) -> [ s; v ]
+  | AddSt (a, b, c) | SubSt (a, b, c) | MulSt (a, b, c) -> [ a; b; c ]
 
 let writes_of (i : instr) : int list =
   match i with
   | Li (d, _) | Mov (d, _) | Add (d, _, _) | Sub (d, _, _) | Mul (d, _, _)
   | Maxr (d, _, _) | Minr (d, _, _) | Addi (d, _, _) | Muli (d, _, _)
-  | Muladd (d, _, _, _) | Ld (d, _) | Ldi (d, _) | Ldu (d, _) | Ldui (d, _)
-  | LdS (d, _) | LdSi (d, _) | MuladdLd (d, _, _, _) | MuladdLdu (d, _, _, _)
-  | AddiLd (d, _, _) | AddiLdu (d, _, _) ->
+  | Muladd (d, _, _, _) | Ld (d, _) | Ldi (d, _) | LdS (d, _) | LdSi (d, _)
+  | MuladdLd (d, _, _, _) | AddiLd (d, _, _) ->
     [ d ]
   | LoopUp (v, _, _, _) | LoopDown (v, _, _, _) | LoopUpi (v, _, _, _)
   | LoopDowni (v, _, _, _) ->
     [ v ]
-  | St _ | Sti _ | Stu _ | Stui _ | StS _ | StSi _ | MuladdSt _ | MuladdStu _
-  | AddiSt _ | AddiStu _ | AddSt _ | AddStu _ | SubSt _ | SubStu _ | MulSt _
-  | MulStu _ | Bgt _ | Blt _ | AssertRange _ | Region _ | Halt ->
+  | St _ | Sti _ | StS _ | StSi _ | MuladdSt _ | AddiSt _ | AddSt _ | SubSt _
+  | MulSt _ | Bgt _ | Blt _ | Region _ | Halt ->
     []
 
 let branch_target = function
@@ -124,235 +93,13 @@ let remap_target map = function
   | i -> i
 
 (* ------------------------------------------------------------------ *)
-(* Intervals                                                           *)
+(* Region read/write attribution                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* Conservative integer intervals with an explicit top.  [big] bounds
-   every representable endpoint so the arithmetic below cannot
-   overflow OCaml's 63-bit ints; anything escaping the bound widens to
-   [Top] (sound: Top never licenses an elision). *)
-type iv = Top | I of int * int
-
-let big = 1 lsl 40
-let small = 1 lsl 31
-let norm l h = if l < -big || h > big then Top else I (l, h)
-
-let ivadd a b =
-  match (a, b) with
-  | I (l1, h1), I (l2, h2) -> norm (l1 + l2) (h1 + h2)
-  | _ -> Top
-
-let ivneg = function I (l, h) -> I (-h, -l) | Top -> Top
-let ivsub a b = ivadd a (ivneg b)
-
-let ivmulk a k =
-  match a with
-  | I (l, h) when abs k <= small && max (abs l) (abs h) <= small ->
-    let p1 = l * k and p2 = h * k in
-    norm (min p1 p2) (max p1 p2)
-  | _ -> Top
-
-let ivmul a b =
-  match (a, b) with
-  | I (l1, h1), I (l2, h2)
-    when max (abs l1) (abs h1) <= small && max (abs l2) (abs h2) <= small ->
-    let ps = [ l1 * l2; l1 * h2; h1 * l2; h1 * h2 ] in
-    norm (List.fold_left min max_int ps) (List.fold_left max min_int ps)
-  | _ -> Top
-
-let ivmax a b =
-  match (a, b) with
-  | I (l1, h1), I (l2, h2) -> I (max l1 l2, max h1 h2)
-  | _ -> Top
-
-let ivmin a b =
-  match (a, b) with
-  | I (l1, h1), I (l2, h2) -> I (min l1 l2, min h1 h2)
-  | _ -> Top
-
-let ivjoin a b =
-  match (a, b) with
-  | I (l1, h1), I (l2, h2) -> I (min l1 l2, max h1 h2)
-  | _ -> Top
-
-(* Transfer function of one instruction (Region handled by callers). *)
-let effect st (i : instr) =
-  let g r = st.(r) in
-  match i with
-  | Li (d, n) -> st.(d) <- I (n, n)
-  | Mov (d, s) -> st.(d) <- g s
-  | Add (d, a, b) -> st.(d) <- ivadd (g a) (g b)
-  | Sub (d, a, b) -> st.(d) <- ivsub (g a) (g b)
-  | Mul (d, a, b) -> st.(d) <- ivmul (g a) (g b)
-  | Maxr (d, a, b) -> st.(d) <- ivmax (g a) (g b)
-  | Minr (d, a, b) -> st.(d) <- ivmin (g a) (g b)
-  | Addi (d, s, n) -> st.(d) <- ivadd (g s) (I (n, n))
-  | Muli (d, s, n) -> st.(d) <- ivmulk (g s) n
-  | Muladd (d, s, n, t) -> st.(d) <- ivadd (g s) (ivmulk (g t) n)
-  | Ld (d, _) | Ldi (d, _) | Ldu (d, _) | Ldui (d, _) | LdS (d, _)
-  | LdSi (d, _) | MuladdLd (d, _, _, _) | MuladdLdu (d, _, _, _)
-  | AddiLd (d, _, _) | AddiLdu (d, _, _) ->
-    st.(d) <- Top
-  | LoopUp (v, stp, _, _) | LoopDown (v, stp, _, _) | LoopUpi (v, stp, _, _)
-  | LoopDowni (v, stp, _, _) ->
-    st.(v) <- ivadd (g v) (I (stp, stp))
-  | St _ | Sti _ | Stu _ | Stui _ | StS _ | StSi _ | MuladdSt _ | MuladdStu _
-  | AddiSt _ | AddiStu _ | AddSt _ | AddStu _ | SubSt _ | SubStu _ | MulSt _
-  | MulStu _ | Bgt _ | Blt _ | AssertRange _ | Region _ | Halt ->
-    ()
-
-(* ------------------------------------------------------------------ *)
-(* Linear abstract interpretation of one code body                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The compiled control flow is structured: loops are single back-edges
-   (LoopUp/LoopDown to their top), the only other branches are forward
-   entry guards (Bgt/Blt past the loop).  One linear pass is therefore
-   a sound fixpoint provided that, at each loop top, (a) the loop
-   variable widens to the full iteration range [init, limit] and (b)
-   any register whose value can flow around the back edge (read in the
-   body before the body writes it) drops to Top.  Forward branches
-   contribute a pending join at their target (the zero-trip path).
-   Any shape outside this grammar flips [sound] off and the caller
-   elides nothing. *)
 
 type rw = { rw_reads : int -> int list; rw_writes : int -> int list }
 (* reads/writes attributed to a [Region rid] instruction: descriptor
    registers plus everything its bodies touch (the serial body shares
    the register file with main code). *)
-
-let scan ~(rw : rw) ~seed (code : instr array) ~at : bool =
-  let n = Array.length code in
-  let st = Array.copy seed in
-  let sound = ref true in
-  let ireads = function
-    | Region rid -> rw.rw_reads rid
-    | i -> reads_of i
-  and iwrites = function
-    | Region rid -> rw.rw_writes rid
-    | i -> writes_of i
-  in
-  (* back edges: top -> (var, step, limit, end) *)
-  let tops = Hashtbl.create 8 in
-  Array.iteri
-    (fun pc i ->
-      match i with
-      | LoopUp (v, stp, lim, top) | LoopDown (v, stp, lim, top) ->
-        if top <= pc then Hashtbl.replace tops top (v, stp, `Reg lim, pc)
-        else sound := false
-      | LoopUpi (v, stp, n, top) | LoopDowni (v, stp, n, top) ->
-        if top <= pc then Hashtbl.replace tops top (v, stp, `Imm n, pc)
-        else sound := false
-      | Bgt (_, _, t) | Blt (_, _, t) -> if t <= pc then sound := false
-      | _ -> ())
-    code;
-  (* registers carried around each back edge: read in [top, end] before
-     the body's first {e definite} write of them.  A write sitting in a
-     forward-branch skip range (a guarded inner loop) is conditional —
-     it may not execute on a given iteration, so it cannot kill the
-     carried value. *)
-  let conditional =
-    let c = Array.make (n + 1) false in
-    Array.iteri
-      (fun pc i ->
-        match i with
-        | Bgt (_, _, t) | Blt (_, _, t) when t > pc ->
-          for p = pc + 1 to min (t - 1) (n - 1) do
-            c.(p) <- true
-          done
-        | _ -> ())
-      code;
-    c
-  in
-  let carried = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun top (v, _, lim, endpc) ->
-      let first_w = Hashtbl.create 8
-      and first_dw = Hashtbl.create 8
-      and first_r = Hashtbl.create 8 in
-      for pc = top to endpc do
-        List.iter
-          (fun r ->
-            if not (Hashtbl.mem first_r r) then Hashtbl.replace first_r r pc)
-          (ireads code.(pc));
-        List.iter
-          (fun r ->
-            if not (Hashtbl.mem first_w r) then Hashtbl.replace first_w r pc;
-            if (not conditional.(pc)) && not (Hashtbl.mem first_dw r) then
-              Hashtbl.replace first_dw r pc)
-          (iwrites code.(pc))
-      done;
-      let regs = ref [] in
-      Hashtbl.iter
-        (fun r _ ->
-          if r <> v then
-            let dw =
-              match Hashtbl.find_opt first_dw r with
-              | Some w -> w
-              | None -> max_int
-            in
-            match Hashtbl.find_opt first_r r with
-            | Some rpc when rpc <= dw -> regs := r :: !regs
-            | _ -> ())
-        first_w;
-      (* the loop variable itself must be written only by its own
-         back edge inside the body, and the limit register not at all;
-         otherwise the widening below would be wrong — drop them *)
-      let v_ok =
-        match Hashtbl.find_opt first_w v with
-        | Some wpc -> wpc = endpc
-        | None -> true
-      and lim_ok =
-        match lim with
-        | `Imm _ -> true
-        | `Reg r -> not (Hashtbl.mem first_w r)
-      in
-      Hashtbl.replace carried top (!regs, v_ok && lim_ok))
-    tops;
-  let pending : (int, iv array) Hashtbl.t = Hashtbl.create 8 in
-  let join_pending pc =
-    match Hashtbl.find_opt pending pc with
-    | None -> ()
-    | Some other ->
-      Array.iteri (fun r v -> st.(r) <- ivjoin v st.(r)) other;
-      Hashtbl.remove pending pc
-  in
-  let add_pending pc =
-    match Hashtbl.find_opt pending pc with
-    | None -> Hashtbl.replace pending pc (Array.copy st)
-    | Some other -> Array.iteri (fun r v -> other.(r) <- ivjoin v st.(r)) other
-  in
-  for pc = 0 to n - 1 do
-    join_pending pc;
-    (match Hashtbl.find_opt tops pc with
-    | None -> ()
-    | Some (v, stp, lim, _) ->
-      let regs, ok = Hashtbl.find carried pc in
-      List.iter (fun r -> st.(r) <- Top) regs;
-      if not ok then st.(v) <- Top
-      else begin
-        let limit =
-          match lim with `Imm n -> I (n, n) | `Reg r -> st.(r)
-        in
-        match (stp > 0, st.(v), limit) with
-        | true, I (l0, _), I (_, lh) ->
-          st.(v) <- (if l0 > lh then I (l0, l0) else norm l0 lh)
-        | false, I (_, h0), I (ll, _) ->
-          st.(v) <- (if ll > h0 then I (h0, h0) else norm ll h0)
-        | _ -> st.(v) <- Top
-      end);
-    at pc st;
-    (match code.(pc) with
-    | Bgt (_, _, t) | Blt (_, _, t) -> if t > pc then add_pending t
-    | Region rid -> List.iter (fun r -> st.(r) <- Top) (rw.rw_writes rid)
-    | _ -> ());
-    effect st code.(pc)
-  done;
-  !sound
-
-(* ------------------------------------------------------------------ *)
-(* Region read/write attribution                                       *)
-(* ------------------------------------------------------------------ *)
 
 let region_rw (u : unit_) : rw =
   let nr = Array.length u.u_regions in
@@ -376,152 +123,6 @@ let region_rw (u : unit_) : rw =
     rw_reads = (fun rid -> reads.(rid));
     rw_writes = (fun rid -> writes.(rid));
   }
-
-(* ------------------------------------------------------------------ *)
-(* Bounds-check elision                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Rewrite the provable accesses of one code body; also snapshot the
-   abstract state at each [Region] instruction (the body seeds).  When
-   the scan judged the shape unsound, nothing is rewritten and the
-   snapshots must not be trusted. *)
-let elide_code ~rw ~arena ~seed ~where code =
-  let rewritten = Array.copy code in
-  let proofs = ref [] in
-  let snaps = Hashtbl.create 4 in
-  let decide pc (st : iv array) =
-    let in_range r =
-      match st.(r) with
-      | I (l, h) when l >= 0 && h < arena -> Some (l, h)
-      | _ -> None
-    in
-    let prf reg lo hi =
-      proofs :=
-        {
-          p_where = where;
-          p_pc = pc;
-          p_reg = reg;
-          p_lo = lo;
-          p_hi = hi;
-          p_arena = arena;
-        }
-        :: !proofs
-    in
-    match code.(pc) with
-    | Ld (d, a) -> (
-      match in_range a with
-      | Some (l, h) ->
-        rewritten.(pc) <- Ldu (d, a);
-        prf (Some a) l h
-      | None -> ())
-    | St (a, s) -> (
-      match in_range a with
-      | Some (l, h) ->
-        rewritten.(pc) <- Stu (a, s);
-        prf (Some a) l h
-      | None -> ())
-    | Ldi (d, a) ->
-      if a >= 0 && a < arena then begin
-        rewritten.(pc) <- Ldui (d, a);
-        prf None a a
-      end
-    | Sti (a, s) ->
-      if a >= 0 && a < arena then begin
-        rewritten.(pc) <- Stui (a, s);
-        prf None a a
-      end
-    | Region rid -> Hashtbl.replace snaps rid (Array.copy st)
-    | _ -> ()
-  in
-  let sound = scan ~rw ~seed code ~at:decide in
-  if sound then (rewritten, List.rev !proofs, snaps, true)
-  else (Array.copy code, [], snaps, false)
-
-(* Paranoid mode: one [AssertRange] in front of each register-addressed
-   unchecked access, so a wrong proof raises instead of reading wild.
-   Branch targets are remapped; a target pointing at a checked access
-   lands on its assert so every iteration re-checks. *)
-let insert_asserts code proofs =
-  let extra = Hashtbl.create 8 in
-  List.iter
-    (fun p ->
-      match p.p_reg with
-      | Some r -> Hashtbl.replace extra p.p_pc (AssertRange (r, p.p_lo, p.p_hi))
-      | None -> ())
-    proofs;
-  if Hashtbl.length extra = 0 then code
-  else begin
-    let n = Array.length code in
-    let map = Array.make (n + 1) 0 in
-    let out = ref [] and len = ref 0 in
-    let push i =
-      out := i :: !out;
-      incr len
-    in
-    for pc = 0 to n - 1 do
-      map.(pc) <- !len;
-      (match Hashtbl.find_opt extra pc with
-      | Some a -> push a
-      | None -> ());
-      push code.(pc)
-    done;
-    map.(n) <- !len;
-    let arr = Array.of_list (List.rev !out) in
-    Array.map (remap_target map) arr
-  end
-
-let top_state n = Array.make (max n 1) Top
-
-let elide_unit ~paranoid (u : unit_) =
-  let rw = region_rw u in
-  let nregs = max u.u_nregs 1 in
-  (* registers are zeroed at Vm.create *)
-  let seed0 = Array.make nregs (I (0, 0)) in
-  let main', proofs_m, snaps, sound =
-    elide_code ~rw ~arena:u.u_arena ~seed:seed0 ~where:"main" u.u_main
-  in
-  let all_proofs = ref proofs_m in
-  (* Body seed: the main-scan state at the Region instruction, with
-     every body-written register dropped to Top (registers persist
-     across iterations) and the iteration register covering the whole
-     evaluated bound range. *)
-  let seed_for (r : region) body =
-    let st =
-      if sound then
-        match Hashtbl.find_opt snaps r.rg_id with
-        | Some s -> Array.copy s
-        | None -> top_state nregs
-      else top_state nregs
-    in
-    let vrange = ivjoin st.(r.rg_lo) st.(r.rg_hi) in
-    Array.iter
-      (fun ins -> List.iter (fun w -> st.(w) <- Top) (writes_of ins))
-      body;
-    st.(r.rg_vreg) <- vrange;
-    st
-  in
-  let do_body (r : region) ~tag body =
-    let seed = seed_for r body in
-    let code', proofs, _, _ =
-      elide_code ~rw ~arena:u.u_arena ~seed
-        ~where:(Printf.sprintf "region %d %s" r.rg_id tag)
-        body
-    in
-    all_proofs := !all_proofs @ proofs;
-    if paranoid then insert_asserts code' proofs else code'
-  in
-  let main' = if paranoid then insert_asserts main' proofs_m else main' in
-  let regions' =
-    Array.map
-      (fun r ->
-        {
-          r with
-          rg_serial = do_body r ~tag:"serial" r.rg_serial;
-          rg_par = do_body r ~tag:"par" r.rg_par;
-        })
-      u.u_regions
-  in
-  ({ u with u_main = main'; u_regions = regions' }, !all_proofs)
 
 (* ------------------------------------------------------------------ *)
 (* Superinstruction fusion                                             *)
@@ -588,36 +189,20 @@ let fuse_pass ~rw ~ok_intermediate code =
       match (code.(pc), code.(pc + 1)) with
       | Muladd (d, s, k, t), Ld (x, a) when a = d ->
         fuse d ~kills:(x = d) (fun () -> MuladdLd (x, s, k, t))
-      | Muladd (d, s, k, t), Ldu (x, a) when a = d ->
-        fuse d ~kills:(x = d) (fun () -> MuladdLdu (x, s, k, t))
       | Muladd (d, s, k, t), St (a, v) when a = d && v <> d ->
         fuse d ~kills:false (fun () -> MuladdSt (s, k, t, v))
-      | Muladd (d, s, k, t), Stu (a, v) when a = d && v <> d ->
-        fuse d ~kills:false (fun () -> MuladdStu (s, k, t, v))
       | Addi (d, s, k), Ld (x, a) when a = d ->
         fuse d ~kills:(x = d) (fun () -> AddiLd (x, s, k))
-      | Addi (d, s, k), Ldu (x, a) when a = d ->
-        fuse d ~kills:(x = d) (fun () -> AddiLdu (x, s, k))
       | Addi (d, s, k), St (a, v) when a = d && v <> d ->
         fuse d ~kills:false (fun () -> AddiSt (s, k, v))
-      | Addi (d, s, k), Stu (a, v) when a = d && v <> d ->
-        fuse d ~kills:false (fun () -> AddiStu (s, k, v))
       | Add (d, a, b), St (ra, v) when v = d && ra <> d ->
         fuse d ~kills:false (fun () -> AddSt (ra, a, b))
-      | Add (d, a, b), Stu (ra, v) when v = d && ra <> d ->
-        fuse d ~kills:false (fun () -> AddStu (ra, a, b))
       | Sub (d, a, b), St (ra, v) when v = d && ra <> d ->
         fuse d ~kills:false (fun () -> SubSt (ra, a, b))
-      | Sub (d, a, b), Stu (ra, v) when v = d && ra <> d ->
-        fuse d ~kills:false (fun () -> SubStu (ra, a, b))
       | Mul (d, a, b), St (ra, v) when v = d && ra <> d ->
         fuse d ~kills:false (fun () -> MulSt (ra, a, b))
-      | Mul (d, a, b), Stu (ra, v) when v = d && ra <> d ->
-        fuse d ~kills:false (fun () -> MulStu (ra, a, b))
       | Mov (d, s), Ld (x, a) when a = d ->
         fuse d ~kills:(x = d) (fun () -> Ld (x, s))
-      | Mov (d, s), Ldu (x, a) when a = d ->
-        fuse d ~kills:(x = d) (fun () -> Ldu (x, s))
       | _ -> None
   in
   let map = Array.make (n + 1) 0 in
@@ -763,8 +348,7 @@ let fuse_unit (u : unit_) =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let optimize ?(paranoid = false) (u : unit_) =
-  let u, proofs = if !elide then elide_unit ~paranoid u else (u, []) in
+let optimize (u : unit_) =
   let u, fused, loopi = if !superinst then fuse_unit u else (u, 0, 0) in
   (* keep the inline-threshold work proxy in sync with rewritten bodies *)
   let regions =
@@ -773,24 +357,7 @@ let optimize ?(paranoid = false) (u : unit_) =
       u.u_regions
   in
   ( { u with u_regions = regions },
-    {
-      r_elided = List.length proofs;
-      r_fused = fused;
-      r_loopi = loopi;
-      r_proofs = proofs;
-    } )
-
-let check_proofs (u : unit_) (rep : report) =
-  List.filter_map
-    (fun p ->
-      if p.p_arena <> u.u_arena then
-        Some
-          (Printf.sprintf "%s: proof arena %d <> unit arena %d"
-             (proof_string p) p.p_arena u.u_arena)
-      else if not (0 <= p.p_lo && p.p_lo <= p.p_hi && p.p_hi < u.u_arena) then
-        Some (Printf.sprintf "%s: range escapes the arena" (proof_string p))
-      else None)
-    rep.r_proofs
+    { r_elided = 0; r_fused = fused; r_loopi = loopi } )
 
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)

@@ -1,20 +1,12 @@
 (** Bytecode optimizer: the stage between {!Compile} and {!Vm}
     (DESIGN.md section 14).
 
-    Two bytecode-level passes run here, both gated behind ablation
-    flags in the style of [Omega.Tuning] (every pass is
+    One bytecode-level pass runs here, gated behind an ablation flag in
+    the style of [Omega.Tuning] (every optimizer pass is
     equivalence-preserving — flipping a flag changes time, never
     results, and the [speedup] bench enforces bit-identity over every
     flag subset):
 
-    - {b bounds-check elision} ({!elide}): a linear interval analysis
-      over each code body proves the address range of an arena access
-      inside [[0, arena)]; proven accesses lower to the unchecked
-      ([..u]) opcodes.  Every elision is justified by a recorded
-      {!proof}; [optimize ~paranoid:true] additionally plants an
-      {!Compile.AssertRange} re-check in front of each register-
-      addressed unchecked access (debug mode — the production fast
-      path carries no check at all).
     - {b superinstruction fusion} ({!superinst}): adjacent
       producer/consumer pairs on the corpus's hot decode chains
       collapse into single opcodes — address-compute + load/store
@@ -23,7 +15,8 @@
       over linear successors, forward branches and loop back-edges
       shows no other read can observe the value); counted-loop
       back-edges whose limit register has a unique [Li] definition
-      take the immediate form ([LoopUpi]/[LoopDowni]).
+      take the immediate form ([LoopUpi]/[LoopDowni]).  Every fused
+      memory opcode keeps the arena bounds check.
 
     The other two optimizer flags are consumed by [Xform.Restructure]
     (IR-level, dependence-licensed): {!restructure} gates loop
@@ -40,15 +33,11 @@ val restructure : bool ref
 val superinst : bool ref
 (** Superinstruction fusion + immediate-limit loop back-edges. *)
 
-val elide : bool ref
-(** Bounds-check elision on proven-in-range arena accesses. *)
-
 val writekill : bool ref
 (** Deletion of stores provably overwritten before any use
     ([Xform.Restructure], justified by [Core.Analyses.terminates]). *)
 
-val set :
-  restructure:bool -> superinst:bool -> elide:bool -> writekill:bool -> unit
+val set : restructure:bool -> superinst:bool -> writekill:bool -> unit
 
 val all_on : unit -> unit
 (** The production configuration. *)
@@ -57,47 +46,26 @@ val all_off : unit -> unit
 (** The unoptimized baseline. *)
 
 val flags : unit -> (string * bool ref) list
-(** The four switches with their artifact names, in canonical order
-    (restructure, superinst, elide, writekill). *)
+(** The three switches with their artifact names, in canonical order
+    (restructure, superinst, writekill). *)
 
-(** {1 Proof obligations} *)
-
-type proof = {
-  p_where : string;  (** ["main"], ["region 3 serial"], ["region 3 par"] *)
-  p_pc : int;  (** pc in the elision-stage code (before fusion shifts) *)
-  p_reg : int option;  (** address register; [None] for an immediate *)
-  p_lo : int;  (** proven inclusive address range ... *)
-  p_hi : int;  (** ... [p_lo <= addr <= p_hi] *)
-  p_arena : int;  (** arena extent the range was checked against *)
-}
-
-val proof_string : proof -> string
+(** {1 Reports} *)
 
 type report = {
-  r_elided : int;  (** arena accesses lowered to unchecked opcodes *)
+  r_elided : int;
+      (** always [0]: no pass elides bounds checks.  Kept because
+          [bench/e2e] reads it for its per-layer [elided] count. *)
   r_fused : int;  (** instructions eliminated by superinstruction fusion *)
   r_loopi : int;  (** loop back-edges rewritten to immediate limits *)
-  r_proofs : proof list;  (** one per elision, in code order *)
 }
-
-val empty_report : report
 
 (** {1 Entry points} *)
 
-val optimize : ?paranoid:bool -> Compile.unit_ -> Compile.unit_ * report
-(** Apply the enabled bytecode passes ({!elide}, then {!superinst}).
-    Registers, regions and the arena layout are untouched — only
-    instructions change, so [Vm.equal_state] remains valid between
-    optimized and unoptimized runs of the same compile.
-    [paranoid] plants {!Compile.AssertRange} re-checks for every
-    register-addressed elision (and, by interposing them, keeps
-    unchecked accesses out of fused opcodes), so a wrong proof
-    surfaces as {!Vm.Proof_failure} instead of a wild access. *)
-
-val check_proofs : Compile.unit_ -> report -> string list
-(** Static re-verification of a report against the {e unoptimized}
-    unit it was produced from: every proof's range must lie inside the
-    arena.  Returns human-readable violations ([[]] = all hold). *)
+val optimize : Compile.unit_ -> Compile.unit_ * report
+(** Apply the enabled bytecode pass ({!superinst}).  Registers, regions
+    and the arena layout are untouched — only instructions change, so
+    [Vm.equal_state] remains valid between optimized and unoptimized
+    runs of the same compile. *)
 
 (** {1 Inspection} *)
 

@@ -1,10 +1,9 @@
 (* Bytecode VM: one tight tail-recursive dispatch loop over the compiled
    instruction array.  Registers and the arena are plain int arrays; the
-   only bounds checks on the hot path are the arena accesses (kept safe:
-   a compiler bug must surface as an exception, not a silent wild
-   write).  Slab accesses appear only in parallel region bodies. *)
-
-exception Proof_failure of string
+   only bounds checks on the hot path are the arena accesses, and every
+   arena opcode — plain or fused — keeps its check: a compiler or
+   optimizer bug must surface as an exception, not a silent wild write.
+   Slab accesses appear only in parallel region bodies. *)
 
 type t = {
   u : Compile.unit_;
@@ -118,78 +117,31 @@ let rec exec t regs slab written (code : Compile.instr array) on_region pc =
     let handled = on_region t r ~lo ~hi in
     if not handled then region_serial t r ~lo ~hi;
     exec t regs slab written code on_region (pc + 1)
-  | Compile.Ldu (d, a) ->
-    Array.unsafe_set regs d
-      (Array.unsafe_get arena (Array.unsafe_get regs a));
-    exec t regs slab written code on_region (pc + 1)
-  | Compile.Ldui (d, a) ->
-    Array.unsafe_set regs d (Array.unsafe_get arena a);
-    exec t regs slab written code on_region (pc + 1)
-  | Compile.Stu (a, s) ->
-    Array.unsafe_set arena (Array.unsafe_get regs a) (Array.unsafe_get regs s);
-    exec t regs slab written code on_region (pc + 1)
-  | Compile.Stui (a, s) ->
-    Array.unsafe_set arena a (Array.unsafe_get regs s);
-    exec t regs slab written code on_region (pc + 1)
   | Compile.MuladdLd (d, s, n, r) ->
     Array.unsafe_set regs d
       arena.(Array.unsafe_get regs s + (n * Array.unsafe_get regs r));
-    exec t regs slab written code on_region (pc + 1)
-  | Compile.MuladdLdu (d, s, n, r) ->
-    Array.unsafe_set regs d
-      (Array.unsafe_get arena
-         (Array.unsafe_get regs s + (n * Array.unsafe_get regs r)));
     exec t regs slab written code on_region (pc + 1)
   | Compile.MuladdSt (s, n, r, v) ->
     arena.(Array.unsafe_get regs s + (n * Array.unsafe_get regs r)) <-
       Array.unsafe_get regs v;
     exec t regs slab written code on_region (pc + 1)
-  | Compile.MuladdStu (s, n, r, v) ->
-    Array.unsafe_set arena
-      (Array.unsafe_get regs s + (n * Array.unsafe_get regs r))
-      (Array.unsafe_get regs v);
-    exec t regs slab written code on_region (pc + 1)
   | Compile.AddiLd (d, s, n) ->
     Array.unsafe_set regs d arena.(Array.unsafe_get regs s + n);
     exec t regs slab written code on_region (pc + 1)
-  | Compile.AddiLdu (d, s, n) ->
-    Array.unsafe_set regs d
-      (Array.unsafe_get arena (Array.unsafe_get regs s + n));
-    exec t regs slab written code on_region (pc + 1)
   | Compile.AddiSt (s, n, v) ->
     arena.(Array.unsafe_get regs s + n) <- Array.unsafe_get regs v;
-    exec t regs slab written code on_region (pc + 1)
-  | Compile.AddiStu (s, n, v) ->
-    Array.unsafe_set arena
-      (Array.unsafe_get regs s + n)
-      (Array.unsafe_get regs v);
     exec t regs slab written code on_region (pc + 1)
   | Compile.AddSt (a, b, c) ->
     arena.(Array.unsafe_get regs a) <-
       Array.unsafe_get regs b + Array.unsafe_get regs c;
     exec t regs slab written code on_region (pc + 1)
-  | Compile.AddStu (a, b, c) ->
-    Array.unsafe_set arena
-      (Array.unsafe_get regs a)
-      (Array.unsafe_get regs b + Array.unsafe_get regs c);
-    exec t regs slab written code on_region (pc + 1)
   | Compile.SubSt (a, b, c) ->
     arena.(Array.unsafe_get regs a) <-
       Array.unsafe_get regs b - Array.unsafe_get regs c;
     exec t regs slab written code on_region (pc + 1)
-  | Compile.SubStu (a, b, c) ->
-    Array.unsafe_set arena
-      (Array.unsafe_get regs a)
-      (Array.unsafe_get regs b - Array.unsafe_get regs c);
-    exec t regs slab written code on_region (pc + 1)
   | Compile.MulSt (a, b, c) ->
     arena.(Array.unsafe_get regs a) <-
       Array.unsafe_get regs b * Array.unsafe_get regs c;
-    exec t regs slab written code on_region (pc + 1)
-  | Compile.MulStu (a, b, c) ->
-    Array.unsafe_set arena
-      (Array.unsafe_get regs a)
-      (Array.unsafe_get regs b * Array.unsafe_get regs c);
     exec t regs slab written code on_region (pc + 1)
   | Compile.LoopUpi (v, step, lim, top) ->
     let x = Array.unsafe_get regs v + step in
@@ -201,15 +153,6 @@ let rec exec t regs slab written (code : Compile.instr array) on_region pc =
     Array.unsafe_set regs v x;
     if x >= lim then exec t regs slab written code on_region top
     else exec t regs slab written code on_region (pc + 1)
-  | Compile.AssertRange (r, lo, hi) ->
-    let x = Array.unsafe_get regs r in
-    if x < lo || x > hi then
-      raise
-        (Proof_failure
-           (Printf.sprintf
-              "elision proof violated at pc %d: r%d = %d outside [%d, %d]" pc r
-              x lo hi));
-    exec t regs slab written code on_region (pc + 1)
   | Compile.Halt -> ()
 
 and region_serial t (r : Compile.region) ~lo ~hi =
@@ -275,37 +218,37 @@ let run_count t : int =
     | Compile.Muladd (d, s, x, r) ->
       regs.(d) <- regs.(s) + (x * regs.(r));
       go code (pc + 1)
-    | Compile.Ld (d, a) | Compile.Ldu (d, a) ->
+    | Compile.Ld (d, a) ->
       regs.(d) <- arena.(regs.(a));
       go code (pc + 1)
-    | Compile.Ldi (d, a) | Compile.Ldui (d, a) ->
+    | Compile.Ldi (d, a) ->
       regs.(d) <- arena.(a);
       go code (pc + 1)
-    | Compile.St (a, s) | Compile.Stu (a, s) ->
+    | Compile.St (a, s) ->
       arena.(regs.(a)) <- regs.(s);
       go code (pc + 1)
-    | Compile.Sti (a, s) | Compile.Stui (a, s) ->
+    | Compile.Sti (a, s) ->
       arena.(a) <- regs.(s);
       go code (pc + 1)
-    | Compile.MuladdLd (d, s, x, r) | Compile.MuladdLdu (d, s, x, r) ->
+    | Compile.MuladdLd (d, s, x, r) ->
       regs.(d) <- arena.(regs.(s) + (x * regs.(r)));
       go code (pc + 1)
-    | Compile.MuladdSt (s, x, r, v) | Compile.MuladdStu (s, x, r, v) ->
+    | Compile.MuladdSt (s, x, r, v) ->
       arena.(regs.(s) + (x * regs.(r))) <- regs.(v);
       go code (pc + 1)
-    | Compile.AddiLd (d, s, x) | Compile.AddiLdu (d, s, x) ->
+    | Compile.AddiLd (d, s, x) ->
       regs.(d) <- arena.(regs.(s) + x);
       go code (pc + 1)
-    | Compile.AddiSt (s, x, v) | Compile.AddiStu (s, x, v) ->
+    | Compile.AddiSt (s, x, v) ->
       arena.(regs.(s) + x) <- regs.(v);
       go code (pc + 1)
-    | Compile.AddSt (a, b, c) | Compile.AddStu (a, b, c) ->
+    | Compile.AddSt (a, b, c) ->
       arena.(regs.(a)) <- regs.(b) + regs.(c);
       go code (pc + 1)
-    | Compile.SubSt (a, b, c) | Compile.SubStu (a, b, c) ->
+    | Compile.SubSt (a, b, c) ->
       arena.(regs.(a)) <- regs.(b) - regs.(c);
       go code (pc + 1)
-    | Compile.MulSt (a, b, c) | Compile.MulStu (a, b, c) ->
+    | Compile.MulSt (a, b, c) ->
       arena.(regs.(a)) <- regs.(b) * regs.(c);
       go code (pc + 1)
     | Compile.LdS _ | Compile.LdSi _ | Compile.StS _ | Compile.StSi _ ->
@@ -330,15 +273,6 @@ let run_count t : int =
       let x = regs.(v) + step in
       regs.(v) <- x;
       go code (if x >= lim then top else pc + 1)
-    | Compile.AssertRange (r, lo, hi) ->
-      let x = regs.(r) in
-      if x < lo || x > hi then
-        raise
-          (Proof_failure
-             (Printf.sprintf
-                "elision proof violated at pc %d: r%d = %d outside [%d, %d]"
-                pc r x lo hi));
-      go code (pc + 1)
     | Compile.Region rid ->
       let r = t.u.Compile.u_regions.(rid) in
       let lo = regs.(r.Compile.rg_lo) and hi = regs.(r.Compile.rg_hi) in

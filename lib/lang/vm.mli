@@ -19,11 +19,6 @@
     and written directly in the shared arena — sound because doall
     legality leaves them no cross-iteration memory conflicts. *)
 
-exception Proof_failure of string
-(** An {!Compile.AssertRange} re-check failed: an elision proof recorded
-    by {!Opt} was violated at run time (only raised in paranoid debug
-    mode — the production unchecked opcodes carry no re-check). *)
-
 type t
 
 val create : ?init:(string -> int list -> int) -> Compile.unit_ -> t
@@ -38,7 +33,10 @@ val run :
 (** Interpret the main code to [Halt].  [on_region] is called with the
     evaluated bounds of each dynamic region entry; returning [true]
     means the callback executed the whole region (e.g. in parallel),
-    [false] falls back to {!run_region_serial}. *)
+    [false] falls back to {!run_region_serial}.
+    @raise Invalid_argument on an arena access outside [[0, arena)]:
+    every arena opcode is bounds-checked, and the failing store leaves
+    the arena untouched. *)
 
 val run_count : t -> int
 (** Like {!run} with every region serial, returning the number of

@@ -6,8 +6,7 @@
    Each expression lazily caches (when [Tuning.hashcons] is on) a
    structural hash and the canonical coefficient-vector key used by
    [Problem.simplify] to bucket parallel constraints, so the hot loops
-   stop re-walking coefficient lists.  Normalized expressions can also be
-   interned, making physical equality a useful fast path. *)
+   stop re-walking coefficient lists. *)
 
 type cache = {
   c_hash : int;  (* structural hash of constant + terms *)
@@ -171,47 +170,6 @@ let equal a b =
   match a.cache, b.cache with
   | Some ca, Some cb when ca.c_hash <> cb.c_hash -> false
   | _ -> compare a b = 0
-
-(* ------------------------------------------------------------------ *)
-(* Interning                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Hash -> expressions with that hash.  The table is an optimization
-   only (equality never depends on it), so when it fills up it is simply
-   cleared: sharing restarts, correctness is untouched.  One table per
-   domain: interning from several domains into one Hashtbl would corrupt
-   it, and sharing expressions across domains buys nothing (problems
-   never cross domains mid-query). *)
-type interner = { tbl : (int, t list) Hashtbl.t; mutable count : int }
-
-let intern_cap = 1 lsl 16
-
-let intern_key =
-  Domain.DLS.new_key (fun () -> { tbl = Hashtbl.create 4096; count = 0 })
-
-let intern e =
-  if not !Tuning.hashcons then e
-  else begin
-    let s = Tuning.Stats.current () in
-    let it = Domain.DLS.get intern_key in
-    let h = hash e in
-    let bucket =
-      match Hashtbl.find_opt it.tbl h with Some es -> es | None -> []
-    in
-    match List.find_opt (fun e' -> equal e' e) bucket with
-    | Some e' ->
-      s.Tuning.Stats.intern_hits <- s.Tuning.Stats.intern_hits + 1;
-      e'
-    | None ->
-      s.Tuning.Stats.intern_misses <- s.Tuning.Stats.intern_misses + 1;
-      if it.count >= intern_cap then begin
-        Hashtbl.reset it.tbl;
-        it.count <- 0
-      end;
-      Hashtbl.replace it.tbl h (e :: bucket);
-      it.count <- it.count + 1;
-      e
-  end
 
 (* Inner product of the coefficient vectors of two expressions, used by the
    gist fast checks ("normals with positive inner product"). *)

@@ -66,11 +66,6 @@ val canon : t -> (Var.t * Zint.t) list * bool * int
     expressions share a key iff their linear parts are equal or
     opposite.  Cached while {!Tuning.hashcons} is on. *)
 
-val intern : t -> t
-(** Return a physically shared representative of a structurally equal
-    expression seen before (identity when {!Tuning.hashcons} is off).
-    Purely an optimization: [equal] never depends on interning. *)
-
 val dot : t -> t -> Zint.t
 (** Inner product of the coefficient vectors (used by the gist fast
     checks). *)

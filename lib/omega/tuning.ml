@@ -16,10 +16,9 @@ let order = ref true
    box of the single-variable bounds. *)
 let redundancy = ref true
 
-(* Caching/interning: precomputed structural hashes and canonical
-   coefficient keys on [Linexpr], the normalized flag on [Constr],
-   interning of normalized expressions, and the small-integer string
-   cache of the verdict-memo key serializer. *)
+(* Caching: precomputed structural hashes and canonical coefficient keys
+   on [Linexpr], the normalized flag on [Constr], and the small-integer
+   string cache of the verdict-memo key serializer. *)
 let hashcons = ref true
 
 (* Tier-0 screen of the decision portfolio (Portfolio / Screen): when
@@ -44,8 +43,6 @@ module Stats = struct
     mutable fm_exact : int;  (* of which exact (incl. one-sided) *)
     mutable fm_split : int;  (* of which dark-shadow + splinters *)
     mutable pruned_interval : int;  (* constraints dropped by the screen *)
-    mutable intern_hits : int;
-    mutable intern_misses : int;
   }
 
   let make () =
@@ -54,8 +51,6 @@ module Stats = struct
       fm_exact = 0;
       fm_split = 0;
       pruned_interval = 0;
-      intern_hits = 0;
-      intern_misses = 0;
     }
 
   (* Per-domain record, like Budget's world: hot-path increments stay
@@ -75,15 +70,13 @@ module Stats = struct
     dst.fm_eliminations <- dst.fm_eliminations + src.fm_eliminations;
     dst.fm_exact <- dst.fm_exact + src.fm_exact;
     dst.fm_split <- dst.fm_split + src.fm_split;
-    dst.pruned_interval <- dst.pruned_interval + src.pruned_interval;
-    dst.intern_hits <- dst.intern_hits + src.intern_hits;
-    dst.intern_misses <- dst.intern_misses + src.intern_misses
+    dst.pruned_interval <- dst.pruned_interval + src.pruned_interval
 
   let summary () =
     let stats = current () in
     Printf.sprintf
       "%d FM eliminations (%d exact, %d split), %d constraints \
-       interval-pruned, intern %d hits / %d misses"
+       interval-pruned"
       stats.fm_eliminations stats.fm_exact stats.fm_split
-      stats.pruned_interval stats.intern_hits stats.intern_misses
+      stats.pruned_interval
 end

@@ -12,7 +12,7 @@ val redundancy : bool ref
 
 val hashcons : bool ref
 (** Cached hashes / canonical keys on expressions, cached normalization
-    on constraints, interning, and memo-key serialization caches. *)
+    on constraints, and memo-key serialization caches. *)
 
 val screen : bool ref
 (** Tier-0 incomplete screen of the decision portfolio: when [false], a
@@ -31,8 +31,6 @@ module Stats : sig
     mutable fm_exact : int;
     mutable fm_split : int;
     mutable pruned_interval : int;
-    mutable intern_hits : int;
-    mutable intern_misses : int;
   }
 
   val make : unit -> t

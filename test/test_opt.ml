@@ -2,10 +2,9 @@
    restructuring (Xform.Restructure) and the bytecode passes (Lang.Opt).
 
    The contract under test is the one the speedup bench enforces over
-   the whole corpus: every subset of the four optimizer flags yields a
+   the whole corpus: every subset of the three optimizer flags yields a
    bit-identical final store; illegal interchange and fusion are
-   refused; every bounds-check elision carries a proof that the
-   paranoid re-checker accepts at run time. *)
+   refused. *)
 
 open Lang
 
@@ -16,13 +15,13 @@ let int_t = Alcotest.int
 (* Same deterministic nonzero fill as test_exec/test_vm. *)
 let init _ idx = List.fold_left (fun h i -> (h * 31) + i + 17) 7 idx
 
-let with_flags (r, s, e, w) f =
-  let saved = (!Opt.restructure, !Opt.superinst, !Opt.elide, !Opt.writekill) in
-  Opt.set ~restructure:r ~superinst:s ~elide:e ~writekill:w;
+let with_flags (r, s, w) f =
+  let saved = (!Opt.restructure, !Opt.superinst, !Opt.writekill) in
+  Opt.set ~restructure:r ~superinst:s ~writekill:w;
   Fun.protect
     ~finally:(fun () ->
-      let r, s, e, w = saved in
-      Opt.set ~restructure:r ~superinst:s ~elide:e ~writekill:w)
+      let r, s, w = saved in
+      Opt.set ~restructure:r ~superinst:s ~writekill:w)
     f
 
 let analyze src = Sema.analyze (Parser.parse_string src)
@@ -63,7 +62,7 @@ let test_interchange_hazard () =
        ~inner:(loop_node g_ok "j"))
 
 let test_interchange_refusal () =
-  with_flags (true, false, false, false) (fun () ->
+  with_flags (true, false, false) (fun () ->
       (* profitable by locality (last subscript tracks the outer loop)
          but licensed by nothing: the (+,-) vector must refuse it *)
       let ast =
@@ -104,7 +103,7 @@ let test_interchange_refusal () =
 (* ------------------------------------------------------------------ *)
 
 let test_fusion () =
-  with_flags (true, false, false, false) (fun () ->
+  with_flags (true, false, false) (fun () ->
       (* loop 2 reads loop 1's array backwards: fusing would feed
          iteration i the value of iteration 100-i before it is written *)
       let bad =
@@ -278,7 +277,7 @@ let qcheck_fusion_pairwise =
 (* ------------------------------------------------------------------ *)
 
 let test_writekill () =
-  with_flags (false, false, false, true) (fun () ->
+  with_flags (false, false, true) (fun () ->
       let src =
         "symbolic n; real a[0:100];\n\
          for i := 0 to 100 do a(i) := 1; endfor\n\
@@ -322,7 +321,7 @@ let test_analyzed_once () =
   Fun.protect
     ~finally:(fun () -> Depend.Analyses.Memo.enabled := memo)
     (fun () ->
-      with_flags (true, true, true, true) (fun () ->
+      with_flags (true, true, true) (fun () ->
           let queries () =
             (Omega.Budget.Telemetry.current ()).Omega.Budget.Telemetry.queries
           in
@@ -348,7 +347,7 @@ let test_analyzed_once () =
                 (delta (fun () -> Xform.Restructure.optimize ast)))
             [ "matmul"; "sor"; "wavefront1" ];
           (* and with no source pass enabled, not at all *)
-          with_flags (false, true, true, false) (fun () ->
+          with_flags (false, true, false) (fun () ->
               check int_t "no source pass: no queries" 0
                 (delta (fun () ->
                      Xform.Restructure.optimize
@@ -382,7 +381,7 @@ let expected_reports =
   ]
 
 let test_corpus_reports () =
-  with_flags (true, true, true, true) (fun () ->
+  with_flags (true, true, true) (fun () ->
       check int_t "every corpus program pinned"
         (List.length Corpus.all)
         (List.length expected_reports);
@@ -397,11 +396,11 @@ let test_corpus_reports () =
         Corpus.all)
 
 (* ------------------------------------------------------------------ *)
-(* Bytecode passes on a simple kernel                                  *)
+(* Bytecode fusion on a simple kernel                                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_bytecode_passes () =
-  with_flags (false, true, true, false) (fun () ->
+let test_bytecode_fusion () =
+  with_flags (false, true, false) (fun () ->
       let prog =
         analyze
           "symbolic n; real a[0:100], b[0:100];\n\
@@ -410,13 +409,11 @@ let test_bytecode_passes () =
       let syms = [ ("n", 5) ] in
       let u0 = Compile.program prog ~syms in
       let u, rep = Opt.optimize u0 in
-      check bool_t "some accesses elided" true (rep.Opt.r_elided > 0);
       check bool_t "some instructions fused" true (rep.Opt.r_fused > 0);
       check bool_t "constant limit took the immediate back-edge" true
         (Array.exists
            (function Compile.LoopUpi _ -> true | _ -> false)
            u.Compile.u_main);
-      check bool_t "no proof violations" true (Opt.check_proofs u0 rep = []);
       (* identical final state, fewer dynamic instructions *)
       let t0 = Vm.create ~init u0 and t1 = Vm.create ~init u in
       let n0 = Vm.run_count t0 and n1 = Vm.run_count t1 in
@@ -426,63 +423,45 @@ let test_bytecode_passes () =
         true (n1 < n0);
       (* static counts name the new opcodes *)
       let names = List.map fst (Opt.static_counts u) in
-      check bool_t "unchecked or fused opcodes in the listing" true
+      check bool_t "fused opcodes in the listing" true
         (List.exists
-           (fun m ->
-             List.mem m names)
-           [ "ld.u"; "st.u"; "mald.u"; "mast.u"; "aild.u"; "aist.u" ]))
+           (fun m -> List.mem m names)
+           [ "mald"; "mast"; "aild"; "aist"; "addst"; "subst"; "mulst" ]))
 
-let test_paranoid_corpus () =
-  with_flags (true, true, true, true) (fun () ->
-      let total_elided = ref 0 and total_fused = ref 0 in
-      let executed = ref 0 in
+(* Production-mode corpus differential: every compilable corpus kernel,
+   restructured and fused with all flags on, ends with the interpreter's
+   final memory. *)
+let test_optimized_corpus () =
+  with_flags (true, true, true) (fun () ->
+      let total_fused = ref 0 and executed = ref 0 in
       List.iter
         (fun (name, src) ->
-          let ast, _ = (Parser.parse_string src, ()) in
-          let ast', _rep = Xform.Restructure.optimize ast in
-          let prog' = Sema.analyze ast' in
+          let ast = Parser.parse_string src in
+          let prog = Sema.analyze ast in
           match
-            Xform.Oracle.pick_syms ~candidates:[ 6; 5; 4; 3; 2; 1 ]
-              (Sema.analyze ast)
+            Xform.Oracle.pick_syms ~candidates:[ 6; 5; 4; 3; 2; 1 ] prog
           with
           | None -> ()
           | Some syms -> (
-            match Xform.Exec.run_serial ~init (Sema.analyze ast) ~syms with
+            match Xform.Exec.run_serial ~init prog ~syms with
             | exception Interp.Runtime_error _ -> ()
             | serial -> (
-              match Compile.program prog' ~syms with
+              let ast', _ = Xform.Restructure.optimize ast in
+              match Compile.program (Sema.analyze ast') ~syms with
               | exception Compile.Unsupported _ -> ()
-              | u0 ->
+              | u0 -> (
                 incr executed;
-                let u, rep = Opt.optimize ~paranoid:true u0 in
-                total_elided := !total_elided + rep.Opt.r_elided;
-                check bool_t
-                  (Printf.sprintf "%s: proofs verify" name)
-                  true
-                  (Opt.check_proofs u0 rep = []);
+                let u, rep = Opt.optimize u0 in
+                total_fused := !total_fused + rep.Opt.r_fused;
                 let t = Vm.create ~init u in
-                (match Vm.run t with
-                | () -> ()
-                | exception Vm.Proof_failure msg ->
-                  Alcotest.failf "%s: paranoid re-check tripped: %s" name msg);
-                (match Vm.check_against ~init t serial with
+                Vm.run t;
+                match Vm.check_against ~init t serial with
                 | [] -> ()
                 | diffs ->
                   Alcotest.failf "%s: optimized pipeline diverges: %s" name
-                    (Vm.diff_string diffs));
-                (* paranoid and production modes agree bit for bit
-                   (fusion only fully applies in production, where no
-                   assert interposes between producer and consumer) *)
-                let up, repp = Opt.optimize u0 in
-                total_fused := !total_fused + repp.Opt.r_fused;
-                let tp = Vm.create ~init up in
-                Vm.run tp;
-                check bool_t
-                  (Printf.sprintf "%s: paranoid == production" name)
-                  true (Vm.equal_state t tp))))
+                    (Vm.diff_string diffs)))))
         Corpus.all;
       check bool_t "enough corpus kernels optimized" true (!executed >= 8);
-      check bool_t "corpus-wide elisions happened" true (!total_elided > 0);
       check bool_t "corpus-wide fusions happened" true (!total_fused > 0))
 
 (* ------------------------------------------------------------------ *)
@@ -504,21 +483,18 @@ let prop_flag_subsets (ast : Ast.program) : bool =
         (* source passes depend only on the restructure/writekill bits *)
         List.for_all
           (fun (r, w) ->
-            with_flags (r, true, true, w) (fun () ->
+            with_flags (r, true, w) (fun () ->
                 let ast', _ = Xform.Restructure.optimize ast in
                 match Compile.program (Sema.analyze ast') ~syms with
                 | exception Compile.Unsupported _ -> true
                 | u0 ->
                   List.for_all
-                    (fun (s, e) ->
-                      with_flags (r, s, e, w) (fun () ->
-                          let u, rep = Opt.optimize ~paranoid:(s && e) u0 in
-                          let t = Vm.create ~init u in
+                    (fun s ->
+                      with_flags (r, s, w) (fun () ->
+                          let t = Vm.create ~init (fst (Opt.optimize u0)) in
                           Vm.run t;
-                          Vm.check_against ~init t serial = []
-                          && Opt.check_proofs u0 rep = []))
-                    [ (false, false); (false, true); (true, false);
-                      (true, true) ]))
+                          Vm.check_against ~init t serial = []))
+                    [ false; true ]))
           [ (false, false); (false, true); (true, false); (true, true) ])
     [ 4; 7 ]
 
@@ -543,9 +519,8 @@ let suite =
         test_analyzed_once;
       Alcotest.test_case "corpus restructure reports pinned" `Quick
         test_corpus_reports;
-      Alcotest.test_case "bytecode elision + fusion" `Quick
-        test_bytecode_passes;
-      Alcotest.test_case "paranoid re-checks over the corpus" `Slow
-        test_paranoid_corpus;
+      Alcotest.test_case "bytecode fusion" `Quick test_bytecode_fusion;
+      Alcotest.test_case "optimized corpus matches serial" `Slow
+        test_optimized_corpus;
       qcheck_subsets;
     ] )

@@ -141,6 +141,68 @@ let test_copy_in_load_bearing () =
     (Vm.check_against ~init t_bad serial = [])
 
 (* ------------------------------------------------------------------ *)
+(* Every arena access is bounds-checked                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The VM's contract: a compiler or optimizer bug surfaces as an
+   exception, not a wild read or write.  Each arena opcode, plain or
+   fused, is run from a hand-built main body against an address just
+   past either end of the arena; it must raise [Invalid_argument] with
+   the arena untouched, in both dispatch loops. *)
+let test_arena_bounds_checked () =
+  let prog, _ =
+    analyze_src "real a[0:3];\nfor i := 0 to 3 do a(i) := i; endfor"
+  in
+  let u = Compile.program prog ~syms:[] in
+  check bool_t "arena is non-empty" true (u.Compile.u_arena > 0);
+  (* r0 holds the (partial) address, r1 receives loads, r2 is the
+     multiplier/addend, r3 the stored value *)
+  let cases bad =
+    Compile.
+      [
+        ("ld", [ Li (0, bad); Ld (1, 0) ]);
+        ("ldi", [ Ldi (1, bad) ]);
+        ("st", [ Li (0, bad); Li (3, 99); St (0, 3) ]);
+        ("sti", [ Li (3, 99); Sti (bad, 3) ]);
+        ("mald", [ Li (0, bad - 2); Li (2, 1); MuladdLd (1, 0, 2, 2) ]);
+        ( "mast",
+          [ Li (0, bad - 2); Li (2, 1); Li (3, 99); MuladdSt (0, 2, 2, 3) ] );
+        ("aild", [ Li (0, bad - 1); AddiLd (1, 0, 1) ]);
+        ("aist", [ Li (0, bad - 1); Li (3, 99); AddiSt (0, 1, 3) ]);
+        ("addst", [ Li (0, bad); Li (2, 5); Li (3, 6); AddSt (0, 2, 3) ]);
+        ("subst", [ Li (0, bad); Li (2, 5); Li (3, 6); SubSt (0, 2, 3) ]);
+        ("mulst", [ Li (0, bad); Li (2, 5); Li (3, 6); MulSt (0, 2, 3) ]);
+      ]
+  in
+  List.iter
+    (fun bad ->
+      List.iter
+        (fun (op, body) ->
+          let u' =
+            {
+              u with
+              Compile.u_main = Array.of_list (body @ [ Compile.Halt ]);
+              u_nregs = max u.Compile.u_nregs 4;
+            }
+          in
+          List.iter
+            (fun (loop, run) ->
+              let t = Vm.create ~init u' in
+              let before = Array.copy (Vm.arena t) in
+              let what = Printf.sprintf "%s at %d (%s)" op bad loop in
+              (match run t with
+              | () -> Alcotest.failf "%s: no exception" what
+              | exception Invalid_argument _ -> ());
+              check bool_t (what ^ ": arena unchanged") true
+                (Vm.arena t = before))
+            [
+              ("run", fun t -> Vm.run t);
+              ("run_count", fun t -> ignore (Vm.run_count t));
+            ])
+        (cases bad))
+    [ u.Compile.u_arena; -1 ]
+
+(* ------------------------------------------------------------------ *)
 (* Random nests: compilation matches interpretation bit-for-bit        *)
 (* ------------------------------------------------------------------ *)
 
@@ -182,5 +244,7 @@ let suite =
         test_threshold_inlines_small_regions;
       Alcotest.test_case "slab copy-in is load-bearing" `Quick
         test_copy_in_load_bearing;
+      Alcotest.test_case "every arena opcode is bounds-checked" `Quick
+        test_arena_bounds_checked;
     ]
     @ List.map (QCheck_alcotest.to_alcotest ~long:false) prop_tests )
