@@ -1,7 +1,10 @@
-(* The evaluation harness: regenerates every table and figure of the
-   paper's evaluation (section 4.7 and section 5), plus ablation benches
-   for the design choices called out in DESIGN.md, plus Bechamel
-   micro-benchmarks (one per table/figure).
+(* The paper's evaluation, regenerated: every table and figure of
+   section 4.7 and section 5, plus ablation benches for the design
+   choices called out in DESIGN.md, plus Bechamel micro-benchmarks (one
+   per table/figure).  The subcommands are CI's gates (speedup,
+   robustness, analysis, serve, chaos); each writes one BENCH_*.json
+   artifact.  The mechanics they share (flag parsing, the violation
+   gate, calibrated timing, scoped switches) live in harness.ml.
 
    Absolute times differ from the paper's 1992 Sun Sparc IPX; the claims
    under test are the *shapes*: which dependences are live/dead, extended
@@ -9,41 +12,17 @@
    kill tests resolved without consulting the Omega test. *)
 
 open Depend
+open Harness
 module Portfolio = Omega.Portfolio
-module Json = Serve.Json
 module Protocol = Serve.Protocol
 module Client = Serve.Client
 module Server = Serve.Server
 module Service = Serve.Service
 
-let section title =
-  Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-
-(* All bench artifacts go through the shared serialization module
-   (lib/serve/json.ml) — the same one behind the wire protocol and the
-   CLI [--json] modes — so escaping and number formatting are decided
-   in exactly one place.  Timing figures keep their historical six
-   decimal places. *)
-let jf x = Json.Float (Float.round (x *. 1e6) /. 1e6)
-
-let write_json ~out j =
-  let oc = open_out out in
-  output_string oc (Json.to_string j);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" out
-
 (* Budget telemetry renders itself to JSON text; lift it into a value
    so it nests in an artifact without double encoding. *)
 let telemetry_json tj =
   match Json.parse tj with Ok j -> j | Error _ -> Json.Str tj
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let ms t = t *. 1000.
 
 (* ------------------------------------------------------------------ *)
 (* Examples 1-6 (the section 4 box)                                    *)
@@ -167,45 +146,42 @@ let extended_pair ctx outputs (a : Lang.Ir.access) (b : Lang.Ir.access) =
     end;
     (!ran, List.length dep.Deps.vectors > 1)
 
+(* Every same-array write/read pair of one program, in the order
+   figures 6 and 7 list them: [f name ctx outputs a b] per pair. *)
+let pair_walk f name =
+  let prog = Lang.Sema.parse_and_analyze (Corpus.find name) in
+  let ctx = Depctx.create prog in
+  let outputs = Deps.all ctx Deps.Output in
+  let reads = Lang.Ir.reads prog in
+  List.concat_map
+    (fun (a : Lang.Ir.access) ->
+      List.filter_map
+        (fun (b : Lang.Ir.access) ->
+          if a.Lang.Ir.array <> b.Lang.Ir.array then None
+          else Some (f name ctx outputs a b))
+        reads)
+    (Lang.Ir.writes prog)
+
 let pair_timings () : pair_timing list =
   List.concat_map
-    (fun name ->
-      let prog = Lang.Sema.parse_and_analyze (Corpus.find name) in
-      let ctx = Depctx.create prog in
-      let outputs = Deps.all ctx Deps.Output in
-      let writes = Lang.Ir.writes prog and reads = Lang.Ir.reads prog in
-      List.concat_map
-        (fun (a : Lang.Ir.access) ->
-          List.filter_map
-            (fun (b : Lang.Ir.access) ->
-              if a.Lang.Ir.array <> b.Lang.Ir.array then None
-              else begin
-                (* warm-up pass so neither measurement pays one-time costs *)
-                ignore (Deps.compute ctx ~src:a ~dst:b ~kind:Deps.Flow);
-                let _, t_std =
-                  time (fun () ->
-                      Deps.compute ctx ~src:a ~dst:b ~kind:Deps.Flow)
-                in
-                let (ran, split), t_ext =
-                  time (fun () -> extended_pair ctx outputs a b)
-                in
-                let category =
-                  if not ran then `No_test
-                  else if split then `Split
-                  else `General
-                in
-                Some
-                  {
-                    prog_name = name;
-                    src_label = a.Lang.Ir.label;
-                    dst_label = b.Lang.Ir.label;
-                    t_std;
-                    t_ext;
-                    category;
-                  }
-              end)
-            reads)
-        writes)
+    (pair_walk (fun name ctx outputs a b ->
+         (* warm-up pass so neither measurement pays one-time costs *)
+         ignore (Deps.compute ctx ~src:a ~dst:b ~kind:Deps.Flow);
+         let _, t_std =
+           time (fun () -> Deps.compute ctx ~src:a ~dst:b ~kind:Deps.Flow)
+         in
+         let (ran, split), t_ext =
+           time (fun () -> extended_pair ctx outputs a b)
+         in
+         {
+           prog_name = name;
+           src_label = a.Lang.Ir.label;
+           dst_label = b.Lang.Ir.label;
+           t_std;
+           t_ext;
+           category =
+             (if not ran then `No_test else if split then `Split else `General);
+         }))
     Corpus.timing_population
 
 (* The same figure 6/7 pair population, verdicts only (no timings): a
@@ -216,31 +192,16 @@ let pair_timings () : pair_timing list =
    is exactly [List.map] at width 1). *)
 let pair_verdicts () : string list =
   Par.map_list
-    (fun name ->
-      let prog = Lang.Sema.parse_and_analyze (Corpus.find name) in
-      let ctx = Depctx.create prog in
-      let outputs = Deps.all ctx Deps.Output in
-      let writes = Lang.Ir.writes prog and reads = Lang.Ir.reads prog in
-      List.concat_map
-        (fun (a : Lang.Ir.access) ->
-          List.filter_map
-            (fun (b : Lang.Ir.access) ->
-              if a.Lang.Ir.array <> b.Lang.Ir.array then None
-              else begin
-                let dep =
-                  match Deps.compute ctx ~src:a ~dst:b ~kind:Deps.Flow with
-                  | None -> "none"
-                  | Some d ->
-                    String.concat ","
-                      (List.map Dirvec.to_string d.Deps.vectors)
-                in
-                let ran, split = extended_pair ctx outputs a b in
-                Some
-                  (Printf.sprintf "%s %s->%s %s ran=%b split=%b" name
-                     a.Lang.Ir.label b.Lang.Ir.label dep ran split)
-              end)
-            reads)
-        writes)
+    (pair_walk (fun name ctx outputs a b ->
+         let dep =
+           match Deps.compute ctx ~src:a ~dst:b ~kind:Deps.Flow with
+           | None -> "none"
+           | Some d ->
+             String.concat "," (List.map Dirvec.to_string d.Deps.vectors)
+         in
+         let ran, split = extended_pair ctx outputs a b in
+         Printf.sprintf "%s %s->%s %s ran=%b split=%b" name a.Lang.Ir.label
+           b.Lang.Ir.label dep ran split))
     Corpus.timing_population
   |> List.concat
 
@@ -490,13 +451,15 @@ let ablations () =
      screen is pinned off (backend [Omega]) so the comparison isolates
      tier 1 against tier 2; the cascade's own win is measured in the
      analysis suite's portfolio section. *)
-  let saved_backend = !Omega.Portfolio.backend in
-  Omega.Portfolio.backend := Omega.Portfolio.Omega;
-  let _, t_fast = time (fun () -> Driver.analyze cholsky) in
-  Analyses.use_fast_path := false;
-  let _, t_slow = time (fun () -> Driver.analyze cholsky) in
-  Analyses.use_fast_path := true;
-  Omega.Portfolio.backend := saved_backend;
+  let t_fast, t_slow =
+    with_ref Portfolio.backend Portfolio.Omega (fun () ->
+        let _, t_fast = time (fun () -> Driver.analyze cholsky) in
+        let _, t_slow =
+          with_ref Analyses.use_fast_path false (fun () ->
+              time (fun () -> Driver.analyze cholsky))
+        in
+        (t_fast, t_slow))
+  in
   Printf.printf
     "ablation-fast-path   : CHOLSKY driver %.1f ms with dark-shadow fast path, %.1f ms general-only (%.2fx)\n"
     (ms t_fast) (ms t_slow)
@@ -547,14 +510,14 @@ let ablations () =
           (Driver.analyze (Lang.Sema.parse_and_analyze (Corpus.find name))))
       Corpus.timing_population
   in
-  let was_enabled = !Analyses.Memo.enabled in
-  Analyses.Memo.enabled := false;
-  let _, t_nomemo = time (fun () -> population (); population ()) in
-  Analyses.Memo.enabled := true;
-  Analyses.Memo.reset ();
-  let _, t_memo = time (fun () -> population (); population ()) in
+  let twice () = time (fun () -> population (); population ()) in
+  let _, t_nomemo = with_ref Analyses.Memo.enabled false twice in
+  let _, t_memo =
+    with_ref Analyses.Memo.enabled true (fun () ->
+        Analyses.Memo.reset ();
+        twice ())
+  in
   let m = Analyses.Memo.stats in
-  Analyses.Memo.enabled := was_enabled;
   Printf.printf
     "ablation-memo        : 2x corpus driver %.1f ms uncached, %.1f ms with verdict memo (%.2fx, %d hits / %d distinct, %.0f%% hit rate)\n"
     (ms t_nomemo) (ms t_memo)
@@ -627,194 +590,21 @@ let bechamel_benches () =
 (* Speedup suite: execute every kernel serial / std-plan / ext-plan    *)
 (* ------------------------------------------------------------------ *)
 
-(* The paper's payoff, measured: each corpus kernel runs three ways at
-   scaled trip counts - serially, with the standard analysis's doall
-   loops parallelized over domains, and with the extended analysis's
-   (privatization included).  Every parallel final state is checked
-   bit-identical to the serial one, so a reported speedup is also a
-   soundness certificate for the plan that produced it. *)
+(* The paper's payoff, measured: each corpus kernel runs at scaled trip
+   counts four ways - interpreted serially, compiled serially on the VM,
+   and on the VM with the standard or the extended analysis's doall
+   loops (privatization included) parallelized over domains - which
+   separates the compilation win (interp -> VM, [compile_speedup]) from
+   the parallelism win (serial VM -> plan VM,
+   [std_speedup]/[ext_speedup]).  Compilation itself is hoisted out of
+   the timed region (it happens once per program/plan); arena
+   initialization is included, since every execution must pay it.  Final
+   states: serial VM is checked bit-for-bit against the interpreter
+   (total-memory equality), each plan VM against the serial VM's arena —
+   a reported speedup is also a soundness certificate. *)
 
 (* Deterministic nonzero contents so value propagation is observable. *)
 let speedup_init _ idx = List.fold_left (fun h i -> (h * 31) + i + 17) 7 idx
-
-type speedup_row = {
-  sp_name : string;
-  sp_syms : (string * int) list;
-  sp_loops : int;
-  sp_std_doall : int;
-  sp_ext_doall : int;
-  sp_serial : float;
-  sp_std : float;
-  sp_ext : float;
-  sp_std_regions : int;
-  sp_ext_regions : int;
-  sp_identical : bool;
-}
-
-let json_of_speedup ~domains ~smoke (rows : speedup_row list) =
-  let row r =
-    Json.Obj
-      [
-        ("name", Json.Str r.sp_name);
-        ("syms", Json.Obj (List.map (fun (s, v) -> (s, Json.Int v)) r.sp_syms));
-        ("loops", Json.Int r.sp_loops);
-        ("std_doall", Json.Int r.sp_std_doall);
-        ("ext_doall", Json.Int r.sp_ext_doall);
-        ("serial_ms", jf (ms r.sp_serial));
-        ("std_ms", jf (ms r.sp_std));
-        ("ext_ms", jf (ms r.sp_ext));
-        ("std_speedup", jf (r.sp_serial /. r.sp_std));
-        ("ext_speedup", jf (r.sp_serial /. r.sp_ext));
-        ("std_regions", Json.Int r.sp_std_regions);
-        ("ext_regions", Json.Int r.sp_ext_regions);
-        ("ext_beats_std", Json.Bool (r.sp_ext < r.sp_std));
-        ("identical", Json.Bool r.sp_identical);
-      ]
-  in
-  Json.Obj
-    [
-      ("domains", Json.Int domains);
-      ("smoke", Json.Bool smoke);
-      ("all_identical", Json.Bool (List.for_all (fun r -> r.sp_identical) rows));
-      ( "ext_beats_std",
-        Json.List
-          (List.filter_map
-             (fun r ->
-               if r.sp_ext < r.sp_std then Some (Json.Str r.sp_name) else None)
-             rows) );
-      ("kernels", Json.List (List.map row rows));
-    ]
-
-(* Warmup + best-of-N: one untimed run heats caches, allocators and (for
-   the VM) branch predictors, then the minimum of [reps] timed runs is
-   reported — minima are far less noisy than single shots for
-   sub-second kernels. *)
-let warm_best ~reps f =
-  ignore (f ());
-  let rec go best k =
-    if k = 0 then best
-    else
-      let _, t = time f in
-      go (min best t) (k - 1)
-  in
-  go infinity reps
-
-let speedup_suite_interp ~smoke ~domains ~repeat ~out () =
-  let pool = Xform.Exec.create_pool ?size:domains () in
-  let domains = Xform.Exec.pool_size pool in
-  section
-    (Printf.sprintf
-       "Speedup (interp backend): serial vs std-plan vs ext-plan (%d \
-        domain%s%s)"
-       domains
-       (if domains = 1 then "" else "s")
-       (if smoke then ", smoke" else ""));
-  let target = if smoke then 8_000 else 150_000 in
-  let reps = repeat in
-  let best f = warm_best ~reps f in
-  Printf.printf "%-18s %-18s %9s %9s %9s %7s %7s %5s %s\n" "kernel" "syms"
-    "serial" "std(ms)" "ext(ms)" "std-x" "ext-x" "ident" "regions s/e";
-  let rows =
-    List.filter_map
-      (fun name ->
-        let prog = Lang.Sema.parse_and_analyze (Corpus.find name) in
-        let g = Xform.Graph.build prog in
-        let vs = Xform.Parallel.analyze g in
-        let nloops = List.length vs in
-        let std_doall, ext_doall = Xform.Parallel.count_doall vs in
-        let depth =
-          List.fold_left
-            (fun d (l : Xform.Graph.loop_info) -> max d l.Xform.Graph.l_depth)
-            1 g.Xform.Graph.loops
-        in
-        let scale =
-          max 4 (int_of_float (float_of_int target ** (1. /. float_of_int depth)))
-        in
-        match
-          Xform.Oracle.pick_syms
-            ~candidates:[ scale; scale / 2; 100; 50; 10; 8; 6; 5; 4; 3; 2; 1 ]
-            prog
-        with
-        | None -> None
-        | Some syms ->
-          (match Xform.Exec.run_serial ~init:speedup_init prog ~syms with
-          | exception Lang.Interp.Runtime_error _ -> None
-          | serial_mem ->
-            let t_serial =
-              best (fun () ->
-                  ignore (Xform.Exec.run_serial ~init:speedup_init prog ~syms))
-            in
-            let run side =
-              let pl = Xform.Exec.plan side vs in
-              let mem, stats =
-                Xform.Exec.run_parallel ~pool ~init:speedup_init pl prog ~syms
-              in
-              let t =
-                best (fun () ->
-                    ignore
-                      (Xform.Exec.run_parallel ~pool ~init:speedup_init pl
-                         prog ~syms))
-              in
-              (mem, stats, t)
-            in
-            let std_mem, std_stats, t_std = run Xform.Exec.Std in
-            let ext_mem, ext_stats, t_ext = run Xform.Exec.Ext in
-            let identical =
-              Xform.Exec.equal_mem serial_mem std_mem
-              && Xform.Exec.equal_mem serial_mem ext_mem
-            in
-            let row =
-              {
-                sp_name = name;
-                sp_syms = syms;
-                sp_loops = nloops;
-                sp_std_doall = std_doall;
-                sp_ext_doall = ext_doall;
-                sp_serial = t_serial;
-                sp_std = t_std;
-                sp_ext = t_ext;
-                sp_std_regions = std_stats.Xform.Exec.x_regions;
-                sp_ext_regions = ext_stats.Xform.Exec.x_regions;
-                sp_identical = identical;
-              }
-            in
-            Printf.printf
-              "%-18s %-18s %9.1f %9.1f %9.1f %7.2f %7.2f %5s %d/%d\n" name
-              (String.concat ","
-                 (List.map (fun (s, v) -> Printf.sprintf "%s=%d" s v) syms))
-              (ms t_serial) (ms t_std) (ms t_ext) (t_serial /. t_std)
-              (t_serial /. t_ext)
-              (if identical then "yes" else "NO")
-              std_stats.Xform.Exec.x_regions ext_stats.Xform.Exec.x_regions;
-            Some row))
-      Corpus.timing_population
-  in
-  Xform.Exec.shutdown pool;
-  let wins = List.filter (fun r -> r.sp_ext < r.sp_std) rows in
-  let plan_wins =
-    List.filter (fun r -> r.sp_ext_doall > r.sp_std_doall) rows
-  in
-  Printf.printf
-    "\n%d kernels; ext plan beats std plan wall-clock on %d; ext plan \
-     parallelizes more loops on %d; all final states identical to serial: %b\n"
-    (List.length rows) (List.length wins) (List.length plan_wins)
-    (List.for_all (fun r -> r.sp_identical) rows);
-  write_json ~out (json_of_speedup ~domains ~smoke rows);
-  if not (List.for_all (fun r -> r.sp_identical) rows) then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Speedup suite, compiled backend: 4-way trajectory                   *)
-(* ------------------------------------------------------------------ *)
-
-(* serial-interp / serial-VM / std-plan-VM / ext-plan-VM, separating the
-   compilation win (interp -> VM, [compile_speedup]) from the
-   parallelism win (serial VM -> plan VM, [std_speedup]/[ext_speedup]).
-   Compilation itself is hoisted out of the timed region (it happens
-   once per program/plan); arena initialization is included, since every
-   execution must pay it.  Final states: serial VM is checked
-   bit-for-bit against the interpreter (total-memory equality), each
-   plan VM against the serial VM's arena — a reported speedup is also a
-   soundness certificate. *)
 
 type vm_row = {
   vr_name : string;
@@ -845,17 +635,6 @@ type vm_row = {
   vr_subsets_ok : bool; (* every optimizer-flag subset bit-identical *)
 }
 
-let geomean = function
-  | [] -> 1.
-  | xs ->
-    exp (List.fold_left (fun a x -> a +. log x) 0. xs /. float (List.length xs))
-
-(* Times below the clock's resolution read as 0 at smoke scale; clamp
-   both sides to one tick so ratios (and the JSON) stay finite. *)
-let ratio num den =
-  let tick = 1e-7 in
-  Float.max num tick /. Float.max den tick
-
 let dyn_ratio r = float_of_int r.vr_dyn_base /. float_of_int (max 1 r.vr_dyn_opt)
 
 (* The per-pass ablation configurations, as (label, flags) with flags =
@@ -872,101 +651,50 @@ let ablation_configs =
 (* Size of the bit-identity gate: every subset of the optimizer flags. *)
 let flag_subsets = 1 lsl List.length (Lang.Opt.flags ())
 
-let json_of_vm_speedup ~domains ~smoke ~repeat (rows : vm_row list) =
-  let row r =
-    Json.Obj
-      [
-        ("name", Json.Str r.vr_name);
-        ("syms", Json.Obj (List.map (fun (s, v) -> (s, Json.Int v)) r.vr_syms));
-        ("loops", Json.Int r.vr_loops);
-        ("std_doall", Json.Int r.vr_std_doall);
-        ("ext_doall", Json.Int r.vr_ext_doall);
-        ("iters", Json.Int r.vr_iters);
-        ("interp_ms", jf (ms r.vr_interp));
-        ("vm_ms", jf (ms r.vr_vm));
-        ("vm_run_ms", jf (ms r.vr_vm_run));
-        ("std_ms", jf (ms r.vr_std));
-        ("ext_ms", jf (ms r.vr_ext));
-        ("opt_ms", jf (ms r.vr_opt));
-        ("compile_speedup", jf (ratio r.vr_interp r.vr_vm));
-        ("std_speedup", jf (ratio r.vr_vm r.vr_std));
-        ("ext_speedup", jf (ratio r.vr_vm r.vr_ext));
-        ("opt_speedup", jf (ratio r.vr_vm_run r.vr_opt));
-        ( "ablation",
-          Json.Obj
-            (List.map (fun (label, t) -> (label, jf (ms t))) r.vr_ablation) );
-        ("fused", Json.Int r.vr_fused);
-        ("loopi", Json.Int r.vr_loopi);
-        ( "restructure",
-          Json.Obj
-            [
-              ("fused", Json.Int r.vr_x_fused);
-              ("interchanged", Json.Int r.vr_x_interchanged);
-              ("killed", Json.Int r.vr_x_killed);
-            ] );
-        ("dyn_base", Json.Int r.vr_dyn_base);
-        ("dyn_opt", Json.Int r.vr_dyn_opt);
-        ("dyn_reduction", jf (dyn_ratio r));
-        ("std_regions", Json.Int r.vr_std_regions);
-        ("ext_regions", Json.Int r.vr_ext_regions);
-        ("std_inline", Json.Int r.vr_std_inline);
-        ("ext_inline", Json.Int r.vr_ext_inline);
-        ("ext_beats_serial", Json.Bool (r.vr_ext < r.vr_vm));
-        ("identical", Json.Bool r.vr_identical);
-        ("subsets_identical", Json.Bool r.vr_subsets_ok);
-      ]
-  in
-  let names p =
-    Json.List
-      (List.filter_map
-         (fun r -> if p r then Some (Json.Str r.vr_name) else None)
-         rows)
-  in
-  (* aggregate per-pass ablation: geomean slowdown of switching one
-     pass off (vs all-on) and geomean speedup of the crippled pipeline
-     over the unoptimized serial VM *)
-  let ablation_rows =
-    List.map
-      (fun (label, _) ->
-        let offs =
-          List.map (fun r -> (r, List.assoc label r.vr_ablation)) rows
-        in
-        Json.Obj
-          [
-            ("pass", Json.Str label);
-            ( "geomean_slowdown_off",
-              jf (geomean (List.map (fun (r, t) -> ratio t r.vr_opt) offs)) );
-            ( "geomean_speedup_vs_baseline",
-              jf (geomean (List.map (fun (r, t) -> ratio r.vr_vm_run t) offs))
-            );
-          ])
-      ablation_configs
-  in
+let json_of_kernel r =
   Json.Obj
     [
-      ("backend", Json.Str "vm");
-      ("domains", Json.Int domains);
-      ("smoke", Json.Bool smoke);
-      ("repeat", Json.Int repeat);
-      ("all_identical", Json.Bool (List.for_all (fun r -> r.vr_identical) rows));
-      ("flag_subsets", Json.Int flag_subsets);
-      ( "all_subsets_identical",
-        Json.Bool (List.for_all (fun r -> r.vr_subsets_ok) rows) );
-      ( "geomean_compile_speedup",
-        jf (geomean (List.map (fun r -> ratio r.vr_interp r.vr_vm) rows)) );
-      ( "geomean_ext_speedup",
-        jf (geomean (List.map (fun r -> ratio r.vr_vm r.vr_ext) rows)) );
-      ( "geomean_opt_speedup",
-        jf (geomean (List.map (fun r -> ratio r.vr_vm_run r.vr_opt) rows)) );
-      ( "geomean_dyn_reduction",
-        jf (geomean (List.map dyn_ratio rows)) );
-      ("ablation", Json.List ablation_rows);
-      ("ext_beats_serial", names (fun r -> r.vr_ext < r.vr_vm));
-      ("ext_beats_std", names (fun r -> r.vr_ext < r.vr_std));
-      ("kernels", Json.List (List.map row rows));
+      ("name", Json.Str r.vr_name);
+      ("syms", Json.Obj (List.map (fun (s, v) -> (s, Json.Int v)) r.vr_syms));
+      ("loops", Json.Int r.vr_loops);
+      ("std_doall", Json.Int r.vr_std_doall);
+      ("ext_doall", Json.Int r.vr_ext_doall);
+      ("iters", Json.Int r.vr_iters);
+      ("interp_ms", jf (ms r.vr_interp));
+      ("vm_ms", jf (ms r.vr_vm));
+      ("vm_run_ms", jf (ms r.vr_vm_run));
+      ("std_ms", jf (ms r.vr_std));
+      ("ext_ms", jf (ms r.vr_ext));
+      ("opt_ms", jf (ms r.vr_opt));
+      ("compile_speedup", jf (ratio r.vr_interp r.vr_vm));
+      ("std_speedup", jf (ratio r.vr_vm r.vr_std));
+      ("ext_speedup", jf (ratio r.vr_vm r.vr_ext));
+      ("opt_speedup", jf (ratio r.vr_vm_run r.vr_opt));
+      ( "ablation",
+        Json.Obj
+          (List.map (fun (label, t) -> (label, jf (ms t))) r.vr_ablation) );
+      ("fused", Json.Int r.vr_fused);
+      ("loopi", Json.Int r.vr_loopi);
+      ( "restructure",
+        Json.Obj
+          [
+            ("fused", Json.Int r.vr_x_fused);
+            ("interchanged", Json.Int r.vr_x_interchanged);
+            ("killed", Json.Int r.vr_x_killed);
+          ] );
+      ("dyn_base", Json.Int r.vr_dyn_base);
+      ("dyn_opt", Json.Int r.vr_dyn_opt);
+      ("dyn_reduction", jf (dyn_ratio r));
+      ("std_regions", Json.Int r.vr_std_regions);
+      ("ext_regions", Json.Int r.vr_ext_regions);
+      ("std_inline", Json.Int r.vr_std_inline);
+      ("ext_inline", Json.Int r.vr_ext_inline);
+      ("ext_beats_serial", Json.Bool (r.vr_ext < r.vr_vm));
+      ("identical", Json.Bool r.vr_identical);
+      ("subsets_identical", Json.Bool r.vr_subsets_ok);
     ]
 
-let speedup_vm_suite ~smoke ~domains ~repeat ~out () =
+let speedup_suite ~smoke ~domains ~repeat ~out () =
   let pool = Xform.Exec.create_pool ?size:domains () in
   let domains = Xform.Exec.pool_size pool in
   section
@@ -978,35 +706,14 @@ let speedup_vm_suite ~smoke ~domains ~repeat ~out () =
        (if smoke then ", smoke" else "")
        repeat);
   let target = if smoke then 8_000 else 150_000 in
-  (* Sub-resolution samples: a smoke-scale kernel finishes in a few
-     microseconds, under the clock tick, so single-shot samples read 0
-     and every ratio saturates at the clamp.  Calibrate an
-     inner-iteration count per measurement so each timed sample clears
-     [floor_s]; report per-iteration time, and record the count in the
-     artifact so a reader can judge the sample quality. *)
-  let floor_s = if smoke then 0.002 else 0.01 in
+  (* A smoke-scale kernel finishes in a few microseconds, so each
+     measurement is calibrated to clear the floor; the serial-VM count
+     is recorded in the artifact so a reader can judge sample quality. *)
+  let floor = if smoke then 0.002 else 0.01 in
   let calibrated f =
-    let _, t1 = time f in
-    let iters =
-      if t1 >= floor_s then 1
-      else
-        max 1
-          (min 1000
-             (int_of_float (Float.ceil (floor_s /. Float.max t1 1e-7))))
-    in
-    let t =
-      if iters = 1 then warm_best ~reps:repeat f
-      else
-        warm_best ~reps:repeat (fun () ->
-            for _ = 1 to iters do
-              f ()
-            done)
-        /. float_of_int iters
-    in
-    (t, iters)
+    let iters = calibrate ~floor f in
+    (per_call ~reps:repeat ~iters f, iters)
   in
-  let saved_flags = List.map (fun (_, r) -> (r, !r)) (Lang.Opt.flags ()) in
-  let gate_failures = ref [] in
   Printf.printf "%-18s %-14s %8s %8s %8s %8s %8s %5s %5s %5s %5s %5s %5s\n"
     "kernel" "syms" "interp" "vm(ms)" "std(ms)" "ext(ms)" "opt(ms)" "c-x"
     "std-x" "ext-x" "opt-x" "dyn-x" "ident";
@@ -1065,6 +772,8 @@ let speedup_vm_suite ~smoke ~domains ~repeat ~out () =
                 && Lang.Vm.equal_state tvm t_std_vm
                 && Lang.Vm.equal_state tvm t_ext_vm
               in
+              if not identical then
+                fail "%s: VM final state diverges from serial" name;
               (* --- optimizer pipeline ---
                  The source-level passes (restructure/write-kill) change
                  what gets compiled, so each of the four
@@ -1110,11 +819,10 @@ let speedup_vm_suite ~smoke ~domains ~repeat ~out () =
                           = []
                         in
                         if not ok then
-                          gate_failures :=
-                            Printf.sprintf
-                              "%s (restructure=%b superinst=%b writekill=%b)"
-                              name r s w
-                            :: !gate_failures;
+                          fail
+                            "%s: divergent subset (restructure=%b \
+                             superinst=%b writekill=%b)"
+                            name r s w;
                         ok)
                       [ false; true ])
                   rw_units
@@ -1246,28 +954,62 @@ let speedup_vm_suite ~smoke ~domains ~repeat ~out () =
       Corpus.timing_population
   in
   Xform.Exec.shutdown pool;
-  List.iter (fun (r, v) -> r := v) saved_flags;
   let all_ok = List.for_all (fun r -> r.vr_identical) rows in
-  let subsets_ok = !gate_failures = [] in
-  let n p = List.length (List.filter p rows) in
+  let subsets_ok = List.for_all (fun r -> r.vr_subsets_ok) rows in
+  let geo f = geomean (List.map f rows) in
+  let geo_compile = geo (fun r -> ratio r.vr_interp r.vr_vm) in
+  let geo_opt = geo (fun r -> ratio r.vr_vm_run r.vr_opt) in
+  let geo_dyn = geo dyn_ratio in
+  let names p =
+    List.filter_map (fun r -> if p r then Some (Json.Str r.vr_name) else None)
+      rows
+  in
+  let beats_serial = names (fun r -> r.vr_ext < r.vr_vm) in
+  let beats_std = names (fun r -> r.vr_ext < r.vr_std) in
   Printf.printf
     "\n\
      %d kernels; geomean interp->VM speedup %.1fx; geomean optimizer speedup \
      %.2fx (dynamic instructions %.2fx down); ext VM beats serial VM on %d, \
      beats std VM on %d; all final states identical: %b; all %d flag subsets \
      identical: %b\n"
-    (List.length rows)
-    (geomean (List.map (fun r -> ratio r.vr_interp r.vr_vm) rows))
-    (geomean (List.map (fun r -> ratio r.vr_vm_run r.vr_opt) rows))
-    (geomean (List.map dyn_ratio rows))
-    (n (fun r -> r.vr_ext < r.vr_vm))
-    (n (fun r -> r.vr_ext < r.vr_std))
-    all_ok flag_subsets subsets_ok;
-  List.iter
-    (fun d -> Printf.printf "DIVERGENT SUBSET: %s\n" d)
-    (List.rev !gate_failures);
-  write_json ~out (json_of_vm_speedup ~domains ~smoke ~repeat rows);
-  if not (all_ok && subsets_ok) then exit 1
+    (List.length rows) geo_compile geo_opt geo_dyn
+    (List.length beats_serial) (List.length beats_std) all_ok flag_subsets
+    subsets_ok;
+  (* aggregate per-pass ablation: geomean slowdown of switching one
+     pass off (vs all-on) and geomean speedup of the crippled pipeline
+     over the unoptimized serial VM *)
+  let ablation_rows =
+    List.map
+      (fun (label, _) ->
+        let off r = List.assoc label r.vr_ablation in
+        Json.Obj
+          [
+            ("pass", Json.Str label);
+            ( "geomean_slowdown_off",
+              jf (geo (fun r -> ratio (off r) r.vr_opt)) );
+            ( "geomean_speedup_vs_baseline",
+              jf (geo (fun r -> ratio r.vr_vm_run (off r))) );
+          ])
+      ablation_configs
+  in
+  finish ~out
+    (Json.Obj
+       [
+         ("domains", Json.Int domains);
+         ("smoke", Json.Bool smoke);
+         ("repeat", Json.Int repeat);
+         ("all_identical", Json.Bool all_ok);
+         ("flag_subsets", Json.Int flag_subsets);
+         ("all_subsets_identical", Json.Bool subsets_ok);
+         ("geomean_compile_speedup", jf geo_compile);
+         ("geomean_ext_speedup", jf (geo (fun r -> ratio r.vr_vm r.vr_ext)));
+         ("geomean_opt_speedup", jf geo_opt);
+         ("geomean_dyn_reduction", jf geo_dyn);
+         ("ablation", Json.List ablation_rows);
+         ("ext_beats_serial", Json.List beats_serial);
+         ("ext_beats_std", Json.List beats_std);
+         ("kernels", Json.List (List.map json_of_kernel rows));
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Robustness suite: governance sweep + fault-injection soundness      *)
@@ -1290,16 +1032,19 @@ let speedup_vm_suite ~smoke ~domains ~repeat ~out () =
 
 let robust_programs () = Corpus.all @ Corpus.stress
 
-type robust_outcome = {
+(* The full standard + extended analysis of one program: dead/live flow
+   classification plus the doall verdicts of the transformation layer.
+   The verdict memo is reset first, so a repetition re-solves every
+   query instead of replaying the previous run's cache. *)
+type outcome = {
   ro_dead : string list;
   ro_live : string list;
   ro_std : string list;
   ro_ext : string list;
 }
 
-let robust_outcome src : robust_outcome =
+let outcome (prog : Lang.Ir.program) : outcome =
   Analyses.Memo.reset ();
-  let prog = Lang.Sema.analyze (Lang.Parser.parse_string src) in
   let r = Driver.analyze prog in
   let key (fr : Driver.flow_result) =
     Printf.sprintf "%d->%d" fr.Driver.dep.Deps.src.Lang.Ir.acc_id
@@ -1320,18 +1065,32 @@ let robust_outcome src : robust_outcome =
     ro_ext = doalls (fun v -> v.Xform.Parallel.v_ext_doall);
   }
 
+(* The sizes of two outcomes that should agree, for a violation line. *)
+let outcome_sizes (a : outcome) (b : outcome) =
+  let n = List.length in
+  Printf.sprintf "dead %d/%d, live %d/%d, std doall %d/%d, ext doall %d/%d"
+    (n a.ro_dead) (n b.ro_dead) (n a.ro_live) (n b.ro_live) (n a.ro_std)
+    (n b.ro_std) (n a.ro_ext) (n b.ro_ext)
+
+let parse src = Lang.Sema.analyze (Lang.Parser.parse_string src)
+
 let robustness_suite ~out ~seeds () =
   section "Robustness: governance sweep + fault-injection soundness";
   let programs = robust_programs () in
-  let violations = ref [] in
-  let violate fmt =
-    Printf.ksprintf
-      (fun s ->
-        Printf.printf "VIOLATION: %s\n" s;
-        violations := !violations @ [ s ])
-      fmt
+  (* [weak] proves no more than [strong]: its dead set and doalls lie
+     within strong's, and strong's live set within its. *)
+  let within where (wname, (weak : outcome)) (sname, (strong : outcome)) =
+    let sub label a b =
+      if not (List.for_all (fun x -> List.mem x b) a) then
+        fail "%s: %s %s not within %s's" where wname label sname
+    in
+    sub "dead set" weak.ro_dead strong.ro_dead;
+    sub "std doalls" weak.ro_std strong.ro_std;
+    sub "ext doalls" weak.ro_ext strong.ro_ext;
+    sub
+      (Printf.sprintf "live set (%s within %s)" sname wname)
+      strong.ro_live weak.ro_live
   in
-  let subset a b = List.for_all (fun x -> List.mem x b) a in
   (* --- governance sweep: run every program at each budget rung --- *)
   let tiny =
     { Omega.Budget.fuel = 200; splinters = 4; disjuncts = 8; deadline_ms = None }
@@ -1343,10 +1102,10 @@ let robustness_suite ~out ~seeds () =
       Omega.Budget.with_limits lims (fun () ->
           List.filter_map
             (fun (pname, src) ->
-              match robust_outcome src with
+              match outcome (parse src) with
               | o -> Some (pname, o)
               | exception e ->
-                violate "%s crashed under %s budget: %s" pname rname
+                fail "%s crashed under %s budget: %s" pname rname
                   (Printexc.to_string e);
                 None)
             programs)
@@ -1362,18 +1121,10 @@ let robustness_suite ~out ~seeds () =
   (match rung_rows with
   | (_, o_def, _) :: (_, o_tiny, _) :: _ ->
     List.iter
-      (fun (pname, (t : robust_outcome)) ->
+      (fun (pname, (t : outcome)) ->
         match List.assoc_opt pname o_def with
         | None -> ()
-        | Some d ->
-          let chain label a b =
-            if not (subset a b) then
-              violate "%s: tiny-budget %s not within default's" pname label
-          in
-          chain "dead set" t.ro_dead d.ro_dead;
-          chain "std doalls" t.ro_std d.ro_std;
-          chain "ext doalls" t.ro_ext d.ro_ext;
-          chain "live set (default within tiny)" d.ro_live t.ro_live)
+        | Some d -> within pname ("tiny-budget", t) ("default", d))
       o_tiny
   | _ -> ());
   (* --- fault injection: degraded plans stay within clean plans --- *)
@@ -1387,37 +1138,28 @@ let robustness_suite ~out ~seeds () =
         Fun.protect ~finally:Analyses.clear_fault_injection (fun () ->
             List.iter
               (fun (pname, src) ->
-                match robust_outcome src with
+                match outcome (parse src) with
                 | exception e ->
-                  violate "%s crashed under fault seed %d: %s" pname seed
+                  fail "%s crashed under fault seed %d: %s" pname seed
                     (Printexc.to_string e)
                 | faulty ->
-                  (match List.assoc_opt pname clean with
-                  | None -> ()
-                  | Some cl ->
-                    let sub label a b =
-                      if not (subset a b) then
-                        violate "%s (seed %d): faulty %s not within clean's"
-                          pname seed label
-                    in
-                    sub "dead set" faulty.ro_dead cl.ro_dead;
-                    sub "std doalls" faulty.ro_std cl.ro_std;
-                    sub "ext doalls" faulty.ro_ext cl.ro_ext;
-                    sub "live set (clean within faulty)" cl.ro_live
-                      faulty.ro_live))
+                  Option.iter
+                    (fun cl ->
+                      within
+                        (Printf.sprintf "%s (seed %d)" pname seed)
+                        ("faulty", faulty) ("clean", cl))
+                    (List.assoc_opt pname clean))
               programs;
             let injected =
               (Omega.Budget.Telemetry.current ())
                 .Omega.Budget.Telemetry.gave_up_injected
             in
             if injected = 0 then
-              violate "seed %d: fault injection never fired" seed;
+              fail "seed %d: fault injection never fired" seed;
             (* degraded plans must still execute soundly *)
             List.iter
               (fun pname ->
-                let prog =
-                  Lang.Sema.analyze (Lang.Parser.parse_string (Corpus.find pname))
-                in
+                let prog = parse (Corpus.find pname) in
                 let vs = Xform.Parallel.analyze (Xform.Graph.build prog) in
                 let pl = Xform.Exec.plan Xform.Exec.Ext vs in
                 let syms =
@@ -1436,7 +1178,7 @@ let robustness_suite ~out ~seeds () =
                     ~syms
                 in
                 if not (Xform.Exec.equal_mem serial mem) then
-                  violate "%s (seed %d): degraded plan diverges from serial"
+                  fail "%s (seed %d): degraded plan diverges from serial"
                     pname seed)
               [ "temp_reuse"; "copyin"; "kill_chain" ];
             Printf.printf "fault seed %-6d rate %.2f: %s\n" seed rate
@@ -1445,13 +1187,12 @@ let robustness_suite ~out ~seeds () =
       seeds
   in
   Analyses.Memo.reset ();
-  let sound = !violations = [] in
   Printf.printf
     "\n%d programs (%d stress); %d budget rungs; %d fault seeds; sound: %b\n"
     (List.length programs)
     (List.length (robust_programs ()) - List.length Corpus.all)
-    (List.length rungs) (List.length seeds) sound;
-  write_json ~out
+    (List.length rungs) (List.length seeds) (sound ());
+  finish ~out
     (Json.Obj
        [
          ("programs", Json.Int (List.length programs));
@@ -1477,10 +1218,9 @@ let robustness_suite ~out ~seeds () =
                       ("telemetry", telemetry_json tj);
                     ])
                 seed_rows) );
-         ("violations", Json.List (List.map (fun v -> Json.Str v) !violations));
-         ("sound", Json.Bool sound);
-       ]);
-  if not sound then exit 1
+         ("violations", violations ());
+         ("sound", Json.Bool (sound ()));
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Analysis-time suite: solver-core throughput                         *)
@@ -1502,17 +1242,6 @@ let analysis_budget =
     disjuncts = 65_536;
     deadline_ms = None;
   }
-
-let with_tuning ~order ~redundancy ~hashcons f =
-  let saved =
-    (!Omega.Tuning.order, !Omega.Tuning.redundancy, !Omega.Tuning.hashcons)
-  in
-  Omega.Tuning.set ~order ~redundancy ~hashcons;
-  Fun.protect
-    ~finally:(fun () ->
-      let o, r, h = saved in
-      Omega.Tuning.set ~order:o ~redundancy:r ~hashcons:h)
-    f
 
 (* The section-5 symbolic conditions, captured for cross-checking.  The
    contexts are built once and shared by both configurations, so the
@@ -1588,149 +1317,79 @@ type analysis_subject = { as_name : string; as_prog : Lang.Ir.program }
 let analysis_subjects () : analysis_subject list =
   List.map
     (fun (name, src) ->
-      { as_name = name; as_prog = Lang.Sema.analyze (Lang.Parser.parse_string src) })
+      { as_name = name; as_prog = parse src })
     (Corpus.all
     @ List.filter (fun (n, _) -> n <> "stress_coupled") Corpus.stress)
 
-(* The full standard + extended analysis of one program: dead/live flow
-   classification plus the doall verdicts of the transformation layer.
-   The verdict memo is reset first, so a repetition re-solves every
-   query instead of replaying the previous run's cache. *)
-let analysis_outcome (prog : Lang.Ir.program) : robust_outcome =
-  Analyses.Memo.reset ();
-  let r = Driver.analyze prog in
-  let key (fr : Driver.flow_result) =
-    Printf.sprintf "%d->%d" fr.Driver.dep.Deps.src.Lang.Ir.acc_id
-      fr.Driver.dep.Deps.dst.Lang.Ir.acc_id
-  in
-  let vs = Xform.Parallel.analyze (Xform.Graph.build prog) in
-  let doalls side =
-    List.filter_map
-      (fun (v : Xform.Parallel.verdict) ->
-        if side v then Some (Xform.Parallel.loop_path v.Xform.Parallel.v_loop)
-        else None)
-      vs
-  in
-  {
-    ro_dead = List.map key (Driver.dead_flows r);
-    ro_live = List.map key (Driver.live_flows r);
-    ro_std = doalls (fun v -> v.Xform.Parallel.v_std_doall);
-    ro_ext = doalls (fun v -> v.Xform.Parallel.v_ext_doall);
-  }
-
 type analysis_cfg = { cf_order : bool; cf_redundancy : bool; cf_hashcons : bool }
 
+let cfg_opt = { cf_order = true; cf_redundancy = true; cf_hashcons = true }
 let cfg_ablated = { cf_order = false; cf_redundancy = false; cf_hashcons = false }
 
 (* Every measured call runs under the no-give-up budget, so differing
    configurations are required to produce identical results. *)
 let under cfg f =
-  with_tuning ~order:cfg.cf_order ~redundancy:cfg.cf_redundancy
-    ~hashcons:cfg.cf_hashcons (fun () ->
-      Omega.Budget.with_limits analysis_budget f)
+  with_ref Omega.Tuning.order cfg.cf_order @@ fun () ->
+  with_ref Omega.Tuning.redundancy cfg.cf_redundancy @@ fun () ->
+  with_ref Omega.Tuning.hashcons cfg.cf_hashcons @@ fun () ->
+  Omega.Budget.with_limits analysis_budget f
 
-(* Time one subject under [cfg].  One analysis of a small kernel is
-   microseconds, so [iters] batches enough of them that a timed sample
-   clears ~10ms, or clock jitter swamps the comparison; the caller
-   passes the same [iters] to every configuration so the loop overhead
-   cancels.  Subjects slow enough to carry their own signal (the stress
-   nests) are timed as single runs. *)
+(* Time one subject under [cfg], [iters] analyses per sample (the
+   caller passes the same count to every configuration it compares).
+   Subjects slow enough to carry their own signal (the stress nests)
+   are timed as single runs. *)
 let time_subject ~reps ~iters cfg s =
   under cfg @@ fun () ->
-  if iters = 1 then
-    snd (time (fun () -> ignore (analysis_outcome s.as_prog)))
-  else
-    warm_best ~reps (fun () ->
-        for _ = 1 to iters do
-          ignore (analysis_outcome s.as_prog)
-        done)
-    /. float_of_int iters
+  let run () = outcome s.as_prog in
+  if iters = 1 then snd (time run) else per_call ~reps ~iters run
+
+type measured = {
+  me_subject : analysis_subject;
+  me_iters : int; (* calibrated on the ablated configuration *)
+  me_opt : float;
+  me_abl : float;
+  me_out_opt : outcome;
+  me_out_abl : outcome;
+}
 
 (* Measure one subject under the optimized and the ablated configuration
    back-to-back — config-at-a-time passes turned out to be unfair, with
    allocator and frequency drift between the two passes dwarfing the
    effect being measured. *)
-let measure_subject ~reps cfg_opt s =
-  let o_opt = under cfg_opt (fun () -> analysis_outcome s.as_prog) in
-  let o_abl = under cfg_ablated (fun () -> analysis_outcome s.as_prog) in
-  let t1 =
-    under cfg_ablated
-      (fun () -> snd (time (fun () -> ignore (analysis_outcome s.as_prog))))
-  in
+let measure_subject ~reps s =
+  let me_out_opt = under cfg_opt (fun () -> outcome s.as_prog) in
+  let me_out_abl = under cfg_ablated (fun () -> outcome s.as_prog) in
   let iters =
-    if t1 >= 0.25 then 1 else max 1 (int_of_float (0.01 /. Float.max t1 1e-6))
+    under cfg_ablated (fun () ->
+        calibrate ~floor:0.01 (fun () -> outcome s.as_prog))
   in
-  let t_opt = time_subject ~reps ~iters cfg_opt s in
-  let t_abl = time_subject ~reps ~iters cfg_ablated s in
-  (s.as_name, t_opt, t_abl, o_opt, o_abl)
+  let me_opt = time_subject ~reps ~iters cfg_opt s in
+  let me_abl = time_subject ~reps ~iters cfg_ablated s in
+  { me_subject = s; me_iters = iters; me_opt; me_abl; me_out_opt; me_out_abl }
 
-let json_of_analysis ~smoke ~repeat ~flags ~geo ~corpus ~pairs_speedup
-    ~geo_programs ~divergences ~rows ~ablation_rows ~parallel ~portfolio =
-  let order, redundancy, hashcons = flags in
-  let corpus_abl, corpus_opt, corpus_speedup = corpus in
-  Json.Obj
-    (parallel
-    @ [
-      ("portfolio", portfolio);
-      ("smoke", Json.Bool smoke);
-      ("repeat", Json.Int repeat);
-      ( "flags",
-        Json.Obj
-          [
-            ("order", Json.Bool order);
-            ("redundancy", Json.Bool redundancy);
-            ("hashcons", Json.Bool hashcons);
-          ] );
-      ("geomean_speedup", jf geo);
-      ("corpus_ablated_ms", jf (ms corpus_abl));
-      ("corpus_optimized_ms", jf (ms corpus_opt));
-      ("corpus_speedup", jf corpus_speedup);
-      ("pairs_speedup", jf pairs_speedup);
-      ("per_program_geomean", jf geo_programs);
-      ("identical", Json.Bool (divergences = []));
-      ("divergences", Json.List (List.map (fun d -> Json.Str d) divergences));
-      ( "programs",
-        Json.List
-          (List.map
-             (fun (name, t_abl, t_opt) ->
-               Json.Obj
-                 [
-                   ("name", Json.Str name);
-                   ("ablated_ms", jf (ms t_abl));
-                   ("optimized_ms", jf (ms t_opt));
-                   ("speedup", jf (ratio t_abl t_opt));
-                 ])
-             rows) );
-      ( "ablations",
-        Json.List
-          (List.map
-             (fun (flag, t_off, t_on) ->
-               Json.Obj
-                 [
-                   ("disabled", Json.Str flag);
-                   ("off_ms", jf (ms t_off));
-                   ("on_ms", jf (ms t_on));
-                   ("slowdown", jf (ratio t_off t_on));
-                 ])
-             ablation_rows) );
-    ])
-
-let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
-    () =
+let analysis_suite ~smoke ~repeat ~out ~domains () =
   section
     (Printf.sprintf
-       "Analysis time: solver core (order=%b redundancy=%b hashcons=%b) vs \
+       "Analysis time: solver core (order, redundancy, hashcons on) vs \
         fully-ablated baseline%s, best of %d after warmup"
-       order redundancy hashcons
        (if smoke then ", smoke" else "")
        repeat);
   let reps = repeat in
   let subjects = analysis_subjects () in
   let probes = symbolic_probes () in
-  let cfg_opt =
-    { cf_order = order; cf_redundancy = redundancy; cf_hashcons = hashcons }
+  let measured = List.map (measure_subject ~reps) subjects in
+  (* the whole timed population under [cfg], each subject at its
+     calibrated count *)
+  let corpus_time cfg =
+    List.fold_left
+      (fun acc m ->
+        acc +. time_subject ~reps ~iters:m.me_iters cfg m.me_subject)
+      0. measured
   in
-  let measured = List.map (measure_subject ~reps cfg_opt) subjects in
+  let corpus_pass () =
+    under cfg_opt (fun () ->
+        List.iter (fun s -> ignore (outcome s.as_prog)) subjects)
+  in
   let pairs_opt =
     under cfg_opt (fun () -> warm_best ~reps (fun () -> ignore (pair_timings ())))
   in
@@ -1743,22 +1402,12 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
     under cfg_ablated (fun () -> List.map (fun p -> p ()) probes)
   in
   (* --- correctness cross-check: identical analysis results --- *)
-  let divergences = ref [] in
   List.iter
-    (fun (name, _, _, (o : robust_outcome), (a : robust_outcome)) ->
-      if o <> a then
-        divergences :=
-          !divergences
-          @ [
-              Printf.sprintf
-                "%s: optimized and ablated analyses disagree (dead %d/%d, \
-                 live %d/%d, std doall %d/%d, ext doall %d/%d)"
-                name
-                (List.length o.ro_dead) (List.length a.ro_dead)
-                (List.length o.ro_live) (List.length a.ro_live)
-                (List.length o.ro_std) (List.length a.ro_std)
-                (List.length o.ro_ext) (List.length a.ro_ext);
-            ])
+    (fun m ->
+      if m.me_out_opt <> m.me_out_abl then
+        fail "%s: optimized and ablated analyses disagree (%s)"
+          m.me_subject.as_name
+          (outcome_sizes m.me_out_opt m.me_out_abl))
     measured;
   let cond_str = function
     | Symbolic.Always -> "always"
@@ -1766,31 +1415,23 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
     | Symbolic.When p -> "when " ^ Omega.Problem.to_string p
     | Symbolic.Unknown r -> "unknown (" ^ Omega.Budget.reason_to_string r ^ ")"
   in
-  under { cf_order = true; cf_redundancy = true; cf_hashcons = true }
-    (fun () ->
+  under cfg_opt (fun () ->
       List.iteri
         (fun i (a, b) ->
           if not (cond_equiv a b) then
-            divergences :=
-              !divergences
-              @ [
-                  Printf.sprintf
-                    "symbolic probe %d: conditions differ (optimized: %s; \
-                     ablated: %s)"
-                    i (cond_str a) (cond_str b);
-                ])
+            fail
+              "symbolic probe %d: conditions differ (optimized: %s; ablated: \
+               %s)"
+              i (cond_str a) (cond_str b))
         (List.combine probes_opt probes_abl));
   (* --- report --- *)
   Printf.printf "%-20s %12s %12s %8s\n" "program" "ablated(ms)" "optimized"
     "speedup";
-  let rows =
-    List.map (fun (name, t_opt, t_abl, _, _) -> (name, t_abl, t_opt)) measured
-  in
   List.iter
-    (fun (name, t_abl, t_opt) ->
-      Printf.printf "%-20s %12.2f %12.2f %8.2f\n" name (ms t_abl) (ms t_opt)
-        (ratio t_abl t_opt))
-    rows;
+    (fun m ->
+      Printf.printf "%-20s %12.2f %12.2f %8.2f\n" m.me_subject.as_name
+        (ms m.me_abl) (ms m.me_opt) (ratio m.me_abl m.me_opt))
+    measured;
   Printf.printf "%-20s %12.2f %12.2f %8.2f\n" "fig6/7 pairs" (ms pairs_abl)
     (ms pairs_opt)
     (ratio pairs_abl pairs_opt);
@@ -1800,24 +1441,24 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
      suite-level speedups; the per-program geomean weights every kernel
      equally (including sub-millisecond ones dominated by parsing and
      front-end plumbing) and is reported as a secondary figure. *)
-  let corpus_abl = List.fold_left (fun acc (_, a, _) -> acc +. a) 0. rows in
-  let corpus_opt = List.fold_left (fun acc (_, _, o) -> acc +. o) 0. rows in
+  let corpus_abl = List.fold_left (fun acc m -> acc +. m.me_abl) 0. measured in
+  let corpus_opt = List.fold_left (fun acc m -> acc +. m.me_opt) 0. measured in
   let corpus_speedup = ratio corpus_abl corpus_opt in
-  let geo_programs = geomean (List.map (fun (_, a, o) -> ratio a o) rows) in
+  let geo_programs =
+    geomean (List.map (fun m -> ratio m.me_abl m.me_opt) measured)
+  in
   let geo = geomean [ corpus_speedup; ratio pairs_abl pairs_opt ] in
   Printf.printf "%-20s %12.2f %12.2f %8.2f\n" "whole corpus" (ms corpus_abl)
     (ms corpus_opt) corpus_speedup;
   (* solver counters for one optimized corpus pass, reported for context *)
   Omega.Tuning.Stats.reset ();
-  under cfg_opt (fun () ->
-      List.iter (fun s -> ignore (analysis_outcome s.as_prog)) subjects);
+  corpus_pass ();
   let stats_line = Omega.Tuning.Stats.summary () in
   Printf.printf
     "\ngeomean whole-corpus analysis speedup: %.2fx over the fully-ablated \
      baseline\n(per-program geomean: %.2fx)\nsolver (optimized corpus pass): \
      %s\nidentical results: %b\n"
-    geo geo_programs stats_line (!divergences = []);
-  List.iter (fun d -> Printf.printf "VIOLATION: %s\n" d) !divergences;
+    geo geo_programs stats_line (sound ());
   (* --- decision portfolio: the tiered cascade (DESIGN.md section 12).
      Three gates in one sub-suite, all of which also run in smoke mode:
      (1) the cross-backend oracle replays every query an incomplete tier
@@ -1827,40 +1468,24 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
      — dependence sets, direction vectors, kill/cover attribution, and
      doall verdicts all ride in those payloads; (3) the cascade must pay
      for itself on the corpus, with the per-tier traffic reported. *)
-  let with_backend b f =
-    let saved = !Portfolio.backend in
-    Portfolio.backend := b;
-    Fun.protect ~finally:(fun () -> Portfolio.backend := saved) f
-  in
-  let with_fast on f =
-    let saved = !Analyses.use_fast_path in
-    Analyses.use_fast_path := on;
-    Fun.protect ~finally:(fun () -> Analyses.use_fast_path := saved) f
-  in
-  let cascade f = with_backend Portfolio.Cascade f in
+  let cascade f = with_ref Portfolio.backend Portfolio.Cascade f in
   let tier2_only f =
-    with_backend Portfolio.Omega (fun () -> with_fast false f)
+    with_ref Portfolio.backend Portfolio.Omega (fun () ->
+        with_ref Analyses.use_fast_path false f)
   in
   (* (1) the oracle corpus replay *)
   Portfolio.Oracle.enable ();
-  cascade (fun () ->
-      under cfg_opt (fun () ->
-          List.iter (fun s -> ignore (analysis_outcome s.as_prog)) subjects));
+  cascade corpus_pass;
   Portfolio.Oracle.disable ();
   let oracle_checks = Portfolio.Oracle.checks () in
   let oracle_bad = Portfolio.Oracle.divergences () in
   List.iter
     (fun (d : Portfolio.Oracle.divergence) ->
-      let s =
-        Printf.sprintf
-          "oracle: tier %s decided %s as %b but the complete procedure says \
-           %b"
-          (Portfolio.tier_to_string d.Portfolio.Oracle.tier)
-          d.Portfolio.Oracle.label d.Portfolio.Oracle.got
-          d.Portfolio.Oracle.want
-      in
-      Printf.printf "VIOLATION: %s\n" s;
-      divergences := !divergences @ [ s ])
+      fail
+        "oracle: tier %s decided %s as %b but the complete procedure says %b"
+        (Portfolio.tier_to_string d.Portfolio.Oracle.tier)
+        d.Portfolio.Oracle.label d.Portfolio.Oracle.got
+        d.Portfolio.Oracle.want)
     oracle_bad;
   (* (2) payload bit-identity *)
   let payloads () =
@@ -1876,36 +1501,17 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
   in
   let pay_cascade = cascade payloads in
   let pay_tier2 = tier2_only payloads in
-  let payloads_identical = ref true in
   List.iter2
     (fun (name, a) (_, b) ->
-      if a <> b then begin
-        payloads_identical := false;
-        let d =
-          Printf.sprintf
-            "%s: cascade and tier-2-only analysis payloads differ" name
-        in
-        Printf.printf "VIOLATION: %s\n" d;
-        divergences := !divergences @ [ d ]
-      end)
+      if a <> b then
+        fail "%s: cascade and tier-2-only analysis payloads differ" name)
     pay_cascade pay_tier2;
+  let payloads_identical = pay_cascade = pay_tier2 in
   (* (3) throughput and tier traffic *)
-  let portfolio_corpus_time wrap =
-    List.fold_left2
-      (fun acc s (_, _, t_abl, _, _) ->
-        let iters =
-          if t_abl >= 0.25 then 1
-          else max 1 (int_of_float (0.01 /. Float.max t_abl 1e-6))
-        in
-        acc +. wrap (fun () -> time_subject ~reps ~iters cfg_opt s))
-      0. subjects measured
-  in
-  let t_cascade = portfolio_corpus_time cascade in
-  let t_tier2 = portfolio_corpus_time tier2_only in
+  let t_cascade = cascade (fun () -> corpus_time cfg_opt) in
+  let t_tier2 = tier2_only (fun () -> corpus_time cfg_opt) in
   Portfolio.Stats.reset ();
-  cascade (fun () ->
-      under cfg_opt (fun () ->
-          List.iter (fun s -> ignore (analysis_outcome s.as_prog)) subjects));
+  cascade corpus_pass;
   let tiers = Portfolio.Stats.current () in
   let trate (r : Portfolio.Stats.row) =
     if r.Portfolio.Stats.attempts = 0 then 0.
@@ -1923,7 +1529,7 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
     (ratio t_tier2 t_cascade)
     oracle_checks
     (List.length oracle_bad)
-    !payloads_identical
+    payloads_identical
     (Portfolio.Stats.summary ())
     (100. *. tier0_decide_fraction);
   let tier_json (r : Portfolio.Stats.row) =
@@ -1943,7 +1549,7 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
         ("cascade_speedup", jf (ratio t_tier2 t_cascade));
         ("oracle_checks", Json.Int oracle_checks);
         ("oracle_divergences", Json.Int (List.length oracle_bad));
-        ("payloads_identical", Json.Bool !payloads_identical);
+        ("payloads_identical", Json.Bool payloads_identical);
         ("tier0_decide_fraction", jf tier0_decide_fraction);
         ( "tiers",
           Json.Obj
@@ -1959,22 +1565,12 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
   let ablation_rows =
     if smoke then []
     else begin
-      let corpus_time cfg =
-        List.fold_left2
-          (fun acc s (_, _, t_abl, _, _) ->
-            let iters =
-              if t_abl >= 0.25 then 1
-              else max 1 (int_of_float (0.01 /. Float.max t_abl 1e-6))
-            in
-            acc +. time_subject ~reps ~iters cfg s)
-          0. subjects measured
-      in
       let t_all_on = corpus_time cfg_opt in
       List.map
         (fun (flag, cfg) ->
           let t_off = corpus_time cfg in
           Printf.printf
-            "ablation --no-%-10s: corpus %8.1f ms (all-on %8.1f ms, %.2fx \
+            "ablation no-%-10s: corpus %8.1f ms (all-on %8.1f ms, %.2fx \
              slower)\n"
             flag (ms t_off) (ms t_all_on) (ratio t_off t_all_on);
           (flag, t_off, t_all_on))
@@ -2001,12 +1597,12 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
          [Driver.analyze] stays inline on the worker ([Par.map] nests
          without re-entering the pool).  At width 1 [Par.map_list] is
          exactly [List.map], so the serial pass is untouched. *)
-      let corpus_pass () =
-        Par.map_list (fun s -> (s.as_name, analysis_outcome s.as_prog)) subjects
+      let sharded_pass () =
+        Par.map_list (fun s -> (s.as_name, outcome s.as_prog)) subjects
       in
       let pass () =
         time (fun () ->
-            under cfg_opt (fun () -> (corpus_pass (), pair_verdicts ())))
+            under cfg_opt (fun () -> (sharded_pass (), pair_verdicts ())))
       in
       Par.set_domains 1;
       let (serial_out, serial_pairs), t_serial = pass () in
@@ -2022,104 +1618,104 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
       let by_domain = Analyses.Memo.domain_stats () in
       Par.set_domains 1;
       List.iter2
-        (fun (name, (o : robust_outcome)) (_, (p : robust_outcome)) ->
-          if o <> p then begin
-            let d =
-              Printf.sprintf
-                "%s: %d-domain analysis diverges from serial (dead %d/%d, \
-                 live %d/%d, std doall %d/%d, ext doall %d/%d)"
-                name n
-                (List.length p.ro_dead) (List.length o.ro_dead)
-                (List.length p.ro_live) (List.length o.ro_live)
-                (List.length p.ro_std) (List.length o.ro_std)
-                (List.length p.ro_ext) (List.length o.ro_ext)
-            in
-            Printf.printf "VIOLATION: %s\n" d;
-            divergences := !divergences @ [ d ]
-          end)
+        (fun (name, o) (_, p) ->
+          if o <> p then
+            fail "%s: %d-domain analysis diverges from serial (%s)" name n
+              (outcome_sizes p o))
         serial_out par_out;
-      if serial_pairs <> par_pairs then begin
-        let d =
-          Printf.sprintf
-            "fig6/7 pair verdicts diverge between serial and %d-domain runs"
-            n
-        in
-        Printf.printf "VIOLATION: %s\n" d;
-        divergences := !divergences @ [ d ]
-      end;
+      if serial_pairs <> par_pairs then
+        fail "fig6/7 pair verdicts diverge between serial and %d-domain runs"
+          n;
+      let parallel_identical =
+        serial_out = par_out && serial_pairs = par_pairs
+      in
       let cores = Domain.recommended_domain_count () in
       Printf.printf
         "\nserial vs %d domains: corpus+pairs %8.1f ms -> %8.1f ms (x%.2f), \
          identical verdicts: %b\n"
-        n (ms t_serial) (ms t_par) (ratio t_serial t_par)
-        (not
-           (List.exists2
-              (fun (_, o) (_, p) -> o <> p)
-              serial_out par_out)
-        && serial_pairs = par_pairs);
+        n (ms t_serial) (ms t_par) (ratio t_serial t_par) parallel_identical;
       if cores < n then
         Printf.printf
           "  (host has %d core(s) for %d domains: the sharded pass \
            time-slices and pays cross-domain GC sync, so the timing is \
            not meaningful here — the gate is identity, not speed)\n"
           cores n;
-      List.iter
-        (fun (d, (m : Analyses.Memo.t)) ->
-          let tot = m.Analyses.Memo.hits + m.Analyses.Memo.misses in
-          Printf.printf
-            "  domain %d: %d memo hits, %d misses (%.0f%%); hits by tier: %d \
-             screen, %d fast, %d complete\n"
-            d m.Analyses.Memo.hits m.Analyses.Memo.misses
-            (if tot = 0 then 0.
-             else 100. *. float_of_int m.Analyses.Memo.hits /. float_of_int tot)
-            m.Analyses.Memo.hits_screen m.Analyses.Memo.hits_fast
-            m.Analyses.Memo.hits_complete)
-        by_domain;
+      let memo_by_domain =
+        List.map
+          (fun (d, (m : Analyses.Memo.t)) ->
+            let tot = m.Analyses.Memo.hits + m.Analyses.Memo.misses in
+            let rate =
+              if tot = 0 then 0.
+              else float_of_int m.Analyses.Memo.hits /. float_of_int tot
+            in
+            Printf.printf
+              "  domain %d: %d memo hits, %d misses (%.0f%%); hits by tier: \
+               %d screen, %d fast, %d complete\n"
+              d m.Analyses.Memo.hits m.Analyses.Memo.misses (100. *. rate)
+              m.Analyses.Memo.hits_screen m.Analyses.Memo.hits_fast
+              m.Analyses.Memo.hits_complete;
+            Json.Obj
+              [
+                ("domain", Json.Int d);
+                ("hits", Json.Int m.Analyses.Memo.hits);
+                ("misses", Json.Int m.Analyses.Memo.misses);
+                ("hit_rate", jf rate);
+                ("hits_screen", Json.Int m.Analyses.Memo.hits_screen);
+                ("hits_fast", Json.Int m.Analyses.Memo.hits_fast);
+                ("hits_complete", Json.Int m.Analyses.Memo.hits_complete);
+              ])
+          by_domain
+      in
       [
         ("domains", Json.Int n);
         ("host_cores", Json.Int cores);
         ("serial_ms", jf (ms t_serial));
         ("parallel_ms", jf (ms t_par));
         ("parallel_speedup", jf (ratio t_serial t_par));
-        ( "parallel_identical",
-          Json.Bool
-            (not
-               (List.exists2
-                  (fun (_, o) (_, p) -> o <> p)
-                  serial_out par_out)
-            && serial_pairs = par_pairs) );
-        ( "memo_by_domain",
-          Json.List
-            (List.map
-               (fun (d, (m : Analyses.Memo.t)) ->
-                 let tot = m.Analyses.Memo.hits + m.Analyses.Memo.misses in
-                 Json.Obj
-                   [
-                     ("domain", Json.Int d);
-                     ("hits", Json.Int m.Analyses.Memo.hits);
-                     ("misses", Json.Int m.Analyses.Memo.misses);
-                     ( "hit_rate",
-                       jf
-                         (if tot = 0 then 0.
-                          else
-                            float_of_int m.Analyses.Memo.hits
-                            /. float_of_int tot) );
-                     ("hits_screen", Json.Int m.Analyses.Memo.hits_screen);
-                     ("hits_fast", Json.Int m.Analyses.Memo.hits_fast);
-                     ( "hits_complete",
-                       Json.Int m.Analyses.Memo.hits_complete );
-                   ])
-               by_domain) );
+        ("parallel_identical", Json.Bool parallel_identical);
+        ("memo_by_domain", Json.List memo_by_domain);
       ]
   in
-  write_json ~out
-    (json_of_analysis ~smoke ~repeat ~flags:(order, redundancy, hashcons)
-       ~geo
-       ~corpus:(corpus_abl, corpus_opt, corpus_speedup)
-       ~pairs_speedup:(ratio pairs_abl pairs_opt)
-       ~geo_programs ~divergences:!divergences ~rows ~ablation_rows
-       ~parallel:parallel_fields ~portfolio:portfolio_json);
-  if !divergences <> [] then exit 1
+  finish ~out
+    (Json.Obj
+       (parallel_fields
+       @ [
+           ("portfolio", portfolio_json);
+           ("smoke", Json.Bool smoke);
+           ("repeat", Json.Int repeat);
+           ("geomean_speedup", jf geo);
+           ("corpus_ablated_ms", jf (ms corpus_abl));
+           ("corpus_optimized_ms", jf (ms corpus_opt));
+           ("corpus_speedup", jf corpus_speedup);
+           ("pairs_speedup", jf (ratio pairs_abl pairs_opt));
+           ("per_program_geomean", jf geo_programs);
+           ("identical", Json.Bool (sound ()));
+           ("divergences", violations ());
+           ( "programs",
+             Json.List
+               (List.map
+                  (fun m ->
+                    Json.Obj
+                      [
+                        ("name", Json.Str m.me_subject.as_name);
+                        ("ablated_ms", jf (ms m.me_abl));
+                        ("optimized_ms", jf (ms m.me_opt));
+                        ("speedup", jf (ratio m.me_abl m.me_opt));
+                      ])
+                  measured) );
+           ( "ablations",
+             Json.List
+               (List.map
+                  (fun (flag, t_off, t_on) ->
+                    Json.Obj
+                      [
+                        ("disabled", Json.Str flag);
+                        ("off_ms", jf (ms t_off));
+                        ("on_ms", jf (ms t_on));
+                        ("slowdown", jf (ratio t_off t_on));
+                      ])
+                  ablation_rows) );
+         ]))
 
 (* ------------------------------------------------------------------ *)
 (* Serving suite: petitd under concurrent load                         *)
@@ -2146,14 +1742,65 @@ type serve_sample = {
   sv_req_misses : int;
 }
 
-(* Nearest-rank percentile over an unsorted sample. *)
-let percentile p xs =
-  match List.sort compare xs with
-  | [] -> 0.
-  | sorted ->
-    let n = List.length sorted in
-    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
-    List.nth sorted (max 0 (min (n - 1) rank))
+(* The two requests a client sends per program. *)
+let requests src =
+  [
+    ( "analyze",
+      Protocol.Analyze
+        {
+          program = src;
+          in_bounds = false;
+          budget = Protocol.no_budget;
+          deadline_ms = None;
+        } );
+    ( "parallelize",
+      Protocol.Parallelize
+        {
+          program = src;
+          in_bounds = false;
+          budget = Protocol.no_budget;
+          deadline_ms = None;
+        } );
+  ]
+
+(* Fresh in-process payloads for every (program, op).  The daemon
+   shares this process's verdict cache, so they are computed first,
+   through the same payload builders the daemon uses. *)
+let expected_payloads programs =
+  Analyses.Memo.reset ();
+  List.concat_map
+    (fun (name, src) ->
+      let prog = parse src in
+      [
+        ( (name, "analyze"),
+          Json.to_string (Service.analyze_payload ~in_bounds:false prog) );
+        ( (name, "parallelize"),
+          Json.to_string (Service.parallelize_payload ~in_bounds:false prog) );
+      ])
+    programs
+
+(* An in-process petitd on a private Unix socket; [configure] adjusts
+   the default configuration. *)
+let start_daemon tag configure =
+  let path = Printf.sprintf "/tmp/petitd-%s-%d.sock" tag (Unix.getpid ()) in
+  let config = configure (Server.default_config (Protocol.Unix_path path)) in
+  (path, config, Server.start config)
+
+(* One request on a fresh session: the result payload, or why there is
+   none. *)
+let call_once path req =
+  let s = Client.open_session (Protocol.Unix_path path) in
+  Fun.protect ~finally:(fun () -> Client.close_session s) @@ fun () ->
+  match Client.call s req with
+  | Ok (Protocol.Result { payload; _ }) -> Ok payload
+  | Ok (Protocol.Error_ e) -> Error e.message
+  | Error e -> Error e
+
+let payload_or_exit what = function
+  | Ok payload -> payload
+  | Error e ->
+    Printf.eprintf "%s: %s\n" what e;
+    exit 1
 
 let serve_programs ~smoke =
   if smoke then
@@ -2181,11 +1828,10 @@ let serve_pass path ~clients ~programs =
               (fun (name, src) ->
                 List.iter
                   (fun (op, req) ->
-                    let t0 = Unix.gettimeofday () in
-                    match Client.request c req with
-                    | Error e -> failwith (Printf.sprintf "%s %s: %s" op name e)
-                    | Ok resp -> (
-                      let latency = Unix.gettimeofday () -. t0 in
+                    match time (fun () -> Client.request c req) with
+                    | Error e, _ ->
+                      failwith (Printf.sprintf "%s %s: %s" op name e)
+                    | Ok resp, latency -> (
                       match Client.result_payload resp with
                       | Error e ->
                         failwith (Printf.sprintf "%s %s: %s" op name e)
@@ -2206,31 +1852,15 @@ let serve_pass path ~clients ~programs =
                             sv_req_misses = misses;
                           }
                           :: results.(k)))
-                  [
-                    ( "analyze",
-                      Protocol.Analyze
-                        {
-                          program = src;
-                          in_bounds = false;
-                          budget = Protocol.no_budget;
-                          deadline_ms = None;
-                        } );
-                    ( "parallelize",
-                      Protocol.Parallelize
-                        {
-                          program = src;
-                          in_bounds = false;
-                          budget = Protocol.no_budget;
-                          deadline_ms = None;
-                        } );
-                  ])
+                  (requests src))
               programs
           with Failure e -> errors.(k) <- e)
   in
-  let t0 = Unix.gettimeofday () in
-  let threads = List.init clients (fun k -> Thread.create (worker k) ()) in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
+  let (), wall =
+    time (fun () ->
+        List.init clients (fun k -> Thread.create (worker k) ())
+        |> List.iter Thread.join)
+  in
   Array.iteri
     (fun k e ->
       if e <> "" then (
@@ -2269,40 +1899,14 @@ let serve_suite ~smoke ~clients ~domains ~out () =
        | None -> "")
        (if smoke then ", smoke" else ""));
   let programs = serve_programs ~smoke in
-  (* Fresh in-process expectations first: the server shares this
-     process's verdict cache, so the baseline is computed before the
-     daemon resets it, through the same payload builders. *)
-  Analyses.Memo.reset ();
-  let expected =
-    List.concat_map
-      (fun (name, src) ->
-        let prog = Lang.Sema.analyze (Lang.Parser.parse_string src) in
-        [
-          ( (name, "analyze"),
-            Json.to_string (Service.analyze_payload ~in_bounds:false prog) );
-          ( (name, "parallelize"),
-            Json.to_string (Service.parallelize_payload ~in_bounds:false prog)
-          );
-        ])
-      programs
+  let expected = expected_payloads programs in
+  let path, _, server =
+    start_daemon "bench" (fun base ->
+        match domains with
+        | Some n -> { base with Server.c_domains = max 1 n }
+        | None -> base)
   in
-  let path = Printf.sprintf "/tmp/petitd-bench-%d.sock" (Unix.getpid ()) in
-  let config =
-    let base = Server.default_config (Protocol.Unix_path path) in
-    match domains with
-    | Some n -> { base with Server.c_domains = max 1 n }
-    | None -> base
-  in
-  let server = Server.start config in
   let sdomains = Service.domains (Server.service server) in
-  let violations = ref [] in
-  let violate fmt =
-    Printf.ksprintf
-      (fun s ->
-        Printf.printf "VIOLATION: %s\n" s;
-        violations := !violations @ [ s ])
-      fmt
-  in
   let check_payloads pass per_client =
     List.iteri
       (fun k samples ->
@@ -2311,7 +1915,7 @@ let serve_suite ~smoke ~clients ~domains ~out () =
             match List.assoc_opt (s.sv_name, s.sv_op) expected with
             | Some e when e = s.sv_payload -> ()
             | Some _ ->
-              violate "%s pass, client %d: %s %s diverges from in-process run"
+              fail "%s pass, client %d: %s %s diverges from in-process run"
                 pass k s.sv_op s.sv_name
             | None -> assert false)
           samples)
@@ -2346,29 +1950,12 @@ let serve_suite ~smoke ~clients ~domains ~out () =
                   List.mem (s.sv_name, s.sv_op) cold_traffic
                   && s.sv_req_hits = 0
                 then
-                  violate "warm pass, client %d: %s %s reports no memo hits" k
+                  fail "warm pass, client %d: %s %s reports no memo hits" k
                     s.sv_op s.sv_name)
               samples)
           warm;
         let stats =
-          match Client.connect (Protocol.Unix_path path) with
-          | Error e ->
-            Printf.eprintf "serve bench: stats connect: %s\n" e;
-            exit 1
-          | Ok c ->
-            Fun.protect
-              ~finally:(fun () -> Client.close c)
-              (fun () ->
-                match Client.request c Protocol.Stats with
-                | Ok resp -> (
-                  match Client.result_payload resp with
-                  | Ok (payload, _) -> payload
-                  | Error e ->
-                    Printf.eprintf "serve bench: stats: %s\n" e;
-                    exit 1)
-                | Error e ->
-                  Printf.eprintf "serve bench: stats: %s\n" e;
-                  exit 1)
+          payload_or_exit "serve bench: stats" (call_once path Protocol.Stats)
         in
         let summary label samples wall =
           let lats = List.map (fun s -> s.sv_latency) samples in
@@ -2389,12 +1976,11 @@ let serve_suite ~smoke ~clients ~domains ~out () =
   in
   print_endline cold_summary;
   print_endline warm_summary;
-  let sound = !violations = [] in
   Printf.printf
     "%d programs x %d clients x 2 ops over %d solver domain(s); daemon \
      identical to in-process: %b\n"
-    (List.length programs) clients sdomains sound;
-  write_json ~out
+    (List.length programs) clients sdomains (sound ());
+  finish ~out
     (Json.Obj
        [
          ("smoke", Json.Bool smoke);
@@ -2405,10 +1991,9 @@ let serve_suite ~smoke ~clients ~domains ~out () =
          ("cold", cold_json);
          ("warm", warm_json);
          ("daemon_stats", stats_payload);
-         ("identical", Json.Bool sound);
-         ("divergences", Json.List (List.map (fun v -> Json.Str v) !violations));
-       ]);
-  if not sound then exit 1
+         ("identical", Json.Bool (sound ()));
+         ("divergences", violations ());
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* bench chaos: the daemon under a hostile client mix                  *)
@@ -2631,16 +2216,14 @@ let run_well_behaved path ~expected ~programs ~seed ~until cc =
                  under which starving someone is correct shedding, not
                  a robustness bug *)
               Thread.delay 0.003;
-              let t0 = Unix.gettimeofday () in
-              match Client.call s req with
-              | Error e ->
+              match time (fun () -> Client.call s req) with
+              | Error e, _ ->
                 cc.cc_failed <- cc.cc_failed + 1;
                 cc.cc_violations <-
                   Printf.sprintf "well-behaved %s %s failed: %s" op name e
                   :: cc.cc_violations
-              | Ok resp -> (
-                cc.cc_latencies <-
-                  (Unix.gettimeofday () -. t0) :: cc.cc_latencies;
+              | Ok resp, latency -> (
+                cc.cc_latencies <- latency :: cc.cc_latencies;
                 match resp with
                 | Protocol.Result { payload; governance; _ } ->
                   cc.cc_ok <- cc.cc_ok + 1;
@@ -2663,16 +2246,7 @@ let run_well_behaved path ~expected ~programs ~seed ~until cc =
                       e.message
                     :: cc.cc_violations)
             end)
-          [
-            ( "analyze",
-              Protocol.Analyze
-                { program = src; in_bounds = false;
-                  budget = Protocol.no_budget; deadline_ms = None } );
-            ( "parallelize",
-              Protocol.Parallelize
-                { program = src; in_bounds = false;
-                  budget = Protocol.no_budget; deadline_ms = None } );
-          ])
+          (requests src))
       programs
   done;
   cc.cc_retries <- Client.session_retries s;
@@ -2699,33 +2273,19 @@ let chaos_suite ~smoke ~out () =
      daemon's answers byte for byte. *)
   Omega.Budget.set_fault_injection ~seed:fault_seed ~rate:fault_rate;
   Fun.protect ~finally:Omega.Budget.clear_fault_injection @@ fun () ->
-  Analyses.Memo.reset ();
-  let expected =
-    List.concat_map
-      (fun (name, src) ->
-        let prog = Lang.Sema.analyze (Lang.Parser.parse_string src) in
-        [
-          ( (name, "analyze"),
-            Json.to_string (Service.analyze_payload ~in_bounds:false prog) );
-          ( (name, "parallelize"),
-            Json.to_string (Service.parallelize_payload ~in_bounds:false prog)
-          );
-        ])
-      programs
+  let expected = expected_payloads programs in
+  let path, config, server =
+    start_daemon "chaos" (fun base ->
+        {
+          base with
+          Server.c_max_frame = max_frame;
+          c_domains = 2;
+          c_max_connections = 16;
+          c_max_inflight = Some 2;
+          c_read_timeout_ms = Some read_timeout_ms;
+          c_drain_ms = drain_ms;
+        })
   in
-  let path = Printf.sprintf "/tmp/petitd-chaos-%d.sock" (Unix.getpid ()) in
-  let config =
-    {
-      (Server.default_config (Protocol.Unix_path path)) with
-      Server.c_max_frame = max_frame;
-      c_domains = 2;
-      c_max_connections = 16;
-      c_max_inflight = Some 2;
-      c_read_timeout_ms = Some read_timeout_ms;
-      c_drain_ms = drain_ms;
-    }
-  in
-  let server = Server.start config in
   let stop = Atomic.make false in
   let injector name = { ci_name = name; ci_iterations = 0; ci_observed = 0;
                         ci_violations = [] } in
@@ -2763,18 +2323,7 @@ let chaos_suite ~smoke ~out () =
   (* The storm is over; read the daemon's overload posture before
      shutting it down. *)
   let health =
-    let s = Client.open_session (Protocol.Unix_path path) in
-    Fun.protect
-      ~finally:(fun () -> Client.close_session s)
-      (fun () ->
-        match Client.call s Protocol.Health with
-        | Ok (Protocol.Result { payload; _ }) -> payload
-        | Ok (Protocol.Error_ e) ->
-          Printf.eprintf "chaos: health refused: %s\n" e.message;
-          exit 1
-        | Error e ->
-          Printf.eprintf "chaos: health: %s\n" e;
-          exit 1)
+    payload_or_exit "chaos: health" (call_once path Protocol.Health)
   in
   (* Graceful drain: one request in flight when shutdown lands must
      finish; one stalled raw connection must be force-closed; wait must
@@ -2785,18 +2334,9 @@ let chaos_suite ~smoke ~out () =
   let inflight_thread =
     Thread.create
       (fun () ->
-        let s = Client.open_session (Protocol.Unix_path path) in
         inflight_result :=
-          (match
-             Client.call s
-               (Protocol.Analyze
-                  { program = src; in_bounds = false;
-                    budget = Protocol.no_budget; deadline_ms = None })
-           with
-          | Ok (Protocol.Result { payload; _ }) -> Ok (Json.to_string payload)
-          | Ok (Protocol.Error_ e) -> Error e.message
-          | Error e -> Error e);
-        Client.close_session s)
+          Result.map Json.to_string
+            (call_once path (List.assoc "analyze" (requests src))))
       ()
   in
   (* Wait until the daemon reports the request in flight (or solved:
@@ -2804,29 +2344,22 @@ let chaos_suite ~smoke ~out () =
   let rec await_inflight tries =
     if tries = 0 then ()
     else
-      let s = Client.open_session (Protocol.Unix_path path) in
       let inflight =
-        match Client.call s Protocol.Health with
-        | Ok (Protocol.Result { payload; _ }) ->
+        match call_once path Protocol.Health with
+        | Ok payload ->
           Option.value ~default:0
             (Option.bind (Json.member "in_flight" payload) Json.to_int_opt)
-        | _ -> 0
+        | Error _ -> 0
       in
-      Client.close_session s;
       if inflight = 0 && !inflight_result = Error "never ran" then begin
         Thread.delay 0.01;
         await_inflight (tries - 1)
       end
   in
   await_inflight 100;
-  (let s = Client.open_session (Protocol.Unix_path path) in
-   ignore (Client.call s Protocol.Shutdown);
-   Client.close_session s);
-  let wait_ms =
-    let t0 = Unix.gettimeofday () in
-    Server.wait server;
-    ms (Unix.gettimeofday () -. t0)
-  in
+  ignore (call_once path Protocol.Shutdown);
+  let (), wait = time (fun () -> Server.wait server) in
+  let wait_ms = ms wait in
   Thread.join inflight_thread;
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let stalled_closed =
@@ -2838,22 +2371,14 @@ let chaos_suite ~smoke ~out () =
       r = `Reaped
   in
   (* ---- verdicts ---------------------------------------------------- *)
-  let violations = ref [] in
-  let violate fmt =
-    Printf.ksprintf
-      (fun s ->
-        Printf.printf "VIOLATION: %s\n" s;
-        violations := !violations @ [ s ])
-      fmt
-  in
   Array.iteri
     (fun k cc ->
-      List.iter (fun v -> violate "client %d: %s" k v)
+      List.iter (fun v -> fail "client %d: %s" k v)
         (List.rev cc.cc_violations))
     ccs;
   List.iter
     (fun inj ->
-      List.iter (fun v -> violate "%s: %s" inj.ci_name v)
+      List.iter (fun v -> fail "%s: %s" inj.ci_name v)
         (List.rev inj.ci_violations))
     [ slowloris; midframe; malformed; oversized; churn ];
   let total_ok = Array.fold_left (fun a c -> a + c.cc_ok) 0 ccs in
@@ -2864,9 +2389,9 @@ let chaos_suite ~smoke ~out () =
     Array.to_list ccs |> List.concat_map (fun c -> c.cc_latencies)
   in
   let p50 = ms (percentile 50. lats) and p99 = ms (percentile 99. lats) in
-  if total_ok = 0 then violate "no well-behaved request completed";
+  if total_ok = 0 then fail "no well-behaved request completed";
   if total_failed > 0 then
-    violate "%d well-behaved request(s) failed" total_failed;
+    fail "%d well-behaved request(s) failed" total_failed;
   let health_int path_ =
     let rec go j = function
       | [] -> Option.value ~default:0 (Json.to_int_opt j)
@@ -2879,23 +2404,23 @@ let chaos_suite ~smoke ~out () =
   let shed_conns = health_int [ "shed"; "connections" ] in
   let reaped = health_int [ "reaped" ] in
   if shed_requests + shed_conns = 0 then
-    violate "no load was shed — the admission gate never fired";
+    fail "no load was shed — the admission gate never fired";
   if reaped = 0 then
-    violate "no connection was reaped — the read deadline never fired";
+    fail "no connection was reaped — the read deadline never fired";
   if slowloris.ci_observed = 0 then
-    violate "slowloris never observed a reap";
+    fail "slowloris never observed a reap";
   let p99_bound = 10_000. in
   if p99 > p99_bound then
-    violate "well-behaved p99 %.1f ms exceeds the %.0f ms bound" p99 p99_bound;
+    fail "well-behaved p99 %.1f ms exceeds the %.0f ms bound" p99 p99_bound;
   (match !inflight_result with
   | Ok payload ->
     if List.assoc (name, "analyze") expected <> payload then
-      violate "drain: in-flight analyze diverged from the in-process run"
-  | Error e -> violate "drain: in-flight request failed: %s" e);
+      fail "drain: in-flight analyze diverged from the in-process run"
+  | Error e -> fail "drain: in-flight request failed: %s" e);
   if not stalled_closed then
-    violate "drain: stalled connection was not force-closed";
+    fail "drain: stalled connection was not force-closed";
   if wait_ms > drain_ms +. 3_000. then
-    violate "drain took %.0f ms (budget %.0f + slack)" wait_ms drain_ms;
+    fail "drain took %.0f ms (budget %.0f + slack)" wait_ms drain_ms;
   let injector_json inj =
     ( inj.ci_name,
       Json.Obj
@@ -2915,10 +2440,9 @@ let chaos_suite ~smoke ~out () =
     wait_ms
     (match !inflight_result with Ok _ -> true | Error _ -> false)
     stalled_closed;
-  let sound = !violations = [] in
   Printf.printf "chaos verdict: %s\n"
-    (if sound then "sound" else "VIOLATIONS");
-  write_json ~out
+    (if sound () then "sound" else "VIOLATIONS");
+  finish ~out
     (Json.Obj
        [
          ("smoke", Json.Bool smoke);
@@ -2967,10 +2491,9 @@ let chaos_suite ~smoke ~out () =
                    | Error _ -> false) );
                ("stalled_closed", Json.Bool stalled_closed);
              ] );
-         ("sound", Json.Bool sound);
-         ("violations", Json.List (List.map (fun v -> Json.Str v) !violations));
-       ]);
-  if not sound then exit 1
+         ("sound", Json.Bool (sound ()));
+         ("violations", violations ());
+       ])
 
 (* ------------------------------------------------------------------ *)
 
@@ -2992,93 +2515,39 @@ let full_run () =
   Printf.printf "\ntotal bench time: %.1f s\n" (Unix.gettimeofday () -. t0)
 
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: "speedup" :: rest ->
-    let smoke = List.mem "--smoke" rest in
-    let rec opt key = function
-      | k :: v :: _ when k = key -> Some v
-      | _ :: rest -> opt key rest
-      | [] -> None
-    in
-    let domains = Option.map int_of_string (opt "--domains" rest) in
-    let out = Option.value (opt "--out" rest) ~default:"BENCH_speedup.json" in
-    let repeat =
-      match Option.map int_of_string (opt "--repeat" rest) with
-      | Some n -> max 1 n
-      | None -> if smoke then 1 else 3
-    in
-    (match Option.value (opt "--backend" rest) ~default:"vm" with
-    | "vm" -> speedup_vm_suite ~smoke ~domains ~repeat ~out ()
-    | "interp" -> speedup_suite_interp ~smoke ~domains ~repeat ~out ()
-    | b ->
-      Printf.eprintf "unknown --backend %s (vm|interp)\n" b;
-      exit 2)
-  | _ :: "robustness" :: rest ->
-    let rec opt key = function
-      | k :: v :: _ when k = key -> Some v
-      | _ :: rest -> opt key rest
-      | [] -> None
-    in
-    let out =
-      Option.value (opt "--out" rest) ~default:"BENCH_robustness.json"
-    in
-    let seeds =
-      match opt "--seeds" rest with
-      | None -> [ 1; 42 ]
-      | Some s -> String.split_on_char ',' s |> List.map int_of_string
-    in
-    robustness_suite ~out ~seeds ()
-  | _ :: "analysis" :: rest ->
-    let smoke = List.mem "--smoke" rest in
-    let rec opt key = function
-      | k :: v :: _ when k = key -> Some v
-      | _ :: rest -> opt key rest
-      | [] -> None
-    in
-    let out = Option.value (opt "--out" rest) ~default:"BENCH_analysis.json" in
-    let repeat =
-      match Option.map int_of_string (opt "--repeat" rest) with
-      | Some n -> max 1 n
-      | None -> if smoke then 1 else 3
-    in
-    analysis_suite ~smoke ~repeat ~out
-      ~order:(not (List.mem "--no-order" rest))
-      ~redundancy:(not (List.mem "--no-redundancy" rest))
-      ~hashcons:(not (List.mem "--no-hashcons" rest))
-      ~domains:(Option.map int_of_string (opt "--domains" rest))
-      ()
-  | _ :: "serve" :: rest ->
-    let smoke = List.mem "--smoke" rest in
-    let rec opt key = function
-      | k :: v :: _ when k = key -> Some v
-      | _ :: rest -> opt key rest
-      | [] -> None
-    in
-    let out = Option.value (opt "--out" rest) ~default:"BENCH_serve.json" in
-    let clients =
-      match Option.map int_of_string (opt "--clients" rest) with
-      | Some n -> max 1 n
-      | None -> 8
-    in
-    serve_suite ~smoke ~clients
-      ~domains:(Option.map int_of_string (opt "--domains" rest))
-      ~out ()
-  | _ :: "chaos" :: rest ->
-    let smoke = List.mem "--smoke" rest in
-    let rec opt key = function
-      | k :: v :: _ when k = key -> Some v
-      | _ :: rest -> opt key rest
-      | [] -> None
-    in
-    let out = Option.value (opt "--out" rest) ~default:"BENCH_chaos.json" in
-    chaos_suite ~smoke ~out ()
-  | _ :: [] | [] -> full_run ()
-  | _ ->
-    prerr_endline
-      "usage: main.exe [speedup [--smoke] [--domains N] [--out FILE] \
-       [--repeat N] [--backend vm|interp] | robustness [--out FILE] \
-       [--seeds S1,S2] | analysis [--smoke] [--out FILE] [--repeat N] \
-       [--domains N] [--no-order] [--no-redundancy] [--no-hashcons] | \
-       serve [--smoke] [--clients N] [--domains N] [--out FILE] | \
-       chaos [--smoke] [--out FILE]]";
-    exit 2
+  let smoke = ref false and out = ref "" and domains = ref None in
+  let repeat = ref None and seeds = ref [ 1; 42 ] and clients = ref 8 in
+  (* every suite takes [--out], defaulting to its own artifact *)
+  let command name flags run =
+    {
+      name;
+      flags = flags @ [ ("--out", file out) ];
+      run =
+        (fun () ->
+          run ~out:(if !out = "" then "BENCH_" ^ name ^ ".json" else !out));
+    }
+  in
+  let smoke_f = ("--smoke", Switch smoke)
+  and domains_f = ("--domains", int_opt domains)
+  and repeat_f = ("--repeat", int_opt repeat) in
+  let reps () =
+    max 1 (Option.value !repeat ~default:(if !smoke then 1 else 3))
+  in
+  dispatch ~default:full_run
+    [
+      command "speedup" [ smoke_f; domains_f; repeat_f ] (fun ~out ->
+          speedup_suite ~smoke:!smoke ~domains:!domains ~repeat:(reps ()) ~out
+            ());
+      command "robustness" [ ("--seeds", ints seeds) ] (fun ~out ->
+          robustness_suite ~out ~seeds:!seeds ());
+      command "analysis" [ smoke_f; repeat_f; domains_f ] (fun ~out ->
+          analysis_suite ~smoke:!smoke ~repeat:(reps ()) ~out ~domains:!domains
+            ());
+      command "serve"
+        [ smoke_f; ("--clients", int clients); domains_f ]
+        (fun ~out ->
+          serve_suite ~smoke:!smoke ~clients:(max 1 !clients)
+            ~domains:!domains ~out ());
+      command "chaos" [ smoke_f ] (fun ~out ->
+          chaos_suite ~smoke:!smoke ~out ());
+    ]
