@@ -70,7 +70,7 @@ let budget_spec_term =
       value
       & opt (some int) None
       & info [ "disjuncts" ] ~docv:"N"
-          ~doc:"DNF-disjunct budget per Presburger formula.")
+          ~doc:"Budget of Or alternatives entered per DNF enumeration.")
   in
   let deadline_arg =
     Arg.(

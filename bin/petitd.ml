@@ -144,7 +144,7 @@ let quota_term =
       value
       & opt (some int) None
       & info [ "disjuncts" ] ~docv:"N"
-          ~doc:"DNF-disjunct quota per Presburger formula.")
+          ~doc:"Quota of Or alternatives entered per DNF enumeration.")
   in
   let deadline_arg =
     Arg.(

@@ -116,7 +116,9 @@ let lex_token lx : token * Ast.pos =
         while lx.off < n && is_digit lx.src.[lx.off] do
           lx.off <- lx.off + 1
         done;
-        INT (int_of_string (String.sub lx.src start (lx.off - start)))
+        match int_of_string_opt (String.sub lx.src start (lx.off - start)) with
+        | Some v -> INT v
+        | None -> raise (Error ("integer literal out of range", p))
       end
       else begin
         let next = if lx.off + 1 < n then Some lx.src.[lx.off + 1] else None in

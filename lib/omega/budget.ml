@@ -3,8 +3,9 @@
    Every entry into the Omega test (projection, satisfiability, the
    Presburger decision procedure) runs under a *meter* charged against
    the current limits: elimination steps draw fuel, splinter
-   constructions and DNF expansion draw their own counters, and an
-   optional wall-clock deadline bounds the whole query.  Exhausting any
+   constructions draw their own counter, DNF enumeration draws a branch
+   counter ([Or] alternatives entered per enumeration), and an optional
+   wall-clock deadline bounds the whole query.  Exhausting any
    limit raises [Exhausted], which the query boundary ([run] / [decide])
    turns into a structured [Gave_up] verdict - never an escaping
    exception.

@@ -2,7 +2,8 @@
 
     Solver entry points run under an ambient {e meter} charged against
     the current limits: elimination steps draw fuel, splinter
-    construction and DNF expansion draw their own counters, and an
+    construction draws its own counter, DNF enumeration draws a branch
+    counter, and an
     optional wall-clock deadline bounds the whole query.  Exhausting any
     limit raises {!Exhausted}; the query boundary ({!run} / {!decide})
     turns that into a structured {!verdict} so no resource blowup ever
@@ -46,7 +47,7 @@ exception Exhausted of reason
 type limits = {
   fuel : int;  (** elimination / decision steps per query *)
   splinters : int;  (** splinter problems constructed per query *)
-  disjuncts : int;  (** DNF clauses per formula *)
+  disjuncts : int;  (** [Or] alternatives entered per DNF enumeration *)
   deadline_ms : float option;  (** wall-clock bound per query *)
 }
 

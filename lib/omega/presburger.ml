@@ -3,15 +3,18 @@
    The paper combines projection (existential elimination), satisfiability
    and implication tests to decide the formulas dependence analysis needs.
    We implement the general recursive procedure: quantifier elimination by
-   exact projection over a DNF, with congruence atoms ([m] divides [e])
-   closing the language under negation of projected formulas.  This decides
+   exact projection over a lazily enumerated DNF, with congruence atoms
+   ([m] divides [e]) closing the language under negation of projected
+   formulas.  This decides
    all of Presburger arithmetic (with the usual non-elementary worst case);
    the dependence analyses mostly go through the efficient special cases
    (dark-shadow implication, gists), falling back to this when needed. *)
 
-(* DNF expansion is charged against the ambient Budget limits: growing
-   past the disjunct limit raises [Budget.Exhausted Disjuncts], which
-   the query boundary ([Budget.run]) turns into a [Gave_up] verdict.
+(* DNF enumeration is charged against the ambient Budget limits: entering
+   more [Or] alternatives per DNF enumeration than the disjunct limit
+   allows (or projecting more pieces than it allows) raises
+   [Budget.Exhausted Disjuncts], which the query boundary ([Budget.run])
+   turns into a [Gave_up] verdict.
    Callers that use the procedure to *prove* facts (kill/cover/
    refinement tests) treat a give-up as "not proved". *)
 
@@ -153,55 +156,54 @@ let rec neg_qf = function
 (* DNF of quantifier-free formulas                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* DNF expansion, producing each satisfiable-so-far disjunct as an
-   already-simplified problem.  Carrying problems (rather than atom
-   lists) through the [And] cross product means the per-level
-   contradiction pruning builds on the previous level's normalization
-   instead of re-deriving every disjunct from scratch; the constraints'
-   cached normal forms and canonical keys then make the per-level
-   resimplification cheap.  Congruence atoms materialize their wildcard
-   once, at the leaf. *)
-let dnf_problems (f : t) : Problem.t list =
-  let simp p =
-    match Problem.simplify p with
-    | Problem.Contra -> None
-    | Problem.Ok p -> Some p
+(* Depth-first DNF enumeration.  One partial conjunction, kept as an
+   already-simplified problem, is extended atom by atom along a work list:
+   [And] splices its conjuncts in front, [Not] becomes [neg_qf], and each
+   [Or] alternative is tried in order, so the leaves arrive in the order
+   of the full cross product (the first conjunct's choice most
+   significant).  A branch is dropped as soon as [Problem.simplify] finds
+   it contradictory; every surviving leaf goes to [k], and the enumeration
+   stops at the first leaf for which [k] answers [true].  Only the [Or]
+   alternatives entered are charged against the disjunct limit, so a pure
+   conjunction costs nothing and the work stays bounded by branches times
+   formula size.  Congruence atoms materialize a fresh wildcard each time
+   a branch adds them. *)
+let enumerate (f : t) (k : Problem.t -> bool) : bool =
+  let limit = Budget.disjunct_limit () in
+  let branches = ref 0 in
+  let rec go p = function
+    | [] -> k p
+    | f :: rest -> (
+      match f with
+      | True -> go p rest
+      | False -> false
+      | Atom _ | Cong _ -> (
+        let atom = problem_of_conjuncts [ f ] in
+        match Problem.simplify (Problem.conj p atom) with
+        | Problem.Contra -> false
+        | Problem.Ok p -> go p rest)
+      | Not g -> go p (neg_qf g :: rest)
+      | And fs -> go p (fs @ rest)
+      | Or fs ->
+        List.exists
+          (fun g ->
+            incr branches;
+            if !branches > limit then raise (Budget.Exhausted Budget.Disjuncts);
+            go p (g :: rest))
+          fs
+      | Exists _ | Forall _ -> invalid_arg "Presburger.dnf: quantified formula")
   in
-  let rec go f : Problem.t list =
-    match f with
-    | True -> [ Problem.trivial ]
-    | False -> []
-    | Atom _ | Cong _ ->
-      Option.to_list (simp (problem_of_conjuncts [ f ]))
-    | Not g -> go (neg_qf g)
-    | Or fs -> List.concat_map go fs
-    | And fs ->
-      List.fold_left
-        (fun acc g ->
-          let dg = go g in
-          (* prune contradictory conjuncts as we go and keep the expansion
-             bounded *)
-          let next =
-            List.concat_map
-              (fun p -> List.filter_map (fun p' -> simp (Problem.conj p p')) dg)
-              acc
-          in
-          if List.length next > Budget.disjunct_limit () then
-            raise (Budget.Exhausted Budget.Disjuncts);
-          next)
-        [ Problem.trivial ] fs
-    | Exists _ | Forall _ -> invalid_arg "Presburger.dnf: quantified formula"
-  in
-  go f
+  go Problem.trivial [ f ]
 
-(* Each disjunct as its list of atoms (wildcard equalities folding back
-   into [Cong]); kept for callers that inspect the expansion. *)
+(* Every leaf as its list of atoms (wildcard equalities folding back into
+   [Cong]); for callers that inspect the expansion. *)
 let dnf (f : t) : t list list =
-  List.map
-    (fun p -> List.map of_constr (Problem.constraints p))
-    (dnf_problems f)
-
-let problems_of_qf (f : t) : Problem.t list = dnf_problems f
+  let leaves = ref [] in
+  ignore
+    (enumerate f (fun p ->
+         leaves := List.map of_constr (Problem.constraints p) :: !leaves;
+         false));
+  List.rev !leaves
 
 (* ------------------------------------------------------------------ *)
 (* Quantifier elimination and decision                                 *)
@@ -218,21 +220,23 @@ let rec qe (f : t) : t =
   | Exists (vs, g) ->
     let g = qe g in
     let keep v = not (List.exists (Var.equal v) vs) in
-    (* drop integer-unsatisfiable disjuncts before projecting: pruning here
-       prevents the negation of the projected result from exploding *)
-    let problems =
-      List.filter Elim.satisfiable (problems_of_qf g)
-    in
-    let pieces =
-      List.concat_map (fun p -> Elim.project ~keep p) problems
-    in
-    if List.length pieces > Budget.disjunct_limit () then
-      raise (Budget.Exhausted Budget.Disjuncts);
-    or_ (List.map of_problem pieces)
+    (* project only integer-satisfiable leaves: pruning here prevents the
+       negation of the projected result from exploding *)
+    let limit = Budget.disjunct_limit () in
+    let pieces = ref [] and count = ref 0 in
+    ignore
+      (enumerate g (fun p ->
+           if Elim.satisfiable p then begin
+             let ps = Elim.project ~keep p in
+             count := !count + List.length ps;
+             if !count > limit then raise (Budget.Exhausted Budget.Disjuncts);
+             pieces := List.rev_append ps !pieces
+           end;
+           false));
+    or_ (List.rev_map of_problem !pieces)
   | Forall (vs, g) -> neg_qf (qe (Exists (vs, neg_qf (qe g))))
 
-let satisfiable (f : t) : bool =
-  List.exists Elim.satisfiable (problems_of_qf (qe f))
+let satisfiable (f : t) : bool = enumerate (qe f) Elim.satisfiable
 
 let valid (f : t) : bool = not (satisfiable (not_ f))
 

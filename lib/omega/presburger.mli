@@ -7,9 +7,12 @@
     analyses use it as the fallback behind the paper's efficient special
     cases (dark-shadow implication and gists). *)
 
-(** DNF expansion and projection are metered against the ambient
-    {!Budget} limits; exceeding the disjunct limit raises
-    [Budget.Exhausted Disjuncts].  Callers using the procedure to
+(** The DNF is never materialized: it is enumerated depth-first, one
+    partial conjunction at a time, and [satisfiable] stops at the first
+    satisfiable leaf.  Enumeration and projection are metered against the
+    ambient {!Budget} limits; entering more [Or] alternatives per DNF
+    enumeration (or projecting more pieces) than the disjunct limit allows
+    raises [Budget.Exhausted Disjuncts].  Callers using the procedure to
     {e prove} a fact treat a give-up as "not proved" (conservative for
     elimination queries). *)
 
@@ -62,10 +65,11 @@ val neg_qf : t -> t
     @raise Invalid_argument on quantified formulas. *)
 
 val dnf : t -> t list list
-(** Disjunctive normal form of a quantifier-free formula: a list of
-    conjunctions of atoms, with contradictory disjuncts pruned. *)
-
-val problems_of_qf : t -> Problem.t list
+(** Disjunctive normal form of a quantifier-free formula: every leaf of
+    the enumeration, in cross-product order, as a conjunction of atoms,
+    with contradictory disjuncts pruned.  Collecting every leaf is charged
+    like any enumeration, so a wide DNF raises
+    [Budget.Exhausted Disjuncts]. *)
 
 (** {1 Decision} *)
 

@@ -1,5 +1,6 @@
 (* Assorted unit tests: direction-vector rendering, Presburger work
-   budget, lexer details. *)
+   budget, lexer details, and a brute-force oracle for
+   [Presburger.satisfiable]. *)
 
 open Omega
 open Depend
@@ -51,6 +52,8 @@ let unit_tests =
                       ])
                   vars))
         in
+        (* the enumeration is lazy: the first leaf is already satisfiable *)
+        Alcotest.(check bool) "satisfiable" true (Presburger.satisfiable f);
         match Presburger.dnf f with
         | exception Budget.Exhausted Budget.Disjuncts -> ()
         | ds ->
@@ -136,6 +139,118 @@ let fparse_tests =
         match Fparse.formula_of_string "exists y: x*y = 3" with
         | exception Fparse.Error _ -> ()
         | _ -> Alcotest.fail "expected non-linear error");
+    Alcotest.test_case "integer literal out of range is a parse error" `Quick
+      (fun () ->
+        let huge = "99999999999999999999999" in
+        (match
+           Lang.Parser.parse_string
+             ("real a[0:10];\nfor i := 1 to " ^ huge
+            ^ " do\n  a(i) := 1;\nendfor\n")
+         with
+         | exception Lang.Parser.Error (msg, pos) ->
+           Alcotest.(check string) "message" "integer literal out of range" msg;
+           Alcotest.(check (pair int int)) "position of the literal" (2, 15)
+             (pos.Lang.Ast.line, pos.Lang.Ast.col)
+         | _ -> Alcotest.fail "expected a parse error");
+        (match Lang.Parser.parse_conds_string ("x >= " ^ huge) with
+         | exception Lang.Parser.Error (msg, pos) ->
+           Alcotest.(check string) "message" "integer literal out of range" msg;
+           Alcotest.(check int) "column of the literal" 6 pos.Lang.Ast.col
+         | _ -> Alcotest.fail "expected a parse error");
+        match Fparse.formula_of_string ("forall x: x >= " ^ huge) with
+        | exception Fparse.Error msg ->
+          Alcotest.(check string) "message" "integer literal out of range" msg
+        | _ -> Alcotest.fail "expected an Fparse error");
   ]
 
-let suite = ("misc", unit_tests @ fparse_tests)
+(* Random quantifier-free formulas over 2-3 variables, evaluated by brute
+   force over the box -4..4. *)
+let rec holds env (f : Presburger.t) =
+  let lookup v = Var.Map.find v env in
+  match f with
+  | Presburger.True -> true
+  | False -> false
+  | Atom c -> Constr.eval lookup c
+  | Cong (m, e) -> Zint.divisible (Linexpr.eval lookup e) m
+  | Not g -> not (holds env g)
+  | And gs -> List.for_all (holds env) gs
+  | Or gs -> List.exists (holds env) gs
+  | Exists _ | Forall _ -> invalid_arg "holds: quantified formula"
+
+let gen_qf vars =
+  let open QCheck.Gen in
+  let lin =
+    map2
+      (fun cs c ->
+        List.fold_left2
+          (fun e v k -> Linexpr.add_term e (Zint.of_int k) v)
+          (Linexpr.of_int c) vars cs)
+      (list_repeat (List.length vars) (int_range (-3) 3))
+      (int_range (-4) 4)
+  in
+  let atom =
+    frequency
+      [
+        (3, map (fun e -> Presburger.Atom (Constr.geq e)) lin);
+        (1, map (fun e -> Presburger.Atom (Constr.eq e)) lin);
+        ( 1,
+          map2
+            (fun m e -> Presburger.Cong (Zint.of_int m, e))
+            (int_range 2 4) lin );
+      ]
+  in
+  let branch g = list_size (int_range 2 3) g in
+  int_range 1 3
+  >>= fix (fun self depth ->
+          if depth = 0 then atom
+          else
+            let sub = self (depth - 1) in
+            frequency
+              [
+                (2, atom);
+                (1, map (fun g -> Presburger.Not g) sub);
+                (2, map (fun gs -> Presburger.And gs) (branch sub));
+                (2, map (fun gs -> Presburger.Or gs) (branch sub));
+              ])
+
+(* A random formula [g] with a point of the box; the property checks
+   [box /\ g] against the brute force and also [g] pinned to the point,
+   which is unsatisfiable about as often as not and so catches answers
+   that are too optimistic. *)
+let arb_qf_and_point =
+  QCheck.make
+    ~print:(fun (vars, g, pt) ->
+      Printf.sprintf "%s at (%s)" (Presburger.to_string g)
+        (String.concat ", "
+           (List.map2
+              (fun v k -> Printf.sprintf "%s=%d" (Var.name v) k)
+              vars pt)))
+    QCheck.Gen.(
+      int_range 2 3 >>= fun n ->
+      let vars = List.filteri (fun i _ -> i < n) (Array.to_list Oracle.pool) in
+      map2 (fun g pt -> (vars, g, pt)) (gen_qf vars)
+        (list_repeat n (int_range (-4) 4)))
+
+let enumerator_props =
+  [
+    QCheck.Test.make ~name:"presburger satisfiable agrees with brute force"
+      ~count:300 arb_qf_and_point (fun (vars, g, pt) ->
+        let open Presburger in
+        let box = List.map atom (Oracle.box_constraints vars (-4) 4) in
+        let pins =
+          List.map2 (fun v k -> eq (Linexpr.var v) (Linexpr.of_int k)) vars pt
+        in
+        let env =
+          List.fold_left2
+            (fun m v k -> Var.Map.add v (Zint.of_int k) m)
+            Var.Map.empty vars pt
+        in
+        satisfiable (And (box @ [ g ]))
+        = Seq.exists (fun env -> holds env g) (Oracle.assignments vars (-4) 4)
+        && satisfiable (And (pins @ [ g ])) = holds env g);
+  ]
+
+let suite =
+  ( "misc",
+    unit_tests @ fparse_tests
+    @ List.map (QCheck_alcotest.to_alcotest ~long:false) enumerator_props )

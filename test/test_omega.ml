@@ -449,7 +449,7 @@ let presburger_tests =
           let open Presburger in
           let f = exists [ vz ] (of_problem p) in
           let g = qe f in
-          let disjuncts = problems_of_qf g in
+          let disjuncts = List.map problem_of_conjuncts (dnf g) in
           Seq.for_all
             (fun env ->
               let lhs =
