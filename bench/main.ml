@@ -627,7 +627,6 @@ type vm_row = {
   vr_fused : int;
   vr_loopi : int;
   vr_x_fused : int;
-  vr_x_interchanged : int;
   vr_x_killed : int;
   vr_dyn_base : int; (* dynamic instructions, unoptimized serial VM *)
   vr_dyn_opt : int; (* dynamic instructions, optimized serial VM *)
@@ -679,7 +678,6 @@ let json_of_kernel r =
         Json.Obj
           [
             ("fused", Json.Int r.vr_x_fused);
-            ("interchanged", Json.Int r.vr_x_interchanged);
             ("killed", Json.Int r.vr_x_killed);
           ] );
       ("dyn_base", Json.Int r.vr_dyn_base);
@@ -932,7 +930,6 @@ let speedup_suite ~smoke ~domains ~repeat ~out () =
                   vr_fused = orep.Lang.Opt.r_fused;
                   vr_loopi = orep.Lang.Opt.r_loopi;
                   vr_x_fused = xr.Xform.Restructure.x_fused;
-                  vr_x_interchanged = xr.Xform.Restructure.x_interchanged;
                   vr_x_killed = xr.Xform.Restructure.x_killed;
                   vr_dyn_base = dyn_base;
                   vr_dyn_opt = dyn_opt;

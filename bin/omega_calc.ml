@@ -61,24 +61,6 @@ let stats_arg =
           "Print solver statistics (eliminations, pruned constraints, \
            portfolio-tier traffic) to stderr after the query.")
 
-let backend_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("omega", Portfolio.Omega);
-             ("screen", Portfolio.Screen);
-             ("cascade", Portfolio.Cascade);
-           ])
-        Portfolio.Cascade
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Decision-portfolio backend for sat/implies: $(b,cascade) \
-           (incomplete screen first, then the complete procedure; the \
-           default), $(b,omega) (complete only), or $(b,screen) (the \
-           screen alone — undecided queries report [gave up]).")
-
 (* Run [f] with fresh solver counters; report them on stderr when asked,
    so golden stdout output is untouched. *)
 let with_stats stats f =
@@ -106,15 +88,13 @@ let var_arg =
     & info [ "var" ] ~docv:"VAR" ~doc:"Objective variable.")
 
 let sat_cmd =
-  let run stats json backend src =
-    Portfolio.backend := backend;
+  let run stats json src =
     with_stats stats @@ fun () -> emit json (Serve.Protocol.Sat src)
   in
   Cmd.v
     (Cmd.info "sat" ~doc:"Integer satisfiability of a conjunction.")
     Term.(
-      const run $ stats_arg $ json_arg $ backend_arg
-      $ problem_arg 0 "PROBLEM")
+      const run $ stats_arg $ json_arg $ problem_arg 0 "PROBLEM")
 
 let projection_cmd name doc mode =
   let run stats json onto src =
@@ -141,16 +121,14 @@ let gist_cmd =
     Term.(const run $ stats_arg $ json_arg $ given_arg $ problem_arg 0 "PROBLEM")
 
 let implies_cmd =
-  let run stats json backend src1 src2 =
-    Portfolio.backend := backend;
+  let run stats json src1 src2 =
     with_stats stats @@ fun () ->
     emit json (Serve.Protocol.Implies (src1, src2))
   in
   Cmd.v
     (Cmd.info "implies" ~doc:"Is P => Q a tautology?")
     Term.(
-      const run $ stats_arg $ json_arg $ backend_arg $ problem_arg 0 "P"
-      $ problem_arg 1 "Q")
+      const run $ stats_arg $ json_arg $ problem_arg 0 "P" $ problem_arg 1 "Q")
 
 let opt_cmd name doc which =
   let run json var src =
@@ -267,8 +245,7 @@ let repl_eval (line : string) : unit =
   end
 
 let repl_cmd =
-  let run backend =
-    Portfolio.backend := backend;
+  let run () =
     print_endline
       "omega_calc interactive mode; 'help' for commands, 'quit' to leave.";
     (try
@@ -287,7 +264,7 @@ let repl_cmd =
   in
   Cmd.v
     (Cmd.info "repl" ~doc:"Interactive calculator loop.")
-    Term.(const run $ backend_arg)
+    Term.(const run $ const ())
 
 let () =
   let info =

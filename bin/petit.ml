@@ -243,29 +243,8 @@ let analyze_domains_arg =
            (default 1: serial).  Verdicts are bit-identical to a serial \
            run; only wall-clock changes.")
 
-let solver_backend_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("omega", Omega.Portfolio.Omega);
-             ("screen", Omega.Portfolio.Screen);
-             ("cascade", Omega.Portfolio.Cascade);
-           ])
-        Omega.Portfolio.Cascade
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Decision-portfolio backend: $(b,cascade) (incomplete screen, \
-           then dark-shadow fast path, then complete Presburger; the \
-           default), $(b,omega) (fast path + complete, no screen), or \
-           $(b,screen) (the O(constraints) screen alone — undecided \
-           queries give up, conservatively).  Verdict-preserving except \
-           for $(b,screen)'s extra give-ups.")
-
 let analyze_cmd =
-  let run file in_bounds spec deadline json connect domains backend =
-    Omega.Portfolio.backend := backend;
+  let run file in_bounds spec deadline json connect domains =
     (match domains with
     | Some n -> Par.set_domains n
     | None -> ());
@@ -333,8 +312,7 @@ let analyze_cmd =
           refinement, covering and killing.")
     Term.(
       const run $ file_arg $ in_bounds_arg $ budget_spec_term
-      $ request_deadline_arg $ json_arg $ connect_arg $ analyze_domains_arg
-      $ solver_backend_arg)
+      $ request_deadline_arg $ json_arg $ connect_arg $ analyze_domains_arg)
 
 let parallelize_cmd =
   let oracle_arg =
@@ -653,14 +631,9 @@ let disasm_cmd =
     in
     List.iter (fun (n, v) -> Printf.printf ";; sym %s = %d\n" n v) syms;
     Printf.printf
-      ";; restructuring: %d loop pair(s) fused, %d nest(s) interchanged, %d \
-       dead store(s) deleted\n"
-      xr.Xform.Restructure.x_fused xr.Xform.Restructure.x_interchanged
-      xr.Xform.Restructure.x_killed;
-    if
-      xr.Xform.Restructure.x_fused > 0
-      || xr.Xform.Restructure.x_interchanged > 0
-      || xr.Xform.Restructure.x_killed > 0
+      ";; restructuring: %d loop pair(s) fused, %d dead store(s) deleted\n"
+      xr.Xform.Restructure.x_fused xr.Xform.Restructure.x_killed;
+    if xr.Xform.Restructure.x_fused > 0 || xr.Xform.Restructure.x_killed > 0
     then begin
       print_endline ";; restructured source:";
       print_string (Lang.Ast.program_to_string ast')

@@ -103,25 +103,6 @@ let drain_arg =
           "Shutdown grace: in-flight requests get $(docv) ms to finish \
            before their connections are force-closed (default 5000).")
 
-let backend_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("omega", Omega.Portfolio.Omega);
-             ("screen", Omega.Portfolio.Screen);
-             ("cascade", Omega.Portfolio.Cascade);
-           ])
-        Omega.Portfolio.Cascade
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Decision-portfolio backend for every request: $(b,cascade) \
-           (screen, then fast path, then complete; the default), \
-           $(b,omega), or $(b,screen) (incomplete: undecided queries \
-           report [gave up]).  Set once at startup — worker domains read \
-           it concurrently.")
-
 (* The daemon-wide budget ceiling: per-request budgets are clamped to
    it (Protocol.clamp_budget), never raised above it. *)
 let quota_term =
@@ -168,9 +149,8 @@ let quota_term =
   Term.(const make $ fuel_arg $ splinters_arg $ disjuncts_arg $ deadline_arg)
 
 let () =
-  let run addr memo_capacity max_frame quota domains backend max_connections
+  let run addr memo_capacity max_frame quota domains max_connections
       max_inflight read_timeout_ms drain_ms =
-    Omega.Portfolio.backend := backend;
     let base = Serve.Server.default_config addr in
     let c_domains =
       match domains with
@@ -228,5 +208,5 @@ let () =
        (Cmd.v info
           Term.(
             const run $ addr_term $ memo_capacity_arg $ max_frame_arg
-            $ quota_term $ domains_arg $ backend_arg $ max_connections_arg
+            $ quota_term $ domains_arg $ max_connections_arg
             $ max_inflight_arg $ read_timeout_arg $ drain_arg)))

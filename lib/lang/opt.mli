@@ -19,16 +19,15 @@
       memory opcode keeps the arena bounds check.
 
     The other two optimizer flags are consumed by [Xform.Restructure]
-    (IR-level, dependence-licensed): {!restructure} gates loop
-    interchange and fusion, {!writekill} gates redundant-store
-    deletion.  They live here so one module governs the whole
-    optimizer surface. *)
+    (IR-level, dependence-licensed): {!restructure} gates loop fusion,
+    {!writekill} gates redundant-store deletion.  They live here so one
+    module governs the whole optimizer surface. *)
 
 (** {1 Flags} *)
 
 val restructure : bool ref
-(** Loop interchange + fusion in [Xform.Restructure], licensed by the
-    dependence graph's refined direction vectors. *)
+(** Loop fusion in [Xform.Restructure], licensed by the dependences
+    that cross the two loop bodies. *)
 
 val superinst : bool ref
 (** Superinstruction fusion + immediate-limit loop back-edges. *)

@@ -7,20 +7,13 @@
    per-tier accounting lives in a per-domain record like the other hot
    counters (Budget.Telemetry, Tuning.Stats). *)
 
-type backend = Omega | Screen | Cascade
+type backend = Omega | Cascade
 
 let backend = ref Cascade
 
 let backend_to_string = function
   | Omega -> "omega"
-  | Screen -> "screen"
   | Cascade -> "cascade"
-
-let backend_of_string = function
-  | "omega" -> Some Omega
-  | "screen" -> Some Screen
-  | "cascade" -> Some Cascade
-  | _ -> None
 
 type tier = Tier_screen | Tier_fast | Tier_complete
 
@@ -138,9 +131,7 @@ let plan ?screen ?fast ~complete () =
   let upper = maybe Tier_fast fast [ (Tier_complete, complete) ] in
   match !backend with
   | Omega -> upper
-  | Screen -> maybe Tier_screen screen []
-  | Cascade ->
-      if !Tuning.screen then maybe Tier_screen screen upper else upper
+  | Cascade -> maybe Tier_screen screen upper
 
 let timed row f =
   row.Stats.attempts <- row.Stats.attempts + 1;

@@ -8,23 +8,22 @@
     Because every tier is sound, the cascade changes which procedure
     decides a query — never the verdict.
 
-    The cascade runs inside a {!Budget} query boundary; when the plan
-    runs out of tiers with no definite answer (the screen-only backend
-    on a query beyond its screens), the query gives up with
+    The cascade runs inside a {!Budget} query boundary; when a tier
+    list runs out with no definite answer (one built by hand of
+    incomplete tiers only), the query gives up with
     {!Budget.Incomplete}, flowing through the same conservative
     degradation paths as a blown fuel limit. *)
 
-type backend = Omega | Screen | Cascade
-(** [Omega]: the status-quo pipeline (fast path + complete procedure).
-    [Screen]: tier 0 alone — incomplete; undecided queries give up.
+type backend = Omega | Cascade
+(** [Omega]: fast path + complete procedure, no screen.
     [Cascade]: screen first, then the [Omega] tiers (the default). *)
 
 val backend : backend ref
-(** Process-wide backend selection (the [--backend] CLI knob).  Set
-    before fanning out parallel work; worker domains read it freely. *)
+(** Process-wide backend selection, an internal switch: no CLI sets it;
+    the bench pins [Omega] to time the complete tier alone.  Set before
+    fanning out parallel work; worker domains read it freely. *)
 
 val backend_to_string : backend -> string
-val backend_of_string : string -> backend option
 
 type tier = Tier_screen | Tier_fast | Tier_complete
 
@@ -99,11 +98,10 @@ val plan :
   unit ->
   (tier * (unit -> Screen.answer)) list
 (** Assemble the tier list for the current {!backend}: [Omega] takes
-    fast + complete, [Screen] the screen alone, [Cascade] all three.
-    The screen tier is additionally gated by {!Tuning.screen}, the fast
-    tier by the caller passing one (analyses gate it on their own
-    [use_fast_path] switch).  A [Screen] backend with no screen closure
-    yields an empty plan, i.e. an immediate [Gave_up Incomplete]. *)
+    fast + complete, [Cascade] all three.  The fast tier is gated by
+    the caller passing one (analyses gate it on their own
+    [use_fast_path] switch), likewise the screen.  The list always ends
+    in the complete tier. *)
 
 val decide :
   ?label:string ->

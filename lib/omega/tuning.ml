@@ -21,21 +21,12 @@ let redundancy = ref true
    string cache of the verdict-memo key serializer. *)
 let hashcons = ref true
 
-(* Tier-0 screen of the decision portfolio (Portfolio / Screen): when
-   off, a [Cascade] backend skips the incomplete screen and starts at
-   the dark-shadow fast path, which is exactly the [Omega] backend.
-   Like the switches above this only moves work between (sound)
-   procedures, never changes a verdict. *)
-let screen = ref true
-
 let set ~order:o ~redundancy:r ~hashcons:h =
   order := o;
   redundancy := r;
   hashcons := h
 
-let all_on () =
-  set ~order:true ~redundancy:true ~hashcons:true;
-  screen := true
+let all_on () = set ~order:true ~redundancy:true ~hashcons:true
 
 module Stats = struct
   type t = {

@@ -14,16 +14,10 @@ val hashcons : bool ref
 (** Cached hashes / canonical keys on expressions, cached normalization
     on constraints, and memo-key serialization caches. *)
 
-val screen : bool ref
-(** Tier-0 incomplete screen of the decision portfolio: when [false], a
-    [Cascade] backend degenerates to the plain Omega path (fast path +
-    complete procedure).  Verdict-preserving either way. *)
-
 val set : order:bool -> redundancy:bool -> hashcons:bool -> unit
-(** Sets the three solver-core switches; {!screen} is independent. *)
 
 val all_on : unit -> unit
-(** All four switches on (the production configuration). *)
+(** All three switches on (the production configuration). *)
 
 module Stats : sig
   type t = {

@@ -68,11 +68,9 @@ type result =
 
 (* The boolean operations (sat, implies) go through the portfolio
    cascade like analysis queries: under the default [Cascade] backend
-   the tier-0 screen answers the easy instances, [Screen] runs it alone
-   (raising [Exhausted Incomplete] on the rest — surfaced by the callers
-   as a structured give-up), and [Omega] is the direct procedure.  The
-   non-boolean operations (project, gist, optimize) have no screen tier
-   and always run the full machinery. *)
+   the tier-0 screen answers the easy instances, and [Omega] is the
+   direct procedure.  The non-boolean operations (project, gist,
+   optimize) have no screen tier and always run the full machinery. *)
 
 let portfolio_bool ~label ?screen ~complete () =
   let to_answer f () = if f () then Screen.Proved else Screen.Disproved in

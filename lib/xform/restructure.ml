@@ -1,4 +1,4 @@
-(* Dependence-licensed fusion, interchange and write-kill deletion.
+(* Dependence-licensed fusion and write-kill deletion.
    See restructure.mli for the legality arguments. *)
 
 type report = { x_fused : int; x_interchanged : int; x_killed : int }
@@ -227,180 +227,6 @@ let fusion_pass p =
   (p, !fused)
 
 (* ------------------------------------------------------------------ *)
-(* Interchange                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let allows_pos (e : Dirvec.entry) =
-  (match e.Dirvec.sign with
-  | Dirvec.Pos | Dirvec.NonNeg | Dirvec.Any -> true
-  | _ -> false)
-  && match e.Dirvec.hi with Some h -> h > 0 | None -> true
-
-let allows_neg (e : Dirvec.entry) =
-  (match e.Dirvec.sign with
-  | Dirvec.Neg | Dirvec.NonPos | Dirvec.Any -> true
-  | _ -> false)
-  && match e.Dirvec.lo with Some l -> l < 0 | None -> true
-
-let index_of x l =
-  let rec go i = function
-    | [] -> None
-    | y :: rest -> if y = x then Some i else go (i + 1) rest
-  in
-  go 0 l
-
-let interchange_hazard (g : Graph.t) ~outer ~inner =
-  List.exists
-    (fun (e : Graph.edge) ->
-      match (index_of outer e.e_loops, index_of inner e.e_loops) with
-      | Some k, Some k' when k' = k + 1 ->
-        List.exists
-          (fun (v : Dirvec.t) ->
-            let arr = Array.of_list v in
-            Array.length arr > k'
-            &&
-            let zero_prefix = ref true in
-            for j = 0 to k - 1 do
-              if not (Dirvec.entry_allows_zero arr.(j)) then
-                zero_prefix := false
-            done;
-            !zero_prefix && allows_pos arr.(k) && allows_neg arr.(k'))
-          e.e_vectors
-      | _ -> false)
-    g.edges
-
-(* Locality: after interchange the old outer variable becomes the
-   fastest-varying one, so count accesses whose last (stride-1)
-   subscript tracks each variable. *)
-let locality_gain (body : Ast.stmt list) ~outer_var ~inner_var =
-  let cur = ref 0 and after = ref 0 in
-  let last_sub subs =
-    match List.rev subs with [] -> None | s :: _ -> Some s
-  in
-  let count subs =
-    match last_sub subs with
-    | None -> ()
-    | Some s ->
-      if expr_mentions inner_var s then incr cur;
-      if expr_mentions outer_var s then incr after
-  in
-  let rec walk (s : Ast.stmt) =
-    match s with
-    | Ast.Assign { lhs = _, subs; rhs; _ } ->
-      count subs;
-      let rec exprs (e : Ast.expr) =
-        match e with
-        | Ast.Ref (_, rsubs) ->
-          count rsubs;
-          List.iter exprs rsubs
-        | Ast.Neg a -> exprs a
-        | Ast.Add (a, b) | Ast.Sub (a, b) | Ast.Mul (a, b) | Ast.Max (a, b)
-        | Ast.Min (a, b) ->
-          exprs a;
-          exprs b
-        | Ast.Int _ | Ast.Name _ -> ()
-      in
-      exprs rhs
-    | Ast.For f -> List.iter walk f.body
-  in
-  List.iter walk body;
-  !after > !cur
-
-(* Find the first non-refused profitable-and-legal perfect 2-nest. *)
-let find_interchange ~refused (g : Graph.t) verdicts (p : Ast.program) =
-  let doall node =
-    List.exists
-      (fun (v : Parallel.verdict) ->
-        v.v_loop.Graph.l_node = node && v.v_ext_doall)
-      verdicts
-  in
-  let loop_node ~var ~labels =
-    List.find_opt
-      (fun (li : Graph.loop_info) -> li.l_var = var && li.l_stmts = labels)
-      g.loops
-  in
-  let found = ref None in
-  let rec scan stmts =
-    match stmts with
-    | Ast.For ({ body = [ Ast.For inner ]; _ } as outer) :: rest
-      when !found = None ->
-      let labels = labels_of_stmts inner.body in
-      let key = "swap:" ^ outer.var ^ ":" ^ inner.var ^ ":"
-                ^ String.concat "," labels
-      in
-      let rectangular =
-        (not (expr_mentions outer.var inner.lo))
-        && (not (expr_mentions outer.var inner.hi))
-        && outer.var <> inner.var && labels <> []
-      in
-      let attempt =
-        if Hashtbl.mem refused key || not rectangular then None
-        else
-          match (loop_node ~var:outer.var ~labels,
-                 loop_node ~var:inner.var ~labels)
-          with
-          | Some lo_, Some li_
-            when li_.Graph.l_depth = lo_.Graph.l_depth + 1 ->
-            let onode = lo_.Graph.l_node and inode = li_.Graph.l_node in
-            let profitable =
-              (doall inode && not (doall onode))
-              || ((not (doall onode && not (doall inode)))
-                 && locality_gain inner.body ~outer_var:outer.var
-                      ~inner_var:inner.var)
-            in
-            if profitable && not (interchange_hazard g ~outer:onode ~inner:inode)
-            then
-              Some
-                (Ast.For
-                   {
-                     inner with
-                     body = [ Ast.For { outer with body = inner.body } ];
-                   })
-            else None
-          | _ -> None
-      in
-      (match attempt with
-      | Some swapped ->
-        found := Some key;
-        swapped :: rest
-      | None ->
-        Hashtbl.replace refused key ();
-        Ast.For outer :: scan rest)
-    | Ast.For f :: rest when !found = None ->
-      let body' = scan f.body in
-      let s' = Ast.For { f with body = body' } in
-      if !found <> None then s' :: rest else s' :: scan rest
-    | s :: rest -> s :: scan rest
-    | [] -> []
-  in
-  let stmts' = scan p.Ast.stmts in
-  match !found with
-  | None -> None
-  | Some key -> Some ({ p with Ast.stmts = stmts' }, key)
-
-(* Returns the final program with its graph, when the last round
-   examined it, so write-kill can start from that graph. *)
-let interchange_pass ?g p =
-  let refused = Hashtbl.create 8 in
-  let swapped = ref 0 in
-  let rec go p g rounds =
-    if rounds = 0 then (p, None)
-    else
-      match graph_of ?g p with
-      | None -> (p, None)
-      | Some g -> (
-        let verdicts = Parallel.analyze g in
-        match find_interchange ~refused g verdicts p with
-        | None -> (p, Some g)
-        | Some (p', key) ->
-          Hashtbl.replace refused key ();
-          incr swapped;
-          go p' None (rounds - 1))
-  in
-  let p, g = go p g 8 in
-  (p, g, !swapped)
-
-(* ------------------------------------------------------------------ *)
 (* Write-kill deletion                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -463,9 +289,8 @@ let writekill_pass ?g p =
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* One graph per distinct program: the guard graph is interchange's
-   first round unless fusion changed the program, and the last graph
-   interchange built is write-kill's first round. *)
+(* One graph per distinct program: the guard graph is write-kill's
+   first round unless fusion changed the program. *)
 let optimize (p : Ast.program) =
   let p = prelabel p in
   if not (!Opt.restructure || !Opt.writekill) then (p, empty_report)
@@ -473,14 +298,7 @@ let optimize (p : Ast.program) =
     match try_graph p with
     | None -> (p, empty_report)
     | Some g ->
-      let p, g, fused, swapped =
-        if !Opt.restructure then begin
-          let p, fused = fusion_pass p in
-          let g = if fused = 0 then Some g else None in
-          let p, g, swapped = interchange_pass ?g p in
-          (p, g, fused, swapped)
-        end
-        else (p, Some g, 0, 0)
-      in
+      let p, fused = if !Opt.restructure then fusion_pass p else (p, 0) in
+      let g = if fused = 0 then Some g else None in
       let p, killed = if !Opt.writekill then writekill_pass ?g p else (p, 0) in
-      (p, { x_fused = fused; x_interchanged = swapped; x_killed = killed })
+      (p, { x_fused = fused; x_interchanged = 0; x_killed = killed })

@@ -1,7 +1,7 @@
 (** Dependence-licensed source restructuring: the IR-level half of the
     optimizer (DESIGN.md section 14; the bytecode half is [Lang.Opt]).
 
-    Three transformations, each licensed by the dependence graph the
+    Two transformations, each licensed by the dependence graph the
     Omega-test driver produces — never by syntax alone:
 
     - {b loop fusion} (gated by [Opt.restructure]): adjacent sibling
@@ -13,12 +13,6 @@
       dependences the original order forbids to reverse.  Only the
       access pairs crossing the two bodies are analyzed, not the whole
       trial program.
-    - {b loop interchange} (gated by [Opt.restructure]): a perfect
-      2-nest with rectangular inner bounds interchanges when no refined
-      direction vector is [(+, -)] at the two levels under an all-zero
-      prefix (the classic permutation hazard), and a profit heuristic
-      agrees: interchange hoists a [doall] inner loop outward (chunk
-      coarsening), or improves last-subscript locality.
     - {b write-kill deletion} (gated by [Opt.writekill]): an assignment
       is deleted when every flow dependence out of its write is dead
       (no read observes its values) and some other write {e terminates}
@@ -27,15 +21,16 @@
 
     A transformation is only committed with the dependences of the
     program it produces as witness, and each distinct program is
-    analyzed once: one graph per program that interchange or write-kill
-    examines, shared between the passes (the guard graph of the input
-    is interchange's first, the last graph interchange built is
-    write-kill's first), and fusion checked on its crossing pairs.
-    Statements are pre-labeled so identities survive restructuring. *)
+    analyzed once: one graph per program that write-kill examines (the
+    guard graph of the input is write-kill's first when fusion changed
+    nothing), and fusion checked on its crossing pairs.  Statements are
+    pre-labeled so identities survive restructuring. *)
 
 type report = {
   x_fused : int;  (** loop pairs fused *)
-  x_interchanged : int;  (** nests interchanged *)
+  x_interchanged : int;
+      (** always [0]: loop interchange is gone.  Kept because
+          [bench/e2e] reads it for its per-layer [interchanged] count. *)
   x_killed : int;  (** assignments deleted *)
 }
 
@@ -47,11 +42,11 @@ val prelabel : Ast.program -> Ast.program
     [Sema]).  Idempotent; user labels are kept. *)
 
 val optimize : Ast.program -> Ast.program * report
-(** Apply the enabled passes (fusion, then interchange, then
-    write-kill) to a fixpoint with bounded rounds.  With no pass
-    enabled the prelabeled program is returned without any analysis; a
-    program [Sema] cannot analyze is returned prelabeled and otherwise
-    unchanged.  The result is always observably equivalent: same
+(** Apply the enabled passes, fusion then write-kill, each to a
+    fixpoint with bounded rounds.  A program neither pass changes costs
+    one [Graph.build].  With no pass enabled the prelabeled program is
+    returned without any analysis; a program [Sema] cannot analyze is
+    returned prelabeled and otherwise unchanged.  The result is always observably equivalent: same
     interpreter trace modulo deleted dead stores, same final store. *)
 
 val fusion_legal : Ast.program -> ls1:string list -> ls2:string list -> bool
@@ -63,10 +58,3 @@ val fusion_legal : Ast.program -> ls1:string list -> ls2:string list -> bool
     write), output (write to write) — which equals "no edge of
     [Graph.build] from [ls2] to [ls1]".  [false] when the analysis
     raises. *)
-
-val interchange_hazard : Graph.t -> outer:int -> inner:int -> bool
-(** The permutation test, exposed for the refusal unit tests: is there
-    any direction vector (refined, over any edge of any kind or status)
-    with an all-zeros-allowed prefix, a [+]-allowed entry at [outer]'s
-    level and a [-]-allowed entry at [inner]'s level?  [outer]/[inner]
-    are AST loop node ids that must sit at adjacent levels. *)
