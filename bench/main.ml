@@ -1223,14 +1223,12 @@ let robustness_suite ~out ~seeds () =
 (* Analysis-time suite: solver-core throughput                         *)
 (* ------------------------------------------------------------------ *)
 
-(* CI's gate for the solver hot-path work (DESIGN.md section 9): the
-   whole-corpus standard+extended analysis, the figure 6/7 per-pair
-   population, and the section-5 symbolic probes, each timed twice -
-   once with the elimination ordering / redundancy pruning / hash-consing
-   optimizations on, once fully ablated.  Both configurations run under
-   a deliberately generous budget so neither gives up, which lets the
-   suite demand *identical* results: a reported speedup is also an
-   equivalence certificate for the optimizations that produced it. *)
+(* CI's gate for the solver hot path (DESIGN.md sections 9 and 12): the
+   whole-corpus standard+extended analysis and the figure 6/7 per-pair
+   population, timed under a deliberately generous budget so nothing
+   gives up, followed by three identity gates — the cross-backend
+   oracle, cascade vs tier-2-only payloads, and (with [--domains]) the
+   serial vs domain-sharded differential. *)
 
 let analysis_budget =
   {
@@ -1240,77 +1238,20 @@ let analysis_budget =
     deadline_ms = None;
   }
 
-(* The section-5 symbolic conditions, captured for cross-checking.  The
-   contexts are built once and shared by both configurations, so the
-   captured [When] problems talk about the same variables and can be
-   compared by mutual implication (their rendered text may still name
-   wildcards differently, so string equality would be too strict). *)
-type sym_probe = unit -> Symbolic.condition
-
-let symbolic_probes () : sym_probe list =
-  let arr_acc which arr prog =
-    List.find (fun (a : Lang.Ir.access) -> a.Lang.Ir.array = arr) (which prog)
-  in
-  let prog7 = Lang.Sema.parse_and_analyze (Corpus.find "example7") in
-  let ctx7 = Depctx.create prog7 in
-  let w7 = arr_acc Lang.Ir.writes "a" prog7 in
-  let r7 = arr_acc Lang.Ir.reads "a" prog7 in
-  let c7 =
-    List.map
-      (fun restraint () ->
-        (Symbolic.analyze ctx7 ~src:w7 ~dst:r7 ~restraint ~hide:[ "n" ] ())
-          .Symbolic.cond)
-      [ [ Dirvec.Pos; Dirvec.Any ]; [ Dirvec.Zero; Dirvec.Pos ] ]
-  in
-  let prog8 = Lang.Sema.parse_and_analyze (Corpus.find "example8") in
-  let ctx8 = Depctx.create prog8 in
-  let w8 = arr_acc Lang.Ir.writes "a" prog8 in
-  let r8 = arr_acc Lang.Ir.reads "a" prog8 in
-  let c8 =
-    List.map
-      (fun (src, dst) () ->
-        (Symbolic.analyze ctx8 ~src ~dst ~restraint:[ Dirvec.Pos ] ())
-          .Symbolic.cond)
-      [ (w8, w8); (w8, r8) ]
-  in
-  c7 @ c8
-
-(* Conditions may mention symbolic variables minted fresh per analyze
-   call; align the two runs' variables by creation order (program
-   variables are shared and map to themselves) before asking for mutual
-   implication. *)
-let cond_equiv a b =
-  match (a, b) with
-  | Symbolic.Always, Symbolic.Always | Symbolic.Never, Symbolic.Never -> true
-  | Symbolic.When p, Symbolic.When q ->
-    let vp = Omega.Var.Set.elements (Omega.Problem.vars p) in
-    let vq = Omega.Var.Set.elements (Omega.Problem.vars q) in
-    List.length vp = List.length vq
-    &&
-    let q' =
-      List.fold_left2
-        (fun acc v v' ->
-          if Omega.Var.equal v v' then acc
-          else Omega.Problem.subst v (Omega.Linexpr.var v') acc)
-        q vq vp
-    in
-    Omega.implies p q' && Omega.implies q' p
-  | Symbolic.Unknown _, Symbolic.Unknown _ -> true
-  | _ -> false
+let under_budget f = Omega.Budget.with_limits analysis_budget f
 
 (* One parsed program of the timed population.  Parsing and IR building
    are hoisted out of the timed region (the suite measures the analyses,
-   not the front end) and shared by every configuration, which also pins
-   variable and access identities so results can be compared directly. *)
+   not the front end) and shared by every pass, which also pins variable
+   and access identities so results can be compared directly. *)
 type analysis_subject = { as_name : string; as_prog : Lang.Ir.program }
 
 (* The whole corpus plus the adversarial stress nests (the robustness
    suite's population): the stress programs are where Fourier-Motzkin
-   growth actually bites, so they are exactly where the ordering and
-   pruning work is expected to show.  stress_coupled is left out: under
-   the no-give-up budget a single analysis of it runs ~30 seconds, and
-   it exercises the same blowup paths stress_splinter covers at a
-   fraction of the cost. *)
+   growth actually bites.  stress_coupled is left out: under the
+   no-give-up budget a single analysis of it runs ~30 seconds, and it
+   exercises the same blowup paths stress_splinter covers at a fraction
+   of the cost. *)
 let analysis_subjects () : analysis_subject list =
   List.map
     (fun (name, src) ->
@@ -1318,144 +1259,57 @@ let analysis_subjects () : analysis_subject list =
     (Corpus.all
     @ List.filter (fun (n, _) -> n <> "stress_coupled") Corpus.stress)
 
-type analysis_cfg = { cf_order : bool; cf_redundancy : bool; cf_hashcons : bool }
-
-let cfg_opt = { cf_order = true; cf_redundancy = true; cf_hashcons = true }
-let cfg_ablated = { cf_order = false; cf_redundancy = false; cf_hashcons = false }
-
-(* Every measured call runs under the no-give-up budget, so differing
-   configurations are required to produce identical results. *)
-let under cfg f =
-  with_ref Omega.Tuning.order cfg.cf_order @@ fun () ->
-  with_ref Omega.Tuning.redundancy cfg.cf_redundancy @@ fun () ->
-  with_ref Omega.Tuning.hashcons cfg.cf_hashcons @@ fun () ->
-  Omega.Budget.with_limits analysis_budget f
-
-(* Time one subject under [cfg], [iters] analyses per sample (the
-   caller passes the same count to every configuration it compares).
+(* Time one subject, [iters] analyses per sample (calibrated once per
+   subject, so every pass over the population times it the same way).
    Subjects slow enough to carry their own signal (the stress nests)
    are timed as single runs. *)
-let time_subject ~reps ~iters cfg s =
-  under cfg @@ fun () ->
+let time_subject ~reps ~iters s =
+  under_budget @@ fun () ->
   let run () = outcome s.as_prog in
   if iters = 1 then snd (time run) else per_call ~reps ~iters run
 
-type measured = {
-  me_subject : analysis_subject;
-  me_iters : int; (* calibrated on the ablated configuration *)
-  me_opt : float;
-  me_abl : float;
-  me_out_opt : outcome;
-  me_out_abl : outcome;
-}
+type measured = { me_subject : analysis_subject; me_iters : int; me_time : float }
 
-(* Measure one subject under the optimized and the ablated configuration
-   back-to-back — config-at-a-time passes turned out to be unfair, with
-   allocator and frequency drift between the two passes dwarfing the
-   effect being measured. *)
 let measure_subject ~reps s =
-  let me_out_opt = under cfg_opt (fun () -> outcome s.as_prog) in
-  let me_out_abl = under cfg_ablated (fun () -> outcome s.as_prog) in
   let iters =
-    under cfg_ablated (fun () ->
-        calibrate ~floor:0.01 (fun () -> outcome s.as_prog))
+    under_budget (fun () -> calibrate ~floor:0.01 (fun () -> outcome s.as_prog))
   in
-  let me_opt = time_subject ~reps ~iters cfg_opt s in
-  let me_abl = time_subject ~reps ~iters cfg_ablated s in
-  { me_subject = s; me_iters = iters; me_opt; me_abl; me_out_opt; me_out_abl }
+  { me_subject = s; me_iters = iters; me_time = time_subject ~reps ~iters s }
 
 let analysis_suite ~smoke ~repeat ~out ~domains () =
   section
-    (Printf.sprintf
-       "Analysis time: solver core (order, redundancy, hashcons on) vs \
-        fully-ablated baseline%s, best of %d after warmup"
+    (Printf.sprintf "Analysis time: solver core%s, best of %d after warmup"
        (if smoke then ", smoke" else "")
        repeat);
   let reps = repeat in
   let subjects = analysis_subjects () in
-  let probes = symbolic_probes () in
   let measured = List.map (measure_subject ~reps) subjects in
-  (* the whole timed population under [cfg], each subject at its
-     calibrated count *)
-  let corpus_time cfg =
+  (* the whole timed population, each subject at its calibrated count *)
+  let corpus_time () =
     List.fold_left
-      (fun acc m ->
-        acc +. time_subject ~reps ~iters:m.me_iters cfg m.me_subject)
+      (fun acc m -> acc +. time_subject ~reps ~iters:m.me_iters m.me_subject)
       0. measured
   in
   let corpus_pass () =
-    under cfg_opt (fun () ->
+    under_budget (fun () ->
         List.iter (fun s -> ignore (outcome s.as_prog)) subjects)
   in
-  let pairs_opt =
-    under cfg_opt (fun () -> warm_best ~reps (fun () -> ignore (pair_timings ())))
+  let t_pairs =
+    under_budget (fun () ->
+        warm_best ~reps (fun () -> ignore (pair_timings ())))
   in
-  let pairs_abl =
-    under cfg_ablated
-      (fun () -> warm_best ~reps (fun () -> ignore (pair_timings ())))
-  in
-  let probes_opt = under cfg_opt (fun () -> List.map (fun p -> p ()) probes) in
-  let probes_abl =
-    under cfg_ablated (fun () -> List.map (fun p -> p ()) probes)
-  in
-  (* --- correctness cross-check: identical analysis results --- *)
+  Printf.printf "%-20s %12s\n" "program" "ms";
   List.iter
     (fun m ->
-      if m.me_out_opt <> m.me_out_abl then
-        fail "%s: optimized and ablated analyses disagree (%s)"
-          m.me_subject.as_name
-          (outcome_sizes m.me_out_opt m.me_out_abl))
+      Printf.printf "%-20s %12.2f\n" m.me_subject.as_name (ms m.me_time))
     measured;
-  let cond_str = function
-    | Symbolic.Always -> "always"
-    | Symbolic.Never -> "never"
-    | Symbolic.When p -> "when " ^ Omega.Problem.to_string p
-    | Symbolic.Unknown r -> "unknown (" ^ Omega.Budget.reason_to_string r ^ ")"
-  in
-  under cfg_opt (fun () ->
-      List.iteri
-        (fun i (a, b) ->
-          if not (cond_equiv a b) then
-            fail
-              "symbolic probe %d: conditions differ (optimized: %s; ablated: \
-               %s)"
-              i (cond_str a) (cond_str b))
-        (List.combine probes_opt probes_abl));
-  (* --- report --- *)
-  Printf.printf "%-20s %12s %12s %8s\n" "program" "ablated(ms)" "optimized"
-    "speedup";
-  List.iter
-    (fun m ->
-      Printf.printf "%-20s %12.2f %12.2f %8.2f\n" m.me_subject.as_name
-        (ms m.me_abl) (ms m.me_opt) (ratio m.me_abl m.me_opt))
-    measured;
-  Printf.printf "%-20s %12.2f %12.2f %8.2f\n" "fig6/7 pairs" (ms pairs_abl)
-    (ms pairs_opt)
-    (ratio pairs_abl pairs_opt);
-  (* The suite times two top-level populations: the whole corpus
-     (standard + extended analysis of every program) and the figure 6/7
-     per-pair dependence queries.  The headline geomean is over those two
-     suite-level speedups; the per-program geomean weights every kernel
-     equally (including sub-millisecond ones dominated by parsing and
-     front-end plumbing) and is reported as a secondary figure. *)
-  let corpus_abl = List.fold_left (fun acc m -> acc +. m.me_abl) 0. measured in
-  let corpus_opt = List.fold_left (fun acc m -> acc +. m.me_opt) 0. measured in
-  let corpus_speedup = ratio corpus_abl corpus_opt in
-  let geo_programs =
-    geomean (List.map (fun m -> ratio m.me_abl m.me_opt) measured)
-  in
-  let geo = geomean [ corpus_speedup; ratio pairs_abl pairs_opt ] in
-  Printf.printf "%-20s %12.2f %12.2f %8.2f\n" "whole corpus" (ms corpus_abl)
-    (ms corpus_opt) corpus_speedup;
-  (* solver counters for one optimized corpus pass, reported for context *)
+  Printf.printf "%-20s %12.2f\n" "fig6/7 pairs" (ms t_pairs);
+  let t_corpus = List.fold_left (fun acc m -> acc +. m.me_time) 0. measured in
+  Printf.printf "%-20s %12.2f\n" "whole corpus" (ms t_corpus);
+  (* solver counters for one corpus pass, reported for context *)
   Omega.Tuning.Stats.reset ();
   corpus_pass ();
-  let stats_line = Omega.Tuning.Stats.summary () in
-  Printf.printf
-    "\ngeomean whole-corpus analysis speedup: %.2fx over the fully-ablated \
-     baseline\n(per-program geomean: %.2fx)\nsolver (optimized corpus pass): \
-     %s\nidentical results: %b\n"
-    geo geo_programs stats_line (sound ());
+  Printf.printf "\nsolver (corpus pass): %s\n" (Omega.Tuning.Stats.summary ());
   (* --- decision portfolio: the tiered cascade (DESIGN.md section 12).
      Three gates in one sub-suite, all of which also run in smoke mode:
      (1) the cross-backend oracle replays every query an incomplete tier
@@ -1486,7 +1340,7 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
     oracle_bad;
   (* (2) payload bit-identity *)
   let payloads () =
-    under cfg_opt (fun () ->
+    under_budget (fun () ->
         List.map
           (fun s ->
             Analyses.Memo.reset ();
@@ -1505,8 +1359,8 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
     pay_cascade pay_tier2;
   let payloads_identical = pay_cascade = pay_tier2 in
   (* (3) throughput and tier traffic *)
-  let t_cascade = cascade (fun () -> corpus_time cfg_opt) in
-  let t_tier2 = tier2_only (fun () -> corpus_time cfg_opt) in
+  let t_cascade = cascade corpus_time in
+  let t_tier2 = tier2_only corpus_time in
   Portfolio.Stats.reset ();
   cascade corpus_pass;
   let tiers = Portfolio.Stats.current () in
@@ -1558,26 +1412,6 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
             ] );
       ]
   in
-  (* --- per-flag ablation rows: each optimization off on its own --- *)
-  let ablation_rows =
-    if smoke then []
-    else begin
-      let t_all_on = corpus_time cfg_opt in
-      List.map
-        (fun (flag, cfg) ->
-          let t_off = corpus_time cfg in
-          Printf.printf
-            "ablation no-%-10s: corpus %8.1f ms (all-on %8.1f ms, %.2fx \
-             slower)\n"
-            flag (ms t_off) (ms t_all_on) (ratio t_off t_all_on);
-          (flag, t_off, t_all_on))
-        [
-          ("order", { cfg_opt with cf_order = false });
-          ("redundancy", { cfg_opt with cf_redundancy = false });
-          ("hashcons", { cfg_opt with cf_hashcons = false });
-        ]
-    end
-  in
   (* --- serial vs domain-sharded differential (the --domains gate):
      the same corpus pass and the same fig 6/7 pair population, once at
      width 1 and once sharded, must produce structurally identical
@@ -1599,7 +1433,7 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
       in
       let pass () =
         time (fun () ->
-            under cfg_opt (fun () -> (sharded_pass (), pair_verdicts ())))
+            under_budget (fun () -> (sharded_pass (), pair_verdicts ())))
       in
       Par.set_domains 1;
       let (serial_out, serial_pairs), t_serial = pass () in
@@ -1607,7 +1441,7 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
       let (par_out, par_pairs), t_par = pass () in
       (* per-domain memo traffic over one sharded corpus pass *)
       Analyses.Memo.reset ();
-      under cfg_opt (fun () ->
+      under_budget (fun () ->
           ignore
             (Par.map_list
                (fun s -> ignore (Driver.analyze s.as_prog))
@@ -1680,13 +1514,8 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
            ("portfolio", portfolio_json);
            ("smoke", Json.Bool smoke);
            ("repeat", Json.Int repeat);
-           ("geomean_speedup", jf geo);
-           ("corpus_ablated_ms", jf (ms corpus_abl));
-           ("corpus_optimized_ms", jf (ms corpus_opt));
-           ("corpus_speedup", jf corpus_speedup);
-           ("pairs_speedup", jf (ratio pairs_abl pairs_opt));
-           ("per_program_geomean", jf geo_programs);
-           ("identical", Json.Bool (sound ()));
+           ("corpus_ms", jf (ms t_corpus));
+           ("pairs_ms", jf (ms t_pairs));
            ("divergences", violations ());
            ( "programs",
              Json.List
@@ -1695,23 +1524,9 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
                     Json.Obj
                       [
                         ("name", Json.Str m.me_subject.as_name);
-                        ("ablated_ms", jf (ms m.me_abl));
-                        ("optimized_ms", jf (ms m.me_opt));
-                        ("speedup", jf (ratio m.me_abl m.me_opt));
+                        ("ms", jf (ms m.me_time));
                       ])
                   measured) );
-           ( "ablations",
-             Json.List
-               (List.map
-                  (fun (flag, t_off, t_on) ->
-                    Json.Obj
-                      [
-                        ("disabled", Json.Str flag);
-                        ("off_ms", jf (ms t_off));
-                        ("on_ms", jf (ms t_on));
-                        ("slowdown", jf (ratio t_off t_on));
-                      ])
-                  ablation_rows) );
          ]))
 
 (* ------------------------------------------------------------------ *)

@@ -1,11 +1,10 @@
 (** Bytecode optimizer: the stage between {!Compile} and {!Vm}
     (DESIGN.md section 14).
 
-    One bytecode-level pass runs here, gated behind an ablation flag in
-    the style of [Omega.Tuning] (every optimizer pass is
-    equivalence-preserving — flipping a flag changes time, never
-    results, and the [speedup] bench enforces bit-identity over every
-    flag subset):
+    One bytecode-level pass runs here, gated behind an ablation flag
+    (every optimizer pass is equivalence-preserving — flipping a flag
+    changes time, never results, and the [speedup] bench enforces
+    bit-identity over every flag subset):
 
     - {b superinstruction fusion} ({!superinst}): adjacent
       producer/consumer pairs on the corpus's hot decode chains

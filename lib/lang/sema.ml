@@ -5,7 +5,8 @@
    - extracts affine forms of subscripts and loop bounds, demoting
      non-affine subexpressions (products of variables, index-array reads)
      to opaque terms;
-   - flattens every array access into the program-wide access table;
+   - flattens every array access into the program-wide access table,
+     checking that each array is used at one rank;
    - records assume-conditions over symbolic constants. *)
 
 exception Error of string
@@ -137,7 +138,62 @@ let rec scalarize ~scalars ~shadowed (e : Ast.expr) : Ast.expr =
   | Ast.Min (a, b) -> Ast.Min (go a, go b)
   | Ast.Ref (n, subs) -> Ast.Ref (n, List.map go subs)
 
+(* Every array is used at one rank: a declared array at its declared
+   rank, an undeclared one (an index array, say) at the rank of its
+   first use.  Dependence testing equates subscripts position by
+   position, so it needs both accesses of a pair to agree. *)
+let check_ranks (ast : Ast.program) =
+  let declared = Hashtbl.create 16 and seen = Hashtbl.create 16 in
+  List.iter
+    (function
+      | Ast.Array arrs ->
+        List.iter
+          (fun (name, ranges) ->
+            Hashtbl.replace declared name (List.length ranges))
+          arrs
+      | Ast.Symbolic _ | Ast.Assume _ -> ())
+    ast.Ast.decls;
+  let use name subs =
+    let rank = List.length subs in
+    match Hashtbl.find_opt declared name with
+    | Some r when r <> rank ->
+      error "array %s has %d subscript(s) but is declared with %d" name rank
+        r
+    | Some _ -> ()
+    | None -> (
+      match Hashtbl.find_opt seen name with
+      | Some r when r <> rank ->
+        error "array %s is used with both %d and %d subscript(s)" name r rank
+      | Some _ -> ()
+      | None -> Hashtbl.add seen name rank)
+  in
+  let rec expr (e : Ast.expr) =
+    match e with
+    | Ast.Int _ | Ast.Name _ -> ()
+    | Ast.Neg a -> expr a
+    | Ast.Add (a, b) | Ast.Sub (a, b) | Ast.Mul (a, b)
+    | Ast.Max (a, b) | Ast.Min (a, b) ->
+      expr a;
+      expr b
+    | Ast.Ref (name, subs) ->
+      use name subs;
+      List.iter expr subs
+  in
+  let rec stmt (s : Ast.stmt) =
+    match s with
+    | Ast.For { lo; hi; body; _ } ->
+      expr lo;
+      expr hi;
+      List.iter stmt body
+    | Ast.Assign { lhs = name, subs; rhs; _ } ->
+      use name subs;
+      List.iter expr subs;
+      expr rhs
+  in
+  List.iter stmt ast.Ast.stmts
+
 let analyze (ast : Ast.program) : Ir.program =
+  check_ranks ast;
   let symbolics =
     List.concat_map
       (function Ast.Symbolic ns -> ns | Ast.Array _ | Ast.Assume _ -> [])

@@ -10,7 +10,8 @@
 exception Error of string
 
 val analyze : Ast.program -> Ir.program
-(** @raise Error on undeclared names, misplaced [max]/[min], etc. *)
+(** @raise Error on undeclared names, misplaced [max]/[min], an array
+    used at the wrong number of subscripts, etc. *)
 
 val parse_and_analyze : string -> Ir.program
 (** Parse then analyze.  @raise Parser.Error @raise Error *)

@@ -7,9 +7,8 @@
 
    [norm] remembers that [normalize] already returned this very
    constraint unchanged, so the simplifier's repeated passes stop
-   recomputing gcds over untouched constraints (used while
-   [Tuning.hashcons] is on; normalization is idempotent, so the flag is
-   only ever a cache). *)
+   recomputing gcds over untouched constraints (normalization is
+   idempotent, so the flag is only ever a cache). *)
 
 type kind = Eq | Geq
 type color = Black | Red
@@ -49,7 +48,7 @@ type norm_result = Tauto | Contra | Ok of t
    constant is tightened with floor division (an integer-only step); for
    equalities a non-divisible constant is a contradiction. *)
 let normalize t =
-  if t.norm && !Tuning.hashcons then Ok t
+  if t.norm then Ok t
   else begin
     let e = t.expr in
     if Linexpr.is_const e then begin

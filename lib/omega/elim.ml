@@ -241,22 +241,6 @@ let fm_exact lows ups =
   List.for_all (fun (cl, _, _) -> Zint.is_one cl) lows
   || List.for_all (fun (cu, _, _) -> Zint.is_one cu) ups
 
-(* Number of splinter problems an inexact elimination would create (used
-   by the pre-ordering scoring, kept as the [Tuning.order] ablation
-   baseline). *)
-let splinter_count lows ups =
-  let amax =
-    List.fold_left (fun acc (cu, _, _) -> Zint.max acc cu) Zint.one ups
-  in
-  List.fold_left
-    (fun acc (cl, _, _) ->
-      (* floor((amax*cl - amax - cl) / amax) + 1 splinters for this bound *)
-      let kmax =
-        Zint.fdiv (Zint.sub (Zint.mul amax cl) (Zint.add amax cl)) amax
-      in
-      if Zint.sign kmax < 0 then acc else acc + Zint.to_int kmax + 1)
-    0 lows
-
 let fm_combine ~dark lows ups others =
   let combos =
     List.concat_map
@@ -343,8 +327,7 @@ let fm_eliminate p v : fm_result =
 (* ------------------------------------------------------------------ *)
 
 (* Per-candidate tallies for Pugh's elimination-ordering heuristic,
-   gathered in ONE pass over the constraints (the previous version
-   rescanned the whole constraint list per candidate). *)
+   gathered in one pass over the constraints. *)
 type vinfo = {
   vi_var : Var.t;
   mutable vi_lows : int;  (* inequalities bounding the var from below *)
@@ -364,43 +347,8 @@ type vinfo = {
    emission order and canonical memo keys — depends only on relative
    allocation order, which is identical in serial and sharded runs.
    (A name-based tie-break would not be: wildcard names embed ids from
-   the allocating domain's slot.)  With [Tuning.order]
-   off, [pick_var_rescan] below — the previous implementation, which
-   rescans the constraint list per candidate — is used instead. *)
-let pick_var_rescan ~keep p =
-  let candidates =
-    Var.Set.filter (fun v -> Var.is_wild v || not (keep v)) (Problem.vars p)
-  in
-  let in_eq v =
-    List.exists
-      (fun c -> Constr.kind c = Constr.Eq && Constr.mentions c v)
-      (Problem.constraints p)
-  in
-  let score v =
-    if in_eq v then None
-    else begin
-      let lows, ups, _ = bounds_on p v in
-      match lows, ups with
-      | [], [] -> None
-      | [], _ | _, [] -> Some (v, 0)
-      | _ ->
-        if fm_exact lows ups then
-          Some (v, 1 + (List.length lows * List.length ups))
-        else Some (v, 1000 + splinter_count lows ups)
-    end
-  in
-  Var.Set.fold
-    (fun v best ->
-      match score v with
-      | None -> best
-      | Some (_, s) as cand -> (
-        match best with Some (_, s') when s' <= s -> best | _ -> cand))
-    candidates None
-  |> Option.map fst
-
+   the allocating domain's slot.) *)
 let pick_var ~keep p =
-  if not !Tuning.order then pick_var_rescan ~keep p
-  else
   let tbl : (int, vinfo) Hashtbl.t = Hashtbl.create 16 in
   let info v =
     match Hashtbl.find_opt tbl (Var.id v) with

@@ -3,10 +3,9 @@
    coefficients, so structural equality of the map coincides with equality
    of the linear part.
 
-   Each expression lazily caches (when [Tuning.hashcons] is on) a
-   structural hash and the canonical coefficient-vector key used by
-   [Problem.simplify] to bucket parallel constraints, so the hot loops
-   stop re-walking coefficient lists. *)
+   Each expression lazily caches a structural hash and the canonical
+   coefficient-vector key used by [Problem.simplify] to bucket parallel
+   constraints, so the hot loops stop re-walking coefficient lists. *)
 
 type cache = {
   c_hash : int;  (* structural hash of constant + terms *)
@@ -140,10 +139,10 @@ let compute_cache e =
 
 let cached e =
   match e.cache with
-  | Some c when !Tuning.hashcons -> c
-  | _ ->
+  | Some c -> c
+  | None ->
     let c = compute_cache e in
-    if !Tuning.hashcons then e.cache <- Some c;
+    e.cache <- Some c;
     c
 
 let hash e = (cached e).c_hash

@@ -56,15 +56,14 @@ val compare_terms : t -> t -> int
 val equal : t -> t -> bool
 
 val hash : t -> int
-(** Structural hash (constant included).  Cached on the expression while
-    {!Tuning.hashcons} is on. *)
+(** Structural hash (constant included), cached on the expression. *)
 
 val canon : t -> (Var.t * Zint.t) list * bool * int
 (** [canon e] is [(key, flipped, khash)]: the linear part in ascending
     variable order with the leading coefficient made positive, whether
     the sign was flipped to achieve that, and a hash of the key.  Two
     expressions share a key iff their linear parts are equal or
-    opposite.  Cached while {!Tuning.hashcons} is on. *)
+    opposite.  Cached on the expression. *)
 
 val dot : t -> t -> Zint.t
 (** Inner product of the coefficient vectors (used by the gist fast

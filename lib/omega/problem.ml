@@ -9,8 +9,7 @@
    congruence [e = 0 (mod g)]. *)
 
 (* [simp] remembers that [simplify] already returned this very problem
-   (simplification is idempotent, so the flag is only ever a cache; like
-   [Constr.norm] it is consulted only while [Tuning.hashcons] is on).
+   (simplification is idempotent, so the flag is only ever a cache).
    [grown] marks a problem that just came out of a multiplicative
    Fourier-Motzkin step (>= 2 lower and >= 2 upper bounds crossed): the
    interval screen in [simplify] runs only on those, because that cross
@@ -74,22 +73,14 @@ let eval env t = List.for_all (Constr.eval env) t.cs
    tells which.  The key itself (linear part in ascending variable order,
    leading coefficient positive) is computed — and cached — by
    [Linexpr.canon]. *)
-module Termkey = struct
-  type key = (Var.t * Zint.t) list
+type key = (Var.t * Zint.t) list
 
-  let compare_key (a : key) (b : key) =
-    let cmp (va, ca) (vb, cb) =
-      let c = Var.compare va vb in
-      if c <> 0 then c else Zint.compare ca cb
-    in
-    List.compare cmp a b
-end
-
-module KeyMap = Map.Make (struct
-  type t = Termkey.key
-
-  let compare = Termkey.compare_key
-end)
+let compare_key (a : key) (b : key) =
+  let cmp (va, ca) (vb, cb) =
+    let c = Var.compare va vb in
+    if c <> 0 then c else Zint.compare ca cb
+  in
+  List.compare cmp a b
 
 (* Merge the constraints sharing a linear direction:
    after canonicalization every constraint is [dir + c >= 0] (lower bound on
@@ -117,7 +108,7 @@ type bucket = {
    sound there too, but it would perturb which red constraints the
    red/black gists report, and the screen's value is in the black-only
    kill/cover hot path anyway. *)
-let interval_screen (iter_buckets : (Termkey.key -> bucket -> unit) -> unit) =
+let interval_screen (iter_buckets : (key -> bucket -> unit) -> unit) =
   let bounds : (int, Zint.t option ref * Zint.t option ref) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -202,62 +193,44 @@ let interval_screen (iter_buckets : (Termkey.key -> bucket -> unit) -> unit) =
 let interval_screen_threshold = 10
 
 let simplify (t : t) : simplified =
-  if t.simp && !Tuning.hashcons then Ok t
+  if t.simp then Ok t
   else begin
   let exception Bail in
   let has_red = ref false in
-  (* Bucket store.  With [Tuning.hashcons] on, buckets live in a list
-     probed by the precomputed canonical-key hash (an int compare; the
-     full key comparison runs only on a hash match) — at the handful of
-     distinct directions a problem carries, a linear scan of unboxed int
-     hashes beats both a hash table (allocation-heavy for tiny problems)
-     and the ablated path's balanced map over coefficient-vector keys,
-     whose every probe walks O(log n) full list comparisons.  Emission
-     sorts the few resulting buckets back into key order so both paths
-     produce identical output, down to constraint order. *)
-  let use_h = !Tuning.hashcons in
-  let kmap : bucket KeyMap.t ref = ref KeyMap.empty in
-  let hlist : (int * Termkey.key * bucket) list ref = ref [] in
-  let new_bucket () = { lo = None; hi = None; eq = None; contra = false } in
+  (* Bucket store: a list probed by the precomputed canonical-key hash (an
+     int compare; the full key comparison runs only on a hash match).  At
+     the handful of distinct directions a problem carries, a linear scan
+     of unboxed int hashes beats both a hash table (allocation-heavy for
+     tiny problems) and a balanced map over coefficient-vector keys, whose
+     every probe walks O(log n) full list comparisons.  Emission sorts the
+     few resulting buckets into canonical key order: downstream
+     substitution choices and red/black gist shapes depend on constraint
+     order, so the output order must not depend on input order. *)
+  let buckets : (int * key * bucket) list ref = ref [] in
   let get_bucket key khash =
-    if use_h then begin
-      let rec find = function
-        | [] ->
-          let b = new_bucket () in
-          hlist := (khash, key, b) :: !hlist;
-          b
-        | (h, k, b) :: rest ->
-          if h = khash && Termkey.compare_key k key = 0 then b
-          else find rest
-      in
-      find !hlist
-    end
-    else
-      match KeyMap.find_opt key !kmap with
-      | Some b -> b
-      | None ->
-        let b = new_bucket () in
-        kmap := KeyMap.add key b !kmap;
+    let rec find = function
+      | [] ->
+        let b = { lo = None; hi = None; eq = None; contra = false } in
+        buckets := (khash, key, b) :: !buckets;
         b
+      | (h, k, b) :: rest ->
+        if h = khash && compare_key k key = 0 then b else find rest
+    in
+    find !buckets
   in
   let sorted = ref None in
   let iter_buckets f =
-    if use_h then begin
-      let l =
-        match !sorted with
-        | Some l -> l
-        | None ->
-          let l =
-            List.sort
-              (fun (_, a, _) (_, b, _) -> Termkey.compare_key a b)
-              !hlist
-          in
-          sorted := Some l;
-          l
-      in
-      List.iter (fun (_, k, b) -> f k b) l
-    end
-    else KeyMap.iter f !kmap
+    let l =
+      match !sorted with
+      | Some l -> l
+      | None ->
+        let l =
+          List.sort (fun (_, a, _) (_, b, _) -> compare_key a b) !buckets
+        in
+        sorted := Some l;
+        l
+    in
+    List.iter (fun (_, k, b) -> f k b) l
   in
   let consider c0 =
     match Constr.normalize c0 with
@@ -291,7 +264,7 @@ let simplify (t : t) : simplified =
   | exception Bail -> Contra
   | () ->
     if
-      !Tuning.redundancy && t.grown && (not !has_red)
+      t.grown && (not !has_red)
       && List.length t.cs >= interval_screen_threshold
     then interval_screen iter_buckets;
     let out = ref [] in

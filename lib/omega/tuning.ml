@@ -1,32 +1,6 @@
-(* Ablation switches and counters for the solver's hot paths.
-
-   Each switch gates one of the inner-loop optimizations described in
-   DESIGN.md section 9; all default to [true].  The `bench analysis`
-   suite flips them off to measure each optimization's contribution and
-   to cross-check that results are identical either way (every gated
-   transform is equivalence-preserving, so only time may change). *)
-
-(* Pugh's elimination-variable ordering: prefer exact (unit-coefficient)
-   eliminations, then minimize the #lower-bounds x #upper-bounds product.
-   Off: eliminate the first candidate in variable-id order. *)
-let order = ref true
-
-(* Redundancy pruning in [Problem.simplify]: besides the always-on
-   parallel-constraint dedup, drop inequalities implied by the interval
-   box of the single-variable bounds. *)
-let redundancy = ref true
-
-(* Caching: precomputed structural hashes and canonical coefficient keys
-   on [Linexpr], the normalized flag on [Constr], and the small-integer
-   string cache of the verdict-memo key serializer. *)
-let hashcons = ref true
-
-let set ~order:o ~redundancy:r ~hashcons:h =
-  order := o;
-  redundancy := r;
-  hashcons := h
-
-let all_on () = set ~order:true ~redundancy:true ~hashcons:true
+(* Counters for the solver's hot paths (DESIGN.md section 9): variables
+   eliminated by Fourier-Motzkin, split by exactness, and constraints
+   dropped by the interval screen in [Problem.simplify]. *)
 
 module Stats = struct
   type t = {

@@ -1,23 +1,6 @@
-(** Ablation switches and counters for the solver's hot paths (DESIGN.md
-    section 9).  Every gated transform is equivalence-preserving: flipping
-    a switch changes time, never results. *)
-
-val order : bool ref
-(** Pugh's elimination-variable ordering heuristic (exact eliminations
-    first, then the smallest lower-bounds x upper-bounds product).  Off:
-    the first eliminable variable in id order. *)
-
-val redundancy : bool ref
-(** Interval-subsumption pruning in {!Problem.simplify}. *)
-
-val hashcons : bool ref
-(** Cached hashes / canonical keys on expressions, cached normalization
-    on constraints, and memo-key serialization caches. *)
-
-val set : order:bool -> redundancy:bool -> hashcons:bool -> unit
-
-val all_on : unit -> unit
-(** All three switches on (the production configuration). *)
+(** Counters for the solver's hot paths (DESIGN.md section 9): how many
+    variables Fourier-Motzkin eliminated, exactly or by splitting, and
+    how many constraints the interval screen dropped. *)
 
 module Stats : sig
   type t = {

@@ -106,6 +106,23 @@ endfor
         match analyze "real a[0:3];\ns: a(zz) := 0;" with
         | exception Sema.Error _ -> ()
         | _ -> Alcotest.fail "expected a sema error");
+    Alcotest.test_case "sema: array rank mismatch errors" `Quick (fun () ->
+        List.iter
+          (fun (what, src) ->
+            match analyze src with
+            | exception Sema.Error _ -> ()
+            | _ -> Alcotest.failf "%s: expected a sema error" what)
+          [
+            ( "2-D array, 1 subscript",
+              "real a[0:200, 0:200];\nfor i := 1 to 10 do\n  for j := 1 to \
+               10 do\n    a(i-j) := a(i-j) + 1;\n  endfor\nendfor\n" );
+            ( "1-D array, 2 subscripts",
+              "real a[0:200];\nfor i := 1 to 10 do\n  a(i, i) := 1;\nendfor\n"
+            );
+            ( "undeclared array at two ranks",
+              "for i := 1 to 10 do\n  for j := 1 to 10 do\n    a(i) := a(i, \
+               j);\n  endfor\nendfor\n" );
+          ]);
     Alcotest.test_case "common loops and textual order" `Quick (fun () ->
         let prog = analyze (Corpus.find "example1") in
         let accs = Array.to_list prog.Ir.accesses in

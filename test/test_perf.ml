@@ -1,17 +1,15 @@
 (* Regression tests for the solver's performance work (DESIGN.md
-   section 9): every hot-path optimization is equivalence-preserving
-   and the analysis is deterministic.
+   section 9): the hot-path transforms preserve solutions and the
+   analysis is deterministic.
 
    - determinism: the full analysis yields identical dead/live sets and
      doall plans across repeated runs, and across a shift of the global
      Var-id space (fresh variables allocated between runs), so nothing
-     in the optimized solver depends on allocation order or on values
-     of internal ids;
-   - elimination order: [Elim.satisfiable] answers the same with the
-     ordering heuristic on or off (any elimination order is
-     equisatisfiable), and both agree with brute-force enumeration;
-   - redundancy pruning: [Problem.simplify] preserves the exact integer
-     solution set with pruning on or off, pointwise over the box;
+     in the solver depends on allocation order or on values of internal
+     ids;
+   - redundancy pruning: [Problem.simplify] on problems the interval
+     screen actually runs on preserves the exact integer solution set,
+     pointwise over the box, and the screen does fire;
    - memo bound: the verdict cache never exceeds its capacity, evicts
      FIFO under pressure, and a tiny capacity changes no results. *)
 
@@ -83,49 +81,59 @@ let test_determinism_var_ids () =
     Corpus.all
 
 (* ------------------------------------------------------------------ *)
-(* Ablation equivalence properties                                     *)
+(* Interval screen                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let with_flags ~order ~redundancy ~hashcons f =
-  Tuning.set ~order ~redundancy ~hashcons;
-  Fun.protect ~finally:Tuning.all_on f
-
-let prop_order_equisatisfiable =
-  QCheck.Test.make ~count:200 ~name:"heuristic order is equisatisfiable"
-    (Oracle.arb_problem ())
-    (fun (p, vars, lo, hi) ->
-      let sat_heuristic =
-        with_flags ~order:true ~redundancy:true ~hashcons:true (fun () ->
-            Elim.satisfiable p)
+(* The screen in [Problem.simplify] runs only on grown, red-free
+   problems of at least ten constraints, and only ever drops
+   inequalities, so the generated problems are grown conjunctions of
+   four to ten random inequalities plus a narrow box: equalities would
+   make most of them unsatisfiable, where a wrongly dropped constraint
+   cannot show, and on a narrow box multi-term constraints are often
+   implied by it. *)
+let arb_screened =
+  let lo, hi = (-2, 2) in
+  let vars = Array.to_list (Array.sub Oracle.pool 0 3) in
+  QCheck.make ~print:Oracle.problem_print
+    QCheck.Gen.(
+      let* cs =
+        list_size (int_range 4 10)
+          (map Constr.geq
+             (Oracle.gen_linexpr ~nvars:3 ~max_coeff:3 ~max_const:8))
       in
-      let sat_rescan =
-        with_flags ~order:false ~redundancy:true ~hashcons:true (fun () ->
-            Elim.satisfiable p)
-      in
-      sat_heuristic = sat_rescan
-      && sat_heuristic = Oracle.exists_solution vars lo hi p)
+      let p = Problem.of_list (cs @ Oracle.box_constraints vars lo hi) in
+      Problem.mark_grown p;
+      return (p, vars, lo, hi))
 
 let prop_redundancy_preserves_solutions =
-  QCheck.Test.make ~count:200
-    ~name:"redundancy pruning preserves the solution set"
-    (Oracle.arb_problem ())
+  QCheck.Test.make ~count:1000
+    ~name:"redundancy pruning preserves the solution set" arb_screened
     (fun (p, vars, lo, hi) ->
-      let simplify_under redundancy =
-        with_flags ~order:true ~redundancy ~hashcons:true (fun () ->
-            Problem.simplify p)
-      in
-      let holds s env =
-        match s with
-        | Problem.Contra -> false
-        | Problem.Ok q -> Oracle.holds_at env q
-      in
-      let pruned = simplify_under true in
-      let plain = simplify_under false in
+      let simplified = Problem.simplify p in
       Seq.for_all
         (fun env ->
-          let reference = Oracle.holds_at env p in
-          holds pruned env = reference && holds plain env = reference)
+          let kept =
+            match simplified with
+            | Problem.Contra -> false
+            | Problem.Ok q -> Oracle.holds_at env q
+          in
+          kept = Oracle.holds_at env p)
         (Oracle.assignments vars lo hi))
+
+(* The property, plus a check that the screen dropped at least one
+   constraint over the run, so it cannot silently go vacuous. *)
+let test_redundancy_preserves_solutions =
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest ~long:false prop_redundancy_preserves_solutions
+  in
+  let pruned () = (Tuning.Stats.current ()).Tuning.Stats.pruned_interval in
+  ( name,
+    speed,
+    fun () ->
+      let before = pruned () in
+      run ();
+      check Alcotest.bool "the interval screen fired" true (pruned () > before)
+  )
 
 (* ------------------------------------------------------------------ *)
 (* Domain-local id spaces                                              *)
@@ -417,12 +425,11 @@ let unit_tests =
 let suite =
   ( "perf",
     unit_tests
-    @ List.map
-        (QCheck_alcotest.to_alcotest ~long:false)
-        [
-          prop_order_equisatisfiable;
-          prop_redundancy_preserves_solutions;
-          prop_var_ids_disjoint;
-          prop_canon_key_domain_invariant;
-          prop_memo_pairs_sound;
-        ] )
+    @ test_redundancy_preserves_solutions
+      :: List.map
+           (QCheck_alcotest.to_alcotest ~long:false)
+           [
+             prop_var_ids_disjoint;
+             prop_canon_key_domain_invariant;
+             prop_memo_pairs_sound;
+           ] )
