@@ -619,7 +619,6 @@ type vm_row = {
   vr_std : float;
   vr_ext : float;
   vr_opt : float; (* serial VM, full optimizer pipeline, run only *)
-  vr_ablation : (string * float) list; (* config label -> seconds *)
   vr_std_regions : int;
   vr_ext_regions : int;
   vr_std_inline : int;
@@ -631,24 +630,9 @@ type vm_row = {
   vr_dyn_base : int; (* dynamic instructions, unoptimized serial VM *)
   vr_dyn_opt : int; (* dynamic instructions, optimized serial VM *)
   vr_identical : bool;
-  vr_subsets_ok : bool; (* every optimizer-flag subset bit-identical *)
 }
 
 let dyn_ratio r = float_of_int r.vr_dyn_base /. float_of_int (max 1 r.vr_dyn_opt)
-
-(* The per-pass ablation configurations, as (label, flags) with flags =
-   (restructure, superinst, writekill).  Each row switches one pass off
-   with the other two on, so its whole-pipeline contribution is the gap
-   to the all-on row. *)
-let ablation_configs =
-  [
-    ("no_restructure", (false, true, true));
-    ("no_superinst", (true, false, true));
-    ("no_writekill", (true, true, false));
-  ]
-
-(* Size of the bit-identity gate: every subset of the optimizer flags. *)
-let flag_subsets = 1 lsl List.length (Lang.Opt.flags ())
 
 let json_of_kernel r =
   Json.Obj
@@ -669,9 +653,6 @@ let json_of_kernel r =
       ("std_speedup", jf (ratio r.vr_vm r.vr_std));
       ("ext_speedup", jf (ratio r.vr_vm r.vr_ext));
       ("opt_speedup", jf (ratio r.vr_vm_run r.vr_opt));
-      ( "ablation",
-        Json.Obj
-          (List.map (fun (label, t) -> (label, jf (ms t))) r.vr_ablation) );
       ("fused", Json.Int r.vr_fused);
       ("loopi", Json.Int r.vr_loopi);
       ( "restructure",
@@ -689,7 +670,6 @@ let json_of_kernel r =
       ("ext_inline", Json.Int r.vr_ext_inline);
       ("ext_beats_serial", Json.Bool (r.vr_ext < r.vr_vm));
       ("identical", Json.Bool r.vr_identical);
-      ("subsets_identical", Json.Bool r.vr_subsets_ok);
     ]
 
 let speedup_suite ~smoke ~domains ~repeat ~out () =
@@ -723,20 +703,7 @@ let speedup_suite ~smoke ~domains ~repeat ~out () =
         let vs = Xform.Parallel.analyze g in
         let nloops = List.length vs in
         let std_doall, ext_doall = Xform.Parallel.count_doall vs in
-        let depth =
-          List.fold_left
-            (fun d (l : Xform.Graph.loop_info) -> max d l.Xform.Graph.l_depth)
-            1 g.Xform.Graph.loops
-        in
-        let scale =
-          max 4
-            (int_of_float (float_of_int target ** (1. /. float_of_int depth)))
-        in
-        match
-          Xform.Oracle.pick_syms
-            ~candidates:[ scale; scale / 2; 100; 50; 10; 8; 6; 5; 4; 3; 2; 1 ]
-            prog
-        with
+        match Xform.Oracle.scaled_syms ~target prog with
         | None -> None
         | Some syms -> (
           match Xform.Exec.run_serial ~init:speedup_init prog ~syms with
@@ -773,62 +740,27 @@ let speedup_suite ~smoke ~domains ~repeat ~out () =
               if not identical then
                 fail "%s: VM final state diverges from serial" name;
               (* --- optimizer pipeline ---
-                 The source-level passes (restructure/write-kill) change
-                 what gets compiled, so each of the four
-                 (restructure, writekill) pairs is restructured and
-                 compiled once; the bytecode pass (superinst) then
-                 applies to the compiled unit.  Reused by the
-                 flag-subset identity gate and the ablation rows. *)
-              let ast = Lang.Parser.parse_string (Corpus.find name) in
-              let flag_pairs =
-                [ (false, false); (true, false); (false, true); (true, true) ]
+                 Restructure (fusion, write-kill), compile, then the
+                 bytecode pass; the unoptimized baseline is [u_serial].
+                 Restructuring may change the arena layout, so the
+                 optimized VM is checked against the interpreter's
+                 final memory. *)
+              let ast', xr =
+                Xform.Restructure.optimize
+                  (Lang.Parser.parse_string (Corpus.find name))
               in
-              let rw_units =
-                List.map
-                  (fun (r, w) ->
-                    Lang.Opt.set ~restructure:r ~superinst:false ~writekill:w;
-                    let ast', xr = Xform.Restructure.optimize ast in
-                    ( (r, w),
-                      (Lang.Compile.program (Lang.Sema.analyze ast') ~syms, xr)
-                    ))
-                  flag_pairs
+              let u_opt, orep =
+                Lang.Opt.optimize
+                  (Lang.Compile.program (Lang.Sema.analyze ast') ~syms)
               in
-              let unit_for (r, s, w) =
-                let u_rw, _ = List.assoc (r, w) rw_units in
-                Lang.Opt.set ~restructure:r ~superinst:s ~writekill:w;
-                fst (Lang.Opt.optimize u_rw)
+              let topt = Lang.Vm.create ~init:speedup_init u_opt in
+              Lang.Vm.run topt;
+              let opt_ok =
+                Lang.Vm.check_against ~init:speedup_init topt serial_mem = []
               in
-              (* bit-identity gate: every optimizer-flag subset must
-                 reproduce the interpreter's final memory exactly (the
-                 interp-memory check, since restructuring may change the
-                 arena layout) *)
-              let subsets_ok =
-                List.for_all
-                  (fun ((r, w), _) ->
-                    List.for_all
-                      (fun s ->
-                        let t =
-                          Lang.Vm.create ~init:speedup_init
-                            (unit_for (r, s, w))
-                        in
-                        Lang.Vm.run t;
-                        let ok =
-                          Lang.Vm.check_against ~init:speedup_init t serial_mem
-                          = []
-                        in
-                        if not ok then
-                          fail
-                            "%s: divergent subset (restructure=%b \
-                             superinst=%b writekill=%b)"
-                            name r s w;
-                        ok)
-                      [ false; true ])
-                  rw_units
-              in
-              (* the production configuration: everything on *)
-              let u_all_rw, xr = List.assoc (true, true) rw_units in
-              Lang.Opt.all_on ();
-              let u_opt, orep = Lang.Opt.optimize u_all_rw in
+              if not opt_ok then
+                fail "%s: optimized VM final state diverges from the interpreter"
+                  name;
               let dyn u =
                 Lang.Vm.run_count (Lang.Vm.create ~init:speedup_init u)
               in
@@ -847,18 +779,17 @@ let speedup_suite ~smoke ~domains ~repeat ~out () =
                       (Xform.Exec.run_serial ~init:speedup_init prog ~syms))
               in
               let t_vm, iters = calibrated (fun () -> run_vm u_serial) in
-              (* The optimizer-flag configurations are timed round-robin
-                 inside each repetition, not config-at-a-time: allocator
-                 and frequency drift across a kernel's measurement
-                 window otherwise dwarfs the per-pass effect (the same
-                 lesson measure_subject learned).  One calibration on
-                 the unoptimized unit fixes the iteration count for
-                 every config, so loop overhead cancels in the ratios.
-                 Vm.create (arena allocation + initialization) is
-                 hoisted out of the timed window — the optimizer cannot
-                 change setup cost, and on big-arena kernels setup is
-                 half the wall time, washing out the effect being
-                 measured ([vm_ms] above keeps the legacy
+              (* The unoptimized and optimized units are timed
+                 round-robin inside each repetition, not one after the
+                 other: allocator and frequency drift across a kernel's
+                 measurement window otherwise dwarfs the optimizer's
+                 effect.  One calibration on the unoptimized unit fixes
+                 the iteration count for both, so loop overhead cancels
+                 in the ratio.  Vm.create (arena allocation +
+                 initialization) is hoisted out of the timed window —
+                 the optimizer cannot change setup cost, and on
+                 big-arena kernels setup is half the wall time, washing
+                 out the effect being measured ([vm_ms] above keeps the
                  setup-included number).  Creates are batched so each
                  timed window spans enough runs to clear the clock's
                  resolution without holding more than ~32 MB of
@@ -878,34 +809,14 @@ let speedup_suite ~smoke ~domains ~repeat ~out () =
                 done;
                 !acc /. float_of_int (rounds * batch)
               in
-              let vm_configs =
-                Array.of_list
-                  (("baseline", u_serial) :: ("all_on", u_opt)
-                  :: List.map
-                       (fun (label, cfg) -> (label, unit_for cfg))
-                       ablation_configs)
-              in
-              let bests = Array.map (fun _ -> infinity) vm_configs in
-              Array.iter (fun (_, u) -> run_vm u) vm_configs;
+              run_vm u_serial;
+              run_vm u_opt;
+              let t_vm_run = ref infinity and t_opt = ref infinity in
               for _rep = 1 to repeat do
-                Array.iteri
-                  (fun i (_, u) ->
-                    bests.(i) <- Float.min bests.(i) (run_only u))
-                  vm_configs
+                t_vm_run := Float.min !t_vm_run (run_only u_serial);
+                t_opt := Float.min !t_opt (run_only u_opt)
               done;
-              let config_time label =
-                let rec find i =
-                  if fst vm_configs.(i) = label then bests.(i) else find (i + 1)
-                in
-                find 0
-              in
-              let t_vm_run = config_time "baseline" in
-              let t_opt = config_time "all_on" in
-              let ablation =
-                List.map
-                  (fun (label, _) -> (label, config_time label))
-                  ablation_configs
-              in
+              let t_vm_run = !t_vm_run and t_opt = !t_opt in
               let t_std, _ = calibrated (fun () -> ignore (run_par u_std)) in
               let t_ext, _ = calibrated (fun () -> ignore (run_par u_ext)) in
               let row =
@@ -922,7 +833,6 @@ let speedup_suite ~smoke ~domains ~repeat ~out () =
                   vr_std = t_std;
                   vr_ext = t_ext;
                   vr_opt = t_opt;
-                  vr_ablation = ablation;
                   vr_std_regions = std_stats.Xform.Exec.x_regions;
                   vr_ext_regions = ext_stats.Xform.Exec.x_regions;
                   vr_std_inline = std_stats.Xform.Exec.x_inline;
@@ -933,8 +843,7 @@ let speedup_suite ~smoke ~domains ~repeat ~out () =
                   vr_x_killed = xr.Xform.Restructure.x_killed;
                   vr_dyn_base = dyn_base;
                   vr_dyn_opt = dyn_opt;
-                  vr_identical = identical;
-                  vr_subsets_ok = subsets_ok;
+                  vr_identical = identical && opt_ok;
                 }
               in
               Printf.printf
@@ -946,13 +855,12 @@ let speedup_suite ~smoke ~domains ~repeat ~out () =
                 (ms t_interp) (ms t_vm) (ms t_std) (ms t_ext) (ms t_opt)
                 (ratio t_interp t_vm) (ratio t_vm t_std) (ratio t_vm t_ext)
                 (ratio t_vm_run t_opt) (dyn_ratio row)
-                (if identical && subsets_ok then "yes" else "NO");
+                (if row.vr_identical then "yes" else "NO");
               Some row)))
       Corpus.timing_population
   in
   Xform.Exec.shutdown pool;
   let all_ok = List.for_all (fun r -> r.vr_identical) rows in
-  let subsets_ok = List.for_all (fun r -> r.vr_subsets_ok) rows in
   let geo f = geomean (List.map f rows) in
   let geo_compile = geo (fun r -> ratio r.vr_interp r.vr_vm) in
   let geo_opt = geo (fun r -> ratio r.vr_vm_run r.vr_opt) in
@@ -967,28 +875,9 @@ let speedup_suite ~smoke ~domains ~repeat ~out () =
     "\n\
      %d kernels; geomean interp->VM speedup %.1fx; geomean optimizer speedup \
      %.2fx (dynamic instructions %.2fx down); ext VM beats serial VM on %d, \
-     beats std VM on %d; all final states identical: %b; all %d flag subsets \
-     identical: %b\n"
+     beats std VM on %d; all final states identical: %b\n"
     (List.length rows) geo_compile geo_opt geo_dyn
-    (List.length beats_serial) (List.length beats_std) all_ok flag_subsets
-    subsets_ok;
-  (* aggregate per-pass ablation: geomean slowdown of switching one
-     pass off (vs all-on) and geomean speedup of the crippled pipeline
-     over the unoptimized serial VM *)
-  let ablation_rows =
-    List.map
-      (fun (label, _) ->
-        let off r = List.assoc label r.vr_ablation in
-        Json.Obj
-          [
-            ("pass", Json.Str label);
-            ( "geomean_slowdown_off",
-              jf (geo (fun r -> ratio (off r) r.vr_opt)) );
-            ( "geomean_speedup_vs_baseline",
-              jf (geo (fun r -> ratio r.vr_vm_run (off r))) );
-          ])
-      ablation_configs
-  in
+    (List.length beats_serial) (List.length beats_std) all_ok;
   finish ~out
     (Json.Obj
        [
@@ -996,13 +885,10 @@ let speedup_suite ~smoke ~domains ~repeat ~out () =
          ("smoke", Json.Bool smoke);
          ("repeat", Json.Int repeat);
          ("all_identical", Json.Bool all_ok);
-         ("flag_subsets", Json.Int flag_subsets);
-         ("all_subsets_identical", Json.Bool subsets_ok);
          ("geomean_compile_speedup", jf geo_compile);
          ("geomean_ext_speedup", jf (geo (fun r -> ratio r.vr_vm r.vr_ext)));
          ("geomean_opt_speedup", jf geo_opt);
          ("geomean_dyn_reduction", jf geo_dyn);
-         ("ablation", Json.List ablation_rows);
          ("ext_beats_serial", Json.List beats_serial);
          ("ext_beats_std", Json.List beats_std);
          ("kernels", Json.List (List.map json_of_kernel rows));

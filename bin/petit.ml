@@ -329,17 +329,20 @@ let parallelize_cmd =
       & opt_all (pair ~sep:'=' string int) []
       & info [ "s"; "sym" ] ~docv:"NAME=VALUE"
           ~doc:
-            "Symbolic-constant value for the oracle run (repeatable; \
-             defaults to an automatic search).")
+            "Symbolic-constant value for the oracle or exec run \
+             (repeatable; defaults to an automatic search, sized from the \
+             deepest loop nest for --exec).")
   in
   let exec_arg =
     Arg.(
       value & flag
       & info [ "exec" ]
           ~doc:
-            "Execute the program three ways (serial, standard-plan parallel, \
-             extended-plan parallel over OCaml domains), check the final \
-             array states are identical, and report wall-clock speedups.")
+            "Execute the program on the compiled VM three ways (serial, \
+             standard-plan parallel, extended-plan parallel over OCaml \
+             domains), check every final state against the serial \
+             interpreter, and report wall-clock speedups.  A program the \
+             compiler rejects runs both plans on the interpreter instead.")
   in
   let domains_arg =
     Arg.(
@@ -350,18 +353,7 @@ let parallelize_cmd =
             "Domain-pool size for --exec (default: \
              Domain.recommended_domain_count).")
   in
-  let backend_arg =
-    Arg.(
-      value
-      & opt (enum [ ("interp", `Interp); ("vm", `Vm) ]) `Interp
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:
-            "Execution backend for --exec: the tracing interpreter with \
-             overlay stores ($(b,interp)), or compiled bytecode over a flat \
-             arena with slab privatization ($(b,vm)).")
-  in
-  let run file in_bounds spec deadline json connect oracle exec backend
-      domains syms =
+  let run file in_bounds spec deadline json connect oracle exec domains syms =
     (match connect with
     | Some addr ->
       if oracle || exec then begin
@@ -406,7 +398,8 @@ let parallelize_cmd =
     if exec then begin
       let syms =
         if syms <> [] then Some syms
-        else Xform.Oracle.pick_syms ~candidates:[ 60; 30; 10; 5; 4; 3; 2; 1 ] prog
+        else (* sized like the smoke [bench speedup] *)
+          Xform.Oracle.scaled_syms ~target:8_000 prog
       in
       match syms with
       | None ->
@@ -427,16 +420,57 @@ let parallelize_cmd =
           Printf.printf "\nexec: program not executable (%s)\n" msg
         | serial, t_serial ->
           Xform.Exec.with_pool ?size:domains @@ fun pool ->
-          Printf.printf "\nexec (%s; %d domain%s; %s backend):\n"
-            (String.concat ", "
-               (List.map (fun (s, v) -> Printf.sprintf "%s=%d" s v) syms))
-            (Xform.Exec.pool_size pool)
-            (if Xform.Exec.pool_size pool = 1 then "" else "s")
-            (match backend with `Interp -> "interpreter" | `Vm -> "vm");
-          Printf.printf "  serial    %8.2f ms  (interpreter)\n" t_serial;
+          let header how =
+            Printf.printf "\nexec (%s; %d domain%s; %s):\n"
+              (String.concat ", "
+                 (List.map (fun (s, v) -> Printf.sprintf "%s=%d" s v) syms))
+              (Xform.Exec.pool_size pool)
+              (if Xform.Exec.pool_size pool = 1 then "" else "s")
+              how;
+            Printf.printf "  serial    %8.2f ms  (interpreter)\n" t_serial
+          in
           let mismatch = ref false in
-          (match backend with
-          | `Interp ->
+          let report label t speedup pl (stats : Xform.Exec.stats) ok diff =
+            if not ok then mismatch := true;
+            Printf.printf
+              "  %-9s %8.2f ms  (x%.2f, %d doall loop(s), %d region(s), \
+               %d inlined, final state %s)\n"
+              label t speedup (Xform.Exec.doall_count pl) stats.x_regions
+              stats.x_inline
+              (if ok then "identical" else "DIFFERS");
+            if not ok then Printf.printf "    %s\n" (diff ())
+          in
+          let plans =
+            [ ("std plan", Xform.Exec.Std); ("ext plan", Xform.Exec.Ext) ]
+          in
+          (match
+             time (fun () -> Xform.Exec.run_serial_vm ~init prog ~syms)
+           with
+          | tvm, t_vm ->
+            header "vm";
+            let ok = Lang.Vm.check_against ~init tvm serial = [] in
+            if not ok then mismatch := true;
+            Printf.printf
+              "  serial vm %8.2f ms  (x%.2f vs interpreter, %d-cell arena, \
+               final state %s)\n"
+              t_vm (t_serial /. t_vm)
+              (Lang.Vm.unit_ tvm).Lang.Compile.u_arena
+              (if ok then "identical" else "DIFFERS");
+            List.iter
+              (fun (label, side) ->
+                let pl = Xform.Exec.plan side vs in
+                let u = Xform.Exec.compile_plan pl prog ~syms in
+                let (tpar, stats), t =
+                  time (fun () -> Xform.Exec.run_compiled_vm ~pool ~init u)
+                in
+                report label t (t_vm /. t) pl stats
+                  (Lang.Vm.equal_state tvm tpar) (fun () ->
+                    Lang.Vm.diff_string
+                      (Lang.Vm.check_against ~init tpar serial)))
+              plans
+          | exception Lang.Compile.Unsupported what ->
+            (* opaque subscripts or bounds: the interpreter's executor *)
+            header ("interpreter fallback: " ^ what);
             List.iter
               (fun (label, side) ->
                 let pl = Xform.Exec.plan side vs in
@@ -444,61 +478,10 @@ let parallelize_cmd =
                   time (fun () ->
                       Xform.Exec.run_parallel ~pool ~init pl prog ~syms)
                 in
-                let ok = Xform.Exec.equal_mem serial mem in
-                if not ok then mismatch := true;
-                Printf.printf
-                  "  %-9s %8.2f ms  (x%.2f, %d doall loop(s), %d region(s), \
-                   final state %s)\n"
-                  label t
-                  (t_serial /. t)
-                  (Xform.Exec.doall_count pl)
-                  stats.Xform.Exec.x_regions
-                  (if ok then "identical" else "DIFFERS");
-                if not ok then
-                  Printf.printf "    %s\n"
-                    (Xform.Exec.diff_string
-                       (Xform.Exec.diff_mem serial mem)))
-              [ ("std plan", Xform.Exec.Std); ("ext plan", Xform.Exec.Ext) ]
-          | `Vm -> (
-            match
-              time (fun () -> Xform.Exec.run_serial_vm ~init prog ~syms)
-            with
-            | exception Lang.Compile.Unsupported what ->
-              Printf.printf
-                "  vm: not compilable (%s is opaque) — use the interpreter \
-                 backend\n"
-                what
-            | tvm, t_vm ->
-              let ok = Lang.Vm.check_against ~init tvm serial = [] in
-              if not ok then mismatch := true;
-              Printf.printf
-                "  serial vm %8.2f ms  (x%.2f vs interpreter, %d-cell arena, \
-                 final state %s)\n"
-                t_vm (t_serial /. t_vm)
-                (Lang.Vm.unit_ tvm).Lang.Compile.u_arena
-                (if ok then "identical" else "DIFFERS");
-              List.iter
-                (fun (label, side) ->
-                  let pl = Xform.Exec.plan side vs in
-                  let u = Xform.Exec.compile_plan pl prog ~syms in
-                  let (tpar, stats), t =
-                    time (fun () ->
-                        Xform.Exec.run_compiled_vm ~pool ~init u)
-                  in
-                  let ok = Lang.Vm.equal_state tvm tpar in
-                  if not ok then mismatch := true;
-                  Printf.printf
-                    "  %-9s %8.2f ms  (x%.2f, %d doall loop(s), %d region(s), \
-                     %d inlined, final state %s)\n"
-                    label t (t_vm /. t)
-                    (Xform.Exec.doall_count pl)
-                    stats.Xform.Exec.x_regions stats.Xform.Exec.x_inline
-                    (if ok then "identical" else "DIFFERS");
-                  if not ok then
-                    Printf.printf "    %s\n"
-                      (Lang.Vm.diff_string
-                         (Lang.Vm.check_against ~init tpar serial)))
-                [ ("std plan", Xform.Exec.Std); ("ext plan", Xform.Exec.Ext) ]));
+                report label t (t_serial /. t) pl stats
+                  (Xform.Exec.equal_mem serial mem) (fun () ->
+                    Xform.Exec.diff_string (Xform.Exec.diff_mem serial mem)))
+              plans);
           if !mismatch then exit 1)
     end;
     if oracle then begin
@@ -539,8 +522,7 @@ let parallelize_cmd =
     Term.(
       const run $ file_arg $ in_bounds_arg $ budget_spec_term
       $ request_deadline_arg $ json_arg
-      $ connect_arg $ oracle_arg $ exec_arg $ backend_arg $ domains_arg
-      $ syms_arg)
+      $ connect_arg $ oracle_arg $ exec_arg $ domains_arg $ syms_arg)
 
 let graph_cmd =
   let format_arg =
@@ -615,7 +597,6 @@ let disasm_cmd =
   let run file syms =
     with_errors @@ fun () ->
     let ast = load file in
-    Lang.Opt.all_on ();
     let ast', xr = Xform.Restructure.optimize ast in
     let prog = Lang.Sema.analyze ast' in
     let syms =

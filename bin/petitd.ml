@@ -184,16 +184,20 @@ let () =
           | None -> base.Serve.Server.c_drain_ms);
       }
     in
-    (match addr with
-    | Serve.Protocol.Unix_path p ->
-      Printf.eprintf "petitd: listening on %s\n%!" p
-    | Serve.Protocol.Tcp (h, p) ->
-      Printf.eprintf "petitd: listening on %s:%d\n%!" h p);
-    match Serve.Server.run config with
-    | () -> ()
+    match Serve.Server.start config with
+    | t ->
+      (match addr with
+      | Serve.Protocol.Unix_path p ->
+        Printf.eprintf "petitd: listening on %s\n%!" p
+      | Serve.Protocol.Tcp (h, p) ->
+        Printf.eprintf "petitd: listening on %s:%d\n%!" h p);
+      Serve.Server.wait t
     | exception Unix.Unix_error (e, _, arg) ->
       Printf.eprintf "petitd: %s%s\n" (Unix.error_message e)
         (if arg = "" then "" else ": " ^ arg);
+      exit 1
+    | exception Invalid_argument msg ->
+      Printf.eprintf "error: %s\n" msg;
       exit 1
   in
   let info =

@@ -7,29 +7,6 @@
 open Compile
 
 (* ------------------------------------------------------------------ *)
-(* Flags                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let restructure = ref true
-let superinst = ref true
-let writekill = ref true
-
-let set ~restructure:r ~superinst:s ~writekill:w =
-  restructure := r;
-  superinst := s;
-  writekill := w
-
-let all_on () = set ~restructure:true ~superinst:true ~writekill:true
-let all_off () = set ~restructure:false ~superinst:false ~writekill:false
-
-let flags () =
-  [
-    ("restructure", restructure);
-    ("superinst", superinst);
-    ("writekill", writekill);
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Reports                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -348,8 +325,10 @@ let fuse_unit (u : unit_) =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let all_on () = ()
+
 let optimize (u : unit_) =
-  let u, fused, loopi = if !superinst then fuse_unit u else (u, 0, 0) in
+  let u, fused, loopi = fuse_unit u in
   (* keep the inline-threshold work proxy in sync with rewritten bodies *)
   let regions =
     Array.map

@@ -78,20 +78,6 @@ let worker pool () =
   in
   loop ()
 
-let create ~workers =
-  let pool =
-    {
-      lock = Mutex.create ();
-      work = Condition.create ();
-      queue = Queue.create ();
-      stop = false;
-      domains = [];
-      n_workers = max 0 workers;
-    }
-  in
-  pool.domains <- List.init pool.n_workers (fun _ -> Domain.spawn (worker pool));
-  pool
-
 (* Inline fallback: used on worker domains (nested batches), on pools
    with no workers, and by shutdown-racing callers.  Mirrors the pool
    semantics: every thunk runs, first exception wins. *)
@@ -165,3 +151,29 @@ let shutdown t =
   Mutex.unlock t.lock;
   List.iter Domain.join t.domains;
   t.domains <- []
+
+(* The runtime caps the number of live domains; a pool wider than that
+   joins the workers it did spawn before reporting the width. *)
+let create ~workers =
+  let pool =
+    {
+      lock = Mutex.create ();
+      work = Condition.create ();
+      queue = Queue.create ();
+      stop = false;
+      domains = [];
+      n_workers = max 0 workers;
+    }
+  in
+  (try
+     for _ = 1 to pool.n_workers do
+       pool.domains <- Domain.spawn (worker pool) :: pool.domains
+     done
+   with Failure _ ->
+     let spawned = List.length pool.domains in
+     shutdown pool;
+     invalid_arg
+       (Printf.sprintf
+          "cannot spawn %d worker domains (the runtime stopped at %d)"
+          pool.n_workers spawned));
+  pool

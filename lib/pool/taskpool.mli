@@ -18,7 +18,9 @@ type t
 
 val create : workers:int -> t
 (** Spawn [max 0 workers] worker domains (the pool is usable with zero
-    workers: batches then run inline in the caller). *)
+    workers: batches then run inline in the caller).
+    @raise Invalid_argument when the runtime cannot spawn that many
+    domains; the workers already spawned are joined first. *)
 
 val workers : t -> int
 (** Number of spawned worker domains. *)

@@ -296,6 +296,13 @@ let start config =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
   let sockaddr = sockaddr_of config.c_addr in
+  (* the service (and its worker pool) first: a width the runtime
+     cannot spawn fails before the socket is touched *)
+  let service =
+    Service.create ?memo_capacity:config.c_memo_capacity
+      ~quota:config.c_quota ~domains:config.c_domains
+      ?max_inflight:config.c_max_inflight ()
+  in
   (match config.c_addr with
   | Protocol.Unix_path p ->
     (* A stale socket file from a dead daemon would make bind fail. *)
@@ -310,12 +317,8 @@ let start config =
      Unix.listen fd config.c_backlog
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
+     Service.shutdown service;
      raise e);
-  let service =
-    Service.create ?memo_capacity:config.c_memo_capacity
-      ~quota:config.c_quota ~domains:config.c_domains
-      ?max_inflight:config.c_max_inflight ()
-  in
   let t =
     {
       config;
@@ -371,7 +374,3 @@ let wait t =
   | Protocol.Unix_path p ->
     (try Unix.unlink p with Unix.Unix_error _ -> ())
   | Protocol.Tcp _ -> ()
-
-let run config =
-  let t = start config in
-  wait t

@@ -50,7 +50,8 @@ type t
 val start : config -> t
 (** Bind, listen, and return with the accept loop running in a
     background thread.  Raises [Unix.Unix_error] if the address cannot
-    be bound. *)
+    be bound, and [Invalid_argument] (before binding) if the runtime
+    cannot spawn [c_domains] worker domains. *)
 
 val service : t -> Service.t
 val addr : t -> Protocol.addr
@@ -63,7 +64,3 @@ val wait : t -> unit
 
 val stop : t -> unit
 (** Ask the server to stop accepting; idempotent. *)
-
-val run : config -> unit
-(** [start] + [wait]: the blocking entry point used by the petitd
-    binary. *)

@@ -63,6 +63,19 @@ let pick_syms ?(candidates = [ 3; 4; 2; 5; 6; 1; 10; 50; 100; 0 ])
   in
   go [] prog.Ir.symbolics
 
+let scaled_syms ~target (prog : Ir.program) =
+  let rec depth = function
+    | Ir.IFor { body; _ } -> 1 + List.fold_left (fun d s -> max d (depth s)) 0 body
+    | Ir.IAssign _ -> 0
+  in
+  let depth = List.fold_left (fun d s -> max d (depth s)) 1 prog.Ir.stmts in
+  let scale =
+    max 4 (int_of_float (float_of_int target ** (1. /. float_of_int depth)))
+  in
+  pick_syms
+    ~candidates:[ scale; scale / 2; 100; 50; 10; 8; 6; 5; 4; 3; 2; 1 ]
+    prog
+
 (* ------------------------------------------------------------------ *)
 (* Dynamic carried-ness                                                *)
 (* ------------------------------------------------------------------ *)

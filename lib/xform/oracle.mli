@@ -30,6 +30,12 @@ val pick_syms :
     (default: small positive values, then 10/50/100 for assertions such
     as [50 <= n]).  [None] when no assignment in the grid works. *)
 
+val scaled_syms : target:int -> Ir.program -> (string * int) list option
+(** {!pick_syms} sized for execution: the candidates start near
+    [max 4 (target ** (1 / depth))] for the deepest loop nest of
+    [depth] loops, so a run does about [target] innermost iterations
+    whatever the nesting. *)
+
 type outcome =
   | Report of report
   | No_assignment  (** no symbolic-constant values satisfy the assumptions *)

@@ -293,12 +293,10 @@ let writekill_pass ?g p =
    first round unless fusion changed the program. *)
 let optimize (p : Ast.program) =
   let p = prelabel p in
-  if not (!Opt.restructure || !Opt.writekill) then (p, empty_report)
-  else
-    match try_graph p with
-    | None -> (p, empty_report)
-    | Some g ->
-      let p, fused = if !Opt.restructure then fusion_pass p else (p, 0) in
-      let g = if fused = 0 then Some g else None in
-      let p, killed = if !Opt.writekill then writekill_pass ?g p else (p, 0) in
-      (p, { x_fused = fused; x_interchanged = 0; x_killed = killed })
+  match try_graph p with
+  | None -> (p, empty_report)
+  | Some g ->
+    let p, fused = fusion_pass p in
+    let g = if fused = 0 then Some g else None in
+    let p, killed = writekill_pass ?g p in
+    (p, { x_fused = fused; x_interchanged = 0; x_killed = killed })

@@ -4,20 +4,22 @@
     Two transformations, each licensed by the dependence graph the
     Omega-test driver produces — never by syntax alone:
 
-    - {b loop fusion} (gated by [Opt.restructure]): adjacent sibling
-      loops with syntactically equal bounds and step fuse after
-      alpha-renaming the second loop's variable.  Legality is checked on
-      the {e trial-fused} program ({!fusion_legal}): the fusion is
-      refused if any dependence (any kind, live or dead) runs from a
-      second-loop statement to a first-loop statement — exactly the
-      dependences the original order forbids to reverse.  Only the
-      access pairs crossing the two bodies are analyzed, not the whole
-      trial program.
-    - {b write-kill deletion} (gated by [Opt.writekill]): an assignment
-      is deleted when every flow dependence out of its write is dead
-      (no read observes its values) and some other write {e terminates}
-      it ([Analyses.terminates], section 4.3 — every cell it writes is
-      overwritten later), so the final store is unchanged.
+    - {b loop fusion}: adjacent sibling loops with syntactically equal
+      bounds and step fuse after alpha-renaming the second loop's
+      variable.  Legality is checked on the {e trial-fused} program
+      ({!fusion_legal}): the fusion is refused if any dependence (any
+      kind, live or dead) runs from a second-loop statement to a
+      first-loop statement — exactly the dependences the original order
+      forbids to reverse.  Only the access pairs crossing the two bodies
+      are analyzed, not the whole trial program.
+    - {b write-kill deletion}: an assignment is deleted when every flow
+      dependence out of its write is dead (no read observes its values)
+      and some other write {e terminates} it ([Analyses.terminates],
+      section 4.3 — every cell it writes is overwritten later), so the
+      final store is unchanged.
+
+    Both always run; the unoptimized baseline is the program before
+    {!optimize}.
 
     A transformation is only committed with the dependences of the
     program it produces as witness, and each distinct program is
@@ -42,11 +44,10 @@ val prelabel : Ast.program -> Ast.program
     [Sema]).  Idempotent; user labels are kept. *)
 
 val optimize : Ast.program -> Ast.program * report
-(** Apply the enabled passes, fusion then write-kill, each to a
-    fixpoint with bounded rounds.  A program neither pass changes costs
-    one [Graph.build].  With no pass enabled the prelabeled program is
-    returned without any analysis; a program [Sema] cannot analyze is
-    returned prelabeled and otherwise unchanged.  The result is always observably equivalent: same
+(** Fusion then write-kill, each to a fixpoint with bounded rounds.  A
+    program neither pass changes costs one [Graph.build]; a program
+    [Sema] cannot analyze is returned prelabeled and otherwise
+    unchanged.  The result is always observably equivalent: same
     interpreter trace modulo deleted dead stores, same final store. *)
 
 val fusion_legal : Ast.program -> ls1:string list -> ls2:string list -> bool

@@ -2,9 +2,9 @@
    restructuring (Xform.Restructure) and the bytecode passes (Lang.Opt).
 
    The contract under test is the one the speedup bench enforces over
-   the whole corpus: every subset of the three optimizer flags yields a
-   bit-identical final store; illegal fusion is refused, and a program
-   no pass changes costs one dependence graph. *)
+   the whole corpus: the optimized pipeline yields the interpreter's
+   final store bit for bit; illegal fusion is refused, and a program no
+   pass changes costs one dependence graph. *)
 
 open Lang
 
@@ -12,17 +12,12 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
+(* (loop pairs fused, stores deleted) of a restructuring report *)
+let fused_killed (r : Xform.Restructure.report) = (r.x_fused, r.x_killed)
+let pair_t = Alcotest.(pair int int)
+
 (* Same deterministic nonzero fill as test_exec/test_vm. *)
 let init _ idx = List.fold_left (fun h i -> (h * 31) + i + 17) 7 idx
-
-let with_flags (r, s, w) f =
-  let saved = (!Opt.restructure, !Opt.superinst, !Opt.writekill) in
-  Opt.set ~restructure:r ~superinst:s ~writekill:w;
-  Fun.protect
-    ~finally:(fun () ->
-      let r, s, w = saved in
-      Opt.set ~restructure:r ~superinst:s ~writekill:w)
-    f
 
 let analyze src = Sema.analyze (Parser.parse_string src)
 
@@ -31,36 +26,36 @@ let analyze src = Sema.analyze (Parser.parse_string src)
 (* ------------------------------------------------------------------ *)
 
 let test_fusion () =
-  with_flags (true, false, false) (fun () ->
-      (* loop 2 reads loop 1's array backwards: fusing would feed
-         iteration i the value of iteration 100-i before it is written *)
-      let bad =
-        Parser.parse_string
-          "symbolic n; real a[0:100], b[0:100];\n\
-           for i := 0 to 100 do a(i) := i; endfor\n\
-           for i := 0 to 100 do b(i) := a(100 - i) + 1; endfor"
-      in
-      let _, rep = Xform.Restructure.optimize bad in
-      check int_t "backward-reading fusion refused" 0
-        rep.Xform.Restructure.x_fused;
-      (* aligned reads fuse, and the result matches the interpreter *)
-      let good_src =
-        "symbolic n; real a[0:100], b[0:100];\n\
-         for i := 0 to 100 do a(i) := i; endfor\n\
-         for j := 0 to 100 do b(j) := a(j) + 1; endfor"
-      in
-      let good = Parser.parse_string good_src in
-      let ast', rep_ok = Xform.Restructure.optimize good in
-      check int_t "aligned fusion applied" 1 rep_ok.Xform.Restructure.x_fused;
-      let syms = [ ("n", 3) ] in
-      let serial = Xform.Exec.run_serial ~init (analyze good_src) ~syms in
-      let u = Compile.program (Sema.analyze ast') ~syms in
-      let t = Vm.create ~init u in
-      Vm.run t;
-      match Vm.check_against ~init t serial with
-      | [] -> ()
-      | diffs ->
-        Alcotest.failf "fused loops diverge: %s" (Vm.diff_string diffs))
+  (* loop 2 reads loop 1's array backwards: fusing would feed
+     iteration i the value of iteration 100-i before it is written *)
+  let bad =
+    Parser.parse_string
+      "symbolic n; real a[0:100], b[0:100];\n\
+       for i := 0 to 100 do a(i) := i; endfor\n\
+       for i := 0 to 100 do b(i) := a(100 - i) + 1; endfor"
+  in
+  let _, rep = Xform.Restructure.optimize bad in
+  check pair_t "backward-reading fusion refused, nothing killed" (0, 0)
+    (fused_killed rep);
+  (* aligned reads fuse, and the result matches the interpreter *)
+  let good_src =
+    "symbolic n; real a[0:100], b[0:100];\n\
+     for i := 0 to 100 do a(i) := i; endfor\n\
+     for j := 0 to 100 do b(j) := a(j) + 1; endfor"
+  in
+  let good = Parser.parse_string good_src in
+  let ast', rep_ok = Xform.Restructure.optimize good in
+  check pair_t "aligned fusion applied, nothing killed" (1, 0)
+    (fused_killed rep_ok);
+  let syms = [ ("n", 3) ] in
+  let serial = Xform.Exec.run_serial ~init (analyze good_src) ~syms in
+  let u = Compile.program (Sema.analyze ast') ~syms in
+  let t = Vm.create ~init u in
+  Vm.run t;
+  match Vm.check_against ~init t serial with
+  | [] -> ()
+  | diffs ->
+    Alcotest.failf "fused loops diverge: %s" (Vm.diff_string diffs)
 
 (* The pairwise fusion test against the full graph of the trial
    program: fusion_legal must say "legal" exactly when no Graph.build
@@ -205,36 +200,36 @@ let qcheck_fusion_pairwise =
 (* ------------------------------------------------------------------ *)
 
 let test_writekill () =
-  with_flags (false, false, true) (fun () ->
-      let src =
-        "symbolic n; real a[0:100];\n\
-         for i := 0 to 100 do a(i) := 1; endfor\n\
-         for i := 0 to 100 do a(i) := i + 2; endfor"
-      in
-      let ast', rep = Xform.Restructure.optimize (Parser.parse_string src) in
-      check int_t "fully overwritten store deleted" 1
-        rep.Xform.Restructure.x_killed;
-      let syms = [ ("n", 3) ] in
-      let serial = Xform.Exec.run_serial ~init (analyze src) ~syms in
-      let u = Compile.program (Sema.analyze ast') ~syms in
-      let t = Vm.create ~init u in
-      Vm.run t;
-      (match Vm.check_against ~init t serial with
-      | [] -> ()
-      | diffs ->
-        Alcotest.failf "write-killed program diverges: %s"
-          (Vm.diff_string diffs));
-      (* an observed store must survive, and so must a final store *)
-      let observed =
-        "symbolic n; real a[0:100], b[0:100];\n\
-         for i := 0 to 100 do a(i) := 1; endfor\n\
-         for i := 0 to 100 do b(i) := a(i); endfor\n\
-         for i := 0 to 100 do a(i) := 2; endfor"
-      in
-      let _, rep2 =
-        Xform.Restructure.optimize (Parser.parse_string observed)
-      in
-      check int_t "observed store survives" 0 rep2.Xform.Restructure.x_killed)
+  let src =
+    "symbolic n; real a[0:100];\n\
+     for i := 0 to 100 do a(i) := 1; endfor\n\
+     for i := 0 to 100 do a(i) := i + 2; endfor"
+  in
+  let ast', rep = Xform.Restructure.optimize (Parser.parse_string src) in
+  check pair_t "loops fused, then the overwritten store deleted" (1, 1)
+    (fused_killed rep);
+  let syms = [ ("n", 3) ] in
+  let serial = Xform.Exec.run_serial ~init (analyze src) ~syms in
+  let u = Compile.program (Sema.analyze ast') ~syms in
+  let t = Vm.create ~init u in
+  Vm.run t;
+  (match Vm.check_against ~init t serial with
+  | [] -> ()
+  | diffs ->
+    Alcotest.failf "write-killed program diverges: %s"
+      (Vm.diff_string diffs));
+  (* an observed store must survive, and so must a final store *)
+  let observed =
+    "symbolic n; real a[0:100], b[0:100];\n\
+     for i := 0 to 100 do a(i) := 1; endfor\n\
+     for i := 0 to 100 do b(i) := a(i); endfor\n\
+     for i := 0 to 100 do a(i) := 2; endfor"
+  in
+  let _, rep2 =
+    Xform.Restructure.optimize (Parser.parse_string observed)
+  in
+  check pair_t "all three loops fused, the observed store survives" (2, 0)
+    (fused_killed rep2)
 
 (* ------------------------------------------------------------------ *)
 (* Analysis cost and decisions of the whole restructurer               *)
@@ -243,55 +238,45 @@ let test_writekill () =
 (* A program no pass changes is analyzed once: optimize asks the solver
    exactly the queries of one Graph.build plus those of the fusion
    trials it refuses (cholsky's two solution K loops), with the verdict
-   cache off so every query counts.  With no source pass enabled it
-   asks none. *)
+   cache off so every query counts. *)
 let test_analyzed_once () =
   let memo = !Depend.Analyses.Memo.enabled in
   Depend.Analyses.Memo.enabled := false;
   Fun.protect
     ~finally:(fun () -> Depend.Analyses.Memo.enabled := memo)
     (fun () ->
-      with_flags (true, true, true) (fun () ->
-          let queries () =
-            (Omega.Budget.Telemetry.current ()).Omega.Budget.Telemetry.queries
+      let queries () =
+        (Omega.Budget.Telemetry.current ()).Omega.Budget.Telemetry.queries
+      in
+      let delta f =
+        let q0 = queries () in
+        ignore (f ());
+        queries () - q0
+      in
+      List.iter
+        (fun name ->
+          let ast = Parser.parse_string (Corpus.find name) in
+          let build = delta (fun () -> Xform.Graph.build (Sema.analyze ast)) in
+          let trials =
+            delta (fun () ->
+                List.iter
+                  (fun (fused, ls1, ls2) ->
+                    ignore (Xform.Restructure.fusion_legal fused ~ls1 ~ls2))
+                  (fusion_sites (Xform.Restructure.prelabel ast)))
           in
-          let delta f =
-            let q0 = queries () in
-            ignore (f ());
-            queries () - q0
-          in
-          List.iter
-            (fun name ->
-              let ast = Parser.parse_string (Corpus.find name) in
-              let build =
-                delta (fun () -> Xform.Graph.build (Sema.analyze ast))
-              in
-              let trials =
-                delta (fun () ->
-                    List.iter
-                      (fun (fused, ls1, ls2) ->
-                        ignore (Xform.Restructure.fusion_legal fused ~ls1 ~ls2))
-                      (fusion_sites (Xform.Restructure.prelabel ast)))
-              in
-              let ast', rep = Xform.Restructure.optimize ast in
-              check bool_t (name ^ " unchanged") true
-                (rep = Xform.Restructure.empty_report
-                && Ast.program_to_string ast'
-                   = Ast.program_to_string (Xform.Restructure.prelabel ast));
-              check int_t
-                (name ^ ": optimize queries = one Graph.build + fusion trials")
-                (build + trials)
-                (delta (fun () -> Xform.Restructure.optimize ast)))
-            [ "matmul"; "sor"; "wavefront1"; "cholsky"; "example6" ];
-          (* and with no source pass enabled, not at all *)
-          with_flags (false, true, false) (fun () ->
-              check int_t "no source pass: no queries" 0
-                (delta (fun () ->
-                     Xform.Restructure.optimize
-                       (Parser.parse_string (Corpus.find "cholsky")))))))
+          let ast', rep = Xform.Restructure.optimize ast in
+          check bool_t (name ^ " unchanged") true
+            (rep = Xform.Restructure.empty_report
+            && Ast.program_to_string ast'
+               = Ast.program_to_string (Xform.Restructure.prelabel ast));
+          check int_t
+            (name ^ ": optimize queries = one Graph.build + fusion trials")
+            (build + trials)
+            (delta (fun () -> Xform.Restructure.optimize ast)))
+        [ "matmul"; "sor"; "wavefront1"; "cholsky"; "example6" ])
 
-(* The decisions of every corpus program, all flags on: (fused,
-   interchanged, killed). *)
+(* The decisions of every corpus program: (fused, interchanged,
+   killed). *)
 let expected_reports =
   [
     ("example1", (0, 0, 1)); ("example1m", (0, 0, 0));
@@ -318,127 +303,115 @@ let expected_reports =
   ]
 
 let test_corpus_reports () =
-  with_flags (true, true, true) (fun () ->
-      check int_t "every corpus program pinned"
-        (List.length Corpus.all)
-        (List.length expected_reports);
-      List.iter
-        (fun (name, src) ->
-          let _, rep = Xform.Restructure.optimize (Parser.parse_string src) in
-          check
-            Alcotest.(triple int int int)
-            (name ^ ": (fused, interchanged, killed)")
-            (List.assoc name expected_reports)
-            Xform.Restructure.(rep.x_fused, rep.x_interchanged, rep.x_killed))
-        Corpus.all)
+  check int_t "every corpus program pinned"
+    (List.length Corpus.all)
+    (List.length expected_reports);
+  List.iter
+    (fun (name, src) ->
+      let _, rep = Xform.Restructure.optimize (Parser.parse_string src) in
+      check
+        Alcotest.(triple int int int)
+        (name ^ ": (fused, interchanged, killed)")
+        (List.assoc name expected_reports)
+        Xform.Restructure.(rep.x_fused, rep.x_interchanged, rep.x_killed))
+    Corpus.all
 
 (* ------------------------------------------------------------------ *)
 (* Bytecode fusion on a simple kernel                                  *)
 (* ------------------------------------------------------------------ *)
 
 let test_bytecode_fusion () =
-  with_flags (false, true, false) (fun () ->
-      let prog =
-        analyze
-          "symbolic n; real a[0:100], b[0:100];\n\
-           for i := 0 to 99 do a(i) := b(i) + 1; endfor"
-      in
-      let syms = [ ("n", 5) ] in
-      let u0 = Compile.program prog ~syms in
-      let u, rep = Opt.optimize u0 in
-      check bool_t "some instructions fused" true (rep.Opt.r_fused > 0);
-      check bool_t "constant limit took the immediate back-edge" true
-        (Array.exists
-           (function Compile.LoopUpi _ -> true | _ -> false)
-           u.Compile.u_main);
-      (* identical final state, fewer dynamic instructions *)
-      let t0 = Vm.create ~init u0 and t1 = Vm.create ~init u in
-      let n0 = Vm.run_count t0 and n1 = Vm.run_count t1 in
-      check bool_t "optimized state identical" true (Vm.equal_state t0 t1);
-      check bool_t
-        (Printf.sprintf "dynamic count shrank (%d -> %d)" n0 n1)
-        true (n1 < n0);
-      (* static counts name the new opcodes *)
-      let names = List.map fst (Opt.static_counts u) in
-      check bool_t "fused opcodes in the listing" true
-        (List.exists
-           (fun m -> List.mem m names)
-           [ "mald"; "mast"; "aild"; "aist"; "addst"; "subst"; "mulst" ]))
+  let prog =
+    analyze
+      "symbolic n; real a[0:100], b[0:100];\n\
+       for i := 0 to 99 do a(i) := b(i) + 1; endfor"
+  in
+  let syms = [ ("n", 5) ] in
+  let u0 = Compile.program prog ~syms in
+  let u, rep = Opt.optimize u0 in
+  check bool_t "some instructions fused" true (rep.Opt.r_fused > 0);
+  check bool_t "constant limit took the immediate back-edge" true
+    (Array.exists
+       (function Compile.LoopUpi _ -> true | _ -> false)
+       u.Compile.u_main);
+  (* identical final state, fewer dynamic instructions *)
+  let t0 = Vm.create ~init u0 and t1 = Vm.create ~init u in
+  let n0 = Vm.run_count t0 and n1 = Vm.run_count t1 in
+  check bool_t "optimized state identical" true (Vm.equal_state t0 t1);
+  check bool_t
+    (Printf.sprintf "dynamic count shrank (%d -> %d)" n0 n1)
+    true (n1 < n0);
+  (* static counts name the new opcodes *)
+  let names = List.map fst (Opt.static_counts u) in
+  check bool_t "fused opcodes in the listing" true
+    (List.exists
+       (fun m -> List.mem m names)
+       [ "mald"; "mast"; "aild"; "aist"; "addst"; "subst"; "mulst" ])
 
 (* Production-mode corpus differential: every compilable corpus kernel,
-   restructured and fused with all flags on, ends with the interpreter's
-   final memory. *)
+   restructured and fused, ends with the interpreter's final memory. *)
 let test_optimized_corpus () =
-  with_flags (true, true, true) (fun () ->
-      let total_fused = ref 0 and executed = ref 0 in
-      List.iter
-        (fun (name, src) ->
-          let ast = Parser.parse_string src in
-          let prog = Sema.analyze ast in
-          match
-            Xform.Oracle.pick_syms ~candidates:[ 6; 5; 4; 3; 2; 1 ] prog
-          with
-          | None -> ()
-          | Some syms -> (
-            match Xform.Exec.run_serial ~init prog ~syms with
-            | exception Interp.Runtime_error _ -> ()
-            | serial -> (
-              let ast', _ = Xform.Restructure.optimize ast in
-              match Compile.program (Sema.analyze ast') ~syms with
-              | exception Compile.Unsupported _ -> ()
-              | u0 -> (
-                incr executed;
-                let u, rep = Opt.optimize u0 in
-                total_fused := !total_fused + rep.Opt.r_fused;
-                let t = Vm.create ~init u in
-                Vm.run t;
-                match Vm.check_against ~init t serial with
-                | [] -> ()
-                | diffs ->
-                  Alcotest.failf "%s: optimized pipeline diverges: %s" name
-                    (Vm.diff_string diffs)))))
-        Corpus.all;
-      check bool_t "enough corpus kernels optimized" true (!executed >= 8);
-      check bool_t "corpus-wide fusions happened" true (!total_fused > 0))
+  let total_fused = ref 0 and executed = ref 0 in
+  List.iter
+    (fun (name, src) ->
+      let ast = Parser.parse_string src in
+      let prog = Sema.analyze ast in
+      match
+        Xform.Oracle.pick_syms ~candidates:[ 6; 5; 4; 3; 2; 1 ] prog
+      with
+      | None -> ()
+      | Some syms -> (
+        match Xform.Exec.run_serial ~init prog ~syms with
+        | exception Interp.Runtime_error _ -> ()
+        | serial -> (
+          let ast', _ = Xform.Restructure.optimize ast in
+          match Compile.program (Sema.analyze ast') ~syms with
+          | exception Compile.Unsupported _ -> ()
+          | u0 -> (
+            incr executed;
+            let u, rep = Opt.optimize u0 in
+            total_fused := !total_fused + rep.Opt.r_fused;
+            let t = Vm.create ~init u in
+            Vm.run t;
+            match Vm.check_against ~init t serial with
+            | [] -> ()
+            | diffs ->
+              Alcotest.failf "%s: optimized pipeline diverges: %s" name
+                (Vm.diff_string diffs)))))
+    Corpus.all;
+  check bool_t "enough corpus kernels optimized" true (!executed >= 8);
+  check bool_t "corpus-wide fusions happened" true (!total_fused > 0)
 
 (* ------------------------------------------------------------------ *)
-(* QCheck: every flag subset is bit-identical on random nests          *)
+(* QCheck: the optimized pipeline is bit-identical on random nests     *)
 (* ------------------------------------------------------------------ *)
 
 let arb_nest =
   QCheck.make ~print:Ast.program_to_string ~shrink:Test_exec.shrink_program
     (QCheck.gen Test_e2e.arb_program)
 
-let prop_flag_subsets (ast : Ast.program) : bool =
+let prop_optimized (ast : Ast.program) : bool =
   let prog = Sema.analyze ast in
+  let ast', _ = Xform.Restructure.optimize ast in
   List.for_all
     (fun nval ->
       let syms = [ ("n", nval) ] in
       match Xform.Exec.run_serial ~init prog ~syms with
       | exception Interp.Runtime_error _ -> true
-      | serial ->
-        (* source passes depend only on the restructure/writekill bits *)
-        List.for_all
-          (fun (r, w) ->
-            with_flags (r, true, w) (fun () ->
-                let ast', _ = Xform.Restructure.optimize ast in
-                match Compile.program (Sema.analyze ast') ~syms with
-                | exception Compile.Unsupported _ -> true
-                | u0 ->
-                  List.for_all
-                    (fun s ->
-                      with_flags (r, s, w) (fun () ->
-                          let t = Vm.create ~init (fst (Opt.optimize u0)) in
-                          Vm.run t;
-                          Vm.check_against ~init t serial = []))
-                    [ false; true ]))
-          [ (false, false); (false, true); (true, false); (true, true) ])
+      | serial -> (
+        match Compile.program (Sema.analyze ast') ~syms with
+        | exception Compile.Unsupported _ -> true
+        | u ->
+          let t = Vm.create ~init (fst (Opt.optimize u)) in
+          Vm.run t;
+          Vm.check_against ~init t serial = []))
     [ 4; 7 ]
 
-let qcheck_subsets =
+let qcheck_optimized =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:20 ~name:"optimizer flag subsets bit-identical"
-       arb_nest prop_flag_subsets)
+    (QCheck.Test.make ~count:20
+       ~name:"optimized pipeline bit-identical to the interpreter" arb_nest
+       prop_optimized)
 
 let suite =
   ( "opt",
@@ -455,5 +428,5 @@ let suite =
       Alcotest.test_case "bytecode fusion" `Quick test_bytecode_fusion;
       Alcotest.test_case "optimized corpus matches serial" `Slow
         test_optimized_corpus;
-      qcheck_subsets;
+      qcheck_optimized;
     ] )
