@@ -600,8 +600,9 @@ let bechamel_benches () =
    the timed region (it happens once per program/plan); arena
    initialization is included, since every execution must pay it.  Final
    states: serial VM is checked bit-for-bit against the interpreter
-   (total-memory equality), each plan VM against the serial VM's arena —
-   a reported speedup is also a soundness certificate. *)
+   (total-memory equality), each plan VM against the serial VM's memory
+   (arena and sparse cells) — a reported speedup is also a soundness
+   certificate. *)
 
 (* Deterministic nonzero contents so value propagation is observable. *)
 let speedup_init _ idx = List.fold_left (fun h i -> (h * 31) + i + 17) 7 idx
@@ -709,155 +710,157 @@ let speedup_suite ~smoke ~domains ~repeat ~out () =
           match Xform.Exec.run_serial ~init:speedup_init prog ~syms with
           | exception Lang.Interp.Runtime_error _ -> None
           | serial_mem -> (
-            match Lang.Compile.program prog ~syms with
-            | exception Lang.Compile.Unsupported _ -> None
-            | u_serial ->
-              let u_std =
-                Xform.Exec.compile_plan (Xform.Exec.plan Xform.Exec.Std vs)
-                  prog ~syms
-              in
-              let u_ext =
-                Xform.Exec.compile_plan (Xform.Exec.plan Xform.Exec.Ext vs)
-                  prog ~syms
-              in
-              (* correctness first: serial VM vs interpreter, plan VMs vs
-                 serial VM *)
-              let tvm = Lang.Vm.create ~init:speedup_init u_serial in
-              Lang.Vm.run tvm;
-              let serial_ok =
-                Lang.Vm.check_against ~init:speedup_init tvm serial_mem = []
-              in
-              let run_par u =
-                Xform.Exec.run_compiled_vm ~pool ~init:speedup_init u
-              in
-              let t_std_vm, std_stats = run_par u_std in
-              let t_ext_vm, ext_stats = run_par u_ext in
-              let identical =
-                serial_ok
-                && Lang.Vm.equal_state tvm t_std_vm
-                && Lang.Vm.equal_state tvm t_ext_vm
-              in
-              if not identical then
-                fail "%s: VM final state diverges from serial" name;
-              (* --- optimizer pipeline ---
-                 Restructure (fusion, write-kill), compile, then the
-                 bytecode pass; the unoptimized baseline is [u_serial].
-                 Restructuring may change the arena layout, so the
-                 optimized VM is checked against the interpreter's
-                 final memory. *)
-              let ast', xr =
-                Xform.Restructure.optimize
-                  (Lang.Parser.parse_string (Corpus.find name))
-              in
-              let u_opt, orep =
-                Lang.Opt.optimize
-                  (Lang.Compile.program (Lang.Sema.analyze ast') ~syms)
-              in
-              let topt = Lang.Vm.create ~init:speedup_init u_opt in
-              Lang.Vm.run topt;
-              let opt_ok =
-                Lang.Vm.check_against ~init:speedup_init topt serial_mem = []
-              in
-              if not opt_ok then
-                fail "%s: optimized VM final state diverges from the interpreter"
-                  name;
-              let dyn u =
-                Lang.Vm.run_count (Lang.Vm.create ~init:speedup_init u)
-              in
-              let dyn_base = dyn u_serial and dyn_opt = dyn u_opt in
-              (* timings *)
-              let run_vm u =
-                let t = Lang.Vm.create ~init:speedup_init u in
-                Lang.Vm.run t
-              in
-              (* single-threaded measurements first: right after a
-                 run_par burst the pool's waking workers still steal
-                 cycles (one core), inflating whatever is timed next *)
-              let t_interp, _ =
-                calibrated (fun () ->
-                    ignore
-                      (Xform.Exec.run_serial ~init:speedup_init prog ~syms))
-              in
-              let t_vm, iters = calibrated (fun () -> run_vm u_serial) in
-              (* The unoptimized and optimized units are timed
-                 round-robin inside each repetition, not one after the
-                 other: allocator and frequency drift across a kernel's
-                 measurement window otherwise dwarfs the optimizer's
-                 effect.  One calibration on the unoptimized unit fixes
-                 the iteration count for both, so loop overhead cancels
-                 in the ratio.  Vm.create (arena allocation +
-                 initialization) is hoisted out of the timed window —
-                 the optimizer cannot change setup cost, and on
-                 big-arena kernels setup is half the wall time, washing
-                 out the effect being measured ([vm_ms] above keeps the
-                 setup-included number).  Creates are batched so each
-                 timed window spans enough runs to clear the clock's
-                 resolution without holding more than ~32 MB of
-                 arenas. *)
-              let run_only u =
-                let cells = max 1 u.Lang.Compile.u_arena in
-                let batch = max 1 (min iters (min 64 (4_000_000 / cells))) in
-                let rounds = (iters + batch - 1) / batch in
-                let acc = ref 0. in
-                for _ = 1 to rounds do
-                  let vms =
-                    Array.init batch (fun _ ->
-                        Lang.Vm.create ~init:speedup_init u)
-                  in
-                  let _, t = time (fun () -> Array.iter Lang.Vm.run vms) in
-                  acc := !acc +. t
-                done;
-                !acc /. float_of_int (rounds * batch)
-              in
-              run_vm u_serial;
-              run_vm u_opt;
-              let t_vm_run = ref infinity and t_opt = ref infinity in
-              for _rep = 1 to repeat do
-                t_vm_run := Float.min !t_vm_run (run_only u_serial);
-                t_opt := Float.min !t_opt (run_only u_opt)
+            let u_serial = Lang.Compile.program prog ~syms in
+            let u_std =
+              Xform.Exec.compile_plan (Xform.Exec.plan Xform.Exec.Std vs)
+                prog ~syms
+            in
+            let u_ext =
+              Xform.Exec.compile_plan (Xform.Exec.plan Xform.Exec.Ext vs)
+                prog ~syms
+            in
+            (* correctness first: serial VM vs interpreter, plan VMs vs
+               serial VM *)
+            let tvm = Lang.Vm.create ~init:speedup_init u_serial in
+            Lang.Vm.run tvm;
+            let serial_ok =
+              Lang.Vm.check_against ~init:speedup_init tvm serial_mem = []
+            in
+            let run_par u =
+              Xform.Exec.run_compiled_vm ~pool ~init:speedup_init u
+            in
+            let t_std_vm, std_stats = run_par u_std in
+            let t_ext_vm, ext_stats = run_par u_ext in
+            let identical =
+              serial_ok
+              && Lang.Vm.equal_state tvm t_std_vm
+              && Lang.Vm.equal_state tvm t_ext_vm
+            in
+            if not identical then
+              fail "%s: VM final state diverges from serial" name;
+            (* --- optimizer pipeline ---
+               Restructure (fusion, write-kill), compile, then the
+               bytecode pass; the unoptimized baseline is [u_serial].
+               Restructuring may change the arena layout, so the
+               optimized VM is checked against the interpreter's
+               final memory. *)
+            let ast', xr =
+              Xform.Restructure.optimize
+                (Lang.Parser.parse_string (Corpus.find name))
+            in
+            let u_opt, orep =
+              Lang.Opt.optimize
+                (Lang.Compile.program (Lang.Sema.analyze ast') ~syms)
+            in
+            let topt = Lang.Vm.create ~init:speedup_init u_opt in
+            Lang.Vm.run topt;
+            let opt_ok =
+              Lang.Vm.check_against ~init:speedup_init topt serial_mem = []
+            in
+            if not opt_ok then
+              fail "%s: optimized VM final state diverges from the interpreter"
+                name;
+            let dyn u =
+              Lang.Vm.run_count (Lang.Vm.create ~init:speedup_init u)
+            in
+            let dyn_base = dyn u_serial and dyn_opt = dyn u_opt in
+            (* timings *)
+            let run_vm u =
+              let t = Lang.Vm.create ~init:speedup_init u in
+              Lang.Vm.run t
+            in
+            (* single-threaded measurements first: right after a
+               run_par burst the pool's waking workers still steal
+               cycles (one core), inflating whatever is timed next *)
+            let t_interp, _ =
+              calibrated (fun () ->
+                  ignore
+                    (Xform.Exec.run_serial ~init:speedup_init prog ~syms))
+            in
+            let t_vm, iters = calibrated (fun () -> run_vm u_serial) in
+            (* The unoptimized and optimized units are timed
+               round-robin inside each repetition, not one after the
+               other: allocator and frequency drift across a kernel's
+               measurement window otherwise dwarfs the optimizer's
+               effect.  One calibration on the unoptimized unit fixes
+               the iteration count for both, so loop overhead cancels
+               in the ratio.  Vm.create (arena allocation +
+               initialization) is hoisted out of the timed window —
+               the optimizer cannot change setup cost, and on
+               big-arena kernels setup is half the wall time, washing
+               out the effect being measured ([vm_ms] above keeps the
+               setup-included number).  Creates are batched so each
+               timed window spans enough runs to clear the clock's
+               resolution without holding more than ~32 MB of
+               arenas. *)
+            let run_only u =
+              let cells = max 1 u.Lang.Compile.u_arena in
+              let batch = max 1 (min iters (min 64 (4_000_000 / cells))) in
+              let rounds = (iters + batch - 1) / batch in
+              let acc = ref 0. in
+              for _ = 1 to rounds do
+                let vms =
+                  Array.init batch (fun _ ->
+                      Lang.Vm.create ~init:speedup_init u)
+                in
+                let _, t = time (fun () -> Array.iter Lang.Vm.run vms) in
+                acc := !acc +. t
               done;
-              let t_vm_run = !t_vm_run and t_opt = !t_opt in
-              let t_std, _ = calibrated (fun () -> ignore (run_par u_std)) in
-              let t_ext, _ = calibrated (fun () -> ignore (run_par u_ext)) in
-              let row =
-                {
-                  vr_name = name;
-                  vr_syms = syms;
-                  vr_loops = nloops;
-                  vr_std_doall = std_doall;
-                  vr_ext_doall = ext_doall;
-                  vr_iters = iters;
-                  vr_interp = t_interp;
-                  vr_vm = t_vm;
-                  vr_vm_run = t_vm_run;
-                  vr_std = t_std;
-                  vr_ext = t_ext;
-                  vr_opt = t_opt;
-                  vr_std_regions = std_stats.Xform.Exec.x_regions;
-                  vr_ext_regions = ext_stats.Xform.Exec.x_regions;
-                  vr_std_inline = std_stats.Xform.Exec.x_inline;
-                  vr_ext_inline = ext_stats.Xform.Exec.x_inline;
-                  vr_fused = orep.Lang.Opt.r_fused;
-                  vr_loopi = orep.Lang.Opt.r_loopi;
-                  vr_x_fused = xr.Xform.Restructure.x_fused;
-                  vr_x_killed = xr.Xform.Restructure.x_killed;
-                  vr_dyn_base = dyn_base;
-                  vr_dyn_opt = dyn_opt;
-                  vr_identical = identical && opt_ok;
-                }
-              in
-              Printf.printf
-                "%-18s %-14s %8.1f %8.2f %8.2f %8.2f %8.2f %5.1f %5.2f %5.2f \
-                 %5.2f %5.2f %5s\n"
-                name
-                (String.concat ","
-                   (List.map (fun (s, v) -> Printf.sprintf "%s=%d" s v) syms))
-                (ms t_interp) (ms t_vm) (ms t_std) (ms t_ext) (ms t_opt)
-                (ratio t_interp t_vm) (ratio t_vm t_std) (ratio t_vm t_ext)
-                (ratio t_vm_run t_opt) (dyn_ratio row)
-                (if row.vr_identical then "yes" else "NO");
-              Some row)))
-      Corpus.timing_population
+              !acc /. float_of_int (rounds * batch)
+            in
+            run_vm u_serial;
+            run_vm u_opt;
+            let t_vm_run = ref infinity and t_opt = ref infinity in
+            for _rep = 1 to repeat do
+              t_vm_run := Float.min !t_vm_run (run_only u_serial);
+              t_opt := Float.min !t_opt (run_only u_opt)
+            done;
+            let t_vm_run = !t_vm_run and t_opt = !t_opt in
+            let t_std, _ = calibrated (fun () -> ignore (run_par u_std)) in
+            let t_ext, _ = calibrated (fun () -> ignore (run_par u_ext)) in
+            let row =
+              {
+                vr_name = name;
+                vr_syms = syms;
+                vr_loops = nloops;
+                vr_std_doall = std_doall;
+                vr_ext_doall = ext_doall;
+                vr_iters = iters;
+                vr_interp = t_interp;
+                vr_vm = t_vm;
+                vr_vm_run = t_vm_run;
+                vr_std = t_std;
+                vr_ext = t_ext;
+                vr_opt = t_opt;
+                vr_std_regions = std_stats.Xform.Exec.x_regions;
+                vr_ext_regions = ext_stats.Xform.Exec.x_regions;
+                vr_std_inline = std_stats.Xform.Exec.x_inline;
+                vr_ext_inline = ext_stats.Xform.Exec.x_inline;
+                vr_fused = orep.Lang.Opt.r_fused;
+                vr_loopi = orep.Lang.Opt.r_loopi;
+                vr_x_fused = xr.Xform.Restructure.x_fused;
+                vr_x_killed = xr.Xform.Restructure.x_killed;
+                vr_dyn_base = dyn_base;
+                vr_dyn_opt = dyn_opt;
+                vr_identical = identical && opt_ok;
+              }
+            in
+            Printf.printf
+              "%-18s %-14s %8.1f %8.2f %8.2f %8.2f %8.2f %5.1f %5.2f %5.2f \
+               %5.2f %5.2f %5s\n"
+              name
+              (String.concat ","
+                 (List.map (fun (s, v) -> Printf.sprintf "%s=%d" s v) syms))
+              (ms t_interp) (ms t_vm) (ms t_std) (ms t_ext) (ms t_opt)
+              (ratio t_interp t_vm) (ratio t_vm t_std) (ratio t_vm t_ext)
+              (ratio t_vm_run t_opt) (dyn_ratio row)
+              (if row.vr_identical then "yes" else "NO");
+            Some row)))
+      (* the Figure 6/7 population plus the section 5 kernels: index
+         arrays, opaque bounds, products of loop variables and a
+         scalar-indexed subscript (run-time addresses, sparse arrays) *)
+      (Corpus.timing_population
+      @ [ "example8"; "example9"; "example10"; "example11" ])
   in
   Xform.Exec.shutdown pool;
   let all_ok = List.for_all (fun r -> r.vr_identical) rows in

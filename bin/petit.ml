@@ -420,68 +420,44 @@ let parallelize_cmd =
           Printf.printf "\nexec: program not executable (%s)\n" msg
         | serial, t_serial ->
           Xform.Exec.with_pool ?size:domains @@ fun pool ->
-          let header how =
-            Printf.printf "\nexec (%s; %d domain%s; %s):\n"
-              (String.concat ", "
-                 (List.map (fun (s, v) -> Printf.sprintf "%s=%d" s v) syms))
-              (Xform.Exec.pool_size pool)
-              (if Xform.Exec.pool_size pool = 1 then "" else "s")
-              how;
-            Printf.printf "  serial    %8.2f ms  (interpreter)\n" t_serial
-          in
+          Printf.printf "\nexec (%s; %d domain%s):\n"
+            (String.concat ", "
+               (List.map (fun (s, v) -> Printf.sprintf "%s=%d" s v) syms))
+            (Xform.Exec.pool_size pool)
+            (if Xform.Exec.pool_size pool = 1 then "" else "s");
+          Printf.printf "  serial    %8.2f ms  (interpreter)\n" t_serial;
           let mismatch = ref false in
-          let report label t speedup pl (stats : Xform.Exec.stats) ok diff =
-            if not ok then mismatch := true;
-            Printf.printf
-              "  %-9s %8.2f ms  (x%.2f, %d doall loop(s), %d region(s), \
-               %d inlined, final state %s)\n"
-              label t speedup (Xform.Exec.doall_count pl) stats.x_regions
-              stats.x_inline
-              (if ok then "identical" else "DIFFERS");
-            if not ok then Printf.printf "    %s\n" (diff ())
+          let tvm, t_vm =
+            time (fun () -> Xform.Exec.run_serial_vm ~init prog ~syms)
           in
-          let plans =
-            [ ("std plan", Xform.Exec.Std); ("ext plan", Xform.Exec.Ext) ]
-          in
-          (match
-             time (fun () -> Xform.Exec.run_serial_vm ~init prog ~syms)
-           with
-          | tvm, t_vm ->
-            header "vm";
-            let ok = Lang.Vm.check_against ~init tvm serial = [] in
-            if not ok then mismatch := true;
-            Printf.printf
-              "  serial vm %8.2f ms  (x%.2f vs interpreter, %d-cell arena, \
-               final state %s)\n"
-              t_vm (t_serial /. t_vm)
-              (Lang.Vm.unit_ tvm).Lang.Compile.u_arena
-              (if ok then "identical" else "DIFFERS");
-            List.iter
-              (fun (label, side) ->
-                let pl = Xform.Exec.plan side vs in
-                let u = Xform.Exec.compile_plan pl prog ~syms in
-                let (tpar, stats), t =
-                  time (fun () -> Xform.Exec.run_compiled_vm ~pool ~init u)
-                in
-                report label t (t_vm /. t) pl stats
-                  (Lang.Vm.equal_state tvm tpar) (fun () ->
-                    Lang.Vm.diff_string
-                      (Lang.Vm.check_against ~init tpar serial)))
-              plans
-          | exception Lang.Compile.Unsupported what ->
-            (* opaque subscripts or bounds: the interpreter's executor *)
-            header ("interpreter fallback: " ^ what);
-            List.iter
-              (fun (label, side) ->
-                let pl = Xform.Exec.plan side vs in
-                let (mem, stats), t =
-                  time (fun () ->
-                      Xform.Exec.run_parallel ~pool ~init pl prog ~syms)
-                in
-                report label t (t_serial /. t) pl stats
-                  (Xform.Exec.equal_mem serial mem) (fun () ->
-                    Xform.Exec.diff_string (Xform.Exec.diff_mem serial mem)))
-              plans);
+          let ok = Lang.Vm.check_against ~init tvm serial = [] in
+          if not ok then mismatch := true;
+          Printf.printf
+            "  serial vm %8.2f ms  (x%.2f vs interpreter, %d-cell arena, \
+             %d sparse array(s), final state %s)\n"
+            t_vm (t_serial /. t_vm)
+            (Lang.Vm.unit_ tvm).Lang.Compile.u_arena
+            (Array.length (Lang.Vm.unit_ tvm).Lang.Compile.u_sparse)
+            (if ok then "identical" else "DIFFERS");
+          List.iter
+            (fun (label, side) ->
+              let pl = Xform.Exec.plan side vs in
+              let u = Xform.Exec.compile_plan pl prog ~syms in
+              let (tpar, stats), t =
+                time (fun () -> Xform.Exec.run_compiled_vm ~pool ~init u)
+              in
+              let ok = Lang.Vm.equal_state tvm tpar in
+              if not ok then mismatch := true;
+              Printf.printf
+                "  %-9s %8.2f ms  (x%.2f, %d doall loop(s), %d region(s), \
+                 %d inlined, final state %s)\n"
+                label t (t_vm /. t) (Xform.Exec.doall_count pl)
+                stats.x_regions stats.x_inline
+                (if ok then "identical" else "DIFFERS");
+              if not ok then
+                Printf.printf "    %s\n"
+                  (Lang.Vm.diff_string (Lang.Vm.check_against ~init tpar serial)))
+            [ ("std plan", Xform.Exec.Std); ("ext plan", Xform.Exec.Ext) ];
           if !mismatch then exit 1)
     end;
     if oracle then begin

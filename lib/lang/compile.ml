@@ -2,7 +2,9 @@
    affine addresses resolved at compile time.  See compile.mli for the
    model.  The compiler runs under concrete symbolic-constant values, so
    every symbol folds to an immediate and array extents can be computed
-   exactly by interval analysis over the accesses. *)
+   exactly by interval analysis over the accesses.  An array whose
+   accesses the analysis cannot bound (index arrays, scalars or opaque
+   loop bounds in a subscript) lives in a per-array hash table instead. *)
 
 exception Unsupported of string
 
@@ -27,6 +29,9 @@ type instr =
   | LdSi of int * int
   | StS of int * int
   | StSi of int * int
+  | Chk of int * int * int
+  | LdH of int * int * int array
+  | StH of int * int array * int
   | Bgt of int * int * int
   | Blt of int * int * int
   | LoopUp of int * int * int * int
@@ -54,6 +59,8 @@ type arr = {
   a_dims : dim list;
   a_size : int;
 }
+
+type sparse = { s_id : int; s_name : string; s_rank : int }
 
 type priv_copy = {
   pc_array : string;
@@ -83,57 +90,89 @@ type unit_ = {
   u_nregs : int;
   u_arena : int;
   u_arrays : arr list;
+  u_sparse : sparse array;
 }
 
 (* ------------------------------------------------------------------ *)
 (* Interval analysis: array extents from the accesses                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Overflow-checked arithmetic: [None] when the exact result does not
+   fit an [int], so a wrapped bound can never pass for an extent. *)
+let ( let* ) = Option.bind
+
+let add_ov a b =
+  let s = a + b in
+  if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then None else Some s
+
+let neg_ov a = if a = min_int then None else Some (-a)
+let sub_ov a b = let* nb = neg_ov b in add_ov a nb
+
+let mul_ov a b =
+  if a = 0 || b = 0 then Some 0
+  else if (a = -1 && b = min_int) || (b = -1 && a = min_int) then None
+  else
+    let p = a * b in
+    if p / b = a then Some p else None
+
 (* Evaluate an expression to a conservative [lo, hi] interval under
-   concrete symbols and loop-variable intervals.  Anything involving an
-   array read is opaque and unsupported (index arrays in subscripts or
-   bounds cannot be sized at compile time). *)
-let rec ival syms env (e : Ast.expr) : int * int =
+   concrete symbols and loop-variable intervals.  [None] is an unknown
+   extent: an array read (index array or scalar), a loop variable with
+   opaque bounds, or an overflowing bound. *)
+let rec ival syms env (e : Ast.expr) : (int * int) option =
+  let both a b f =
+    let* ia = ival syms env a in
+    let* ib = ival syms env b in
+    f ia ib
+  in
   match e with
-  | Ast.Int n -> (n, n)
+  | Ast.Int n -> Some (n, n)
   | Ast.Name s -> (
     match List.assoc_opt s env with
     | Some iv -> iv
     | None -> (
       match List.assoc_opt s syms with
-      | Some v -> (v, v)
+      | Some v -> Some (v, v)
       | None -> unsupported "unbound name %s" s))
   | Ast.Neg a ->
-    let l, h = ival syms env a in
-    (-h, -l)
+    let* l, h = ival syms env a in
+    let* nh = neg_ov h in
+    let* nl = neg_ov l in
+    Some (nh, nl)
   | Ast.Add (a, b) ->
-    let la, ha = ival syms env a and lb, hb = ival syms env b in
-    (la + lb, ha + hb)
+    both a b (fun (la, ha) (lb, hb) ->
+        let* l = add_ov la lb in
+        let* h = add_ov ha hb in
+        Some (l, h))
   | Ast.Sub (a, b) ->
-    let la, ha = ival syms env a and lb, hb = ival syms env b in
-    (la - hb, ha - lb)
+    both a b (fun (la, ha) (lb, hb) ->
+        let* l = sub_ov la hb in
+        let* h = sub_ov ha lb in
+        Some (l, h))
   | Ast.Mul (a, b) ->
-    let la, ha = ival syms env a and lb, hb = ival syms env b in
-    let ps = [ la * lb; la * hb; ha * lb; ha * hb ] in
-    (List.fold_left min max_int ps, List.fold_left max min_int ps)
+    both a b (fun (la, ha) (lb, hb) ->
+        let* p1 = mul_ov la lb in
+        let* p2 = mul_ov la hb in
+        let* p3 = mul_ov ha lb in
+        let* p4 = mul_ov ha hb in
+        Some (min (min p1 p2) (min p3 p4), max (max p1 p2) (max p3 p4)))
   | Ast.Max (a, b) ->
-    let la, ha = ival syms env a and lb, hb = ival syms env b in
-    (max la lb, max ha hb)
+    both a b (fun (la, ha) (lb, hb) -> Some (max la lb, max ha hb))
   | Ast.Min (a, b) ->
-    let la, ha = ival syms env a and lb, hb = ival syms env b in
-    (min la lb, min ha hb)
-  | Ast.Ref (name, _) ->
-    unsupported "opaque term (read of %s) in subscript or bound" name
+    both a b (fun (la, ha) (lb, hb) -> Some (min la lb, min ha hb))
+  | Ast.Ref _ -> None
 
 (* Loop-variable interval covering every iteration, both step signs; an
    interval that is empty everywhere still gets a 1-point placeholder so
    the (never-executed) body scans cleanly. *)
 let loop_interval syms env ~lo ~hi ~step =
-  let llo, lhi = ival syms env lo and hlo, hhi = ival syms env hi in
+  let* llo, lhi = ival syms env lo in
+  let* hlo, hhi = ival syms env hi in
   let a, b = if step > 0 then (llo, hhi) else (hlo, lhi) in
-  if a > b then (a, a) else (a, b)
+  Some (if a > b then (a, a) else (a, b))
 
-type extents = (string, (int * int) array) Hashtbl.t
+(* Per array, one interval per dimension ([None]: unbounded). *)
+type extents = (string, (int * int) option array) Hashtbl.t
 
 let record_access (ext : extents) syms env name (subs : Ast.expr list) =
   let ivs = Array.of_list (List.map (ival syms env) subs) in
@@ -143,9 +182,11 @@ let record_access (ext : extents) syms env name (subs : Ast.expr list) =
     if Array.length old <> Array.length ivs then
       unsupported "array %s used with inconsistent arity" name;
     Array.iteri
-      (fun i (l, h) ->
-        let ol, oh = old.(i) in
-        old.(i) <- (min ol l, max oh h))
+      (fun i iv ->
+        old.(i) <-
+          (match (old.(i), iv) with
+          | Some (ol, oh), Some (l, h) -> Some (min ol l, max oh h)
+          | _ -> None))
       ivs
 
 let rec record_expr ext syms env (e : Ast.expr) =
@@ -167,43 +208,59 @@ let rec scan_stmt ext syms env (s : Ir.istmt) =
     record_access ext syms env name subs;
     record_expr ext syms env rhs
   | Ir.IFor { var; lo; hi; step; body; _ } ->
+    record_expr ext syms env lo;
+    record_expr ext syms env hi;
     let iv = loop_interval syms env ~lo ~hi ~step in
     List.iter (scan_stmt ext syms ((var, iv) :: env)) body
 
-(* Row-major layout of all extents into one arena. *)
-let layout_arrays (ext : extents) : (string, arr) Hashtbl.t * int =
+(* Row-major layout of the bounded extents into one arena, in name
+   order; an array with an unbounded dimension, or one that would push
+   the arena past [1 lsl 28] cells, goes to the sparse tables. *)
+let arena_limit = 1 lsl 28
+
+let layout_arrays (ext : extents) : (string, arr) Hashtbl.t * int * sparse array
+    =
   let names =
     Hashtbl.fold (fun k _ acc -> k :: acc) ext [] |> List.sort compare
   in
   let tbl = Hashtbl.create 16 in
+  let sparse = ref [] and nsparse = ref 0 in
   let base = ref 0 in
   List.iter
     (fun name ->
       let ivs = Hashtbl.find ext name in
       let n = Array.length ivs in
-      let strides = Array.make n 1 in
-      for i = n - 2 downto 0 do
-        let l, h = ivs.(i + 1) in
-        strides.(i) <- strides.(i + 1) * (h - l + 1)
-      done;
-      let size =
-        if n = 0 then 1
-        else
-          let l, h = ivs.(0) in
-          strides.(0) * (h - l + 1)
+      (* strides and total size, innermost first; [None] when unbounded
+         or past the limit *)
+      let dense =
+        Array.fold_right
+          (fun iv acc ->
+            let* strides, size = acc in
+            let* l, h = iv in
+            let* w = sub_ov h l in
+            let* w = add_ov w 1 in
+            let* size' = mul_ov size w in
+            if size' > arena_limit then None else Some (size :: strides, size'))
+          ivs
+          (Some ([], 1))
       in
-      if size < 0 || !base + size > 1 lsl 28 then
-        unsupported "arena too large (array %s)" name;
-      let dims =
-        List.init n (fun i ->
-            let l, h = ivs.(i) in
-            { d_lo = l; d_hi = h; d_stride = strides.(i) })
-      in
-      Hashtbl.replace tbl name
-        { a_name = name; a_base = !base; a_dims = dims; a_size = size };
-      base := !base + size)
+      match dense with
+      | Some (strides, size) when !base + size <= arena_limit ->
+        let dims =
+          List.mapi
+            (fun i stride ->
+              let l, h = Option.get ivs.(i) in
+              { d_lo = l; d_hi = h; d_stride = stride })
+            strides
+        in
+        Hashtbl.replace tbl name
+          { a_name = name; a_base = !base; a_dims = dims; a_size = size };
+        base := !base + size
+      | _ ->
+        sparse := { s_id = !nsparse; s_name = name; s_rank = n } :: !sparse;
+        incr nsparse)
     names;
-  (tbl, !base)
+  (tbl, !base, Array.of_list (List.rev !sparse))
 
 (* ------------------------------------------------------------------ *)
 (* Code buffers                                                        *)
@@ -238,6 +295,7 @@ type st = {
   c_syms : (string * int) list;
   mutable c_next : int;  (* register allocator *)
   c_arrs : (string, arr) Hashtbl.t;
+  c_sparse : (string, sparse) Hashtbl.t;
   mutable c_regions : region list;  (* reversed *)
   mutable c_nregions : int;
 }
@@ -275,34 +333,42 @@ let aff_scale k a =
   if k = 0 then { ac = 0; at = [] }
   else { ac = k * a.ac; at = List.map (fun (r, c) -> (r, k * c)) a.at }
 
-let rec affx st env (e : Ast.expr) : aff =
+(* [None]: not affine in the loop variables (a product of variables,
+   max/min over them, an array read); the subscript is then computed at
+   run time by [cexpr]. *)
+let rec affx st env (e : Ast.expr) : aff option =
+  let both a b f =
+    let* fa = affx st env a in
+    let* fb = affx st env b in
+    f fa fb
+  in
   match e with
-  | Ast.Int n -> { ac = n; at = [] }
+  | Ast.Int n -> Some { ac = n; at = [] }
   | Ast.Name s -> (
     match List.assoc_opt s env with
-    | Some r -> { ac = 0; at = [ (r, 1) ] }
+    | Some r -> Some { ac = 0; at = [ (r, 1) ] }
     | None -> (
       match List.assoc_opt s st.c_syms with
-      | Some v -> { ac = v; at = [] }
+      | Some v -> Some { ac = v; at = [] }
       | None -> unsupported "unbound name %s" s))
-  | Ast.Neg a -> aff_scale (-1) (affx st env a)
-  | Ast.Add (a, b) -> aff_add (affx st env a) (affx st env b)
-  | Ast.Sub (a, b) -> aff_add (affx st env a) (aff_scale (-1) (affx st env b))
-  | Ast.Mul (a, b) -> (
-    let fa = affx st env a and fb = affx st env b in
-    match (fa.at, fb.at) with
-    | [], _ -> aff_scale fa.ac fb
-    | _, [] -> aff_scale fb.ac fa
-    | _ -> unsupported "non-affine subscript (product of variables)")
-  | Ast.Max (a, b) | Ast.Min (a, b) -> (
-    let fa = affx st env a and fb = affx st env b in
-    match (fa.at, fb.at) with
-    | [], [] ->
-      let f = match e with Ast.Max _ -> max | _ -> min in
-      { ac = f fa.ac fb.ac; at = [] }
-    | _ -> unsupported "max/min in subscript")
-  | Ast.Ref (name, _) ->
-    unsupported "opaque subscript (read of index array %s)" name
+  | Ast.Neg a -> Option.map (aff_scale (-1)) (affx st env a)
+  | Ast.Add (a, b) -> both a b (fun fa fb -> Some (aff_add fa fb))
+  | Ast.Sub (a, b) ->
+    both a b (fun fa fb -> Some (aff_add fa (aff_scale (-1) fb)))
+  | Ast.Mul (a, b) ->
+    both a b (fun fa fb ->
+        match (fa.at, fb.at) with
+        | [], _ -> Some (aff_scale fa.ac fb)
+        | _, [] -> Some (aff_scale fb.ac fa)
+        | _ -> None)
+  | Ast.Max (a, b) | Ast.Min (a, b) ->
+    both a b (fun fa fb ->
+        match (fa.at, fb.at) with
+        | [], [] ->
+          let f = match e with Ast.Max _ -> max | _ -> min in
+          Some { ac = f fa.ac fb.ac; at = [] }
+        | _ -> None)
+  | Ast.Ref _ -> None
 
 (* Emit the affine value into a register chain: one Muladd per extra
    term, the constant folded into the first instruction or appended. *)
@@ -326,38 +392,12 @@ let gen_affine st buf (a : aff) : rv =
       Reg d
     end
 
-(* The arena (or slab) address of [name] at the given subscripts.
-   [slabs] maps privatized arrays to their slab base; membership also
-   selects the slab-addressed load/store opcodes at the call sites. *)
-let addr_rv st buf env ~slabs name (subs : Ast.expr list) : rv =
-  let arr =
-    match Hashtbl.find_opt st.c_arrs name with
-    | Some a -> a
-    | None -> unsupported "array %s has no layout" name
-  in
-  if List.length subs <> List.length arr.a_dims then
-    unsupported "array %s used with inconsistent arity" name;
-  let base =
-    match slabs with
-    | Some tbl -> (
-      match Hashtbl.find_opt tbl name with
-      | Some slab_base -> slab_base
-      | None -> arr.a_base)
-    | None -> arr.a_base
-  in
-  let a =
-    List.fold_left2
-      (fun acc sub d ->
-        let f = affx st env sub in
-        aff_add acc
-          (aff_scale d.d_stride { f with ac = f.ac - d.d_lo }))
-      { ac = base; at = [] }
-      subs arr.a_dims
-  in
-  gen_affine st buf a
-
 let in_slab ~slabs name =
   match slabs with Some tbl -> Hashtbl.mem tbl name | None -> false
+
+(* Where an access lands: an arena (or slab) address, or a sparse table
+   keyed by the subscript registers. *)
+type place = Dense of rv | Sparse of int * int array
 
 let rec cexpr st buf env ~slabs (e : Ast.expr) : rv =
   let bin a b fold big imm_r =
@@ -439,16 +479,87 @@ let rec cexpr st buf env ~slabs (e : Ast.expr) : rv =
     bin a b min (fun d x y -> Minr (d, x, y)) (fun _ -> None)
   | Ast.Ref (name, subs) ->
     let slab = in_slab ~slabs name in
-    let addr = addr_rv st buf env ~slabs name subs in
+    let place = access st buf env ~slabs name subs in
     let d = fresh st in
-    (match addr with
-    | Imm a -> emit buf (if slab then LdSi (d, a) else Ldi (d, a))
-    | Reg r -> emit buf (if slab then LdS (d, r) else Ld (d, r)));
+    (match place with
+    | Dense (Imm a) -> emit buf (if slab then LdSi (d, a) else Ldi (d, a))
+    | Dense (Reg r) -> emit buf (if slab then LdS (d, r) else Ld (d, r))
+    | Sparse (id, key) -> emit buf (LdH (d, id, key)));
     Reg d
+
+(* A dense access's address, [slabs] mapping privatized arrays to their
+   slab base (membership also selects the slab-addressed opcodes at the
+   call sites).  Affine subscripts fold into one [Muladd] chain; any
+   other subscript is computed at run time and checked against its own
+   dimension's extent, so an unsound interval raises instead of landing
+   in a neighbouring array.  A sparse access keys its table by the
+   subscript values. *)
+and access st buf env ~slabs name (subs : Ast.expr list) : place =
+  match Hashtbl.find_opt st.c_sparse name with
+  | Some s ->
+    Sparse
+      ( s.s_id,
+        Array.of_list
+          (List.map
+             (fun sub -> materialize st buf (cexpr st buf env ~slabs sub))
+             subs) )
+  | None ->
+    let arr =
+      match Hashtbl.find_opt st.c_arrs name with
+      | Some a -> a
+      | None -> unsupported "array %s has no layout" name
+    in
+    if List.length subs <> List.length arr.a_dims then
+      unsupported "array %s used with inconsistent arity" name;
+    let base =
+      match slabs with
+      | Some tbl -> (
+        match Hashtbl.find_opt tbl name with
+        | Some slab_base -> slab_base
+        | None -> arr.a_base)
+      | None -> arr.a_base
+    in
+    let a =
+      List.fold_left2
+        (fun acc sub d ->
+          let f =
+            match affx st env sub with
+            | Some f -> f
+            | None ->
+              let r = materialize st buf (cexpr st buf env ~slabs sub) in
+              emit buf (Chk (r, d.d_lo, d.d_hi));
+              { ac = 0; at = [ (r, 1) ] }
+          in
+          aff_add acc (aff_scale d.d_stride { f with ac = f.ac - d.d_lo }))
+        { ac = base; at = [] }
+        subs arr.a_dims
+    in
+    Dense (gen_affine st buf a)
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation                                               *)
 (* ------------------------------------------------------------------ *)
+
+(* Does a loop body read or write a sparse array?  A plan loop whose
+   body does stays an ordinary serial loop: no two domains ever share a
+   hash table. *)
+let touches_sparse st body =
+  let rec ex (e : Ast.expr) =
+    match e with
+    | Ast.Int _ | Ast.Name _ -> false
+    | Ast.Neg a -> ex a
+    | Ast.Add (a, b) | Ast.Sub (a, b) | Ast.Mul (a, b)
+    | Ast.Max (a, b) | Ast.Min (a, b) ->
+      ex a || ex b
+    | Ast.Ref (name, subs) -> Hashtbl.mem st.c_sparse name || List.exists ex subs
+  in
+  let rec stmt (s : Ir.istmt) =
+    match s with
+    | Ir.IAssign { lhs = name, subs; rhs; _ } ->
+      Hashtbl.mem st.c_sparse name || List.exists ex subs || ex rhs
+    | Ir.IFor { lo; hi; body; _ } -> ex lo || ex hi || List.exists stmt body
+  in
+  List.exists stmt body
 
 let trip l h step =
   if step > 0 then if l > h then 0 else ((h - l) / step) + 1
@@ -461,17 +572,19 @@ let rec cstmt st buf env ~plan ~slabs (s : Ir.istmt) =
     let v = cexpr st buf env ~slabs rhs in
     let r = materialize st buf v in
     let slab = in_slab ~slabs name in
-    (match addr_rv st buf env ~slabs name subs with
-    | Imm a -> emit buf (if slab then StSi (a, r) else Sti (a, r))
-    | Reg ra -> emit buf (if slab then StS (ra, r) else St (ra, r)))
+    (match access st buf env ~slabs name subs with
+    | Dense (Imm a) -> emit buf (if slab then StSi (a, r) else Sti (a, r))
+    | Dense (Reg ra) -> emit buf (if slab then StS (ra, r) else St (ra, r))
+    | Sparse (id, key) -> emit buf (StH (id, key, r)))
   | Ir.IFor { node_id; var; lo; hi; step; body; _ } -> (
     match
       match plan with
       | Some pl -> List.assoc_opt node_id pl
       | None -> None
     with
-    | Some privs -> cregion st buf env node_id var lo hi step body privs
-    | None -> (
+    | Some privs when not (touches_sparse st body) ->
+      cregion st buf env node_id var lo hi step body privs
+    | _ -> (
       let lo_rv = cexpr st buf env ~slabs lo in
       let hi_rv = cexpr st buf env ~slabs hi in
       match (lo_rv, hi_rv) with
@@ -567,9 +680,18 @@ and cregion st buf env node_id var lo hi step body privs =
 let program ?plan (prog : Ir.program) ~syms : unit_ =
   let ext : extents = Hashtbl.create 16 in
   List.iter (scan_stmt ext syms []) prog.Ir.stmts;
-  let arrs, arena = layout_arrays ext in
+  let arrs, arena, sparse = layout_arrays ext in
+  let c_sparse = Hashtbl.create 4 in
+  Array.iter (fun s -> Hashtbl.replace c_sparse s.s_name s) sparse;
   let st =
-    { c_syms = syms; c_next = 0; c_arrs = arrs; c_regions = []; c_nregions = 0 }
+    {
+      c_syms = syms;
+      c_next = 0;
+      c_arrs = arrs;
+      c_sparse;
+      c_regions = [];
+      c_nregions = 0;
+    }
   in
   let buf = new_buf () in
   List.iter (cstmt st buf [] ~plan ~slabs:None) prog.Ir.stmts;
@@ -584,6 +706,7 @@ let program ?plan (prog : Ir.program) ~syms : unit_ =
     u_nregs = st.c_next;
     u_arena = arena;
     u_arrays = arrays;
+    u_sparse = sparse;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -625,6 +748,9 @@ let iter_cells (u : unit_) f =
 (* Disassembly                                                         *)
 (* ------------------------------------------------------------------ *)
 
+let regs key =
+  String.concat "," (Array.to_list (Array.map (Printf.sprintf "r%d") key))
+
 let instr_string = function
   | Li (d, n) -> Printf.sprintf "li    r%d, %d" d n
   | Mov (d, s) -> Printf.sprintf "mov   r%d, r%d" d s
@@ -644,6 +770,9 @@ let instr_string = function
   | LdSi (d, a) -> Printf.sprintf "lds   r%d, [%d]" d a
   | StS (a, s) -> Printf.sprintf "sts   [r%d], r%d" a s
   | StSi (a, s) -> Printf.sprintf "sts   [%d], r%d" a s
+  | Chk (r, lo, hi) -> Printf.sprintf "chk   r%d in %d:%d" r lo hi
+  | LdH (d, id, key) -> Printf.sprintf "ldh   r%d, #%d(%s)" d id (regs key)
+  | StH (id, key, s) -> Printf.sprintf "sth   #%d(%s), r%d" id (regs key) s
   | Bgt (a, b, t) -> Printf.sprintf "bgt   r%d, r%d, %d" a b t
   | Blt (a, b, t) -> Printf.sprintf "blt   r%d, r%d, %d" a b t
   | LoopUp (v, s, l, t) -> Printf.sprintf "loop+ r%d += %d <= r%d -> %d" v s l t
@@ -680,6 +809,12 @@ let disasm (u : unit_) : string =
                  (fun d -> Printf.sprintf "%d:%d/%d" d.d_lo d.d_hi d.d_stride)
                  a.a_dims))))
     u.u_arrays;
+  Array.iter
+    (fun s ->
+      Buffer.add_string b
+        (Printf.sprintf "array %s sparse #%d rank %d\n" s.s_name s.s_id
+           s.s_rank))
+    u.u_sparse;
   code "main" u.u_main;
   Array.iter
     (fun r ->

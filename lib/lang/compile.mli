@@ -1,16 +1,30 @@
 (** Bytecode compiler: petit programs lowered to a register machine over
     flat memory.
 
-    Every array (and scalar — a 0-dimensional array) is laid out in one
-    contiguous integer arena.  Extents come from interval analysis of
-    the actual accesses under the given symbolic-constant values, so the
-    arena is sized by what the program touches, not by the (routinely
-    exceeded) declared ranges.  Subscripts must be affine in the loop
-    variables; their addresses compile to strength-reduced [Muladd]
-    chains with every symbolic constant folded at compile time.  Loops
-    become counted back-edges; expression trees become three-address
-    code with constant folding.  Nothing on the hot path hashes, boxes
-    or allocates.
+    Every array (and scalar — a 0-dimensional array) whose accesses
+    interval analysis can bound is laid out in one contiguous integer
+    arena.  Extents come from the actual accesses under the given
+    symbolic-constant values, so the arena is sized by what the program
+    touches, not by the (routinely exceeded) declared ranges.  Affine
+    subscripts compile to strength-reduced [Muladd] chains with every
+    symbolic constant folded at compile time; any other subscript (a
+    product of loop variables, [max]/[min], a read of an index array or
+    a scalar) is computed at run time.  Loops become counted back-edges
+    — opaque bounds are evaluated at run time like any expression;
+    expression trees become three-address code with constant folding.
+
+    {b Dense or sparse} is decided per array from the program:
+    - an array stays {e dense} (in the arena) when the interval analysis
+      bounds every subscript of every access to it and the layout keeps
+      the arena within [1 lsl 28] cells.  A dense access through a
+      non-affine subscript is checked against that dimension's own
+      extent ({!constructor:Chk}), so an unsound interval raises; it
+      never writes a neighbouring array.  Overflow inside the interval
+      analysis makes the extent unknown, never a wrapped interval;
+    - any other array is {e sparse}: one hash table per array, keyed by
+      the subscript tuple ({!constructor:LdH}/{!constructor:StH}).  A
+      read of an absent cell returns the VM's [init] value and inserts
+      nothing — the interpreter's semantics.
 
     When a [plan] is supplied (doall loop node -> privatized arrays, as
     produced by [Xform.Exec.plan]), each plan loop reached outside any
@@ -22,9 +36,13 @@
     per-chunk scratch slab ([LdS]/[StS]).  How iterations are driven
     (serially or chunked over domains) is the VM driver's choice.
 
-    Programs using opaque (non-affine) subscripts or loop bounds — index
-    arrays, products of variables — raise {!Unsupported}; callers fall
-    back to the tracing interpreter. *)
+    A plan loop whose body reads or writes a sparse array is never made
+    a region: it compiles as an ordinary serial loop (plan loops nested
+    in it may still become regions), so no two domains ever share a
+    hash table and region bodies contain no sparse opcodes.
+
+    Every program whose symbols are all bound compiles; {!Unsupported}
+    remains only for an unbound name. *)
 
 exception Unsupported of string
 
@@ -53,6 +71,13 @@ type instr =
   | LdSi of int * int
   | StS of int * int  (** slab(rd) <- rs, marks the cell written *)
   | StSi of int * int
+  | Chk of int * int * int
+      (** raise [Invalid_argument] unless lo <= rs <= hi: the
+          per-dimension check of a dense run-time subscript *)
+  | LdH of int * int * int array
+      (** rd <- sparse table [id] at the key [(r1, ..., rk)]; an absent
+          cell reads as [init] *)
+  | StH of int * int array * int  (** sparse table [id] at the key <- rs *)
   | Bgt of int * int * int  (** if rs > rt then pc <- target *)
   | Blt of int * int * int
   | LoopUp of int * int * int * int
@@ -89,6 +114,12 @@ type arr = {
   a_size : int;  (** total cells *)
 }
 
+type sparse = {
+  s_id : int;  (** index of its table, the operand of [LdH]/[StH] *)
+  s_name : string;
+  s_rank : int;  (** key length *)
+}
+
 (** {1 Parallel regions} *)
 
 type priv_copy = {
@@ -118,7 +149,8 @@ type unit_ = {
   u_regions : region array;
   u_nregs : int;  (** register file size *)
   u_arena : int;  (** arena size in cells *)
-  u_arrays : arr list;
+  u_arrays : arr list;  (** the dense arrays *)
+  u_sparse : sparse array;  (** the sparse arrays, indexed by [s_id] *)
 }
 
 val program :
@@ -129,17 +161,17 @@ val program :
 (** Compile under the given symbolic-constant values (all symbols the
     program mentions must be bound).  [plan] maps doall loop node ids to
     the arrays their verdicts privatize.
-    @raise Unsupported on non-affine subscripts or bounds. *)
+    @raise Unsupported on an unbound name. *)
 
 (** {1 Addressing helpers} (for initialization and differential checks) *)
 
 val addr : unit_ -> string * int list -> int option
-(** Arena offset of a location, or [None] if the array is unknown, the
-    arity differs, or an index falls outside the computed extent. *)
+(** Arena offset of a location, or [None] if the array is not dense,
+    the arity differs, or an index falls outside the computed extent. *)
 
 val iter_cells : unit_ -> (string -> int list -> int -> unit) -> unit
 (** Enumerate every arena cell as [(array, index, offset)], in layout
-    order. *)
+    order.  Sparse arrays have no arena cells. *)
 
 val instr_string : instr -> string
 (** One instruction, rendered as in {!disasm}. *)

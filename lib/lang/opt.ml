@@ -1,8 +1,8 @@
 (* Bytecode optimizer: superinstruction fusion over compiled units (see
    opt.mli and DESIGN.md section 14).  The pass rewrites instructions
-   only — registers, regions and the arena layout never change, so an
-   optimized unit is differentially comparable (Vm.equal_state) with
-   the unit it came from. *)
+   only — registers, regions and the memory layout (arena and sparse
+   tables) never change, so an optimized unit is differentially
+   comparable (Vm.equal_state) with the unit it came from. *)
 
 open Compile
 
@@ -22,7 +22,7 @@ type report = { r_elided : int; r_fused : int; r_loopi : int }
 let reads_of (i : instr) : int list =
   match i with
   | Li _ | Ldi _ | LdSi _ | Region _ | Halt -> []
-  | Mov (_, s) | Addi (_, s, _) | Muli (_, s, _) -> [ s ]
+  | Mov (_, s) | Addi (_, s, _) | Muli (_, s, _) | Chk (s, _, _) -> [ s ]
   | Add (_, a, b) | Sub (_, a, b) | Mul (_, a, b) | Maxr (_, a, b)
   | Minr (_, a, b) ->
     [ a; b ]
@@ -30,6 +30,8 @@ let reads_of (i : instr) : int list =
   | Ld (_, a) | LdS (_, a) -> [ a ]
   | St (a, s) | StS (a, s) -> [ a; s ]
   | Sti (_, s) | StSi (_, s) -> [ s ]
+  | LdH (_, _, key) -> Array.to_list key
+  | StH (_, key, s) -> Array.to_list key @ [ s ]
   | Bgt (a, b, _) | Blt (a, b, _) -> [ a; b ]
   | LoopUp (v, _, lim, _) | LoopDown (v, _, lim, _) -> [ v; lim ]
   | LoopUpi (v, _, _, _) | LoopDowni (v, _, _, _) -> [ v ]
@@ -44,13 +46,13 @@ let writes_of (i : instr) : int list =
   | Li (d, _) | Mov (d, _) | Add (d, _, _) | Sub (d, _, _) | Mul (d, _, _)
   | Maxr (d, _, _) | Minr (d, _, _) | Addi (d, _, _) | Muli (d, _, _)
   | Muladd (d, _, _, _) | Ld (d, _) | Ldi (d, _) | LdS (d, _) | LdSi (d, _)
-  | MuladdLd (d, _, _, _) | AddiLd (d, _, _) ->
+  | MuladdLd (d, _, _, _) | AddiLd (d, _, _) | LdH (d, _, _) ->
     [ d ]
   | LoopUp (v, _, _, _) | LoopDown (v, _, _, _) | LoopUpi (v, _, _, _)
   | LoopDowni (v, _, _, _) ->
     [ v ]
   | St _ | Sti _ | StS _ | StSi _ | MuladdSt _ | AddiSt _ | AddSt _ | SubSt _
-  | MulSt _ | Bgt _ | Blt _ | Region _ | Halt ->
+  | MulSt _ | Chk _ | StH _ | Bgt _ | Blt _ | Region _ | Halt ->
     []
 
 let branch_target = function

@@ -36,8 +36,9 @@ val all_on : unit -> unit
     Kept only because [bench/e2e] calls it. *)
 
 val optimize : Compile.unit_ -> Compile.unit_ * report
-(** Apply superinstruction fusion.  Registers, regions and the arena
-    layout are untouched — only instructions change, so
+(** Apply superinstruction fusion.  Registers, regions and the memory
+    layout (arena and sparse tables) are untouched — only instructions
+    change, so
     [Vm.equal_state] remains valid between optimized and unoptimized
     runs of the same compile. *)
 

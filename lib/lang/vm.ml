@@ -3,12 +3,112 @@
    only bounds checks on the hot path are the arena accesses, and every
    arena opcode — plain or fused — keeps its check: a compiler or
    optimizer bug must surface as an exception, not a silent wild write.
-   Slab accesses appear only in parallel region bodies. *)
+   Slab accesses appear only in parallel region bodies.  Sparse arrays
+   live in one hash table each, keyed by the subscript tuple; they are
+   touched only by main code and serial loops, never from a chunk. *)
+
+(* One sparse array's cells: an open-addressing (linear probing) table
+   from subscript tuples of a fixed rank to values.  Each slot is
+   [rank + 2] consecutive ints — an occupied flag, the key, the value —
+   in one flat array, so a probe touches one cache line and a lookup or
+   a store allocates nothing.  A key is read as [src.(ks.(0)), ...,
+   src.(ks.(rank-1))]: the register file and an instruction's key
+   registers on the hot path, a plain tuple and [iota] elsewhere. *)
+module Cells = struct
+  type t = {
+    rank : int;
+    width : int;  (* rank + 2 *)
+    iota : int array;  (* [|0; ...; rank-1|] *)
+    mutable count : int;
+    mutable cap : int;  (* a power of two *)
+    mutable data : int array;  (* cap * width *)
+  }
+
+  let create rank =
+    let cap = 64 in
+    {
+      rank;
+      width = rank + 2;
+      iota = Array.init rank Fun.id;
+      count = 0;
+      cap;
+      data = Array.make (cap * (rank + 2)) 0;
+    }
+
+  let hash src ks =
+    let h = ref 0 in
+    for j = 0 to Array.length ks - 1 do
+      h := (!h lxor src.(ks.(j))) * 0x100000001b3
+    done;
+    let h = (!h lxor (!h lsr 32)) * 0x62a9d9ed799705f5 in
+    h lxor (h lsr 29)
+
+  (* The base of the slot holding the key, or of the free slot where it
+     belongs; the load factor stays at most 1/2, so a free slot always
+     exists. *)
+  let slot tb src ks =
+    let data = tb.data and w = tb.width and mask = tb.cap - 1 in
+    let rec same b j =
+      j = tb.rank || (data.(b + 1 + j) = src.(ks.(j)) && same b (j + 1))
+    in
+    let rec probe i =
+      let b = i * w in
+      if data.(b) = 0 || same b 0 then b else probe ((i + 1) land mask)
+    in
+    probe (hash src ks land mask)
+
+  let occupied tb b = tb.data.(b) <> 0
+  let value tb b = tb.data.(b + tb.width - 1)
+
+  let rec put tb src ks v =
+    let b = slot tb src ks in
+    let data = tb.data in
+    data.(b + tb.width - 1) <- v;
+    if data.(b) = 0 then begin
+      data.(b) <- 1;
+      for j = 0 to tb.rank - 1 do
+        data.(b + 1 + j) <- src.(ks.(j))
+      done;
+      tb.count <- tb.count + 1;
+      if 2 * tb.count > tb.cap then grow tb
+    end
+
+  (* re-insert every cell into a table twice the size; [ks] walks the
+     old key slots *)
+  and grow tb =
+    let old = tb.data and w = tb.width in
+    tb.cap <- 2 * tb.cap;
+    tb.data <- Array.make (tb.cap * w) 0;
+    tb.count <- 0;
+    let ks = Array.copy tb.iota in
+    for i = 0 to (Array.length old / w) - 1 do
+      let b = i * w in
+      if old.(b) <> 0 then begin
+        for j = 0 to tb.rank - 1 do
+          ks.(j) <- b + 1 + j
+        done;
+        put tb old ks old.(b + w - 1)
+      end
+    done
+
+  (* [f key v] for every cell; [key] is a fresh tuple *)
+  let iter f tb =
+    for i = 0 to tb.cap - 1 do
+      let b = i * tb.width in
+      if occupied tb b then f (Array.sub tb.data (b + 1) tb.rank) (value tb b)
+    done
+
+  let find tb (key : int array) =
+    let b = slot tb key tb.iota in
+    if occupied tb b then Some (value tb b) else None
+end
 
 type t = {
   u : Compile.unit_;
   t_arena : int array;
   t_regs : int array;
+  t_sparse : Cells.t array;  (* indexed by [s_id] *)
+  t_init : string -> int list -> int;  (* value of an absent sparse cell *)
 }
 
 let unit_ t = t.u
@@ -17,7 +117,29 @@ let arena t = t.t_arena
 let create ?(init = fun _ _ -> 0) (u : Compile.unit_) : t =
   let a = Array.make (max 1 u.Compile.u_arena) 0 in
   Compile.iter_cells u (fun name idx off -> a.(off) <- init name idx);
-  { u; t_arena = a; t_regs = Array.make (max 1 u.Compile.u_nregs) 0 }
+  {
+    u;
+    t_arena = a;
+    t_regs = Array.make (max 1 u.Compile.u_nregs) 0;
+    t_sparse =
+      Array.map (fun s -> Cells.create s.Compile.s_rank) u.Compile.u_sparse;
+    t_init = init;
+  }
+
+(* Sparse accesses.  The table index is bounds-checked like an arena
+   address; a read of an absent cell inserts nothing. *)
+let sparse_ld t regs id ks =
+  let tb = t.t_sparse.(id) in
+  let b = Cells.slot tb regs ks in
+  if Cells.occupied tb b then Cells.value tb b
+  else
+    t.t_init t.u.Compile.u_sparse.(id).Compile.s_name
+      (Array.fold_right (fun r acc -> regs.(r) :: acc) ks [])
+
+let sparse_st t regs id ks v = Cells.put t.t_sparse.(id) regs ks v
+
+let check_index x lo hi =
+  if x < lo || x > hi then invalid_arg "index out of bounds"
 
 let region_trip (r : Compile.region) ~lo ~hi =
   let step = r.Compile.rg_step in
@@ -90,6 +212,15 @@ let rec exec t regs slab written (code : Compile.instr array) on_region pc =
   | Compile.StSi (a, s) ->
     slab.(a) <- Array.unsafe_get regs s;
     Bytes.unsafe_set written a '\001';
+    exec t regs slab written code on_region (pc + 1)
+  | Compile.Chk (r, lo, hi) ->
+    check_index (Array.unsafe_get regs r) lo hi;
+    exec t regs slab written code on_region (pc + 1)
+  | Compile.LdH (d, id, ks) ->
+    Array.unsafe_set regs d (sparse_ld t regs id ks);
+    exec t regs slab written code on_region (pc + 1)
+  | Compile.StH (id, ks, s) ->
+    sparse_st t regs id ks (Array.unsafe_get regs s);
     exec t regs slab written code on_region (pc + 1)
   | Compile.Bgt (a, b, tgt) ->
     if Array.unsafe_get regs a > Array.unsafe_get regs b then
@@ -251,6 +382,15 @@ let run_count t : int =
     | Compile.MulSt (a, b, c) ->
       arena.(regs.(a)) <- regs.(b) * regs.(c);
       go code (pc + 1)
+    | Compile.Chk (r, lo, hi) ->
+      check_index regs.(r) lo hi;
+      go code (pc + 1)
+    | Compile.LdH (d, id, ks) ->
+      regs.(d) <- sparse_ld t regs id ks;
+      go code (pc + 1)
+    | Compile.StH (id, ks, s) ->
+      sparse_st t regs id ks regs.(s);
+      go code (pc + 1)
     | Compile.LdS _ | Compile.LdSi _ | Compile.StS _ | Compile.StSi _ ->
       invalid_arg "Vm.run_count: slab access outside a parallel chunk"
     | Compile.Bgt (a, b, tgt) ->
@@ -339,21 +479,43 @@ let merge_chunk t (r : Compile.region) (c : chunk) =
 
 type diff = (string * int list) * int option * int option
 
+let sparse_cells t =
+  Array.to_list t.u.Compile.u_sparse
+  |> List.concat_map (fun (s : Compile.sparse) ->
+         let cells = ref [] in
+         Cells.iter
+           (fun key v -> cells := ((s.Compile.s_name, Array.to_list key), v) :: !cells)
+           t.t_sparse.(s.Compile.s_id);
+         !cells)
+  |> List.sort compare
+
+let sparse_find t (name, idx) =
+  match
+    Array.find_opt (fun (s : Compile.sparse) -> s.Compile.s_name = name)
+      t.u.Compile.u_sparse
+  with
+  | Some s when List.length idx = s.Compile.s_rank ->
+    Cells.find t.t_sparse.(s.Compile.s_id) (Array.of_list idx)
+  | _ -> None
+
 let check_against ?(init = fun _ _ -> 0) t
     (mem : ((string * int list) * int) list) : diff list =
   let written = Hashtbl.create (List.length mem * 2) in
   List.iter (fun (loc, v) -> Hashtbl.replace written loc v) mem;
   let diffs = ref [] in
-  (* every interpreter-written location must match the arena *)
+  (* every interpreter-written location must match the arena or its
+     sparse cell *)
   List.iter
     (fun (loc, v) ->
       match Compile.addr t.u loc with
-      | None -> diffs := (loc, Some v, None) :: !diffs
+      | None ->
+        let got = sparse_find t loc in
+        if got <> Some v then diffs := (loc, Some v, got) :: !diffs
       | Some off ->
         if t.t_arena.(off) <> v then
           diffs := (loc, Some v, Some t.t_arena.(off)) :: !diffs)
     mem;
-  (* every cell the interpreter never wrote must still be initial *)
+  (* every arena cell the interpreter never wrote must still be initial *)
   Compile.iter_cells t.u (fun name idx off ->
       let loc = (name, idx) in
       if not (Hashtbl.mem written loc) then begin
@@ -361,9 +523,15 @@ let check_against ?(init = fun _ _ -> 0) t
         if t.t_arena.(off) <> v0 then
           diffs := (loc, Some v0, Some t.t_arena.(off)) :: !diffs
       end);
+  (* a sparse cell exists only where the program wrote, as in the
+     interpreter's store: one the interpreter never wrote is a diff *)
+  List.iter
+    (fun (loc, v) ->
+      if not (Hashtbl.mem written loc) then diffs := (loc, None, Some v) :: !diffs)
+    (sparse_cells t);
   List.rev !diffs
 
-let equal_state a b = a.t_arena = b.t_arena
+let equal_state a b = a.t_arena = b.t_arena && sparse_cells a = sparse_cells b
 
 let diff_string (diffs : diff list) =
   String.concat "; "

@@ -17,13 +17,20 @@
     so merging chunks in increasing iteration order reproduces
     sequential last-writer finalization.  Non-privatized arrays are read
     and written directly in the shared arena — sound because doall
-    legality leaves them no cross-iteration memory conflicts. *)
+    legality leaves them no cross-iteration memory conflicts.
+
+    Sparse arrays ({!Compile.sparse}) live in one open-addressing hash
+    table each, keyed by the subscript tuple.  A read of an absent cell
+    returns [init name idx] and inserts nothing; a write inserts.  Only
+    main code and serial loops touch them — the compiler never puts a
+    sparse access in a region body — so the tables need no locking. *)
 
 type t
 
 val create : ?init:(string -> int list -> int) -> Compile.unit_ -> t
-(** Fresh VM: arena cells filled from [init] (default all zero),
-    registers zeroed. *)
+(** Fresh VM: arena cells filled from [init] (default all zero), sparse
+    tables empty (their absent cells read as [init]), registers
+    zeroed. *)
 
 val unit_ : t -> Compile.unit_
 val arena : t -> int array
@@ -34,9 +41,10 @@ val run :
     evaluated bounds of each dynamic region entry; returning [true]
     means the callback executed the whole region (e.g. in parallel),
     [false] falls back to {!run_region_serial}.
-    @raise Invalid_argument on an arena access outside [[0, arena)]:
-    every arena opcode is bounds-checked, and the failing store leaves
-    the arena untouched. *)
+    @raise Invalid_argument on an arena access outside [[0, arena)], a
+    run-time subscript outside its dimension ([Chk]) or a sparse access
+    naming no table: every memory opcode is checked, and the failing
+    store leaves memory untouched. *)
 
 val run_count : t -> int
 (** Like {!run} with every region serial, returning the number of
@@ -82,14 +90,20 @@ val check_against :
   t ->
   ((string * int list) * int) list ->
   diff list
-(** Compare the VM's final arena with an interpreter run's final state
+(** Compare the VM's final memory with an interpreter run's final state
     (as produced by [Xform.Exec.run_serial]): every written location
-    must hold the same value, and every arena cell the interpreter
-    never wrote must still hold its [init] value.  Returns the
-    mismatches ([[]] = bit-identical). *)
+    must hold the same value in the arena or its sparse table, every
+    arena cell the interpreter never wrote must still hold its [init]
+    value, and no sparse cell may exist that the interpreter never
+    wrote (both stores insert on writes only).  Returns the mismatches
+    ([[]] = bit-identical). *)
 
 val equal_state : t -> t -> bool
-(** Arena equality between two VMs compiled from the same program and
-    symbols (the layout is plan-independent). *)
+(** Memory equality — the arena and every sparse table, cell for cell —
+    between two VMs compiled from the same program and symbols (the
+    layout is plan-independent). *)
+
+val sparse_cells : t -> ((string * int list) * int) list
+(** Every sparse cell the program wrote, with its value, sorted. *)
 
 val diff_string : diff list -> string

@@ -274,7 +274,8 @@ let run_parallel ?pool ?(chunks_per_worker = 4) ?(init = zero_init)
    through its [on_region] callback; we cut it into chunks claimed from
    the pool exactly as above.  Chunk slabs subsume the overlay stores:
    copy-in is an [Array.blit] prologue, finalization merges written
-   slab cells in chunk order.
+   slab cells in chunk order.  Sparse arrays never reach a chunk: the
+   compiler keeps every plan loop that touches one serial.
 
    [par_threshold] (satellite of the region-overhead pathology): a
    region whose static work estimate [trip * rg_cost] falls below the

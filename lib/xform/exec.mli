@@ -109,18 +109,21 @@ val run_parallel :
 
     The same execution model over bytecode and flat memory
     ({!Lang.Compile} / {!Lang.Vm}) instead of the interpreter and
-    overlay hashtables: no hashing, boxing or [loc] allocation on the
-    hot path.  Chunk slabs subsume the overlay stores — copy-in is a
-    blit prologue into the slab, finalization merges written slab cells
-    back in chunk order.  Programs with opaque (non-affine) subscripts
-    or bounds raise {!Lang.Compile.Unsupported}; fall back to the
-    interpreter paths above. *)
+    overlay hashtables: no boxing or [loc] allocation on the hot path.
+    Chunk slabs subsume the overlay stores — copy-in is a blit prologue
+    into the slab, finalization merges written slab cells back in chunk
+    order.  Every program compiles: subscripts the compiler cannot
+    bound (index arrays, scalars, opaque loop bounds) address a sparse
+    per-array table, and a plan loop touching one runs serially, so
+    regions and their chunks only ever see the arena and their slabs.
+    {!Lang.Compile.Unsupported} is left for an unbound symbol. *)
 
 val default_par_threshold : int
 
 val compile_plan : plan -> Ir.program -> syms:(string * int) list -> Compile.unit_
-(** Compile with the plan's doall loops as parallel regions.
-    @raise Lang.Compile.Unsupported on non-affine programs. *)
+(** Compile with the plan's doall loops as parallel regions (except
+    those whose bodies touch a sparse array, which stay serial).
+    @raise Lang.Compile.Unsupported on an unbound symbol. *)
 
 val run_serial_vm :
   ?init:(string -> int list -> int) ->

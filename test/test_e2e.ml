@@ -33,10 +33,10 @@ let gen_subscript ~vars =
     in
     return expr)
 
-let gen_stmt ~vars ~idx =
+let gen_stmt_with ~gen_sub ~vars ~idx =
   QCheck.Gen.(
-    let* wsub = gen_subscript ~vars in
-    let* rsub = gen_subscript ~vars in
+    let* wsub = gen_sub ~vars in
+    let* rsub = gen_sub ~vars in
     let* to_sink = bool in
     let label = Printf.sprintf "s%d" idx in
     if to_sink && vars <> [] then
@@ -59,8 +59,11 @@ let gen_stmt ~vars ~idx =
              pos = { Ast.line = 0; col = 0 };
            }))
 
-(* A random loop tree of depth <= 3 with 2-4 assignment statements. *)
-let gen_program : Ast.program QCheck.Gen.t =
+let gen_stmt ~vars ~idx = gen_stmt_with ~gen_sub:gen_subscript ~vars ~idx
+
+(* A random loop tree of depth <= 3 with 2-4 assignment statements;
+   [gen_hi] draws a loop's upper bound, [decls] adds declarations. *)
+let gen_program_with ~gen_stmt ~gen_hi ~decls : Ast.program QCheck.Gen.t =
   QCheck.Gen.(
     let pos = { Ast.line = 0; col = 0 } in
     let rec gen_body ~vars ~depth ~budget idx =
@@ -70,6 +73,7 @@ let gen_program : Ast.program QCheck.Gen.t =
         if make_loop then begin
           let v = Printf.sprintf "i%d" depth in
           let* lo = int_range 1 2 in
+          let* hi = gen_hi ~vars in
           let* body, idx' =
             gen_body ~vars:(vars @ [ v ]) ~depth:(depth + 1)
               ~budget:(budget - 1) idx
@@ -84,7 +88,7 @@ let gen_program : Ast.program QCheck.Gen.t =
                   {
                     var = v;
                     lo = Ast.Int lo;
-                    hi = Ast.Name "n";
+                    hi;
                     step = 1;
                     body;
                     pos;
@@ -121,12 +125,85 @@ let gen_program : Ast.program QCheck.Gen.t =
                   [ (Ast.Int (-60), Ast.Int 60); (Ast.Int (-60), Ast.Int 60) ]
                 );
               ];
-          ];
+          ]
+          @ decls;
         stmts;
       })
 
+let gen_program =
+  gen_program_with
+    ~gen_stmt
+    ~gen_hi:(fun ~vars:_ -> QCheck.Gen.return (Ast.Name "n"))
+    ~decls:[]
+
 let arb_program =
   QCheck.make ~print:Ast.program_to_string gen_program
+
+(* The opaque variant: the section 5 terms the analysis treats as
+   uninterpreted.  A subscript may also read the index array [q] or add
+   the scalar accumulator [k], or add a product of two loop variables;
+   a loop's upper bound may read [q]; a statement may bump [k].  [q] is
+   only read, so its cells keep the executors' [init] values, which sit
+   near 234 + index: a bound [q(e) - 232] stays a small trip count. *)
+let gen_opaque_subscript ~vars =
+  QCheck.Gen.(
+    let* base = gen_subscript ~vars in
+    let product =
+      match vars with
+      | [] -> []
+      | _ ->
+        [
+          ( 1,
+            let* v1 = oneofl vars in
+            let* v2 = oneofl vars in
+            return (Ast.Add (Ast.Mul (Ast.Name v1, Ast.Name v2), base)) );
+        ]
+    in
+    frequency
+      ([
+         (3, return base);
+         (1, return (Ast.Ref ("q", [ base ])));
+         (1, return (Ast.Add (Ast.Ref ("k", []), base)));
+       ]
+      @ product))
+
+let gen_opaque_stmt ~vars ~idx =
+  QCheck.Gen.(
+    let bump =
+      let* step =
+        match vars with
+        | [] -> return (Ast.Int 1)
+        | _ -> oneofl (Ast.Int 1 :: List.map (fun v -> Ast.Name v) vars)
+      in
+      return
+        (Ast.Assign
+           {
+             label = Some (Printf.sprintf "s%d" idx);
+             lhs = ("k", []);
+             rhs = Ast.Add (Ast.Ref ("k", []), step);
+             pos = { Ast.line = 0; col = 0 };
+           })
+    in
+    frequency
+      [ (4, gen_stmt_with ~gen_sub:gen_opaque_subscript ~vars ~idx); (1, bump) ])
+
+let gen_opaque_hi ~vars =
+  QCheck.Gen.(
+    let* opaque = bool in
+    if not opaque then return (Ast.Name "n")
+    else
+      let* sub =
+        match vars with
+        | [] -> map (fun c -> Ast.Int c) (int_range 1 2)
+        | _ -> map (fun v -> Ast.Name v) (oneofl vars)
+      in
+      return (Ast.Sub (Ast.Ref ("q", [ sub ]), Ast.Int 232)))
+
+(* [k] stays undeclared: Sema infers a scalar from its uses, and a
+   declared scalar would not print back re-parseably ([k[]]). *)
+let gen_opaque_program =
+  gen_program_with ~gen_stmt:gen_opaque_stmt ~gen_hi:gen_opaque_hi
+    ~decls:[ Ast.Array [ ("q", [ (Ast.Int (-60), Ast.Int 60) ]) ] ]
 
 (* ------------------------------------------------------------------ *)
 (* Checking                                                            *)

@@ -348,7 +348,7 @@ let test_bytecode_fusion () =
        (fun m -> List.mem m names)
        [ "mald"; "mast"; "aild"; "aist"; "addst"; "subst"; "mulst" ])
 
-(* Production-mode corpus differential: every compilable corpus kernel,
+(* Production-mode corpus differential: every corpus kernel,
    restructured and fused, ends with the interpreter's final memory. *)
 let test_optimized_corpus () =
   let total_fused = ref 0 and executed = ref 0 in
@@ -365,19 +365,16 @@ let test_optimized_corpus () =
         | exception Interp.Runtime_error _ -> ()
         | serial -> (
           let ast', _ = Xform.Restructure.optimize ast in
-          match Compile.program (Sema.analyze ast') ~syms with
-          | exception Compile.Unsupported _ -> ()
-          | u0 -> (
-            incr executed;
-            let u, rep = Opt.optimize u0 in
-            total_fused := !total_fused + rep.Opt.r_fused;
-            let t = Vm.create ~init u in
-            Vm.run t;
-            match Vm.check_against ~init t serial with
-            | [] -> ()
-            | diffs ->
-              Alcotest.failf "%s: optimized pipeline diverges: %s" name
-                (Vm.diff_string diffs)))))
+          incr executed;
+          let u, rep = Opt.optimize (Compile.program (Sema.analyze ast') ~syms) in
+          total_fused := !total_fused + rep.Opt.r_fused;
+          let t = Vm.create ~init u in
+          Vm.run t;
+          match Vm.check_against ~init t serial with
+          | [] -> ()
+          | diffs ->
+            Alcotest.failf "%s: optimized pipeline diverges: %s" name
+              (Vm.diff_string diffs))))
     Corpus.all;
   check bool_t "enough corpus kernels optimized" true (!executed >= 8);
   check bool_t "corpus-wide fusions happened" true (!total_fused > 0)
@@ -398,13 +395,11 @@ let prop_optimized (ast : Ast.program) : bool =
       let syms = [ ("n", nval) ] in
       match Xform.Exec.run_serial ~init prog ~syms with
       | exception Interp.Runtime_error _ -> true
-      | serial -> (
-        match Compile.program (Sema.analyze ast') ~syms with
-        | exception Compile.Unsupported _ -> true
-        | u ->
-          let t = Vm.create ~init (fst (Opt.optimize u)) in
-          Vm.run t;
-          Vm.check_against ~init t serial = []))
+      | serial ->
+        let u = Compile.program (Sema.analyze ast') ~syms in
+        let t = Vm.create ~init (fst (Opt.optimize u)) in
+        Vm.run t;
+        Vm.check_against ~init t serial = [])
     [ 4; 7 ]
 
 let qcheck_optimized =
