@@ -19,11 +19,6 @@ module Client = Serve.Client
 module Server = Serve.Server
 module Service = Serve.Service
 
-(* Budget telemetry renders itself to JSON text; lift it into a value
-   so it nests in an artifact without double encoding. *)
-let telemetry_json tj =
-  match Json.parse tj with Ok j -> j | Error _ -> Json.Str tj
-
 (* ------------------------------------------------------------------ *)
 (* Examples 1-6 (the section 4 box)                                    *)
 (* ------------------------------------------------------------------ *)
@@ -983,7 +978,7 @@ let robustness_suite ~out ~seeds () =
   in
   let rungs = [ ("default", Omega.Budget.default); ("tiny", tiny) ] in
   let sweep (rname, lims) =
-    Omega.Budget.Telemetry.reset ();
+    Omega.Metrics.reset ();
     let outcomes =
       Omega.Budget.with_limits lims (fun () ->
           List.filter_map
@@ -996,8 +991,9 @@ let robustness_suite ~out ~seeds () =
                 None)
             programs)
     in
-    Printf.printf "budget %-8s %s\n" rname (Omega.Budget.Telemetry.summary ());
-    (rname, outcomes, Omega.Budget.Telemetry.to_json ())
+    let m = Omega.Metrics.current () in
+    Printf.printf "budget %-8s %s\n" rname (Omega.Metrics.governance_summary m);
+    (rname, outcomes, Json.Obj (Service.governance_fields m))
   in
   let rung_rows = List.map sweep rungs in
   let clean =
@@ -1020,7 +1016,7 @@ let robustness_suite ~out ~seeds () =
     List.map
       (fun seed ->
         Analyses.set_fault_injection ~seed ~rate;
-        Omega.Budget.Telemetry.reset ();
+        Omega.Metrics.reset ();
         Fun.protect ~finally:Analyses.clear_fault_injection (fun () ->
             List.iter
               (fun (pname, src) ->
@@ -1036,10 +1032,7 @@ let robustness_suite ~out ~seeds () =
                         ("faulty", faulty) ("clean", cl))
                     (List.assoc_opt pname clean))
               programs;
-            let injected =
-              (Omega.Budget.Telemetry.current ())
-                .Omega.Budget.Telemetry.gave_up_injected
-            in
+            let injected = (Omega.Metrics.current ()).gave_up_injected in
             if injected = 0 then
               fail "seed %d: fault injection never fired" seed;
             (* degraded plans must still execute soundly *)
@@ -1067,9 +1060,10 @@ let robustness_suite ~out ~seeds () =
                   fail "%s (seed %d): degraded plan diverges from serial"
                     pname seed)
               [ "temp_reuse"; "copyin"; "kill_chain" ];
+            let m = Omega.Metrics.current () in
             Printf.printf "fault seed %-6d rate %.2f: %s\n" seed rate
-              (Omega.Budget.Telemetry.summary ());
-            (seed, injected, Omega.Budget.Telemetry.to_json ())))
+              (Omega.Metrics.governance_summary m);
+            (seed, injected, Json.Obj (Service.governance_fields m))))
       seeds
   in
   Analyses.Memo.reset ();
@@ -1090,7 +1084,7 @@ let robustness_suite ~out ~seeds () =
                   Json.Obj
                     [
                       ("budget", Json.Str rname);
-                      ("telemetry", telemetry_json tj);
+                      ("telemetry", tj);
                     ])
                 rung_rows) );
          ( "seeds",
@@ -1101,7 +1095,7 @@ let robustness_suite ~out ~seeds () =
                     [
                       ("seed", Json.Int seed);
                       ("injected", Json.Int injected);
-                      ("telemetry", telemetry_json tj);
+                      ("telemetry", tj);
                     ])
                 seed_rows) );
          ("violations", violations ());
@@ -1196,9 +1190,10 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
   let t_corpus = List.fold_left (fun acc m -> acc +. m.me_time) 0. measured in
   Printf.printf "%-20s %12.2f\n" "whole corpus" (ms t_corpus);
   (* solver counters for one corpus pass, reported for context *)
-  Omega.Tuning.Stats.reset ();
+  Omega.Metrics.reset ();
   corpus_pass ();
-  Printf.printf "\nsolver (corpus pass): %s\n" (Omega.Tuning.Stats.summary ());
+  Printf.printf "\nsolver (corpus pass): %s\n"
+    (Omega.Metrics.solver_summary (Omega.Metrics.current ()));
   (* --- decision portfolio: the tiered cascade (DESIGN.md section 12).
      Three gates in one sub-suite, all of which also run in smoke mode:
      (1) the cross-backend oracle replays every query an incomplete tier
@@ -1250,16 +1245,14 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
   (* (3) throughput and tier traffic *)
   let t_cascade = cascade corpus_time in
   let t_tier2 = tier2_only corpus_time in
-  Portfolio.Stats.reset ();
+  Omega.Metrics.reset ();
   cascade corpus_pass;
-  let tiers = Portfolio.Stats.current () in
-  let trate (r : Portfolio.Stats.row) =
-    if r.Portfolio.Stats.attempts = 0 then 0.
-    else
-      float_of_int r.Portfolio.Stats.decides
-      /. float_of_int r.Portfolio.Stats.attempts
+  let tiers = Omega.Metrics.current () in
+  let trate (r : Omega.Metrics.row) =
+    if r.attempts = 0 then 0.
+    else float_of_int r.decides /. float_of_int r.attempts
   in
-  let tier0_decide_fraction = trate tiers.Portfolio.Stats.screen in
+  let tier0_decide_fraction = trate tiers.screen in
   Printf.printf
     "\nportfolio: cascade corpus %8.1f ms vs tier-2-only %8.1f ms (%.2fx \
      speedup)\noracle: %d cross-backend checks, %d contradictions; payloads \
@@ -1270,15 +1263,15 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
     oracle_checks
     (List.length oracle_bad)
     payloads_identical
-    (Portfolio.Stats.summary ())
+    (Omega.Metrics.tiers_summary tiers)
     (100. *. tier0_decide_fraction);
-  let tier_json (r : Portfolio.Stats.row) =
+  let tier_json (r : Omega.Metrics.row) =
     Json.Obj
       [
-        ("attempts", Json.Int r.Portfolio.Stats.attempts);
-        ("decides", Json.Int r.Portfolio.Stats.decides);
+        ("attempts", Json.Int r.attempts);
+        ("decides", Json.Int r.decides);
         ("decide_rate", jf (trate r));
-        ("ms", jf (ms r.Portfolio.Stats.elapsed));
+        ("ms", jf (ms r.elapsed));
       ]
   in
   let portfolio_json =
@@ -1294,10 +1287,10 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
         ( "tiers",
           Json.Obj
             [
-              ("quick", tier_json tiers.Portfolio.Stats.quick);
-              ("screen", tier_json tiers.Portfolio.Stats.screen);
-              ("fast", tier_json tiers.Portfolio.Stats.fast);
-              ("complete", tier_json tiers.Portfolio.Stats.complete);
+              ("quick", tier_json tiers.quick);
+              ("screen", tier_json tiers.screen);
+              ("fast", tier_json tiers.fast);
+              ("complete", tier_json tiers.complete);
             ] );
       ]
   in
@@ -1328,14 +1321,6 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
       let (serial_out, serial_pairs), t_serial = pass () in
       Par.set_domains n;
       let (par_out, par_pairs), t_par = pass () in
-      (* per-domain memo traffic over one sharded corpus pass *)
-      Analyses.Memo.reset ();
-      under_budget (fun () ->
-          ignore
-            (Par.map_list
-               (fun s -> ignore (Driver.analyze s.as_prog))
-               subjects));
-      let by_domain = Analyses.Memo.domain_stats () in
       Par.set_domains 1;
       List.iter2
         (fun (name, o) (_, p) ->
@@ -1360,32 +1345,6 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
            time-slices and pays cross-domain GC sync, so the timing is \
            not meaningful here — the gate is identity, not speed)\n"
           cores n;
-      let memo_by_domain =
-        List.map
-          (fun (d, (m : Analyses.Memo.t)) ->
-            let tot = m.Analyses.Memo.hits + m.Analyses.Memo.misses in
-            let rate =
-              if tot = 0 then 0.
-              else float_of_int m.Analyses.Memo.hits /. float_of_int tot
-            in
-            Printf.printf
-              "  domain %d: %d memo hits, %d misses (%.0f%%); hits by tier: \
-               %d screen, %d fast, %d complete\n"
-              d m.Analyses.Memo.hits m.Analyses.Memo.misses (100. *. rate)
-              m.Analyses.Memo.hits_screen m.Analyses.Memo.hits_fast
-              m.Analyses.Memo.hits_complete;
-            Json.Obj
-              [
-                ("domain", Json.Int d);
-                ("hits", Json.Int m.Analyses.Memo.hits);
-                ("misses", Json.Int m.Analyses.Memo.misses);
-                ("hit_rate", jf rate);
-                ("hits_screen", Json.Int m.Analyses.Memo.hits_screen);
-                ("hits_fast", Json.Int m.Analyses.Memo.hits_fast);
-                ("hits_complete", Json.Int m.Analyses.Memo.hits_complete);
-              ])
-          by_domain
-      in
       [
         ("domains", Json.Int n);
         ("host_cores", Json.Int cores);
@@ -1393,7 +1352,6 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
         ("parallel_ms", jf (ms t_par));
         ("parallel_speedup", jf (ratio t_serial t_par));
         ("parallel_identical", Json.Bool parallel_identical);
-        ("memo_by_domain", Json.List memo_by_domain);
       ]
   in
   finish ~out

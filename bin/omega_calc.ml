@@ -64,14 +64,14 @@ let stats_arg =
 (* Run [f] with fresh solver counters; report them on stderr when asked,
    so golden stdout output is untouched. *)
 let with_stats stats f =
-  Tuning.Stats.reset ();
-  Portfolio.Stats.reset ();
+  Metrics.reset ();
   let r = f () in
   if stats then begin
-    Printf.eprintf "solver: %s\n" (Tuning.Stats.summary ());
+    let m = Metrics.current () in
+    Printf.eprintf "solver: %s\n" (Metrics.solver_summary m);
     Printf.eprintf "tiers (%s backend, attempts/decided): %s\n"
       (Portfolio.backend_to_string !Portfolio.backend)
-      (Portfolio.Stats.summary ())
+      (Metrics.tiers_summary m)
   end;
   r
 

@@ -105,7 +105,7 @@ let limits_of_spec (s : Serve.Protocol.budget_spec) =
   }
 
 let with_budget limits f =
-  Omega.Budget.Telemetry.reset ();
+  Omega.Metrics.reset ();
   Omega.Budget.with_limits limits f
 
 (* The whole-request wall deadline (distinct from the per-query budget
@@ -121,7 +121,8 @@ let with_wall deadline_ms f =
       f
 
 let print_governance () =
-  Printf.printf "governance: %s\n" (Omega.Budget.Telemetry.summary ())
+  Printf.printf "governance: %s\n"
+    (Omega.Metrics.governance_summary (Omega.Metrics.current ()))
 
 (* ------------------------------------------------------------------ *)
 (* Daemon client mode                                                  *)
@@ -268,9 +269,7 @@ let analyze_cmd =
     with_budget (limits_of_spec spec) @@ fun () ->
     with_wall deadline @@ fun () ->
     let prog = Lang.Sema.analyze (load file) in
-    Omega.Portfolio.Stats.reset ();
     Analyses.Memo.reset ();
-    Omega.Tuning.Stats.reset ();
     let result = Driver.analyze ~in_bounds prog in
     print_string "Live flow dependences:\n";
     print_string (Driver.render_flow_table (Driver.live_flows result));
@@ -287,9 +286,10 @@ let analyze_cmd =
     (* the section 4.5 / 4.7 claim, visible on every run: most kill, cover
        and refinement questions are settled by the cheap tiers without
        consulting the complete Omega test *)
+    let metrics = Omega.Metrics.current () in
     Printf.printf "\ntiers (%s backend, attempts/decided): %s\n"
       (Omega.Portfolio.backend_to_string !Omega.Portfolio.backend)
-      (Omega.Portfolio.Stats.summary ());
+      (Omega.Metrics.tiers_summary metrics);
     let m = Analyses.Memo.stats in
     Printf.printf
       "memo: %d distinct problems, %d cache hits (%.0f%% hit rate; by \
@@ -302,7 +302,7 @@ let analyze_cmd =
       m.Analyses.Memo.vec_misses
       (Analyses.Memo.size ()) !Analyses.Memo.capacity
       m.Analyses.Memo.evictions;
-    Printf.printf "solver: %s\n" (Omega.Tuning.Stats.summary ());
+    Printf.printf "solver: %s\n" (Omega.Metrics.solver_summary metrics);
     print_governance ()
   in
   Cmd.v

@@ -6,8 +6,8 @@
    existential side with the dark shadow, check the implication with
    gists), and only when both pass does the complete Presburger decision
    procedure run.  Per-tier accounting (attempts / decides / time) lives
-   in [Portfolio.Stats]; the driver's structural section-4.5 screens
-   count there too, as the [quick] row. *)
+   in the tier rows of [Metrics]; the driver's structural section-4.5
+   screens count there too, as the [quick] row. *)
 
 open Omega
 

@@ -7,9 +7,9 @@
     route (project the existential side with the dark shadow, check the
     implication with gists), and only when both pass does the complete
     Presburger decision procedure run.  Per-tier attempts / decides /
-    time are recorded in {!Omega.Portfolio.Stats} (merged across domains
-    by a {!Par} scope hook, so sharded analyses report the same totals
-    as serial ones). *)
+    time are recorded in {!Omega.Metrics} (merged across domains by
+    {!Par.map}, so sharded analyses report the same totals as serial
+    ones). *)
 
 open Omega
 

@@ -71,15 +71,15 @@ let cover_eliminates ~(cover_vectors : Dirvec.t list) (a : Ir.access)
   && Ir.common_loops w a <= Ir.common_loops a b
   && Ir.common_loops w b <= Ir.common_loops a b
 
-(* The section-4.5 structural screens count as the portfolio's [quick]
-   row: an attempt per consultation, a decide per short-circuit (a
-   solver query avoided).  [quick_screen hit] records both and returns
-   [hit] so call sites read as the screen predicate itself. *)
+(* The section-4.5 structural screens count as the [quick] tier row of
+   [Omega.Metrics]: an attempt per consultation, a decide per
+   short-circuit (a solver query avoided).  [quick_screen hit] records
+   both and returns [hit] so call sites read as the screen predicate
+   itself. *)
 let quick_screen hit =
-  let r = (Omega.Portfolio.Stats.current ()).Omega.Portfolio.Stats.quick in
-  r.Omega.Portfolio.Stats.attempts <- r.Omega.Portfolio.Stats.attempts + 1;
-  if hit then
-    r.Omega.Portfolio.Stats.decides <- r.Omega.Portfolio.Stats.decides + 1;
+  let r = (Omega.Metrics.current ()).Omega.Metrics.quick in
+  r.attempts <- r.attempts + 1;
+  if hit then r.decides <- r.decides + 1;
   hit
 
 let analyze ?(in_bounds = false) ?(quick = true) (prog : Ir.program) : result =

@@ -93,48 +93,6 @@ let locked f =
     Mutex.unlock lock;
     raise e
 
-(* Attribution of the shared cache's traffic.
-
-   [local]: per-domain verdict hit/miss counters a client may reset and
-   read around a request.  The petitd service reports per-request memo
-   traffic this way: a request's solver work runs entirely on one worker
-   domain, so the domain-local delta is exact even while other sessions
-   hammer the shared table.
-
-   [by_domain]: lifetime per-domain totals, bumped under the same lock
-   as the shared counters; `bench analysis` reports per-domain hit rates
-   from it. *)
-type local = { mutable l_hits : int; mutable l_misses : int }
-
-let local_key = Domain.DLS.new_key (fun () -> { l_hits = 0; l_misses = 0 })
-
-let local_reset () =
-  let l = Domain.DLS.get local_key in
-  l.l_hits <- 0;
-  l.l_misses <- 0
-
-let local_counts () =
-  let l = Domain.DLS.get local_key in
-  (l.l_hits, l.l_misses)
-
-let by_domain : (int, t) Hashtbl.t = Hashtbl.create 8
-
-let domain_slot () =
-  let id = (Domain.self () :> int) in
-  match Hashtbl.find_opt by_domain id with
-  | Some s -> s
-  | None ->
-    let s = make_t () in
-    Hashtbl.add by_domain id s;
-    s
-
-let domain_stats () =
-  locked (fun () ->
-      Hashtbl.fold
-        (fun id s acc -> (id, { s with evictions = stats.evictions }) :: acc)
-        by_domain []
-      |> List.sort (fun (a, _) (b, _) -> compare a b))
-
 (* The cache is bounded: beyond [capacity] entries the oldest keys are
    evicted first-in-first-out.  FIFO (rather than LRU) keeps hits O(1)
    with no bookkeeping on the hot path; corpus-shaped workloads re-ask a
@@ -157,8 +115,7 @@ let reset () =
       stats.hits_fast <- 0;
       stats.hits_complete <- 0;
       stats.vec_hits <- 0;
-      stats.vec_misses <- 0;
-      Hashtbl.reset by_domain)
+      stats.vec_misses <- 0)
 
 let hit_rate () =
   locked (fun () ->
@@ -198,41 +155,40 @@ let replayable verdict lims =
   | Budget.Proved | Budget.Disproved -> true
   | Budget.Gave_up _ -> Budget.le (Budget.current_limits ()) lims
 
+(* Besides the shared counters, every lookup counts a hit or a miss in
+   the calling domain's [Metrics] record (outside the lock: the record
+   is domain-local).  That is how a petitd request reports exactly its
+   own memo traffic while other sessions use the shared table. *)
 let find key =
-  let l = Domain.DLS.get local_key in
-  locked (fun () ->
-      let slot = domain_slot () in
-      match Hashtbl.find_opt table key with
-      | Some (Verdict (verdict, lims, tier)) when replayable verdict lims ->
-        stats.hits <- stats.hits + 1;
-        bump_tier stats tier;
-        slot.hits <- slot.hits + 1;
-        bump_tier slot tier;
-        l.l_hits <- l.l_hits + 1;
-        Some (verdict, tier)
-      | _ ->
-        stats.misses <- stats.misses + 1;
-        slot.misses <- slot.misses + 1;
-        l.l_misses <- l.l_misses + 1;
-        None)
+  let found =
+    locked (fun () ->
+        match Hashtbl.find_opt table key with
+        | Some (Verdict (verdict, lims, tier)) when replayable verdict lims ->
+          stats.hits <- stats.hits + 1;
+          bump_tier stats tier;
+          Some (verdict, tier)
+        | _ ->
+          stats.misses <- stats.misses + 1;
+          None)
+  in
+  let m = Metrics.current () in
+  (match found with
+  | Some _ -> m.memo_hits <- m.memo_hits + 1
+  | None -> m.memo_misses <- m.memo_misses + 1);
+  found
 
 (* A lookup counts as a hit only when the entry is of the kind the
    caller expects ([unwrap]); tags keep the kinds' keys apart anyway. *)
 let find_levels key unwrap =
   locked (fun () ->
-      let slot = domain_slot () in
       let found =
         match Hashtbl.find_opt table key with
         | Some (Levels r) -> unwrap r
         | Some (Verdict _) | None -> None
       in
       (match found with
-      | Some _ ->
-        stats.vec_hits <- stats.vec_hits + 1;
-        slot.vec_hits <- slot.vec_hits + 1
-      | None ->
-        stats.vec_misses <- stats.vec_misses + 1;
-        slot.vec_misses <- slot.vec_misses + 1);
+      | Some _ -> stats.vec_hits <- stats.vec_hits + 1
+      | None -> stats.vec_misses <- stats.vec_misses + 1);
       found)
 
 let per_level ~key ~wrap ~unwrap solve levels =

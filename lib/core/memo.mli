@@ -69,7 +69,8 @@ val hit_rate : unit -> float
 val find : string -> (Budget.verdict * Portfolio.tier option) option
 (** Replayable cached verdict under the current domain's
     {!Budget.current_limits}, with the tier that computed it; counts a
-    hit or a miss. *)
+    hit or a miss, both in {!stats} and in the calling domain's
+    {!Omega.Metrics} record ([memo_hits]/[memo_misses]). *)
 
 val add : string -> Budget.verdict -> Portfolio.tier option -> unit
 (** Record a verdict computed under the current domain's
@@ -99,20 +100,3 @@ val per_level :
     vector hit) and stored there when every level returned [Ok] (a
     vector miss).  When the cache is not {!active} or [levels] is
     empty, [key] is never forced and nothing is counted. *)
-
-(** {2 Traffic attribution} *)
-
-val local_reset : unit -> unit
-(** Zero the calling domain's private verdict hit/miss counters.  A
-    client whose solver work runs on one domain (a petitd request
-    dispatched to a worker) brackets it with [local_reset]/[local_counts]
-    to get an exact per-request memo report, unaffected by concurrent
-    sessions. *)
-
-val local_counts : unit -> int * int
-(** The calling domain's private verdict (hits, misses) since
-    {!local_reset}. *)
-
-val domain_stats : unit -> (int * t) list
-(** Lifetime cache traffic per domain id, sorted ([evictions] is global
-    and repeated in every row). *)

@@ -4,10 +4,13 @@
     of worker domains, keeping result order; the calling domain
     participates.  Verdicts are bit-identical to the serial run: each
     item's variables are minted by one domain in the same relative
-    order as serially, the shared {!Analyses.Memo} is keyed canonically,
-    and per-domain telemetry merges with a commutative combine.  Memo
-    hit/miss counts are the one quantity parallelism may change (two
-    domains racing a fresh key both compute the same verdict).
+    order as serially, and the shared {!Analyses.Memo} is keyed
+    canonically.  Each task runs under the submitter's budget limits
+    with a fresh {!Omega.Metrics} record, merged into the submitter's
+    record when the task ends, so sharded counters equal serial ones,
+    except where two domains race a fresh memo key: both compute the
+    same verdict, so the memo hit/miss counts and the solver work
+    behind the duplicated miss may differ run to run.
 
     Width defaults to 1, in which case {!map} is exactly [Array.map]
     with no pool and no scoping. *)
@@ -25,12 +28,3 @@ val map : ('a -> 'b) -> 'a array -> 'b array
     the batch drains. *)
 
 val map_list : ('a -> 'b) -> 'a list -> 'b list
-
-type wrap = { wrap : 'a. (unit -> 'a) -> 'a }
-
-val register_scope_hook : (unit -> wrap) -> unit
-(** Register a scope hook: called once per batch on the submitting
-    domain, the returned wrapper runs around each task on its executing
-    domain.  Used to ship ambient per-domain state (budgets, stats
-    counters) with the work; the Budget and Tuning hooks are built in,
-    {!Analyses} registers its own. *)

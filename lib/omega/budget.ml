@@ -28,15 +28,14 @@
    the parallel-fault soundness tests lean on.  Queries that supply no
    [fault_key] never fault.
 
-   All of this state — limits, the active meter, telemetry — lives in a
-   per-domain *world* (Domain.DLS), so any domain can run queries
-   without a lock.  Nested entries within one domain (e.g.
-   [Gist.implies] calling [Elim.project]) share the outermost query's
-   meter exactly as before.  Telemetry merges across domains with the
-   commutative [Telemetry.merge_into] at query-set boundaries (see
-   Depend.Par); the fault-injection configuration is an immutable
-   process-wide setting read by every domain (publish it before
-   spawning parallel work). *)
+   The limits and the active meter live in a per-domain *world*
+   (Domain.DLS), so any domain can run queries without a lock.  Nested
+   entries within one domain (e.g. [Gist.implies] calling
+   [Elim.project]) share the outermost query's meter.  Each outermost
+   query records its outcome (count, give-up reason, peaks, worst
+   query) in the domain's [Metrics] record.  The fault-injection
+   configuration is an immutable process-wide setting read by every
+   domain (publish it before spawning parallel work). *)
 
 type reason = Fuel | Splinters | Disjuncts | Deadline | Injected | Incomplete
 
@@ -129,72 +128,12 @@ let add_splinters m n =
   if m.m_splinters > m.m_limits.splinters then raise (Exhausted Splinters)
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry records                                                   *)
-(* ------------------------------------------------------------------ *)
-
-module Telemetry0 = struct
-  type t = {
-    mutable queries : int;
-    mutable gave_up_fuel : int;
-    mutable gave_up_splinters : int;
-    mutable gave_up_disjuncts : int;
-    mutable gave_up_deadline : int;
-    mutable gave_up_injected : int;
-    mutable gave_up_incomplete : int;
-    mutable peak_fuel : int;
-    mutable peak_splinters : int;
-    mutable worst_label : string;
-    mutable worst_fuel : int;
-  }
-
-  let make () =
-    {
-      queries = 0;
-      gave_up_fuel = 0;
-      gave_up_splinters = 0;
-      gave_up_disjuncts = 0;
-      gave_up_deadline = 0;
-      gave_up_injected = 0;
-      gave_up_incomplete = 0;
-      peak_fuel = 0;
-      peak_splinters = 0;
-      worst_label = "";
-      worst_fuel = 0;
-    }
-
-  (* The worst-query cell is a commutative, associative join — (higher
-     fuel, then lexicographically-least label) with ("", 0) as identity
-     — so folding per-domain records in any order gives one answer, and
-     the serial accumulation below agrees with any parallel merge. *)
-  let note_worst t ~fuel ~label =
-    if fuel > t.worst_fuel then begin
-      t.worst_fuel <- fuel;
-      t.worst_label <- label
-    end
-    else if fuel = t.worst_fuel && fuel > 0 && label < t.worst_label then
-      t.worst_label <- label
-
-  let merge_into dst src =
-    dst.queries <- dst.queries + src.queries;
-    dst.gave_up_fuel <- dst.gave_up_fuel + src.gave_up_fuel;
-    dst.gave_up_splinters <- dst.gave_up_splinters + src.gave_up_splinters;
-    dst.gave_up_disjuncts <- dst.gave_up_disjuncts + src.gave_up_disjuncts;
-    dst.gave_up_deadline <- dst.gave_up_deadline + src.gave_up_deadline;
-    dst.gave_up_injected <- dst.gave_up_injected + src.gave_up_injected;
-    dst.gave_up_incomplete <- dst.gave_up_incomplete + src.gave_up_incomplete;
-    dst.peak_fuel <- max dst.peak_fuel src.peak_fuel;
-    dst.peak_splinters <- max dst.peak_splinters src.peak_splinters;
-    note_worst dst ~fuel:src.worst_fuel ~label:src.worst_label
-end
-
-(* ------------------------------------------------------------------ *)
 (* The per-domain world                                                *)
 (* ------------------------------------------------------------------ *)
 
 type world = {
   mutable w_limits : limits;
   mutable w_active : meter option;
-  mutable w_stats : Telemetry0.t;
   mutable w_wall_deadline : float option;
       (* absolute request-level deadline, folded into every meter *)
 }
@@ -204,7 +143,6 @@ let world_key =
       {
         w_limits = default;
         w_active = None;
-        w_stats = Telemetry0.make ();
         w_wall_deadline = None;
       })
 
@@ -297,91 +235,31 @@ let draw_fault fault_key =
   | Some f -> ( match fault_key with None -> false | Some k -> keyed_fault f (k ()))
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry (of the current world)                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Telemetry = struct
-  include Telemetry0
-
-  let current () = (world ()).w_stats
-  let reset () = (world ()).w_stats <- make ()
-
-  (* Swap in a fresh record and return the previous one: the scoping
-     primitive Depend.Par uses to give each parallel task its own
-     telemetry before merging it back. *)
-  let exchange fresh =
-    let w = world () in
-    let old = w.w_stats in
-    w.w_stats <- fresh;
-    old
-
-  let record_gave_up t = function
-    | Fuel -> t.gave_up_fuel <- t.gave_up_fuel + 1
-    | Splinters -> t.gave_up_splinters <- t.gave_up_splinters + 1
-    | Disjuncts -> t.gave_up_disjuncts <- t.gave_up_disjuncts + 1
-    | Deadline -> t.gave_up_deadline <- t.gave_up_deadline + 1
-    | Injected -> t.gave_up_injected <- t.gave_up_injected + 1
-    | Incomplete -> t.gave_up_incomplete <- t.gave_up_incomplete + 1
-
-  let total_of t =
-    t.gave_up_fuel + t.gave_up_splinters + t.gave_up_disjuncts
-    + t.gave_up_deadline + t.gave_up_injected + t.gave_up_incomplete
-
-  let gave_up_total () = total_of (current ())
-
-  let summary () =
-    let stats = current () in
-    Printf.sprintf
-      "%d solver queries, %d gave up (fuel %d, splinters %d, disjuncts %d, \
-       deadline %d, injected %d, incomplete %d); peak fuel %d, peak \
-       splinters %d%s"
-      stats.queries (total_of stats) stats.gave_up_fuel stats.gave_up_splinters
-      stats.gave_up_disjuncts stats.gave_up_deadline stats.gave_up_injected
-      stats.gave_up_incomplete stats.peak_fuel stats.peak_splinters
-      (if stats.worst_label = "" then ""
-       else
-         Printf.sprintf "; worst query %s (fuel %d)" stats.worst_label
-           stats.worst_fuel)
-
-  let to_json () =
-    let stats = current () in
-    Printf.sprintf
-      "{ \"queries\": %d, \"gave_up\": { \"fuel\": %d, \"splinters\": %d, \
-       \"disjuncts\": %d, \"deadline\": %d, \"injected\": %d, \
-       \"incomplete\": %d }, \"peak_fuel\": %d, \"peak_splinters\": %d, \
-       \"worst_query\": \"%s\", \"worst_fuel\": %d }"
-      stats.queries stats.gave_up_fuel stats.gave_up_splinters
-      stats.gave_up_disjuncts stats.gave_up_deadline stats.gave_up_injected
-      stats.gave_up_incomplete stats.peak_fuel stats.peak_splinters
-      (String.escaped stats.worst_label) stats.worst_fuel
-end
-
-(* ------------------------------------------------------------------ *)
 (* Scoped worlds (parallel tasks)                                      *)
 (* ------------------------------------------------------------------ *)
 
 let scoped ~limits f =
   let w = world () in
   let saved_limits = w.w_limits and saved_active = w.w_active in
-  let saved_stats = Telemetry.exchange (Telemetry0.make ()) in
   w.w_limits <- limits;
   w.w_active <- None;
-  let restore () =
-    let mine = w.w_stats in
-    w.w_limits <- saved_limits;
-    w.w_active <- saved_active;
-    w.w_stats <- saved_stats;
-    mine
-  in
-  match f () with
-  | v -> (v, restore ())
-  | exception e ->
-    ignore (restore ());
-    raise e
+  Fun.protect
+    ~finally:(fun () ->
+      w.w_limits <- saved_limits;
+      w.w_active <- saved_active)
+    f
 
 (* ------------------------------------------------------------------ *)
 (* Query boundaries                                                    *)
 (* ------------------------------------------------------------------ *)
+
+let record_gave_up (t : Metrics.t) = function
+  | Fuel -> t.gave_up_fuel <- t.gave_up_fuel + 1
+  | Splinters -> t.gave_up_splinters <- t.gave_up_splinters + 1
+  | Disjuncts -> t.gave_up_disjuncts <- t.gave_up_disjuncts + 1
+  | Deadline -> t.gave_up_deadline <- t.gave_up_deadline + 1
+  | Injected -> t.gave_up_injected <- t.gave_up_injected + 1
+  | Incomplete -> t.gave_up_incomplete <- t.gave_up_incomplete + 1
 
 let run ?(label = "query") ?fault_key (f : unit -> 'a) : ('a, reason) result =
   let w = world () in
@@ -390,10 +268,10 @@ let run ?(label = "query") ?fault_key (f : unit -> 'a) : ('a, reason) result =
      just structure the outcome *)
   | Some _ -> ( try Ok (f ()) with Exhausted r -> Error r)
   | None ->
-    let t = w.w_stats in
-    t.Telemetry0.queries <- t.Telemetry0.queries + 1;
+    let t = Metrics.current () in
+    t.queries <- t.queries + 1;
     if draw_fault fault_key then begin
-      Telemetry.record_gave_up t Injected;
+      record_gave_up t Injected;
       Error Injected
     end
     else begin
@@ -401,11 +279,10 @@ let run ?(label = "query") ?fault_key (f : unit -> 'a) : ('a, reason) result =
       w.w_active <- Some m;
       let finish () =
         w.w_active <- None;
-        if m.m_fuel > t.Telemetry0.peak_fuel then
-          t.Telemetry0.peak_fuel <- m.m_fuel;
-        if m.m_splinters > t.Telemetry0.peak_splinters then
-          t.Telemetry0.peak_splinters <- m.m_splinters;
-        Telemetry0.note_worst t ~fuel:m.m_fuel ~label
+        if m.m_fuel > t.peak_fuel then t.peak_fuel <- m.m_fuel;
+        if m.m_splinters > t.peak_splinters then
+          t.peak_splinters <- m.m_splinters;
+        Metrics.note_worst t ~fuel:m.m_fuel ~label
       in
       match f () with
       | v ->
@@ -413,7 +290,7 @@ let run ?(label = "query") ?fault_key (f : unit -> 'a) : ('a, reason) result =
         Ok v
       | exception Exhausted r ->
         finish ();
-        Telemetry.record_gave_up t r;
+        record_gave_up t r;
         Error r
       | exception e ->
         finish ();
@@ -425,3 +302,9 @@ let decide ?label ?fault_key (f : unit -> bool) : verdict =
   | Ok true -> Proved
   | Ok false -> Disproved
   | Error r -> Gave_up r
+
+module Telemetry = struct
+  include Metrics
+
+  let gave_up_total () = gave_up (current ())
+end

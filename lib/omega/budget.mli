@@ -17,14 +17,13 @@
     tightening can only turn [Proved]/[Disproved] into [Gave_up], never
     flip them.
 
-    Limits, the meter and telemetry live in a {e per-domain world}
-    (Domain.DLS): every domain can run queries concurrently without a
-    lock, and nested entries within one domain share the outermost
-    query's meter.  Per-domain telemetry merges deterministically with
-    {!Telemetry.merge_into} ({!Depend.Par} does this at every
-    query-set boundary).  Note that systhreads share their domain's
-    world — petitd session threads must ship solver work to worker
-    domains rather than run it in place. *)
+    Limits and the meter live in a {e per-domain world} (Domain.DLS):
+    every domain can run queries concurrently without a lock, and nested
+    entries within one domain share the outermost query's meter.  Each
+    outermost query records its outcome in the domain's {!Metrics}
+    record.  Note that systhreads share their domain's world — petitd
+    session threads must ship solver work to worker domains rather than
+    run it in place. *)
 
 type reason = Fuel | Splinters | Disjuncts | Deadline | Injected | Incomplete
 (** [Incomplete]: the query ran only incomplete tiers (a hand-built
@@ -104,8 +103,9 @@ val run :
   ('a, reason) result
 (** Run [f] as one governed query: counts it, draws a fault when
     injection is active and [fault_key] is given, meters the work, and
-    maps {!Exhausted} to [Error].  Nested inside another [run] it shares
-    the outer meter and adds no telemetry.
+    maps {!Exhausted} to [Error].  The outcome is recorded in the
+    current domain's {!Metrics}.  Nested inside another [run] it shares
+    the outer meter and records nothing.
 
     [fault_key] (forced only while injection is active) must identify
     the query by {e content} — e.g. a canonical serialization of the
@@ -128,57 +128,22 @@ val set_fault_injection : seed:int -> rate:float -> unit
 val clear_fault_injection : unit -> unit
 val fault_injection_active : unit -> bool
 
-(** {1 Telemetry} *)
-
-module Telemetry : sig
-  type t = {
-    mutable queries : int;
-    mutable gave_up_fuel : int;
-    mutable gave_up_splinters : int;
-    mutable gave_up_disjuncts : int;
-    mutable gave_up_deadline : int;
-    mutable gave_up_injected : int;
-    mutable gave_up_incomplete : int;
-    mutable peak_fuel : int;
-    mutable peak_splinters : int;
-    mutable worst_label : string;
-    mutable worst_fuel : int;
-  }
-
-  val make : unit -> t
-  (** A fresh all-zero record. *)
-
-  val current : unit -> t
-  (** The current domain's telemetry record. *)
-
-  val reset : unit -> unit
-  (** Replace the current domain's record with a fresh one. *)
-
-  val exchange : t -> t
-  (** Swap the current domain's record for the given one and return the
-      previous record (the scoping primitive behind [Depend.Par]). *)
-
-  val merge_into : t -> t -> unit
-  (** [merge_into dst src]: fold [src] into [dst].  Counters add, peaks
-      max, and the worst-query cell joins by (higher fuel, then least
-      label) — a commutative, associative combine, so per-domain records
-      merge to the same totals in any order. *)
-
-  val total_of : t -> int
-  val gave_up_total : unit -> int
-
-  val summary : unit -> string
-  (** One human-readable line for CLI output (current domain). *)
-
-  val to_json : unit -> string
-end
-
 (** {1 Scoped worlds (parallel tasks)} *)
 
-val scoped : limits:limits -> (unit -> 'a) -> 'a * Telemetry.t
-(** Run [f] under the given limits with a fresh meter slot and a fresh
-    telemetry record, restoring the previous world state afterwards;
-    returns [f]'s result and the telemetry the scope accumulated.  This
-    is how a parallel task adopts its submitter's budget on whatever
-    domain it lands on, and how its telemetry is harvested for the
-    deterministic merge. *)
+val scoped : limits:limits -> (unit -> 'a) -> 'a
+(** Run [f] under the given limits with a fresh meter slot, restoring
+    the previous limits and meter afterwards.  This is how a parallel
+    task adopts its submitter's budget on whatever domain it lands on. *)
+
+(** {1 Legacy name} *)
+
+(** {!Metrics} under its old name, with [gave_up_total] for the current
+    domain.  Kept only because the end-to-end benchmark harness
+    (bench/e2e) still reads it; everything else uses {!Metrics}. *)
+module Telemetry : sig
+  include module type of struct
+    include Metrics
+  end
+
+  val gave_up_total : unit -> int
+end

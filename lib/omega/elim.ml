@@ -294,12 +294,12 @@ let make_splinters v p lows ups =
     lows
 
 let fm_eliminate p v : fm_result =
-  let s = Tuning.Stats.current () in
-  s.Tuning.Stats.fm_eliminations <- s.Tuning.Stats.fm_eliminations + 1;
+  let s = Metrics.current () in
+  s.Metrics.fm_eliminations <- s.fm_eliminations + 1;
   let lows, ups, others = bounds_on p v in
   match lows, ups with
   | [], _ | _, [] ->
-    s.Tuning.Stats.fm_exact <- s.Tuning.Stats.fm_exact + 1;
+    s.fm_exact <- s.fm_exact + 1;
     Eliminated (Problem.of_list others)
   | _ ->
     (* the cross product multiplies the inequality count only when both
@@ -312,11 +312,11 @@ let fm_eliminate p v : fm_result =
       p
     in
     if fm_exact lows ups then begin
-      s.Tuning.Stats.fm_exact <- s.Tuning.Stats.fm_exact + 1;
+      s.fm_exact <- s.fm_exact + 1;
       Eliminated (grown (fm_combine ~dark:true lows ups others))
     end
     else begin
-      s.Tuning.Stats.fm_split <- s.Tuning.Stats.fm_split + 1;
+      s.fm_split <- s.fm_split + 1;
       let dark = grown (fm_combine ~dark:true lows ups others) in
       let real = grown (fm_combine ~dark:false lows ups others) in
       Split { dark; real; splinters = make_splinters v p lows ups }

@@ -4,8 +4,8 @@
    returning a [Screen.answer], the first definite answer wins, and the
    whole run sits inside a [Budget] query boundary so resource blowups
    and incomplete-plan give-ups surface as structured verdicts.  The
-   per-tier accounting lives in a per-domain record like the other hot
-   counters (Budget.Telemetry, Tuning.Stats). *)
+   per-tier accounting goes to the tier rows of the domain's [Metrics]
+   record. *)
 
 type backend = Omega | Cascade
 
@@ -28,60 +28,12 @@ let tier_of_string = function
   | "complete" -> Some Tier_complete
   | _ -> None
 
-module Stats = struct
-  type row = {
-    mutable attempts : int;
-    mutable decides : int;
-    mutable elapsed : float;
-  }
+module Stats = Metrics
 
-  type t = { quick : row; screen : row; fast : row; complete : row }
-
-  let make_row () = { attempts = 0; decides = 0; elapsed = 0. }
-
-  let make () =
-    {
-      quick = make_row ();
-      screen = make_row ();
-      fast = make_row ();
-      complete = make_row ();
-    }
-
-  let key = Domain.DLS.new_key make
-  let current () = Domain.DLS.get key
-  let reset () = Domain.DLS.set key (make ())
-
-  let exchange fresh =
-    let old = current () in
-    Domain.DLS.set key fresh;
-    old
-
-  let merge_row dst src =
-    dst.attempts <- dst.attempts + src.attempts;
-    dst.decides <- dst.decides + src.decides;
-    dst.elapsed <- dst.elapsed +. src.elapsed
-
-  let merge_into dst src =
-    merge_row dst.quick src.quick;
-    merge_row dst.screen src.screen;
-    merge_row dst.fast src.fast;
-    merge_row dst.complete src.complete
-
-  let row_of t = function
-    | Tier_screen -> t.screen
-    | Tier_fast -> t.fast
-    | Tier_complete -> t.complete
-
-  let summary () =
-    let s = current () in
-    let tier name r =
-      Printf.sprintf "%s %d/%d (%.1fms)" name r.attempts r.decides
-        (r.elapsed *. 1000.)
-    in
-    Printf.sprintf "quick %d/%d, %s, %s, %s" s.quick.attempts s.quick.decides
-      (tier "screen" s.screen) (tier "fast" s.fast)
-      (tier "complete" s.complete)
-end
+let row_of (m : Metrics.t) = function
+  | Tier_screen -> m.screen
+  | Tier_fast -> m.fast
+  | Tier_complete -> m.complete
 
 module Oracle = struct
   type divergence = { label : string; tier : tier; got : bool; want : bool }
@@ -133,29 +85,27 @@ let plan ?screen ?fast ~complete () =
   | Omega -> upper
   | Cascade -> maybe Tier_screen screen upper
 
-let timed row f =
-  row.Stats.attempts <- row.Stats.attempts + 1;
+let timed (row : Metrics.row) f =
+  row.attempts <- row.attempts + 1;
   let t0 = Unix.gettimeofday () in
   Fun.protect
-    ~finally:(fun () ->
-      row.Stats.elapsed <-
-        row.Stats.elapsed +. (Unix.gettimeofday () -. t0))
+    ~finally:(fun () -> row.elapsed <- row.elapsed +. (Unix.gettimeofday () -. t0))
     f
 
 let decide ?label ?fault_key tiers =
   let decided = ref None in
   let result =
     Budget.run ?label ?fault_key (fun () ->
-        let stats = Stats.current () in
+        let stats = Metrics.current () in
         let rec go = function
           | [] -> raise (Budget.Exhausted Budget.Incomplete)
           | (tier, f) :: rest -> (
-              let row = Stats.row_of stats tier in
+              let row = row_of stats tier in
               match timed row f with
               | Screen.Unknown -> go rest
               | answer ->
                   let v = answer = Screen.Proved in
-                  row.Stats.decides <- row.Stats.decides + 1;
+                  row.decides <- row.decides + 1;
                   decided := Some tier;
                   (if tier <> Tier_complete && Oracle.active () then
                      match
@@ -163,7 +113,7 @@ let decide ?label ?fault_key tiers =
                      with
                      | Some (_, comp) ->
                          let want =
-                           match timed (Stats.row_of stats Tier_complete) comp
+                           match timed (row_of stats Tier_complete) comp
                            with
                            | Screen.Proved -> true
                            | Screen.Disproved -> false

@@ -32,41 +32,10 @@ val tier_to_string : tier -> string
 
 val tier_of_string : string -> tier option
 
-(** Per-domain tier telemetry, following the [Tuning.Stats] world
-    discipline: hot-path increments are plain stores on the current
-    domain's record; parallel scopes exchange in a fresh record and
-    merge it back ({!Depend.Par}). *)
-module Stats : sig
-  type row = {
-    mutable attempts : int;  (** times the tier was consulted *)
-    mutable decides : int;  (** times it returned a definite answer *)
-    mutable elapsed : float;  (** seconds spent inside the tier *)
-  }
-
-  type t = {
-    quick : row;
-        (** the driver's structural section-4.5 screens — consulted
-            before any solver query is even built *)
-    screen : row;  (** tier 0: the incomplete {!Screen} backend *)
-    fast : row;  (** tier 1: dark-shadow implication fast path *)
-    complete : row;  (** tier 2: complete Presburger procedure *)
-  }
-
-  val make : unit -> t
-  val current : unit -> t
-  val reset : unit -> unit
-
-  val exchange : t -> t
-  (** Swap the current domain's record, returning the previous one. *)
-
-  val merge_into : t -> t -> unit
-  (** Fold [src] into [dst] (all sums — commutative). *)
-
-  val row_of : t -> tier -> row
-
-  val summary : unit -> string
-  (** One human-readable per-tier breakdown line (current domain). *)
-end
+(** {!Metrics} under its old name.  Kept only because the end-to-end
+    benchmark harness (bench/e2e) still reads [Portfolio.Stats];
+    everything else uses {!Metrics}. *)
+module Stats = Metrics
 
 (** Cross-backend differential oracle.  While enabled, every query an
     incomplete tier decides is replayed through the complete tier of the
@@ -110,5 +79,6 @@ val decide :
   Budget.verdict * tier option
 (** Run the tiers in order inside a {!Budget} query boundary, returning
     the verdict and the tier that decided ([None] for [Gave_up]).  Tier
-    attempts/decides/elapsed are recorded in {!Stats}; an exhausted plan
+    attempts/decides/elapsed are recorded in the current domain's
+    {!Metrics} rows; an exhausted plan
     raises — and the boundary catches — [Exhausted Incomplete]. *)

@@ -8,10 +8,11 @@
    domains; sessions landing on distinct workers analyze in parallel.
    Session threads themselves never run solver work: they are systhreads
    sharing the main domain's storage, where in-place solving would race.
-   The verdict memo is the one deliberately shared piece: mutex-guarded,
-   warm across requests and clients, with per-domain hit/miss counters
-   so each response reports exactly how much of the cache this request
-   hit, unpolluted by concurrent sessions. *)
+   The verdict memo is the one deliberately shared piece: mutex-guarded
+   and warm across requests and clients.  Each lookup also counts in the
+   worker domain's [Metrics] record, so each response reports exactly
+   how much of the cache this request hit, unpolluted by concurrent
+   sessions. *)
 
 open Omega
 module D = Depend
@@ -41,9 +42,10 @@ type t = {
   started : float;  (* Unix.gettimeofday at create, for uptime *)
   stats_lock : Mutex.t;
   stats : stats;
-  (* lifetime portfolio-tier totals across every request, merged from
-     each request's domain-local record under [stats_lock] *)
-  tiers : Portfolio.Stats.t;
+  (* lifetime solver counters across every request, merged from each
+     request's domain-local record under [stats_lock]; the tier rows
+     are served *)
+  lifetime : Metrics.t;
 }
 
 let create ?memo_capacity ?(quota = Budget.default) ?(domains = 1)
@@ -74,7 +76,7 @@ let create ?memo_capacity ?(quota = Budget.default) ?(domains = 1)
         s_reaped = 0;
         s_deadline_refused = 0;
       };
-    tiers = Portfolio.Stats.make ();
+    lifetime = Metrics.make ();
   }
 
 let quota t = t.quota
@@ -219,45 +221,44 @@ let parallelize_payload ~in_bounds (prog : Lang.Ir.program) =
       ("annotated", Json.Str (Xform.Emit.annotate g vs));
     ]
 
-let tier_row (r : Portfolio.Stats.row) =
+let tier_row (r : Metrics.row) =
   Json.Obj
     [
-      ("attempts", Json.Int r.Portfolio.Stats.attempts);
-      ("decides", Json.Int r.Portfolio.Stats.decides);
-      ("ms", Json.Float (r.Portfolio.Stats.elapsed *. 1000.));
+      ("attempts", Json.Int r.attempts);
+      ("decides", Json.Int r.decides);
+      ("ms", Json.Float (r.elapsed *. 1000.));
     ]
 
-let tiers_json (s : Portfolio.Stats.t) =
+let tiers_json (m : Metrics.t) =
   Json.Obj
     [
-      ("quick", tier_row s.Portfolio.Stats.quick);
-      ("screen", tier_row s.Portfolio.Stats.screen);
-      ("fast", tier_row s.Portfolio.Stats.fast);
-      ("complete", tier_row s.Portfolio.Stats.complete);
+      ("quick", tier_row m.quick);
+      ("screen", tier_row m.screen);
+      ("fast", tier_row m.fast);
+      ("complete", tier_row m.complete);
     ]
 
-let governance_json () =
-  let t = Budget.Telemetry.current () in
-  Json.Obj
-    [
-      ("queries", Json.Int t.Budget.Telemetry.queries);
-      ( "gave_up",
-        Json.Obj
-          [
-            ("fuel", Json.Int t.Budget.Telemetry.gave_up_fuel);
-            ("splinters", Json.Int t.Budget.Telemetry.gave_up_splinters);
-            ("disjuncts", Json.Int t.Budget.Telemetry.gave_up_disjuncts);
-            ("deadline", Json.Int t.Budget.Telemetry.gave_up_deadline);
-            ("injected", Json.Int t.Budget.Telemetry.gave_up_injected);
-            ("incomplete", Json.Int t.Budget.Telemetry.gave_up_incomplete);
-          ] );
-      ("peak_fuel", Json.Int t.Budget.Telemetry.peak_fuel);
-      ("peak_splinters", Json.Int t.Budget.Telemetry.peak_splinters);
-      ("worst_query", Json.Str t.Budget.Telemetry.worst_label);
-      ("worst_fuel", Json.Int t.Budget.Telemetry.worst_fuel);
-      ("backend", Json.Str (Portfolio.backend_to_string !Portfolio.backend));
-      ("tiers", tiers_json (Portfolio.Stats.current ()));
-    ]
+let backend_field () =
+  ("backend", Json.Str (Portfolio.backend_to_string !Portfolio.backend))
+
+let governance_fields (m : Metrics.t) =
+  [
+    ("queries", Json.Int m.queries);
+    ( "gave_up",
+      Json.Obj
+        [
+          ("fuel", Json.Int m.gave_up_fuel);
+          ("splinters", Json.Int m.gave_up_splinters);
+          ("disjuncts", Json.Int m.gave_up_disjuncts);
+          ("deadline", Json.Int m.gave_up_deadline);
+          ("injected", Json.Int m.gave_up_injected);
+          ("incomplete", Json.Int m.gave_up_incomplete);
+        ] );
+    ("peak_fuel", Json.Int m.peak_fuel);
+    ("peak_splinters", Json.Int m.peak_splinters);
+    ("worst_query", Json.Str m.worst_label);
+    ("worst_fuel", Json.Int m.worst_fuel);
+  ]
 
 let memo_report ~req_hits ~req_misses =
   let m = D.Analyses.Memo.stats in
@@ -277,13 +278,14 @@ let memo_report ~req_hits ~req_misses =
 (* Request handling                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* One governed unit of solver work, shipped to a worker domain: fresh
-   per-request telemetry and memo attribution in that domain's local
-   storage, the clamped budget, and the memo hit/miss deltas for the
-   response.  A worker runs one task at a time, so the domain-local
-   counters are exact per-request figures even with other sessions in
-   flight on sibling workers.  The task traps its own exceptions, and
-   run_batch's lock hands the result back to the session thread.
+(* One governed unit of solver work, shipped to a worker domain: a
+   fresh [Metrics] record in that domain's local storage, the clamped
+   budget, and the record's governance counters and memo hits/misses
+   for the response.  A worker runs one task at a time, so the
+   domain-local counters are exact per-request figures even with other
+   sessions in flight on sibling workers.  The task traps its own
+   exceptions, and run_batch's lock hands the result back to the
+   session thread.
 
    [wall] is the request's absolute deadline, installed as the worker
    domain's wall deadline: every solver meter inside enforces it, so a
@@ -296,24 +298,27 @@ let solve t budget ~wall (f : unit -> Json.t) :
   let task () =
     result :=
       try
-        Budget.Telemetry.reset ();
-        Portfolio.Stats.reset ();
-        D.Analyses.Memo.local_reset ();
+        Metrics.reset ();
         let payload =
           Budget.with_wall_deadline wall (fun () ->
               if Budget.wall_expired () then
                 raise (Budget.Exhausted Budget.Deadline);
               Budget.with_limits (Protocol.clamp_budget budget t.quota) f)
         in
-        let req_hits, req_misses = D.Analyses.Memo.local_counts () in
+        let m = Metrics.current () in
         let response =
-          Ok (payload, memo_report ~req_hits ~req_misses, governance_json ())
+          Ok
+            ( payload,
+              memo_report ~req_hits:m.memo_hits ~req_misses:m.memo_misses,
+              Json.Obj
+                (governance_fields m
+                @ [ backend_field (); ("tiers", tiers_json m) ]) )
         in
-        (* fold this request's tier traffic into the service lifetime
+        (* fold this request's counters into the service lifetime
            totals (the worker runs one task at a time, so the
            domain-local record is exactly this request's) *)
         Mutex.lock t.stats_lock;
-        Portfolio.Stats.merge_into t.tiers (Portfolio.Stats.current ());
+        Metrics.merge_into t.lifetime m;
         Mutex.unlock t.stats_lock;
         response
       with e -> Error e
@@ -369,11 +374,11 @@ let program_request t ~id ~program ~in_bounds ~budget ~wall payload_of =
       (Printf.sprintf "budget exhausted (%s)" (Budget.reason_to_string r))
   | Error e -> err t ~id Protocol.Server_error (Printexc.to_string e)
 
-(* Snapshot the lifetime tier totals under the lock. *)
-let snapshot_tiers t =
-  let copy = Portfolio.Stats.make () in
+(* Snapshot the lifetime counters under the lock. *)
+let snapshot_lifetime t =
+  let copy = Metrics.make () in
   Mutex.lock t.stats_lock;
-  Portfolio.Stats.merge_into copy t.tiers;
+  Metrics.merge_into copy t.lifetime;
   Mutex.unlock t.stats_lock;
   copy
 
@@ -381,7 +386,7 @@ let stats_payload t =
   let s = t.stats in
   let m = memo_report ~req_hits:0 ~req_misses:0 in
   let total = m.Protocol.mr_hits + m.Protocol.mr_misses in
-  let tiers = snapshot_tiers t in
+  let lifetime = snapshot_lifetime t in
   Json.Obj
     [
       ( "requests",
@@ -403,8 +408,8 @@ let stats_payload t =
         Json.Float
           (if total = 0 then 0.
            else float_of_int m.Protocol.mr_hits /. float_of_int total) );
-      ("backend", Json.Str (Portfolio.backend_to_string !Portfolio.backend));
-      ("tiers", tiers_json tiers);
+      backend_field ();
+      ("tiers", tiers_json lifetime);
       ( "quota",
         Json.Obj
           [
@@ -459,8 +464,8 @@ let health_payload t =
     @ [
         ("domains", Json.Int (Taskpool.workers t.pool));
         ("memo", Protocol.memo_json m);
-        ("backend", Json.Str (Portfolio.backend_to_string !Portfolio.backend));
-        ("tiers", tiers_json (snapshot_tiers t));
+        backend_field ();
+        ("tiers", tiers_json (snapshot_lifetime t));
       ])
 
 let handle t ~peer:_ ~id (req : Protocol.request) =

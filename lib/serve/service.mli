@@ -79,10 +79,14 @@ val note_reaped : t -> unit
 val analyze_payload : in_bounds:bool -> Lang.Ir.program -> Json.t
 val parallelize_payload : in_bounds:bool -> Lang.Ir.program -> Json.t
 
-val governance_json : unit -> Json.t
-(** Current solver telemetry + quick-screen counters, as attached to
-    responses.  Not part of the deterministic payload: a warm cache
-    legitimately answers with fewer solver queries than a cold one. *)
+val governance_fields : Omega.Metrics.t -> (string * Json.t) list
+(** The governance counters of a metrics record as JSON object fields:
+    queries, give-ups by reason, peaks and the worst query.  They are
+    the [telemetry] objects of the robustness artifact and, followed by
+    the backend name and the per-tier rows, the [governance] block
+    petitd attaches to responses.  Not part of the deterministic
+    payload: a warm cache legitimately answers with fewer solver
+    queries than a cold one. *)
 
 val memo_report : req_hits:int -> req_misses:int -> Protocol.memo_report
 (** Lifetime memo counters paired with the given per-request deltas. *)

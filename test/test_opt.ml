@@ -246,7 +246,7 @@ let test_analyzed_once () =
     ~finally:(fun () -> Depend.Analyses.Memo.enabled := memo)
     (fun () ->
       let queries () =
-        (Omega.Budget.Telemetry.current ()).Omega.Budget.Telemetry.queries
+        (Omega.Metrics.current ()).Omega.Metrics.queries
       in
       let delta f =
         let q0 = queries () in

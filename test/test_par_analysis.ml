@@ -136,6 +136,59 @@ let test_repeated_runs () =
   diff_check "3 domains, repeated run" a b;
   Analyses.Memo.reset ()
 
+(* Sharded counters equal serial counters.  With the verdict memo off no
+   two domains can race a fresh key, so every solver query runs exactly
+   once at every width, and each [Metrics] field must come out the same:
+   queries, give-ups by reason, peaks, the worst query, FM counts,
+   pruned constraints and the tier attempts/decides.  Only the tier
+   times are the clock's. *)
+let metrics_t =
+  let untimed (m : Metrics.t) =
+    let row (r : Metrics.row) = { r with elapsed = 0. } in
+    {
+      m with
+      quick = row m.quick;
+      screen = row m.screen;
+      fast = row m.fast;
+      complete = row m.complete;
+    }
+  in
+  Alcotest.testable
+    (fun ppf m ->
+      Format.fprintf ppf "%s; %s; %s; memo %d/%d" (Metrics.solver_summary m)
+        (Metrics.tiers_summary m)
+        (Metrics.governance_summary m)
+        m.memo_hits m.memo_misses)
+    (fun a b -> untimed a = untimed b)
+
+let test_sharded_counters () =
+  let saved = !Analyses.Memo.enabled in
+  Analyses.Memo.enabled := false;
+  Fun.protect
+    ~finally:(fun () -> Analyses.Memo.enabled := saved)
+    (fun () ->
+      let counters n =
+        with_width n (fun () ->
+            Metrics.reset ();
+            Budget.with_limits Budget.default (fun () ->
+                List.iter
+                  (fun (_, src) ->
+                    ignore
+                      (Driver.analyze
+                         (Lang.Sema.analyze (Lang.Parser.parse_string src))))
+                  programs);
+            Metrics.current ())
+      in
+      let serial = counters 1 in
+      check Alcotest.bool "the corpus ran solver queries" true
+        (serial.queries > 0 && serial.fm_eliminations > 0);
+      List.iter
+        (fun n ->
+          check metrics_t
+            (Printf.sprintf "%d domains: counters equal serial" n)
+            serial (counters n))
+        [ 2; 3 ])
+
 let suite =
   ( "par_analysis",
     [
@@ -146,4 +199,6 @@ let suite =
         test_fault_injection_config;
       Alcotest.test_case "sharded runs are stable across repeats" `Slow
         test_repeated_runs;
+      Alcotest.test_case "sharded counters = serial counters" `Slow
+        test_sharded_counters;
     ] )

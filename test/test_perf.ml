@@ -126,7 +126,7 @@ let test_redundancy_preserves_solutions =
   let name, speed, run =
     QCheck_alcotest.to_alcotest ~long:false prop_redundancy_preserves_solutions
   in
-  let pruned () = (Tuning.Stats.current ()).Tuning.Stats.pruned_interval in
+  let pruned () = (Metrics.current ()).Metrics.pruned_interval in
   ( name,
     speed,
     fun () ->
@@ -196,12 +196,6 @@ let test_memo_bound () =
         (Analyses.Memo.size () <= 4);
       check Alcotest.bool "pressure causes evictions" true
         (Analyses.Memo.stats.Analyses.Memo.evictions > 0);
-      List.iter
-        (fun (_, (row : Analyses.Memo.t)) ->
-          check Alcotest.int "global evictions repeated in every domain row"
-            Analyses.Memo.stats.Analyses.Memo.evictions
-            row.Analyses.Memo.evictions)
-        (Analyses.Memo.domain_stats ());
       check_outcome "cholsky under tiny memo" unbounded bounded)
 
 (* ------------------------------------------------------------------ *)
@@ -287,11 +281,11 @@ let test_memo_warm_repeat () =
              (Lang.Sema.analyze (Lang.Parser.parse_string src)))
       in
       parallelize ();
-      Budget.Telemetry.reset ();
+      Metrics.reset ();
       parallelize ();
       check Alcotest.int
         (name ^ ": solver queries of a warm repeat")
-        0 (Budget.Telemetry.current ()).Budget.Telemetry.queries)
+        0 (Metrics.current ()).Metrics.queries)
     Corpus.all
 
 (* The key of a per-level family lists the distinguished variables, so

@@ -223,16 +223,16 @@ let corpus_tests =
       `Quick,
       fun () ->
         let omega_only = with_backend Portfolio.Omega pair_lines in
-        Portfolio.Stats.reset ();
+        Metrics.reset ();
         let cascaded = with_backend Portfolio.Cascade pair_lines in
-        let tiers = Portfolio.Stats.current () in
+        let tiers = Metrics.current () in
         check bool_t "pair corpus is non-trivial" true (omega_only <> []);
         check (Alcotest.list str_t) "identical dependence vectors" omega_only
           cascaded;
         check bool_t "screen tier consulted" true
-          (tiers.Portfolio.Stats.screen.Portfolio.Stats.attempts > 0);
+          (tiers.Metrics.screen.Metrics.attempts > 0);
         check bool_t "screen tier decided some queries" true
-          (tiers.Portfolio.Stats.screen.Portfolio.Stats.decides > 0) );
+          (tiers.Metrics.screen.Metrics.decides > 0) );
   ]
 
 (* ------------------------------------------------------------------ *)

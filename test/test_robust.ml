@@ -79,7 +79,7 @@ let mid =
   { Budget.fuel = 5_000; splinters = 64; disjuncts = 256; deadline_ms = None }
 
 let test_totality_default () =
-  Budget.Telemetry.reset ();
+  Metrics.reset ();
   List.iter (fun (name, src) ->
       match outcome_of src with
       | _ -> ()
@@ -89,7 +89,7 @@ let test_totality_default () =
     programs
 
 let test_totality_tiny () =
-  Budget.Telemetry.reset ();
+  Metrics.reset ();
   Budget.with_limits tiny (fun () ->
       List.iter (fun (name, src) ->
           match outcome_of src with
@@ -101,7 +101,7 @@ let test_totality_tiny () =
   (* the tiny budget must actually bind somewhere, or this test proves
      nothing about exhaustion handling *)
   check bool_t "tiny budget caused give-ups" true
-    (Budget.Telemetry.gave_up_total () > 0);
+    (Metrics.gave_up (Metrics.current ()) > 0);
   Analyses.Memo.reset ()
 
 (* ------------------------------------------------------------------ *)
@@ -150,7 +150,7 @@ let test_fault_injection_soundness () =
   List.iter
     (fun seed ->
       Analyses.set_fault_injection ~seed ~rate:0.10;
-      Budget.Telemetry.reset ();
+      Metrics.reset ();
       Fun.protect ~finally:Analyses.clear_fault_injection (fun () ->
           List.iter
             (fun (name, src) ->
@@ -171,7 +171,7 @@ let test_fault_injection_soundness () =
           check bool_t
             (Printf.sprintf "seed %d: faults actually fired" seed)
             true
-            ((Budget.Telemetry.current ()).Budget.Telemetry.gave_up_injected
+            ((Metrics.current ()).Metrics.gave_up_injected
             > 0);
           (* a degraded plan must still execute soundly *)
           List.iter
