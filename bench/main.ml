@@ -1,10 +1,10 @@
 (* The paper's evaluation, regenerated: every table and figure of
-   section 4.7 and section 5, plus ablation benches for the design
-   choices called out in DESIGN.md, plus Bechamel micro-benchmarks (one
-   per table/figure).  The subcommands are CI's gates (speedup,
-   robustness, analysis, serve, chaos); each writes one BENCH_*.json
-   artifact.  The mechanics they share (flag parsing, the violation
-   gate, calibrated timing, scoped switches) live in harness.ml.
+   section 4.7 and section 5, plus the verdict-memo ablation, plus
+   Bechamel micro-benchmarks (one per table/figure).  The subcommands
+   are CI's gates (speedup, robustness, analysis, serve, chaos); each
+   writes one BENCH_*.json artifact.  The mechanics they share (flag
+   parsing, the violation gate, calibrated timing, scoped switches) live
+   in harness.ml.
 
    Absolute times differ from the paper's 1992 Sun Sparc IPX; the claims
    under test are the *shapes*: which dependences are live/dead, extended
@@ -433,70 +433,12 @@ let parallelization_table () =
   Printf.printf "%-20s %8d %8d %8d\n" "TOTAL" !tot_loops !tot_std !tot_ext
 
 (* ------------------------------------------------------------------ *)
-(* Ablations                                                           *)
+(* Ablation: verdict memo                                              *)
 (* ------------------------------------------------------------------ *)
 
-let ablations () =
-  section "Ablations (design choices from DESIGN.md)";
-  let cholsky = Lang.Sema.parse_and_analyze (Corpus.find "cholsky") in
-  (* 1: dark-shadow + gist fast path vs the (pruned, bounded) general
-     Presburger procedure.  Without the DNF pruning this configuration
-     took minutes on CHOLSKY (~3000x); with it the complete procedure is
-     viable and the fast path is "only" a few times faster.  The tier-0
-     screen is pinned off (backend [Omega]) so the comparison isolates
-     tier 1 against tier 2; the cascade's own win is measured in the
-     analysis suite's portfolio section. *)
-  let t_fast, t_slow =
-    with_ref Portfolio.backend Portfolio.Omega (fun () ->
-        let _, t_fast = time (fun () -> Driver.analyze cholsky) in
-        let _, t_slow =
-          with_ref Analyses.use_fast_path false (fun () ->
-              time (fun () -> Driver.analyze cholsky))
-        in
-        (t_fast, t_slow))
-  in
-  Printf.printf
-    "ablation-fast-path   : CHOLSKY driver %.1f ms with dark-shadow fast path, %.1f ms general-only (%.2fx)\n"
-    (ms t_fast) (ms t_slow)
-    (t_slow /. t_fast);
-  (* 2: quick screens (4.5) on/off *)
-  let _, t_quick = time (fun () -> Driver.analyze ~quick:true cholsky) in
-  let _, t_noquick = time (fun () -> Driver.analyze ~quick:false cholsky) in
-  Printf.printf
-    "ablation-quick-tests : CHOLSKY driver %.1f ms with quick screens, %.1f ms without (%.2fx)\n"
-    (ms t_quick) (ms t_noquick)
-    (t_noquick /. t_quick);
-  (* 3: red/black combined projection+gist vs two separate projections
-     with the naive gist, over the section-5 analyses *)
-  let prog7 = Lang.Sema.parse_and_analyze (Corpus.find "example7") in
-  let ctx = Depctx.create prog7 in
-  let w = List.find (fun a -> a.Lang.Ir.array = "a") (Lang.Ir.writes prog7) in
-  let r = List.find (fun a -> a.Lang.Ir.array = "a") (Lang.Ir.reads prog7) in
-  let run_sym fast =
-    List.iter
-      (fun restraint ->
-        ignore
-          (Symbolic.analyze ~gist_fast:fast ctx ~src:w ~dst:r ~restraint
-             ~hide:[ "n" ] ()))
-      [ [ Dirvec.Pos; Dirvec.Any ]; [ Dirvec.Zero; Dirvec.Pos ] ]
-  in
-  let _, t_gfast =
-    time (fun () ->
-        for _ = 1 to 20 do
-          run_sym true
-        done)
-  in
-  let _, t_gnaive =
-    time (fun () ->
-        for _ = 1 to 20 do
-          run_sym false
-        done)
-  in
-  Printf.printf
-    "ablation-red-black   : 20x example7 symbolic %.1f ms with combined red/black projection+gist, %.1f ms with two projections + naive gist (%.2fx)\n"
-    (ms t_gfast) (ms t_gnaive)
-    (t_gnaive /. t_gfast);
-  (* 4: verdict memoization across a repeated whole-corpus analysis (the
+let memo_ablation () =
+  section "Ablation: verdict memo";
+  (* verdict memoization across a repeated whole-corpus analysis (the
      analyze-everything-twice pattern of the differential suites) *)
   let population () =
     List.iter
@@ -1109,9 +1051,8 @@ let robustness_suite ~out ~seeds () =
 (* CI's gate for the solver hot path (DESIGN.md sections 9 and 12): the
    whole-corpus standard+extended analysis and the figure 6/7 per-pair
    population, timed under a deliberately generous budget so nothing
-   gives up, followed by three identity gates — the cross-backend
-   oracle, cascade vs tier-2-only payloads, and (with [--domains]) the
-   serial vs domain-sharded differential. *)
+   gives up, followed by two gates — the cascade-vs-complete oracle and
+   (with [--domains]) the serial vs domain-sharded differential. *)
 
 let analysis_budget =
   {
@@ -1167,12 +1108,6 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
   let reps = repeat in
   let subjects = analysis_subjects () in
   let measured = List.map (measure_subject ~reps) subjects in
-  (* the whole timed population, each subject at its calibrated count *)
-  let corpus_time () =
-    List.fold_left
-      (fun acc m -> acc +. time_subject ~reps ~iters:m.me_iters m.me_subject)
-      0. measured
-  in
   let corpus_pass () =
     under_budget (fun () ->
         List.iter (fun s -> ignore (outcome s.as_prog)) subjects)
@@ -1189,31 +1124,26 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
   Printf.printf "%-20s %12.2f\n" "fig6/7 pairs" (ms t_pairs);
   let t_corpus = List.fold_left (fun acc m -> acc +. m.me_time) 0. measured in
   Printf.printf "%-20s %12.2f\n" "whole corpus" (ms t_corpus);
-  (* solver counters for one corpus pass, reported for context *)
+  (* solver counters and per-tier traffic for one corpus pass *)
   Omega.Metrics.reset ();
   corpus_pass ();
+  let tiers = Omega.Metrics.current () in
   Printf.printf "\nsolver (corpus pass): %s\n"
-    (Omega.Metrics.solver_summary (Omega.Metrics.current ()));
+    (Omega.Metrics.solver_summary tiers);
   (* --- decision portfolio: the tiered cascade (DESIGN.md section 12).
-     Three gates in one sub-suite, all of which also run in smoke mode:
-     (1) the cross-backend oracle replays every query an incomplete tier
-     decides through the complete procedure and demands agreement;
-     (2) cascade-on vs cascade-off (tier 2 alone: no screen, no fast
-     path) must produce byte-identical analyze and parallelize payloads
-     — dependence sets, direction vectors, kill/cover attribution, and
-     doall verdicts all ride in those payloads; (3) the cascade must pay
-     for itself on the corpus, with the per-tier traffic reported. *)
-  let cascade f = with_ref Portfolio.backend Portfolio.Cascade f in
-  let tier2_only f =
-    with_ref Portfolio.backend Portfolio.Omega (fun () ->
-        with_ref Analyses.use_fast_path false f)
-  in
-  (* (1) the oracle corpus replay *)
+     One gate, which also runs in smoke mode: the oracle replays every
+     query the screen or the fast tier decides through the complete
+     procedure and demands agreement; dependence sets, direction
+     vectors, kill/cover attribution and doall verdicts all rest on
+     those queries.  Its replays count as complete-tier attempts, so it
+     runs on a pass of its own. *)
+  Omega.Metrics.reset ();
   Portfolio.Oracle.enable ();
-  cascade corpus_pass;
+  corpus_pass ();
   Portfolio.Oracle.disable ();
   let oracle_checks = Portfolio.Oracle.checks () in
   let oracle_bad = Portfolio.Oracle.divergences () in
+  if oracle_checks = 0 then fail "oracle: no screen or fast verdict replayed";
   List.iter
     (fun (d : Portfolio.Oracle.divergence) ->
       fail
@@ -1222,47 +1152,17 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
         d.Portfolio.Oracle.label d.Portfolio.Oracle.got
         d.Portfolio.Oracle.want)
     oracle_bad;
-  (* (2) payload bit-identity *)
-  let payloads () =
-    under_budget (fun () ->
-        List.map
-          (fun s ->
-            Analyses.Memo.reset ();
-            ( s.as_name,
-              Json.to_string (Service.analyze_payload ~in_bounds:true s.as_prog)
-              ^ Json.to_string
-                  (Service.parallelize_payload ~in_bounds:true s.as_prog) ))
-          subjects)
-  in
-  let pay_cascade = cascade payloads in
-  let pay_tier2 = tier2_only payloads in
-  List.iter2
-    (fun (name, a) (_, b) ->
-      if a <> b then
-        fail "%s: cascade and tier-2-only analysis payloads differ" name)
-    pay_cascade pay_tier2;
-  let payloads_identical = pay_cascade = pay_tier2 in
-  (* (3) throughput and tier traffic *)
-  let t_cascade = cascade corpus_time in
-  let t_tier2 = tier2_only corpus_time in
-  Omega.Metrics.reset ();
-  cascade corpus_pass;
-  let tiers = Omega.Metrics.current () in
   let trate (r : Omega.Metrics.row) =
     if r.attempts = 0 then 0.
     else float_of_int r.decides /. float_of_int r.attempts
   in
   let tier0_decide_fraction = trate tiers.screen in
   Printf.printf
-    "\nportfolio: cascade corpus %8.1f ms vs tier-2-only %8.1f ms (%.2fx \
-     speedup)\noracle: %d cross-backend checks, %d contradictions; payloads \
-     identical: %b\ntiers (attempts/decided): %s\ntier-0 screen decides \
-     %.1f%% of the solver queries it sees\n"
-    (ms t_cascade) (ms t_tier2)
-    (ratio t_tier2 t_cascade)
+    "\noracle: %d screen/fast verdicts replayed, %d contradictions\ntiers \
+     (attempts/decided): %s\ntier-0 screen decides %.1f%% of the solver \
+     queries it sees\n"
     oracle_checks
     (List.length oracle_bad)
-    payloads_identical
     (Omega.Metrics.tiers_summary tiers)
     (100. *. tier0_decide_fraction);
   let tier_json (r : Omega.Metrics.row) =
@@ -1277,12 +1177,8 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
   let portfolio_json =
     Json.Obj
       [
-        ("cascade_ms", jf (ms t_cascade));
-        ("tier2_only_ms", jf (ms t_tier2));
-        ("cascade_speedup", jf (ratio t_tier2 t_cascade));
         ("oracle_checks", Json.Int oracle_checks);
         ("oracle_divergences", Json.Int (List.length oracle_bad));
-        ("payloads_identical", Json.Bool payloads_identical);
         ("tier0_decide_fraction", jf tier0_decide_fraction);
         ( "tiers",
           Json.Obj
@@ -1445,15 +1341,43 @@ let start_daemon tag configure =
   let config = configure (Server.default_config (Protocol.Unix_path path)) in
   (path, config, Server.start config)
 
-(* One request on a fresh session: the result payload, or why there is
-   none. *)
-let call_once path req =
-  let s = Client.open_session (Protocol.Unix_path path) in
-  Fun.protect ~finally:(fun () -> Client.close_session s) @@ fun () ->
-  match Client.call s req with
+(* The result payload of a response, or why there is none. *)
+let payload_of = function
   | Ok (Protocol.Result { payload; _ }) -> Ok payload
   | Ok (Protocol.Error_ e) -> Error e.message
   | Error e -> Error e
+
+(* One request on a fresh session. *)
+let call_once path req =
+  let s = Client.open_session (Protocol.Unix_path path) in
+  Fun.protect ~finally:(fun () -> Client.close_session s) @@ fun () ->
+  payload_of (Client.call s req)
+
+(* The daemon's [Stats] once it has handled every earlier client's
+   close: [Health] (which the stats payload does not count) is polled
+   on one session until [connections.open] reads 1, this session, for
+   at most two seconds.  The payload comes back with the open count it
+   settled on. *)
+let settled_stats path =
+  let s = Client.open_session (Protocol.Unix_path path) in
+  Fun.protect ~finally:(fun () -> Client.close_session s) @@ fun () ->
+  let call req = payload_of (Client.call s req) in
+  let open_conns payload =
+    match Json.member "connections" payload with
+    | Some c -> Option.bind (Json.member "open" c) Json.to_int_opt
+    | None -> None
+  in
+  let deadline = Unix.gettimeofday () +. 2. in
+  let rec settle () =
+    match call Protocol.Health with
+    | Error e -> Error e
+    | Ok health ->
+      if open_conns health <> Some 1 && Unix.gettimeofday () < deadline then (
+        Thread.delay 0.005;
+        settle ())
+      else Result.map (fun p -> (p, open_conns p)) (call Protocol.Stats)
+  in
+  settle ()
 
 let payload_or_exit what = function
   | Ok payload -> payload
@@ -1613,9 +1537,12 @@ let serve_suite ~smoke ~clients ~domains ~out () =
                     s.sv_op s.sv_name)
               samples)
           warm;
-        let stats =
-          payload_or_exit "serve bench: stats" (call_once path Protocol.Stats)
+        let stats, open_conns =
+          payload_or_exit "serve bench: stats" (settled_stats path)
         in
+        if open_conns <> Some 1 then
+          fail "daemon stats: connections.open reads %s, not 1 (its own)"
+            (Option.fold ~none:"nothing" ~some:string_of_int open_conns);
         let summary label samples wall =
           let lats = List.map (fun s -> s.sv_latency) samples in
           Printf.sprintf
@@ -2169,7 +2096,7 @@ let full_run () =
   figure7 timings;
   section5_table ();
   parallelization_table ();
-  ablations ();
+  memo_ablation ();
   bechamel_benches ();
   Printf.printf "\ntotal bench time: %.1f s\n" (Unix.gettimeofday () -. t0)
 

@@ -69,9 +69,7 @@ let with_stats stats f =
   if stats then begin
     let m = Metrics.current () in
     Printf.eprintf "solver: %s\n" (Metrics.solver_summary m);
-    Printf.eprintf "tiers (%s backend, attempts/decided): %s\n"
-      (Portfolio.backend_to_string !Portfolio.backend)
-      (Metrics.tiers_summary m)
+    Printf.eprintf "tiers (attempts/decided): %s\n" (Metrics.tiers_summary m)
   end;
   r
 

@@ -287,8 +287,7 @@ let analyze_cmd =
        and refinement questions are settled by the cheap tiers without
        consulting the complete Omega test *)
     let metrics = Omega.Metrics.current () in
-    Printf.printf "\ntiers (%s backend, attempts/decided): %s\n"
-      (Omega.Portfolio.backend_to_string !Omega.Portfolio.backend)
+    Printf.printf "\ntiers (attempts/decided): %s\n"
       (Omega.Metrics.tiers_summary metrics);
     let m = Analyses.Memo.stats in
     Printf.printf

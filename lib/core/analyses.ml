@@ -11,11 +11,6 @@
 
 open Omega
 
-(* Ablation switch for the benches: when false, the portfolio plan omits
-   the dark-shadow + gist fast path (tier 1), so queries the screen
-   passes on go straight to the complete Presburger procedure. *)
-let use_fast_path = ref true
-
 (* The solver-result cache (verdicts here, vectors and minimums in
    [Deps] and [refine]) lives in [Memo], below [Deps]. *)
 module Memo = Memo
@@ -69,9 +64,8 @@ let complete_tier ~hyp lhs ~evars rhs () =
   if valid f then Screen.Proved else Screen.Disproved
 
 (* The three-valued query boundary, with tier attribution: any blown
-   budget inside a tier surfaces as [Gave_up], never as an exception,
-   and an exhausted plan (the screen-only backend passing on a query)
-   gives up with [Incomplete]. *)
+   budget inside a tier surfaces as [Gave_up], never as an exception.
+   The plan always ends in the complete tier, so it is never exhausted. *)
 let implies_exists_decide ?(label = "query") ~hyp lhs ~evars rhs :
     Budget.verdict * Portfolio.tier option =
   (* The fault key is the label-tagged canonical form: computed lazily
@@ -80,18 +74,13 @@ let implies_exists_decide ?(label = "query") ~hyp lhs ~evars rhs :
      identically in serial and sharded runs. *)
   let canon = lazy (memo_key ~hyp lhs ~evars rhs) in
   let compute () =
-    let tiers =
-      Portfolio.plan
-        ~screen:(screen_tier ~hyp lhs ~evars rhs)
-        ?fast:
-          (if !use_fast_path then Some (fast_tier ~hyp lhs ~evars rhs)
-           else None)
-        ~complete:(complete_tier ~hyp lhs ~evars rhs)
-        ()
-    in
     Portfolio.decide ~label
       ~fault_key:(fun () -> label ^ ":" ^ Lazy.force canon)
-      tiers
+      [
+        (Portfolio.Tier_screen, screen_tier ~hyp lhs ~evars rhs);
+        (Portfolio.Tier_fast, fast_tier ~hyp lhs ~evars rhs);
+        (Portfolio.Tier_complete, complete_tier ~hyp lhs ~evars rhs);
+      ]
   in
   if not (Memo.active ()) then compute ()
   else begin

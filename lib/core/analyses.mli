@@ -13,10 +13,6 @@
 
 open Omega
 
-val use_fast_path : bool ref
-(** Ablation switch: when [false], the portfolio plan omits the
-    dark-shadow fast path (tier 1). *)
-
 module Memo = Memo
 (** The solver-result cache: {!implies_exists} verdicts, plus the
     completed per-level vectors of {!Deps.compute} and {!refined_vectors}
@@ -35,8 +31,7 @@ val implies_exists_decide :
 (** [implies_exists_decide ~hyp lhs ~evars rhs]: is
     [hyp => (lhs => exists evars. rhs)] valid (disjunction over each
     list)?  One governed portfolio query: a blown budget (or an injected
-    fault, or an exhausted screen-only plan) surfaces as [Gave_up],
-    never as an exception.  Also returns the tier that decided ([None]
+    fault) surfaces as [Gave_up], never as an exception.  Also returns the tier that decided ([None]
     for give-ups).  [label] names the query in governance telemetry. *)
 
 val implies_exists_verdict :

@@ -82,7 +82,7 @@ let quick_screen hit =
   if hit then r.decides <- r.decides + 1;
   hit
 
-let analyze ?(in_bounds = false) ?(quick = true) (prog : Ir.program) : result =
+let analyze ?(in_bounds = false) (prog : Ir.program) : result =
   let ctx = Depctx.create prog in
   let outputs = Deps.all ~in_bounds ctx Deps.Output in
   let antis = Deps.all ~in_bounds ctx Deps.Anti in
@@ -102,8 +102,7 @@ let analyze ?(in_bounds = false) ?(quick = true) (prog : Ir.program) : result =
           | None -> None
           | Some dep ->
             let refined =
-              if quick && quick_screen (not (refinement_possible outputs a))
-              then None
+              if quick_screen (not (refinement_possible outputs a)) then None
               else begin
                 let pinned = Analyses.refine ~in_bounds ctx ~src:a ~dst:b in
                 if pinned = [] then None
@@ -122,8 +121,7 @@ let analyze ?(in_bounds = false) ?(quick = true) (prog : Ir.program) : result =
               match refined with Some v -> v | None -> dep.Deps.vectors
             in
             let covers =
-              if quick && quick_screen (not (cover_possible vectors)) then
-                false
+              if quick_screen (not (cover_possible vectors)) then false
               else Analyses.covers ~in_bounds ctx ~src:a ~dst:b
             in
             Some { dep; refined; covers; dead = None })
@@ -178,11 +176,10 @@ let analyze ?(in_bounds = false) ?(quick = true) (prog : Ir.program) : result =
                    other.dep.Deps.src.Ir.acc_id <> fr.dep.Deps.src.Ir.acc_id
                    &&
                    if
-                     quick
-                     && quick_screen
-                          (not
-                             (output_exists outputs fr.dep.Deps.src
-                                other.dep.Deps.src))
+                     quick_screen
+                       (not
+                          (output_exists outputs fr.dep.Deps.src
+                             other.dep.Deps.src))
                    then false
                    else
                      Analyses.kills ~in_bounds ctx ~src:fr.dep.Deps.src
@@ -214,7 +211,7 @@ let analyze ?(in_bounds = false) ?(quick = true) (prog : Ir.program) : result =
    destinations are writes; for anti dependences the sources are reads
    (and the killers remain writes).  [deps] are all the dependences of
    one storage kind, computed in [ctx]: only the kill step runs here. *)
-let classify_storage ?(in_bounds = false) ?(quick = true) (ctx : Depctx.t)
+let classify_storage ?(in_bounds = false) (ctx : Depctx.t)
     (deps : Deps.dep list) : flow_result list =
   let prog = ctx.Depctx.prog in
   Par.map_list
@@ -238,8 +235,7 @@ let classify_storage ?(in_bounds = false) ?(quick = true) (ctx : Depctx.t)
                   k.Ir.acc_id <> fr.dep.Deps.src.Ir.acc_id
                   && k.Ir.acc_id <> b.Ir.acc_id
                   && k.Ir.array = b.Ir.array
-                  && ((not quick)
-                      || Deps.exists ctx ~src:fr.dep.Deps.src ~dst:k)
+                  && Deps.exists ctx ~src:fr.dep.Deps.src ~dst:k
                   && Analyses.kills ~in_bounds ctx ~src:fr.dep.Deps.src
                        ~killer:k ~dst:b)
                 (Ir.writes prog)
@@ -253,13 +249,13 @@ let classify_storage ?(in_bounds = false) ?(quick = true) (ctx : Depctx.t)
     (Ir.writes prog)
   |> List.concat
 
-let classify_kind ?(in_bounds = false) ?(quick = true) (prog : Ir.program)
-    (kind : Deps.kind) : flow_result list =
+let classify_kind ?(in_bounds = false) (prog : Ir.program) (kind : Deps.kind)
+    : flow_result list =
   match kind with
-  | Deps.Flow -> (analyze ~in_bounds ~quick prog).flows
+  | Deps.Flow -> (analyze ~in_bounds prog).flows
   | Deps.Output | Deps.Anti ->
     let ctx = Depctx.create prog in
-    classify_storage ~in_bounds ~quick ctx (Deps.all ~in_bounds ctx kind)
+    classify_storage ~in_bounds ctx (Deps.all ~in_bounds ctx kind)
 
 (* ------------------------------------------------------------------ *)
 (* Report rendering (the Figure 3 / Figure 4 tables)                   *)

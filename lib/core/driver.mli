@@ -26,12 +26,12 @@ type result = {
   outputs : Deps.dep list;
 }
 
-val analyze : ?in_bounds:bool -> ?quick:bool -> Ir.program -> result
-(** [quick] (default true) enables the section 4.5 quick screens; turning
-    it off runs every general test (exposed for the ablation bench). *)
+val analyze : ?in_bounds:bool -> Ir.program -> result
+(** The section 4.5 quick screens always run first; each counts in the
+    [quick] tier row of {!Omega.Metrics}. *)
 
 val classify_kind :
-  ?in_bounds:bool -> ?quick:bool -> Ir.program -> Deps.kind -> flow_result list
+  ?in_bounds:bool -> Ir.program -> Deps.kind -> flow_result list
 (** Live/dead classification of the given dependence kind.  [Flow] is
     {!analyze}'s pipeline; [Output]/[Anti] apply the pairwise kill test to
     storage dependences (an extension the paper describes but leaves
@@ -42,8 +42,7 @@ val classify_kind :
     [antis]/[outputs] instead of computing them a second time. *)
 
 val classify_storage :
-  ?in_bounds:bool -> ?quick:bool -> Depctx.t -> Deps.dep list ->
-  flow_result list
+  ?in_bounds:bool -> Depctx.t -> Deps.dep list -> flow_result list
 (** [classify_storage ctx deps]: the kill step of {!classify_kind} over
     [deps], all the anti or all the output dependences of
     [ctx]'s program (as {!analyze} returns them in [antis]/[outputs]).

@@ -78,9 +78,8 @@ let project_onto vars (p : Problem.t) : [ `Contra | `Ok of Problem.t ] =
   | [ q ] -> `Ok q
   | _ :: _ :: _ -> Elim.project_dark ~keep p
 
-let analyze_exn ?(in_bounds = true) ?(gist_fast = true) ctx
-    ~(src : Ir.access) ~(dst : Ir.access) ~(restraint : restraint)
-    ?(hide = []) () : analysis =
+let analyze_exn ?(in_bounds = true) ctx ~(src : Ir.access) ~(dst : Ir.access)
+    ~(restraint : restraint) ?(hide = []) () : analysis =
   let a = Depctx.instantiate ctx src ~tag:"i" in
   let b = Depctx.instantiate ctx dst ~tag:"j" in
   let p_cs =
@@ -106,29 +105,18 @@ let analyze_exn ?(in_bounds = true) ?(gist_fast = true) ctx
     }
   | `Ok known ->
     let keep v = List.exists (Var.equal v) vars in
-    let result =
-      if gist_fast then
-        (* the red/black combined projection + gist (section 3.3.2) *)
-        Gist.gist_project ~keep q ~given:p
-      else begin
-        (* two separate projections, naive gist (ablation path) *)
-        match project_onto vars (Problem.conj p q) with
-        | `Contra -> Gist.False
-        | `Ok proj_pq -> Gist.gist ~fast:false proj_pq ~given:known
-      end
-    in
-    (match result with
+    (* the red/black combined projection + gist (section 3.3.2) *)
+    (match Gist.gist_project ~keep q ~given:p with
      | Gist.Tautology -> { cond = Always; known; inst_a = a; inst_b = b; ctx }
      | Gist.False -> { cond = Never; known; inst_a = a; inst_b = b; ctx }
      | Gist.Gist g -> { cond = When g; known; inst_a = a; inst_b = b; ctx })
 
 (* Governed entry point: a give-up anywhere in the projections or gists
    degrades to [Unknown], whose reading is "assume the dependence". *)
-let analyze ?in_bounds ?gist_fast ctx ~src ~dst ~restraint ?hide () :
-    analysis =
+let analyze ?in_bounds ctx ~src ~dst ~restraint ?hide () : analysis =
   match
     Budget.run ~label:"symbolic/analyze" (fun () ->
-        analyze_exn ?in_bounds ?gist_fast ctx ~src ~dst ~restraint ?hide ())
+        analyze_exn ?in_bounds ctx ~src ~dst ~restraint ?hide ())
   with
   | Ok an -> an
   | Error r ->

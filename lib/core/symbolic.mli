@@ -37,7 +37,6 @@ type analysis = {
 
 val analyze :
   ?in_bounds:bool ->
-  ?gist_fast:bool ->
   Depctx.t ->
   src:Ir.access ->
   dst:Ir.access ->

@@ -91,9 +91,9 @@ let split_equalities cs =
 
 type result = Tautology | False | Gist of Problem.t
 
-(* [gist p ~given:q].  [fast] enables the paper's screening checks
-   (exposed so the ablation bench can compare). *)
-let gist ?(fast = true) (p : Problem.t) ~given:(q : Problem.t) : result =
+(* [gist p ~given:q], with the paper's two screening checks before the
+   satisfiability test per constraint. *)
+let gist (p : Problem.t) ~given:(q : Problem.t) : result =
   match Problem.simplify q with
   | Problem.Contra -> Tautology (* anything is implied by False *)
   | Problem.Ok q -> (
@@ -107,26 +107,19 @@ let gist ?(fast = true) (p : Problem.t) ~given:(q : Problem.t) : result =
         (* fast check: drop p-constraints implied by a single constraint of
            q (safe: q is always in the context) *)
         let pcs =
-          if fast then
-            List.filter
-              (fun c -> not (List.exists (fun qc -> Constr.implies qc c) qcs))
-              pcs
-          else pcs
+          List.filter
+            (fun c -> not (List.exists (fun qc -> Constr.implies qc c) qcs))
+            pcs
         in
         (* fast check: a constraint with no positively-correlated companion
            (among all other constraints) cannot be implied by them *)
-        let must_keep =
-          if not fast then fun _ -> false
-          else fun c ->
-            let others =
-              List.filter (fun c' -> c' != c) pcs @ qcs
-            in
-            not
-              (List.exists
-                 (fun c' ->
-                   Zint.sign (Linexpr.dot (Constr.expr c) (Constr.expr c'))
-                   > 0)
-                 others)
+        let must_keep c =
+          let others = List.filter (fun c' -> c' != c) pcs @ qcs in
+          not
+            (List.exists
+               (fun c' ->
+                 Zint.sign (Linexpr.dot (Constr.expr c) (Constr.expr c')) > 0)
+               others)
         in
         let rec loop kept todo =
           match todo with

@@ -9,12 +9,10 @@ type result =
   | False  (** [p] and [q] are inconsistent. *)
   | Gist of Problem.t
 
-val gist : ?fast:bool -> Problem.t -> given:Problem.t -> result
-(** [fast] (default true) enables the paper's screening checks:
-    single-constraint implications and the "no positively-correlated
-    normal" must-keep test.  Disabling it falls back to the naive
-    satisfiability-test-per-constraint algorithm (exposed for the
-    ablation bench); both satisfy the defining property. *)
+val gist : Problem.t -> given:Problem.t -> result
+(** The paper's screening checks (single-constraint implications and the
+    "no positively-correlated normal" must-keep test) run before the
+    satisfiability test per remaining constraint. *)
 
 val implies : Problem.t -> Problem.t -> bool
 (** [implies p q]: is [p => q] a tautology?  (Section 3.3.1: each

@@ -7,14 +7,6 @@
    per-tier accounting goes to the tier rows of the domain's [Metrics]
    record. *)
 
-type backend = Omega | Cascade
-
-let backend = ref Cascade
-
-let backend_to_string = function
-  | Omega -> "omega"
-  | Cascade -> "cascade"
-
 type tier = Tier_screen | Tier_fast | Tier_complete
 
 let tier_to_string = function
@@ -75,15 +67,6 @@ module Oracle = struct
     if got <> want then found := { label; tier; got; want } :: !found;
     Mutex.unlock lock
 end
-
-let plan ?screen ?fast ~complete () =
-  let maybe tier closure plan =
-    match closure with None -> plan | Some f -> (tier, f) :: plan
-  in
-  let upper = maybe Tier_fast fast [ (Tier_complete, complete) ] in
-  match !backend with
-  | Omega -> upper
-  | Cascade -> maybe Tier_screen screen upper
 
 let timed (row : Metrics.row) f =
   row.attempts <- row.attempts + 1;

@@ -67,15 +67,17 @@ type result =
   | R_opt of [ `Val of string | `Unsat | `Unbounded ]
 
 (* The boolean operations (sat, implies) go through the portfolio
-   cascade like analysis queries: under the default [Cascade] backend
-   the tier-0 screen answers the easy instances, and [Omega] is the
-   direct procedure.  The non-boolean operations (project, gist,
-   optimize) have no screen tier and always run the full machinery. *)
+   cascade like analysis queries: the tier-0 screen answers the easy
+   instances and the direct procedure decides the rest.  The
+   non-boolean operations (project, gist, optimize) have no screen tier
+   and always run the full machinery. *)
 
-let portfolio_bool ~label ?screen ~complete () =
-  let to_answer f () = if f () then Screen.Proved else Screen.Disproved in
-  let tiers = Portfolio.plan ?screen ~complete:(to_answer complete) () in
-  match Portfolio.decide ~label tiers with
+let portfolio_bool ~label ~screen ~complete =
+  let complete () = if complete () then Screen.Proved else Screen.Disproved in
+  match
+    Portfolio.decide ~label
+      [ (Portfolio.Tier_screen, screen); (Portfolio.Tier_complete, complete) ]
+  with
   | Budget.Proved, _ -> true
   | Budget.Disproved, _ -> false
   | Budget.Gave_up r, _ -> raise (Budget.Exhausted r)
@@ -95,8 +97,7 @@ let eval (op : Protocol.calc_op) : (result, string) Stdlib.result =
       Ok
         (R_sat
            (portfolio_bool ~label:"calc/sat" ~screen
-              ~complete:(fun () -> Elim.satisfiable p)
-              ()))
+              ~complete:(fun () -> Elim.satisfiable p)))
     | Protocol.Implies (src1, src2) -> (
       let ps, _ = parse_problems [ src1; src2 ] in
       match ps with
@@ -105,8 +106,7 @@ let eval (op : Protocol.calc_op) : (result, string) Stdlib.result =
         Ok
           (R_implies
              (portfolio_bool ~label:"calc/implies" ~screen
-                ~complete:(fun () -> Gist.implies p q)
-                ()))
+                ~complete:(fun () -> Gist.implies p q)))
       | _ -> assert false)
     | Protocol.Project { mode; onto; problem } -> (
       let ps, env = parse_problems [ problem ] in

@@ -238,9 +238,6 @@ let tiers_json (m : Metrics.t) =
       ("complete", tier_row m.complete);
     ]
 
-let backend_field () =
-  ("backend", Json.Str (Portfolio.backend_to_string !Portfolio.backend))
-
 let governance_fields (m : Metrics.t) =
   [
     ("queries", Json.Int m.queries);
@@ -311,8 +308,7 @@ let solve t budget ~wall (f : unit -> Json.t) :
             ( payload,
               memo_report ~req_hits:m.memo_hits ~req_misses:m.memo_misses,
               Json.Obj
-                (governance_fields m
-                @ [ backend_field (); ("tiers", tiers_json m) ]) )
+                (governance_fields m @ [ ("tiers", tiers_json m) ]) )
         in
         (* fold this request's counters into the service lifetime
            totals (the worker runs one task at a time, so the
@@ -408,7 +404,6 @@ let stats_payload t =
         Json.Float
           (if total = 0 then 0.
            else float_of_int m.Protocol.mr_hits /. float_of_int total) );
-      backend_field ();
       ("tiers", tiers_json lifetime);
       ( "quota",
         Json.Obj
@@ -464,7 +459,6 @@ let health_payload t =
     @ [
         ("domains", Json.Int (Taskpool.workers t.pool));
         ("memo", Protocol.memo_json m);
-        backend_field ();
         ("tiers", tiers_json (snapshot_lifetime t));
       ])
 

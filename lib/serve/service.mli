@@ -83,7 +83,7 @@ val governance_fields : Omega.Metrics.t -> (string * Json.t) list
 (** The governance counters of a metrics record as JSON object fields:
     queries, give-ups by reason, peaks and the worst query.  They are
     the [telemetry] objects of the robustness artifact and, followed by
-    the backend name and the per-tier rows, the [governance] block
+    the per-tier rows, the [governance] block
     petitd attaches to responses.  Not part of the deterministic
     payload: a warm cache legitimately answers with fewer solver
     queries than a cold one. *)

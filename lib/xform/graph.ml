@@ -173,9 +173,9 @@ let assemble prog ~(flows : Driver.flow_result list)
   in
   { prog; nodes; edges; loops }
 
-let build ?(in_bounds = false) ?(quick = true) (prog : Ir.program) : t =
-  let res = Driver.analyze ~in_bounds ~quick prog in
-  let classify = Driver.classify_storage ~in_bounds ~quick res.Driver.ctx in
+let build ?(in_bounds = false) (prog : Ir.program) : t =
+  let res = Driver.analyze ~in_bounds prog in
+  let classify = Driver.classify_storage ~in_bounds res.Driver.ctx in
   let antis = classify res.Driver.antis in
   let outputs = classify res.Driver.outputs in
   assemble prog ~flows:res.Driver.flows ~antis ~outputs

@@ -54,7 +54,7 @@ type t = {
   loops : loop_info list;  (** in textual order *)
 }
 
-val build : ?in_bounds:bool -> ?quick:bool -> Ir.program -> t
+val build : ?in_bounds:bool -> Ir.program -> t
 (** Run {!Driver.analyze} for the flow dependences and
     {!Driver.classify_storage} on the anti and output dependences that
     analysis already computed, and assemble the graph.  Each dependence

@@ -334,27 +334,6 @@ let prop_tests =
               let rhs = Oracle.holds_at env p && Oracle.holds_at env q in
               lhs = rhs)
             (Oracle.assignments vars lo hi));
-    QCheck.Test.make ~name:"gist fast checks agree with naive" ~count:100
-      (QCheck.pair (Oracle.arb_problem ()) (Oracle.arb_problem ()))
-      (fun ((p, vars, lo, hi), (q, _, _, _)) ->
-        (* both must satisfy the defining property; they may differ in which
-           minimal subset they choose *)
-        let check = function
-          | Gist.False -> not (Elim.satisfiable (Problem.conj p q))
-          | Gist.Tautology ->
-            Seq.for_all
-              (fun env ->
-                (not (Oracle.holds_at env q)) || Oracle.holds_at env p)
-              (Oracle.assignments vars lo hi)
-          | Gist.Gist g ->
-            Seq.for_all
-              (fun env ->
-                (Oracle.holds_at env g && Oracle.holds_at env q)
-                = (Oracle.holds_at env p && Oracle.holds_at env q))
-              (Oracle.assignments vars lo hi)
-        in
-        check (Gist.gist ~fast:true p ~given:q)
-        && check (Gist.gist ~fast:false p ~given:q));
     QCheck.Test.make ~name:"red/black gist_project defining property"
       ~count:60
       (QCheck.pair

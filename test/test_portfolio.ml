@@ -3,9 +3,10 @@
    - soundness: a screen verdict, when not Unknown, must agree with the
      complete procedure (QCheck, over the boxed random problems of the
      brute-force oracle);
-   - the GCD/divisibility and interval screens on hand-built problems
-     and on the figure 6/7 write/read pair corpus, where the cascade
-     must reproduce the Omega-only dependence vectors exactly;
+   - the GCD/divisibility and interval screens on hand-built problems;
+   - the cascade-vs-complete oracle on hand-built lying tiers, and on
+     the figure 6/7 write/read pair corpus, where every screen and fast
+     verdict must agree with the complete tier;
    - degradation: an exhausted plan gives up instead of answering, and
      tightening the budget can only turn Proved into Gave_up — never
      flip a verdict. *)
@@ -15,11 +16,6 @@ open Depend
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
-
-let with_backend b f =
-  let saved = !Portfolio.backend in
-  Portfolio.backend := b;
-  Fun.protect ~finally:(fun () -> Portfolio.backend := saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Hand-built screen instances                                         *)
@@ -99,12 +95,11 @@ let unit_tests =
     ( "portfolio: first definite tier wins and is attributed",
       `Quick,
       fun () ->
-        with_backend Portfolio.Cascade @@ fun () ->
         let tiers =
-          Portfolio.plan
-            ~screen:(fun () -> Screen.Proved)
-            ~complete:(fun () -> Screen.Disproved)
-            ()
+          [
+            (Portfolio.Tier_screen, fun () -> Screen.Proved);
+            (Portfolio.Tier_complete, fun () -> Screen.Disproved);
+          ]
         in
         match Portfolio.decide ~label:"test/first-wins" tiers with
         | Budget.Proved, Some Portfolio.Tier_screen -> ()
@@ -124,7 +119,6 @@ let unit_tests =
     ( "portfolio: cascade degrades monotonically under fuel",
       `Quick,
       fun () ->
-        with_backend Portfolio.Cascade @@ fun () ->
         let burn n =
           Budget.with_meter (fun m ->
               for _ = 1 to n do
@@ -135,12 +129,13 @@ let unit_tests =
           Budget.with_limits { Budget.default with Budget.fuel } (fun () ->
               fst
                 (Portfolio.decide ~label:"test/degrade"
-                   (Portfolio.plan
-                      ~screen:(fun () -> Screen.Unknown)
-                      ~complete:(fun () ->
-                        burn 50;
-                        Screen.Proved)
-                      ())))
+                   [
+                     (Portfolio.Tier_screen, fun () -> Screen.Unknown);
+                     ( Portfolio.Tier_complete,
+                       fun () ->
+                         burn 50;
+                         Screen.Proved );
+                   ]))
         in
         (match verdict_at 1 with
         | Budget.Gave_up Budget.Fuel -> ()
@@ -164,7 +159,80 @@ let unit_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Figure 6/7 pair corpus: cascade = Omega-only, screens exercised      *)
+(* The oracle: the one cascade-vs-complete gate                        *)
+(* ------------------------------------------------------------------ *)
+
+let answer v () = if v then Screen.Proved else Screen.Disproved
+
+(* [decide] once under the oracle: the verdict, the replay count and
+   the divergences recorded. *)
+let under_oracle label tiers =
+  Portfolio.Oracle.enable ();
+  let verdict =
+    Fun.protect ~finally:Portfolio.Oracle.disable (fun () ->
+        fst (Portfolio.decide ~label tiers))
+  in
+  (verdict, Portfolio.Oracle.checks (), Portfolio.Oracle.divergences ())
+
+let lying_tier_test tier =
+  let name = Portfolio.tier_to_string tier in
+  ( Printf.sprintf "oracle: a lying %s tier is one divergence" name,
+    `Quick,
+    fun () ->
+      let label = "test/lying-" ^ name in
+      let tiers =
+        (if tier = Portfolio.Tier_fast then
+           [ (Portfolio.Tier_screen, fun () -> Screen.Unknown) ]
+         else [])
+        @ [ (tier, answer true); (Portfolio.Tier_complete, answer false) ]
+      in
+      let verdict, checks, found = under_oracle label tiers in
+      check bool_t "the lying verdict is still returned" true
+        (verdict = Budget.Proved);
+      check Alcotest.int "one replay" 1 checks;
+      match found with
+      | [ d ] ->
+        check str_t "label" label d.Portfolio.Oracle.label;
+        check bool_t "tier" true (d.Portfolio.Oracle.tier = tier);
+        check bool_t "got" true d.Portfolio.Oracle.got;
+        check bool_t "want" false d.Portfolio.Oracle.want
+      | ds ->
+        Alcotest.failf "expected one divergence, got %d" (List.length ds) )
+
+let oracle_tests =
+  [
+    lying_tier_test Portfolio.Tier_screen;
+    lying_tier_test Portfolio.Tier_fast;
+    ( "oracle: a truthful plan is one check, no divergence",
+      `Quick,
+      fun () ->
+        let _, checks, found =
+          under_oracle "test/truthful"
+            [
+              (Portfolio.Tier_screen, answer false);
+              (Portfolio.Tier_complete, answer false);
+            ]
+        in
+        check Alcotest.int "one replay" 1 checks;
+        check Alcotest.int "no divergence" 0 (List.length found) );
+    ( "oracle: nothing is recorded while disabled",
+      `Quick,
+      fun () ->
+        Portfolio.Oracle.enable ();
+        Portfolio.Oracle.disable ();
+        ignore
+          (Portfolio.decide ~label:"test/disabled"
+             [
+               (Portfolio.Tier_screen, answer true);
+               (Portfolio.Tier_complete, answer false);
+             ]);
+        check Alcotest.int "no replay" 0 (Portfolio.Oracle.checks ());
+        check Alcotest.int "no divergence" 0
+          (List.length (Portfolio.Oracle.divergences ())) );
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Figure 6/7 pair corpus: the oracle agrees, screens exercised        *)
 (* ------------------------------------------------------------------ *)
 
 let pair_lines () =
@@ -219,16 +287,28 @@ let pair_lines () =
 
 let corpus_tests =
   [
-    ( "pair corpus: cascade vectors = Omega-only vectors",
+    ( "pair corpus: every screen/fast verdict agrees with the complete tier",
       `Quick,
       fun () ->
-        let omega_only = with_backend Portfolio.Omega pair_lines in
+        let plain = pair_lines () in
         Metrics.reset ();
-        let cascaded = with_backend Portfolio.Cascade pair_lines in
+        Portfolio.Oracle.enable ();
+        let replayed =
+          Fun.protect ~finally:Portfolio.Oracle.disable pair_lines
+        in
         let tiers = Metrics.current () in
-        check bool_t "pair corpus is non-trivial" true (omega_only <> []);
-        check (Alcotest.list str_t) "identical dependence vectors" omega_only
-          cascaded;
+        let divergence (d : Portfolio.Oracle.divergence) =
+          Printf.sprintf "%s tier %s said %b, complete %b"
+            d.Portfolio.Oracle.label
+            (Portfolio.tier_to_string d.Portfolio.Oracle.tier)
+            d.Portfolio.Oracle.got d.Portfolio.Oracle.want
+        in
+        check bool_t "pair corpus is non-trivial" true (plain <> []);
+        check (Alcotest.list str_t) "no divergence" []
+          (List.map divergence (Portfolio.Oracle.divergences ()));
+        check bool_t "verdicts replayed" true (Portfolio.Oracle.checks () > 0);
+        check (Alcotest.list str_t) "the replay changes no line" plain
+          replayed;
         check bool_t "screen tier consulted" true
           (tiers.Metrics.screen.Metrics.attempts > 0);
         check bool_t "screen tier decided some queries" true
@@ -268,5 +348,5 @@ let prop_tests =
 
 let suite =
   ( "portfolio",
-    unit_tests @ corpus_tests
+    unit_tests @ oracle_tests @ corpus_tests
     @ List.map (QCheck_alcotest.to_alcotest ~long:false) prop_tests )
