@@ -83,18 +83,7 @@ let implies_exists_decide ?(label = "query") ~hyp lhs ~evars rhs :
       ]
   in
   if not (Memo.active ()) then compute ()
-  else begin
-    let key = Lazy.force canon in
-    match Memo.find key with
-    | Some (verdict, tier) -> (verdict, tier)
-    | None ->
-      (* Two threads racing on a fresh key both compute and both add;
-         the solver is deterministic, so the duplicated work is the only
-         cost and the second [add] just replaces an equal entry. *)
-      let ((verdict, tier) as result) = compute () in
-      Memo.add key verdict tier;
-      result
-  end
+  else Memo.verdict (Lazy.force canon) compute
 
 let implies_exists_verdict ?label ~hyp lhs ~evars rhs : Budget.verdict =
   fst (implies_exists_decide ?label ~hyp lhs ~evars rhs)

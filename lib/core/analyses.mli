@@ -21,6 +21,28 @@ module Memo = Memo
     one [capacity], one [reset] for every kind of entry; fault-injected
     runs bypass it.  See {!Depend.Memo}. *)
 
+val fast_tier :
+  hyp:Constr.t list ->
+  Problem.t list ->
+  evars:Var.t list ->
+  Problem.t list ->
+  unit ->
+  Screen.answer
+(** Tier 1 of {!implies_exists_decide}: every [lhs] disjunct (under
+    [hyp]) is unsatisfiable or implies the dark-shadow projection of
+    some [rhs] disjunct with [evars] eliminated.  [Proved] or [Unknown],
+    never [Disproved]; the dark shadow under-approximates, so a proof
+    over it holds over the integers. *)
+
+val complete_tier :
+  hyp:Constr.t list ->
+  Problem.t list ->
+  evars:Var.t list ->
+  Problem.t list ->
+  unit ->
+  Screen.answer
+(** Tier 2: the complete Presburger decision, [Proved] or [Disproved]. *)
+
 val implies_exists_decide :
   ?label:string ->
   hyp:Constr.t list ->

@@ -155,54 +155,108 @@ let replayable verdict lims =
   | Budget.Proved | Budget.Disproved -> true
   | Budget.Gave_up _ -> Budget.le (Budget.current_limits ()) lims
 
-(* Besides the shared counters, every lookup counts a hit or a miss in
-   the calling domain's [Metrics] record (outside the lock: the record
-   is domain-local).  That is how a petitd request reports exactly its
-   own memo traffic while other sessions use the shared table. *)
-let find key =
-  let found =
+(* In-flight keys.  The first asker of a fresh key claims it and runs
+   the solver; a second asker (another domain or a daemon thread) waits
+   on [settled] until the claim is released, then looks again: it
+   replays the entry the first one stored, or, when there is none or it
+   is not replayable under the waiter's budget, claims the key and
+   computes itself.  So each completed result is computed once, and the
+   hit/miss counts of a sharded run equal the serial ones.  Solver work
+   never looks up the memo, so a claimant never waits on another claim.
+   [reset] leaves the markers alone: each belongs to a running
+   computation, which releases it. *)
+let inflight : (string, unit) Hashtbl.t = Hashtbl.create 64
+let settled = Condition.create ()
+
+(* The cached answer ([lookup], under the lock) or the claim on [key]:
+   [compute] runs outside the lock, [store] records its result, and the
+   claim is released on every exit path.  [counted] tallies the
+   resolved lookup once, as a hit or a miss, however long it waited. *)
+let memoize key ~lookup ~counted ~store compute =
+  let claimed =
     locked (fun () ->
+        let rec go () =
+          match lookup () with
+          | Some r -> Some r
+          | None when Hashtbl.mem inflight key ->
+            Condition.wait settled lock;
+            go ()
+          | None ->
+            Hashtbl.replace inflight key ();
+            None
+        in
+        let r = go () in
+        counted r;
+        r)
+  in
+  match claimed with
+  | Some r -> r
+  | None ->
+    Fun.protect
+      ~finally:(fun () ->
+        locked (fun () ->
+            Hashtbl.remove inflight key;
+            Condition.broadcast settled))
+      (fun () ->
+        let r = compute () in
+        store r;
+        r)
+
+(* Besides the shared counters, every verdict lookup counts a hit or a
+   miss in the calling domain's [Metrics] record (outside the lock: the
+   record is domain-local).  That is how a petitd request reports exactly
+   its own memo traffic while other sessions use the shared table. *)
+let verdict key compute =
+  let hit = ref false in
+  let r =
+    memoize key
+      ~lookup:(fun () ->
         match Hashtbl.find_opt table key with
         | Some (Verdict (verdict, lims, tier)) when replayable verdict lims ->
-          stats.hits <- stats.hits + 1;
-          bump_tier stats tier;
           Some (verdict, tier)
-        | _ ->
-          stats.misses <- stats.misses + 1;
-          None)
+        | _ -> None)
+      ~counted:(function
+        | Some (_, tier) ->
+          hit := true;
+          stats.hits <- stats.hits + 1;
+          bump_tier stats tier
+        | None -> stats.misses <- stats.misses + 1)
+      ~store:(fun (verdict, tier) -> add key verdict tier)
+      compute
   in
   let m = Metrics.current () in
-  (match found with
-  | Some _ -> m.memo_hits <- m.memo_hits + 1
-  | None -> m.memo_misses <- m.memo_misses + 1);
-  found
+  if !hit then m.memo_hits <- m.memo_hits + 1
+  else m.memo_misses <- m.memo_misses + 1;
+  r
+
+let lookup_levels key unwrap =
+  match Hashtbl.find_opt table key with
+  | Some (Levels r) -> unwrap r
+  | Some (Verdict _) | None -> None
+
+let count_levels found =
+  match found with
+  | Some _ -> stats.vec_hits <- stats.vec_hits + 1
+  | None -> stats.vec_misses <- stats.vec_misses + 1
 
 (* A lookup counts as a hit only when the entry is of the kind the
    caller expects ([unwrap]); tags keep the kinds' keys apart anyway. *)
 let find_levels key unwrap =
   locked (fun () ->
-      let found =
-        match Hashtbl.find_opt table key with
-        | Some (Levels r) -> unwrap r
-        | Some (Verdict _) | None -> None
-      in
-      (match found with
-      | Some _ -> stats.vec_hits <- stats.vec_hits + 1
-      | None -> stats.vec_misses <- stats.vec_misses + 1);
+      let found = lookup_levels key unwrap in
+      count_levels found;
       found)
 
 let per_level ~key ~wrap ~unwrap solve levels =
   if levels = [] || not (active ()) then List.map solve levels
   else begin
     let key = key () in
-    match find_levels key unwrap with
-    | Some rs -> List.map Result.ok rs
-    | None ->
-      (* Racing threads on a fresh key both compute and both add; the
-         solver is deterministic, so the second add replaces an equal
-         entry. *)
-      let rs = List.map solve levels in
-      if List.for_all Result.is_ok rs then
-        insert key (Levels (wrap (List.map Result.get_ok rs)));
-      rs
+    memoize key
+      ~lookup:(fun () ->
+        Option.map (List.map Result.ok) (lookup_levels key unwrap))
+      ~counted:count_levels
+      ~store:(fun rs ->
+        if List.for_all Result.is_ok rs then
+          insert key (Levels (wrap (List.map Result.get_ok rs))))
+      (fun () -> List.map solve levels)
   end

@@ -66,16 +66,24 @@ val hit_rate : unit -> float
 
 (** {2 Verdicts} *)
 
-val find : string -> (Budget.verdict * Portfolio.tier option) option
-(** Replayable cached verdict under the current domain's
-    {!Budget.current_limits}, with the tier that computed it; counts a
-    hit or a miss, both in {!stats} and in the calling domain's
-    {!Omega.Metrics} record ([memo_hits]/[memo_misses]). *)
+val verdict :
+  string ->
+  (unit -> Budget.verdict * Portfolio.tier option) ->
+  Budget.verdict * Portfolio.tier option
+(** [verdict key compute]: the replayable cached verdict under [key]
+    (under the current domain's {!Budget.current_limits}), with the tier
+    that computed it; otherwise [compute ()]'s result, recorded under
+    the current limits and evicting FIFO beyond {!capacity}.  Counts one
+    hit or one miss, both in {!stats} and in the calling domain's
+    {!Omega.Metrics} record ([memo_hits]/[memo_misses]).
 
-val add : string -> Budget.verdict -> Portfolio.tier option -> unit
-(** Record a verdict computed under the current domain's
-    {!Budget.current_limits}, tagged with the deciding tier, evicting
-    FIFO beyond {!capacity}. *)
+    While one caller computes a key, a second asker of the same key
+    waits for it, then replays its entry, or computes itself when the
+    entry is missing or not replayable under its own budget.  The claim
+    is released on every exit path, exceptions included.  So a key is
+    computed once however many domains or threads ask, and sharded hit
+    and miss counts equal serial ones.  [compute] must not consult the
+    memo. *)
 
 (** {2 Per-level results} *)
 
@@ -98,5 +106,6 @@ val per_level :
 (** [per_level ~key ~wrap ~unwrap solve levels]: [List.map solve levels],
     answered from one cache entry under [key ()] when there is one (a
     vector hit) and stored there when every level returned [Ok] (a
-    vector miss).  When the cache is not {!active} or [levels] is
-    empty, [key] is never forced and nothing is counted. *)
+    vector miss).  A concurrent asker of the same key waits for the
+    first, as in {!verdict}.  When the cache is not {!active} or [levels]
+    is empty, [key] is never forced and nothing is counted. *)

@@ -14,17 +14,17 @@
    and immutable while parallel work is in flight, and the fault stream
    is keyed by query content, not by domain.)  Because the merge is
    commutative and every per-query quantity is deterministic, the merged
-   counters equal the serial run's up to the memo-race caveat below.
+   counters equal the serial run's.
 
    Verdicts are bit-identical to the serial run by construction: item
    results depend only on each item's own problems, whose variables are
    minted by one domain in the same relative order as serially (see
    Var), and the shared [Analyses.Memo] is keyed canonically so a hit
    from any domain replays the same deterministic verdict.  The only
-   nondeterminism parallelism adds is *who computes*: two domains racing
-   a fresh memo key both compute the same verdict, so memo hit/miss
-   counts, and the solver work behind a duplicated miss, may differ run
-   to run.
+   nondeterminism parallelism adds is *who computes*: when two domains
+   ask a fresh memo key together, one computes and the other waits and
+   replays (the memo's in-flight claims), so every key is still computed
+   once and the hit/miss counts match the serial run.
 
    The default width is 1: [map] is then exactly [Array.map], no pool,
    no scoping — existing single-domain behaviour, bit for bit. *)

@@ -7,10 +7,9 @@
     order as serially, and the shared {!Analyses.Memo} is keyed
     canonically.  Each task runs under the submitter's budget limits
     with a fresh {!Omega.Metrics} record, merged into the submitter's
-    record when the task ends, so sharded counters equal serial ones,
-    except where two domains race a fresh memo key: both compute the
-    same verdict, so the memo hit/miss counts and the solver work
-    behind the duplicated miss may differ run to run.
+    record when the task ends, so sharded counters equal serial ones.
+    Two domains asking one fresh memo key do not both compute it: the
+    second waits for the first and replays its entry.
 
     Width defaults to 1, in which case {!map} is exactly [Array.map]
     with no pool and no scoping. *)

@@ -45,9 +45,6 @@ let simplify = Problem.simplify
 type piece = {
   lo : Zint.t option;
   hi : Zint.t option;
-
-
-
   sat_at : Zint.t -> bool;
   cong_lcm : Zint.t;
 }
@@ -102,40 +99,62 @@ let analyze_piece v (q : Problem.t) : piece =
   in
   { lo = !lo; hi = !hi; sat_at; cong_lcm }
 
-(* Smallest value of [v] subject to [p]. *)
+(* Smallest and largest value of [v] subject to [p], both read from one
+   exact projection onto [v].  Each piece of the projection holds only
+   bounds on [v] and inert congruences, whose solutions repeat with period
+   [cong_lcm]: scanning that many values up from the lower bound (down
+   from the upper one) finds the piece's minimum (maximum) or proves the
+   piece empty.  [`Range (lo, hi)] is over the nonempty pieces, [None]
+   meaning unbounded on that side; [`Unsat] means no piece has a
+   solution. *)
+let bounds (p : Problem.t) (v : Var.t) :
+    [ `Unsat | `Range of Zint.t option * Zint.t option ] =
+  let keep u = Var.equal u v in
+  let scan pc start step ~past =
+    let rec go x n =
+      if Zint.(n > pc.cong_lcm) || past x then None
+      else if pc.sat_at x then Some x
+      else go (step x) (Zint.succ n)
+    in
+    go start Zint.one
+  in
+  let above b x = match b with Some b -> Zint.(x > b) | None -> false in
+  let below b x = match b with Some b -> Zint.(x < b) | None -> false in
+  (* one piece: [None] when empty, else its (min, max), [None] sides
+     unbounded *)
+  let piece_range pc =
+    let up l = scan pc l Zint.succ ~past:(above pc.hi) in
+    let down h = scan pc h Zint.pred ~past:(below pc.lo) in
+    match pc.lo, pc.hi with
+    | Some l, _ -> (
+      match up l with
+      | None -> None
+      | Some m -> Some (Some m, Option.bind pc.hi down))
+    | None, Some h -> Option.map (fun m -> (None, Some m)) (down h)
+    | None, None -> Option.map (fun _ -> (None, None)) (up Zint.zero)
+  in
+  let pieces = List.map (analyze_piece v) (Elim.project ~keep p) in
+  match List.filter_map piece_range pieces with
+  | [] -> `Unsat
+  | (lo, hi) :: rest ->
+    let join better a b =
+      match a, b with Some a, Some b -> Some (better a b) | _ -> None
+    in
+    `Range
+      (List.fold_left
+         (fun (lo, hi) (l, h) -> (join Zint.min lo l, join Zint.max hi h))
+         (lo, hi) rest)
+
 let minimize (p : Problem.t) (v : Var.t) :
     [ `Unsat | `Unbounded | `Min of Zint.t ] =
-  let keep u = Var.equal u v in
-  let pieces = List.map (analyze_piece v) (Elim.project ~keep p) in
-  (* a piece with no lower bound is nonempty (congruences have arbitrarily
-     small solutions), hence unbounded below *)
-  if List.exists (fun pc -> pc.lo = None) pieces then `Unbounded
-  else begin
-    let piece_min pc =
-      match pc.lo with
-      | None -> assert false
-      | Some l ->
-        (* scan at most lcm-of-moduli values upward from the lower bound *)
-        let rec scan x n =
-          if Zint.(n > pc.cong_lcm) then None
-          else if (match pc.hi with Some h -> Zint.(x > h) | None -> false)
-          then None (* piece empty below hi *)
-          else if pc.sat_at x then Some x
-          else scan (Zint.succ x) (Zint.succ n)
-        in
-        scan l Zint.one
-    in
-    match List.filter_map piece_min pieces with
-    | [] -> `Unsat
-    | x :: rest -> `Min (List.fold_left Zint.min x rest)
-  end
+  match bounds p v with
+  | `Unsat -> `Unsat
+  | `Range (Some m, _) -> `Min m
+  | `Range (None, _) -> `Unbounded
 
 let maximize (p : Problem.t) (v : Var.t) :
     [ `Unsat | `Unbounded | `Max of Zint.t ] =
-  (* maximize v = -(minimize -v): substitute v := -v' *)
-  let v' = Var.fresh (Var.name v ^ "_negated") in
-  let p' = Problem.subst v (Linexpr.term Zint.minus_one v') p in
-  match minimize p' v' with
+  match bounds p v with
   | `Unsat -> `Unsat
-  | `Unbounded -> `Unbounded
-  | `Min x -> `Max (Zint.neg x)
+  | `Range (_, Some m) -> `Max m
+  | `Range (_, None) -> `Unbounded

@@ -189,6 +189,42 @@ let test_sharded_counters () =
             serial (counters n))
         [ 2; 3 ])
 
+(* The same with the memo on, over repeated runs.  Two domains asking
+   one fresh key do not both compute it: the second waits for the
+   first's claim and replays its entry, so each key is computed once and
+   every counter — the verdict and vector hit/miss counts included —
+   equals the serial run's, run after run. *)
+let test_sharded_counters_memo () =
+  let counters n =
+    with_width n (fun () ->
+        Analyses.Memo.reset ();
+        Metrics.reset ();
+        Budget.with_limits Budget.default (fun () ->
+            List.iter
+              (fun (_, src) ->
+                ignore
+                  (Driver.analyze
+                     (Lang.Sema.analyze (Lang.Parser.parse_string src))))
+              programs);
+        let s = Analyses.Memo.stats in
+        ( Metrics.current (),
+          Printf.sprintf "verdicts %d/%d, vectors %d/%d, %d entries"
+            s.Analyses.Memo.hits s.misses s.vec_hits s.vec_misses
+            (Analyses.Memo.size ()) ))
+  in
+  Fun.protect ~finally:Analyses.Memo.reset (fun () ->
+      let serial, serial_memo = counters 1 in
+      check Alcotest.bool "the memo answered some lookups" true
+        (serial.memo_hits > 0);
+      List.iter
+        (fun (n, run) ->
+          let m, memo = counters n in
+          let label = Printf.sprintf "%d domains, run %d" n run in
+          check metrics_t (label ^ ": counters equal serial") serial m;
+          check string_t (label ^ ": memo counts equal serial") serial_memo
+            memo)
+        [ (2, 1); (2, 2); (2, 3); (3, 1); (3, 2) ])
+
 let suite =
   ( "par_analysis",
     [
@@ -201,4 +237,6 @@ let suite =
         test_repeated_runs;
       Alcotest.test_case "sharded counters = serial counters" `Slow
         test_sharded_counters;
+      Alcotest.test_case "sharded counters = serial counters, memo on" `Slow
+        test_sharded_counters_memo;
     ] )

@@ -863,14 +863,12 @@ let test_memo_stress () =
         for i = 0 to rounds - 1 do
           (* overlapping key ranges: plenty of sharing and eviction *)
           let key = Printf.sprintf "k%d" ((i + (k * 37)) mod 512) in
-          (match Memo.find key with
-          | Some _ -> ()
-          | None ->
-            Memo.add key
-              (if i land 1 = 0 then Omega.Budget.Proved
-               else Omega.Budget.Disproved)
-              (if i land 1 = 0 then Some Omega.Portfolio.Tier_screen
-               else Some Omega.Portfolio.Tier_complete));
+          ignore
+            (Memo.verdict key (fun () ->
+                 if i land 1 = 0 then
+                   (Omega.Budget.Proved, Some Omega.Portfolio.Tier_screen)
+                 else
+                   (Omega.Budget.Disproved, Some Omega.Portfolio.Tier_complete)));
           let size = Memo.size () in
           if size > 64 then
             Alcotest.failf "cache exceeded capacity: %d > 64" size
@@ -882,6 +880,38 @@ let test_memo_stress () =
       let total = m.Memo.hits + m.Memo.misses in
       check int_t "every probe accounted" (threads * rounds) total;
       check bool_t "bounded" true (Memo.size () <= 64))
+
+(* Concurrent askers of one fresh key: the first claims it and
+   computes, the others wait and replay its entry.  A compute that
+   raises still releases its claim, so the next asker computes. *)
+let test_memo_inflight () =
+  let open Depend.Analyses in
+  Fun.protect ~finally:Memo.reset (fun () ->
+      Memo.reset ();
+      let computed = Atomic.make 0 in
+      let threads = 6 in
+      let ask () =
+        ignore
+          (Memo.verdict "shared" (fun () ->
+               Atomic.incr computed;
+               Thread.delay 0.02;
+               (Omega.Budget.Proved, Some Omega.Portfolio.Tier_complete)))
+      in
+      let ts = List.init threads (fun _ -> Thread.create ask ()) in
+      List.iter Thread.join ts;
+      check int_t "one compute" 1 (Atomic.get computed);
+      check int_t "one miss" 1 Memo.stats.Memo.misses;
+      check int_t "the rest replay" (threads - 1) Memo.stats.Memo.hits;
+      (match
+         Memo.verdict "raises" (fun () -> failwith "solver crashed")
+       with
+      | _ -> Alcotest.fail "expected the exception"
+      | exception Failure _ -> ());
+      let again =
+        Memo.verdict "raises" (fun () -> (Omega.Budget.Disproved, None))
+      in
+      check bool_t "claim released: the next asker computes" true
+        (fst again = Omega.Budget.Disproved))
 
 let suite =
   ( "serve",
@@ -914,4 +944,6 @@ let suite =
       Alcotest.test_case "8 clients over 2 solver domains, identical verdicts"
         `Slow test_concurrent_determinism_domains;
       Alcotest.test_case "memo: concurrent stress" `Quick test_memo_stress;
+      Alcotest.test_case "memo: in-flight key computed once" `Quick
+        test_memo_inflight;
     ] )
