@@ -1072,16 +1072,12 @@ type analysis_subject = { as_name : string; as_prog : Lang.Ir.program }
 
 (* The whole corpus plus the adversarial stress nests (the robustness
    suite's population): the stress programs are where Fourier-Motzkin
-   growth actually bites.  stress_coupled is left out: under the
-   no-give-up budget a single analysis of it runs ~30 seconds, and it
-   exercises the same blowup paths stress_splinter covers at a fraction
-   of the cost. *)
+   growth actually bites. *)
 let analysis_subjects () : analysis_subject list =
   List.map
     (fun (name, src) ->
       { as_name = name; as_prog = parse src })
-    (Corpus.all
-    @ List.filter (fun (n, _) -> n <> "stress_coupled") Corpus.stress)
+    (Corpus.all @ Corpus.stress)
 
 (* Time one subject, [iters] analyses per sample (calibrated once per
    subject, so every pass over the population times it the same way).

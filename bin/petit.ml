@@ -796,11 +796,14 @@ let corpus_cmd =
   let run name =
     match name with
     | None ->
-      List.iter (fun (n, _) -> print_endline n) Corpus.all
-    | Some n -> print_string (Corpus.find n)
+      List.iter (fun (n, _) -> print_endline n) (Corpus.all @ Corpus.stress)
+    | Some n -> with_errors (fun () -> print_string (Corpus.find n))
   in
   Cmd.v
-    (Cmd.info "corpus" ~doc:"List bundled corpus programs, or print one.")
+    (Cmd.info "corpus"
+       ~doc:
+         "List bundled corpus programs (the solver stress nests last), or \
+          print one.")
     Term.(const run $ Arg.(value & pos 0 (some string) None & info [] ~docv:"NAME"))
 
 let () =

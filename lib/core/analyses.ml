@@ -27,7 +27,8 @@ let memo_key ~hyp lhs ~evars rhs = Canon.key ~hyp lhs ~evars rhs
    tier 0 — the incomplete O(constraints) screen;
    tier 1 — one RHS disjunct's dark projection implied by the LHS
             disjunct (must hold for EVERY lhs disjunct; proves only);
-   tier 2 — the complete Presburger engine (always decides). *)
+   tier 2 — the complete Presburger engine (always decides; a stalled
+            enumeration asks [counterexample] for a checked point). *)
 
 let screen_tier ~hyp lhs ~evars rhs () = Screen.implies_exists ~hyp lhs ~evars rhs
 
@@ -52,6 +53,42 @@ let fast_tier ~hyp lhs ~evars rhs () =
   in
   if ok then Screen.Proved else Screen.Unknown
 
+(* A checked counterexample to [hyp => (lhs => exists evars. rhs)]: a
+   point of some [lhs] disjunct under [hyp] where no [rhs] disjunct has a
+   solution.  Each disjunct is sampled at its low, then its high corner
+   ([Omega.corner]).  The point's values for [evars] are not pinned in
+   the [rhs], where those variables are bound; a free variable of the
+   [rhs] the point leaves open stays existential there, so "no solution"
+   holds whatever value it takes. *)
+let counterexample ~hyp lhs ~evars rhs () =
+  let pins point =
+    List.map
+      (fun (v, x) -> Constr.eq2 (Linexpr.var v) (Linexpr.const x))
+      point
+  in
+  let refutes l side =
+    Option.bind (Omega.corner side l) (fun point ->
+        let free =
+          List.filter
+            (fun (v, _) -> not (List.exists (Var.equal v) evars))
+            point
+        in
+        if
+          Elim.satisfiable (Problem.add_list (pins point) l)
+          && List.for_all
+               (fun r ->
+                 not (Elim.satisfiable (Problem.add_list (pins free) r)))
+               rhs
+        then Some point
+        else None)
+  in
+  List.find_map
+    (fun l -> List.find_map (refutes (Problem.add_list hyp l)) [ `Low; `High ])
+    lhs
+
+(* The complete decision, with [counterexample] as its refutation hook:
+   a false query whose negated projection is too wide to enumerate is
+   disproved once the enumeration stalls. *)
 let complete_tier ~hyp lhs ~evars rhs () =
   let open Presburger in
   let f =
@@ -61,7 +98,8 @@ let complete_tier ~hyp lhs ~evars rhs () =
          (or_ (List.map of_problem lhs))
          (exists evars (or_ (List.map of_problem rhs))))
   in
-  if valid f then Screen.Proved else Screen.Disproved
+  let refute () = Option.is_some (counterexample ~hyp lhs ~evars rhs ()) in
+  if valid ~refute f then Screen.Proved else Screen.Disproved
 
 (* The three-valued query boundary, with tier attribution: any blown
    budget inside a tier surfaces as [Gave_up], never as an exception.

@@ -41,7 +41,23 @@ val complete_tier :
   Problem.t list ->
   unit ->
   Screen.answer
-(** Tier 2: the complete Presburger decision, [Proved] or [Disproved]. *)
+(** Tier 2: the complete Presburger decision, [Proved] or [Disproved].
+    Its refutation hook ({!Omega.Presburger.valid}'s [refute]) is
+    {!counterexample}. *)
+
+val counterexample :
+  hyp:Constr.t list ->
+  Problem.t list ->
+  evars:Var.t list ->
+  Problem.t list ->
+  unit ->
+  (Var.t * Zint.t) list option
+(** A checked counterexample to [hyp => (lhs => exists evars. rhs)]:
+    for each [lhs] disjunct (under [hyp]), its low then its high corner
+    ({!Omega.corner}), the first point at which the pinned disjunct is
+    satisfiable and every [rhs] disjunct, with the point's non-[evars]
+    values pinned, is unsatisfiable.  The point fixes every non-wildcard
+    variable of [hyp] and the disjunct.  [None] proves nothing. *)
 
 val implies_exists_decide :
   ?label:string ->

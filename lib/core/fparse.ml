@@ -155,4 +155,6 @@ let problem_of_string (s : string) : Problem.t * (string * Var.t) list =
     | Ast.Gt -> Constr.gt l r
     | Ast.Ne -> raise (Error "!= is a disjunction; not allowed here")
   in
-  (Problem.of_list (List.map constr conds), env.table)
+  (* bind first: the constraints fill [env.table] *)
+  let p = Problem.of_list (List.map constr conds) in
+  (p, env.table)

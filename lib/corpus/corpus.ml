@@ -698,11 +698,6 @@ let all : (string * string) list =
     ("row_dot_private", row_dot_private);
   ]
 
-let find name =
-  match List.assoc_opt name all with
-  | Some src -> src
-  | None -> invalid_arg (Printf.sprintf "Corpus.find: unknown program %s" name)
-
 (* Programs suitable for the Figure 6/7 timing population (analyzable
    end-to-end; the symbolic examples 8-11 are exercised separately). *)
 let timing_population =
@@ -817,3 +812,9 @@ let stress =
     ("stress_kill_dnf", stress_kill_dnf);
     ("stress_maxmin", stress_maxmin);
   ]
+
+(* Corpus programs first, then the stress nests. *)
+let find name =
+  match List.assoc_opt name (all @ stress) with
+  | Some src -> src
+  | None -> invalid_arg (Printf.sprintf "unknown program %s" name)

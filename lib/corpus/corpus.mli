@@ -39,9 +39,6 @@ val row_dot_private : string
 val all : (string * string) list
 (** Every corpus program, by name. *)
 
-val find : string -> string
-(** @raise Invalid_argument on an unknown name. *)
-
 val timing_population : string list
 (** The programs swept by the Figure 6/7 benches. *)
 
@@ -51,3 +48,7 @@ val stress : (string * string) list
     bound case splits).  Not part of {!all}: they exist to exhaust
     solver budgets, and the execution harnesses that sweep [all] have
     nothing to learn from them. *)
+
+val find : string -> string
+(** A program of {!all} or {!stress}, by name.
+    @raise Invalid_argument on an unknown name. *)

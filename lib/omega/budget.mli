@@ -15,7 +15,12 @@
     deterministic, so a query that completes under a tight budget
     returns the same verdict under any looser deadline-free budget:
     tightening can only turn [Proved]/[Disproved] into [Gave_up], never
-    flip them.
+    flip them.  This holds because no step of the solver reads a limit
+    except to stop: the point where a DNF enumeration asks its
+    refutation hook ({!Presburger.stall_point}) is a fixed count of
+    alternatives, not a fraction of the disjunct limit, so every limit
+    that lets an enumeration reach it sees the same hook answer, and a
+    limit below it gives up first.
 
     Limits and the meter live in a {e per-domain world} (Domain.DLS):
     every domain can run queries concurrently without a lock, and nested

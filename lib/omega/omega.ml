@@ -145,6 +145,37 @@ let bounds (p : Problem.t) (v : Var.t) :
          (fun (lo, hi) (l, h) -> (join Zint.min lo l, join Zint.max hi h))
          (lo, hi) rest)
 
+(* One integer point of [p] over its non-wildcard variables, found
+   through [bounds]: each variable in turn (by [Var.compare]) is fixed at
+   its least value subject to [p] and the earlier fixes ([`Low]), or at
+   its greatest ([`High]).  A variable unbounded on that side takes its
+   other end; one unbounded on both gives no point.  [bounds] is exact,
+   so every fix keeps the problem satisfiable and a completed corner is
+   a point of [p], its wildcards read existentially. *)
+let corner (side : [ `Low | `High ]) (p : Problem.t) :
+    (Var.t * Zint.t) list option =
+  let pick lo hi =
+    match side, lo, hi with
+    | `Low, Some x, _ | `Low, None, Some x -> Some x
+    | `High, _, Some x | `High, Some x, None -> Some x
+    | _, None, None -> None
+  in
+  let rec fix p acc = function
+    | [] -> Some (List.rev acc)
+    | v :: rest -> (
+      match bounds p v with
+      | `Unsat -> None
+      | `Range (lo, hi) -> (
+        match pick lo hi with
+        | None -> None
+        | Some x ->
+          let pin = Constr.eq2 (Linexpr.var v) (Linexpr.const x) in
+          fix (Problem.add pin p) ((v, x) :: acc) rest))
+  in
+  fix p []
+    (Var.Set.elements
+       (Var.Set.filter (fun v -> not (Var.is_wild v)) (Problem.vars p)))
+
 let minimize (p : Problem.t) (v : Var.t) :
     [ `Unsat | `Unbounded | `Min of Zint.t ] =
   match bounds p v with

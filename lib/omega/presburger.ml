@@ -16,7 +16,23 @@
    [Budget.Exhausted Disjuncts], which the query boundary ([Budget.run])
    turns into a [Gave_up] verdict.
    Callers that use the procedure to *prove* facts (kill/cover/
-   refinement tests) treat a give-up as "not proved". *)
+   refinement tests) treat a give-up as "not proved".
+
+   A DNF can be wide although a point of it is easy to find: a false
+   [forall (p => exists q)] is shown by any point of [p] outside the
+   projection of [q], yet the enumeration only meets such a point as a
+   leaf of the negated projection's cross product.  So the outer
+   enumeration of [satisfiable] (and [valid]) takes a one-shot hook:
+   once it has entered [stall_point] = 256 [Or] alternatives without a
+   satisfiable leaf it asks [witness ()] (for [valid], [refute ()]) once,
+   and a [true] answer ends the enumeration as satisfiable (not valid).
+   The hook must only answer [true] for a checked point.  The count is
+   fixed, not a fraction of the disjunct limit: a query's path through
+   the enumeration then depends on the limit only through where it
+   stops, so a query decided under a limit is decided the same way under
+   any larger one (the promise of [Budget.le], on which the memo's
+   give-up fingerprints rely).  A limit below 256 gives up before the
+   hook can run, exactly as without it. *)
 
 type t =
   | True
@@ -167,8 +183,12 @@ let rec neg_qf = function
    alternatives entered are charged against the disjunct limit, so a pure
    conjunction costs nothing and the work stays bounded by branches times
    formula size.  Congruence atoms materialize a fresh wildcard each time
-   a branch adds them. *)
-let enumerate (f : t) (k : Problem.t -> bool) : bool =
+   a branch adds them.  Entering the [stall_point]-th alternative first
+   asks [witness] (see the header). *)
+let stall_point = 256
+
+let enumerate ?(witness = fun () -> false) (f : t) (k : Problem.t -> bool) :
+    bool =
   let limit = Budget.disjunct_limit () in
   let branches = ref 0 in
   let rec go p = function
@@ -189,7 +209,7 @@ let enumerate (f : t) (k : Problem.t -> bool) : bool =
           (fun g ->
             incr branches;
             if !branches > limit then raise (Budget.Exhausted Budget.Disjuncts);
-            go p (g :: rest))
+            (!branches = stall_point && witness ()) || go p (g :: rest))
           fs
       | Exists _ | Forall _ -> invalid_arg "Presburger.dnf: quantified formula")
   in
@@ -236,9 +256,10 @@ let rec qe (f : t) : t =
     or_ (List.rev_map of_problem !pieces)
   | Forall (vs, g) -> neg_qf (qe (Exists (vs, neg_qf (qe g))))
 
-let satisfiable (f : t) : bool = enumerate (qe f) Elim.satisfiable
+let satisfiable ?witness (f : t) : bool =
+  enumerate ?witness (qe f) Elim.satisfiable
 
-let valid (f : t) : bool = not (satisfiable (not_ f))
+let valid ?refute (f : t) : bool = not (satisfiable ?witness:refute (not_ f))
 
 let implies f g = valid (implies_ f g)
 

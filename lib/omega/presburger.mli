@@ -14,7 +14,15 @@
     enumeration (or projecting more pieces) than the disjunct limit allows
     raises [Budget.Exhausted Disjuncts].  Callers using the procedure to
     {e prove} a fact treat a give-up as "not proved" (conservative for
-    elimination queries). *)
+    elimination queries).
+
+    The outer enumeration of {!satisfiable} and {!valid} stalls at a
+    fixed count: after entering {!stall_point} alternatives without a
+    satisfiable leaf it calls its hook ([witness], [refute]) once, and
+    a [true] answer decides the formula satisfiable (not valid) at once.
+    The count does not scale with the disjunct limit, so a query decided
+    under some limit is decided the same way under every larger one; a
+    limit below {!stall_point} gives up before the hook runs. *)
 
 type t =
   | True
@@ -77,11 +85,19 @@ val qe : t -> t
 (** Quantifier elimination: the result is quantifier-free over the free
     variables (plus [Cong] atoms). *)
 
-val satisfiable : t -> bool
-(** Satisfiability, free variables read existentially. *)
+val stall_point : int
+(** [Or] alternatives the outer enumeration enters before it asks its
+    hook: 256. *)
 
-val valid : t -> bool
-(** Validity, free variables read universally. *)
+val satisfiable : ?witness:(unit -> bool) -> t -> bool
+(** Satisfiability, free variables read existentially.  [witness ()]
+    runs at most once, at the {!stall_point}; it must answer [true] only
+    when it has checked a point satisfying the formula. *)
+
+val valid : ?refute:(unit -> bool) -> t -> bool
+(** Validity, free variables read universally.  [refute ()] runs at most
+    once, at the {!stall_point}; it must answer [true] only when it has
+    checked a point falsifying the formula. *)
 
 val implies : t -> t -> bool
 

@@ -139,6 +139,14 @@ let fparse_tests =
         match Fparse.formula_of_string "exists y: x*y = 3" with
         | exception Fparse.Error _ -> ()
         | _ -> Alcotest.fail "expected non-linear error");
+    Alcotest.test_case "fparse: problem bindings name its variables" `Quick
+      (fun () ->
+        let p, binds = Fparse.problem_of_string "0 <= x and x + y <= 4" in
+        Alcotest.(check (list string)) "both names bound" [ "x"; "y" ]
+          (List.sort compare (List.map fst binds));
+        let x = List.assoc "x" binds in
+        Alcotest.(check bool) "x is the problem's variable" true
+          (Var.Set.mem x (Problem.vars p)));
     Alcotest.test_case "integer literal out of range is a parse error" `Quick
       (fun () ->
         let huge = "99999999999999999999999" in

@@ -262,6 +262,69 @@ let unit_tests =
             ]
         in
         Alcotest.(check bool) "both parities excluded" false (satisfiable f));
+    Alcotest.test_case "presburger: the stall hook runs once, at alternative 256"
+      `Quick (fun () ->
+        let open Presburger in
+        (* nine two-way choices, then a contradiction every leaf meets:
+           1022 alternatives entered, no satisfiable leaf *)
+        let f =
+          and_
+            (List.init 9 (fun k ->
+                 let w = Linexpr.var (Var.fresh (Printf.sprintf "w%d" k)) in
+                 or_ [ ge w (i 0); le w (i (-1)) ])
+            @ [ ge vx (i 1); le vx (i 0) ])
+        in
+        let calls = ref 0 in
+        let witness answer () =
+          incr calls;
+          answer
+        in
+        let run ~disjuncts answer =
+          calls := 0;
+          Budget.with_limits { Budget.default with Budget.disjuncts }
+            (fun () ->
+              match satisfiable ~witness:(witness answer) f with
+              | sat -> Some sat
+              | exception Budget.Exhausted Budget.Disjuncts -> None)
+        in
+        Alcotest.(check (option bool)) "no hook: unsatisfiable" (Some false)
+          (run ~disjuncts:2048 false);
+        Alcotest.(check int) "asked once" 1 !calls;
+        Alcotest.(check (option bool)) "a witness ends it" (Some true)
+          (run ~disjuncts:2048 true);
+        Alcotest.(check int) "asked once, then stopped" 1 !calls;
+        Alcotest.(check (option bool)) "at limit 256 the hook still runs"
+          (Some true) (run ~disjuncts:256 true);
+        Alcotest.(check (option bool)) "below 256 the limit comes first" None
+          (run ~disjuncts:255 true);
+        Alcotest.(check int) "never asked" 0 !calls;
+        Alcotest.(check int) "the stall point" 256 stall_point);
+    Alcotest.test_case "corner: each variable in turn at an end" `Quick
+      (fun () ->
+        let corner side cs =
+          match Omega.corner side (Problem.of_list cs) with
+          | None -> "none"
+          | Some pt ->
+            String.concat ","
+              (List.map
+                 (fun (v, n) -> Var.name v ^ "=" ^ Zint.to_string n)
+                 pt)
+        in
+        (* x before y: y's range depends on the x already fixed *)
+        let box =
+          [
+            Constr.ge vx (i 1); Constr.le vx (i 5); Constr.ge vy vx;
+            Constr.le vy (lin 2 x 0);
+          ]
+        in
+        Alcotest.(check string) "low" "x=1,y=1" (corner `Low box);
+        Alcotest.(check string) "high" "x=5,y=10" (corner `High box);
+        (* an unbounded side takes the other end *)
+        Alcotest.(check string) "high, unbounded above" "x=3"
+          (corner `High [ Constr.ge (lin 2 x 0) (i 5) ]);
+        Alcotest.(check string) "free" "none" (corner `Low [ Constr.ge vx vy ]);
+        Alcotest.(check string) "empty" "none"
+          (corner `Low [ Constr.eq2 (lin 2 x 0) (i 3) ]));
   ]
 
 (* -------------------------------------------------------------------- *)

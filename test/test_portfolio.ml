@@ -449,12 +449,147 @@ let fast_tier_coverage () =
   check bool_t "some are implied only by the real shadow" true
     (count real_only differ > 10)
 
+(* ------------------------------------------------------------------ *)
+(* The complete tier's refutation hook                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Random small [hyp => (lhs => exists e. rhs)] queries: [hyp] and each
+   [lhs] disjunct over the universals [fx], [fy], each [rhs] disjunct
+   over them and the bound [re].  Every [lhs] disjunct boxes [fx], [fy]
+   and every [rhs] disjunct boxes [re] to [-4..4], so a search of that
+   box sees every [rhs] witness. *)
+let re = Oracle.pool.(2)
+let rlo, rhi = (-4, 4)
+
+let gen_refute_query =
+  QCheck.Gen.(
+    let constrs nvars lo hi =
+      list_size (int_range lo hi)
+        (Oracle.gen_constr ~nvars ~max_coeff:3 ~max_const:6)
+    in
+    let* hyp = constrs 2 0 1 in
+    let* lhs = list_size (int_range 1 2) (constrs 2 0 2) in
+    let* rhs = list_size (int_range 1 2) (constrs 3 1 3) in
+    let box vs cs = Problem.of_list (cs @ Oracle.box_constraints vs rlo rhi) in
+    return (hyp, List.map (box [ fx; fy ]) lhs, List.map (box [ re ]) rhs))
+
+let arb_refute_query =
+  QCheck.make
+    ~print:(fun (hyp, lhs, rhs) ->
+      let ps ps = String.concat " or " (List.map Problem.to_string ps) in
+      Printf.sprintf "%s => (%s => exists %s. %s)"
+        (Problem.to_string (Problem.of_list hyp))
+        (ps lhs) (Var.name re) (ps rhs))
+    gen_refute_query
+
+let counterexample (hyp, lhs, rhs) =
+  Analyses.counterexample ~hyp lhs ~evars:[ re ] rhs ()
+
+(* The point is in [hyp /\ l] for some [lhs] disjunct [l], and no value
+   of [re] in the box satisfies any [rhs] disjunct there. *)
+let is_counterexample (hyp, lhs, rhs) point =
+  let value env v = snd (List.find (fun (u, _) -> Var.equal u v) env) in
+  let in_lhs =
+    List.exists
+      (fun l ->
+        match Problem.eval (value point) (Problem.add_list hyp l) with
+        | holds -> holds
+        | exception Not_found -> false)
+      lhs
+  in
+  let rhs_witness =
+    Seq.exists
+      (fun e ->
+        let env = (re, Zint.of_int e) :: point in
+        List.exists (fun r -> Problem.eval (value env) r) rhs)
+      (Seq.init (rhi - rlo + 1) (fun k -> rlo + k))
+  in
+  in_lhs && not rhs_witness
+
+let refutation_tests =
+  [
+    QCheck.Test.make ~count:400
+      ~name:"counterexample points are checked counterexamples"
+      arb_refute_query
+      (fun query ->
+        match counterexample query with
+        | None -> true
+        | Some point -> is_counterexample query point);
+  ]
+
+(* The property above is only as strong as its population: the check
+   must find points for a good share of the queries the complete tier
+   refutes, and never for one it proves. *)
+let refutation_coverage () =
+  let rand = Random.State.make [| 24 |] in
+  let cases = List.init 300 (fun _ -> gen_refute_query rand) in
+  let complete (hyp, lhs, rhs) =
+    Analyses.complete_tier ~hyp lhs ~evars:[ re ] rhs ()
+  in
+  let refuted = List.filter (fun q -> complete q = Screen.Disproved) cases in
+  let found = List.filter (fun q -> counterexample q <> None) cases in
+  check bool_t "the complete tier refutes a third of the queries" true
+    (List.length refuted > 100);
+  check bool_t "the check finds points for three quarters of them" true
+    (4 * List.length found > 3 * List.length refuted);
+  check bool_t "never for a proved query" true
+    (List.for_all (fun q -> List.memq q refuted) found)
+
+(* stress_coupled under a sweep of disjunct limits.  Below the stall
+   point its ten hopeless complete-tier queries (three in analyze, seven
+   in parallelize) exhaust the limit and give up, as they did before the
+   hook; from the stall point on, the hook refutes every one of them.
+   No verdict the payloads rest on moves: no kill or cover is proved at
+   any limit, and the payloads are the same. *)
+let stress_sweep () =
+  let prog = Lang.Sema.parse_and_analyze (Corpus.find "stress_coupled") in
+  let run disjuncts payload =
+    Analyses.Memo.reset ();
+    Metrics.reset ();
+    Budget.with_limits { Budget.default with Budget.disjuncts } (fun () ->
+        let json = Serve.Json.to_string (payload ~in_bounds:false prog) in
+        let m = Metrics.current () in
+        let give_ups = (Metrics.gave_up m, m.Metrics.gave_up_disjuncts) in
+        let r = Driver.analyze prog in
+        let proved =
+          List.filter
+            (fun (f : Driver.flow_result) -> f.Driver.covers || f.Driver.dead <> None)
+            (r.Driver.flows
+            @ Driver.classify_storage r.Driver.ctx r.Driver.antis
+            @ Driver.classify_storage r.Driver.ctx r.Driver.outputs)
+        in
+        (json, give_ups, List.map Driver.status_string proved))
+  in
+  List.iter
+    (fun (op, payload, parent_give_ups) ->
+      let json, _, _ = run 128 payload in
+      List.iter
+        (fun limit ->
+          let json', (all, disjuncts), proved' = run limit payload in
+          let at what = Printf.sprintf "%s at %d: %s" op limit what in
+          let give_ups =
+            if limit < Presburger.stall_point then parent_give_ups else 0
+          in
+          check Alcotest.int (at "give-ups") give_ups all;
+          check Alcotest.int (at "on the disjunct limit") give_ups disjuncts;
+          check (Alcotest.list str_t) (at "no kill or cover proved") []
+            proved';
+          check str_t (at "payload") json json')
+        [ 128; 255; 256; 2048; 65_536 ])
+    [
+      ("analyze", Serve.Service.analyze_payload, 3);
+      ("parallelize", Serve.Service.parallelize_payload, 7);
+    ]
+
 let suite =
   ( "portfolio",
     unit_tests @ oracle_tests @ corpus_tests
     @ [
         Alcotest.test_case "fast-tier population: inexact shadows" `Quick
           fast_tier_coverage;
+        Alcotest.test_case "refutation population" `Quick refutation_coverage;
+        Alcotest.test_case "stress_coupled: disjunct-limit sweep" `Quick
+          stress_sweep;
       ]
     @ List.map (QCheck_alcotest.to_alcotest ~long:false)
-        (prop_tests @ fast_tier_tests) )
+        (prop_tests @ fast_tier_tests @ refutation_tests) )
