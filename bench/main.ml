@@ -127,9 +127,9 @@ let extended_pair ctx outputs (a : Lang.Ir.access) (b : Lang.Ir.access) =
       if not (Driver.refinement_possible outputs a) then None
       else begin
         ran := true;
-        let pinned = Analyses.refine ctx ~src:a ~dst:b in
-        if pinned = [] then None
-        else Some (Analyses.refined_vectors ctx ~src:a ~dst:b pinned)
+        match Analyses.refine ctx ~src:a ~dst:b with
+        | [], _ -> None
+        | _, vecs -> Some vecs
       end
     in
     let vectors =

@@ -340,8 +340,11 @@ let parallelize_cmd =
             "Execute the program on the compiled VM three ways (serial, \
              standard-plan parallel, extended-plan parallel over OCaml \
              domains), check every final state against the serial \
-             interpreter, and report wall-clock speedups.  A program the \
-             compiler rejects runs both plans on the interpreter instead.")
+             interpreter, and report wall-clock speedups.  Every program \
+             runs on the VM: subscripts it cannot bound use sparse \
+             tables, and plan loops touching one run serially.  A \
+             program the interpreter cannot run is reported as not \
+             executable.")
   in
   let domains_arg =
     Arg.(

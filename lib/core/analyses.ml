@@ -11,8 +11,8 @@
 
 open Omega
 
-(* The solver-result cache (verdicts here, vectors and minimums in
-   [Deps] and [refine]) lives in [Memo], below [Deps]. *)
+(* The solver-result cache (verdicts here, per-level vectors in
+   [Deps.level_vectors]) lives in [Memo], below [Deps]. *)
 module Memo = Memo
 
 (* The canonical alpha-renamed serialization lives in [Canon]: it is
@@ -99,11 +99,11 @@ let complete_tier ~hyp lhs ~evars rhs () =
          (exists evars (or_ (List.map of_problem rhs))))
   in
   let refute () = Option.is_some (counterexample ~hyp lhs ~evars rhs ()) in
-  if valid ~refute f then Screen.Proved else Screen.Disproved
+  valid ~refute f
 
 (* The three-valued query boundary, with tier attribution: any blown
    budget inside a tier surfaces as [Gave_up], never as an exception.
-   The plan always ends in the complete tier, so it is never exhausted. *)
+   The complete tier decides whatever the incomplete ones pass on. *)
 let implies_exists_decide ?(label = "query") ~hyp lhs ~evars rhs :
     Budget.verdict * Portfolio.tier option =
   (* The fault key is the label-tagged canonical form: computed lazily
@@ -117,8 +117,8 @@ let implies_exists_decide ?(label = "query") ~hyp lhs ~evars rhs :
       [
         (Portfolio.Tier_screen, screen_tier ~hyp lhs ~evars rhs);
         (Portfolio.Tier_fast, fast_tier ~hyp lhs ~evars rhs);
-        (Portfolio.Tier_complete, complete_tier ~hyp lhs ~evars rhs);
       ]
+      (complete_tier ~hyp lhs ~evars rhs)
   in
   if not (Memo.active ()) then compute ()
   else Memo.verdict (Lazy.force canon) compute
@@ -274,91 +274,68 @@ let check_refinement ?(in_bounds = false) ctx ~(src : Ir.access)
 
 (* Generate and verify refinements the paper's way: walk the common loops
    outermost-first, each time pinning the distance to its minimum possible
-   value; stop at the first loop whose pinned candidate fails.  Returns
-   the number of pinned levels and their distances. *)
+   value; stop at the first loop whose pinned candidate fails.  Each step
+   reads the per-level vectors under the pins so far (one
+   [Deps.level_vectors] family, one memo entry per step).  Every entry
+   before loop [l] is exact under those pins, so entry [l] is exact or
+   split by sign into groups that cover the whole level: the least [lo]
+   over a level's vectors is the level's minimum distance.  A level with
+   no vectors, an unbounded entry or a give-up is left out of the
+   minimum.  Step 0 has no pins and reads the entry [Deps.compute]
+   stored; the last step's vectors are the refined vectors, a level that
+   gave up contributing its weakest ones. *)
 let refine ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access) :
-    int list =
+    int list * Dirvec.t list =
   let pair = Deps.make_pair ~in_bounds ctx src dst in
   let c = pair.Deps.common in
   let levels = Depctx.order_before ctx pair.Deps.a pair.Deps.b in
-  (* minimum possible distance in loop [l], given the already-fixed
-     distances [fixed] (outermost-first) *)
-  let min_distance fixed l =
+  let vectors_under pins =
     let fix =
       List.mapi
-        (fun l' d ->
-          Constr.eq2 (Linexpr.var pair.Deps.dvars.(l')) (Linexpr.of_int d))
-        fixed
+        (fun l d ->
+          Constr.eq2 (Linexpr.var pair.Deps.dvars.(l)) (Linexpr.of_int d))
+        pins
     in
-    let d = pair.Deps.dvars.(l) in
-    let mins =
-      Memo.per_level
-        ~key:(fun () ->
-          Deps.levels_key ~tag:"min" ~fix pair levels ~evars:[ d ])
-        ~wrap:(fun ms -> Memo.Minima ms)
-        ~unwrap:(function Memo.Minima ms -> Some ms | Memo.Vectors _ -> None)
-        (fun (_, order) ->
-          let p = Problem.add_list (fix @ order) pair.Deps.base in
-          Budget.run ~label:"refine/minimize"
-            ~fault_key:(fun () -> Canon.of_problems ~tag:"min" [ p ])
-            (fun () ->
-              match Omega.minimize p d with
-              | `Min m -> Zint.to_int_opt m
-              | `Unbounded | `Unsat -> None))
-        levels
-      (* give-up: cannot bound the distance, stop refining *)
-      |> List.filter_map (function Ok m -> m | Error _ -> None)
-    in
-    match mins with [] -> None | m :: rest -> Some (List.fold_left min m rest)
+    Deps.level_vectors ~label:"refine/vectors" ~fix pair levels
   in
-  let rec go fixed l =
-    if l >= c then List.rev fixed
-    else begin
-      match min_distance (List.rev fixed) l with
-      | None -> List.rev fixed
-      | Some d ->
+  (* the least distance of loop [l] over one level's vectors *)
+  let level_min l = function
+    | Ok (_ :: _ as vecs) ->
+      List.fold_left
+        (fun m (v : Dirvec.t) ->
+          match (m, (List.nth v l).Dirvec.lo) with
+          | Some m, Some lo -> Some (min m lo)
+          | _ -> None)
+        (Some max_int) vecs
+    | Ok [] | Error _ -> None
+  in
+  let vectors results =
+    Deps.vectors_by_level pair levels results
+    |> List.concat_map snd
+    |> List.sort_uniq Dirvec.compare
+  in
+  let rec go pins l =
+    let results = vectors_under pins in
+    let stop () = (pins, vectors results) in
+    if l >= c then stop ()
+    else
+      match List.filter_map (level_min l) results with
+      | [] -> stop ()
+      | m :: rest ->
+        let pins' = pins @ [ List.fold_left min m rest ] in
         (* the candidate's forwardness is enforced by the ordering
            constraints inside check_refinement's right-hand side *)
-        let prefix = List.rev (d :: fixed) in
         let cand =
           List.init c (fun l' ->
-              if l' < List.length prefix then
-                let dd = List.nth prefix l' in
-                (Some dd, Some dd)
-              else (None, None))
+              match List.nth_opt pins' l' with
+              | Some d -> (Some d, Some d)
+              | None -> (None, None))
         in
         if check_refinement ~in_bounds ctx ~src ~dst cand then
-          go (d :: fixed) (l + 1)
-        else List.rev fixed
-    end
+          go pins' (l + 1)
+        else stop ()
   in
   go [] 0
-
-(* The refined direction vectors: distances pinned by [refine] plus the
-   sign analysis of the remaining levels. *)
-let refined_vectors ?(in_bounds = false) ctx ~(src : Ir.access)
-    ~(dst : Ir.access) (pinned : int list) : Dirvec.t list =
-  let pair = Deps.make_pair ~in_bounds ctx src dst in
-  let fix =
-    List.mapi
-      (fun l d ->
-        Constr.eq2 (Linexpr.var pair.Deps.dvars.(l)) (Linexpr.of_int d))
-      pinned
-  in
-  let levels = Depctx.order_before ctx pair.Deps.a pair.Deps.b in
-  List.map2
-    (fun (lvl, _) r ->
-      match r with
-      | Ok vecs -> vecs
-      (* give-up: the weakest vectors of the level, never an
-         under-approximation of the refined dependence *)
-      | Error _ ->
-        Dirvec.conservative_of_level (Array.length pair.Deps.dvars)
-          ~carried:lvl)
-    levels
-    (Deps.level_vectors ~label:"refine/vectors" ~tag:"rvec" ~fix pair levels)
-  |> List.concat
-  |> List.sort_uniq Dirvec.compare
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)

@@ -15,9 +15,9 @@ open Omega
 
 module Memo = Memo
 (** The solver-result cache: {!implies_exists} verdicts, plus the
-    completed per-level vectors of {!Deps.compute} and {!refined_vectors}
-    and the minimum distances of {!refine}, in one bounded table keyed
-    by canonical ({!Canon.key}) serializations.  One [enabled] switch,
+    completed per-level vectors of {!Deps.level_vectors} (read by
+    {!Deps.compute}, {!Deps.exists} and {!refine}), in one bounded
+    table keyed by canonical ({!Canon.key}) serializations.  One [enabled] switch,
     one [capacity], one [reset] for every kind of entry; fault-injected
     runs bypass it.  See {!Depend.Memo}. *)
 
@@ -40,8 +40,8 @@ val complete_tier :
   evars:Var.t list ->
   Problem.t list ->
   unit ->
-  Screen.answer
-(** Tier 2: the complete Presburger decision, [Proved] or [Disproved].
+  bool
+(** Tier 2: the complete Presburger decision.
     Its refutation hook ({!Omega.Presburger.valid}'s [refute]) is
     {!counterexample}. *)
 
@@ -155,25 +155,23 @@ val check_refinement :
     within the candidate distance. *)
 
 val refine :
-  ?in_bounds:bool -> Depctx.t -> src:Ir.access -> dst:Ir.access -> int list
-(** The paper's candidate generator: pin the distance of each common
-    loop, outermost first, to its minimum possible value, stopping at the
-    first failure.  Returns the pinned distances.  Each step's per-level
-    minimums are one {!Memo} entry, keyed over the minimized distance
-    variable; the candidate checks are memoized verdicts. *)
-
-val refined_vectors :
   ?in_bounds:bool ->
   Depctx.t ->
   src:Ir.access ->
   dst:Ir.access ->
-  int list ->
-  Dirvec.t list
-(** Direction vectors of the dependence under the pinned distances
-    ({!Deps.level_vectors} with the pins as extra constraints, so the
-    completed levels are one {!Memo} entry).  A level whose vector
-    analysis gives up contributes its weakest (conservative) vectors
-    instead. *)
+  int list * Dirvec.t list
+(** The paper's candidate generator: pin the distance of each common
+    loop, outermost first, to its minimum possible value, stopping at the
+    first failure.  Returns the pinned distances and the direction
+    vectors of the dependence under them.  Each step reads
+    {!Deps.level_vectors} under the pins so far: with the earlier
+    distances pinned, the least lower bound of the next loop's entries
+    over a level's vectors is that level's minimum distance (a level
+    with no vectors, an unbounded entry or a give-up is left out).  So
+    every step is one {!Memo} entry, step 0 is the entry {!Deps.compute}
+    stored, and the candidate checks are memoized verdicts.  A level
+    whose vectors give up under the final pins contributes its weakest
+    (conservative) vectors. *)
 
 val set_fault_injection : seed:int -> rate:float -> unit
 (** Deterministically force a pseudo-random fraction [rate] of solver

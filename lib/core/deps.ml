@@ -66,112 +66,76 @@ let make_pair ?(in_bounds = false) ctx (src : Ir.access) (dst : Ir.access) :
   in
   { ctx; a; b; base; dvars; common = c }
 
-(* Problem for one ordering level of the pair. *)
-let level_problem (p : pair) (level, constrs) =
-  ignore level;
-  Problem.add_list constrs p.base
-
-(* Memo key of a query family posed once per ordering level of [p]:
-   the base problem, the extra constraints [fix], and each level's
-   ordering constraints, with the distinguished variables [evars] (the
-   distance variables a result is stated over) listed so their
-   positions are canonical, and the carried levels in the tag.  Two
-   pairs share a key only when they are the same problem up to a
-   renaming that maps each distinguished variable to its counterpart. *)
-let levels_key ~tag ?(fix = []) (p : pair) levels ~evars =
+(* Memo key of the per-level vectors of [p] under the pinned-distance
+   constraints [fix]: the base problem, [fix] and each level's ordering
+   constraints, with the distinguished variables [evars] (the distance
+   variables the vectors are stated over) listed so their positions are
+   canonical, and the carried levels in the tag.  Two pairs share a key
+   only when they are the same problem up to a renaming that maps each
+   distinguished variable to its counterpart. *)
+let levels_key ?(fix = []) (p : pair) levels ~evars =
   let carried = List.map (fun (lvl, _) -> string_of_int lvl) levels in
   Canon.key
-    ~tag:(tag ^ String.concat "," carried)
+    ~tag:("vec" ^ String.concat "," carried)
     ~hyp:fix [ p.base ] ~evars
     (List.map (fun (_, constrs) -> Problem.of_list constrs) levels)
 
-let vectors_of_entry = function
-  | Memo.Vectors vs -> Some vs
-  | Memo.Minima _ -> None
-
 (* The vectors of each ordering level of [p] under [fix], one governed
-   query per level ([label] in telemetry, [tag] in the fault key); the
-   completed results of all levels are one memo entry. *)
-let level_vectors ~label ~tag ?(fix = []) (p : pair) levels =
+   query per level ([label] in telemetry); the completed results of all
+   levels are one memo entry. *)
+let level_vectors ~label ?(fix = []) (p : pair) levels =
   Memo.per_level
     ~key:(fun () ->
-      levels_key ~tag ~fix p levels ~evars:(Array.to_list p.dvars))
-    ~wrap:(fun vs -> Memo.Vectors vs)
-    ~unwrap:vectors_of_entry
+      levels_key ~fix p levels ~evars:(Array.to_list p.dvars))
     (fun (lvl, constrs) ->
       let prob = Problem.add_list (fix @ constrs) p.base in
       Budget.run ~label
-        ~fault_key:(fun () -> Canon.of_problems ~tag [ prob ])
+        ~fault_key:(fun () -> Canon.of_problems ~tag:"vec" [ prob ])
         (fun () -> Dirvec.vectors_of_level prob p.dvars ~carried:lvl))
     levels
+
+(* Each carried level with its vectors from [level_vectors]; a level
+   that gave up is assumed to carry a dependence with its weakest
+   vectors. *)
+let vectors_by_level (p : pair) levels results =
+  List.map2
+    (fun (lvl, _) r ->
+      match r with
+      | Ok vecs -> (lvl, vecs)
+      | Error _ -> (lvl, Dirvec.conservative_of_level p.common ~carried:lvl))
+    levels results
 
 (* Compute the dependence (if any) from [src] to [dst]. *)
 let compute ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access)
     ~(kind : kind) : dep option =
   let p = make_pair ~in_bounds ctx src dst in
   let levels = Depctx.order_before ctx p.a p.b in
-  let gave_up = ref false in
-  let results =
-    List.map2
-      (fun (lvl, _) r ->
-        match r with
-        | Ok vecs -> (lvl, vecs)
-        (* give-up: assume the level carries a dependence with the
-           weakest possible vectors *)
-        | Error _ ->
-          gave_up := true;
-          (lvl, Dirvec.conservative_of_level p.common ~carried:lvl))
-      levels
-      (level_vectors ~label:"deps/vectors" ~tag:"vec" p levels)
-    |> List.filter (fun (_, vecs) -> vecs <> [])
-  in
-  if results = [] then None
-  else begin
-    let vectors =
-      List.concat_map snd results
-      |> List.sort_uniq Dirvec.compare
-    in
+  let results = level_vectors ~label:"deps/vectors" p levels in
+  match
+    List.filter (fun (_, vecs) -> vecs <> []) (vectors_by_level p levels results)
+  with
+  | [] -> None
+  | found ->
     Some
       {
         src;
         dst;
         kind;
-        vectors;
-        levels = List.map fst results;
-        assumed = !gave_up;
+        vectors = List.concat_map snd found |> List.sort_uniq Dirvec.compare;
+        levels = List.map fst found;
+        assumed = List.exists Result.is_error results;
       }
-  end
 
 (* Does any dependence (ignoring direction refinement) exist at all?  A
    completed level has no vectors exactly when its problem is
-   unsatisfiable, so the pair's cached vector entry answers without
-   solver work ([Driver.classify_storage] asks about pairs that [all]
-   has just computed); without one, one satisfiability query per
-   level. *)
-let exists ctx ~src ~dst : bool =
-  let p = make_pair ctx src dst in
-  let levels = Depctx.order_before ctx p.a p.b in
-  let cached =
-    if levels <> [] && Memo.active () then
-      Memo.find_levels
-        (levels_key ~tag:"vec" p levels ~evars:(Array.to_list p.dvars))
-        vectors_of_entry
-    else None
-  in
-  match cached with
-  | Some vs -> List.exists (fun v -> v <> []) vs
-  | None ->
-    List.exists
-      (fun lc ->
-        let prob = level_problem p lc in
-        match
-          Budget.run ~label:"deps/exists"
-            ~fault_key:(fun () -> Canon.of_problems ~tag:"ex" [ prob ])
-            (fun () -> Elim.satisfiable prob)
-        with
-        | Ok b -> b
-        | Error _ -> true (* cannot refute: assume the dependence *))
-      levels
+   unsatisfiable, and a level that gives up is assumed to carry one.
+   [Driver.classify_storage] asks about pairs that [all] has just
+   computed, so the memo answers without solver work. *)
+let exists ?(in_bounds = false) ctx ~src ~dst : bool =
+  let p = make_pair ~in_bounds ctx src dst in
+  List.exists
+    (function Ok vecs -> vecs <> [] | Error _ -> true)
+    (level_vectors ~label:"deps/vectors" p (Depctx.order_before ctx p.a p.b))
 
 (* All dependences of a given kind in a program.  Each surviving access
    pair is an independent solver workload, so the pair population shards

@@ -34,37 +34,44 @@ type pair = {
 
 val make_pair : ?in_bounds:bool -> Depctx.t -> Ir.access -> Ir.access -> pair
 
-val level_problem : pair -> int * Constr.t list -> Problem.t
-
 val levels_key :
-  tag:string ->
   ?fix:Constr.t list ->
   pair ->
   (int * Constr.t list) list ->
   evars:Var.t list ->
   string
-(** [levels_key ~tag ~fix p levels ~evars]: the {!Memo} key of a query
-    family posed once per ordering level of [p] under the extra
-    constraints [fix] — the {!Canon.key} of the base problem, [fix] and
-    each level's ordering constraints, with the distinguished variables
-    [evars] at canonical positions and the carried levels in the tag.
-    Alpha-equivalent families share a key only under a renaming that
-    maps each distinguished variable to its counterpart, so permuting
-    [evars] changes the key. *)
+(** [levels_key ~fix p levels ~evars]: the {!Memo} key of the per-level
+    vectors of [p] under the pinned-distance constraints [fix] — the
+    {!Canon.key} of the base problem, [fix] and each level's ordering
+    constraints, with the distinguished variables [evars] at canonical
+    positions and the carried levels in the tag.  Alpha-equivalent
+    pairs share a key only under a renaming that maps each
+    distinguished variable to its counterpart, so permuting [evars]
+    changes the key. *)
 
 val level_vectors :
   label:string ->
-  tag:string ->
   ?fix:Constr.t list ->
   pair ->
   (int * Constr.t list) list ->
   (Dirvec.t list, Omega.Budget.reason) result list
 (** The vectors of each ordering level of the pair under the extra
-    constraints [fix]: one governed query per level ([label] names it in
-    telemetry, [tag] prefixes its fault key).  With the {!Memo} active,
-    the completed results of all levels are one entry keyed by
-    {!levels_key} over the distance variables; a level that gives up
-    returns [Error] and nothing is cached. *)
+    constraints [fix] (pinned distances): one governed query per level
+    ([label] names it in telemetry).  This is the one per-level query
+    family: {!compute}, {!exists} and {!Analyses.refine} all read it.
+    With the {!Memo} active, the completed results of all levels are
+    one entry keyed by {!levels_key} over the distance variables; a
+    level that gives up returns [Error] and nothing is cached. *)
+
+val vectors_by_level :
+  pair ->
+  (int * Constr.t list) list ->
+  (Dirvec.t list, Omega.Budget.reason) result list ->
+  (int * Dirvec.t list) list
+(** [vectors_by_level p levels results]: each carried level of
+    [levels] with its vectors from [results] (as {!level_vectors}
+    returns them); a level that gave up gets
+    {!Dirvec.conservative_of_level}, its weakest vectors. *)
 
 val compute :
   ?in_bounds:bool ->
@@ -80,12 +87,12 @@ val compute :
     work; a level that gives up is assumed with its weakest vectors and
     the result is not cached. *)
 
-val exists : Depctx.t -> src:Ir.access -> dst:Ir.access -> bool
-(** Does any dependence from [src] to [dst] exist (no vectors, no
-    [in_bounds])?  Answered from the pair's cached {!level_vectors}
-    entry when the {!Memo} holds one (a level's vectors are empty
-    exactly when it is unsatisfiable); otherwise one governed
-    satisfiability query per level, uncached. *)
+val exists :
+  ?in_bounds:bool -> Depctx.t -> src:Ir.access -> dst:Ir.access -> bool
+(** Does any dependence from [src] to [dst] exist (no refinement)?  Some
+    level of the pair's {!level_vectors} has vectors or gives up, so a
+    pair {!compute} has already seen is answered from the {!Memo}
+    without solver work. *)
 
 val all : ?in_bounds:bool -> Depctx.t -> kind -> dep list
 (** All dependences of one kind in the program. *)

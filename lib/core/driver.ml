@@ -86,36 +86,26 @@ let analyze ?(in_bounds = false) (prog : Ir.program) : result =
   let ctx = Depctx.create prog in
   let outputs = Deps.all ~in_bounds ctx Deps.Output in
   let antis = Deps.all ~in_bounds ctx Deps.Anti in
-  let process_dst ~kind ~(srcs : Ir.access list) (b : Ir.access) :
-      flow_result list =
+  let process_dst (b : Ir.access) : flow_result list =
     let writers =
-      List.filter (fun w -> w.Ir.array = b.Ir.array) srcs
+      List.filter (fun w -> w.Ir.array = b.Ir.array) (Ir.writes prog)
     in
     (* apparent flow dependences to b, with refinement and cover info *)
     let cands =
       List.filter_map
         (fun (a : Ir.access) ->
-          if kind = Deps.Output && a.Ir.acc_id = b.Ir.acc_id && Ir.depth a = 0
-          then None
-          else
-          match Deps.compute ~in_bounds ctx ~src:a ~dst:b ~kind with
+          match Deps.compute ~in_bounds ctx ~src:a ~dst:b ~kind:Deps.Flow with
           | None -> None
           | Some dep ->
             let refined =
               if quick_screen (not (refinement_possible outputs a)) then None
-              else begin
-                let pinned = Analyses.refine ~in_bounds ctx ~src:a ~dst:b in
-                if pinned = [] then None
-                else begin
-                  let vecs =
-                    Analyses.refined_vectors ~in_bounds ctx ~src:a ~dst:b
-                      pinned
-                  in
+              else
+                match Analyses.refine ~in_bounds ctx ~src:a ~dst:b with
+                | [], _ -> None
+                | _, vecs ->
                   if List.compare Dirvec.compare vecs dep.Deps.vectors = 0
                   then None
                   else Some vecs
-                end
-              end
             in
             let vectors =
               match refined with Some v -> v | None -> dep.Deps.vectors
@@ -197,9 +187,7 @@ let analyze ?(in_bounds = false) (prog : Ir.program) : result =
      covers and kills) is the sharding unit here; concatenating in
      destination order reproduces the serial result list exactly. *)
   let flows =
-    Par.map_list
-      (process_dst ~kind:Deps.Flow ~srcs:(Ir.writes prog))
-      (Ir.reads prog)
+    Par.map_list process_dst (Ir.reads prog)
     |> List.concat
   in
   { ctx; flows; antis; outputs }
@@ -235,7 +223,7 @@ let classify_storage ?(in_bounds = false) (ctx : Depctx.t)
                   k.Ir.acc_id <> fr.dep.Deps.src.Ir.acc_id
                   && k.Ir.acc_id <> b.Ir.acc_id
                   && k.Ir.array = b.Ir.array
-                  && Deps.exists ctx ~src:fr.dep.Deps.src ~dst:k
+                  && Deps.exists ~in_bounds ctx ~src:fr.dep.Deps.src ~dst:k
                   && Analyses.kills ~in_bounds ctx ~src:fr.dep.Deps.src
                        ~killer:k ~dst:b)
                 (Ir.writes prog)

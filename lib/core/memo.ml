@@ -9,7 +9,7 @@
    in the same allocation order therefore share a key, and every cached
    answer is invariant under renaming, so a hit is always sound.
 
-   One table holds three kinds of entry:
+   One table holds two kinds of entry:
 
    - a section-4 verdict ([Analyses.implies_exists_decide]) with the
      portfolio tier that decided it and the budget limits it was
@@ -18,14 +18,16 @@
      [Gave_up] replays only while the current budget is no larger than
      the recorded one: raising the budget invalidates cached give-ups,
      which then recompute;
-   - the per-level direction vectors of a dependence pair ([Deps.compute],
-     [Analyses.refined_vectors]), one list per ordering level;
-   - the per-level minimum distances of a refinement step
-     ([Analyses.refine]).
+   - the per-level direction vectors of a dependence pair under a list
+     of pinned distances ([Deps.level_vectors]), one list per ordering
+     level.  Every per-level question about a pair reads them: the
+     vectors of [Deps.compute] (no pins), the existence test of
+     [Deps.exists], and each step of [Analyses.refine], which takes the
+     minimum distance of the next loop from the entries' lower bounds.
 
-   Vector and minimum entries are stored only when every level
-   completed: a completed result is a fact and replays at any budget,
-   like a completed verdict, while a give-up recomputes.  Fault-injected
+   Vector entries are stored only when every level completed: a
+   completed result is a fact and replays at any budget, like a
+   completed verdict, while a give-up recomputes.  Fault-injected
    runs bypass the cache entirely (a fault is a property of the run, not
    of the problem).
 
@@ -43,8 +45,8 @@ type t = {
   mutable hits_screen : int;
   mutable hits_fast : int;
   mutable hits_complete : int;
-  (* vector and minimum lookups; kept apart so [hits]/[misses] and
-     [hit_rate] stay verdict-only *)
+  (* vector lookups; kept apart so [hits]/[misses] and [hit_rate] stay
+     verdict-only *)
   mutable vec_hits : int;
   mutable vec_misses : int;
 }
@@ -61,14 +63,12 @@ let make_t () =
     vec_misses = 0;
   }
 
-type levels = Vectors of Dirvec.t list list | Minima of int option list
-
 (* Verdicts are tagged with the portfolio tier that decided them
    ([None] for a cached give-up), so replays keep the per-tier
    attribution honest. *)
 type entry =
   | Verdict of Budget.verdict * Budget.limits * Portfolio.tier option
-  | Levels of levels
+  | Vectors of Dirvec.t list list
 
 let enabled = ref true
 let stats = make_t ()
@@ -229,34 +229,20 @@ let verdict key compute =
   else m.memo_misses <- m.memo_misses + 1;
   r
 
-let lookup_levels key unwrap =
-  match Hashtbl.find_opt table key with
-  | Some (Levels r) -> unwrap r
-  | Some (Verdict _) | None -> None
-
-let count_levels found =
-  match found with
-  | Some _ -> stats.vec_hits <- stats.vec_hits + 1
-  | None -> stats.vec_misses <- stats.vec_misses + 1
-
-(* A lookup counts as a hit only when the entry is of the kind the
-   caller expects ([unwrap]); tags keep the kinds' keys apart anyway. *)
-let find_levels key unwrap =
-  locked (fun () ->
-      let found = lookup_levels key unwrap in
-      count_levels found;
-      found)
-
-let per_level ~key ~wrap ~unwrap solve levels =
+let per_level ~key solve levels =
   if levels = [] || not (active ()) then List.map solve levels
   else begin
     let key = key () in
     memoize key
       ~lookup:(fun () ->
-        Option.map (List.map Result.ok) (lookup_levels key unwrap))
-      ~counted:count_levels
+        match Hashtbl.find_opt table key with
+        | Some (Vectors vs) -> Some (List.map Result.ok vs)
+        | Some (Verdict _) | None -> None)
+      ~counted:(function
+        | Some _ -> stats.vec_hits <- stats.vec_hits + 1
+        | None -> stats.vec_misses <- stats.vec_misses + 1)
       ~store:(fun rs ->
         if List.for_all Result.is_ok rs then
-          insert key (Levels (wrap (List.map Result.get_ok rs))))
+          insert key (Vectors (List.map Result.get_ok rs)))
       (fun () -> List.map solve levels)
   end

@@ -1,8 +1,8 @@
 (** The solver-result cache shared by every request: section-4 verdicts
     ({!Analyses.implies_exists_decide}) and the completed per-level
-    results of the dependence-vector and refinement queries
-    ({!Deps.compute}, {!Analyses.refined_vectors}, {!Analyses.refine}),
-    in one bounded table behind one lock.
+    direction vectors of a dependence pair under pinned distances
+    ({!Deps.level_vectors}, which {!Deps.compute}, {!Deps.exists} and
+    {!Analyses.refine} all read), in one bounded table behind one lock.
 
     Every key is a canonical (alpha-renamed) serialization of the query
     ({!Canon.key}) with its distinguished variables listed explicitly,
@@ -20,17 +20,16 @@ type t = {
       (** verdict hits whose cached verdict was decided by tier 0 *)
   mutable hits_fast : int;  (** ... by the dark-shadow fast path *)
   mutable hits_complete : int;  (** ... by the complete procedure *)
-  mutable vec_hits : int;  (** vector and minimum hits *)
-  mutable vec_misses : int;  (** vector and minimum misses *)
+  mutable vec_hits : int;  (** per-level vector hits *)
+  mutable vec_misses : int;  (** per-level vector misses *)
 }
 
 val enabled : bool ref
 (** Turns the whole cache on or off.  Verdict entries record the
     {!Budget.current_limits} they were computed under: completed
     verdicts replay at any budget, a [Gave_up] only while the current
-    budget is no larger than the recorded one.  Vector and minimum
-    entries are stored only when every level completed, and replay at
-    any budget.  Fault-injected runs bypass the cache.  Disable in
+    budget is no larger than the recorded one.  Vector entries are
+    stored only when every level completed, and replay at any budget.  Fault-injected runs bypass the cache.  Disable in
     timing benches that reproduce per-query figures — a hit would
     measure a hash lookup, not an elimination. *)
 
@@ -85,27 +84,16 @@ val verdict :
     and miss counts equal serial ones.  [compute] must not consult the
     memo. *)
 
-(** {2 Per-level results} *)
-
-type levels =
-  | Vectors of Dirvec.t list list  (** direction vectors, per level *)
-  | Minima of int option list  (** minimum distances, per level *)
-
-val find_levels : string -> (levels -> 'a option) -> 'a option
-(** [find_levels key unwrap]: the cached per-level results under [key]
-    when they are of the kind [unwrap] accepts; counts a vector hit or
-    miss. *)
+(** {2 Per-level vectors} *)
 
 val per_level :
   key:(unit -> string) ->
-  wrap:('a list -> levels) ->
-  unwrap:(levels -> 'a list option) ->
-  ('l -> ('a, Budget.reason) result) ->
+  ('l -> (Dirvec.t list, Budget.reason) result) ->
   'l list ->
-  ('a, Budget.reason) result list
-(** [per_level ~key ~wrap ~unwrap solve levels]: [List.map solve levels],
-    answered from one cache entry under [key ()] when there is one (a
-    vector hit) and stored there when every level returned [Ok] (a
-    vector miss).  A concurrent asker of the same key waits for the
-    first, as in {!verdict}.  When the cache is not {!active} or [levels]
-    is empty, [key] is never forced and nothing is counted. *)
+  (Dirvec.t list, Budget.reason) result list
+(** [per_level ~key solve levels]: [List.map solve levels], answered
+    from one cache entry under [key ()] when there is one (a vector hit)
+    and stored there when every level returned [Ok] (a vector miss).  A
+    concurrent asker of the same key waits for the first, as in
+    {!verdict}.  When the cache is not {!active} or [levels] is empty,
+    [key] is never forced and nothing is counted. *)

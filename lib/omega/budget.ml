@@ -37,7 +37,7 @@
    configuration is an immutable process-wide setting read by every
    domain (publish it before spawning parallel work). *)
 
-type reason = Fuel | Splinters | Disjuncts | Deadline | Injected | Incomplete
+type reason = Fuel | Splinters | Disjuncts | Deadline | Injected
 
 let reason_to_string = function
   | Fuel -> "fuel"
@@ -45,7 +45,6 @@ let reason_to_string = function
   | Disjuncts -> "disjuncts"
   | Deadline -> "deadline"
   | Injected -> "injected"
-  | Incomplete -> "incomplete"
 
 type verdict = Proved | Disproved | Gave_up of reason
 
@@ -259,7 +258,6 @@ let record_gave_up (t : Metrics.t) = function
   | Disjuncts -> t.gave_up_disjuncts <- t.gave_up_disjuncts + 1
   | Deadline -> t.gave_up_deadline <- t.gave_up_deadline + 1
   | Injected -> t.gave_up_injected <- t.gave_up_injected + 1
-  | Incomplete -> t.gave_up_incomplete <- t.gave_up_incomplete + 1
 
 let run ?(label = "query") ?fault_key (f : unit -> 'a) : ('a, reason) result =
   let w = world () in

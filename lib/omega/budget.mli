@@ -30,12 +30,7 @@
     session threads must ship solver work to worker domains rather than
     run it in place. *)
 
-type reason = Fuel | Splinters | Disjuncts | Deadline | Injected | Incomplete
-(** [Incomplete]: the query ran only incomplete tiers (a hand-built
-    {!Portfolio.decide} list without the complete procedure) and none
-    of them could decide it.  Unlike the resource reasons it signals a
-    capability gap, not an exhausted meter, but clients degrade
-    identically: map it to the sound conservative answer. *)
+type reason = Fuel | Splinters | Disjuncts | Deadline | Injected
 
 val reason_to_string : reason -> string
 

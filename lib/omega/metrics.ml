@@ -18,7 +18,6 @@ type t = {
   mutable gave_up_disjuncts : int;
   mutable gave_up_deadline : int;
   mutable gave_up_injected : int;
-  mutable gave_up_incomplete : int;
   mutable peak_fuel : int;
   mutable peak_splinters : int;
   mutable worst_label : string;
@@ -45,7 +44,6 @@ let make () =
     gave_up_disjuncts = 0;
     gave_up_deadline = 0;
     gave_up_injected = 0;
-    gave_up_incomplete = 0;
     peak_fuel = 0;
     peak_splinters = 0;
     worst_label = "";
@@ -95,7 +93,6 @@ let merge_into dst src =
   dst.gave_up_disjuncts <- dst.gave_up_disjuncts + src.gave_up_disjuncts;
   dst.gave_up_deadline <- dst.gave_up_deadline + src.gave_up_deadline;
   dst.gave_up_injected <- dst.gave_up_injected + src.gave_up_injected;
-  dst.gave_up_incomplete <- dst.gave_up_incomplete + src.gave_up_incomplete;
   dst.peak_fuel <- max dst.peak_fuel src.peak_fuel;
   dst.peak_splinters <- max dst.peak_splinters src.peak_splinters;
   note_worst dst ~fuel:src.worst_fuel ~label:src.worst_label;
@@ -112,7 +109,7 @@ let merge_into dst src =
 
 let gave_up t =
   t.gave_up_fuel + t.gave_up_splinters + t.gave_up_disjuncts
-  + t.gave_up_deadline + t.gave_up_injected + t.gave_up_incomplete
+  + t.gave_up_deadline + t.gave_up_injected
 
 let solver_summary t =
   Printf.sprintf
@@ -130,10 +127,9 @@ let tiers_summary t =
 let governance_summary t =
   Printf.sprintf
     "%d solver queries, %d gave up (fuel %d, splinters %d, disjuncts %d, \
-     deadline %d, injected %d, incomplete %d); peak fuel %d, peak \
-     splinters %d%s"
+     deadline %d, injected %d); peak fuel %d, peak splinters %d%s"
     t.queries (gave_up t) t.gave_up_fuel t.gave_up_splinters
-    t.gave_up_disjuncts t.gave_up_deadline t.gave_up_injected
-    t.gave_up_incomplete t.peak_fuel t.peak_splinters
+    t.gave_up_disjuncts t.gave_up_deadline t.gave_up_injected t.peak_fuel
+    t.peak_splinters
     (if t.worst_label = "" then ""
      else Printf.sprintf "; worst query %s (fuel %d)" t.worst_label t.worst_fuel)

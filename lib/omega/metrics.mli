@@ -27,7 +27,6 @@ type t = {
   mutable gave_up_disjuncts : int;
   mutable gave_up_deadline : int;
   mutable gave_up_injected : int;
-  mutable gave_up_incomplete : int;
   mutable peak_fuel : int;
   mutable peak_splinters : int;
   mutable worst_label : string;

@@ -1,11 +1,11 @@
 (* Tiered decision portfolio: screen -> fast path -> complete.
 
-   The cascade is a pure dispatch layer: each tier is a sound closure
-   returning a [Screen.answer], the first definite answer wins, and the
-   whole run sits inside a [Budget] query boundary so resource blowups
-   and incomplete-plan give-ups surface as structured verdicts.  The
-   per-tier accounting goes to the tier rows of the domain's [Metrics]
-   record. *)
+   The cascade is a pure dispatch layer: each incomplete tier is a sound
+   closure returning a [Screen.answer], the first definite answer wins,
+   the complete procedure answers when none does, and the whole run sits
+   inside a [Budget] query boundary so resource blowups surface as
+   structured verdicts.  The per-tier accounting goes to the tier rows
+   of the domain's [Metrics] record. *)
 
 type tier = Tier_screen | Tier_fast | Tier_complete
 
@@ -75,13 +75,18 @@ let timed (row : Metrics.row) f =
     ~finally:(fun () -> row.elapsed <- row.elapsed +. (Unix.gettimeofday () -. t0))
     f
 
-let decide ?label ?fault_key tiers =
+let decide ?label ?fault_key tiers complete =
   let decided = ref None in
   let result =
     Budget.run ?label ?fault_key (fun () ->
         let stats = Metrics.current () in
+        let run_complete () = timed stats.complete complete in
         let rec go = function
-          | [] -> raise (Budget.Exhausted Budget.Incomplete)
+          | [] ->
+              let v = run_complete () in
+              stats.complete.decides <- stats.complete.decides + 1;
+              decided := Some Tier_complete;
+              v
           | (tier, f) :: rest -> (
               let row = row_of stats tier in
               match timed row f with
@@ -90,24 +95,10 @@ let decide ?label ?fault_key tiers =
                   let v = answer = Screen.Proved in
                   row.decides <- row.decides + 1;
                   decided := Some tier;
-                  (if tier <> Tier_complete && Oracle.active () then
-                     match
-                       List.find_opt (fun (t, _) -> t = Tier_complete) rest
-                     with
-                     | Some (_, comp) ->
-                         let want =
-                           match timed (row_of stats Tier_complete) comp
-                           with
-                           | Screen.Proved -> true
-                           | Screen.Disproved -> false
-                           | Screen.Unknown ->
-                               (* the complete tier never passes *)
-                               assert false
-                         in
-                         Oracle.record
-                           (match label with Some l -> l | None -> "?")
-                           tier v want
-                     | None -> ());
+                  if Oracle.active () then
+                    Oracle.record
+                      (Option.value label ~default:"?")
+                      tier v (run_complete ());
                   v)
         in
         go tiers)

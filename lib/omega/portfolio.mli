@@ -1,19 +1,17 @@
 (** The tiered decision portfolio: per-query cascade of procedures.
 
-    A query is posed as a list of {e tiers}, each an attempt that may
-    answer [Proved]/[Disproved] or pass with [Unknown]; the first
-    definite answer wins.  Callers write the list directly; the
+    A query is posed as a list of incomplete {e tiers}, each an attempt
+    that may answer [Proved]/[Disproved] or pass with [Unknown], and the
+    complete procedure that decides when every tier passes; the first
+    definite answer wins.  Callers write the plan directly; the
     analyses cascade the incomplete O(constraints) {!Screen} (tier 0)
     into the dark-shadow fast path (tier 1) and finally the complete
     Presburger procedure (tier 2).  Because every tier is sound, the
     cascade changes which procedure decides a query — never the
     verdict; {!Oracle} checks that claim query by query.
 
-    The cascade runs inside a {!Budget} query boundary; when a tier
-    list runs out with no definite answer (one built by hand of
-    incomplete tiers only), the query gives up with
-    {!Budget.Incomplete}, flowing through the same conservative
-    degradation paths as a blown fuel limit. *)
+    The cascade runs inside a {!Budget} query boundary: a blown limit
+    is the only way a query gives up. *)
 
 type tier = Tier_screen | Tier_fast | Tier_complete
 
@@ -28,8 +26,8 @@ val tier_of_string : string -> tier option
 module Stats = Metrics
 
 (** The cascade-vs-complete gate.  While enabled, every query an
-    incomplete tier decides is replayed through the complete tier of the
-    same list and the verdicts compared; contradictions are recorded
+    incomplete tier decides is replayed through the complete procedure
+    of the same plan and the verdicts compared; contradictions are recorded
     (thread-safe) for the analysis bench and the pair-corpus test to
     assert empty.  A replay never changes the verdict returned.
     Expensive — bench and test use only. *)
@@ -55,9 +53,10 @@ val decide :
   ?label:string ->
   ?fault_key:(unit -> string) ->
   (tier * (unit -> Screen.answer)) list ->
+  (unit -> bool) ->
   Budget.verdict * tier option
-(** Run the tiers in order inside a {!Budget} query boundary, returning
-    the verdict and the tier that decided ([None] for [Gave_up]).  Tier
-    attempts/decides/elapsed are recorded in the current domain's
-    {!Metrics} rows; an exhausted plan
-    raises — and the boundary catches — [Exhausted Incomplete]. *)
+(** [decide tiers complete]: run the incomplete [tiers] in order, then
+    [complete] (tier 2, [Tier_complete]) when all of them pass, inside
+    one {!Budget} query boundary.  Returns the verdict and the tier that
+    decided ([None] for [Gave_up]).  Tier attempts/decides/elapsed are
+    recorded in the current domain's {!Metrics} rows. *)

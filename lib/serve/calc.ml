@@ -73,11 +73,7 @@ type result =
    and always run the full machinery. *)
 
 let portfolio_bool ~label ~screen ~complete =
-  let complete () = if complete () then Screen.Proved else Screen.Disproved in
-  match
-    Portfolio.decide ~label
-      [ (Portfolio.Tier_screen, screen); (Portfolio.Tier_complete, complete) ]
-  with
+  match Portfolio.decide ~label [ (Portfolio.Tier_screen, screen) ] complete with
   | Budget.Proved, _ -> true
   | Budget.Disproved, _ -> false
   | Budget.Gave_up r, _ -> raise (Budget.Exhausted r)

@@ -249,7 +249,6 @@ let governance_fields (m : Metrics.t) =
           ("disjuncts", Json.Int m.gave_up_disjuncts);
           ("deadline", Json.Int m.gave_up_deadline);
           ("injected", Json.Int m.gave_up_injected);
-          ("incomplete", Json.Int m.gave_up_incomplete);
         ] );
     ("peak_fuel", Json.Int m.peak_fuel);
     ("peak_splinters", Json.Int m.peak_splinters);

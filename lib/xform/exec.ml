@@ -139,9 +139,13 @@ let iteration_count l h step =
   else if l < h then 0
   else ((l - h) / -step) + 1
 
-let run_parallel ?pool ?(chunks_per_worker = 4) ?(init = zero_init)
-    ?(no_copy_in = false) ?(chunk_fault = fun _ -> ()) (pl : plan)
-    (prog : Ir.program) ~syms : mem * stats =
+(* Each region is cut into this many chunks per worker, for dynamic
+   load balancing. *)
+let chunks_per_worker = 4
+
+let run_parallel ?pool ?(init = zero_init) ?(no_copy_in = false)
+    ?(chunk_fault = fun _ -> ()) (pl : plan) (prog : Ir.program) ~syms :
+    mem * stats =
   let owned, pool =
     match pool with Some p -> (None, p) | None ->
       let p = create_pool () in
@@ -293,8 +297,7 @@ let run_serial_vm ?init (prog : Ir.program) ~syms : Vm.t =
   Vm.run t;
   t
 
-let run_compiled_vm ?pool ?(chunks_per_worker = 4)
-    ?(par_threshold = default_par_threshold) ?init ?(no_copy_in = false)
+let run_compiled_vm ?pool ?(par_threshold = default_par_threshold) ?init ?(no_copy_in = false)
     ?(chunk_fault = fun _ -> ()) (u : Compile.unit_) : Vm.t * stats =
   let owned, pool =
     match pool with
@@ -372,10 +375,9 @@ let run_compiled_vm ?pool ?(chunks_per_worker = 4)
       x_fallbacks = !fallbacks;
     } )
 
-let run_parallel_vm ?pool ?chunks_per_worker ?par_threshold ?init ?no_copy_in
-    ?chunk_fault (pl : plan) (prog : Ir.program) ~syms : Vm.t * stats =
-  run_compiled_vm ?pool ?chunks_per_worker ?par_threshold ?init ?no_copy_in
-    ?chunk_fault
+let run_parallel_vm ?pool ?par_threshold ?init ?no_copy_in ?chunk_fault
+    (pl : plan) (prog : Ir.program) ~syms : Vm.t * stats =
+  run_compiled_vm ?pool ?par_threshold ?init ?no_copy_in ?chunk_fault
     (compile_plan pl prog ~syms)
 
 (* ------------------------------------------------------------------ *)

@@ -80,7 +80,6 @@ val run_serial :
 
 val run_parallel :
   ?pool:pool ->
-  ?chunks_per_worker:int ->
   ?init:(string -> int list -> int) ->
   ?no_copy_in:bool ->
   ?chunk_fault:(int -> unit) ->
@@ -90,8 +89,8 @@ val run_parallel :
   mem * stats
 (** Execute with the plan's doall loops parallelized over the pool (a
     private pool is created and shut down when none is passed).
-    [chunks_per_worker] (default 4) controls how finely each region is
-    cut for dynamic load balancing.  [no_copy_in] disables the global
+    Each region is cut into four chunks per worker for dynamic load
+    balancing.  [no_copy_in] disables the global
     fall-through for privatized arrays — {b testing only}, it breaks
     first-read-before-write iterations by design.
 
@@ -134,7 +133,6 @@ val run_serial_vm :
 
 val run_compiled_vm :
   ?pool:pool ->
-  ?chunks_per_worker:int ->
   ?par_threshold:int ->
   ?init:(string -> int list -> int) ->
   ?no_copy_in:bool ->
@@ -151,7 +149,6 @@ val run_compiled_vm :
 
 val run_parallel_vm :
   ?pool:pool ->
-  ?chunks_per_worker:int ->
   ?par_threshold:int ->
   ?init:(string -> int list -> int) ->
   ?no_copy_in:bool ->

@@ -302,7 +302,7 @@ let test_memo_key_positions () =
     let p = Deps.make_pair ctx w w in
     let levels = Depctx.order_before ctx p.Deps.a p.Deps.b in
     let dvars = Array.to_list p.Deps.dvars in
-    Deps.levels_key ~tag:"vec" p levels
+    Deps.levels_key p levels
       ~evars:(if permute then List.rev dvars else dvars)
   in
   check Alcotest.string "fresh instantiation, same key" (key_of ())
@@ -351,9 +351,105 @@ let gen_pair_program =
     done;
     return (Buffer.contents buf))
 
+(* The constraints pinning the first distances of a pair. *)
+let pin_constraints (p : Deps.pair) pins =
+  List.mapi
+    (fun l d -> Constr.eq2 (Linexpr.var p.Deps.dvars.(l)) (Linexpr.of_int d))
+    pins
+
+(* The per-level vectors of a pair under pins, merged as a dependence
+   states them: a level that gives up contributes its weakest vectors. *)
+let vectors_under ctx ~src ~dst pins =
+  let p = Deps.make_pair ctx src dst in
+  let levels = Depctx.order_before ctx p.Deps.a p.Deps.b in
+  Deps.level_vectors ~label:"test/vectors" ~fix:(pin_constraints p pins) p
+    levels
+  |> Deps.vectors_by_level p levels
+  |> List.concat_map snd
+  |> List.sort_uniq Dirvec.compare
+
+(* The section 4.4 candidate generator written the way it was before it
+   read the per-level vectors: each step minimizes the next distance
+   with [Omega.minimize], one governed query per ordering level under
+   the pins so far (a level that is empty, unbounded or gives up is left
+   out), checks the pinned candidate, and the vectors under the final
+   pins are asked last.  [Analyses.refine] must return the same pins
+   and vectors. *)
+let reference_refine ctx ~src ~dst =
+  let p = Deps.make_pair ctx src dst in
+  let c = p.Deps.common in
+  let levels = Depctx.order_before ctx p.Deps.a p.Deps.b in
+  let min_distance pins l =
+    List.filter_map
+      (fun (_, order) ->
+        let prob =
+          Problem.add_list (pin_constraints p pins @ order) p.Deps.base
+        in
+        match
+          Budget.run ~label:"test/minimize" (fun () ->
+              Omega.minimize prob p.Deps.dvars.(l))
+        with
+        | Ok (`Min m) -> Zint.to_int_opt m
+        | Ok (`Unbounded | `Unsat) | Error _ -> None)
+      levels
+  in
+  let rec go pins l =
+    if l >= c then pins
+    else
+      match min_distance pins l with
+      | [] -> pins
+      | m :: rest ->
+        let pins' = pins @ [ List.fold_left min m rest ] in
+        let cand =
+          List.init c (fun l' ->
+              match List.nth_opt pins' l' with
+              | Some d -> (Some d, Some d)
+              | None -> (None, None))
+        in
+        if Analyses.check_refinement ctx ~src ~dst cand then go pins' (l + 1)
+        else pins
+  in
+  let pins = go [] 0 in
+  (pins, vectors_under ctx ~src ~dst pins)
+
+(* [Analyses.refine] against [reference_refine] on every write/read pair
+   of the same array in [src]; the mismatches, as text. *)
+let refine_mismatches name src =
+  let prog = Lang.Sema.parse_and_analyze src in
+  let ctx = Depctx.create prog in
+  let show (pins, vecs) =
+    Printf.sprintf "pins [%s] vectors %s"
+      (String.concat ";" (List.map string_of_int pins))
+      (String.concat " " (List.map Dirvec.to_string vecs))
+  in
+  List.concat_map
+    (fun (w : Lang.Ir.access) ->
+      List.filter_map
+        (fun (r : Lang.Ir.access) ->
+          if w.Lang.Ir.array <> r.Lang.Ir.array then None
+          else
+            let got = Analyses.refine ctx ~src:w ~dst:r in
+            let want = reference_refine ctx ~src:w ~dst:r in
+            if got = want then None
+            else
+              Some
+                (Printf.sprintf "%s %s->%s: got %s, want %s" name
+                   w.Lang.Ir.label r.Lang.Ir.label (show got) (show want)))
+        (Lang.Ir.reads prog))
+    (Lang.Ir.writes prog)
+
+let test_refine_reference_corpus () =
+  with_memo_restored @@ fun () ->
+  Analyses.Memo.reset ();
+  check slist "refine = reference generator on every corpus pair" []
+    (List.concat_map
+       (fun (name, src) -> refine_mismatches name src)
+       (Corpus.all @ Corpus.stress))
+
 (* The flow, anti and output dependences of the pair, the flow
-   dependence's refinement, and its vectors under several pinnings, as
-   plain data. *)
+   dependence's refinement, and the vectors under pins the generator
+   would not choose (all 0, all 1), as plain data: entries that differ
+   only in their pinned distances must not share. *)
 let pair_results src =
   let prog = Lang.Sema.parse_and_analyze src in
   let ctx = Depctx.create prog in
@@ -368,21 +464,18 @@ let pair_results src =
           d.Deps.assumed ))
       (Deps.compute ctx ~src ~dst ~kind)
   in
-  let pinned = Analyses.refine ctx ~src:w ~dst:r in
-  (* besides the generator's own pins, distances it would not choose:
-     entries that differ only in their pinned distances must not share *)
+  let strings = List.map Dirvec.to_string in
+  let pinned, refined = Analyses.refine ctx ~src:w ~dst:r in
   let c = Lang.Ir.common_loops w r in
-  let refined =
+  let off_generator =
     List.map
-      (fun pins ->
-        List.map Dirvec.to_string
-          (Analyses.refined_vectors ctx ~src:w ~dst:r pins))
-      (pinned :: List.map (fun d -> List.init c (fun _ -> d)) [ 0; 1 ])
+      (fun d -> strings (vectors_under ctx ~src:w ~dst:r (List.init c (fun _ -> d))))
+      [ 0; 1 ]
   in
   ( [ dep ~src:w ~dst:r Deps.Flow; dep ~src:r ~dst:w Deps.Anti;
       dep ~src:w ~dst:w Deps.Output ],
     pinned,
-    refined )
+    strings refined :: off_generator )
 
 let prop_memo_pairs_sound =
   QCheck.Test.make ~count:40
@@ -401,6 +494,18 @@ let prop_memo_pairs_sound =
       let replayed = List.map pair_results (List.rev srcs) |> List.rev in
       uncached = filling && uncached = replayed)
 
+let prop_refine_reference_pairs =
+  QCheck.Test.make ~count:40
+    ~name:"refine = reference generator, across random pairs"
+    QCheck.(
+      make
+        ~print:(fun ps -> String.concat "----\n" ps)
+        Gen.(list_size (int_range 2 5) gen_pair_program))
+    (fun srcs ->
+      with_memo_restored @@ fun () ->
+      Analyses.Memo.reset ();
+      List.for_all (fun src -> refine_mismatches "random" src = []) srcs)
+
 let unit_tests =
   [
     Alcotest.test_case "determinism across reruns" `Quick
@@ -414,6 +519,8 @@ let unit_tests =
       test_memo_warm_repeat;
     Alcotest.test_case "memo: keys fix distance-variable positions" `Quick
       test_memo_key_positions;
+    Alcotest.test_case "refine = reference generator: corpus pairs" `Quick
+      test_refine_reference_corpus;
   ]
 
 let suite =
@@ -426,4 +533,5 @@ let suite =
              prop_var_ids_disjoint;
              prop_canon_key_domain_invariant;
              prop_memo_pairs_sound;
+             prop_refine_reference_pairs;
            ] )

@@ -95,26 +95,13 @@ let unit_tests =
     ( "portfolio: first definite tier wins and is attributed",
       `Quick,
       fun () ->
-        let tiers =
-          [
-            (Portfolio.Tier_screen, fun () -> Screen.Proved);
-            (Portfolio.Tier_complete, fun () -> Screen.Disproved);
-          ]
-        in
-        match Portfolio.decide ~label:"test/first-wins" tiers with
+        let tiers = [ (Portfolio.Tier_screen, fun () -> Screen.Proved) ] in
+        match
+          Portfolio.decide ~label:"test/first-wins" tiers (fun () -> false)
+        with
         | Budget.Proved, Some Portfolio.Tier_screen -> ()
         | v, _ ->
           Alcotest.failf "expected screen-tier Proved, got %s"
-            (Budget.verdict_to_string v) );
-    ( "portfolio: exhausted plan gives up as Incomplete",
-      `Quick,
-      fun () ->
-        (* a screen-only tier list: nothing left once the screen passes *)
-        let tiers = [ (Portfolio.Tier_screen, fun () -> Screen.Unknown) ] in
-        match Portfolio.decide ~label:"test/incomplete" tiers with
-        | Budget.Gave_up Budget.Incomplete, None -> ()
-        | v, _ ->
-          Alcotest.failf "expected Gave_up incomplete, got %s"
             (Budget.verdict_to_string v) );
     ( "portfolio: cascade degrades monotonically under fuel",
       `Quick,
@@ -129,13 +116,10 @@ let unit_tests =
           Budget.with_limits { Budget.default with Budget.fuel } (fun () ->
               fst
                 (Portfolio.decide ~label:"test/degrade"
-                   [
-                     (Portfolio.Tier_screen, fun () -> Screen.Unknown);
-                     ( Portfolio.Tier_complete,
-                       fun () ->
-                         burn 50;
-                         Screen.Proved );
-                   ]))
+                   [ (Portfolio.Tier_screen, fun () -> Screen.Unknown) ]
+                   (fun () ->
+                     burn 50;
+                     true)))
         in
         (match verdict_at 1 with
         | Budget.Gave_up Budget.Fuel -> ()
@@ -166,11 +150,11 @@ let answer v () = if v then Screen.Proved else Screen.Disproved
 
 (* [decide] once under the oracle: the verdict, the replay count and
    the divergences recorded. *)
-let under_oracle label tiers =
+let under_oracle label tiers complete =
   Portfolio.Oracle.enable ();
   let verdict =
     Fun.protect ~finally:Portfolio.Oracle.disable (fun () ->
-        fst (Portfolio.decide ~label tiers))
+        fst (Portfolio.decide ~label tiers (fun () -> complete)))
   in
   (verdict, Portfolio.Oracle.checks (), Portfolio.Oracle.divergences ())
 
@@ -184,9 +168,9 @@ let lying_tier_test tier =
         (if tier = Portfolio.Tier_fast then
            [ (Portfolio.Tier_screen, fun () -> Screen.Unknown) ]
          else [])
-        @ [ (tier, answer true); (Portfolio.Tier_complete, answer false) ]
+        @ [ (tier, answer true) ]
       in
-      let verdict, checks, found = under_oracle label tiers in
+      let verdict, checks, found = under_oracle label tiers false in
       check bool_t "the lying verdict is still returned" true
         (verdict = Budget.Proved);
       check Alcotest.int "one replay" 1 checks;
@@ -208,10 +192,8 @@ let oracle_tests =
       fun () ->
         let _, checks, found =
           under_oracle "test/truthful"
-            [
-              (Portfolio.Tier_screen, answer false);
-              (Portfolio.Tier_complete, answer false);
-            ]
+            [ (Portfolio.Tier_screen, answer false) ]
+            false
         in
         check Alcotest.int "one replay" 1 checks;
         check Alcotest.int "no divergence" 0 (List.length found) );
@@ -222,10 +204,8 @@ let oracle_tests =
         Portfolio.Oracle.disable ();
         ignore
           (Portfolio.decide ~label:"test/disabled"
-             [
-               (Portfolio.Tier_screen, answer true);
-               (Portfolio.Tier_complete, answer false);
-             ]);
+             [ (Portfolio.Tier_screen, answer true) ]
+             (fun () -> false));
         check Alcotest.int "no replay" 0 (Portfolio.Oracle.checks ());
         check Alcotest.int "no divergence" 0
           (List.length (Portfolio.Oracle.divergences ())) );
@@ -261,10 +241,9 @@ let pair_lines () =
                   let refined =
                     if not (Driver.refinement_possible outputs a) then None
                     else
-                      let pinned = Analyses.refine ctx ~src:a ~dst:b in
-                      if pinned = [] then None
-                      else
-                        Some (Analyses.refined_vectors ctx ~src:a ~dst:b pinned)
+                      match Analyses.refine ctx ~src:a ~dst:b with
+                      | [], _ -> None
+                      | _, vecs -> Some vecs
                   in
                   let vectors =
                     match refined with
@@ -412,7 +391,7 @@ let fast_proves (p, q) =
   Analyses.fast_tier ~hyp:[] [ p ] ~evars:[ fe ] [ q ] () = Screen.Proved
 
 let complete_proves (p, q) =
-  Analyses.complete_tier ~hyp:[] [ p ] ~evars:[ fe ] [ q ] () = Screen.Proved
+  Analyses.complete_tier ~hyp:[] [ p ] ~evars:[ fe ] [ q ] ()
 
 let fast_tier_tests =
   [
@@ -526,7 +505,7 @@ let refutation_coverage () =
   let complete (hyp, lhs, rhs) =
     Analyses.complete_tier ~hyp lhs ~evars:[ re ] rhs ()
   in
-  let refuted = List.filter (fun q -> complete q = Screen.Disproved) cases in
+  let refuted = List.filter (fun q -> not (complete q)) cases in
   let found = List.filter (fun q -> counterexample q <> None) cases in
   check bool_t "the complete tier refutes a third of the queries" true
     (List.length refuted > 100);
