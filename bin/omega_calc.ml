@@ -23,11 +23,14 @@ open Omega
 
 let with_errors f =
   try f () with
-  | Budget.Exhausted r ->
-    (* the calculator talks to the solver without a query boundary, so a
-       blown budget surfaces here: report it as a structured give-up *)
-    Printf.eprintf "gave up (%s)\n" (Budget.reason_to_string r);
-    exit 2
+  | e -> (
+    (* a query that gave up (a blown limit or an overflowing
+       coefficient) surfaces here: report it as a structured give-up *)
+    match Budget.reason_of_exn e with
+    | Some r ->
+      Printf.eprintf "gave up (%s)\n" (Budget.reason_to_string r);
+      exit 2
+    | None -> raise e)
 
 (* Evaluate one calculator operation and print it, plain or as the
    daemon's JSON payload. *)
@@ -62,16 +65,17 @@ let stats_arg =
            portfolio-tier traffic) to stderr after the query.")
 
 (* Run [f] with fresh solver counters; report them on stderr when asked,
-   so golden stdout output is untouched. *)
+   so golden stdout output is untouched.  They are printed at exit, so a
+   query that gives up (and exits 2) still reports the give-up. *)
 let with_stats stats f =
   Metrics.reset ();
-  let r = f () in
-  if stats then begin
-    let m = Metrics.current () in
-    Printf.eprintf "solver: %s\n" (Metrics.solver_summary m);
-    Printf.eprintf "tiers (attempts/decided): %s\n" (Metrics.tiers_summary m)
-  end;
-  r
+  if stats then
+    at_exit (fun () ->
+        let m = Metrics.current () in
+        Printf.eprintf "solver: %s\n" (Metrics.solver_summary m);
+        Printf.eprintf "tiers (attempts/decided): %s\n" (Metrics.tiers_summary m);
+        Printf.eprintf "governance: %s\n" (Metrics.governance_summary m));
+  f ()
 
 let onto_arg =
   Arg.(
@@ -144,12 +148,14 @@ let formula_cmd name doc which =
       Printf.eprintf "error: %s\n" msg;
       exit 1
     | f -> (
+      let holds label p = Serve.Calc.governed ~label (fun () -> p f) in
       match which with
       | `Valid ->
-        print_endline (if Omega.Presburger.valid f then "valid" else "invalid")
+        print_endline
+          (if holds "calc/valid" Presburger.valid then "valid" else "invalid")
       | `Sat ->
         print_endline
-          (if Omega.Presburger.satisfiable f then "satisfiable"
+          (if holds "calc/psat" Presburger.satisfiable then "satisfiable"
            else "unsatisfiable"))
   in
   Cmd.v (Cmd.info name ~doc) Term.(const run $ problem_arg 0 "FORMULA")

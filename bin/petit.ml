@@ -30,6 +30,14 @@ let with_errors f =
   | Invalid_argument msg ->
     Printf.eprintf "error: %s\n" msg;
     exit 1
+  | e -> (
+    (* a coefficient that overflowed while a query was being built,
+       outside any query boundary: the whole request gives up *)
+    match Omega.Budget.reason_of_exn e with
+    | Some r ->
+      Printf.eprintf "gave up (%s)\n" (Omega.Budget.reason_to_string r);
+      exit 2
+    | None -> raise e)
 
 (* ------------------------------------------------------------------ *)
 

@@ -26,11 +26,6 @@ let add_int buf n =
     add_digits buf (-n)
   end
 
-let add_zint buf z =
-  match Zint.to_int_opt z with
-  | Some n -> add_int buf n
-  | None -> Buffer.add_string buf (Zint.to_string z)
-
 (* Canonical ids by variable id; ids are distinct ints already, so
    they hash to themselves. *)
 module Ids = Hashtbl.Make (struct
@@ -86,13 +81,13 @@ let key ?tag ~(hyp : Constr.t list) (lhs : Problem.t list)
   let add_lin le =
     Linexpr.iter_terms
       (fun v c ->
-        add_zint buf c;
+        add_int buf (Zint.to_int c);
         Buffer.add_char buf '*';
         Buffer.add_char buf (kind_char v);
         add_int buf (cid v);
         Buffer.add_char buf '+')
       le;
-    add_zint buf (Linexpr.constant le)
+    add_int buf (Zint.to_int (Linexpr.constant le))
   in
   let add_constr c =
     Buffer.add_char buf

@@ -78,7 +78,7 @@ let range_of problem v =
   match Omega.bounds problem v with
   | `Unsat -> (None, None)
   | `Range (lo, hi) ->
-    (Option.bind lo Zint.to_int_opt, Option.bind hi Zint.to_int_opt)
+    (Option.map Zint.to_int lo, Option.map Zint.to_int hi)
 
 (* Analyze levels [d..] of [problem] over the distance variables [dvars];
    returns the list of vector tails. *)

@@ -43,9 +43,12 @@ let linexpr_of env (e : Ast.expr) : Linexpr.t =
       else if Linexpr.is_const eb then Linexpr.scale (Linexpr.constant eb) ea
       else raise (Error "non-linear product"))
     | Ast.Max _ | Ast.Min _ | Ast.Ref _ ->
-      raise (Error "max/min/array references are not allowed in formulas")
+      raise (Error "max/min/array references are not allowed here")
   in
-  go e
+  try go e
+  with Zint.Overflow ->
+    raise
+      (Error "integer overflow: a coefficient does not fit a native integer")
 
 let atom_of env (c : Ast.cond) : Presburger.t =
   let l = linexpr_of env c.Ast.left and r = linexpr_of env c.Ast.right in
@@ -139,11 +142,16 @@ and parse_conj env s =
 let formula_of_string (s : string) : Presburger.t =
   parse { table = [] } s
 
-let problem_of_string (s : string) : Problem.t * (string * Var.t) list =
+(* Bare conjunctions as problems over one shared set of variables, with
+   the bindings created for their names. *)
+let problems_of_strings (srcs : string list) :
+    Problem.t list * (string * Var.t) list =
   let env = { table = [] } in
-  let conds =
+  let parse s =
     try Parser.parse_conds_string s
-    with Parser.Error (msg, _) -> raise (Error msg)
+    with Parser.Error (msg, pos) ->
+      raise
+        (Error (Printf.sprintf "parse error at column %d: %s" pos.Ast.col msg))
   in
   let constr (c : Ast.cond) : Constr.t =
     let l = linexpr_of env c.Ast.left and r = linexpr_of env c.Ast.right in
@@ -155,6 +163,12 @@ let problem_of_string (s : string) : Problem.t * (string * Var.t) list =
     | Ast.Gt -> Constr.gt l r
     | Ast.Ne -> raise (Error "!= is a disjunction; not allowed here")
   in
+  let conds = List.map parse srcs in
   (* bind first: the constraints fill [env.table] *)
-  let p = Problem.of_list (List.map constr conds) in
-  (p, env.table)
+  let ps = List.map (fun cs -> Problem.of_list (List.map constr cs)) conds in
+  (ps, env.table)
+
+let problem_of_string s =
+  match problems_of_strings [ s ] with
+  | [ p ], binds -> (p, binds)
+  | _ -> assert false

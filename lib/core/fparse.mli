@@ -18,6 +18,11 @@ exception Error of string
 val formula_of_string : string -> Presburger.t
 (** @raise Error on malformed input. *)
 
+val problems_of_strings : string list -> Problem.t list * (string * Var.t) list
+(** Bare conjunctions as problems over one shared set of variables (the
+    omega_calc operands), with the bindings created for their names.
+    @raise Error on malformed input, a non-linear term, [!=], or a
+    coefficient that overflows a native integer. *)
+
 val problem_of_string : string -> Problem.t * (string * Var.t) list
-(** A bare conjunction as a problem, with the variable bindings created
-    for its names. *)
+(** [problems_of_strings] of one conjunction. *)

@@ -97,23 +97,12 @@ type unit_ = {
 (* Interval analysis: array extents from the accesses                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Overflow-checked arithmetic: [None] when the exact result does not
-   fit an [int], so a wrapped bound can never pass for an extent. *)
 let ( let* ) = Option.bind
 
-let add_ov a b =
-  let s = a + b in
-  if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then None else Some s
-
-let neg_ov a = if a = min_int then None else Some (-a)
-let sub_ov a b = let* nb = neg_ov b in add_ov a nb
-
-let mul_ov a b =
-  if a = 0 || b = 0 then Some 0
-  else if (a = -1 && b = min_int) || (b = -1 && a = min_int) then None
-  else
-    let p = a * b in
-    if p / b = a then Some p else None
+(* Bounds are computed with Zint's checked arithmetic: [None] when an
+   exact result does not fit an [int], so a wrapped bound can never pass
+   for an extent. *)
+let checked f = try Some (f ()) with Zint.Overflow -> None
 
 (* Evaluate an expression to a conservative [lo, hi] interval under
    concrete symbols and loop-variable intervals.  [None] is an unknown
@@ -136,26 +125,19 @@ let rec ival syms env (e : Ast.expr) : (int * int) option =
       | None -> unsupported "unbound name %s" s))
   | Ast.Neg a ->
     let* l, h = ival syms env a in
-    let* nh = neg_ov h in
-    let* nl = neg_ov l in
-    Some (nh, nl)
+    checked (fun () -> Zint.Int.(neg h, neg l))
   | Ast.Add (a, b) ->
     both a b (fun (la, ha) (lb, hb) ->
-        let* l = add_ov la lb in
-        let* h = add_ov ha hb in
-        Some (l, h))
+        checked (fun () -> Zint.Int.(add la lb, add ha hb)))
   | Ast.Sub (a, b) ->
     both a b (fun (la, ha) (lb, hb) ->
-        let* l = sub_ov la hb in
-        let* h = sub_ov ha lb in
-        Some (l, h))
+        checked (fun () -> Zint.Int.(sub la hb, sub ha lb)))
   | Ast.Mul (a, b) ->
     both a b (fun (la, ha) (lb, hb) ->
-        let* p1 = mul_ov la lb in
-        let* p2 = mul_ov la hb in
-        let* p3 = mul_ov ha lb in
-        let* p4 = mul_ov ha hb in
-        Some (min (min p1 p2) (min p3 p4), max (max p1 p2) (max p3 p4)))
+        checked (fun () ->
+            let p1 = Zint.Int.mul la lb and p2 = Zint.Int.mul la hb in
+            let p3 = Zint.Int.mul ha lb and p4 = Zint.Int.mul ha hb in
+            (min (min p1 p2) (min p3 p4), max (max p1 p2) (max p3 p4))))
   | Ast.Max (a, b) ->
     both a b (fun (la, ha) (lb, hb) -> Some (max la lb, max ha hb))
   | Ast.Min (a, b) ->
@@ -237,9 +219,9 @@ let layout_arrays (ext : extents) : (string, arr) Hashtbl.t * int * sparse array
           (fun iv acc ->
             let* strides, size = acc in
             let* l, h = iv in
-            let* w = sub_ov h l in
-            let* w = add_ov w 1 in
-            let* size' = mul_ov size w in
+            let* size' =
+              checked (fun () -> Zint.Int.(mul size (add (sub h l) 1)))
+            in
             if size' > arena_limit then None else Some (size :: strides, size'))
           ivs
           (Some ([], 1))

@@ -30,10 +30,8 @@ type affine = { const : int; terms : (varref * int) list }
 let aff_const c = { const = c; terms = [] }
 let aff_var v = { const = 0; terms = [ (v, 1) ] }
 
-let aff_norm terms =
-  List.filter (fun (_, c) -> c <> 0) terms
-  |> List.sort (fun (a, _) (b, _) -> compare_varref a b)
-
+(* Coefficient arithmetic is checked: [Zint.Overflow] when an exact
+   coefficient does not fit, never a wrapped one. *)
 let aff_add a b =
   let rec merge xs ys =
     match xs, ys with
@@ -43,15 +41,19 @@ let aff_add a b =
       if cmp < 0 then (vx, cx) :: merge xs' ys
       else if cmp > 0 then (vy, cy) :: merge xs ys'
       else begin
-        let c = cx + cy in
+        let c = Zint.Int.add cx cy in
         if c = 0 then merge xs' ys' else (vx, c) :: merge xs' ys'
       end
   in
-  { const = a.const + b.const; terms = merge a.terms b.terms }
+  { const = Zint.Int.add a.const b.const; terms = merge a.terms b.terms }
 
 let aff_scale k a =
   if k = 0 then aff_const 0
-  else { const = k * a.const; terms = List.map (fun (v, c) -> (v, k * c)) a.terms }
+  else
+    {
+      const = Zint.Int.mul k a.const;
+      terms = List.map (fun (v, c) -> (v, Zint.Int.mul k c)) a.terms;
+    }
 
 let aff_neg a = aff_scale (-1) a
 let aff_sub a b = aff_add a (aff_neg b)
@@ -59,30 +61,6 @@ let aff_is_const a = a.terms = []
 
 let aff_coeff a v =
   match List.assoc_opt v a.terms with Some c -> c | None -> 0
-
-let aff_vars a = List.map fst a.terms
-
-let aff_compare a b =
-  let c = compare a.const b.const in
-  if c <> 0 then c
-  else List.compare (fun (v1, c1) (v2, c2) ->
-      let c = compare_varref v1 v2 in
-      if c <> 0 then c else compare c1 c2)
-      a.terms b.terms
-
-let aff_equal a b = aff_compare a b = 0
-
-(* Shift loop indices by [d] (used when relating an inner affine expression
-   to an outer nest, or vice versa). *)
-let aff_shift_loops d a =
-  {
-    a with
-    terms =
-      aff_norm
-        (List.map
-           (fun (v, c) -> match v with Loop i -> (Loop (i + d), c) | _ -> (v, c))
-           a.terms);
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Structures                                                          *)

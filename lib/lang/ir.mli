@@ -20,21 +20,17 @@ type affine = { const : int; terms : (varref * int) list }
 
 val aff_const : int -> affine
 val aff_var : varref -> affine
+
+(** [aff_add], [aff_scale], [aff_neg] and [aff_sub] are checked: they
+    raise [Zint.Overflow] when an exact coefficient or constant does not
+    fit a native [int]. *)
+
 val aff_add : affine -> affine -> affine
 val aff_scale : int -> affine -> affine
 val aff_neg : affine -> affine
 val aff_sub : affine -> affine -> affine
 val aff_is_const : affine -> bool
 val aff_coeff : affine -> varref -> int
-val aff_vars : affine -> varref list
-val aff_compare : affine -> affine -> int
-val aff_equal : affine -> affine -> bool
-
-val aff_shift_loops : int -> affine -> affine
-(** Shift the [Loop] indices by an offset (relate inner and outer
-    nests). *)
-
-val aff_norm : (varref * int) list -> (varref * int) list
 
 (** An opaque term: a non-affine subexpression (index-array read, scalar
     read, product of variables) kept for the section-5 symbolic

@@ -410,4 +410,13 @@ let analyze (ast : Ast.program) : Ir.program =
     stmts;
   }
 
+(* Affine arithmetic is checked (Ir): a subscript, bound or condition
+   whose exact coefficients do not fit a native integer is a typed
+   error, never a wrapped affine form. *)
+let analyze ast =
+  try analyze ast
+  with Zint.Overflow ->
+    error
+      "integer overflow: an affine coefficient does not fit a native integer"
+
 let parse_and_analyze src = analyze (Parser.parse_string src)

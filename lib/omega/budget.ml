@@ -8,7 +8,7 @@
    wall-clock deadline bounds the whole query.  Exhausting any
    limit raises [Exhausted], which the query boundary ([run] / [decide])
    turns into a structured [Gave_up] verdict - never an escaping
-   exception.
+   exception; likewise a coefficient overflow ([Zint.Overflow]).
 
    Clients map [Gave_up] to the sound conservative answer for their
    question (a dependence is assumed live, a kill/cover/refinement is
@@ -37,7 +37,7 @@
    configuration is an immutable process-wide setting read by every
    domain (publish it before spawning parallel work). *)
 
-type reason = Fuel | Splinters | Disjuncts | Deadline | Injected
+type reason = Fuel | Splinters | Disjuncts | Deadline | Injected | Overflow
 
 let reason_to_string = function
   | Fuel -> "fuel"
@@ -45,6 +45,7 @@ let reason_to_string = function
   | Disjuncts -> "disjuncts"
   | Deadline -> "deadline"
   | Injected -> "injected"
+  | Overflow -> "overflow"
 
 type verdict = Proved | Disproved | Gave_up of reason
 
@@ -54,6 +55,14 @@ let verdict_to_string = function
   | Gave_up r -> "gave up (" ^ reason_to_string r ^ ")"
 
 exception Exhausted of reason
+
+(* The exceptions that end solver work with a give-up: [Exhausted] for
+   a blown limit, [Zint.Overflow] for a coefficient that no longer fits
+   a native integer. *)
+let reason_of_exn = function
+  | Exhausted r -> Some r
+  | Zint.Overflow -> Some Overflow
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Limits                                                              *)
@@ -123,7 +132,7 @@ let tick m =
   if m.m_fuel land 255 = 0 then check_deadline m
 
 let add_splinters m n =
-  m.m_splinters <- m.m_splinters + n;
+  m.m_splinters <- Zint.(to_int (add (of_int m.m_splinters) (of_int n)));
   if m.m_splinters > m.m_limits.splinters then raise (Exhausted Splinters)
 
 (* ------------------------------------------------------------------ *)
@@ -258,13 +267,16 @@ let record_gave_up (t : Metrics.t) = function
   | Disjuncts -> t.gave_up_disjuncts <- t.gave_up_disjuncts + 1
   | Deadline -> t.gave_up_deadline <- t.gave_up_deadline + 1
   | Injected -> t.gave_up_injected <- t.gave_up_injected + 1
+  | Overflow -> t.gave_up_overflow <- t.gave_up_overflow + 1
 
 let run ?(label = "query") ?fault_key (f : unit -> 'a) : ('a, reason) result =
   let w = world () in
   match w.w_active with
   (* nested boundary inside an already-metered query: share the meter,
      just structure the outcome *)
-  | Some _ -> ( try Ok (f ()) with Exhausted r -> Error r)
+  | Some _ -> (
+    try Ok (f ())
+    with e -> ( match reason_of_exn e with Some r -> Error r | None -> raise e))
   | None ->
     let t = Metrics.current () in
     t.queries <- t.queries + 1;
@@ -286,13 +298,13 @@ let run ?(label = "query") ?fault_key (f : unit -> 'a) : ('a, reason) result =
       | v ->
         finish ();
         Ok v
-      | exception Exhausted r ->
+      | exception e -> (
         finish ();
-        record_gave_up t r;
-        Error r
-      | exception e ->
-        finish ();
-        raise e
+        match reason_of_exn e with
+        | Some r ->
+          record_gave_up t r;
+          Error r
+        | None -> raise e)
     end
 
 let decide ?label ?fault_key (f : unit -> bool) : verdict =

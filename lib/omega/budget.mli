@@ -7,7 +7,8 @@
     optional wall-clock deadline bounds the whole query.  Exhausting any
     limit raises {!Exhausted}; the query boundary ({!run} / {!decide})
     turns that into a structured {!verdict} so no resource blowup ever
-    escapes as an exception.
+    escapes as an exception; nor does a coefficient overflow
+    ({!Zint.Overflow}), which becomes [Gave_up Overflow].
 
     Clients must map [Gave_up] to their sound conservative answer: a
     dependence is assumed live, a kill/cover/refinement is not proved, a
@@ -30,7 +31,10 @@
     session threads must ship solver work to worker domains rather than
     run it in place. *)
 
-type reason = Fuel | Splinters | Disjuncts | Deadline | Injected
+type reason = Fuel | Splinters | Disjuncts | Deadline | Injected | Overflow
+(** Why a query gave up: a blown limit, an injected fault, or a
+    coefficient that no longer fits a native integer
+    ({!Zint.Overflow}). *)
 
 val reason_to_string : reason -> string
 
@@ -42,6 +46,12 @@ exception Exhausted of reason
 (** Raised inside the solver when the ambient meter blows a limit.
     Always caught by {!run}/{!decide}; escapes only code that enters the
     solver without a query boundary. *)
+
+val reason_of_exn : exn -> reason option
+(** The give-up an exception stands for: [Exhausted r] is [r] and
+    {!Zint.Overflow} is [Overflow]; any other exception is [None].  The
+    one mapping shared by {!run} and the front ends, which report an
+    overflow met while building a query as a give-up too. *)
 
 type limits = {
   fuel : int;  (** elimination / decision steps per query *)
@@ -103,9 +113,9 @@ val run :
   ('a, reason) result
 (** Run [f] as one governed query: counts it, draws a fault when
     injection is active and [fault_key] is given, meters the work, and
-    maps {!Exhausted} to [Error].  The outcome is recorded in the
-    current domain's {!Metrics}.  Nested inside another [run] it shares
-    the outer meter and records nothing.
+    maps {!Exhausted} and {!Zint.Overflow} to [Error].  The outcome is
+    recorded in the current domain's {!Metrics}.  Nested inside another
+    [run] it shares the outer meter and records nothing.
 
     [fault_key] (forced only while injection is active) must identify
     the query by {e content} — e.g. a canonical serialization of the

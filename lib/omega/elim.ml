@@ -214,9 +214,14 @@ type fm_result =
   | Split of {
       dark : Problem.t;
       real : Problem.t;
-      splinters : Problem.t list; (* each still contains the variable, with
-                                     an added equality pinning it *)
+      splinters : splinters;
     }
+
+(* The splinters of an inexact elimination (each pins the variable
+   with an added equality).  Callers charge [count] before they
+   [build], so a hostile coefficient gives up on the splinter limit
+   instead of allocating millions of problems first. *)
+and splinters = { count : int; build : unit -> Problem.t list }
 
 (* Split the constraints of [p] around variable [v].
    Lower bounds: cl*v + rl >= 0 with cl > 0.
@@ -275,23 +280,29 @@ let make_splinters v p lows ups =
   let amax =
     List.fold_left (fun acc (cu, _, _) -> Zint.max acc cu) Zint.one ups
   in
-  List.concat_map
-    (fun (cl, rl, _) ->
-      let kmax =
-        Zint.fdiv (Zint.sub (Zint.mul amax cl) (Zint.add amax cl)) amax
-      in
-      let rec go k acc =
-        if Zint.(k > kmax) then List.rev acc
-        else begin
-          (* pin cl*v + rl - k = 0 *)
-          let pin_expr =
-            Linexpr.add_term (Linexpr.add_const rl (Zint.neg k)) cl v
-          in
-          go (Zint.succ k) (Problem.add (Constr.eq pin_expr) p :: acc)
-        end
-      in
-      go Zint.zero [])
-    lows
+  let pins =
+    List.map
+      (fun (cl, rl, _) ->
+        (cl, rl, Zint.(fdiv ((amax * cl) - (amax + cl)) amax)))
+      lows
+  in
+  let count =
+    List.fold_left
+      (fun n (_, _, kmax) -> Zint.(n + max zero (succ kmax)))
+      Zint.zero pins
+  in
+  let build () =
+    List.concat_map
+      (fun (cl, rl, kmax) ->
+        (* pin cl*v + rl - k = 0 for k = 0..kmax *)
+        List.init (max 0 (Zint.to_int kmax + 1)) (fun k ->
+            let pin_expr =
+              Linexpr.add_term (Linexpr.add_const rl (Zint.of_int (-k))) cl v
+            in
+            Problem.add (Constr.eq pin_expr) p))
+      pins
+  in
+  { count = Zint.to_int count; build }
 
 let fm_eliminate p v : fm_result =
   let s = Metrics.current () in
@@ -435,9 +446,11 @@ let rec project_list ~keep m ?splintered (p : Problem.t) : Problem.t list =
       | Eliminated p' -> project_list ~keep m ?splintered p'
       | Split { dark; splinters; _ } ->
         (match splintered with Some r -> r := true | None -> ());
-        Budget.add_splinters m (List.length splinters);
+        Budget.add_splinters m splinters.count;
         project_list ~keep m ?splintered dark
-        @ List.concat_map (project_list ~keep m ?splintered) splinters))
+        @ List.concat_map
+            (project_list ~keep m ?splintered)
+            (splinters.build ())))
 
 let project ?splintered ~keep p =
   Budget.with_meter (fun m -> project_list ~keep m ?splintered p)
@@ -485,8 +498,8 @@ let rec sat_meter m (p : Problem.t) : bool =
       match fm_eliminate p v with
       | Eliminated p' -> sat_meter m p'
       | Split { dark; real; splinters } ->
-        Budget.add_splinters m (List.length splinters);
+        Budget.add_splinters m splinters.count;
         sat_meter m dark
-        || (sat_real real && List.exists (sat_meter m) splinters)))
+        || (sat_real real && List.exists (sat_meter m) (splinters.build ()))))
 
 let satisfiable p = Budget.with_meter (fun m -> sat_meter m p)

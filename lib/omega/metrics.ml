@@ -18,6 +18,7 @@ type t = {
   mutable gave_up_disjuncts : int;
   mutable gave_up_deadline : int;
   mutable gave_up_injected : int;
+  mutable gave_up_overflow : int;
   mutable peak_fuel : int;
   mutable peak_splinters : int;
   mutable worst_label : string;
@@ -44,6 +45,7 @@ let make () =
     gave_up_disjuncts = 0;
     gave_up_deadline = 0;
     gave_up_injected = 0;
+    gave_up_overflow = 0;
     peak_fuel = 0;
     peak_splinters = 0;
     worst_label = "";
@@ -93,6 +95,7 @@ let merge_into dst src =
   dst.gave_up_disjuncts <- dst.gave_up_disjuncts + src.gave_up_disjuncts;
   dst.gave_up_deadline <- dst.gave_up_deadline + src.gave_up_deadline;
   dst.gave_up_injected <- dst.gave_up_injected + src.gave_up_injected;
+  dst.gave_up_overflow <- dst.gave_up_overflow + src.gave_up_overflow;
   dst.peak_fuel <- max dst.peak_fuel src.peak_fuel;
   dst.peak_splinters <- max dst.peak_splinters src.peak_splinters;
   note_worst dst ~fuel:src.worst_fuel ~label:src.worst_label;
@@ -107,9 +110,17 @@ let merge_into dst src =
   dst.memo_hits <- dst.memo_hits + src.memo_hits;
   dst.memo_misses <- dst.memo_misses + src.memo_misses
 
-let gave_up t =
-  t.gave_up_fuel + t.gave_up_splinters + t.gave_up_disjuncts
-  + t.gave_up_deadline + t.gave_up_injected
+let gave_up_by_reason t =
+  [
+    ("fuel", t.gave_up_fuel);
+    ("splinters", t.gave_up_splinters);
+    ("disjuncts", t.gave_up_disjuncts);
+    ("deadline", t.gave_up_deadline);
+    ("injected", t.gave_up_injected);
+    ("overflow", t.gave_up_overflow);
+  ]
+
+let gave_up t = List.fold_left (fun n (_, k) -> n + k) 0 (gave_up_by_reason t)
 
 let solver_summary t =
   Printf.sprintf
@@ -125,11 +136,13 @@ let tiers_summary t =
     (tier "screen" t.screen) (tier "fast" t.fast) (tier "complete" t.complete)
 
 let governance_summary t =
+  let reasons =
+    List.map (fun (k, n) -> Printf.sprintf "%s %d" k n) (gave_up_by_reason t)
+  in
   Printf.sprintf
-    "%d solver queries, %d gave up (fuel %d, splinters %d, disjuncts %d, \
-     deadline %d, injected %d); peak fuel %d, peak splinters %d%s"
-    t.queries (gave_up t) t.gave_up_fuel t.gave_up_splinters
-    t.gave_up_disjuncts t.gave_up_deadline t.gave_up_injected t.peak_fuel
-    t.peak_splinters
+    "%d solver queries, %d gave up (%s); peak fuel %d, peak splinters %d%s"
+    t.queries (gave_up t)
+    (String.concat ", " reasons)
+    t.peak_fuel t.peak_splinters
     (if t.worst_label = "" then ""
      else Printf.sprintf "; worst query %s (fuel %d)" t.worst_label t.worst_fuel)

@@ -27,6 +27,7 @@ type t = {
   mutable gave_up_disjuncts : int;
   mutable gave_up_deadline : int;
   mutable gave_up_injected : int;
+  mutable gave_up_overflow : int;
   mutable peak_fuel : int;
   mutable peak_splinters : int;
   mutable worst_label : string;
@@ -70,6 +71,11 @@ val merge_into : t -> t -> unit
 
 val note_worst : t -> fuel:int -> label:string -> unit
 (** Join one query's fuel and label into the worst-query cell. *)
+
+val gave_up_by_reason : t -> (string * int) list
+(** Give-ups per reason, keyed by {!Budget.reason_to_string}: the one
+    list every report (the [governance:] line, petitd's [gave_up]
+    object) prints, in this order. *)
 
 val gave_up : t -> int
 (** Give-ups of every reason. *)

@@ -1,55 +1,11 @@
 (* Evaluation of the calculator operations, shared by the omega_calc
    binary and the petitd service.  Problems are conjunctions of chained
-   linear comparisons over named integer variables, parsed with the
-   petit condition grammar. *)
+   linear comparisons over named integer variables, parsed by
+   [Depend.Fparse] with the petit condition grammar. *)
 
 open Omega
 
-(* Translate parsed conditions to Problems, one fresh variable per
-   name (shared across the problems of one evaluation). *)
-let build_problem (conds : Lang.Ast.cond list list) :
-    Problem.t list * (string * Var.t) list =
-  let env : (string * Var.t) list ref = ref [] in
-  let var name =
-    match List.assoc_opt name !env with
-    | Some v -> v
-    | None ->
-      let v = Var.fresh name in
-      env := (name, v) :: !env;
-      v
-  in
-  let rec expr (e : Lang.Ast.expr) : Linexpr.t =
-    match e with
-    | Lang.Ast.Int n -> Linexpr.of_int n
-    | Lang.Ast.Name s -> Linexpr.var (var s)
-    | Lang.Ast.Neg a -> Linexpr.neg (expr a)
-    | Lang.Ast.Add (a, b) -> Linexpr.add (expr a) (expr b)
-    | Lang.Ast.Sub (a, b) -> Linexpr.sub (expr a) (expr b)
-    | Lang.Ast.Mul (a, b) -> (
-      let ea = expr a and eb = expr b in
-      if Linexpr.is_const ea then Linexpr.scale (Linexpr.constant ea) eb
-      else if Linexpr.is_const eb then Linexpr.scale (Linexpr.constant eb) ea
-      else failwith "non-linear product")
-    | Lang.Ast.Max _ | Lang.Ast.Min _ | Lang.Ast.Ref _ ->
-      failwith "max/min/array references are not allowed here"
-  in
-  let constr (c : Lang.Ast.cond) : Constr.t =
-    let l = expr c.Lang.Ast.left and r = expr c.Lang.Ast.right in
-    match c.Lang.Ast.op with
-    | Lang.Ast.Eq -> Constr.eq2 l r
-    | Lang.Ast.Le -> Constr.le l r
-    | Lang.Ast.Lt -> Constr.lt l r
-    | Lang.Ast.Ge -> Constr.ge l r
-    | Lang.Ast.Gt -> Constr.gt l r
-    | Lang.Ast.Ne -> failwith "!= is a disjunction; not allowed here"
-  in
-  let problems =
-    List.map (fun cs -> Problem.of_list (List.map constr cs)) conds
-  in
-  (problems, !env)
-
-let parse_problems (srcs : string list) =
-  build_problem (List.map Lang.Parser.parse_conds_string srcs)
+let parse_problems = Depend.Fparse.problems_of_strings
 
 let lookup_vars env names =
   List.map
@@ -66,17 +22,25 @@ type result =
   | R_gist of [ `Tautology | `False | `Gist of string ]
   | R_opt of [ `Val of string | `Unsat | `Unbounded ]
 
-(* The boolean operations (sat, implies) go through the portfolio
-   cascade like analysis queries: the tier-0 screen answers the easy
-   instances and the direct procedure decides the rest.  The
-   non-boolean operations (project, gist, optimize) have no screen tier
-   and always run the full machinery. *)
+(* Every operation is one governed query, so a blown limit or an
+   overflowing coefficient is counted in [Metrics] and surfaces as
+   [Budget.Exhausted] for the caller's gave-up answer.  The boolean
+   operations (sat, implies) go through the portfolio cascade like
+   analysis queries: the tier-0 screen answers the easy instances and
+   the direct procedure decides the rest.  The non-boolean operations
+   (project, gist, optimize) have no screen tier and always run the
+   full machinery. *)
 
 let portfolio_bool ~label ~screen ~complete =
   match Portfolio.decide ~label [ (Portfolio.Tier_screen, screen) ] complete with
   | Budget.Proved, _ -> true
   | Budget.Disproved, _ -> false
   | Budget.Gave_up r, _ -> raise (Budget.Exhausted r)
+
+let governed ~label f =
+  match Budget.run ~label f with
+  | Ok v -> v
+  | Error r -> raise (Budget.Exhausted r)
 
 let eval (op : Protocol.calc_op) : (result, string) Stdlib.result =
   try
@@ -109,6 +73,7 @@ let eval (op : Protocol.calc_op) : (result, string) Stdlib.result =
       let p = List.hd ps in
       let vars = lookup_vars env onto in
       let keep v = List.exists (Var.equal v) vars in
+      governed ~label:"calc/project" @@ fun () ->
       match mode with
       | `Exact ->
         Ok (R_project (List.map Problem.to_string (Elim.project ~keep p)))
@@ -125,6 +90,7 @@ let eval (op : Protocol.calc_op) : (result, string) Stdlib.result =
       let ps, _ = parse_problems [ problem; given ] in
       match ps with
       | [ p; q ] ->
+        governed ~label:"calc/gist" @@ fun () ->
         Ok
           (R_gist
              (match Gist.gist p ~given:q with
@@ -137,6 +103,7 @@ let eval (op : Protocol.calc_op) : (result, string) Stdlib.result =
       let p = List.hd ps in
       let v = List.hd (lookup_vars env [ var ]) in
       let r =
+        governed ~label:"calc/optimize" @@ fun () ->
         match dir with
         | `Min -> (
           match Omega.minimize p v with
@@ -150,10 +117,7 @@ let eval (op : Protocol.calc_op) : (result, string) Stdlib.result =
           | `Unbounded -> `Unbounded)
       in
       Ok (R_opt r)
-  with
-  | Failure msg -> Error msg
-  | Lang.Parser.Error (msg, pos) ->
-    Error (Printf.sprintf "parse error at column %d: %s" pos.Lang.Ast.col msg)
+  with Failure msg | Depend.Fparse.Error msg -> Error msg
 
 let result_json = function
   | R_sat b -> Json.Obj [ ("sat", Json.Bool b) ]

@@ -12,10 +12,15 @@ type result =
   | R_opt of [ `Val of string | `Unsat | `Unbounded ]
 
 val eval : Protocol.calc_op -> (result, string) Stdlib.result
-(** [Error msg] covers parse failures and unknown variables.  A blown
-    budget escapes as {!Omega.Budget.Exhausted} (the calculator talks to
-    the solver without a query boundary); callers map it to their
+(** [Error msg] covers parse failures, unknown variables and an input
+    coefficient that overflows a native integer.  Each operation is one
+    governed query ({!Omega.Budget.run}); when it gives up, the reason
+    escapes as {!Omega.Budget.Exhausted}, and callers map it to their
     gave-up surface. *)
+
+val governed : label:string -> (unit -> 'a) -> 'a
+(** Run solver work as one governed query, raising
+    {!Omega.Budget.Exhausted} when it gives up. *)
 
 val result_json : result -> Json.t
 val result_plain : result -> string

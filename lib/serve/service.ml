@@ -243,13 +243,8 @@ let governance_fields (m : Metrics.t) =
     ("queries", Json.Int m.queries);
     ( "gave_up",
       Json.Obj
-        [
-          ("fuel", Json.Int m.gave_up_fuel);
-          ("splinters", Json.Int m.gave_up_splinters);
-          ("disjuncts", Json.Int m.gave_up_disjuncts);
-          ("deadline", Json.Int m.gave_up_deadline);
-          ("injected", Json.Int m.gave_up_injected);
-        ] );
+        (List.map (fun (k, n) -> (k, Json.Int n)) (Metrics.gave_up_by_reason m))
+    );
     ("peak_fuel", Json.Int m.peak_fuel);
     ("peak_splinters", Json.Int m.peak_splinters);
     ("worst_query", Json.Str m.worst_label);
@@ -345,6 +340,16 @@ let admitted t ~id ~wall k =
             "request deadline expired before work started"
         | _ -> k ())
 
+(* A request that gave up (a blown limit, or a coefficient that
+   overflowed outside any query) is a typed [Gave_up]; anything else is
+   a server error. *)
+let solver_error t ~id e =
+  match Budget.reason_of_exn e with
+  | Some r ->
+    err t ~id Protocol.Gave_up
+      (Printf.sprintf "budget exhausted (%s)" (Budget.reason_to_string r))
+  | None -> err t ~id Protocol.Server_error (Printexc.to_string e)
+
 let wall_of ~now deadline_ms =
   Option.map (fun ms -> now +. (ms /. 1000.)) deadline_ms
 
@@ -364,10 +369,7 @@ let program_request t ~id ~program ~in_bounds ~budget ~wall payload_of =
          pos.Lang.Ast.col msg)
   | Error (Lang.Sema.Error msg) -> err t ~id Protocol.Semantic_error msg
   | Error (Invalid_argument msg) -> err t ~id Protocol.Semantic_error msg
-  | Error (Budget.Exhausted r) ->
-    err t ~id Protocol.Gave_up
-      (Printf.sprintf "budget exhausted (%s)" (Budget.reason_to_string r))
-  | Error e -> err t ~id Protocol.Server_error (Printexc.to_string e)
+  | Error e -> solver_error t ~id e
 
 (* Snapshot the lifetime counters under the lock. *)
 let snapshot_lifetime t =
@@ -490,12 +492,8 @@ let handle t ~peer:_ ~id (req : Protocol.request) =
           ( Protocol.Result
               { id; payload; memo = Some memo; governance = Some governance },
             `Continue )
-        | Error (Budget.Exhausted r) ->
-          err t ~id Protocol.Gave_up
-            (Printf.sprintf "budget exhausted (%s)"
-               (Budget.reason_to_string r))
         | Error (Calc_error msg) -> err t ~id Protocol.Parse_error msg
-        | Error e -> err t ~id Protocol.Server_error (Printexc.to_string e))
+        | Error e -> solver_error t ~id e)
   | Protocol.Stats ->
     bump t (fun s -> s.s_stats <- s.s_stats + 1);
     ( Protocol.Result

@@ -1,374 +1,91 @@
-(* Arbitrary-precision integers with an unboxed fast path.
+(* Checked native integers (see zint.mli).
 
-   Representation: [Small n] for values that fit a native [int]; [Big (neg,
-   mag)] otherwise, where [mag] is a little-endian magnitude in base 2^30
-   with no leading zero digit.  The invariant that [Big] is used only for
-   values outside the native range keeps [equal]/[compare]/[hash] cheap and
-   makes structural equality of [Small] values coincide with numeric
-   equality. *)
+   Every operation computes on native ints and raises [Overflow] when
+   the exact result does not fit, so no wrapped value escapes.  The
+   operators are defined last: until then [+], [*], ... are Stdlib's. *)
 
-let base_bits = 30
-let base = 1 lsl base_bits
-let mask = base - 1
+type t = int
 
-type t =
-  | Small of int
-  | Big of bool * int array (* neg, magnitude *)
+exception Overflow
 
-let zero = Small 0
-let one = Small 1
-let minus_one = Small (-1)
-let two = Small 2
+let zero = 0
+let one = 1
+let minus_one = -1
+let two = 2
+let of_int n = n
+let to_int n = n
+let to_string = string_of_int
+let pp fmt t = Format.pp_print_int fmt t
+let compare = Int.compare
+let equal = Int.equal
+let hash (n : t) = Hashtbl.hash n
+let sign n = Int.compare n 0
+let is_zero n = n = 0
+let is_one n = n = 1
+let min = Int.min
+let max = Int.max
 
-(* ------------------------------------------------------------------ *)
-(* Magnitude arithmetic (non-negative, little-endian, base 2^30).      *)
-(* ------------------------------------------------------------------ *)
-
-let mag_is_zero m = Array.length m = 0
-
-let mag_trim m =
-  let n = ref (Array.length m) in
-  while !n > 0 && m.(!n - 1) = 0 do decr n done;
-  if !n = Array.length m then m else Array.sub m 0 !n
-
-let mag_compare a b =
-  let la = Array.length a and lb = Array.length b in
-  if la <> lb then compare la lb
-  else
-    let rec go i =
-      if i < 0 then 0
-      else if a.(i) <> b.(i) then compare a.(i) b.(i)
-      else go (i - 1)
-    in
-    go (la - 1)
-
-let mag_add a b =
-  let la = Array.length a and lb = Array.length b in
-  let l = Stdlib.max la lb in
-  let r = Array.make (l + 1) 0 in
-  let carry = ref 0 in
-  for i = 0 to l - 1 do
-    let da = if i < la then a.(i) else 0 in
-    let db = if i < lb then b.(i) else 0 in
-    let s = da + db + !carry in
-    r.(i) <- s land mask;
-    carry := s lsr base_bits
-  done;
-  r.(l) <- !carry;
-  mag_trim r
-
-(* Precondition: a >= b. *)
-let mag_sub a b =
-  let la = Array.length a and lb = Array.length b in
-  let r = Array.make la 0 in
-  let borrow = ref 0 in
-  for i = 0 to la - 1 do
-    let db = if i < lb then b.(i) else 0 in
-    let s = a.(i) - db - !borrow in
-    if s < 0 then begin r.(i) <- s + base; borrow := 1 end
-    else begin r.(i) <- s; borrow := 0 end
-  done;
-  assert (!borrow = 0);
-  mag_trim r
-
-let mag_mul a b =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 || lb = 0 then [||]
-  else begin
-    let r = Array.make (la + lb) 0 in
-    for i = 0 to la - 1 do
-      let carry = ref 0 in
-      let ai = a.(i) in
-      for j = 0 to lb - 1 do
-        let cur = r.(i + j) + (ai * b.(j)) + !carry in
-        r.(i + j) <- cur land mask;
-        carry := cur lsr base_bits
-      done;
-      let k = ref (i + lb) in
-      while !carry <> 0 do
-        let cur = r.(!k) + !carry in
-        r.(!k) <- cur land mask;
-        carry := cur lsr base_bits;
-        incr k
-      done
-    done;
-    mag_trim r
-  end
-
-let mag_bits m =
-  let l = Array.length m in
-  if l = 0 then 0
-  else begin
-    let b = ref 0 in
-    let v = ref m.(l - 1) in
-    while !v > 0 do incr b; v := !v lsr 1 done;
-    ((l - 1) * base_bits) + !b
-  end
-
-let mag_bit m i =
-  let d = i / base_bits and o = i mod base_bits in
-  if d >= Array.length m then 0 else (m.(d) lsr o) land 1
-
-(* Binary shift-subtract long division: O(bits * len).  Big numbers are rare
-   in practice (they appear only when Fourier-Motzkin coefficient products
-   escape the native range), so simplicity beats Knuth's algorithm D here. *)
-let mag_divmod num den =
-  if mag_is_zero den then raise Division_by_zero;
-  if mag_compare num den < 0 then ([||], num)
-  else begin
-    let nbits = mag_bits num in
-    let q = Array.make (Array.length num) 0 in
-    let dlen = Array.length den in
-    let rlen = dlen + 1 in
-    let r = Array.make rlen 0 in
-    (* r := r * 2 + bit; r stays < 2*den < base^rlen throughout *)
-    let shift_in bit =
-      let carry = ref bit in
-      for i = 0 to rlen - 1 do
-        let cur = (r.(i) lsl 1) lor !carry in
-        r.(i) <- cur land mask;
-        carry := cur lsr base_bits
-      done;
-      assert (!carry = 0)
-    in
-    let r_ge_den () =
-      if r.(rlen - 1) <> 0 then true
-      else
-        let rec go i =
-          if i < 0 then true
-          else if r.(i) <> den.(i) then r.(i) > den.(i)
-          else go (i - 1)
-        in
-        go (dlen - 1)
-    in
-    let r_sub_den () =
-      let borrow = ref 0 in
-      for i = 0 to rlen - 1 do
-        let db = if i < dlen then den.(i) else 0 in
-        let s = r.(i) - db - !borrow in
-        if s < 0 then begin r.(i) <- s + base; borrow := 1 end
-        else begin r.(i) <- s; borrow := 0 end
-      done;
-      assert (!borrow = 0)
-    in
-    for i = nbits - 1 downto 0 do
-      shift_in (mag_bit num i);
-      if r_ge_den () then begin
-        r_sub_den ();
-        q.(i / base_bits) <- q.(i / base_bits) lor (1 lsl (i mod base_bits))
-      end
-    done;
-    (mag_trim q, mag_trim r)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Small <-> Big conversion                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Magnitude of a non-negative native int. *)
-let mag_of_nonneg n =
-  if n = 0 then [||]
-  else begin
-    let rec count v acc = if v = 0 then acc else count (v lsr base_bits) (acc + 1) in
-    let l = count n 0 in
-    let m = Array.make l 0 in
-    let v = ref n in
-    for i = 0 to l - 1 do
-      m.(i) <- !v land mask;
-      v := !v lsr base_bits
-    done;
-    m
-  end
-
-(* Magnitude of |n| for any native int, including min_int. *)
-let mag_of_int_abs n =
-  if n = min_int then mag_add (mag_of_nonneg max_int) [| 1 |]
-  else mag_of_nonneg (abs n)
-
-let mag_to_int m =
-  let r = ref 0 in
-  for i = Array.length m - 1 downto 0 do
-    r := (!r lsl base_bits) lor m.(i)
-  done;
-  !r
-
-let min_int_mag = mag_of_int_abs min_int
-
-let norm isneg m =
-  let m = mag_trim m in
-  if mag_is_zero m then zero
-  else if mag_bits m <= 62 then
-    let v = mag_to_int m in
-    Small (if isneg then -v else v)
-  else if isneg && mag_compare m min_int_mag = 0 then Small min_int
-  else Big (isneg, m)
-
-let of_int n = Small n
-
-let is_small = function Small _ -> true | Big _ -> false
-
-let to_int_opt = function
-  | Small n -> Some n
-  | Big _ -> None (* by invariant, Big never fits *)
-
-let to_int = function
-  | Small n -> n
-  | Big _ -> failwith "Zint.to_int: value does not fit in a native int"
-
-let sign = function
-  | Small n -> compare n 0
-  | Big (isneg, _) -> if isneg then -1 else 1
-
-let is_zero t = match t with Small 0 -> true | Small _ | Big _ -> false
-let is_one t = match t with Small 1 -> true | Small _ | Big _ -> false
-
-(* Decompose into (neg, magnitude). *)
-let parts = function
-  | Small n -> (n < 0, mag_of_int_abs n)
-  | Big (isneg, m) -> (isneg, m)
-
-let neg = function
-  | Small n when n <> min_int -> Small (-n)
-  | t ->
-    let ng, m = parts t in
-    if mag_is_zero m then zero else norm (not ng) m
-
-let abs t = if sign t < 0 then neg t else t
-
+(* Overflow iff both operands have the sign the result lacks. *)
 let add a b =
-  match a, b with
-  | Small x, Small y ->
-    let s = x + y in
-    (* overflow iff operands share a sign that the result does not *)
-    if (x >= 0) = (y >= 0) && (s >= 0) <> (x >= 0) then begin
-      let nx, mx = parts a and _, my = parts b in
-      norm nx (mag_add mx my)
-    end
-    else Small s
-  | _ ->
-    let na, ma = parts a and nb, mb = parts b in
-    if na = nb then norm na (mag_add ma mb)
-    else begin
-      let c = mag_compare ma mb in
-      if c = 0 then zero
-      else if c > 0 then norm na (mag_sub ma mb)
-      else norm nb (mag_sub mb ma)
-    end
+  let s = a + b in
+  if (a lxor s) land (b lxor s) < 0 then raise Overflow else s
 
-let sub a b = add a (neg b)
+(* Overflow iff the operands differ in sign and the result has [b]'s. *)
+let sub a b =
+  let d = a - b in
+  if (a lxor b) land (a lxor d) < 0 then raise Overflow else d
 
-(* |x|,|y| < 2^31 implies the product fits in 62 bits *)
-let small_mul_ok x y =
-  let ax = if x = min_int then max_int else Stdlib.abs x in
-  let ay = if y = min_int then max_int else Stdlib.abs y in
-  ax < 0x8000_0000 && ay < 0x8000_0000
+let neg a = if a = min_int then raise Overflow else -a
+let abs a = if a < 0 then neg a else a
+let succ a = add a 1
+let pred a = sub a 1
 
+(* Factors below 2^31 in magnitude cannot overflow a 63-bit product;
+   otherwise the product is exact iff dividing it back gives [a]
+   ([min_int * -1] wraps to itself and needs its own test). *)
 let mul a b =
-  match a, b with
-  | Small 0, _ | _, Small 0 -> zero
-  | Small 1, t | t, Small 1 -> t
-  | Small x, Small y when small_mul_ok x y -> Small (x * y)
-  | _ ->
-    let na, ma = parts a and nb, mb = parts b in
-    norm (na <> nb) (mag_mul ma mb)
+  if a > -0x8000_0000 && a < 0x8000_0000 && b > -0x8000_0000 && b < 0x8000_0000
+  then a * b
+  else if a = 0 || b = 0 then 0
+  else
+    let p = a * b in
+    if (b = -1 && a = min_int) || p / b <> a then raise Overflow else p
 
-let succ t = add t one
-let pred t = sub t one
-
-let compare a b =
-  match a, b with
-  | Small x, Small y -> compare x y
-  | _ ->
-    let sa = sign a and sb = sign b in
-    if sa <> sb then compare sa sb
-    else begin
-      let _, ma = parts a and _, mb = parts b in
-      let c = mag_compare ma mb in
-      if sa >= 0 then c else -c
-    end
-
-let equal a b = compare a b = 0
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
-
-let hash = function
-  | Small n -> Hashtbl.hash n
-  | Big (isneg, m) -> Hashtbl.hash (isneg, Array.to_list m)
-
-(* Truncating division: quotient rounds toward zero; remainder has the sign
-   of the dividend. *)
-let tdivmod a b =
-  if is_zero b then raise Division_by_zero;
-  match a, b with
-  | Small x, Small y when not (x = min_int && y = -1) ->
-    (Small (x / y), Small (x mod y))
-  | _ ->
-    let na, ma = parts a and nb, mb = parts b in
-    let q, r = mag_divmod ma mb in
-    (norm (na <> nb) q, norm na r)
-
-let tdiv a b = fst (tdivmod a b)
-let trem a b = snd (tdivmod a b)
+let tdiv a b = if b = -1 then neg a else a / b
+let trem a b = if b = -1 then 0 else a mod b
 
 let fdiv a b =
-  let q, r = tdivmod a b in
-  if (not (is_zero r)) && sign r <> sign b then pred q else q
+  let q = tdiv a b and r = trem a b in
+  if r <> 0 && (r < 0) <> (b < 0) then q - 1 else q
 
 let frem a b =
   let r = trem a b in
-  if (not (is_zero r)) && sign r <> sign b then add r b else r
+  if r <> 0 && (r < 0) <> (b < 0) then r + b else r
 
 let cdiv a b =
-  let q, r = tdivmod a b in
-  if (not (is_zero r)) && sign r = sign b then succ q else q
+  let q = tdiv a b and r = trem a b in
+  if r <> 0 && (r < 0) = (b < 0) then q + 1 else q
 
-let divisible a b =
-  if is_zero b then is_zero a else is_zero (trem a b)
+let divisible a b = if b = 0 then a = 0 else trem a b = 0
 
 let divexact a b =
-  let q, r = tdivmod a b in
-  assert (is_zero r);
-  q
+  assert (trem a b = 0);
+  tdiv a b
 
-(* mod_hat a b = a - b * floor(a/b + 1/2), for b > 0: the representative of
-   a mod b lying in (-b/2, b/2]. *)
+(* mod_hat a b = a - b * floor(a/b + 1/2), for b > 0: the representative
+   of a mod b lying in (-b/2, b/2].  [2r > b] is tested as [r > b - r],
+   which cannot overflow. *)
 let mod_hat a b =
-  if is_zero b then raise Division_by_zero;
+  if b = 0 then raise Division_by_zero;
   let b = abs b in
   let r = frem a b in
-  (* r in [0, b): map to (-b/2, b/2] *)
-  if compare (mul two r) b > 0 then sub r b else r
+  if r > b - r then r - b else r
 
-let rec gcd_aux a b = if is_zero b then a else gcd_aux b (trem a b)
-
-let gcd a b = gcd_aux (abs a) (abs b)
-
-let lcm a b =
-  if is_zero a || is_zero b then zero
-  else abs (mul (divexact a (gcd a b)) b)
-
-let to_string t =
-  match t with
-  | Small n -> string_of_int n
-  | Big (isneg, _) ->
-    let buf = Buffer.create 32 in
-    (* repeated division by 10^9 *)
-    let chunk = Small 1_000_000_000 in
-    let rec go v acc =
-      if is_zero v then acc
-      else begin
-        let q, r = tdivmod v chunk in
-        go q (to_int r :: acc)
-      end
-    in
-    let chunks = go (abs t) [] in
-    (match chunks with
-     | [] -> Buffer.add_char buf '0'
-     | c :: rest ->
-       if isneg then Buffer.add_char buf '-';
-       Buffer.add_string buf (string_of_int c);
-       List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%09d" c)) rest);
-    Buffer.contents buf
+(* Euclid on signed values ([|trem a b| < |b|]), so only a gcd of 2^62
+   itself overflows. *)
+let rec gcd_aux a b = if b = 0 then a else gcd_aux b (trem a b)
+let gcd a b = abs (gcd_aux a b)
+let lcm a b = if a = 0 || b = 0 then 0 else abs (mul (divexact a (gcd a b)) b)
 
 let of_string s =
   let n = String.length s in
@@ -376,23 +93,28 @@ let of_string s =
   let isneg = s.[0] = '-' in
   let start = if isneg || s.[0] = '+' then 1 else 0 in
   if start >= n then invalid_arg "Zint.of_string: no digits";
-  let acc = ref zero in
-  let ten = Small 10 in
+  (* accumulate the negated value, so that min_int parses *)
+  let acc = ref 0 in
   for i = start to n - 1 do
     let c = s.[i] in
     if c < '0' || c > '9' then invalid_arg "Zint.of_string: bad digit";
-    acc := add (mul !acc ten) (Small (Char.code c - Char.code '0'))
+    acc := sub (mul !acc 10) (Char.code c - Char.code '0')
   done;
-  if isneg then neg !acc else !acc
+  if isneg then !acc else neg !acc
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
+module Int = struct
+  let add = add
+  let sub = sub
+  let mul = mul
+  let neg = neg
+end
 
 let ( + ) = add
 let ( - ) = sub
 let ( * ) = mul
 let ( ~- ) = neg
 let ( = ) = equal
-let ( < ) a b = compare a b < 0
-let ( <= ) a b = compare a b <= 0
-let ( > ) a b = compare a b > 0
-let ( >= ) a b = compare a b >= 0
+let ( < ) (a : t) b = a < b
+let ( <= ) (a : t) b = a <= b
+let ( > ) (a : t) b = a > b
+let ( >= ) (a : t) b = a >= b

@@ -1,13 +1,20 @@
-(** Arbitrary-precision signed integers.
+(** Checked native integers.
 
-    Fourier–Motzkin elimination multiplies constraint coefficients together,
-    so coefficients can outgrow native integers even on small dependence
-    problems.  The original Omega library used native [int]s and aborted on
-    overflow; we instead promote transparently to a bignum representation.
-    Values that fit in a native [int] are stored unboxed, so the common case
-    pays only an overflow check. *)
+    Fourier–Motzkin elimination multiplies constraint coefficients
+    together, so on hostile input a coefficient can outgrow a native
+    [int].  Like the original Omega library we compute on native
+    integers; instead of aborting, every operation whose exact result
+    does not fit raises {!Overflow}.  The solver's query boundary turns
+    that into a conservative give-up ({!Omega.Budget.run}), so a wrapped
+    value can never reach a verdict.
 
-type t
+    [t] is an [int] behind an abstract type: values are immediates, and
+    the abstraction keeps unchecked [int] arithmetic out of the solver. *)
+
+type t [@@immediate]
+
+exception Overflow
+(** The exact result of an operation does not fit a native [int]. *)
 
 val zero : t
 val one : t
@@ -15,14 +22,12 @@ val minus_one : t
 val two : t
 
 val of_int : int -> t
-
 val to_int : t -> int
-(** @raise Failure if the value does not fit in a native [int]. *)
 
-val to_int_opt : t -> int option
 val of_string : string -> t
-(** Accepts an optional leading [-] followed by decimal digits.
-    @raise Invalid_argument on malformed input. *)
+(** Accepts an optional leading [-] or [+] followed by decimal digits.
+    @raise Invalid_argument on malformed input.
+    @raise Overflow when the value does not fit. *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
@@ -36,6 +41,9 @@ val sign : t -> int
 
 val is_zero : t -> bool
 val is_one : t -> bool
+
+(** {1 Checked arithmetic: the exact result, or {!Overflow}} *)
+
 val neg : t -> t
 val abs : t -> t
 val add : t -> t -> t
@@ -82,6 +90,15 @@ val gcd : t -> t -> t
 
 val lcm : t -> t -> t
 
+(** The same checked operations on plain [int]s, for code that keeps
+    native integers (Lang's affine forms and array extents). *)
+module Int : sig
+  val add : int -> int -> int
+  val sub : int -> int -> int
+  val mul : int -> int -> int
+  val neg : int -> int
+end
+
 val ( + ) : t -> t -> t
 val ( - ) : t -> t -> t
 val ( * ) : t -> t -> t
@@ -91,7 +108,3 @@ val ( < ) : t -> t -> bool
 val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
-
-val is_small : t -> bool
-(** True when the value is stored in the unboxed native representation
-    (exposed for tests of the promotion logic). *)

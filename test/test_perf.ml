@@ -389,7 +389,7 @@ let reference_refine ctx ~src ~dst =
           Budget.run ~label:"test/minimize" (fun () ->
               Omega.minimize prob p.Deps.dvars.(l))
         with
-        | Ok (`Min m) -> Zint.to_int_opt m
+        | Ok (`Min m) -> Some (Zint.to_int m)
         | Ok (`Unbounded | `Unsat) | Error _ -> None)
       levels
   in
@@ -506,6 +506,46 @@ let prop_refine_reference_pairs =
       Analyses.Memo.reset ();
       List.for_all (fun src -> refine_mismatches "random" src = []) srcs)
 
+(* Repeated cold analyses do not grow the live heap: after a full major
+   collection, the live words after [rounds] passes of cold
+   [analyze_payload]/[parallelize_payload] over every corpus and stress
+   program (one fresh verdict cache per operation) are no more than
+   after two passes, plus [slack] words.  The slack (64 KiB) is far below
+   one leaked payload per operation: a pass is 98 operations, and one
+   cholsky payload alone is several kilobytes. *)
+let test_cold_analyses_live_heap () =
+  let programs =
+    List.map
+      (fun (_, src) -> Lang.Sema.analyze (Lang.Parser.parse_string src))
+      (Corpus.all @ Corpus.stress)
+  in
+  let pass () =
+    List.iter
+      (fun prog ->
+        Analyses.Memo.reset ();
+        ignore (Serve.Service.analyze_payload ~in_bounds:false prog);
+        Analyses.Memo.reset ();
+        ignore (Serve.Service.parallelize_payload ~in_bounds:false prog))
+      programs
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let passes n =
+    for _ = 1 to n do pass () done;
+    live_words ()
+  in
+  let rounds = 6 and slack = 8192 in
+  let after_two = passes 2 in
+  let after_all = passes (rounds - 2) in
+  (* the parsed programs stay reachable until both measurements *)
+  ignore (Sys.opaque_identity programs);
+  Analyses.Memo.reset ();
+  if after_all > after_two + slack then
+    Alcotest.failf "live heap grew from %d words after 2 passes to %d after %d"
+      after_two after_all rounds
+
 let unit_tests =
   [
     Alcotest.test_case "determinism across reruns" `Quick
@@ -521,6 +561,8 @@ let unit_tests =
       test_memo_key_positions;
     Alcotest.test_case "refine = reference generator: corpus pairs" `Quick
       test_refine_reference_corpus;
+    Alcotest.test_case "cold analyses: live heap flat" `Quick
+      test_cold_analyses_live_heap;
   ]
 
 let suite =

@@ -913,6 +913,60 @@ let test_memo_inflight () =
       check bool_t "claim released: the next asker computes" true
         (fst again = Omega.Budget.Disproved))
 
+(* Requests that overflow native integers: a calc query whose
+   elimination overflows, a splinter count that would build three
+   million problems, and a program whose subscript constants cannot be
+   subtracted, each get a typed [gave_up] error naming the reason, and
+   the connection keeps answering. *)
+let test_server_overflow () =
+  with_server @@ fun path ->
+  let c = connect_exn path in
+  let calc op =
+    request_exn c
+      (Protocol.Omega_calc
+         { op; budget = Protocol.no_budget; deadline_ms = None })
+  in
+  let expect_gave_up reason resp =
+    expect_error Protocol.Gave_up resp;
+    match resp with
+    | Protocol.Error_ e ->
+      check bool_t
+        (Printf.sprintf "%S names %s" e.message reason)
+        true
+        (String.ends_with ~suffix:(Printf.sprintf "(%s)" reason) e.message)
+    | Protocol.Result _ -> ()
+  in
+  let project problem =
+    calc (Protocol.Project { mode = `Exact; onto = [ "x"; "z" ]; problem })
+  in
+  expect_gave_up "overflow"
+    (project
+       "3000000000*x <= 2999999999*y && 2999999998*y <= 3000000001*z && 1 <= x");
+  expect_gave_up "splinters"
+    (project "3000000*x <= 2999999*y && 2999998*y <= 3000001*z && 1 <= x");
+  expect_gave_up "overflow"
+    (calc
+       (Protocol.Sat
+          "4000000000*i + 3000000001*j = 3000000001*k + 4000000000*l + 7 && \
+           1 <= i <= 10 && 1 <= j <= 10 && 1 <= k <= 10 && 1 <= l <= 10"));
+  expect_gave_up "overflow"
+    (request_exn c
+       (Protocol.Analyze
+          {
+            program =
+              "real a[0:10];\nfor i := 1 to 10 do\n  a(4611686018427387903) \
+               := a(-4611686018427387903) + 1;\nendfor\n";
+            in_bounds = false;
+            budget = Protocol.no_budget;
+            deadline_ms = None;
+          }));
+  (match calc (Protocol.Sat "0 <= x <= 5") with
+  | Protocol.Result { payload; _ } ->
+    check bool_t "still answering" true
+      (Json.equal payload (Json.Obj [ ("sat", Json.Bool true) ]))
+  | Protocol.Error_ e -> Alcotest.failf "sat after overflow: %s" e.message);
+  Client.close c
+
 let suite =
   ( "serve",
     [
@@ -946,4 +1000,5 @@ let suite =
       Alcotest.test_case "memo: concurrent stress" `Quick test_memo_stress;
       Alcotest.test_case "memo: in-flight key computed once" `Quick
         test_memo_inflight;
+      Alcotest.test_case "server: overflow gives up" `Quick test_server_overflow;
     ] )
