@@ -1128,7 +1128,7 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
     (Omega.Metrics.solver_summary tiers);
   (* --- decision portfolio: the tiered cascade (DESIGN.md section 12).
      One gate, which also runs in smoke mode: the oracle replays every
-     query the screen or the fast tier decides through the complete
+     query the fast tier proves through the complete
      procedure and demands agreement; dependence sets, direction
      vectors, kill/cover attribution and doall verdicts all rest on
      those queries.  Its replays count as complete-tier attempts, so it
@@ -1139,28 +1139,20 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
   Portfolio.Oracle.disable ();
   let oracle_checks = Portfolio.Oracle.checks () in
   let oracle_bad = Portfolio.Oracle.divergences () in
-  if oracle_checks = 0 then fail "oracle: no screen or fast verdict replayed";
+  if oracle_checks = 0 then fail "oracle: no fast verdict replayed";
   List.iter
-    (fun (d : Portfolio.Oracle.divergence) ->
-      fail
-        "oracle: tier %s decided %s as %b but the complete procedure says %b"
-        (Portfolio.tier_to_string d.Portfolio.Oracle.tier)
-        d.Portfolio.Oracle.label d.Portfolio.Oracle.got
-        d.Portfolio.Oracle.want)
+    (fail "oracle: the fast tier proved %s but the complete procedure does not")
     oracle_bad;
   let trate (r : Omega.Metrics.row) =
     if r.attempts = 0 then 0.
     else float_of_int r.decides /. float_of_int r.attempts
   in
-  let tier0_decide_fraction = trate tiers.screen in
   Printf.printf
-    "\noracle: %d screen/fast verdicts replayed, %d contradictions\ntiers \
-     (attempts/decided): %s\ntier-0 screen decides %.1f%% of the solver \
-     queries it sees\n"
+    "\noracle: %d fast verdicts replayed, %d contradictions\ntiers \
+     (attempts/decided): %s\n"
     oracle_checks
     (List.length oracle_bad)
-    (Omega.Metrics.tiers_summary tiers)
-    (100. *. tier0_decide_fraction);
+    (Omega.Metrics.tiers_summary tiers);
   let tier_json (r : Omega.Metrics.row) =
     Json.Obj
       [
@@ -1175,12 +1167,10 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
       [
         ("oracle_checks", Json.Int oracle_checks);
         ("oracle_divergences", Json.Int (List.length oracle_bad));
-        ("tier0_decide_fraction", jf tier0_decide_fraction);
         ( "tiers",
           Json.Obj
             [
               ("quick", tier_json tiers.quick);
-              ("screen", tier_json tiers.screen);
               ("fast", tier_json tiers.fast);
               ("complete", tier_json tiers.complete);
             ] );

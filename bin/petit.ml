@@ -300,11 +300,11 @@ let analyze_cmd =
     let m = Analyses.Memo.stats in
     Printf.printf
       "memo: %d distinct problems, %d cache hits (%.0f%% hit rate; by \
-       tier: %d screen, %d fast, %d complete), %d vector hits / %d \
+       tier: %d fast, %d complete), %d vector hits / %d \
        misses, %d/%d entries held, %d evicted\n"
       m.Analyses.Memo.misses m.Analyses.Memo.hits
       (100. *. Analyses.Memo.hit_rate ())
-      m.Analyses.Memo.hits_screen m.Analyses.Memo.hits_fast
+      m.Analyses.Memo.hits_fast
       m.Analyses.Memo.hits_complete m.Analyses.Memo.vec_hits
       m.Analyses.Memo.vec_misses
       (Analyses.Memo.size ()) !Analyses.Memo.capacity

@@ -1,13 +1,12 @@
 (* The four section-4 analyses: killing, covering, terminating, and
    refinement of dependence distances.  Each is phrased as the validity of
    a Presburger formula of the form  forall (p => exists q)  and decided
-   by the tiered portfolio ([Omega.Portfolio]): the O(constraints)
-   incomplete screen first, then the paper's efficient route (project the
-   existential side with the dark shadow, check the implication with
-   gists), and only when both pass does the complete Presburger decision
-   procedure run.  Per-tier accounting (attempts / decides / time) lives
-   in the tier rows of [Metrics]; the driver's structural section-4.5
-   screens count there too, as the [quick] row. *)
+   by the portfolio ([Omega.Portfolio]): the paper's efficient route
+   first (project the existential side with the dark shadow, check the
+   implication with gists), and only when it passes does the complete
+   Presburger decision procedure run.  Per-tier accounting (attempts /
+   decides / time) lives in the tier rows of [Metrics]; the driver's
+   structural section-4.5 screens count there too, as the [quick] row. *)
 
 open Omega
 
@@ -21,16 +20,13 @@ module Memo = Memo
    the query label, the content-derived fault-injection key. *)
 let memo_key ~hyp lhs ~evars rhs = Canon.key ~hyp lhs ~evars rhs
 
-(* The three portfolio tiers for [p => exists vs. q], each a sound
-   attempt that may pass with [Unknown]:
+(* The two portfolio tiers for [p => exists vs. q]:
 
-   tier 0 — the incomplete O(constraints) screen;
-   tier 1 — one RHS disjunct's dark projection implied by the LHS
-            disjunct (must hold for EVERY lhs disjunct; proves only);
-   tier 2 — the complete Presburger engine (always decides; a stalled
-            enumeration asks [counterexample] for a checked point). *)
-
-let screen_tier ~hyp lhs ~evars rhs () = Screen.implies_exists ~hyp lhs ~evars rhs
+   fast     — one RHS disjunct's dark projection implied by the LHS
+              disjunct (must hold for EVERY lhs disjunct); proves, or
+              passes with [false];
+   complete — the complete Presburger engine (always decides; a stalled
+              enumeration asks [counterexample] for a checked point). *)
 
 let fast_tier ~hyp lhs ~evars rhs () =
   let keep v = not (List.exists (Var.equal v) evars) in
@@ -43,15 +39,12 @@ let fast_tier ~hyp lhs ~evars rhs () =
            | `Ok d -> Some d)
          rhs)
   in
-  let ok =
-    List.for_all
-      (fun l ->
-        let l = Problem.add_list hyp l in
-        (not (Elim.satisfiable l))
-        || List.exists (fun d -> Gist.implies l d) (Lazy.force rhs_dark))
-      lhs
-  in
-  if ok then Screen.Proved else Screen.Unknown
+  List.for_all
+    (fun l ->
+      let l = Problem.add_list hyp l in
+      (not (Elim.satisfiable l))
+      || List.exists (fun d -> Gist.implies l d) (Lazy.force rhs_dark))
+    lhs
 
 (* A checked counterexample to [hyp => (lhs => exists evars. rhs)]: a
    point of some [lhs] disjunct under [hyp] where no [rhs] disjunct has a
@@ -103,7 +96,7 @@ let complete_tier ~hyp lhs ~evars rhs () =
 
 (* The three-valued query boundary, with tier attribution: any blown
    budget inside a tier surfaces as [Gave_up], never as an exception.
-   The complete tier decides whatever the incomplete ones pass on. *)
+   The complete tier decides whatever the fast path passes on. *)
 let implies_exists_decide ?(label = "query") ~hyp lhs ~evars rhs :
     Budget.verdict * Portfolio.tier option =
   (* The fault key is the label-tagged canonical form: computed lazily
@@ -114,10 +107,7 @@ let implies_exists_decide ?(label = "query") ~hyp lhs ~evars rhs :
   let compute () =
     Portfolio.decide ~label
       ~fault_key:(fun () -> label ^ ":" ^ Lazy.force canon)
-      [
-        (Portfolio.Tier_screen, screen_tier ~hyp lhs ~evars rhs);
-        (Portfolio.Tier_fast, fast_tier ~hyp lhs ~evars rhs);
-      ]
+      ~fast:(fast_tier ~hyp lhs ~evars rhs)
       (complete_tier ~hyp lhs ~evars rhs)
   in
   if not (Memo.active ()) then compute ()
@@ -128,10 +118,23 @@ let implies_exists_verdict ?label ~hyp lhs ~evars rhs : Budget.verdict =
 
 (* Every boolean caller uses a positive answer to eliminate or refine a
    dependence, so [Gave_up] maps to [false]: the dependence stays. *)
-let implies_exists ?label ~hyp lhs ~evars rhs : bool =
-  match implies_exists_verdict ?label ~hyp lhs ~evars rhs with
+let proved = function
   | Budget.Proved -> true
   | Budget.Disproved | Budget.Gave_up _ -> false
+
+let implies_exists ?label ~hyp lhs ~evars rhs : bool =
+  proved (implies_exists_verdict ?label ~hyp lhs ~evars rhs)
+
+(* The verdict of the query whose [hyp], [lhs], [evars] and [rhs]
+   [build] makes.  They are built before the query runs (its memo key is
+   their canonical form), so an overflow while building is the query's
+   give-up: it runs and gives up at once, counted like an overflow met
+   inside it, and nothing is proved. *)
+let posed_verdict ~label build =
+  match build () with
+  | hyp, lhs, evars, rhs -> implies_exists_verdict ~label ~hyp lhs ~evars rhs
+  | exception Zint.Overflow ->
+    Budget.decide ~label (fun () -> raise Zint.Overflow)
 
 (* ------------------------------------------------------------------ *)
 (* Shared problem pieces                                               *)
@@ -153,21 +156,17 @@ let dep_problems ?(in_bounds = false) ctx a b : Problem.t list =
 (* Covering (4.2) and terminating (4.3)                                *)
 (* ------------------------------------------------------------------ *)
 
-let proved = function
-  | Budget.Proved -> true
-  | Budget.Disproved | Budget.Gave_up _ -> false
-
 (* Does the write [src] cover [dst]?  (Every element [dst] accesses was
    written by an earlier instance of [src].) *)
 let covers_verdict ?(in_bounds = false) ctx ~(src : Ir.access)
     ~(dst : Ir.access) : Budget.verdict =
-  let a = Depctx.instantiate ctx src ~tag:"i" in
-  let b = Depctx.instantiate ctx dst ~tag:"j" in
-  let hyp = Depctx.assumes ctx in
-  let lhs = [ Problem.of_list (Depctx.domain ~in_bounds ctx b) ] in
-  let rhs = dep_problems ~in_bounds ctx a b in
-  implies_exists_verdict ~label:"cover" ~hyp lhs ~evars:(Depctx.inst_vars a)
-    rhs
+  posed_verdict ~label:"cover" (fun () ->
+      let a = Depctx.instantiate ctx src ~tag:"i" in
+      let b = Depctx.instantiate ctx dst ~tag:"j" in
+      ( Depctx.assumes ctx,
+        [ Problem.of_list (Depctx.domain ~in_bounds ctx b) ],
+        Depctx.inst_vars a,
+        dep_problems ~in_bounds ctx a b ))
 
 let covers ?in_bounds ctx ~src ~dst =
   proved (covers_verdict ?in_bounds ctx ~src ~dst)
@@ -176,13 +175,13 @@ let covers ?in_bounds ctx ~src ~dst =
    later overwritten by [dst].) *)
 let terminates_verdict ?(in_bounds = false) ctx ~(src : Ir.access)
     ~(dst : Ir.access) : Budget.verdict =
-  let a = Depctx.instantiate ctx src ~tag:"i" in
-  let b = Depctx.instantiate ctx dst ~tag:"j" in
-  let hyp = Depctx.assumes ctx in
-  let lhs = [ Problem.of_list (Depctx.domain ~in_bounds ctx a) ] in
-  let rhs = dep_problems ~in_bounds ctx a b in
-  implies_exists_verdict ~label:"terminate" ~hyp lhs
-    ~evars:(Depctx.inst_vars b) rhs
+  posed_verdict ~label:"terminate" (fun () ->
+      let a = Depctx.instantiate ctx src ~tag:"i" in
+      let b = Depctx.instantiate ctx dst ~tag:"j" in
+      ( Depctx.assumes ctx,
+        [ Problem.of_list (Depctx.domain ~in_bounds ctx a) ],
+        Depctx.inst_vars b,
+        dep_problems ~in_bounds ctx a b ))
 
 let terminates ?in_bounds ctx ~src ~dst =
   proved (terminates_verdict ?in_bounds ctx ~src ~dst)
@@ -196,25 +195,26 @@ let terminates ?in_bounds ctx ~src ~dst =
    src(i) << killer(j) << dst(k) and killer(j) writing dst(k)'s element. *)
 let kills_verdict ?(in_bounds = false) ctx ~(src : Ir.access)
     ~(killer : Ir.access) ~(dst : Ir.access) : Budget.verdict =
-  let a = Depctx.instantiate ctx src ~tag:"i" in
-  let b = Depctx.instantiate ctx killer ~tag:"j" in
-  let c = Depctx.instantiate ctx dst ~tag:"k" in
-  let hyp = Depctx.assumes ctx in
-  let lhs = dep_problems ~in_bounds ctx a c in
-  let rhs =
-    (* j in [B] and A(i) << B(j) << C(k) and B(j) =sub C(k); the two
-       ordering disjunctions multiply out *)
-    let dom_b = Depctx.domain ~in_bounds ctx b in
-    let sub_bc = Depctx.subs_equal ctx b c in
-    List.concat_map
-      (fun (_, ab) ->
-        List.map
-          (fun (_, bc) -> Problem.of_list (dom_b @ sub_bc @ ab @ bc))
-          (Depctx.order_before ctx b c))
-      (Depctx.order_before ctx a b)
-  in
-  implies_exists_verdict ~label:"kill" ~hyp lhs ~evars:(Depctx.inst_vars b)
-    rhs
+  posed_verdict ~label:"kill" (fun () ->
+      let a = Depctx.instantiate ctx src ~tag:"i" in
+      let b = Depctx.instantiate ctx killer ~tag:"j" in
+      let c = Depctx.instantiate ctx dst ~tag:"k" in
+      let rhs =
+        (* j in [B] and A(i) << B(j) << C(k) and B(j) =sub C(k); the two
+           ordering disjunctions multiply out *)
+        let dom_b = Depctx.domain ~in_bounds ctx b in
+        let sub_bc = Depctx.subs_equal ctx b c in
+        List.concat_map
+          (fun (_, ab) ->
+            List.map
+              (fun (_, bc) -> Problem.of_list (dom_b @ sub_bc @ ab @ bc))
+              (Depctx.order_before ctx b c))
+          (Depctx.order_before ctx a b)
+      in
+      ( Depctx.assumes ctx,
+        dep_problems ~in_bounds ctx a c,
+        Depctx.inst_vars b,
+        rhs ))
 
 let kills ?in_bounds ctx ~src ~killer ~dst =
   proved (kills_verdict ?in_bounds ctx ~src ~killer ~dst)
@@ -254,23 +254,26 @@ let candidate_constraints (j : Depctx.inst) (k : Depctx.inst)
    candidate distance. *)
 let check_refinement ?(in_bounds = false) ctx ~(src : Ir.access)
     ~(dst : Ir.access) (cand : candidate) : bool =
-  let i = Depctx.instantiate ctx src ~tag:"i" in
-  let j = Depctx.instantiate ctx src ~tag:"j" in
-  let k = Depctx.instantiate ctx dst ~tag:"k" in
-  let hyp = Depctx.assumes ctx in
-  let lhs = dep_problems ~in_bounds ctx i k in
-  let rhs =
-    let core =
-      Depctx.domain ~in_bounds ctx j
-      @ Depctx.domain ~in_bounds ctx k
-      @ Depctx.subs_equal ctx j k
-      @ candidate_constraints j k cand
-    in
-    List.map
-      (fun (_, order) -> Problem.of_list (core @ order))
-      (Depctx.order_before ctx j k)
-  in
-  implies_exists ~label:"refinement" ~hyp lhs ~evars:(Depctx.inst_vars j) rhs
+  proved
+    (posed_verdict ~label:"refinement" (fun () ->
+         let i = Depctx.instantiate ctx src ~tag:"i" in
+         let j = Depctx.instantiate ctx src ~tag:"j" in
+         let k = Depctx.instantiate ctx dst ~tag:"k" in
+         let rhs =
+           let core =
+             Depctx.domain ~in_bounds ctx j
+             @ Depctx.domain ~in_bounds ctx k
+             @ Depctx.subs_equal ctx j k
+             @ candidate_constraints j k cand
+           in
+           List.map
+             (fun (_, order) -> Problem.of_list (core @ order))
+             (Depctx.order_before ctx j k)
+         in
+         ( Depctx.assumes ctx,
+           dep_problems ~in_bounds ctx i k,
+           Depctx.inst_vars j,
+           rhs )))
 
 (* Generate and verify refinements the paper's way: walk the common loops
    outermost-first, each time pinning the distance to its minimum possible

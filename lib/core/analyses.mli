@@ -2,14 +2,13 @@
     terminating (4.3) and refinement (4.4) - each phrased as the validity
     of a Presburger formula [forall (p => exists q)].
 
-    Queries run through the tiered {!Omega.Portfolio}: the incomplete
-    O(constraints) {!Omega.Screen} first, then the paper's efficient
-    route (project the existential side with the dark shadow, check the
-    implication with gists), and only when both pass does the complete
-    Presburger decision procedure run.  Per-tier attempts / decides /
-    time are recorded in {!Omega.Metrics} (merged across domains by
-    {!Par.map}, so sharded analyses report the same totals as serial
-    ones). *)
+    Queries run through the {!Omega.Portfolio}: the paper's efficient
+    route first (project the existential side with the dark shadow,
+    check the implication with gists), and only when it passes does the
+    complete Presburger decision procedure run.  Per-tier attempts /
+    decides / time are recorded in {!Omega.Metrics} (merged across
+    domains by {!Par.map}, so sharded analyses report the same totals as
+    serial ones). *)
 
 open Omega
 
@@ -27,12 +26,13 @@ val fast_tier :
   evars:Var.t list ->
   Problem.t list ->
   unit ->
-  Screen.answer
-(** Tier 1 of {!implies_exists_decide}: every [lhs] disjunct (under
-    [hyp]) is unsatisfiable or implies the dark-shadow projection of
-    some [rhs] disjunct with [evars] eliminated.  [Proved] or [Unknown],
-    never [Disproved]; the dark shadow under-approximates, so a proof
-    over it holds over the integers. *)
+  bool
+(** The fast path of {!implies_exists_decide}: every [lhs] disjunct
+    (under [hyp]) is unsatisfiable or implies the dark-shadow projection
+    of some [rhs] disjunct with [evars] eliminated.  [true] proves the
+    query, [false] passes it to {!complete_tier}: it never disproves.
+    The dark shadow under-approximates, so a proof over it holds over
+    the integers. *)
 
 val complete_tier :
   hyp:Constr.t list ->
@@ -41,7 +41,7 @@ val complete_tier :
   Problem.t list ->
   unit ->
   bool
-(** Tier 2: the complete Presburger decision.
+(** The complete Presburger decision.
     Its refutation hook ({!Omega.Presburger.valid}'s [refute]) is
     {!counterexample}. *)
 

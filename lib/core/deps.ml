@@ -29,13 +29,14 @@ type dep = {
 
 (* The base problem of a pair: domains, subscript equality, user
    assumptions (and optionally in-bounds assertions), plus distance
-   variables d_l = j_l - i_l for the common loops.  Returns the problem
-   builder and the distance variables. *)
+   variables d_l = j_l - i_l for the common loops.  A coefficient that
+   overflows while the base is built leaves [Error Overflow] in its
+   place: the pair's queries give up, they do not fail the request. *)
 type pair = {
   ctx : Depctx.t;
   a : Depctx.inst;
   b : Depctx.inst;
-  base : Problem.t; (* no ordering constraints *)
+  base : (Problem.t, Budget.reason) result; (* no ordering constraints *)
   dvars : Var.t array;
   common : int;
 }
@@ -57,42 +58,54 @@ let make_pair ?(in_bounds = false) ctx (src : Ir.access) (dst : Ir.access) :
              (Linexpr.var a.Depctx.ivars.(l))))
   in
   let base =
-    Problem.of_list
-      (Depctx.domain ~in_bounds ctx a
-      @ Depctx.domain ~in_bounds ctx b
-      @ Depctx.subs_equal ctx a b
-      @ Depctx.assumes ctx
-      @ dconstrs)
+    match
+      Problem.of_list
+        (Depctx.domain ~in_bounds ctx a
+        @ Depctx.domain ~in_bounds ctx b
+        @ Depctx.subs_equal ctx a b
+        @ Depctx.assumes ctx
+        @ dconstrs)
+    with
+    | base -> Ok base
+    | exception Zint.Overflow -> Error Budget.Overflow
   in
   { ctx; a; b; base; dvars; common = c }
 
-(* Memo key of the per-level vectors of [p] under the pinned-distance
-   constraints [fix]: the base problem, [fix] and each level's ordering
-   constraints, with the distinguished variables [evars] (the distance
-   variables the vectors are stated over) listed so their positions are
-   canonical, and the carried levels in the tag.  Two pairs share a key
+(* Memo key of the per-level vectors of a pair with base problem [base]
+   under the pinned-distance constraints [fix]: [base], [fix] and each
+   level's ordering constraints, with the distinguished variables
+   [evars] (the distance variables the vectors are stated over) listed
+   so their positions are canonical, and the carried levels in the tag.  Two pairs share a key
    only when they are the same problem up to a renaming that maps each
    distinguished variable to its counterpart. *)
-let levels_key ?(fix = []) (p : pair) levels ~evars =
+let levels_key ?(fix = []) base levels ~evars =
   let carried = List.map (fun (lvl, _) -> string_of_int lvl) levels in
   Canon.key
     ~tag:("vec" ^ String.concat "," carried)
-    ~hyp:fix [ p.base ] ~evars
+    ~hyp:fix [ base ] ~evars
     (List.map (fun (_, constrs) -> Problem.of_list constrs) levels)
 
 (* The vectors of each ordering level of [p] under [fix], one governed
    query per level ([label] in telemetry); the completed results of all
-   levels are one memo entry. *)
+   levels are one memo entry.  When the base could not be built, each
+   level's query runs and gives up at once, counted like a give-up
+   inside it. *)
 let level_vectors ~label ?(fix = []) (p : pair) levels =
-  Memo.per_level
-    ~key:(fun () ->
-      levels_key ~fix p levels ~evars:(Array.to_list p.dvars))
-    (fun (lvl, constrs) ->
-      let prob = Problem.add_list (fix @ constrs) p.base in
-      Budget.run ~label
-        ~fault_key:(fun () -> Canon.of_problems ~tag:"vec" [ prob ])
-        (fun () -> Dirvec.vectors_of_level prob p.dvars ~carried:lvl))
-    levels
+  match p.base with
+  | Error r ->
+    List.map
+      (fun _ -> Budget.run ~label (fun () -> raise (Budget.Exhausted r)))
+      levels
+  | Ok base ->
+    Memo.per_level
+      ~key:(fun () ->
+        levels_key ~fix base levels ~evars:(Array.to_list p.dvars))
+      (fun (lvl, constrs) ->
+        let prob = Problem.add_list (fix @ constrs) base in
+        Budget.run ~label
+          ~fault_key:(fun () -> Canon.of_problems ~tag:"vec" [ prob ])
+          (fun () -> Dirvec.vectors_of_level prob p.dvars ~carried:lvl))
+      levels
 
 (* Each carried level with its vectors from [level_vectors]; a level
    that gave up is assumed to carry a dependence with its weakest

@@ -26,8 +26,11 @@ type pair = {
   ctx : Depctx.t;
   a : Depctx.inst;
   b : Depctx.inst;
-  base : Problem.t;  (** domains, subscript equality, assumptions,
-                         distance-variable definitions; no ordering *)
+  base : (Problem.t, Omega.Budget.reason) result;
+      (** domains, subscript equality, assumptions, distance-variable
+          definitions; no ordering.  [Error Overflow] when a coefficient
+          overflowed while it was built: every query of the pair gives
+          up. *)
   dvars : Var.t array;  (** one distance variable per common loop *)
   common : int;
 }
@@ -36,15 +39,16 @@ val make_pair : ?in_bounds:bool -> Depctx.t -> Ir.access -> Ir.access -> pair
 
 val levels_key :
   ?fix:Constr.t list ->
-  pair ->
+  Problem.t ->
   (int * Constr.t list) list ->
   evars:Var.t list ->
   string
-(** [levels_key ~fix p levels ~evars]: the {!Memo} key of the per-level
-    vectors of [p] under the pinned-distance constraints [fix] — the
-    {!Canon.key} of the base problem, [fix] and each level's ordering
-    constraints, with the distinguished variables [evars] at canonical
-    positions and the carried levels in the tag.  Alpha-equivalent
+(** [levels_key ~fix base levels ~evars]: the {!Memo} key of the
+    per-level vectors of a pair with base problem [base] under the
+    pinned-distance constraints [fix] — the {!Canon.key} of [base],
+    [fix] and each level's ordering constraints, with the distinguished
+    variables [evars] at canonical positions and the carried levels in
+    the tag.  Alpha-equivalent
     pairs share a key only under a renaming that maps each
     distinguished variable to its counterpart, so permuting [evars]
     changes the key. *)
@@ -61,7 +65,9 @@ val level_vectors :
     family: {!compute}, {!exists} and {!Analyses.refine} all read it.
     With the {!Memo} active, the completed results of all levels are
     one entry keyed by {!levels_key} over the distance variables; a
-    level that gives up returns [Error] and nothing is cached. *)
+    level that gives up returns [Error] and nothing is cached.  A pair
+    whose base could not be built gives up every level, each counted as
+    one governed query. *)
 
 val vectors_by_level :
   pair ->

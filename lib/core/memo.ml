@@ -42,7 +42,6 @@ type t = {
   mutable misses : int;
   mutable evictions : int;
   (* verdict hits attributed to the tier that computed the cached verdict *)
-  mutable hits_screen : int;
   mutable hits_fast : int;
   mutable hits_complete : int;
   (* vector lookups; kept apart so [hits]/[misses] and [hit_rate] stay
@@ -56,7 +55,6 @@ let make_t () =
     hits = 0;
     misses = 0;
     evictions = 0;
-    hits_screen = 0;
     hits_fast = 0;
     hits_complete = 0;
     vec_hits = 0;
@@ -111,7 +109,6 @@ let reset () =
       stats.hits <- 0;
       stats.misses <- 0;
       stats.evictions <- 0;
-      stats.hits_screen <- 0;
       stats.hits_fast <- 0;
       stats.hits_complete <- 0;
       stats.vec_hits <- 0;
@@ -146,7 +143,6 @@ let add key verdict tier =
 let bump_tier s tier =
   match tier with
   | None -> ()
-  | Some Portfolio.Tier_screen -> s.hits_screen <- s.hits_screen + 1
   | Some Portfolio.Tier_fast -> s.hits_fast <- s.hits_fast + 1
   | Some Portfolio.Tier_complete -> s.hits_complete <- s.hits_complete + 1
 

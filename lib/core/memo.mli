@@ -16,9 +16,9 @@ type t = {
   mutable hits : int;  (** verdict hits *)
   mutable misses : int;  (** verdict misses *)
   mutable evictions : int;  (** entries of any kind evicted *)
-  mutable hits_screen : int;
-      (** verdict hits whose cached verdict was decided by tier 0 *)
-  mutable hits_fast : int;  (** ... by the dark-shadow fast path *)
+  mutable hits_fast : int;
+      (** verdict hits whose cached verdict was decided by the
+          dark-shadow fast path *)
   mutable hits_complete : int;  (** ... by the complete procedure *)
   mutable vec_hits : int;  (** per-level vector hits *)
   mutable vec_misses : int;  (** per-level vector misses *)

@@ -78,8 +78,6 @@ let iter_terms f e = Var.Map.iter f e.terms
 let fold_terms f e acc = Var.Map.fold f e.terms acc
 let num_terms e = Var.Map.cardinal e.terms
 
-let exists_term p e = Var.Map.exists p e.terms
-
 (* Gcd of the variable coefficients (not the constant); zero for a constant
    expression. *)
 let content e =

@@ -36,7 +36,6 @@ val vars : t -> Var.Set.t
 val iter_terms : (Var.t -> Zint.t -> unit) -> t -> unit
 val fold_terms : (Var.t -> Zint.t -> 'a -> 'a) -> t -> 'a -> 'a
 val num_terms : t -> int
-val exists_term : (Var.t -> Zint.t -> bool) -> t -> bool
 
 val content : t -> Zint.t
 (** Gcd of the variable coefficients (not the constant); zero for a

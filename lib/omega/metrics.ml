@@ -104,7 +104,6 @@ let merge_into dst src =
   dst.fm_split <- dst.fm_split + src.fm_split;
   dst.pruned_interval <- dst.pruned_interval + src.pruned_interval;
   merge_row dst.quick src.quick;
-  merge_row dst.screen src.screen;
   merge_row dst.fast src.fast;
   merge_row dst.complete src.complete;
   dst.memo_hits <- dst.memo_hits + src.memo_hits;
@@ -132,8 +131,8 @@ let tiers_summary t =
     Printf.sprintf "%s %d/%d (%.1fms)" name r.attempts r.decides
       (r.elapsed *. 1000.)
   in
-  Printf.sprintf "quick %d/%d, %s, %s, %s" t.quick.attempts t.quick.decides
-    (tier "screen" t.screen) (tier "fast" t.fast) (tier "complete" t.complete)
+  Printf.sprintf "quick %d/%d, %s, %s" t.quick.attempts t.quick.decides
+    (tier "fast" t.fast) (tier "complete" t.complete)
 
 let governance_summary t =
   let reasons =

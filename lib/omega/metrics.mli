@@ -4,8 +4,9 @@
     the governance counters of {!Budget.run} (queries, give-ups by
     reason, peaks, the worst query), the Fourier-Motzkin and
     interval-screen counters of {!Elim} and {!Problem.simplify}, the
-    per-tier rows of {!Portfolio.decide} and the driver's section-4.5
-    quick screens, and the verdict-memo hits and misses of this domain.
+    per-tier rows of {!Portfolio.decide} (fast path, complete procedure)
+    and the driver's section-4.5 quick screens, and the verdict-memo
+    hits and misses of this domain.
 
     The record lives in domain-local storage: every hot-path increment
     is a plain store on the current domain's record, with no lock and no
@@ -36,14 +37,18 @@ type t = {
   mutable fm_eliminations : int;  (** variables eliminated by FM *)
   mutable fm_exact : int;  (** of which exact (incl. one-sided) *)
   mutable fm_split : int;  (** of which dark shadow + splinters *)
-  mutable pruned_interval : int;  (** constraints dropped by the screen *)
+  mutable pruned_interval : int;
+      (** constraints dropped by the interval screen *)
   (* decision tiers *)
   quick : row;
       (** the driver's structural section-4.5 screens, consulted before
           any solver query is built *)
-  screen : row;  (** tier 0: the incomplete {!Screen} backend *)
-  fast : row;  (** tier 1: dark-shadow implication fast path *)
-  complete : row;  (** tier 2: complete Presburger procedure *)
+  screen : row;
+      (** always zero: no tier writes it.  Kept only because the
+          end-to-end benchmark harness (bench/e2e) still reads
+          [Portfolio.Stats.screen]; it goes with that reader. *)
+  fast : row;  (** dark-shadow implication fast path *)
+  complete : row;  (** complete Presburger procedure *)
   (* verdict memo traffic of this domain *)
   mutable memo_hits : int;
   mutable memo_misses : int;
@@ -87,7 +92,8 @@ val solver_summary : t -> string
     constraints. *)
 
 val tiers_summary : t -> string
-(** The [tiers (…)] line: attempts/decides per tier, with times. *)
+(** The [tiers (…)] line: attempts/decides of the quick screens, the
+    fast path and the complete procedure, with times. *)
 
 val governance_summary : t -> string
 (** The [governance:] line: queries, give-ups by reason, peaks and the

@@ -15,7 +15,6 @@ module Tuning = Tuning
 module Elim = Elim
 module Gist = Gist
 module Presburger = Presburger
-module Screen = Screen
 module Portfolio = Portfolio
 
 (* Does the conjunction have an integer solution? *)

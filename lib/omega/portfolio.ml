@@ -1,39 +1,20 @@
-(* Tiered decision portfolio: screen -> fast path -> complete.
+(* Decision portfolio: fast path -> complete.
 
-   The cascade is a pure dispatch layer: each incomplete tier is a sound
-   closure returning a [Screen.answer], the first definite answer wins,
-   the complete procedure answers when none does, and the whole run sits
-   inside a [Budget] query boundary so resource blowups surface as
-   structured verdicts.  The per-tier accounting goes to the tier rows
-   of the domain's [Metrics] record. *)
+   The cascade is a pure dispatch layer: the fast path is a sound
+   closure that proves or passes, the complete procedure answers when it
+   passes, and the whole run sits inside a [Budget] query boundary so
+   resource blowups surface as structured verdicts.  The per-tier
+   accounting goes to the tier rows of the domain's [Metrics] record. *)
 
-type tier = Tier_screen | Tier_fast | Tier_complete
-
-let tier_to_string = function
-  | Tier_screen -> "screen"
-  | Tier_fast -> "fast"
-  | Tier_complete -> "complete"
-
-let tier_of_string = function
-  | "screen" -> Some Tier_screen
-  | "fast" -> Some Tier_fast
-  | "complete" -> Some Tier_complete
-  | _ -> None
+type tier = Tier_fast | Tier_complete
 
 module Stats = Metrics
 
-let row_of (m : Metrics.t) = function
-  | Tier_screen -> m.screen
-  | Tier_fast -> m.fast
-  | Tier_complete -> m.complete
-
 module Oracle = struct
-  type divergence = { label : string; tier : tier; got : bool; want : bool }
-
   let lock = Mutex.create ()
   let enabled = ref false
   let n_checks = ref 0
-  let found : divergence list ref = ref []
+  let found : string list ref = ref []
 
   let enable () =
     Mutex.lock lock;
@@ -61,10 +42,10 @@ module Oracle = struct
     Mutex.unlock lock;
     d
 
-  let record label tier got want =
+  let record label want =
     Mutex.lock lock;
     incr n_checks;
-    if got <> want then found := { label; tier; got; want } :: !found;
+    if not want then found := label :: !found;
     Mutex.unlock lock
 end
 
@@ -75,33 +56,26 @@ let timed (row : Metrics.row) f =
     ~finally:(fun () -> row.elapsed <- row.elapsed +. (Unix.gettimeofday () -. t0))
     f
 
-let decide ?label ?fault_key tiers complete =
+let decide ?label ?fault_key ?fast complete =
   let decided = ref None in
   let result =
     Budget.run ?label ?fault_key (fun () ->
         let stats = Metrics.current () in
         let run_complete () = timed stats.complete complete in
-        let rec go = function
-          | [] ->
-              let v = run_complete () in
-              stats.complete.decides <- stats.complete.decides + 1;
-              decided := Some Tier_complete;
-              v
-          | (tier, f) :: rest -> (
-              let row = row_of stats tier in
-              match timed row f with
-              | Screen.Unknown -> go rest
-              | answer ->
-                  let v = answer = Screen.Proved in
-                  row.decides <- row.decides + 1;
-                  decided := Some tier;
-                  if Oracle.active () then
-                    Oracle.record
-                      (Option.value label ~default:"?")
-                      tier v (run_complete ());
-                  v)
+        let decides (row : Metrics.row) tier =
+          row.decides <- row.decides + 1;
+          decided := Some tier
         in
-        go tiers)
+        match fast with
+        | Some f when timed stats.fast f ->
+            decides stats.fast Tier_fast;
+            if Oracle.active () then
+              Oracle.record (Option.value label ~default:"?") (run_complete ());
+            true
+        | Some _ | None ->
+            let v = run_complete () in
+            decides stats.complete Tier_complete;
+            v)
   in
   match result with
   | Ok true -> (Budget.Proved, !decided)

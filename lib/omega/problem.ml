@@ -58,10 +58,6 @@ let subst_colored v def color t =
          else c)
        t.cs)
 
-(* Number of constraints mentioning [v]. *)
-let occurrences t v =
-  List.fold_left (fun n c -> if Constr.mentions c v then n + 1 else n) 0 t.cs
-
 let eval env t = List.for_all (Constr.eval env) t.cs
 
 (* ------------------------------------------------------------------ *)

@@ -47,9 +47,6 @@ val subst_colored : Var.t -> Linexpr.t -> Constr.color -> t -> t
     color of the equality driving the substitution (section 3.3.2's
     red/black tracking). *)
 
-val occurrences : t -> Var.t -> int
-(** Number of constraints mentioning the variable. *)
-
 val eval : (Var.t -> Zint.t) -> t -> bool
 (** Evaluate under an assignment (which must cover every variable,
     including wildcards). *)

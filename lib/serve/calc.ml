@@ -25,14 +25,11 @@ type result =
 (* Every operation is one governed query, so a blown limit or an
    overflowing coefficient is counted in [Metrics] and surfaces as
    [Budget.Exhausted] for the caller's gave-up answer.  The boolean
-   operations (sat, implies) go through the portfolio cascade like
-   analysis queries: the tier-0 screen answers the easy instances and
-   the direct procedure decides the rest.  The non-boolean operations
-   (project, gist, optimize) have no screen tier and always run the
-   full machinery. *)
+   operations (sat, implies) are decided by the complete procedure
+   through [Portfolio.decide], so they count in its [complete] row. *)
 
-let portfolio_bool ~label ~screen ~complete =
-  match Portfolio.decide ~label [ (Portfolio.Tier_screen, screen) ] complete with
+let complete_bool ~label complete =
+  match Portfolio.decide ~label complete with
   | Budget.Proved, _ -> true
   | Budget.Disproved, _ -> false
   | Budget.Gave_up r, _ -> raise (Budget.Exhausted r)
@@ -48,25 +45,16 @@ let eval (op : Protocol.calc_op) : (result, string) Stdlib.result =
     | Protocol.Sat src ->
       let ps, _ = parse_problems [ src ] in
       let p = List.hd ps in
-      let screen () =
-        match Screen.decide p with
-        | `Sat -> Screen.Proved
-        | `Unsat -> Screen.Disproved
-        | `Unknown -> Screen.Unknown
-      in
       Ok
         (R_sat
-           (portfolio_bool ~label:"calc/sat" ~screen
-              ~complete:(fun () -> Elim.satisfiable p)))
+           (complete_bool ~label:"calc/sat" (fun () -> Elim.satisfiable p)))
     | Protocol.Implies (src1, src2) -> (
       let ps, _ = parse_problems [ src1; src2 ] in
       match ps with
       | [ p; q ] ->
-        let screen () = Screen.implies_problem p q in
         Ok
           (R_implies
-             (portfolio_bool ~label:"calc/implies" ~screen
-                ~complete:(fun () -> Gist.implies p q)))
+             (complete_bool ~label:"calc/implies" (fun () -> Gist.implies p q)))
       | _ -> assert false)
     | Protocol.Project { mode; onto; problem } -> (
       let ps, env = parse_problems [ problem ] in

@@ -233,7 +233,6 @@ let tiers_json (m : Metrics.t) =
   Json.Obj
     [
       ("quick", tier_row m.quick);
-      ("screen", tier_row m.screen);
       ("fast", tier_row m.fast);
       ("complete", tier_row m.complete);
     ]

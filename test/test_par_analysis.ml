@@ -148,7 +148,6 @@ let metrics_t =
     {
       m with
       quick = row m.quick;
-      screen = row m.screen;
       fast = row m.fast;
       complete = row m.complete;
     }

@@ -302,7 +302,7 @@ let test_memo_key_positions () =
     let p = Deps.make_pair ctx w w in
     let levels = Depctx.order_before ctx p.Deps.a p.Deps.b in
     let dvars = Array.to_list p.Deps.dvars in
-    Deps.levels_key p levels
+    Deps.levels_key (Result.get_ok p.Deps.base) levels
       ~evars:(if permute then List.rev dvars else dvars)
   in
   check Alcotest.string "fresh instantiation, same key" (key_of ())
@@ -383,7 +383,8 @@ let reference_refine ctx ~src ~dst =
     List.filter_map
       (fun (_, order) ->
         let prob =
-          Problem.add_list (pin_constraints p pins @ order) p.Deps.base
+          Problem.add_list (pin_constraints p pins @ order)
+            (Result.get_ok p.Deps.base)
         in
         match
           Budget.run ~label:"test/minimize" (fun () ->

@@ -1,12 +1,10 @@
-(* The tiered decision portfolio (DESIGN.md section 12).
+(* The decision portfolio (DESIGN.md section 12).
 
-   - soundness: a screen verdict, when not Unknown, must agree with the
-     complete procedure (QCheck, over the boxed random problems of the
-     brute-force oracle);
-   - the GCD/divisibility and interval screens on hand-built problems;
-   - the cascade-vs-complete oracle on hand-built lying tiers, and on
-     the figure 6/7 write/read pair corpus, where every screen and fast
-     verdict must agree with the complete tier;
+   - the cascade-vs-complete oracle on a hand-built lying fast tier, and
+     on the figure 6/7 write/read pair corpus, where every fast verdict
+     must agree with the complete tier;
+   - soundness of the fast tier against the complete tier on queries
+     whose real and dark shadows differ (QCheck);
    - degradation: an exhausted plan gives up instead of answering, and
      tightening the budget can only turn Proved into Gave_up — never
      flip a verdict. *)
@@ -16,92 +14,23 @@ open Depend
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
-
-(* ------------------------------------------------------------------ *)
-(* Hand-built screen instances                                         *)
-(* ------------------------------------------------------------------ *)
-
-let v name = Var.fresh name
+let str_t = Alcotest.string
 let i n = Linexpr.of_int n
 let t c x = Linexpr.scale (Zint.of_int c) (Linexpr.var x)
 
-let decide_str = function
-  | `Sat -> "sat"
-  | `Unsat -> "unsat"
-  | `Unknown -> "unknown"
-
-let str_t = Alcotest.string
-
 let unit_tests =
   [
-    ( "screen: GCD refutes 2x = 3",
-      `Quick,
-      fun () ->
-        let x = v "x" in
-        let p = Problem.of_list [ Constr.eq2 (t 2 x) (i 3) ] in
-        check str_t "gcd contra" "unsat" (decide_str (Screen.decide p)) );
-    ( "screen: witness accepts 2x = 4 in a box",
-      `Quick,
-      fun () ->
-        let x = v "x" in
-        let p =
-          Problem.of_list
-            [
-              Constr.eq2 (t 2 x) (i 4);
-              Constr.ge (Linexpr.var x) (i 0);
-              Constr.le (Linexpr.var x) (i 3);
-            ]
-        in
-        check str_t "witnessed" "sat" (decide_str (Screen.decide p)) );
-    ( "screen: crossed interval is empty",
-      `Quick,
-      fun () ->
-        let x = v "x" in
-        let p =
-          Problem.of_list
-            [ Constr.ge (Linexpr.var x) (i 7); Constr.le (Linexpr.var x) (i 5) ]
-        in
-        check str_t "empty box" "unsat" (decide_str (Screen.decide p)) );
-    ( "screen: Banerjee bound refutes x - y >= 20 on [1,10]^2",
-      `Quick,
-      fun () ->
-        let x = v "x" and y = v "y" in
-        let box w =
-          [
-            Constr.ge (Linexpr.var w) (i 1); Constr.le (Linexpr.var w) (i 10);
-          ]
-        in
-        let p =
-          Problem.of_list
-            (Constr.ge (Linexpr.sub (Linexpr.var x) (Linexpr.var y)) (i 20)
-            :: (box x @ box y))
-        in
-        check str_t "bound check" "unsat" (decide_str (Screen.decide p)) );
-    ( "screen: box witness accepts a satisfiable square",
-      `Quick,
-      fun () ->
-        let x = v "x" and y = v "y" in
-        let box w =
-          [
-            Constr.ge (Linexpr.var w) (i 0); Constr.le (Linexpr.var w) (i 5);
-          ]
-        in
-        let p =
-          Problem.of_list
-            (Constr.ge (Linexpr.add (Linexpr.var x) (Linexpr.var y)) (i 0)
-            :: (box x @ box y))
-        in
-        check str_t "witnessed" "sat" (decide_str (Screen.decide p)) );
     ( "portfolio: first definite tier wins and is attributed",
       `Quick,
       fun () ->
-        let tiers = [ (Portfolio.Tier_screen, fun () -> Screen.Proved) ] in
         match
-          Portfolio.decide ~label:"test/first-wins" tiers (fun () -> false)
+          Portfolio.decide ~label:"test/first-wins"
+            ~fast:(fun () -> true)
+            (fun () -> false)
         with
-        | Budget.Proved, Some Portfolio.Tier_screen -> ()
+        | Budget.Proved, Some Portfolio.Tier_fast -> ()
         | v, _ ->
-          Alcotest.failf "expected screen-tier Proved, got %s"
+          Alcotest.failf "expected fast-tier Proved, got %s"
             (Budget.verdict_to_string v) );
     ( "portfolio: cascade degrades monotonically under fuel",
       `Quick,
@@ -116,7 +45,7 @@ let unit_tests =
           Budget.with_limits { Budget.default with Budget.fuel } (fun () ->
               fst
                 (Portfolio.decide ~label:"test/degrade"
-                   [ (Portfolio.Tier_screen, fun () -> Screen.Unknown) ]
+                   ~fast:(fun () -> false)
                    (fun () ->
                      burn 50;
                      true)))
@@ -146,55 +75,32 @@ let unit_tests =
 (* The oracle: the one cascade-vs-complete gate                        *)
 (* ------------------------------------------------------------------ *)
 
-let answer v () = if v then Screen.Proved else Screen.Disproved
-
-(* [decide] once under the oracle: the verdict, the replay count and
-   the divergences recorded. *)
-let under_oracle label tiers complete =
+(* [decide] once under the oracle, with a fast tier that proves: the
+   verdict, the replay count and the divergences recorded. *)
+let under_oracle label complete =
   Portfolio.Oracle.enable ();
   let verdict =
     Fun.protect ~finally:Portfolio.Oracle.disable (fun () ->
-        fst (Portfolio.decide ~label tiers (fun () -> complete)))
+        fst
+          (Portfolio.decide ~label ~fast:(fun () -> true) (fun () -> complete)))
   in
   (verdict, Portfolio.Oracle.checks (), Portfolio.Oracle.divergences ())
 
-let lying_tier_test tier =
-  let name = Portfolio.tier_to_string tier in
-  ( Printf.sprintf "oracle: a lying %s tier is one divergence" name,
-    `Quick,
-    fun () ->
-      let label = "test/lying-" ^ name in
-      let tiers =
-        (if tier = Portfolio.Tier_fast then
-           [ (Portfolio.Tier_screen, fun () -> Screen.Unknown) ]
-         else [])
-        @ [ (tier, answer true) ]
-      in
-      let verdict, checks, found = under_oracle label tiers false in
-      check bool_t "the lying verdict is still returned" true
-        (verdict = Budget.Proved);
-      check Alcotest.int "one replay" 1 checks;
-      match found with
-      | [ d ] ->
-        check str_t "label" label d.Portfolio.Oracle.label;
-        check bool_t "tier" true (d.Portfolio.Oracle.tier = tier);
-        check bool_t "got" true d.Portfolio.Oracle.got;
-        check bool_t "want" false d.Portfolio.Oracle.want
-      | ds ->
-        Alcotest.failf "expected one divergence, got %d" (List.length ds) )
-
 let oracle_tests =
   [
-    lying_tier_test Portfolio.Tier_screen;
-    lying_tier_test Portfolio.Tier_fast;
+    ( "oracle: a lying fast tier is one divergence",
+      `Quick,
+      fun () ->
+        let label = "test/lying-fast" in
+        let verdict, checks, found = under_oracle label false in
+        check bool_t "the lying verdict is still returned" true
+          (verdict = Budget.Proved);
+        check Alcotest.int "one replay" 1 checks;
+        check (Alcotest.list str_t) "the query's label" [ label ] found );
     ( "oracle: a truthful plan is one check, no divergence",
       `Quick,
       fun () ->
-        let _, checks, found =
-          under_oracle "test/truthful"
-            [ (Portfolio.Tier_screen, answer false) ]
-            false
-        in
+        let _, checks, found = under_oracle "test/truthful" true in
         check Alcotest.int "one replay" 1 checks;
         check Alcotest.int "no divergence" 0 (List.length found) );
     ( "oracle: nothing is recorded while disabled",
@@ -204,7 +110,7 @@ let oracle_tests =
         Portfolio.Oracle.disable ();
         ignore
           (Portfolio.decide ~label:"test/disabled"
-             [ (Portfolio.Tier_screen, answer true) ]
+             ~fast:(fun () -> true)
              (fun () -> false));
         check Alcotest.int "no replay" 0 (Portfolio.Oracle.checks ());
         check Alcotest.int "no divergence" 0
@@ -212,7 +118,7 @@ let oracle_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Figure 6/7 pair corpus: the oracle agrees, screens exercised        *)
+(* Figure 6/7 pair corpus: the oracle agrees, the fast tier exercised  *)
 (* ------------------------------------------------------------------ *)
 
 let pair_lines () =
@@ -266,7 +172,7 @@ let pair_lines () =
 
 let corpus_tests =
   [
-    ( "pair corpus: every screen/fast verdict agrees with the complete tier",
+    ( "pair corpus: every fast verdict agrees with the complete tier",
       `Quick,
       fun () ->
         let plain = pair_lines () in
@@ -276,53 +182,16 @@ let corpus_tests =
           Fun.protect ~finally:Portfolio.Oracle.disable pair_lines
         in
         let tiers = Metrics.current () in
-        let divergence (d : Portfolio.Oracle.divergence) =
-          Printf.sprintf "%s tier %s said %b, complete %b"
-            d.Portfolio.Oracle.label
-            (Portfolio.tier_to_string d.Portfolio.Oracle.tier)
-            d.Portfolio.Oracle.got d.Portfolio.Oracle.want
-        in
         check bool_t "pair corpus is non-trivial" true (plain <> []);
         check (Alcotest.list str_t) "no divergence" []
-          (List.map divergence (Portfolio.Oracle.divergences ()));
+          (Portfolio.Oracle.divergences ());
         check bool_t "verdicts replayed" true (Portfolio.Oracle.checks () > 0);
         check (Alcotest.list str_t) "the replay changes no line" plain
           replayed;
-        check bool_t "screen tier consulted" true
-          (tiers.Metrics.screen.Metrics.attempts > 0);
-        check bool_t "screen tier decided some queries" true
-          (tiers.Metrics.screen.Metrics.decides > 0) );
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* QCheck: screens never contradict the complete procedure             *)
-(* ------------------------------------------------------------------ *)
-
-let prop_tests =
-  [
-    QCheck.Test.make ~name:"screen decide agrees with Elim.satisfiable"
-      ~count:500 (Oracle.arb_problem ()) (fun (p, _, _, _) ->
-        match Screen.decide p with
-        | `Sat -> Elim.satisfiable p
-        | `Unsat -> not (Elim.satisfiable p)
-        | `Unknown -> true);
-    QCheck.Test.make ~name:"screen implies agrees with Gist.implies"
-      ~count:300
-      (QCheck.pair (Oracle.arb_problem ()) (Oracle.arb_problem ()))
-      (fun ((p, _, _, _), (q, _, _, _)) ->
-        match Screen.implies_problem p q with
-        | Screen.Proved -> Gist.implies p q
-        | Screen.Disproved -> not (Gist.implies p q)
-        | Screen.Unknown -> true);
-    QCheck.Test.make
-      ~name:"screen implies_exists agrees with the complete procedure"
-      ~count:300
-      (QCheck.pair (Oracle.arb_problem ()) (Oracle.arb_problem ()))
-      (fun ((p, _, _, _), (q, _, _, _)) ->
-        match Screen.implies_exists ~hyp:[] [ p ] ~evars:[] [ q ] with
-        | Screen.Proved -> Gist.implies p q
-        | Screen.Disproved -> not (Gist.implies p q)
-        | Screen.Unknown -> true);
+        check bool_t "fast tier consulted" true
+          (tiers.Metrics.fast.Metrics.attempts > 0);
+        check bool_t "fast tier decided some queries" true
+          (tiers.Metrics.fast.Metrics.decides > 0) );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -388,7 +257,7 @@ let shadows_differ q =
   | `Contra, _ -> false
 
 let fast_proves (p, q) =
-  Analyses.fast_tier ~hyp:[] [ p ] ~evars:[ fe ] [ q ] () = Screen.Proved
+  Analyses.fast_tier ~hyp:[] [ p ] ~evars:[ fe ] [ q ] ()
 
 let complete_proves (p, q) =
   Analyses.complete_tier ~hyp:[] [ p ] ~evars:[ fe ] [ q ] ()
@@ -571,4 +440,4 @@ let suite =
           stress_sweep;
       ]
     @ List.map (QCheck_alcotest.to_alcotest ~long:false)
-        (prop_tests @ fast_tier_tests @ refutation_tests) )
+        (fast_tier_tests @ refutation_tests) )

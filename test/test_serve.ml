@@ -866,7 +866,7 @@ let test_memo_stress () =
           ignore
             (Memo.verdict key (fun () ->
                  if i land 1 = 0 then
-                   (Omega.Budget.Proved, Some Omega.Portfolio.Tier_screen)
+                   (Omega.Budget.Proved, Some Omega.Portfolio.Tier_fast)
                  else
                    (Omega.Budget.Disproved, Some Omega.Portfolio.Tier_complete)));
           let size = Memo.size () in
@@ -914,10 +914,11 @@ let test_memo_inflight () =
         (fst again = Omega.Budget.Disproved))
 
 (* Requests that overflow native integers: a calc query whose
-   elimination overflows, a splinter count that would build three
-   million problems, and a program whose subscript constants cannot be
-   subtracted, each get a typed [gave_up] error naming the reason, and
-   the connection keeps answering. *)
+   elimination overflows and a splinter count that would build three
+   million problems each get a typed [gave_up] error naming the reason.
+   A program whose subscript constants cannot be subtracted gets a
+   result: only that pair's queries give up, counted as overflows, and
+   its dependences are assumed.  The connection keeps answering. *)
 let test_server_overflow () =
   with_server @@ fun path ->
   let c = connect_exn path in
@@ -949,8 +950,8 @@ let test_server_overflow () =
        (Protocol.Sat
           "4000000000*i + 3000000001*j = 3000000001*k + 4000000000*l + 7 && \
            1 <= i <= 10 && 1 <= j <= 10 && 1 <= k <= 10 && 1 <= l <= 10"));
-  expect_gave_up "overflow"
-    (request_exn c
+  (match
+     request_exn c
        (Protocol.Analyze
           {
             program =
@@ -959,7 +960,25 @@ let test_server_overflow () =
             in_bounds = false;
             budget = Protocol.no_budget;
             deadline_ms = None;
-          }));
+          })
+   with
+  | Protocol.Result { payload; governance; _ } ->
+    let overflows =
+      Option.bind governance (Json.member "gave_up")
+      |> Fun.flip Option.bind (Json.member "overflow")
+      |> Fun.flip Option.bind Json.to_int_opt
+    in
+    check bool_t "overflow give-ups counted" true
+      (Option.value overflows ~default:0 >= 1);
+    let assumed =
+      Option.bind (Json.member "live_flows" payload) Json.to_list_opt
+      |> Option.value ~default:[]
+      |> List.filter_map (fun f ->
+             Option.bind (Json.member "dep" f) (Json.member "assumed"))
+    in
+    check bool_t "the flow dependence is live and assumed" true
+      (assumed = [ Json.Bool true ])
+  | Protocol.Error_ e -> Alcotest.failf "analyze after overflow: %s" e.message);
   (match calc (Protocol.Sat "0 <= x <= 5") with
   | Protocol.Result { payload; _ } ->
     check bool_t "still answering" true
