@@ -1128,27 +1128,28 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
     (Omega.Metrics.solver_summary tiers);
   (* --- decision portfolio: the tiered cascade (DESIGN.md section 12).
      One gate, which also runs in smoke mode: the oracle replays every
-     query the fast tier proves through the complete
-     procedure and demands agreement; dependence sets, direction
+     query the fast tier proves through the complete procedure, and
+     every refinement step the refinement screen settles through its
+     refinement query, and demands agreement; dependence sets, direction
      vectors, kill/cover attribution and doall verdicts all rest on
-     those queries.  Its replays count as complete-tier attempts, so it
-     runs on a pass of its own. *)
+     those answers.  Its replays count as tier attempts, so it runs on a
+     pass of its own. *)
   Omega.Metrics.reset ();
   Portfolio.Oracle.enable ();
   corpus_pass ();
   Portfolio.Oracle.disable ();
   let oracle_checks = Portfolio.Oracle.checks () in
   let oracle_bad = Portfolio.Oracle.divergences () in
-  if oracle_checks = 0 then fail "oracle: no fast verdict replayed";
+  if oracle_checks = 0 then fail "oracle: no verdict replayed";
   List.iter
-    (fail "oracle: the fast tier proved %s but the complete procedure does not")
+    (fail "oracle: a shortcut proved %s but its replay does not")
     oracle_bad;
   let trate (r : Omega.Metrics.row) =
     if r.attempts = 0 then 0.
     else float_of_int r.decides /. float_of_int r.attempts
   in
   Printf.printf
-    "\noracle: %d fast verdicts replayed, %d contradictions\ntiers \
+    "\noracle: %d verdicts replayed, %d contradictions\ntiers \
      (attempts/decided): %s\n"
     oracle_checks
     (List.length oracle_bad)

@@ -5,10 +5,22 @@
    first (project the existential side with the dark shadow, check the
    implication with gists), and only when it passes does the complete
    Presburger decision procedure run.  Per-tier accounting (attempts /
-   decides / time) lives in the tier rows of [Metrics]; the driver's
-   structural section-4.5 screens count there too, as the [quick] row. *)
+   decides / time) lives in the tier rows of [Metrics].  The structural
+   screens that settle a question before any query is posed - the
+   driver's section-4.5 quick tests and the refinement screen below -
+   count there too, through [quick_screen], as the [quick] row. *)
 
 open Omega
+
+(* The structural screens count as the [quick] tier row of [Metrics]:
+   an attempt per consultation, a decide per short-circuit (a solver
+   query avoided).  [quick_screen hit] records both and returns [hit] so
+   call sites read as the screen predicate itself. *)
+let quick_screen hit =
+  let r = (Metrics.current ()).Metrics.quick in
+  r.attempts <- r.attempts + 1;
+  if hit then r.decides <- r.decides + 1;
+  hit
 
 (* The solver-result cache (verdicts here, per-level vectors in
    [Deps.level_vectors]) lives in [Memo], below [Deps]. *)
@@ -275,18 +287,48 @@ let check_refinement ?(in_bounds = false) ctx ~(src : Ir.access)
            Depctx.inst_vars j,
            rhs )))
 
+(* The refinement screen (4.4, in the spirit of the 4.5 quick tests):
+   does every level's vector state the distances [pins] of the first
+   loops exactly?  [results] are a pair's unpinned per-level vectors.
+   When it does, every dependence instance (i, k) has the pinned
+   distances, so j = i - with i's own opaque values - witnesses
+   [check_refinement] and no solve is needed.  A level that gave up has
+   only conservative, inexact vectors, so it never screens. *)
+let refinement_screen results pins =
+  let rec states (v : Dirvec.t) pins =
+    match (v, pins) with
+    | _, [] -> true
+    | e :: v, p :: pins ->
+      e.Dirvec.lo = Some p && e.Dirvec.hi = Some p && states v pins
+    | [], _ :: _ -> false
+  in
+  List.for_all
+    (function
+      | Ok vecs -> List.for_all (fun v -> states v pins) vecs
+      | Error _ -> false)
+    results
+
 (* Generate and verify refinements the paper's way: walk the common loops
    outermost-first, each time pinning the distance to its minimum possible
-   value; stop at the first loop whose pinned candidate fails.  Each step
-   reads the per-level vectors under the pins so far (one
-   [Deps.level_vectors] family, one memo entry per step).  Every entry
-   before loop [l] is exact under those pins, so entry [l] is exact or
-   split by sign into groups that cover the whole level: the least [lo]
-   over a level's vectors is the level's minimum distance.  A level with
-   no vectors, an unbounded entry or a give-up is left out of the
-   minimum.  Step 0 has no pins and reads the entry [Deps.compute]
-   stored; the last step's vectors are the refined vectors, a level that
-   gave up contributing its weakest ones. *)
+   value; stop at the first loop whose pinned candidate fails.  The least
+   [lo] over a level's vectors is the level's minimum distance: every
+   entry before loop [l] is exact under the pins so far, so entry [l] is
+   exact or split by sign into groups that cover the whole level.  A
+   level with no vectors, an unbounded entry or a give-up is left out of
+   the minimum.
+
+   Step 0 reads the unpinned vectors, the entry [Deps.compute] stored.
+   While they state every pin exactly ([refinement_screen]) the step is
+   settled without [check_refinement], and the next step reads the same
+   vectors: the pins hold for every solution, so pinning them leaves
+   each level's solutions, and so its vectors, unchanged.  Once a step
+   is not screened no later one is (its pins extend that step's), so
+   each later step checks its candidate and reads the per-level vectors
+   under the pins so far (one [Deps.level_vectors] family, one memo
+   entry per step).  The last step's vectors are the
+   refined vectors, a level that gave up contributing its weakest ones.
+   While the [Portfolio.Oracle] gate is on, each screened step is
+   replayed through [check_refinement]: a non-proof is a divergence. *)
 let refine ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access) :
     int list * Dirvec.t list =
   let pair = Deps.make_pair ~in_bounds ctx src dst in
@@ -317,8 +359,8 @@ let refine ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access) :
     |> List.concat_map snd
     |> List.sort_uniq Dirvec.compare
   in
-  let rec go pins l =
-    let results = vectors_under pins in
+  let unpinned = vectors_under [] in
+  let rec go pins l results =
     let stop () = (pins, vectors results) in
     if l >= c then stop ()
     else
@@ -334,11 +376,16 @@ let refine ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access) :
               | Some d -> (Some d, Some d)
               | None -> (None, None))
         in
-        if check_refinement ~in_bounds ctx ~src ~dst cand then
-          go pins' (l + 1)
+        let check () = check_refinement ~in_bounds ctx ~src ~dst cand in
+        if quick_screen (refinement_screen unpinned pins') then begin
+          if Portfolio.Oracle.active () then
+            Portfolio.Oracle.record "refinement/screen" (check ());
+          go pins' (l + 1) unpinned
+        end
+        else if check () then go pins' (l + 1) (vectors_under pins')
         else stop ()
   in
-  go [] 0
+  go [] 0 unpinned
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)

@@ -8,9 +8,18 @@
     complete Presburger decision procedure run.  Per-tier attempts /
     decides / time are recorded in {!Omega.Metrics} (merged across
     domains by {!Par.map}, so sharded analyses report the same totals as
-    serial ones). *)
+    serial ones).  The structural screens that settle a question with no
+    query - the driver's section-4.5 quick tests and {!refine}'s
+    {!refinement_screen} - count as its [quick] row, through
+    {!quick_screen}. *)
 
 open Omega
+
+val quick_screen : bool -> bool
+(** [quick_screen hit]: one consultation of a structural screen, counted
+    in the [quick] tier row of {!Omega.Metrics} (an attempt, and a
+    decide when [hit]: a solver query avoided).  Returns [hit].  The one
+    counting path of every screen. *)
 
 module Memo = Memo
 (** The solver-result cache: {!implies_exists} verdicts, plus the
@@ -154,6 +163,17 @@ val check_refinement :
     receiving the dependence also receives it from an instance of [src]
     within the candidate distance. *)
 
+val refinement_screen :
+  (Dirvec.t list, Budget.reason) result list -> int list -> bool
+(** [refinement_screen results pins]: the section-4.4 screen.  [results]
+    are a pair's unpinned per-level vectors ({!Deps.level_vectors}); it
+    holds when every level completed and each of its vectors states the
+    distances [pins] of the first loops exactly ([lo = hi]).  Then every
+    dependence instance has the pinned distances, so the candidate
+    pinning them is a valid refinement ({!check_refinement} proves it,
+    with the source instance as its own witness).  A level that gave up
+    never screens. *)
+
 val refine :
   ?in_bounds:bool ->
   Depctx.t ->
@@ -163,15 +183,20 @@ val refine :
 (** The paper's candidate generator: pin the distance of each common
     loop, outermost first, to its minimum possible value, stopping at the
     first failure.  Returns the pinned distances and the direction
-    vectors of the dependence under them.  Each step reads
-    {!Deps.level_vectors} under the pins so far: with the earlier
-    distances pinned, the least lower bound of the next loop's entries
-    over a level's vectors is that level's minimum distance (a level
-    with no vectors, an unbounded entry or a give-up is left out).  So
-    every step is one {!Memo} entry, step 0 is the entry {!Deps.compute}
-    stored, and the candidate checks are memoized verdicts.  A level
-    whose vectors give up under the final pins contributes its weakest
-    (conservative) vectors. *)
+    vectors of the dependence under them.  With the earlier distances
+    pinned, the least lower bound of the next loop's entries over a
+    level's vectors is that level's minimum distance (a level with no
+    vectors, an unbounded entry or a give-up is left out).  Step 0 reads
+    the unpinned vectors, the {!Memo} entry {!Deps.compute} stored.
+    While {!refinement_screen} settles the pins, a step asks no query:
+    no {!check_refinement}, and the next step reads the same unpinned
+    vectors.  After the first step it does not settle, each step checks
+    its candidate (a memoized verdict) and reads {!Deps.level_vectors}
+    under the pins so far (one memo entry).  A level whose vectors give
+    up under the final pins contributes its weakest (conservative)
+    vectors.  While {!Omega.Portfolio.Oracle} is on, every screened step
+    is replayed through {!check_refinement} and recorded there under
+    [refinement/screen]. *)
 
 val set_fault_injection : seed:int -> rate:float -> unit
 (** Deterministically force a pseudo-random fraction [rate] of solver

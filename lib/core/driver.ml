@@ -71,17 +71,6 @@ let cover_eliminates ~(cover_vectors : Dirvec.t list) (a : Ir.access)
   && Ir.common_loops w a <= Ir.common_loops a b
   && Ir.common_loops w b <= Ir.common_loops a b
 
-(* The section-4.5 structural screens count as the [quick] tier row of
-   [Omega.Metrics]: an attempt per consultation, a decide per
-   short-circuit (a solver query avoided).  [quick_screen hit] records
-   both and returns [hit] so call sites read as the screen predicate
-   itself. *)
-let quick_screen hit =
-  let r = (Omega.Metrics.current ()).Omega.Metrics.quick in
-  r.attempts <- r.attempts + 1;
-  if hit then r.decides <- r.decides + 1;
-  hit
-
 let analyze ?(in_bounds = false) (prog : Ir.program) : result =
   let ctx = Depctx.create prog in
   let outputs = Deps.all ~in_bounds ctx Deps.Output in
@@ -98,7 +87,8 @@ let analyze ?(in_bounds = false) (prog : Ir.program) : result =
           | None -> None
           | Some dep ->
             let refined =
-              if quick_screen (not (refinement_possible outputs a)) then None
+              if Analyses.quick_screen (not (refinement_possible outputs a))
+              then None
               else
                 match Analyses.refine ~in_bounds ctx ~src:a ~dst:b with
                 | [], _ -> None
@@ -111,7 +101,8 @@ let analyze ?(in_bounds = false) (prog : Ir.program) : result =
               match refined with Some v -> v | None -> dep.Deps.vectors
             in
             let covers =
-              if quick_screen (not (cover_possible vectors)) then false
+              if Analyses.quick_screen (not (cover_possible vectors))
+              then false
               else Analyses.covers ~in_bounds ctx ~src:a ~dst:b
             in
             Some { dep; refined; covers; dead = None })
@@ -143,7 +134,7 @@ let analyze ?(in_bounds = false) (prog : Ir.program) : result =
                     fr.dep.Deps.src)
                 cands
             in
-            if quick_screen (killed_by_cover <> None) then
+            if Analyses.quick_screen (killed_by_cover <> None) then
               let cov = Option.get killed_by_cover in
               { fr with dead = Some (Covered cov.dep.Deps.src) }
             else fr
@@ -166,7 +157,7 @@ let analyze ?(in_bounds = false) (prog : Ir.program) : result =
                    other.dep.Deps.src.Ir.acc_id <> fr.dep.Deps.src.Ir.acc_id
                    &&
                    if
-                     quick_screen
+                     Analyses.quick_screen
                        (not
                           (output_exists outputs fr.dep.Deps.src
                              other.dep.Deps.src))

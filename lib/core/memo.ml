@@ -23,7 +23,8 @@
      level.  Every per-level question about a pair reads them: the
      vectors of [Deps.compute] (no pins), the existence test of
      [Deps.exists], and each step of [Analyses.refine], which takes the
-     minimum distance of the next loop from the entries' lower bounds.
+     minimum distance of the next loop from the entries' lower bounds
+     (the unpinned entry alone while its refinement screen holds).
 
    Vector entries are stored only when every level completed: a
    completed result is a fact and replays at any budget, like a

@@ -19,7 +19,8 @@ module Stats = Metrics
 
 (** The cascade-vs-complete gate.  While enabled, every query the fast
     path proves is replayed through the complete procedure of the same
-    query and the verdicts compared; contradictions are recorded
+    query and the verdicts compared (and a caller's own shortcut is
+    replayed through {!record}); contradictions are recorded
     (thread-safe) for the analysis bench and the pair-corpus test to
     assert empty.  A replay never changes the verdict returned.
     Expensive — bench and test use only. *)
@@ -33,7 +34,13 @@ module Oracle : sig
 
   val divergences : unit -> string list
   (** The labels of the queries the fast path proved and the complete
-      procedure did not, in the order met. *)
+      procedure did not, and of the shortcuts {!record}ed as not
+      proved, in the order met. *)
+
+  val record : string -> bool -> unit
+  (** [record label proved]: one replayed verdict of a shortcut taken
+      outside the portfolio ([Depend.Analyses.refine]'s screen), counted
+      in {!checks}; [proved = false] is a divergence under [label]. *)
 end
 
 val decide :

@@ -507,6 +507,142 @@ let prop_refine_reference_pairs =
       Analyses.Memo.reset ();
       List.for_all (fun src -> refine_mismatches "random" src = []) srcs)
 
+(* The refinement screen is sound: on every write/read pair of [src],
+   each candidate it settles is proved by [check_refinement].  It is
+   asked of the pair's unpinned per-level vectors twice: as computed,
+   and with fault injection at [seed] forcing some levels to give up.
+   The candidates are every prefix of a vector's lower bounds (the
+   generator's pins are among them, and so are bounds that are not
+   exact).  Returns the settled candidates' count and the failures. *)
+let screen_outcomes ~seed src =
+  let prog = Lang.Sema.parse_and_analyze src in
+  let ctx = Depctx.create prog in
+  let unpinned (p : Deps.pair) =
+    Deps.level_vectors ~label:"test/vectors" p
+      (Depctx.order_before ctx p.Deps.a p.Deps.b)
+  in
+  let settled = ref 0 in
+  let failures =
+    List.concat_map
+      (fun (w : Lang.Ir.access) ->
+        List.concat_map
+          (fun (r : Lang.Ir.access) ->
+            if w.Lang.Ir.array <> r.Lang.Ir.array then []
+            else
+              let p = Deps.make_pair ctx w r in
+              let clean = unpinned p in
+              Analyses.set_fault_injection ~seed ~rate:0.5;
+              let faulted =
+                Fun.protect ~finally:Analyses.clear_fault_injection (fun () ->
+                    unpinned p)
+              in
+              let rec prefixes acc = function
+                | { Dirvec.lo = Some d; _ } :: v ->
+                  let acc = acc @ [ d ] in
+                  acc :: prefixes acc v
+                | _ -> []
+              in
+              let candidates =
+                List.concat_map
+                  (function Ok vecs -> vecs | Error _ -> [])
+                  clean
+                |> List.concat_map (prefixes [])
+                |> List.sort_uniq compare
+              in
+              List.concat_map
+                (fun results ->
+                  List.filter_map
+                    (fun pins ->
+                      if not (Analyses.refinement_screen results pins) then
+                        None
+                      else begin
+                        incr settled;
+                        let cand =
+                          List.init p.Deps.common (fun l ->
+                              match List.nth_opt pins l with
+                              | Some d -> (Some d, Some d)
+                              | None -> (None, None))
+                        in
+                        if Analyses.check_refinement ctx ~src:w ~dst:r cand
+                        then None
+                        else
+                          Some
+                            (Printf.sprintf "%s->%s pins [%s] not proved"
+                               w.Lang.Ir.label r.Lang.Ir.label
+                               (String.concat ";"
+                                  (List.map string_of_int pins)))
+                      end)
+                    candidates)
+                [ clean; faulted ])
+          (Lang.Ir.reads prog))
+      (Lang.Ir.writes prog)
+  in
+  (!settled, failures)
+
+let test_screen_sound_corpus () =
+  with_memo_restored @@ fun () ->
+  Analyses.Memo.reset ();
+  let settled = ref 0 in
+  let failures =
+    List.concat_map
+      (fun (name, src) ->
+        List.concat_map
+          (fun seed ->
+            let n, failed = screen_outcomes ~seed src in
+            settled := !settled + n;
+            List.map (fun f -> name ^ " " ^ f) failed)
+          [ 1; 2 ])
+      (Corpus.all @ Corpus.stress)
+  in
+  check slist "every settled candidate is proved" [] failures;
+  check Alcotest.bool "the screen settles corpus candidates" true
+    (!settled > 0)
+
+let prop_screen_sound_pairs =
+  QCheck.Test.make ~count:60
+    ~name:"refinement screen: every settled candidate is proved"
+    QCheck.(
+      make
+        ~print:(fun (seed, src) -> Printf.sprintf "seed %d\n%s" seed src)
+        Gen.(pair (int_range 0 1000) gen_pair_program))
+    (fun (seed, src) ->
+      with_memo_restored @@ fun () ->
+      Analyses.Memo.reset ();
+      match screen_outcomes ~seed src with
+      | _, [] -> true
+      | _, failures -> QCheck.Test.fail_report (String.concat "\n" failures))
+
+(* The screen's decides under [Driver.analyze]: the steps it settles in
+   the refinements [analyze] asks for (every flow dependence whose
+   source has a self-output dependence), replayed with the quick row
+   reset.  Only cholsky, matmul and transpose_sum have refinement steps
+   whose unpinned vectors already state the pins. *)
+let test_screen_decides_corpus () =
+  with_memo_restored @@ fun () ->
+  let decides src =
+    Analyses.Memo.reset ();
+    let r = Driver.analyze (Lang.Sema.parse_and_analyze src) in
+    Metrics.reset ();
+    List.iter
+      (fun (fr : Driver.flow_result) ->
+        let src = fr.Driver.dep.Deps.src and dst = fr.Driver.dep.Deps.dst in
+        if Driver.refinement_possible r.Driver.outputs src then
+          ignore (Analyses.refine r.Driver.ctx ~src ~dst))
+      r.Driver.flows;
+    (Metrics.current ()).Metrics.quick.Metrics.decides
+  in
+  let got =
+    List.filter_map
+      (fun (name, src) ->
+        match decides src with
+        | 0 -> None
+        | n -> Some (Printf.sprintf "%s %d" name n))
+      (Corpus.all @ Corpus.stress)
+  in
+  check slist "screen decides per program"
+    [ "cholsky 17"; "matmul 2"; "transpose_sum 1" ]
+    got
+
 (* Repeated cold analyses do not grow the live heap: after a full major
    collection, the live words after [rounds] passes of cold
    [analyze_payload]/[parallelize_payload] over every corpus and stress
@@ -562,6 +698,10 @@ let unit_tests =
       test_memo_key_positions;
     Alcotest.test_case "refine = reference generator: corpus pairs" `Quick
       test_refine_reference_corpus;
+    Alcotest.test_case "refinement screen: settled candidates proved, corpus"
+      `Quick test_screen_sound_corpus;
+    Alcotest.test_case "refinement screen: decides per program" `Quick
+      test_screen_decides_corpus;
     Alcotest.test_case "cold analyses: live heap flat" `Quick
       test_cold_analyses_live_heap;
   ]
@@ -577,4 +717,5 @@ let suite =
              prop_canon_key_domain_invariant;
              prop_memo_pairs_sound;
              prop_refine_reference_pairs;
+             prop_screen_sound_pairs;
            ] )

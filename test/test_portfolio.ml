@@ -1,8 +1,9 @@
 (* The decision portfolio (DESIGN.md section 12).
 
-   - the cascade-vs-complete oracle on a hand-built lying fast tier, and
-     on the figure 6/7 write/read pair corpus, where every fast verdict
-     must agree with the complete tier;
+   - the cascade-vs-complete oracle on a hand-built lying fast tier, on
+     cholsky's screened refinement steps, and on the figure 6/7
+     write/read pair corpus, where every fast verdict must agree with
+     the complete tier;
    - soundness of the fast tier against the complete tier on queries
      whose real and dark shadows differ (QCheck);
    - degradation: an exhausted plan gives up instead of answering, and
@@ -115,6 +116,36 @@ let oracle_tests =
         check Alcotest.int "no replay" 0 (Portfolio.Oracle.checks ());
         check Alcotest.int "no divergence" 0
           (List.length (Portfolio.Oracle.divergences ())) );
+    ( "oracle: every screened refinement step is replayed",
+      `Quick,
+      fun () ->
+        (* with the memo off, a completed run's replays are its
+           fast-tier decides plus its screened refinement steps *)
+        let replays name =
+          let enabled = !Analyses.Memo.enabled in
+          Analyses.Memo.enabled := false;
+          Metrics.reset ();
+          Portfolio.Oracle.enable ();
+          Fun.protect
+            ~finally:(fun () ->
+              Portfolio.Oracle.disable ();
+              Analyses.Memo.enabled := enabled)
+            (fun () ->
+              ignore
+                (Driver.analyze
+                   (Lang.Sema.parse_and_analyze (Corpus.find name))));
+          let m = Metrics.current () in
+          check (Alcotest.list str_t) (name ^ ": no divergence") []
+            (Portfolio.Oracle.divergences ());
+          (Portfolio.Oracle.checks () - m.Metrics.fast.Metrics.decides,
+           Metrics.gave_up m)
+        in
+        check (Alcotest.pair Alcotest.int Alcotest.int)
+          "matmul: 2 screened steps replayed" (2, 0) (replays "matmul");
+        check (Alcotest.pair Alcotest.int Alcotest.int)
+          "transpose_sum: 1 screened step replayed" (1, 0)
+          (replays "transpose_sum");
+        ignore (replays "cholsky") );
   ]
 
 (* ------------------------------------------------------------------ *)
