@@ -114,32 +114,17 @@ type pair_timing = {
   category : [ `No_test | `General | `Split ];
 }
 
-(* Replicates the per-dependence extended work of the driver for one
-   write/read pair, so the pair can be timed in isolation.  Returns
-   whether a general (Omega) extended test ran and whether the dependence
-   splits into several direction vectors. *)
+(* The driver's extended step for one write/read pair ([Driver.extend]),
+   timed in isolation by the callers.  Returns whether a general (Omega)
+   extended test ran — a refinement, or a cover test — and whether the
+   dependence splits into several direction vectors. *)
 let extended_pair ctx outputs (a : Lang.Ir.access) (b : Lang.Ir.access) =
-  match Deps.compute ctx ~src:a ~dst:b ~kind:Deps.Flow with
+  match Driver.extend ctx ~outputs ~src:a ~dst:b with
   | None -> (false, false)
-  | Some dep ->
-    let ran = ref false in
-    let refined =
-      if not (Driver.refinement_possible outputs a) then None
-      else begin
-        ran := true;
-        match Analyses.refine ctx ~src:a ~dst:b with
-        | [], _ -> None
-        | _, vecs -> Some vecs
-      end
-    in
-    let vectors =
-      match refined with Some v -> v | None -> dep.Deps.vectors
-    in
-    if Driver.cover_possible vectors then begin
-      ran := true;
-      ignore (Analyses.covers ctx ~src:a ~dst:b)
-    end;
-    (!ran, List.length dep.Deps.vectors > 1)
+  | Some fr ->
+    ( Driver.refinement_possible outputs a
+      || Driver.cover_possible (Driver.vectors fr),
+      List.length fr.Driver.dep.Deps.vectors > 1 )
 
 (* Every same-array write/read pair of one program, in the order
    figures 6 and 7 list them: [f name ctx outputs a b] per pair. *)
@@ -244,49 +229,34 @@ let figure6_right () =
       let outputs = Deps.all ctx Deps.Output in
       List.iter
         (fun (b : Lang.Ir.access) ->
+          (* the extended step of every writer with a dependence to b,
+             with its time of generating + refining + covering *)
           let writers =
-            List.filter
+            List.filter_map
               (fun (w : Lang.Ir.access) ->
-                w.Lang.Ir.array = b.Lang.Ir.array
-                && Deps.exists ctx ~src:w ~dst:b)
+                if w.Lang.Ir.array <> b.Lang.Ir.array then None
+                else
+                  let fr, t_gen =
+                    time (fun () -> Driver.extend ctx ~outputs ~src:w ~dst:b)
+                  in
+                  Option.map (fun fr -> (fr, t_gen)) fr)
               (Lang.Ir.writes prog)
           in
-          (* cover information of each candidate killer, computed during its
-             own extended analysis (so not charged to the kill test) *)
-          let cover_info =
-            List.map
-              (fun (k : Lang.Ir.access) ->
-                let dep = Deps.compute ctx ~src:k ~dst:b ~kind:Deps.Flow in
-                let vectors =
-                  match dep with Some d -> d.Deps.vectors | None -> []
-                in
-                let covers =
-                  Driver.cover_possible vectors
-                  && Analyses.covers ctx ~src:k ~dst:b
-                in
-                (k.Lang.Ir.acc_id, (covers, vectors)))
-              writers
-          in
           List.iter
-            (fun (a : Lang.Ir.access) ->
-              (* time of generating + refining + covering the dependence
-                 being killed *)
-              let _, t_gen =
-                time (fun () -> extended_pair ctx outputs a b)
-              in
+            (fun ((fr : Driver.flow_result), t_gen) ->
+              let a = fr.Driver.dep.Deps.src in
               List.iter
-                (fun (k : Lang.Ir.access) ->
+                (fun ((kfr : Driver.flow_result), _) ->
+                  let k = kfr.Driver.dep.Deps.src in
                   if k.Lang.Ir.acc_id <> a.Lang.Ir.acc_id then begin
                     (* quick screens: no output dependence A->K (kill
                        impossible), or K is a loop-independent cover with A
                        completely before it (kill certain) *)
-                    let covers, kvecs =
-                      List.assoc k.Lang.Ir.acc_id cover_info
-                    in
                     let screened =
-                      (not (Driver.output_exists outputs a k))
-                      || (covers
-                          && Driver.cover_eliminates ~cover_vectors:kvecs k b a)
+                      (not (Driver.dep_in outputs a k))
+                      || kfr.Driver.covers
+                         && Driver.cover_eliminates
+                              ~cover_vectors:(Driver.vectors kfr) k b a
                     in
                     let _, t_kill =
                       time (fun () ->
@@ -957,9 +927,9 @@ let robustness_suite ~out ~seeds () =
   let seed_rows =
     List.map
       (fun seed ->
-        Analyses.set_fault_injection ~seed ~rate;
+        Omega.Budget.set_fault_injection ~seed ~rate;
         Omega.Metrics.reset ();
-        Fun.protect ~finally:Analyses.clear_fault_injection (fun () ->
+        Fun.protect ~finally:Omega.Budget.clear_fault_injection (fun () ->
             List.iter
               (fun (pname, src) ->
                 match outcome (parse src) with
@@ -1132,14 +1102,16 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
      every refinement step the refinement screen settles through its
      refinement query, and demands agreement; dependence sets, direction
      vectors, kill/cover attribution and doall verdicts all rest on
-     those answers.  Its replays count as tier attempts, so it runs on a
-     pass of its own. *)
+     those answers.  A replay moves no counter of the run, but it costs
+     solver time, so it runs on a pass of its own.  A replay that gives
+     up within the limits confirms nothing; it is counted and listed. *)
   Omega.Metrics.reset ();
   Portfolio.Oracle.enable ();
   corpus_pass ();
   Portfolio.Oracle.disable ();
   let oracle_checks = Portfolio.Oracle.checks () in
   let oracle_bad = Portfolio.Oracle.divergences () in
+  let oracle_gave_up = Portfolio.Oracle.gave_up () in
   if oracle_checks = 0 then fail "oracle: no verdict replayed";
   List.iter
     (fail "oracle: a shortcut proved %s but its replay does not")
@@ -1149,10 +1121,13 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
     else float_of_int r.decides /. float_of_int r.attempts
   in
   Printf.printf
-    "\noracle: %d verdicts replayed, %d contradictions\ntiers \
-     (attempts/decided): %s\n"
+    "\noracle: %d verdicts replayed, %d contradictions, %d replays gave \
+     up%s\ntiers (attempts/decided): %s\n"
     oracle_checks
     (List.length oracle_bad)
+    (List.length oracle_gave_up)
+    (if oracle_gave_up = [] then ""
+     else " (" ^ String.concat ", " oracle_gave_up ^ ")")
     (Omega.Metrics.tiers_summary tiers);
   let tier_json (r : Omega.Metrics.row) =
     Json.Obj
@@ -1168,6 +1143,7 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
       [
         ("oracle_checks", Json.Int oracle_checks);
         ("oracle_divergences", Json.Int (List.length oracle_bad));
+        ("oracle_gave_up", Json.Int (List.length oracle_gave_up));
         ( "tiers",
           Json.Obj
             [

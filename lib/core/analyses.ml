@@ -125,26 +125,21 @@ let implies_exists_decide ?(label = "query") ~hyp lhs ~evars rhs :
   if not (Memo.active ()) then compute ()
   else Memo.verdict (Lazy.force canon) compute
 
-let implies_exists_verdict ?label ~hyp lhs ~evars rhs : Budget.verdict =
-  fst (implies_exists_decide ?label ~hyp lhs ~evars rhs)
-
 (* Every boolean caller uses a positive answer to eliminate or refine a
    dependence, so [Gave_up] maps to [false]: the dependence stays. *)
 let proved = function
   | Budget.Proved -> true
   | Budget.Disproved | Budget.Gave_up _ -> false
 
-let implies_exists ?label ~hyp lhs ~evars rhs : bool =
-  proved (implies_exists_verdict ?label ~hyp lhs ~evars rhs)
-
 (* The verdict of the query whose [hyp], [lhs], [evars] and [rhs]
    [build] makes.  They are built before the query runs (its memo key is
    their canonical form), so an overflow while building is the query's
    give-up: it runs and gives up at once, counted like an overflow met
    inside it, and nothing is proved. *)
-let posed_verdict ~label build =
+let posed ~label build =
   match build () with
-  | hyp, lhs, evars, rhs -> implies_exists_verdict ~label ~hyp lhs ~evars rhs
+  | hyp, lhs, evars, rhs ->
+    fst (implies_exists_decide ~label ~hyp lhs ~evars rhs)
   | exception Zint.Overflow ->
     Budget.decide ~label (fun () -> raise Zint.Overflow)
 
@@ -170,9 +165,8 @@ let dep_problems ?(in_bounds = false) ctx a b : Problem.t list =
 
 (* Does the write [src] cover [dst]?  (Every element [dst] accesses was
    written by an earlier instance of [src].) *)
-let covers_verdict ?(in_bounds = false) ctx ~(src : Ir.access)
-    ~(dst : Ir.access) : Budget.verdict =
-  posed_verdict ~label:"cover" (fun () ->
+let covers ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access) =
+  proved @@ posed ~label:"cover" (fun () ->
       let a = Depctx.instantiate ctx src ~tag:"i" in
       let b = Depctx.instantiate ctx dst ~tag:"j" in
       ( Depctx.assumes ctx,
@@ -180,23 +174,17 @@ let covers_verdict ?(in_bounds = false) ctx ~(src : Ir.access)
         Depctx.inst_vars a,
         dep_problems ~in_bounds ctx a b ))
 
-let covers ?in_bounds ctx ~src ~dst =
-  proved (covers_verdict ?in_bounds ctx ~src ~dst)
-
 (* Does the write [dst] terminate [src]?  (Every element [src] accesses is
    later overwritten by [dst].) *)
-let terminates_verdict ?(in_bounds = false) ctx ~(src : Ir.access)
-    ~(dst : Ir.access) : Budget.verdict =
-  posed_verdict ~label:"terminate" (fun () ->
+let terminates ?(in_bounds = false) ctx ~(src : Ir.access)
+    ~(dst : Ir.access) =
+  proved @@ posed ~label:"terminate" (fun () ->
       let a = Depctx.instantiate ctx src ~tag:"i" in
       let b = Depctx.instantiate ctx dst ~tag:"j" in
       ( Depctx.assumes ctx,
         [ Problem.of_list (Depctx.domain ~in_bounds ctx a) ],
         Depctx.inst_vars b,
         dep_problems ~in_bounds ctx a b ))
-
-let terminates ?in_bounds ctx ~src ~dst =
-  proved (terminates_verdict ?in_bounds ctx ~src ~dst)
 
 (* ------------------------------------------------------------------ *)
 (* Killing (4.1)                                                       *)
@@ -205,9 +193,9 @@ let terminates ?in_bounds ctx ~src ~dst =
 (* Is the dependence from [src] to [dst] killed by the write [killer]?
    For every (i,k) instance pair of the dependence there must be a j with
    src(i) << killer(j) << dst(k) and killer(j) writing dst(k)'s element. *)
-let kills_verdict ?(in_bounds = false) ctx ~(src : Ir.access)
-    ~(killer : Ir.access) ~(dst : Ir.access) : Budget.verdict =
-  posed_verdict ~label:"kill" (fun () ->
+let kills ?(in_bounds = false) ctx ~(src : Ir.access) ~(killer : Ir.access)
+    ~(dst : Ir.access) =
+  proved @@ posed ~label:"kill" (fun () ->
       let a = Depctx.instantiate ctx src ~tag:"i" in
       let b = Depctx.instantiate ctx killer ~tag:"j" in
       let c = Depctx.instantiate ctx dst ~tag:"k" in
@@ -227,9 +215,6 @@ let kills_verdict ?(in_bounds = false) ctx ~(src : Ir.access)
         dep_problems ~in_bounds ctx a c,
         Depctx.inst_vars b,
         rhs ))
-
-let kills ?in_bounds ctx ~src ~killer ~dst =
-  proved (kills_verdict ?in_bounds ctx ~src ~killer ~dst)
 
 (* ------------------------------------------------------------------ *)
 (* Refinement (4.4)                                                    *)
@@ -263,29 +248,43 @@ let candidate_constraints (j : Depctx.inst) (k : Depctx.inst)
 (* Does candidate [cand] refine the dependence from write [src] to [dst]?
    Condition (simplified as in 4.4): every instance of [dst] receiving the
    dependence also receives it from an instance of [src] within the
-   candidate distance. *)
-let check_refinement ?(in_bounds = false) ctx ~(src : Ir.access)
-    ~(dst : Ir.access) (cand : candidate) : bool =
+   candidate distance.  [refinement_query] builds the query's [hyp],
+   [lhs], [evars] and [rhs]. *)
+let refinement_query ~in_bounds ctx ~(src : Ir.access) ~(dst : Ir.access)
+    (cand : candidate) () =
+  let i = Depctx.instantiate ctx src ~tag:"i" in
+  let j = Depctx.instantiate ctx src ~tag:"j" in
+  let k = Depctx.instantiate ctx dst ~tag:"k" in
+  let rhs =
+    let core =
+      Depctx.domain ~in_bounds ctx j
+      @ Depctx.domain ~in_bounds ctx k
+      @ Depctx.subs_equal ctx j k
+      @ candidate_constraints j k cand
+    in
+    List.map
+      (fun (_, order) -> Problem.of_list (core @ order))
+      (Depctx.order_before ctx j k)
+  in
+  ( Depctx.assumes ctx,
+    dep_problems ~in_bounds ctx i k,
+    Depctx.inst_vars j,
+    rhs )
+
+let check_refinement ?(in_bounds = false) ctx ~src ~dst cand =
   proved
-    (posed_verdict ~label:"refinement" (fun () ->
-         let i = Depctx.instantiate ctx src ~tag:"i" in
-         let j = Depctx.instantiate ctx src ~tag:"j" in
-         let k = Depctx.instantiate ctx dst ~tag:"k" in
-         let rhs =
-           let core =
-             Depctx.domain ~in_bounds ctx j
-             @ Depctx.domain ~in_bounds ctx k
-             @ Depctx.subs_equal ctx j k
-             @ candidate_constraints j k cand
-           in
-           List.map
-             (fun (_, order) -> Problem.of_list (core @ order))
-             (Depctx.order_before ctx j k)
-         in
-         ( Depctx.assumes ctx,
-           dep_problems ~in_bounds ctx i k,
-           Depctx.inst_vars j,
-           rhs )))
+    (posed ~label:"refinement"
+       (refinement_query ~in_bounds ctx ~src ~dst cand))
+
+(* The oracle's check of a screened step: the refinement query decided
+   by the complete procedure alone, as [Portfolio.decide] replays a
+   fast-tier proof.  An overflow while building it is a give-up. *)
+let replay_refinement ~in_bounds ctx ~src ~dst cand () =
+  Budget.decide ~label:"refinement" (fun () ->
+      let hyp, lhs, evars, rhs =
+        refinement_query ~in_bounds ctx ~src ~dst cand ()
+      in
+      complete_tier ~hyp lhs ~evars rhs ())
 
 (* The refinement screen (4.4, in the spirit of the 4.5 quick tests):
    does every level's vector state the distances [pins] of the first
@@ -328,7 +327,9 @@ let refinement_screen results pins =
    entry per step).  The last step's vectors are the
    refined vectors, a level that gave up contributing its weakest ones.
    While the [Portfolio.Oracle] gate is on, each screened step is
-   replayed through [check_refinement]: a non-proof is a divergence. *)
+   replayed ([Portfolio.Oracle.replay], under [refinement/screen])
+   through the complete procedure alone: a disproof is a divergence, a
+   give-up is reported. *)
 let refine ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access) :
     int list * Dirvec.t list =
   let pair = Deps.make_pair ~in_bounds ctx src dst in
@@ -376,20 +377,13 @@ let refine ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access) :
               | Some d -> (Some d, Some d)
               | None -> (None, None))
         in
-        let check () = check_refinement ~in_bounds ctx ~src ~dst cand in
         if quick_screen (refinement_screen unpinned pins') then begin
-          if Portfolio.Oracle.active () then
-            Portfolio.Oracle.record "refinement/screen" (check ());
+          Portfolio.Oracle.replay "refinement/screen"
+            (replay_refinement ~in_bounds ctx ~src ~dst cand);
           go pins' (l + 1) unpinned
         end
-        else if check () then go pins' (l + 1) (vectors_under pins')
+        else if check_refinement ~in_bounds ctx ~src ~dst cand then
+          go pins' (l + 1) (vectors_under pins')
         else stop ()
   in
   go [] 0 unpinned
-
-(* ------------------------------------------------------------------ *)
-(* Fault injection                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let set_fault_injection ~seed ~rate = Budget.set_fault_injection ~seed ~rate
-let clear_fault_injection () = Budget.clear_fault_injection ()

@@ -22,9 +22,9 @@ val quick_screen : bool -> bool
     counting path of every screen. *)
 
 module Memo = Memo
-(** The solver-result cache: {!implies_exists} verdicts, plus the
+(** The solver-result cache: {!implies_exists_decide} verdicts, plus the
     completed per-level vectors of {!Deps.level_vectors} (read by
-    {!Deps.compute}, {!Deps.exists} and {!refine}), in one bounded
+    {!Deps.compute} and {!refine}), in one bounded
     table keyed by canonical ({!Canon.key}) serializations.  One [enabled] switch,
     one [capacity], one [reset] for every kind of entry; fault-injected
     runs bypass it.  See {!Depend.Memo}. *)
@@ -81,62 +81,15 @@ val implies_exists_decide :
     fault) surfaces as [Gave_up], never as an exception.  Also returns the tier that decided ([None]
     for give-ups).  [label] names the query in governance telemetry. *)
 
-val implies_exists_verdict :
-  ?label:string ->
-  hyp:Constr.t list ->
-  Problem.t list ->
-  evars:Var.t list ->
-  Problem.t list ->
-  Budget.verdict
-(** {!implies_exists_decide} without the tier attribution. *)
-
-val implies_exists :
-  ?label:string ->
-  hyp:Constr.t list ->
-  Problem.t list ->
-  evars:Var.t list ->
-  Problem.t list ->
-  bool
-(** {!implies_exists_verdict} collapsed to a boolean: [Gave_up] maps to
-    [false], which is conservative because every caller uses a positive
-    answer to eliminate or refine a dependence. *)
-
-val dep_problems :
-  ?in_bounds:bool -> Depctx.t -> Depctx.inst -> Depctx.inst -> Problem.t list
-(** The dependence problems from one instance to another, one per
-    ordering level. *)
-
-val covers_verdict :
-  ?in_bounds:bool ->
-  Depctx.t ->
-  src:Ir.access ->
-  dst:Ir.access ->
-  Budget.verdict
-
 val covers :
   ?in_bounds:bool -> Depctx.t -> src:Ir.access -> dst:Ir.access -> bool
 (** Does the write [src] cover [dst] (write every element [dst] accesses,
     earlier)?  Section 4.2.  [Gave_up] maps to [false]. *)
 
-val terminates_verdict :
-  ?in_bounds:bool ->
-  Depctx.t ->
-  src:Ir.access ->
-  dst:Ir.access ->
-  Budget.verdict
-
 val terminates :
   ?in_bounds:bool -> Depctx.t -> src:Ir.access -> dst:Ir.access -> bool
 (** Does the write [dst] terminate [src] (overwrite every element [src]
     accesses, later)?  Section 4.3.  [Gave_up] maps to [false]. *)
-
-val kills_verdict :
-  ?in_bounds:bool ->
-  Depctx.t ->
-  src:Ir.access ->
-  killer:Ir.access ->
-  dst:Ir.access ->
-  Budget.verdict
 
 val kills :
   ?in_bounds:bool ->
@@ -195,14 +148,6 @@ val refine :
     under the pins so far (one memo entry).  A level whose vectors give
     up under the final pins contributes its weakest (conservative)
     vectors.  While {!Omega.Portfolio.Oracle} is on, every screened step
-    is replayed through {!check_refinement} and recorded there under
-    [refinement/screen]. *)
-
-val set_fault_injection : seed:int -> rate:float -> unit
-(** Deterministically force a pseudo-random fraction [rate] of solver
-    queries to [Gave_up Injected] (see {!Budget.set_fault_injection}).
-    While active the verdict cache is bypassed.  For the differential
-    soundness harness: fault-injected analyses must only ever {e lose}
-    precision relative to clean runs. *)
-
-val clear_fault_injection : unit -> unit
+    is replayed ({!Omega.Portfolio.Oracle.replay}, under
+    [refinement/screen]): the query of {!check_refinement}, decided by
+    {!complete_tier} alone. *)

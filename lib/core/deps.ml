@@ -139,17 +139,6 @@ let compute ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access)
         assumed = List.exists Result.is_error results;
       }
 
-(* Does any dependence (ignoring direction refinement) exist at all?  A
-   completed level has no vectors exactly when its problem is
-   unsatisfiable, and a level that gives up is assumed to carry one.
-   [Driver.classify_storage] asks about pairs that [all] has just
-   computed, so the memo answers without solver work. *)
-let exists ?(in_bounds = false) ctx ~src ~dst : bool =
-  let p = make_pair ~in_bounds ctx src dst in
-  List.exists
-    (function Ok vecs -> vecs <> [] | Error _ -> true)
-    (level_vectors ~label:"deps/vectors" p (Depctx.order_before ctx p.a p.b))
-
 (* All dependences of a given kind in a program.  Each surviving access
    pair is an independent solver workload, so the pair population shards
    over the domain pool ([Par.map]; width 1 — the default — runs them

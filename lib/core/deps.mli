@@ -62,7 +62,7 @@ val level_vectors :
 (** The vectors of each ordering level of the pair under the extra
     constraints [fix] (pinned distances): one governed query per level
     ([label] names it in telemetry).  This is the one per-level query
-    family: {!compute}, {!exists} and {!Analyses.refine} all read it.
+    family: {!compute} and {!Analyses.refine} read it.
     With the {!Memo} active, the completed results of all levels are
     one entry keyed by {!levels_key} over the distance variables; a
     level that gives up returns [Error] and nothing is cached.  A pair
@@ -92,13 +92,6 @@ val compute :
     or an earlier one) is answered from the {!Memo} without solver
     work; a level that gives up is assumed with its weakest vectors and
     the result is not cached. *)
-
-val exists :
-  ?in_bounds:bool -> Depctx.t -> src:Ir.access -> dst:Ir.access -> bool
-(** Does any dependence from [src] to [dst] exist (no refinement)?  Some
-    level of the pair's {!level_vectors} has vectors or gives up, so a
-    pair {!compute} has already seen is answered from the {!Memo}
-    without solver work. *)
 
 val all : ?in_bounds:bool -> Depctx.t -> kind -> dep list
 (** All dependences of one kind in the program. *)

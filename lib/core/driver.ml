@@ -8,7 +8,9 @@
       completely before the cover (a quick, Omega-free elimination) and is
       tried as a killer for the rest;
    4. remaining flow dependences to the same read are checked pairwise for
-      killing, screened by the quick tests of section 4.5.
+      killing, screened by the quick tests of section 4.5.  The same kill
+      step ([kill_step]) classifies anti and output dependences
+      ([classify_storage]).
 
    The result classifies every apparent flow dependence as live or dead
    (killed/covered), with refinement and covering annotations - the data
@@ -44,13 +46,17 @@ let refinement_possible outputs (src : Ir.access) =
 let cover_possible (vectors : Dirvec.t list) =
   List.exists Dirvec.allows_all_zero vectors
 
-(* Quick screen (4.5): killing the A->C dependence with B->C requires an
-   output dependence A->B. *)
-let output_exists outputs (a : Ir.access) (b : Ir.access) =
+(* Is there a dependence from [a] to [b] in [deps]?  The 4.5 kill screen
+   reads it: killing the A->C dependence with B needs a dependence A->B. *)
+let dep_in deps (a : Ir.access) (b : Ir.access) =
   List.exists
     (fun (d : Deps.dep) ->
       d.Deps.src.Ir.acc_id = a.Ir.acc_id && d.Deps.dst.Ir.acc_id = b.Ir.acc_id)
-    outputs
+    deps
+
+(* A flow result's vectors: the refined ones when refinement changed
+   them. *)
+let vectors fr = Option.value fr.refined ~default:fr.dep.Deps.vectors
 
 (* Can the covering dependence [a] -> [b] eliminate the dependence from
    write [w] to [b] without a kill test?  Sound when:
@@ -71,67 +77,100 @@ let cover_eliminates ~(cover_vectors : Dirvec.t list) (a : Ir.access)
   && Ir.common_loops w a <= Ir.common_loops a b
   && Ir.common_loops w b <= Ir.common_loops a b
 
+(* The extended step for one write/read pair: the flow dependence from
+   [src] to [dst] ([None] when there is none), refined (4.4) when a
+   self-output dependence of [src] makes refinement possible, and tested
+   for covering [dst] (4.2) when its vectors allow a cover. *)
+let extend ?(in_bounds = false) ctx ~outputs ~(src : Ir.access)
+    ~(dst : Ir.access) : flow_result option =
+  Deps.compute ~in_bounds ctx ~src ~dst ~kind:Deps.Flow
+  |> Option.map (fun dep ->
+         let refined =
+           if Analyses.quick_screen (not (refinement_possible outputs src))
+           then None
+           else
+             match Analyses.refine ~in_bounds ctx ~src ~dst with
+             | [], _ -> None
+             | _, vecs ->
+               if List.compare Dirvec.compare vecs dep.Deps.vectors = 0 then
+                 None
+               else Some vecs
+         in
+         let fr = { dep; refined; covers = false; dead = None } in
+         let covers =
+           (not (Analyses.quick_screen (not (cover_possible (vectors fr)))))
+           && Analyses.covers ~in_bounds ctx ~src ~dst
+         in
+         { fr with covers })
+
+(* The pairwise kill step (4.1) over [cands], the dependences into
+   [dst].  The killers are the sources of the dependences in [into] that
+   end at [dst] (other than [dst] itself), in write order: a write with
+   no dependence to [dst] writes none of its elements before it, so it
+   cannot kill.  Killing A->C with B also needs a dependence A->B; the
+   4.5 screen looks it up in [screen] before any kill query is posed.  A
+   live, exactly computed dependence is killed by the first killer whose
+   query proves.
+
+   Budget-degraded ("assumed") dependences are never eliminated: a kill
+   proof against a dependence whose exact problem may be empty is
+   vacuous, and honoring it would let degraded runs eliminate edges
+   precise runs keep.  A dead or assumed dependence's source still
+   writes, so it kills as well as any: admitting it is sound, strictly
+   more precise, and makes each verdict a pure function of the
+   individual kill queries (independent of processing order), which the
+   fault-injection soundness harness relies on. *)
+let kill_step ~in_bounds ctx ~into ~screen (dst : Ir.access) cands =
+  let killers =
+    List.filter
+      (fun (k : Ir.access) -> k.Ir.acc_id <> dst.Ir.acc_id && dep_in into k dst)
+      (Ir.writes ctx.Depctx.prog)
+  in
+  List.map
+    (fun fr ->
+      let src = fr.dep.Deps.src in
+      if fr.dead <> None || fr.dep.Deps.assumed then fr
+      else
+        match
+          List.find_opt
+            (fun (k : Ir.access) ->
+              k.Ir.acc_id <> src.Ir.acc_id
+              && (not (Analyses.quick_screen (not (dep_in screen src k))))
+              && Analyses.kills ~in_bounds ctx ~src ~killer:k ~dst)
+            killers
+        with
+        | Some k -> { fr with dead = Some (Killed k) }
+        | None -> fr)
+    cands
+
 let analyze ?(in_bounds = false) (prog : Ir.program) : result =
   let ctx = Depctx.create prog in
   let outputs = Deps.all ~in_bounds ctx Deps.Output in
   let antis = Deps.all ~in_bounds ctx Deps.Anti in
   let process_dst (b : Ir.access) : flow_result list =
-    let writers =
-      List.filter (fun w -> w.Ir.array = b.Ir.array) (Ir.writes prog)
-    in
     (* apparent flow dependences to b, with refinement and cover info *)
     let cands =
       List.filter_map
         (fun (a : Ir.access) ->
-          match Deps.compute ~in_bounds ctx ~src:a ~dst:b ~kind:Deps.Flow with
-          | None -> None
-          | Some dep ->
-            let refined =
-              if Analyses.quick_screen (not (refinement_possible outputs a))
-              then None
-              else
-                match Analyses.refine ~in_bounds ctx ~src:a ~dst:b with
-                | [], _ -> None
-                | _, vecs ->
-                  if List.compare Dirvec.compare vecs dep.Deps.vectors = 0
-                  then None
-                  else Some vecs
-            in
-            let vectors =
-              match refined with Some v -> v | None -> dep.Deps.vectors
-            in
-            let covers =
-              if Analyses.quick_screen (not (cover_possible vectors))
-              then false
-              else Analyses.covers ~in_bounds ctx ~src:a ~dst:b
-            in
-            Some { dep; refined; covers; dead = None })
-        writers
+          if a.Ir.array <> b.Ir.array then None
+          else extend ~in_bounds ctx ~outputs ~src:a ~dst:b)
+        (Ir.writes prog)
     in
     (* cover-based elimination: a covering write kills dependences from
-       writes that run completely before it (no Omega call needed) *)
-    (* Budget-degraded ("assumed") dependences are exempt from every
-       elimination below: a kill/cover proof against a dependence whose
-       exact problem may be empty is vacuous, and honoring it would let
-       degraded runs eliminate edges precise runs keep. *)
+       writes that run completely before it (no Omega call needed);
+       assumed dependences are exempt, as in [kill_step] *)
     let cands =
       List.map
         (fun fr ->
-          if fr.dead <> None || fr.dep.Deps.assumed then fr
+          if fr.dep.Deps.assumed then fr
           else begin
             let killed_by_cover =
               List.find_opt
                 (fun other ->
                   other.covers
                   && other.dep.Deps.src.Ir.acc_id <> fr.dep.Deps.src.Ir.acc_id
-                  &&
-                  let vecs =
-                    match other.refined with
-                    | Some v -> v
-                    | None -> other.dep.Deps.vectors
-                  in
-                  cover_eliminates ~cover_vectors:vecs other.dep.Deps.src b
-                    fr.dep.Deps.src)
+                  && cover_eliminates ~cover_vectors:(vectors other)
+                       other.dep.Deps.src b fr.dep.Deps.src)
                 cands
             in
             if Analyses.quick_screen (killed_by_cover <> None) then
@@ -141,38 +180,9 @@ let analyze ?(in_bounds = false) (prog : Ir.program) : result =
           end)
         cands
     in
-    (* Pairwise killing among the remaining dependences.  A dead writer
-       still writes, so it kills just as well as a live one: admitting
-       dead killers is sound, strictly more precise, and makes each
-       verdict a pure function of the individual kill queries
-       (independent of processing order) - which the fault-injection
-       soundness harness relies on. *)
-    let arr = Array.of_list cands in
-    Array.iteri
-      (fun i fr ->
-        if fr.dead = None && not fr.dep.Deps.assumed then begin
-          let killer =
-            Array.to_list arr
-            |> List.find_opt (fun other ->
-                   other.dep.Deps.src.Ir.acc_id <> fr.dep.Deps.src.Ir.acc_id
-                   &&
-                   if
-                     Analyses.quick_screen
-                       (not
-                          (output_exists outputs fr.dep.Deps.src
-                             other.dep.Deps.src))
-                   then false
-                   else
-                     Analyses.kills ~in_bounds ctx ~src:fr.dep.Deps.src
-                       ~killer:other.dep.Deps.src ~dst:b)
-          in
-          match killer with
-          | Some k ->
-            arr.(i) <- { fr with dead = Some (Killed k.dep.Deps.src) }
-          | None -> ()
-        end)
-      arr;
-    Array.to_list arr
+    kill_step ~in_bounds ctx
+      ~into:(List.map (fun fr -> fr.dep) cands)
+      ~screen:outputs b cands
   in
   (* One destination (with all its candidate writers, refinements,
      covers and kills) is the sharding unit here; concatenating in
@@ -189,43 +199,22 @@ let analyze ?(in_bounds = false) (prog : Ir.program) : result =
    default driver, leaves them untouched).  For output dependences the
    destinations are writes; for anti dependences the sources are reads
    (and the killers remain writes).  [deps] are all the dependences of
-   one storage kind, computed in [ctx]: only the kill step runs here. *)
-let classify_storage ?(in_bounds = false) (ctx : Depctx.t)
+   one storage kind, computed in [ctx], and [outputs] all its output
+   dependences: only the kill step runs here, with the writes that have
+   an output dependence into the destination as killers and [deps] as
+   the screen (the anti list holds the read->killer dependences, the
+   output list the write->killer ones). *)
+let classify_storage ?(in_bounds = false) (ctx : Depctx.t) ~outputs
     (deps : Deps.dep list) : flow_result list =
-  let prog = ctx.Depctx.prog in
   Par.map_list
     (fun (b : Ir.access) ->
-      let cands =
-        List.filter_map
-          (fun (dep : Deps.dep) ->
-            if dep.Deps.dst.Ir.acc_id <> b.Ir.acc_id then None
-            else Some { dep; refined = None; covers = false; dead = None })
-          deps
-      in
-      (* pairwise killing: an intervening write to the same element makes
-         the dependence transitive *)
-      let arr = Array.of_list cands in
-      Array.iteri
-        (fun i fr ->
-          if fr.dead = None && not fr.dep.Deps.assumed then begin
-            let killer =
-              List.find_opt
-                (fun (k : Ir.access) ->
-                  k.Ir.acc_id <> fr.dep.Deps.src.Ir.acc_id
-                  && k.Ir.acc_id <> b.Ir.acc_id
-                  && k.Ir.array = b.Ir.array
-                  && Deps.exists ~in_bounds ctx ~src:fr.dep.Deps.src ~dst:k
-                  && Analyses.kills ~in_bounds ctx ~src:fr.dep.Deps.src
-                       ~killer:k ~dst:b)
-                (Ir.writes prog)
-            in
-            match killer with
-            | Some k -> arr.(i) <- { fr with dead = Some (Killed k) }
-            | None -> ()
-          end)
-        arr;
-      Array.to_list arr)
-    (Ir.writes prog)
+      List.filter_map
+        (fun (dep : Deps.dep) ->
+          if dep.Deps.dst.Ir.acc_id <> b.Ir.acc_id then None
+          else Some { dep; refined = None; covers = false; dead = None })
+        deps
+      |> kill_step ~in_bounds ctx ~into:outputs ~screen:deps b)
+    (Ir.writes ctx.Depctx.prog)
   |> List.concat
 
 let classify_kind ?(in_bounds = false) (prog : Ir.program) (kind : Deps.kind)
@@ -234,7 +223,9 @@ let classify_kind ?(in_bounds = false) (prog : Ir.program) (kind : Deps.kind)
   | Deps.Flow -> (analyze ~in_bounds prog).flows
   | Deps.Output | Deps.Anti ->
     let ctx = Depctx.create prog in
-    classify_storage ~in_bounds ctx (Deps.all ~in_bounds ctx kind)
+    let outputs = Deps.all ~in_bounds ctx Deps.Output in
+    classify_storage ~in_bounds ctx ~outputs
+      (if kind = Deps.Output then outputs else Deps.all ~in_bounds ctx kind)
 
 (* ------------------------------------------------------------------ *)
 (* Report rendering (the Figure 3 / Figure 4 tables)                   *)
@@ -246,10 +237,7 @@ let status_string fr =
   Printf.sprintf "[%s%s]" c r
 
 let vectors_string fr =
-  let vecs =
-    match fr.refined with Some v -> v | None -> fr.dep.Deps.vectors
-  in
-  String.concat " " (List.map Dirvec.to_string vecs)
+  String.concat " " (List.map Dirvec.to_string (vectors fr))
 
 let live_flows r = List.filter (fun fr -> fr.dead = None) r.flows
 let dead_flows r = List.filter (fun fr -> fr.dead <> None) r.flows

@@ -33,29 +33,56 @@ val analyze : ?in_bounds:bool -> Ir.program -> result
 val classify_kind :
   ?in_bounds:bool -> Ir.program -> Deps.kind -> flow_result list
 (** Live/dead classification of the given dependence kind.  [Flow] is
-    {!analyze}'s pipeline; [Output]/[Anti] apply the pairwise kill test to
-    storage dependences (an extension the paper describes but leaves
+    {!analyze}'s pipeline; [Output]/[Anti] apply its pairwise kill step
+    to storage dependences (an extension the paper describes but leaves
     unimplemented: an intervening write makes them transitive).  A
-    standalone run: it computes the dependences of [kind] in a fresh
-    context, then defers to {!classify_storage}.  Callers that already
-    hold an {!analyze} result should call {!classify_storage} on its
-    [antis]/[outputs] instead of computing them a second time. *)
+    standalone run: it computes the output dependences (and the anti
+    ones for [Anti]) in a fresh context, then defers to
+    {!classify_storage}.  Callers that already hold an {!analyze} result
+    should call {!classify_storage} on its [antis]/[outputs] instead of
+    computing them a second time. *)
 
 val classify_storage :
-  ?in_bounds:bool -> Depctx.t -> Deps.dep list -> flow_result list
-(** [classify_storage ctx deps]: the kill step of {!classify_kind} over
-    [deps], all the anti or all the output dependences of
-    [ctx]'s program (as {!analyze} returns them in [antis]/[outputs]).
-    Results come grouped by destination write, in write order, and
-    within a destination in the order of [deps] — the order
-    {!classify_kind} returns.  [Deps.compute] is a pure function of its
-    query, so the results equal a standalone {!classify_kind}. *)
+  ?in_bounds:bool ->
+  Depctx.t ->
+  outputs:Deps.dep list ->
+  Deps.dep list ->
+  flow_result list
+(** [classify_storage ctx ~outputs deps]: {!analyze}'s kill step over
+    [deps], all the anti or all the output dependences of [ctx]'s
+    program, given all its output dependences [outputs] (as {!analyze}
+    returns them in [antis]/[outputs]).  The killers of a dependence
+    into a write are the other writes with an output dependence into
+    it, in write order; the section-4.5 screen (a dependence from the
+    source to the killer) reads [deps].  Results come grouped by
+    destination write, in write order, and within a destination in the
+    order of [deps] — the order {!classify_kind} returns.
+    [Deps.compute] is a pure function of its query, so the results
+    equal a standalone {!classify_kind}. *)
+
+val extend :
+  ?in_bounds:bool ->
+  Depctx.t ->
+  outputs:Deps.dep list ->
+  src:Ir.access ->
+  dst:Ir.access ->
+  flow_result option
+(** [extend ctx ~outputs ~src ~dst]: {!analyze}'s extended step for one
+    write/read pair — the flow dependence from [src] to [dst] ([None]
+    when there is none), refined when [src] has a self-output dependence
+    in [outputs], and tested for covering [dst] when its vectors allow
+    a cover.  Not yet classified: [dead] is [None].  The quick screens
+    count as in {!analyze}. *)
 
 (** {1 Quick screens} (exposed for the benches) *)
 
 val refinement_possible : Deps.dep list -> Ir.access -> bool
 val cover_possible : Dirvec.t list -> bool
-val output_exists : Deps.dep list -> Ir.access -> Ir.access -> bool
+
+val dep_in : Deps.dep list -> Ir.access -> Ir.access -> bool
+(** [dep_in deps a b]: is there a dependence from [a] to [b] in [deps]?
+    The kill screen: killing the dependence [a -> c] with [b] needs one
+    from [a] to [b]. *)
 
 val cover_eliminates :
   cover_vectors:Dirvec.t list -> Ir.access -> Ir.access -> Ir.access -> bool
@@ -66,6 +93,10 @@ val cover_eliminates :
     [a] and [b]. *)
 
 (** {1 Rendering} *)
+
+val vectors : flow_result -> Dirvec.t list
+(** The refined vectors when refinement changed them, else the
+    dependence's own. *)
 
 val status_string : flow_result -> string
 val vectors_string : flow_result -> string

@@ -21,10 +21,10 @@
    - the per-level direction vectors of a dependence pair under a list
      of pinned distances ([Deps.level_vectors]), one list per ordering
      level.  Every per-level question about a pair reads them: the
-     vectors of [Deps.compute] (no pins), the existence test of
-     [Deps.exists], and each step of [Analyses.refine], which takes the
-     minimum distance of the next loop from the entries' lower bounds
-     (the unpinned entry alone while its refinement screen holds).
+     vectors of [Deps.compute] (no pins) and each step of
+     [Analyses.refine], which takes the minimum distance of the next
+     loop from the entries' lower bounds (the unpinned entry alone while
+     its refinement screen holds).
 
    Vector entries are stored only when every level completed: a
    completed result is a fact and replays at any budget, like a

@@ -1,8 +1,8 @@
 (** The solver-result cache shared by every request: section-4 verdicts
     ({!Analyses.implies_exists_decide}) and the completed per-level
     direction vectors of a dependence pair under pinned distances
-    ({!Deps.level_vectors}, which {!Deps.compute}, {!Deps.exists} and
-    {!Analyses.refine} all read), in one bounded table behind one lock.
+    ({!Deps.level_vectors}, which {!Deps.compute} and {!Analyses.refine}
+    read), in one bounded table behind one lock.
 
     Every key is a canonical (alpha-renamed) serialization of the query
     ({!Canon.key}) with its distinguished variables listed explicitly,

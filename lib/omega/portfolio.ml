@@ -15,38 +15,45 @@ module Oracle = struct
   let enabled = ref false
   let n_checks = ref 0
   let found : string list ref = ref []
+  let unsettled : string list ref = ref []
+
+  let locked f =
+    Mutex.lock lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
   let enable () =
-    Mutex.lock lock;
-    enabled := true;
-    n_checks := 0;
-    found := [];
-    Mutex.unlock lock
+    locked (fun () ->
+        enabled := true;
+        n_checks := 0;
+        found := [];
+        unsettled := [])
 
-  let disable () =
-    Mutex.lock lock;
-    enabled := false;
-    Mutex.unlock lock
+  let disable () = locked (fun () -> enabled := false)
+  let checks () = locked (fun () -> !n_checks)
+  let divergences () = locked (fun () -> List.rev !found)
+  let gave_up () = locked (fun () -> List.rev !unsettled)
 
-  let active () = !enabled
-
-  let checks () =
-    Mutex.lock lock;
-    let n = !n_checks in
-    Mutex.unlock lock;
-    n
-
-  let divergences () =
-    Mutex.lock lock;
-    let d = List.rev !found in
-    Mutex.unlock lock;
-    d
-
-  let record label want =
-    Mutex.lock lock;
-    incr n_checks;
-    if not want then found := label :: !found;
-    Mutex.unlock lock
+  (* The replay runs on a throwaway [Metrics] record, under a fresh meter
+     at the current limits, outside any query that is running: whatever
+     it costs or however it ends, the run's verdicts and counters are
+     those of a run without the oracle.  A replay is the complete
+     procedure alone, so it poses no portfolio query and leaves the
+     verdict memo alone. *)
+  let replay label f =
+    if !enabled then begin
+      let saved = Metrics.exchange (Metrics.make ()) in
+      let verdict =
+        Fun.protect
+          ~finally:(fun () -> ignore (Metrics.exchange saved))
+          (fun () -> Budget.scoped ~limits:(Budget.current_limits ()) f)
+      in
+      locked (fun () ->
+          incr n_checks;
+          match verdict with
+          | Budget.Proved -> ()
+          | Budget.Disproved -> found := label :: !found
+          | Budget.Gave_up _ -> unsettled := label :: !unsettled)
+    end
 end
 
 let timed (row : Metrics.row) f =
@@ -61,7 +68,6 @@ let decide ?label ?fault_key ?fast complete =
   let result =
     Budget.run ?label ?fault_key (fun () ->
         let stats = Metrics.current () in
-        let run_complete () = timed stats.complete complete in
         let decides (row : Metrics.row) tier =
           row.decides <- row.decides + 1;
           decided := Some tier
@@ -69,15 +75,19 @@ let decide ?label ?fault_key ?fast complete =
         match fast with
         | Some f when timed stats.fast f ->
             decides stats.fast Tier_fast;
-            if Oracle.active () then
-              Oracle.record (Option.value label ~default:"?") (run_complete ());
             true
         | Some _ | None ->
-            let v = run_complete () in
+            let v = timed stats.complete complete in
             decides stats.complete Tier_complete;
             v)
   in
   match result with
-  | Ok true -> (Budget.Proved, !decided)
+  | Ok true ->
+      (* a fast-path proof is replayed after the query, on its own *)
+      if !decided = Some Tier_fast then
+        Oracle.replay
+          (Option.value label ~default:"?")
+          (fun () -> Budget.decide ?label complete);
+      (Budget.Proved, !decided)
   | Ok false -> (Budget.Disproved, !decided)
   | Error r -> (Budget.Gave_up r, None)

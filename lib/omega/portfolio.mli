@@ -20,27 +20,36 @@ module Stats = Metrics
 (** The cascade-vs-complete gate.  While enabled, every query the fast
     path proves is replayed through the complete procedure of the same
     query and the verdicts compared (and a caller's own shortcut is
-    replayed through {!record}); contradictions are recorded
+    replayed through {!replay}); contradictions are recorded
     (thread-safe) for the analysis bench and the pair-corpus test to
-    assert empty.  A replay never changes the verdict returned.
-    Expensive — bench and test use only. *)
+    assert empty.  A replay is the complete procedure alone, run after
+    the query it checks, under its own meter at the current limits and
+    on a throwaway {!Metrics} record: it poses no portfolio query, and
+    never changes a verdict or a counter of the run.  A replay that
+    gives up is counted and reported, not dropped.  Expensive — bench
+    and test use only. *)
 module Oracle : sig
   val enable : unit -> unit
   val disable : unit -> unit
-  val active : unit -> bool
 
   val checks : unit -> int
-  (** Verdicts replayed since the last {!enable}. *)
+  (** Verdicts replayed since the last {!enable}, give-ups included. *)
 
   val divergences : unit -> string list
   (** The labels of the queries the fast path proved and the complete
-      procedure did not, and of the shortcuts {!record}ed as not
-      proved, in the order met. *)
+      procedure disproved, and of the shortcuts whose {!replay}
+      disproved them, in the order met. *)
 
-  val record : string -> bool -> unit
-  (** [record label proved]: one replayed verdict of a shortcut taken
-      outside the portfolio ([Depend.Analyses.refine]'s screen), counted
-      in {!checks}; [proved = false] is a divergence under [label]. *)
+  val gave_up : unit -> string list
+  (** The labels of the replays that gave up, in the order met: checks
+      that settled nothing. *)
+
+  val replay : string -> (unit -> Budget.verdict) -> unit
+  (** [replay label query]: while enabled, run [query] — the complete
+      procedure's decision of a shortcut taken outside the portfolio,
+      such as [Depend.Analyses.refine]'s screen — as a replay, counted
+      in {!checks}; [Disproved] is a divergence under [label],
+      [Gave_up] a {!gave_up} under it. *)
 end
 
 val decide :
@@ -54,4 +63,6 @@ val decide :
     is absent, inside one {!Budget} query boundary.  Returns the verdict
     and the tier that decided ([None] for [Gave_up]).  Tier
     attempts/decides/elapsed are recorded in the current domain's
-    {!Metrics} rows. *)
+    {!Metrics} rows.  While the {!Oracle} is enabled, a [Tier_fast]
+    proof is {!Oracle.replay}ed through [complete] once the query has
+    ended. *)

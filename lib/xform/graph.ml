@@ -175,7 +175,10 @@ let assemble prog ~(flows : Driver.flow_result list)
 
 let build ?(in_bounds = false) (prog : Ir.program) : t =
   let res = Driver.analyze ~in_bounds prog in
-  let classify = Driver.classify_storage ~in_bounds res.Driver.ctx in
+  let classify =
+    Driver.classify_storage ~in_bounds res.Driver.ctx
+      ~outputs:res.Driver.outputs
+  in
   let antis = classify res.Driver.antis in
   let outputs = classify res.Driver.outputs in
   assemble prog ~flows:res.Driver.flows ~antis ~outputs

@@ -363,7 +363,7 @@ endfor
         let w = List.find (fun a -> a.Lang.Ir.label = "w") (Lang.Ir.writes prog) in
         let r = List.find (fun a -> a.Lang.Ir.label = "r") (Lang.Ir.reads prog) in
         Alcotest.(check bool) "no even-to-odd flow" false
-          (Deps.exists ctx ~src:w ~dst:r));
+          (Deps.compute ctx ~src:w ~dst:r ~kind:Deps.Flow <> None));
     Alcotest.test_case "output/anti dependence elimination (extension)"
       `Quick (fun () ->
         (* three sequential full overwrites: w1->w3 is transitive via w2 *)

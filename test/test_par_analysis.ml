@@ -119,10 +119,10 @@ let test_widths_and_budgets () =
   Analyses.Memo.reset ()
 
 let test_fault_injection_config () =
-  Analyses.set_fault_injection ~seed:7 ~rate:0.10;
+  Budget.set_fault_injection ~seed:7 ~rate:0.10;
   Fun.protect
     ~finally:(fun () ->
-      Analyses.clear_fault_injection ();
+      Budget.clear_fault_injection ();
       Par.set_domains 1)
     (fun () ->
       let serial = corpus_pass Budget.default in

@@ -235,7 +235,7 @@ let with_memo_restored f =
   let enabled = !Analyses.Memo.enabled in
   Fun.protect
     ~finally:(fun () ->
-      Analyses.clear_fault_injection ();
+      Budget.clear_fault_injection ();
       Analyses.Memo.enabled := enabled;
       Analyses.Memo.reset ())
     f
@@ -258,11 +258,11 @@ let test_memo_identity () =
     (Analyses.Memo.stats.Analyses.Memo.vec_hits > 0);
   (* keyed faults bypass the cache: a warm cache and a reset one give
      the same degraded outputs *)
-  Analyses.set_fault_injection ~seed:7 ~rate:0.2;
+  Budget.set_fault_injection ~seed:7 ~rate:0.2;
   let faulted_warm = all_outputs () in
   let faulted_cold = all_outputs ~reset:true () in
   check_outputs "faulted warm = faulted cold" faulted_cold faulted_warm;
-  Analyses.clear_fault_injection ();
+  Budget.clear_fault_injection ();
   Analyses.Memo.enabled := false;
   check_outputs "disabled = cold" cold (all_outputs ())
 
@@ -531,9 +531,9 @@ let screen_outcomes ~seed src =
             else
               let p = Deps.make_pair ctx w r in
               let clean = unpinned p in
-              Analyses.set_fault_injection ~seed ~rate:0.5;
+              Budget.set_fault_injection ~seed ~rate:0.5;
               let faulted =
-                Fun.protect ~finally:Analyses.clear_fault_injection (fun () ->
+                Fun.protect ~finally:Budget.clear_fault_injection (fun () ->
                     unpinned p)
               in
               let rec prefixes acc = function

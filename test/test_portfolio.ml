@@ -119,33 +119,111 @@ let oracle_tests =
     ( "oracle: every screened refinement step is replayed",
       `Quick,
       fun () ->
-        (* with the memo off, a completed run's replays are its
-           fast-tier decides plus its screened refinement steps *)
-        let replays name =
+        (* with the memo off, a run's replays are its fast-tier decides
+           plus its screened refinement steps, one complete-procedure
+           decision each (a replay through the tiered query would add a
+           check of its own fast-tier proof), and the replays move no
+           verdict, give-up or peak of the run.  One of cholsky's
+           fast-tier kills is more than the complete procedure decides
+           within the default disjunct limit: its replay gives up, and
+           is reported *)
+        let run ~oracle name =
           let enabled = !Analyses.Memo.enabled in
           Analyses.Memo.enabled := false;
           Metrics.reset ();
-          Portfolio.Oracle.enable ();
-          Fun.protect
-            ~finally:(fun () ->
-              Portfolio.Oracle.disable ();
-              Analyses.Memo.enabled := enabled)
-            (fun () ->
+          if oracle then Portfolio.Oracle.enable ();
+          let prog = Lang.Sema.parse_and_analyze (Corpus.find name) in
+          let json =
+            Fun.protect
+              ~finally:(fun () ->
+                Portfolio.Oracle.disable ();
+                Analyses.Memo.enabled := enabled)
+              (fun () ->
+                Serve.Json.to_string
+                  (Serve.Service.analyze_payload ~in_bounds:false prog))
+          in
+          (json, Metrics.current ())
+        in
+        let replays ?(gave_up = []) name =
+          let plain, m0 = run ~oracle:false name in
+          let replayed, m = run ~oracle:true name in
+          let at what = name ^ ": " ^ what in
+          check str_t (at "payload") plain replayed;
+          check
+            Alcotest.(list (pair string int))
+            (at "give-ups")
+            (Metrics.gave_up_by_reason m0)
+            (Metrics.gave_up_by_reason m);
+          check Alcotest.int (at "queries") m0.Metrics.queries
+            m.Metrics.queries;
+          check Alcotest.int (at "peak fuel") m0.Metrics.peak_fuel
+            m.Metrics.peak_fuel;
+          check (Alcotest.list str_t) (at "no divergence") []
+            (Portfolio.Oracle.divergences ());
+          check (Alcotest.list str_t) (at "replays that gave up") gave_up
+            (Portfolio.Oracle.gave_up ());
+          Portfolio.Oracle.checks () - m.Metrics.fast.Metrics.decides
+        in
+        check Alcotest.int "matmul: 2 screened steps replayed" 2
+          (replays "matmul");
+        check Alcotest.int "transpose_sum: 1 screened step replayed" 1
+          (replays "transpose_sum");
+        check Alcotest.int "cholsky: 17 screened steps replayed" 17
+          (replays ~gave_up:[ "kill" ] "cholsky") );
+    ( "oracle: replays leave the memo alone",
+      `Quick,
+      fun () ->
+        (* with the memo on, cholsky's counters and memo traffic are the
+           same with the oracle on and off: the replays neither read nor
+           fill the memo *)
+        let run ~oracle =
+          Analyses.Memo.reset ();
+          Metrics.reset ();
+          if oracle then Portfolio.Oracle.enable ();
+          Fun.protect ~finally:Portfolio.Oracle.disable (fun () ->
               ignore
                 (Driver.analyze
-                   (Lang.Sema.parse_and_analyze (Corpus.find name))));
-          let m = Metrics.current () in
-          check (Alcotest.list str_t) (name ^ ": no divergence") []
-            (Portfolio.Oracle.divergences ());
-          (Portfolio.Oracle.checks () - m.Metrics.fast.Metrics.decides,
-           Metrics.gave_up m)
+                   (Lang.Sema.parse_and_analyze (Corpus.find "cholsky"))));
+          let m = Metrics.current () and s = Analyses.Memo.stats in
+          [
+            m.Metrics.queries;
+            m.Metrics.memo_hits;
+            m.Metrics.memo_misses;
+            s.Analyses.Memo.hits;
+            s.Analyses.Memo.misses;
+            Analyses.Memo.size ();
+          ]
         in
-        check (Alcotest.pair Alcotest.int Alcotest.int)
-          "matmul: 2 screened steps replayed" (2, 0) (replays "matmul");
-        check (Alcotest.pair Alcotest.int Alcotest.int)
-          "transpose_sum: 1 screened step replayed" (1, 0)
-          (replays "transpose_sum");
-        ignore (replays "cholsky") );
+        let plain = run ~oracle:false in
+        let replayed = run ~oracle:true in
+        check bool_t "replays ran" true (Portfolio.Oracle.checks () > 0);
+        check (Alcotest.list Alcotest.int) "same counters and memo" plain
+          replayed );
+    ( "oracle: a replay that gives up is reported",
+      `Quick,
+      fun () ->
+        (* the fast path proves; the complete procedure blows its fuel,
+           under a meter of its own: the query stays proved and counted
+           once, the replay is one check that gave up *)
+        Metrics.reset ();
+        Portfolio.Oracle.enable ();
+        let verdict =
+          Fun.protect ~finally:Portfolio.Oracle.disable (fun () ->
+              fst
+                (Portfolio.decide ~label:"test/replay-gives-up"
+                   ~fast:(fun () -> true)
+                   (fun () -> raise (Budget.Exhausted Budget.Fuel))))
+        in
+        let m = Metrics.current () in
+        check bool_t "the query stays proved" true (verdict = Budget.Proved);
+        check Alcotest.int "one query" 1 m.Metrics.queries;
+        check Alcotest.int "no give-up counted" 0 (Metrics.gave_up m);
+        check Alcotest.int "one replay" 1 (Portfolio.Oracle.checks ());
+        check (Alcotest.list str_t) "no divergence" []
+          (Portfolio.Oracle.divergences ());
+        check (Alcotest.list str_t) "reported as a give-up"
+          [ "test/replay-gives-up" ]
+          (Portfolio.Oracle.gave_up ()) );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -166,37 +244,21 @@ let pair_lines () =
             (fun (b : Lang.Ir.access) ->
               if a.Lang.Ir.array <> b.Lang.Ir.array then None
               else
-                match Deps.compute ctx ~src:a ~dst:b ~kind:Deps.Flow with
+                match Driver.extend ctx ~outputs ~src:a ~dst:b with
                 | None ->
                   Some
                     (Printf.sprintf "%s %s->%s none" name a.Lang.Ir.label
                        b.Lang.Ir.label)
-                | Some dep ->
-                  (* the extended per-pair machinery — refinement and
-                     cover tests are the section-4 analyses that route
-                     through the portfolio *)
-                  let refined =
-                    if not (Driver.refinement_possible outputs a) then None
-                    else
-                      match Analyses.refine ctx ~src:a ~dst:b with
-                      | [], _ -> None
-                      | _, vecs -> Some vecs
-                  in
-                  let vectors =
-                    match refined with
-                    | Some vs -> vs
-                    | None -> dep.Deps.vectors
-                  in
-                  let covers =
-                    Driver.cover_possible vectors
-                    && Analyses.covers ctx ~src:a ~dst:b
-                  in
+                | Some fr ->
+                  (* the extended per-pair step — refinement and cover
+                     tests are the section-4 analyses that route through
+                     the portfolio *)
                   Some
                     (Printf.sprintf "%s %s->%s %s covers=%b" name
                        a.Lang.Ir.label b.Lang.Ir.label
                        (String.concat ","
-                          (List.map Dirvec.to_string vectors))
-                       covers))
+                          (List.map Dirvec.to_string (Driver.vectors fr)))
+                       fr.Driver.covers))
             reads)
         writes)
     Corpus.timing_population
@@ -434,8 +496,10 @@ let stress_sweep () =
           List.filter
             (fun (f : Driver.flow_result) -> f.Driver.covers || f.Driver.dead <> None)
             (r.Driver.flows
-            @ Driver.classify_storage r.Driver.ctx r.Driver.antis
-            @ Driver.classify_storage r.Driver.ctx r.Driver.outputs)
+            @ Driver.classify_storage r.Driver.ctx ~outputs:r.Driver.outputs
+                r.Driver.antis
+            @ Driver.classify_storage r.Driver.ctx ~outputs:r.Driver.outputs
+                r.Driver.outputs)
         in
         (json, give_ups, List.map Driver.status_string proved))
   in

@@ -149,9 +149,9 @@ let test_fault_injection_soundness () =
   let clean = List.map (fun (name, src) -> (name, outcome_of src)) programs in
   List.iter
     (fun seed ->
-      Analyses.set_fault_injection ~seed ~rate:0.10;
+      Budget.set_fault_injection ~seed ~rate:0.10;
       Metrics.reset ();
-      Fun.protect ~finally:Analyses.clear_fault_injection (fun () ->
+      Fun.protect ~finally:Budget.clear_fault_injection (fun () ->
           List.iter
             (fun (name, src) ->
               let faulty = outcome_of src in
@@ -209,10 +209,10 @@ let test_fault_injection_soundness () =
    regression to order-dependent faulting fails loudly here.) *)
 let test_fault_injection_parallel () =
   let clean = List.map (fun (name, src) -> (name, outcome_of src)) programs in
-  Analyses.set_fault_injection ~seed:42 ~rate:0.10;
+  Budget.set_fault_injection ~seed:42 ~rate:0.10;
   Fun.protect
     ~finally:(fun () ->
-      Analyses.clear_fault_injection ();
+      Budget.clear_fault_injection ();
       Par.set_domains 1)
     (fun () ->
       let run () =

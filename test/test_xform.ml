@@ -427,7 +427,8 @@ let check_storage_classification what : int =
             = List.map edge_part standalone);
           check bool_t (label ^ " classification") true
             (List.map of_fr
-               (Depend.Driver.classify_storage res.Depend.Driver.ctx deps)
+               (Depend.Driver.classify_storage res.Depend.Driver.ctx
+                  ~outputs:res.Depend.Driver.outputs deps)
             = standalone);
           List.iter
             (fun (_, _, _, _, a, _) -> if a then incr assumed)
@@ -441,10 +442,97 @@ let check_storage_classification what : int =
 
 let test_storage_classification () =
   ignore (check_storage_classification "clean");
-  Depend.Analyses.set_fault_injection ~seed:11 ~rate:0.2;
-  Fun.protect ~finally:Depend.Analyses.clear_fault_injection (fun () ->
+  Omega.Budget.set_fault_injection ~seed:11 ~rate:0.2;
+  Fun.protect ~finally:Omega.Budget.clear_fault_injection (fun () ->
       check bool_t "faults reach some storage dependence" true
         (check_storage_classification "faulted" > 0))
+
+(* A reference for the storage kill step, written from the kill
+   definition alone: for each anti or output dependence into a write,
+   every other write of the array is a killer, in write order; one
+   without a dependence from the source ([Deps.compute]) is skipped, and
+   the first whose kill query proves kills.  Assumed dependences stay
+   live.  The driver's step tries only the writes with an output
+   dependence into the destination and reads the screen from the lists
+   it computed; it must decide the same. *)
+let storage_kills prog ~reference =
+  let open Depend in
+  let r = Driver.analyze prog in
+  let ctx = r.Driver.ctx in
+  let id (a : Ir.access) = a.Ir.acc_id in
+  let reference_kind deps =
+    List.concat_map
+      (fun (b : Ir.access) ->
+        List.filter_map
+          (fun (d : Deps.dep) ->
+            let src = d.Deps.src in
+            if id d.Deps.dst <> id b then None
+            else
+              let killer =
+                if d.Deps.assumed then None
+                else
+                  List.find_opt
+                    (fun (k : Ir.access) ->
+                      id k <> id src && id k <> id b && k.Ir.array = b.Ir.array
+                      && Deps.compute ctx ~src ~dst:k ~kind:d.Deps.kind <> None
+                      && Analyses.kills ctx ~src ~killer:k ~dst:b)
+                    (Ir.writes prog)
+              in
+              Some (id src, id b, Option.map id killer))
+          deps)
+      (Ir.writes prog)
+  in
+  let driver_kind deps =
+    List.map
+      (fun (fr : Driver.flow_result) ->
+        ( id fr.Driver.dep.Deps.src,
+          id fr.Driver.dep.Deps.dst,
+          match fr.Driver.dead with
+          | Some (Driver.Killed k) -> Some (id k)
+          | Some (Driver.Covered _) | None -> None ))
+      (Driver.classify_storage ctx ~outputs:r.Driver.outputs deps)
+  in
+  List.concat_map
+    (if reference then reference_kind else driver_kind)
+    [ r.Driver.antis; r.Driver.outputs ]
+
+let tight =
+  { Omega.Budget.fuel = 200; splinters = 4; disjuncts = 8; deadline_ms = None }
+
+(* [storage_kills] of the driver at every budget and domain count, each
+   against the serial reference at the same budget. *)
+let storage_kills_agree prog =
+  List.for_all
+    (fun lims ->
+      Omega.Budget.with_limits lims (fun () ->
+          let want = storage_kills prog ~reference:true in
+          List.for_all
+            (fun n ->
+              Depend.Par.set_domains n;
+              Fun.protect
+                ~finally:(fun () -> Depend.Par.set_domains 1)
+                (fun () -> storage_kills prog ~reference:false = want))
+            [ 1; 2 ]))
+    [ Omega.Budget.default; tight ]
+
+let test_storage_kills_reference () =
+  let killed = ref 0 in
+  List.iter
+    (fun (name, src) ->
+      let prog = Sema.analyze (Parser.parse_string src) in
+      check bool_t (name ^ ": storage kills = reference") true
+        (storage_kills_agree prog);
+      List.iter
+        (fun (_, _, k) -> if k <> None then incr killed)
+        (storage_kills prog ~reference:false))
+    (Corpus.all @ Corpus.stress);
+  check bool_t "the corpus kills some storage dependence" true (!killed > 0)
+
+let storage_prop_tests =
+  [
+    QCheck.Test.make ~name:"storage kills = reference" ~count:40
+      Test_e2e.arb_program (fun ast -> storage_kills_agree (Sema.analyze ast));
+  ]
 
 let suite =
   ( "xform",
@@ -478,5 +566,9 @@ let suite =
           test_oracle_corpus;
         Alcotest.test_case "graph storage edges = classify_kind" `Quick
           test_storage_classification;
+        Alcotest.test_case "storage kills = reference (corpus)" `Quick
+          test_storage_kills_reference;
       ]
-    @ List.map (QCheck_alcotest.to_alcotest ~long:false) prop_tests )
+    @ List.map
+        (QCheck_alcotest.to_alcotest ~long:false)
+        (prop_tests @ storage_prop_tests) )
