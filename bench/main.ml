@@ -252,16 +252,22 @@ let figure6_right () =
                     (* quick screens: no output dependence A->K (kill
                        impossible), or K is a loop-independent cover with A
                        completely before it (kill certain) *)
+                    let ab = Driver.dep_between outputs a k in
                     let screened =
-                      (not (Driver.dep_in outputs a k))
+                      Option.is_none ab
                       || kfr.Driver.covers
                          && Driver.cover_eliminates
                               ~cover_vectors:(Driver.vectors kfr) k b a
                     in
                     let _, t_kill =
                       time (fun () ->
-                          if screened then false
-                          else Analyses.kills ctx ~src:a ~killer:k ~dst:b)
+                          match ab with
+                          | Some ab when not screened ->
+                            Analyses.kills ctx ~src:a ~killer:k ~dst:b
+                              ~ac:fr.Driver.dep.Deps.levels
+                              ~ab:ab.Deps.levels
+                              ~bc:kfr.Driver.dep.Deps.levels
+                          | _ -> false)
                     in
                     if screened then incr quick else incr consulted;
                     points := (name, a, k, b, t_kill, t_gen) :: !points
@@ -448,6 +454,12 @@ let bechamel_benches () =
   let kw1 = find "w1" (Lang.Ir.writes kill_prog) in
   let kw2 = find "w2" (Lang.Ir.writes kill_prog) in
   let kr = find "r" (Lang.Ir.reads kill_prog) in
+  let kill_levels ~src ~dst kind =
+    (Option.get (Deps.compute kill_ctx ~src ~dst ~kind)).Deps.levels
+  in
+  let w1_r = kill_levels ~src:kw1 ~dst:kr Deps.Flow in
+  let w1_w2 = kill_levels ~src:kw1 ~dst:kw2 Deps.Output in
+  let w2_r = kill_levels ~src:kw2 ~dst:kr Deps.Flow in
   let ctx7 = Depctx.create ex7 in
   let w7 = List.find (fun a -> a.Lang.Ir.array = "a") (Lang.Ir.writes ex7) in
   let r7 = List.find (fun a -> a.Lang.Ir.array = "a") (Lang.Ir.reads ex7) in
@@ -460,10 +472,12 @@ let bechamel_benches () =
       Test.make ~name:"fig6-left/pair-extended"
         (Staged.stage (fun () ->
              ignore (Deps.compute kill_ctx ~src:kw1 ~dst:kr ~kind:Deps.Flow);
-             ignore (Analyses.covers kill_ctx ~src:kw1 ~dst:kr)));
+             ignore (Analyses.covers kill_ctx ~src:kw1 ~dst:kr ~levels:w1_r)));
       Test.make ~name:"fig6-right/kill-test"
         (Staged.stage (fun () ->
-             ignore (Analyses.kills kill_ctx ~src:kw1 ~killer:kw2 ~dst:kr)));
+             ignore
+               (Analyses.kills kill_ctx ~src:kw1 ~killer:kw2 ~dst:kr ~ac:w1_r
+                  ~ab:w1_w2 ~bc:w2_r)));
       Test.make ~name:"fig7/pair-standard"
         (Staged.stage (fun () ->
              ignore (Deps.compute kill_ctx ~src:kw1 ~dst:kr ~kind:Deps.Flow)));

@@ -38,9 +38,13 @@ let () =
   let ctx = Depctx.create prog in
   let w = List.hd (Lang.Ir.writes prog) in
   let r = List.hd (Lang.Ir.reads prog) in
+  (* the candidates range over the levels the dependence is carried at *)
+  let levels =
+    (Option.get (Deps.compute ctx ~src:w ~dst:r ~kind:Deps.Flow)).Deps.levels
+  in
   Format.printf "refine to (0:1, 1): %b (paper: valid)@."
-    (Analyses.check_refinement ctx ~src:w ~dst:r
+    (Analyses.check_refinement ctx ~src:w ~dst:r ~levels
        [ (Some 0, Some 1); (Some 1, Some 1) ]);
   Format.printf "refine to (0, 1):   %b (paper: invalid, iterations with 1 < L1 = L2 flow from (L1-1, L2-1))@."
-    (Analyses.check_refinement ctx ~src:w ~dst:r
+    (Analyses.check_refinement ctx ~src:w ~dst:r ~levels
        [ (Some 0, Some 0); (Some 1, Some 1) ])

@@ -147,9 +147,19 @@ let posed ~label build =
 (* Shared problem pieces                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The dependence problems (one per ordering level) from instance [a] to
-   instance [b]. *)
-let dep_problems ?(in_bounds = false) ctx a b : Problem.t list =
+(* The ordering disjuncts of [a] << [b] at the carried [levels]: those a
+   dependence from [a]'s access to [b]'s was found at (its
+   [Deps.dep.levels]).  At any other level the dependence problem is
+   empty, so a disjunct there is infeasible beside one that implies an
+   instance of the dependence at that level, and leaving it out changes
+   no verdict (section 4.5: the analysis does not ask again what it
+   already knows). *)
+let order_at ctx a b levels =
+  List.filter (fun (l, _) -> List.mem l levels) (Depctx.order_before ctx a b)
+
+(* The dependence problems from instance [a] to instance [b], one per
+   carried level of [levels]. *)
+let dep_problems ~in_bounds ctx a b levels : Problem.t list =
   let core =
     Depctx.domain ~in_bounds ctx a
     @ Depctx.domain ~in_bounds ctx b
@@ -157,34 +167,37 @@ let dep_problems ?(in_bounds = false) ctx a b : Problem.t list =
   in
   List.map
     (fun (_, order) -> Problem.of_list (core @ order))
-    (Depctx.order_before ctx a b)
+    (order_at ctx a b levels)
 
 (* ------------------------------------------------------------------ *)
 (* Covering (4.2) and terminating (4.3)                                *)
 (* ------------------------------------------------------------------ *)
 
 (* Does the write [src] cover [dst]?  (Every element [dst] accesses was
-   written by an earlier instance of [src].) *)
-let covers ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access) =
+   written by an earlier instance of [src].)  [levels]: those of the
+   dependence [src] -> [dst]. *)
+let covers ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access)
+    ~levels =
   proved @@ posed ~label:"cover" (fun () ->
       let a = Depctx.instantiate ctx src ~tag:"i" in
       let b = Depctx.instantiate ctx dst ~tag:"j" in
       ( Depctx.assumes ctx,
         [ Problem.of_list (Depctx.domain ~in_bounds ctx b) ],
         Depctx.inst_vars a,
-        dep_problems ~in_bounds ctx a b ))
+        dep_problems ~in_bounds ctx a b levels ))
 
 (* Does the write [dst] terminate [src]?  (Every element [src] accesses is
-   later overwritten by [dst].) *)
+   later overwritten by [dst].)  [levels]: those of the output
+   dependence [src] -> [dst]. *)
 let terminates ?(in_bounds = false) ctx ~(src : Ir.access)
-    ~(dst : Ir.access) =
+    ~(dst : Ir.access) ~levels =
   proved @@ posed ~label:"terminate" (fun () ->
       let a = Depctx.instantiate ctx src ~tag:"i" in
       let b = Depctx.instantiate ctx dst ~tag:"j" in
       ( Depctx.assumes ctx,
         [ Problem.of_list (Depctx.domain ~in_bounds ctx a) ],
         Depctx.inst_vars b,
-        dep_problems ~in_bounds ctx a b ))
+        dep_problems ~in_bounds ctx a b levels ))
 
 (* ------------------------------------------------------------------ *)
 (* Killing (4.1)                                                       *)
@@ -192,9 +205,13 @@ let terminates ?(in_bounds = false) ctx ~(src : Ir.access)
 
 (* Is the dependence from [src] to [dst] killed by the write [killer]?
    For every (i,k) instance pair of the dependence there must be a j with
-   src(i) << killer(j) << dst(k) and killer(j) writing dst(k)'s element. *)
+   src(i) << killer(j) << dst(k) and killer(j) writing dst(k)'s element.
+   [ac], [ab] and [bc] are the levels of the dependences [src] -> [dst],
+   [src] -> [killer] and [killer] -> [dst]: beside an (i,k) instance
+   pair, a j at a pair of ordering levels is an instance of the last two
+   at those levels. *)
 let kills ?(in_bounds = false) ctx ~(src : Ir.access) ~(killer : Ir.access)
-    ~(dst : Ir.access) =
+    ~(dst : Ir.access) ~ac ~ab ~bc =
   proved @@ posed ~label:"kill" (fun () ->
       let a = Depctx.instantiate ctx src ~tag:"i" in
       let b = Depctx.instantiate ctx killer ~tag:"j" in
@@ -205,14 +222,15 @@ let kills ?(in_bounds = false) ctx ~(src : Ir.access) ~(killer : Ir.access)
         let dom_b = Depctx.domain ~in_bounds ctx b in
         let sub_bc = Depctx.subs_equal ctx b c in
         List.concat_map
-          (fun (_, ab) ->
+          (fun (_, before_b) ->
             List.map
-              (fun (_, bc) -> Problem.of_list (dom_b @ sub_bc @ ab @ bc))
-              (Depctx.order_before ctx b c))
-          (Depctx.order_before ctx a b)
+              (fun (_, after_b) ->
+                Problem.of_list (dom_b @ sub_bc @ before_b @ after_b))
+              (order_at ctx b c bc))
+          (order_at ctx a b ab)
       in
       ( Depctx.assumes ctx,
-        dep_problems ~in_bounds ctx a c,
+        dep_problems ~in_bounds ctx a c ac,
         Depctx.inst_vars b,
         rhs ))
 
@@ -249,9 +267,10 @@ let candidate_constraints (j : Depctx.inst) (k : Depctx.inst)
    Condition (simplified as in 4.4): every instance of [dst] receiving the
    dependence also receives it from an instance of [src] within the
    candidate distance.  [refinement_query] builds the query's [hyp],
-   [lhs], [evars] and [rhs]. *)
+   [lhs], [evars] and [rhs]; both sides are instances of the dependence,
+   so both range over its [levels] only. *)
 let refinement_query ~in_bounds ctx ~(src : Ir.access) ~(dst : Ir.access)
-    (cand : candidate) () =
+    ~levels (cand : candidate) () =
   let i = Depctx.instantiate ctx src ~tag:"i" in
   let j = Depctx.instantiate ctx src ~tag:"j" in
   let k = Depctx.instantiate ctx dst ~tag:"k" in
@@ -264,25 +283,25 @@ let refinement_query ~in_bounds ctx ~(src : Ir.access) ~(dst : Ir.access)
     in
     List.map
       (fun (_, order) -> Problem.of_list (core @ order))
-      (Depctx.order_before ctx j k)
+      (order_at ctx j k levels)
   in
   ( Depctx.assumes ctx,
-    dep_problems ~in_bounds ctx i k,
+    dep_problems ~in_bounds ctx i k levels,
     Depctx.inst_vars j,
     rhs )
 
-let check_refinement ?(in_bounds = false) ctx ~src ~dst cand =
+let check_refinement ?(in_bounds = false) ctx ~src ~dst ~levels cand =
   proved
     (posed ~label:"refinement"
-       (refinement_query ~in_bounds ctx ~src ~dst cand))
+       (refinement_query ~in_bounds ctx ~src ~dst ~levels cand))
 
 (* The oracle's check of a screened step: the refinement query decided
    by the complete procedure alone, as [Portfolio.decide] replays a
    fast-tier proof.  An overflow while building it is a give-up. *)
-let replay_refinement ~in_bounds ctx ~src ~dst cand () =
+let replay_refinement ~in_bounds ctx ~src ~dst ~levels cand () =
   Budget.decide ~label:"refinement" (fun () ->
       let hyp, lhs, evars, rhs =
-        refinement_query ~in_bounds ctx ~src ~dst cand ()
+        refinement_query ~in_bounds ctx ~src ~dst ~levels cand ()
       in
       complete_tier ~hyp lhs ~evars rhs ())
 
@@ -326,15 +345,16 @@ let refinement_screen results pins =
    under the pins so far (one [Deps.level_vectors] family, one memo
    entry per step).  The last step's vectors are the
    refined vectors, a level that gave up contributing its weakest ones.
+   The candidates are checked over [levels], the dependence's.
    While the [Portfolio.Oracle] gate is on, each screened step is
    replayed ([Portfolio.Oracle.replay], under [refinement/screen])
-   through the complete procedure alone: a disproof is a divergence, a
-   give-up is reported. *)
-let refine ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access) :
-    int list * Dirvec.t list =
+   through the complete procedure alone, over the same levels: a
+   disproof is a divergence, a give-up is reported. *)
+let refine ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access)
+    ~levels : int list * Dirvec.t list =
   let pair = Deps.make_pair ~in_bounds ctx src dst in
   let c = pair.Deps.common in
-  let levels = Depctx.order_before ctx pair.Deps.a pair.Deps.b in
+  let order = Depctx.order_before ctx pair.Deps.a pair.Deps.b in
   let vectors_under pins =
     let fix =
       List.mapi
@@ -342,7 +362,7 @@ let refine ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access) :
           Constr.eq2 (Linexpr.var pair.Deps.dvars.(l)) (Linexpr.of_int d))
         pins
     in
-    Deps.level_vectors ~label:"refine/vectors" ~fix pair levels
+    Deps.level_vectors ~label:"refine/vectors" ~fix pair order
   in
   (* the least distance of loop [l] over one level's vectors *)
   let level_min l = function
@@ -356,7 +376,7 @@ let refine ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access) :
     | Ok [] | Error _ -> None
   in
   let vectors results =
-    Deps.vectors_by_level pair levels results
+    Deps.vectors_by_level pair order results
     |> List.concat_map snd
     |> List.sort_uniq Dirvec.compare
   in
@@ -379,10 +399,10 @@ let refine ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access) :
         in
         if quick_screen (refinement_screen unpinned pins') then begin
           Portfolio.Oracle.replay "refinement/screen"
-            (replay_refinement ~in_bounds ctx ~src ~dst cand);
+            (replay_refinement ~in_bounds ctx ~src ~dst ~levels cand);
           go pins' (l + 1) unpinned
         end
-        else if check_refinement ~in_bounds ctx ~src ~dst cand then
+        else if check_refinement ~in_bounds ctx ~src ~dst ~levels cand then
           go pins' (l + 1) (vectors_under pins')
         else stop ()
   in

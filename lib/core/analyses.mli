@@ -81,15 +81,47 @@ val implies_exists_decide :
     fault) surfaces as [Gave_up], never as an exception.  Also returns the tier that decided ([None]
     for give-ups).  [label] names the query in governance telemetry. *)
 
+(** {1 Queries over carried levels}
+
+    Each query below quantifies over the ordering levels of
+    {!Depctx.order_before} (one disjunct per level), restricted to the
+    carried levels its [levels] arguments name: the [levels] of a
+    {!Deps.dep} ([0] = loop-independent), the levels at which the
+    standard analysis found the dependence, or assumed it after a
+    give-up.  At any other level the dependence problem is empty, so the
+    dropped disjuncts change no verdict (section 4.5: the analysis does
+    not ask the Omega test again what it already knows).
+
+    Precondition: the levels come from dependences computed in the same
+    {!Depctx.t}, under the same [in_bounds], as the query.  A list that
+    leaves out a non-empty level shrinks a left-hand side, so {!kills}
+    and {!check_refinement} could prove what does not hold; on a
+    right-hand side alone ({!covers}, {!terminates}) it only loses
+    proofs. *)
+
 val covers :
-  ?in_bounds:bool -> Depctx.t -> src:Ir.access -> dst:Ir.access -> bool
+  ?in_bounds:bool ->
+  Depctx.t ->
+  src:Ir.access ->
+  dst:Ir.access ->
+  levels:int list ->
+  bool
 (** Does the write [src] cover [dst] (write every element [dst] accesses,
-    earlier)?  Section 4.2.  [Gave_up] maps to [false]. *)
+    earlier)?  Section 4.2.  [levels]: those of the dependence from
+    [src] to [dst].  [Gave_up] maps to [false]. *)
 
 val terminates :
-  ?in_bounds:bool -> Depctx.t -> src:Ir.access -> dst:Ir.access -> bool
+  ?in_bounds:bool ->
+  Depctx.t ->
+  src:Ir.access ->
+  dst:Ir.access ->
+  levels:int list ->
+  bool
 (** Does the write [dst] terminate [src] (overwrite every element [src]
-    accesses, later)?  Section 4.3.  [Gave_up] maps to [false]. *)
+    accesses, later)?  Section 4.3.  [levels]: those of the output
+    dependence from [src] to [dst] ([[]] when there is none: the query
+    then proves only for a [src] that never runs).  [Gave_up] maps to
+    [false]. *)
 
 val kills :
   ?in_bounds:bool ->
@@ -97,9 +129,15 @@ val kills :
   src:Ir.access ->
   killer:Ir.access ->
   dst:Ir.access ->
+  ac:int list ->
+  ab:int list ->
+  bc:int list ->
   bool
 (** Is the dependence from [src] to [dst] killed by the intervening write
-    [killer]?  Section 4.1.  [Gave_up] maps to [false]. *)
+    [killer]?  Section 4.1.  [ac], [ab] and [bc]: the levels of the
+    dependences from [src] to [dst], from [src] to [killer] and from
+    [killer] to [dst]; the right-hand side is their [ab] x [bc] product.
+    [Gave_up] maps to [false]. *)
 
 type candidate = (int option * int option) list
 (** A candidate refinement: per common loop, an optional inclusive
@@ -110,11 +148,13 @@ val check_refinement :
   Depctx.t ->
   src:Ir.access ->
   dst:Ir.access ->
+  levels:int list ->
   candidate ->
   bool
 (** The general refinement test of section 4.4: every instance of [dst]
     receiving the dependence also receives it from an instance of [src]
-    within the candidate distance. *)
+    within the candidate distance.  Both sides range over [levels], the
+    dependence's. *)
 
 val refinement_screen :
   (Dirvec.t list, Budget.reason) result list -> int list -> bool
@@ -132,6 +172,7 @@ val refine :
   Depctx.t ->
   src:Ir.access ->
   dst:Ir.access ->
+  levels:int list ->
   int list * Dirvec.t list
 (** The paper's candidate generator: pin the distance of each common
     loop, outermost first, to its minimum possible value, stopping at the
@@ -147,7 +188,9 @@ val refine :
     its candidate (a memoized verdict) and reads {!Deps.level_vectors}
     under the pins so far (one memo entry).  A level whose vectors give
     up under the final pins contributes its weakest (conservative)
-    vectors.  While {!Omega.Portfolio.Oracle} is on, every screened step
-    is replayed ({!Omega.Portfolio.Oracle.replay}, under
-    [refinement/screen]): the query of {!check_refinement}, decided by
+    vectors.  Each candidate is checked over [levels], those of the
+    dependence from [src] to [dst].  While {!Omega.Portfolio.Oracle} is
+    on, every screened step is replayed
+    ({!Omega.Portfolio.Oracle.replay}, under [refinement/screen]): the
+    query of {!check_refinement} over the same [levels], decided by
     {!complete_tier} alone. *)

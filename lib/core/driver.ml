@@ -46,10 +46,11 @@ let refinement_possible outputs (src : Ir.access) =
 let cover_possible (vectors : Dirvec.t list) =
   List.exists Dirvec.allows_all_zero vectors
 
-(* Is there a dependence from [a] to [b] in [deps]?  The 4.5 kill screen
-   reads it: killing the A->C dependence with B needs a dependence A->B. *)
-let dep_in deps (a : Ir.access) (b : Ir.access) =
-  List.exists
+(* The dependence from [a] to [b] in [deps], if there is one.  The 4.5
+   kill screen reads it: killing the A->C dependence with B needs a
+   dependence A->B, and the kill query ranges over its levels. *)
+let dep_between deps (a : Ir.access) (b : Ir.access) =
+  List.find_opt
     (fun (d : Deps.dep) ->
       d.Deps.src.Ir.acc_id = a.Ir.acc_id && d.Deps.dst.Ir.acc_id = b.Ir.acc_id)
     deps
@@ -89,7 +90,9 @@ let extend ?(in_bounds = false) ctx ~outputs ~(src : Ir.access)
            if Analyses.quick_screen (not (refinement_possible outputs src))
            then None
            else
-             match Analyses.refine ~in_bounds ctx ~src ~dst with
+             match
+               Analyses.refine ~in_bounds ctx ~src ~dst ~levels:dep.Deps.levels
+             with
              | [], _ -> None
              | _, vecs ->
                if List.compare Dirvec.compare vecs dep.Deps.vectors = 0 then
@@ -99,7 +102,7 @@ let extend ?(in_bounds = false) ctx ~outputs ~(src : Ir.access)
          let fr = { dep; refined; covers = false; dead = None } in
          let covers =
            (not (Analyses.quick_screen (not (cover_possible (vectors fr)))))
-           && Analyses.covers ~in_bounds ctx ~src ~dst
+           && Analyses.covers ~in_bounds ctx ~src ~dst ~levels:dep.Deps.levels
          in
          { fr with covers })
 
@@ -110,7 +113,8 @@ let extend ?(in_bounds = false) ctx ~outputs ~(src : Ir.access)
    cannot kill.  Killing A->C with B also needs a dependence A->B; the
    4.5 screen looks it up in [screen] before any kill query is posed.  A
    live, exactly computed dependence is killed by the first killer whose
-   query proves.
+   query proves; the query ranges over the levels of the three
+   dependences (A->C, A->B from [screen], B->C from [into]).
 
    Budget-degraded ("assumed") dependences are never eliminated: a kill
    proof against a dependence whose exact problem may be empty is
@@ -122,24 +126,31 @@ let extend ?(in_bounds = false) ctx ~outputs ~(src : Ir.access)
    fault-injection soundness harness relies on. *)
 let kill_step ~in_bounds ctx ~into ~screen (dst : Ir.access) cands =
   let killers =
-    List.filter
-      (fun (k : Ir.access) -> k.Ir.acc_id <> dst.Ir.acc_id && dep_in into k dst)
+    List.filter_map
+      (fun (k : Ir.access) ->
+        if k.Ir.acc_id = dst.Ir.acc_id then None
+        else Option.map (fun bc -> (k, bc)) (dep_between into k dst))
       (Ir.writes ctx.Depctx.prog)
   in
   List.map
     (fun fr ->
       let src = fr.dep.Deps.src in
+      let kills ((k : Ir.access), (bc : Deps.dep)) =
+        k.Ir.acc_id <> src.Ir.acc_id
+        &&
+        let ab = dep_between screen src k in
+        (not (Analyses.quick_screen (Option.is_none ab)))
+        &&
+        match ab with
+        | None -> false
+        | Some ab ->
+          Analyses.kills ~in_bounds ctx ~src ~killer:k ~dst
+            ~ac:fr.dep.Deps.levels ~ab:ab.Deps.levels ~bc:bc.Deps.levels
+      in
       if fr.dead <> None || fr.dep.Deps.assumed then fr
       else
-        match
-          List.find_opt
-            (fun (k : Ir.access) ->
-              k.Ir.acc_id <> src.Ir.acc_id
-              && (not (Analyses.quick_screen (not (dep_in screen src k))))
-              && Analyses.kills ~in_bounds ctx ~src ~killer:k ~dst)
-            killers
-        with
-        | Some k -> { fr with dead = Some (Killed k) }
+        match List.find_opt kills killers with
+        | Some (k, _) -> { fr with dead = Some (Killed k) }
         | None -> fr)
     cands
 

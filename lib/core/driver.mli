@@ -51,7 +51,9 @@ val classify_storage :
 (** [classify_storage ctx ~outputs deps]: {!analyze}'s kill step over
     [deps], all the anti or all the output dependences of [ctx]'s
     program, given all its output dependences [outputs] (as {!analyze}
-    returns them in [antis]/[outputs]).  The killers of a dependence
+    returns them in [antis]/[outputs]).  Both lists must be computed in
+    [ctx] under the same [in_bounds]: the kill queries range over their
+    [levels] ({!Analyses.kills}).  The killers of a dependence
     into a write are the other writes with an output dependence into
     it, in write order; the section-4.5 screen (a dependence from the
     source to the killer) reads [deps].  Results come grouped by
@@ -79,10 +81,11 @@ val extend :
 val refinement_possible : Deps.dep list -> Ir.access -> bool
 val cover_possible : Dirvec.t list -> bool
 
-val dep_in : Deps.dep list -> Ir.access -> Ir.access -> bool
-(** [dep_in deps a b]: is there a dependence from [a] to [b] in [deps]?
-    The kill screen: killing the dependence [a -> c] with [b] needs one
-    from [a] to [b]. *)
+val dep_between : Deps.dep list -> Ir.access -> Ir.access -> Deps.dep option
+(** [dep_between deps a b]: the dependence from [a] to [b] in [deps], if
+    any.  The kill screen: killing the dependence [a -> c] with [b]
+    needs one from [a] to [b], and the kill query ranges over its
+    levels. *)
 
 val cover_eliminates :
   cover_vectors:Dirvec.t list -> Ir.access -> Ir.access -> Ir.access -> bool

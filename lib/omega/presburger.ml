@@ -23,7 +23,7 @@
    projection of [q], yet the enumeration only meets such a point as a
    leaf of the negated projection's cross product.  So the outer
    enumeration of [satisfiable] (and [valid]) takes a one-shot hook:
-   once it has entered [stall_point] = 256 [Or] alternatives without a
+   once it has entered [stall_point] = 64 [Or] alternatives without a
    satisfiable leaf it asks [witness ()] (for [valid], [refute ()]) once,
    and a [true] answer ends the enumeration as satisfiable (not valid).
    The hook must only answer [true] for a checked point.  The count is
@@ -31,8 +31,9 @@
    the enumeration then depends on the limit only through where it
    stops, so a query decided under a limit is decided the same way under
    any larger one (the promise of [Budget.le], on which the memo's
-   give-up fingerprints rely).  A limit below 256 gives up before the
-   hook can run, exactly as without it. *)
+   give-up fingerprints rely).  A limit below 64 gives up before the
+   hook can run, exactly as without it.  64 lies above the most
+   alternatives any decided query of the corpus enters. *)
 
 type t =
   | True
@@ -185,7 +186,7 @@ let rec neg_qf = function
    formula size.  Congruence atoms materialize a fresh wildcard each time
    a branch adds them.  Entering the [stall_point]-th alternative first
    asks [witness] (see the header). *)
-let stall_point = 256
+let stall_point = 64
 
 let enumerate ?(witness = fun () -> false) (f : t) (k : Problem.t -> bool) :
     bool =

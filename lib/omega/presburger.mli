@@ -87,7 +87,8 @@ val qe : t -> t
 
 val stall_point : int
 (** [Or] alternatives the outer enumeration enters before it asks its
-    hook: 256. *)
+    hook: 64, above the most that any decided query of the corpus
+    enters. *)
 
 val satisfiable : ?witness:(unit -> bool) -> t -> bool
 (** Satisfiability, free variables read existentially.  [witness ()]

@@ -243,7 +243,9 @@ let rec delete_labeled l stmts =
 
 (* One deletion: a write none of whose values are observed (all flow
    edges out are dead) and which a later write terminates (section 4.3:
-   every cell it writes is overwritten afterwards). *)
+   every cell it writes is overwritten afterwards).  The termination
+   query ranges over the levels of the output edge between the two
+   writes; without one it proves only for a write that never runs. *)
 let find_kill (g : Graph.t) =
   let ctx = Depend.Depctx.create g.Graph.prog in
   let writes = Ir.writes g.Graph.prog in
@@ -260,7 +262,20 @@ let find_kill (g : Graph.t) =
     && List.exists
          (fun (w' : Ir.access) ->
            w'.Ir.stmt_id <> w.Ir.stmt_id
-           && (match Depend.Analyses.terminates ctx ~src:w ~dst:w' with
+           &&
+           let levels =
+             match
+               List.find_opt
+                 (fun (e : Graph.edge) ->
+                   e.e_kind = Depend.Deps.Output
+                   && e.e_src.Ir.acc_id = w.Ir.acc_id
+                   && e.e_dst.Ir.acc_id = w'.Ir.acc_id)
+                 g.edges
+             with
+             | Some e -> e.e_std_levels
+             | None -> []
+           in
+           (match Depend.Analyses.terminates ctx ~src:w ~dst:w' ~levels with
               | r -> r
               | exception _ -> false))
          writes

@@ -15,8 +15,9 @@
     - {b write-kill deletion}: an assignment is deleted when every flow
       dependence out of its write is dead (no read observes its values)
       and some other write {e terminates} it ([Analyses.terminates],
-      section 4.3 — every cell it writes is overwritten later), so the
-      final store is unchanged.
+      section 4.3 — every cell it writes is overwritten later, asked
+      over the levels of the graph's output edge between the two), so
+      the final store is unchanged.
 
     Both always run; the unoptimized baseline is the program before
     {!optimize}.

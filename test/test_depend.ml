@@ -29,6 +29,13 @@ let check_flow result ~src ~dst ~vectors ~dead ~refined ~covers msg =
     Alcotest.(check bool) (msg ^ ": refined") refined (fr.Driver.refined <> None);
     Alcotest.(check bool) (msg ^ ": covers") covers fr.Driver.covers
 
+(* The carried levels of the dependence from [src] to [dst] ([[]] when
+   there is none), computed in [ctx] as the section-4 queries need. *)
+let levels ctx ~src ~dst kind =
+  match Deps.compute ctx ~src ~dst ~kind with
+  | Some d -> d.Deps.levels
+  | None -> []
+
 let unit_tests =
   [
     Alcotest.test_case "example 1: killed flow dependence" `Quick (fun () ->
@@ -137,11 +144,12 @@ let unit_tests =
         let ctx = Depctx.create prog in
         let w = List.hd (Lang.Ir.writes prog) in
         let rd = List.hd (Lang.Ir.reads prog) in
+        let levels = levels ctx ~src:w ~dst:rd Deps.Flow in
         Alcotest.(check bool) "(0:1,1) verifies" true
-          (Analyses.check_refinement ctx ~src:w ~dst:rd
+          (Analyses.check_refinement ctx ~src:w ~dst:rd ~levels
              [ (Some 0, Some 1); (Some 1, Some 1) ]);
         Alcotest.(check bool) "(0,1) does not verify" false
-          (Analyses.check_refinement ctx ~src:w ~dst:rd
+          (Analyses.check_refinement ctx ~src:w ~dst:rd ~levels
              [ (Some 0, Some 0); (Some 1, Some 1) ]));
     Alcotest.test_case "example 6: coupled refinement to (1,1)" `Quick
       (fun () ->
@@ -205,10 +213,14 @@ let unit_tests =
         let w2 =
           List.find (fun a -> a.Lang.Ir.label = "w2") (Lang.Ir.writes prog)
         in
+        let terminates ~src ~dst =
+          Analyses.terminates ctx ~src ~dst
+            ~levels:(levels ctx ~src ~dst Deps.Output)
+        in
         Alcotest.(check bool) "w2 terminates w1" true
-          (Analyses.terminates ctx ~src:w1 ~dst:w2);
+          (terminates ~src:w1 ~dst:w2);
         Alcotest.(check bool) "w1 does not terminate w2" false
-          (Analyses.terminates ctx ~src:w2 ~dst:w1));
+          (terminates ~src:w2 ~dst:w1));
     Alcotest.test_case "partial kill leaves the dependence live" `Quick
       (fun () ->
         let r = analyze "partial_kill" in

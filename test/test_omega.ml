@@ -262,7 +262,7 @@ let unit_tests =
             ]
         in
         Alcotest.(check bool) "both parities excluded" false (satisfiable f));
-    Alcotest.test_case "presburger: the stall hook runs once, at alternative 256"
+    Alcotest.test_case "presburger: the stall hook runs once, at the stall point"
       `Quick (fun () ->
         let open Presburger in
         (* nine two-way choices, then a contradiction every leaf meets:
@@ -293,12 +293,12 @@ let unit_tests =
         Alcotest.(check (option bool)) "a witness ends it" (Some true)
           (run ~disjuncts:2048 true);
         Alcotest.(check int) "asked once, then stopped" 1 !calls;
-        Alcotest.(check (option bool)) "at limit 256 the hook still runs"
-          (Some true) (run ~disjuncts:256 true);
-        Alcotest.(check (option bool)) "below 256 the limit comes first" None
-          (run ~disjuncts:255 true);
+        Alcotest.(check (option bool)) "at a limit of the stall point, it runs"
+          (Some true) (run ~disjuncts:stall_point true);
+        Alcotest.(check (option bool)) "below it the limit comes first" None
+          (run ~disjuncts:(stall_point - 1) true);
         Alcotest.(check int) "never asked" 0 !calls;
-        Alcotest.(check int) "the stall point" 256 stall_point);
+        Alcotest.(check int) "the stall point" 64 stall_point);
     Alcotest.test_case "corner: each variable in turn at an end" `Quick
       (fun () ->
         let corner side cs =

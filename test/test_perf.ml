@@ -368,13 +368,30 @@ let vectors_under ctx ~src ~dst pins =
   |> List.concat_map snd
   |> List.sort_uniq Dirvec.compare
 
+(* Every ordering level of a pair of accesses ([0] = loop-independent,
+   when [src] is textually first), whatever the dependence between them:
+   a section-4 query over these levels is the unrestricted one, the
+   reference for the queries the driver restricts to a dependence's
+   carried levels. *)
+let all_levels (src : Lang.Ir.access) (dst : Lang.Ir.access) =
+  List.init (Lang.Ir.common_loops src dst) succ
+  @ if Lang.Ir.textually_before src dst then [ 0 ] else []
+
+(* The carried levels of the flow dependence from [src] to [dst] ([[]]
+   when there is none): what the driver passes to [Analyses.refine]. *)
+let flow_levels ctx ~src ~dst =
+  match Deps.compute ctx ~src ~dst ~kind:Deps.Flow with
+  | Some d -> d.Deps.levels
+  | None -> []
+
 (* The section 4.4 candidate generator written the way it was before it
    read the per-level vectors: each step minimizes the next distance
    with [Omega.minimize], one governed query per ordering level under
    the pins so far (a level that is empty, unbounded or gives up is left
-   out), checks the pinned candidate, and the vectors under the final
-   pins are asked last.  [Analyses.refine] must return the same pins
-   and vectors. *)
+   out), checks the pinned candidate over every ordering level, and the
+   vectors under the final pins are asked last.  [Analyses.refine],
+   whose checks range over the dependence's carried levels only, must
+   return the same pins and vectors. *)
 let reference_refine ctx ~src ~dst =
   let p = Deps.make_pair ctx src dst in
   let c = p.Deps.common in
@@ -407,7 +424,10 @@ let reference_refine ctx ~src ~dst =
               | Some d -> (Some d, Some d)
               | None -> (None, None))
         in
-        if Analyses.check_refinement ctx ~src ~dst cand then go pins' (l + 1)
+        if
+          Analyses.check_refinement ctx ~src ~dst
+            ~levels:(all_levels src dst) cand
+        then go pins' (l + 1)
         else pins
   in
   let pins = go [] 0 in
@@ -429,7 +449,10 @@ let refine_mismatches name src =
         (fun (r : Lang.Ir.access) ->
           if w.Lang.Ir.array <> r.Lang.Ir.array then None
           else
-            let got = Analyses.refine ctx ~src:w ~dst:r in
+            let got =
+              Analyses.refine ctx ~src:w ~dst:r
+                ~levels:(flow_levels ctx ~src:w ~dst:r)
+            in
             let want = reference_refine ctx ~src:w ~dst:r in
             if got = want then None
             else
@@ -466,7 +489,9 @@ let pair_results src =
       (Deps.compute ctx ~src ~dst ~kind)
   in
   let strings = List.map Dirvec.to_string in
-  let pinned, refined = Analyses.refine ctx ~src:w ~dst:r in
+  let pinned, refined =
+    Analyses.refine ctx ~src:w ~dst:r ~levels:(flow_levels ctx ~src:w ~dst:r)
+  in
   let c = Lang.Ir.common_loops w r in
   let off_generator =
     List.map
@@ -563,7 +588,9 @@ let screen_outcomes ~seed src =
                               | Some d -> (Some d, Some d)
                               | None -> (None, None))
                         in
-                        if Analyses.check_refinement ctx ~src:w ~dst:r cand
+                        if
+                          Analyses.check_refinement ctx ~src:w ~dst:r
+                            ~levels:(all_levels w r) cand
                         then None
                         else
                           Some
@@ -627,7 +654,9 @@ let test_screen_decides_corpus () =
       (fun (fr : Driver.flow_result) ->
         let src = fr.Driver.dep.Deps.src and dst = fr.Driver.dep.Deps.dst in
         if Driver.refinement_possible r.Driver.outputs src then
-          ignore (Analyses.refine r.Driver.ctx ~src ~dst))
+          ignore
+            (Analyses.refine r.Driver.ctx ~src ~dst
+               ~levels:fr.Driver.dep.Deps.levels))
       r.Driver.flows;
     (Metrics.current ()).Metrics.quick.Metrics.decides
   in

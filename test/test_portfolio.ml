@@ -123,10 +123,10 @@ let oracle_tests =
            plus its screened refinement steps, one complete-procedure
            decision each (a replay through the tiered query would add a
            check of its own fast-tier proof), and the replays move no
-           verdict, give-up or peak of the run.  One of cholsky's
-           fast-tier kills is more than the complete procedure decides
-           within the default disjunct limit: its replay gives up, and
-           is reported *)
+           verdict, give-up or peak of the run.  Every replay decides:
+           posed over the carried levels only, even cholsky's largest
+           fast-tier kill is within the complete procedure's default
+           disjunct limit *)
         let run ~oracle name =
           let enabled = !Analyses.Memo.enabled in
           Analyses.Memo.enabled := false;
@@ -144,7 +144,7 @@ let oracle_tests =
           in
           (json, Metrics.current ())
         in
-        let replays ?(gave_up = []) name =
+        let replays name =
           let plain, m0 = run ~oracle:false name in
           let replayed, m = run ~oracle:true name in
           let at what = name ^ ": " ^ what in
@@ -160,7 +160,7 @@ let oracle_tests =
             m.Metrics.peak_fuel;
           check (Alcotest.list str_t) (at "no divergence") []
             (Portfolio.Oracle.divergences ());
-          check (Alcotest.list str_t) (at "replays that gave up") gave_up
+          check (Alcotest.list str_t) (at "no replay gave up") []
             (Portfolio.Oracle.gave_up ());
           Portfolio.Oracle.checks () - m.Metrics.fast.Metrics.decides
         in
@@ -169,7 +169,7 @@ let oracle_tests =
         check Alcotest.int "transpose_sum: 1 screened step replayed" 1
           (replays "transpose_sum");
         check Alcotest.int "cholsky: 17 screened steps replayed" 17
-          (replays ~gave_up:[ "kill" ] "cholsky") );
+          (replays "cholsky") );
     ( "oracle: replays leave the memo alone",
       `Quick,
       fun () ->
@@ -476,12 +476,14 @@ let refutation_coverage () =
   check bool_t "never for a proved query" true
     (List.for_all (fun q -> List.memq q refuted) found)
 
-(* stress_coupled under a sweep of disjunct limits.  Below the stall
-   point its ten hopeless complete-tier queries (three in analyze, seven
-   in parallelize) exhaust the limit and give up, as they did before the
-   hook; from the stall point on, the hook refutes every one of them.
-   No verdict the payloads rest on moves: no kill or cover is proved at
-   any limit, and the payloads are the same. *)
+(* stress_coupled under a sweep of disjunct limits around the stall
+   point.  Just below it (63) its ten hopeless complete-tier queries
+   (three in analyze, seven in parallelize) exhaust the limit and give
+   up, as they did before the hook; at 32 so does one more, a refutation
+   that enters more than 32 alternatives.  From the stall point on, the
+   hook refutes every one of them.  No verdict the payloads rest on
+   moves: no kill or cover is proved at any limit, and the payloads are
+   the same. *)
 let stress_sweep () =
   let prog = Lang.Sema.parse_and_analyze (Corpus.find "stress_coupled") in
   let run disjuncts payload =
@@ -503,25 +505,25 @@ let stress_sweep () =
         in
         (json, give_ups, List.map Driver.status_string proved))
   in
+  let stall = Presburger.stall_point in
   List.iter
-    (fun (op, payload, parent_give_ups) ->
-      let json, _, _ = run 128 payload in
+    (fun (op, payload, give_ups_at) ->
+      let json, _, _ = run 2048 payload in
       List.iter
-        (fun limit ->
+        (fun (limit, give_ups) ->
           let json', (all, disjuncts), proved' = run limit payload in
           let at what = Printf.sprintf "%s at %d: %s" op limit what in
-          let give_ups =
-            if limit < Presburger.stall_point then parent_give_ups else 0
-          in
           check Alcotest.int (at "give-ups") give_ups all;
           check Alcotest.int (at "on the disjunct limit") give_ups disjuncts;
           check (Alcotest.list str_t) (at "no kill or cover proved") []
             proved';
           check str_t (at "payload") json json')
-        [ 128; 255; 256; 2048; 65_536 ])
+        (List.combine
+           [ stall / 2; stall - 1; stall; 2048; 65_536 ]
+           give_ups_at))
     [
-      ("analyze", Serve.Service.analyze_payload, 3);
-      ("parallelize", Serve.Service.parallelize_payload, 7);
+      ("analyze", Serve.Service.analyze_payload, [ 4; 3; 0; 0; 0 ]);
+      ("parallelize", Serve.Service.parallelize_payload, [ 8; 7; 0; 0; 0 ]);
     ]
 
 let suite =

@@ -447,91 +447,285 @@ let test_storage_classification () =
       check bool_t "faults reach some storage dependence" true
         (check_storage_classification "faulted" > 0))
 
-(* A reference for the storage kill step, written from the kill
-   definition alone: for each anti or output dependence into a write,
-   every other write of the array is a killer, in write order; one
-   without a dependence from the source ([Deps.compute]) is skipped, and
-   the first whose kill query proves kills.  Assumed dependences stay
-   live.  The driver's step tries only the writes with an output
-   dependence into the destination and reads the screen from the lists
-   it computed; it must decide the same. *)
-let storage_kills prog ~reference =
+(* ------------------------------------------------------------------ *)
+(* Section 4 results against the all-level reference                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The driver poses each kill, cover and refinement query over the
+   carried levels of the dependences it concerns.  The references below
+   rebuild its results from the section 4 definitions alone and pose
+   every query unrestricted, over all the ordering levels of its
+   accesses ([Test_perf.all_levels]).  The restriction is exact, so
+   wherever the reference decides every query it asks, the two agree.
+   A group in which one of the reference's queries gives up (the wider
+   query can, under a tight budget) is [None]: it decides nothing, and
+   is not compared.  The reference runs with the memo off, so that every
+   give-up is counted where it happens. *)
+
+let all_levels = Test_perf.all_levels
+
+(* [ask clean f]: [f ()], clearing [clean] when a governed query gave up
+   while it ran. *)
+let ask clean f =
+  let gave_up () = Omega.Metrics.gave_up (Omega.Metrics.current ()) in
+  let before = gave_up () in
+  let x = f () in
+  if gave_up () <> before then clean := false;
+  x
+
+let id (a : Ir.access) = a.Ir.acc_id
+
+let dead_string = function
+  | Some (Depend.Driver.Killed k) -> "killed by " ^ k.Ir.label
+  | Some (Depend.Driver.Covered c) -> "covered by " ^ c.Ir.label
+  | None -> "live"
+
+(* A flow result as compared: source, refined vectors, cover, status. *)
+let flow_string (src : Ir.access) refined covers dead =
+  Printf.sprintf "%s: refined [%s], covers %b, %s" src.Ir.label
+    (match refined with
+     | Some vecs -> String.concat " " (List.map Depend.Dirvec.to_string vecs)
+     | None -> "-")
+    covers dead
+
+(* The flow results of [r], one group per read.  The reference follows
+   [Driver.analyze] over the same dependences: refinement when the
+   source has a self-output dependence, a cover test when the vectors
+   allow a cover, cover elimination, and then, for a live exact
+   dependence, the first other write of the array in write order with
+   a flow dependence into the read and an output dependence from the
+   source whose kill query proves. *)
+let flow_groups (r : Depend.Driver.result) ~reference =
   let open Depend in
-  let r = Driver.analyze prog in
   let ctx = r.Driver.ctx in
-  let id (a : Ir.access) = a.Ir.acc_id in
-  let reference_kind deps =
-    List.concat_map
-      (fun (b : Ir.access) ->
-        List.filter_map
-          (fun (d : Deps.dep) ->
-            let src = d.Deps.src in
-            if id d.Deps.dst <> id b then None
-            else
-              let killer =
-                if d.Deps.assumed then None
-                else
-                  List.find_opt
-                    (fun (k : Ir.access) ->
-                      id k <> id src && id k <> id b && k.Ir.array = b.Ir.array
-                      && Deps.compute ctx ~src ~dst:k ~kind:d.Deps.kind <> None
-                      && Analyses.kills ctx ~src ~killer:k ~dst:b)
-                    (Ir.writes prog)
-              in
-              Some (id src, id b, Option.map id killer))
-          deps)
-      (Ir.writes prog)
+  let group (b : Ir.access) =
+    let frs =
+      List.filter
+        (fun (fr : Driver.flow_result) -> id fr.Driver.dep.Deps.dst = id b)
+        r.Driver.flows
+    in
+    if not reference then
+      Some
+        (List.map
+           (fun (fr : Driver.flow_result) ->
+             flow_string fr.Driver.dep.Deps.src fr.Driver.refined
+               fr.Driver.covers (dead_string fr.Driver.dead))
+           frs)
+    else
+      let clean = ref true in
+      let extended =
+        List.map
+          (fun (fr : Driver.flow_result) ->
+            let dep = fr.Driver.dep in
+            let src = dep.Deps.src in
+            let refined =
+              if not (Driver.refinement_possible r.Driver.outputs src) then
+                None
+              else
+                match
+                  ask clean (fun () ->
+                      Analyses.refine ctx ~src ~dst:b
+                        ~levels:(all_levels src b))
+                with
+                | [], _ -> None
+                | _, vecs ->
+                  if List.compare Dirvec.compare vecs dep.Deps.vectors = 0
+                  then None
+                  else Some vecs
+            in
+            let vectors = Option.value refined ~default:dep.Deps.vectors in
+            let covers =
+              Driver.cover_possible vectors
+              && ask clean (fun () ->
+                     Analyses.covers ctx ~src ~dst:b ~levels:(all_levels src b))
+            in
+            (dep, refined, vectors, covers))
+          frs
+      in
+      let dead ((dep : Deps.dep), _, _, _) =
+        let a = dep.Deps.src in
+        let cover =
+          List.find_opt
+            (fun ((o : Deps.dep), _, vectors, covers) ->
+              covers
+              && id o.Deps.src <> id a
+              && Driver.cover_eliminates ~cover_vectors:vectors o.Deps.src b a)
+            extended
+        in
+        match cover with
+        | _ when dep.Deps.assumed -> None
+        | Some (o, _, _, _) -> Some (Driver.Covered o.Deps.src)
+        | None ->
+          List.find_opt
+            (fun (k : Ir.access) ->
+              id k <> id a && k.Ir.array = b.Ir.array
+              && Deps.compute ctx ~src:k ~dst:b ~kind:Deps.Flow <> None
+              && Deps.compute ctx ~src:a ~dst:k ~kind:Deps.Output <> None
+              && ask clean (fun () ->
+                     Analyses.kills ctx ~src:a ~killer:k ~dst:b
+                       ~ac:(all_levels a b) ~ab:(all_levels a k)
+                       ~bc:(all_levels k b)))
+            (Ir.writes r.Driver.ctx.Depctx.prog)
+          |> Option.map (fun k -> Driver.Killed k)
+      in
+      let outcomes =
+        List.map
+          (fun (((dep : Deps.dep), refined, _, covers) as e) ->
+            flow_string dep.Deps.src refined covers (dead_string (dead e)))
+          extended
+      in
+      if !clean then Some outcomes else None
   in
-  let driver_kind deps =
-    List.map
-      (fun (fr : Driver.flow_result) ->
-        ( id fr.Driver.dep.Deps.src,
-          id fr.Driver.dep.Deps.dst,
-          match fr.Driver.dead with
-          | Some (Driver.Killed k) -> Some (id k)
-          | Some (Driver.Covered _) | None -> None ))
-      (Driver.classify_storage ctx ~outputs:r.Driver.outputs deps)
+  List.map
+    (fun (b : Ir.access) -> ("flows into " ^ b.Ir.label, group b))
+    (Ir.reads r.Driver.ctx.Depctx.prog)
+
+(* The anti and output kills of [r], one group per dependence.  The
+   reference tries every other write of the array as a killer, in write
+   order; one without a dependence from the source ([Deps.compute]) is
+   skipped, and the first whose kill query proves kills.  Assumed
+   dependences stay live.  The driver's step tries only the writes with
+   an output dependence into the destination and reads the screen from
+   the lists it computed; it must decide the same. *)
+let storage_groups (r : Depend.Driver.result) ~reference =
+  let open Depend in
+  let ctx = r.Driver.ctx in
+  let prog = ctx.Depctx.prog in
+  let group (d : Deps.dep) (b : Ir.access) =
+    let src = d.Deps.src in
+    let clean = ref true in
+    let killer =
+      if d.Deps.assumed then None
+      else
+        List.find_opt
+          (fun (k : Ir.access) ->
+            id k <> id src && id k <> id b && k.Ir.array = b.Ir.array
+            && Deps.compute ctx ~src ~dst:k ~kind:d.Deps.kind <> None
+            && ask clean (fun () ->
+                   Analyses.kills ctx ~src ~killer:k ~dst:b
+                     ~ac:(all_levels src b) ~ab:(all_levels src k)
+                     ~bc:(all_levels k b)))
+          (Ir.writes prog)
+    in
+    let dead = Option.map (fun k -> Driver.Killed k) killer in
+    if !clean then Some [ dead_string dead ] else None
+  in
+  let key (d : Deps.dep) =
+    Printf.sprintf "%s %s->%s"
+      (Deps.kind_to_string d.Deps.kind)
+      d.Deps.src.Ir.label d.Deps.dst.Ir.label
   in
   List.concat_map
-    (if reference then reference_kind else driver_kind)
+    (fun deps ->
+      if reference then
+        List.concat_map
+          (fun (b : Ir.access) ->
+            List.filter_map
+              (fun (d : Deps.dep) ->
+                if id d.Deps.dst <> id b then None else Some (key d, group d b))
+              deps)
+          (Ir.writes prog)
+      else
+        List.map
+          (fun (fr : Driver.flow_result) ->
+            (key fr.Driver.dep, Some [ dead_string fr.Driver.dead ]))
+          (Driver.classify_storage ctx ~outputs:r.Driver.outputs deps))
     [ r.Driver.antis; r.Driver.outputs ]
+
+let section4_groups r ~reference =
+  flow_groups r ~reference @ storage_groups r ~reference
 
 let tight =
   { Omega.Budget.fuel = 200; splinters = 4; disjuncts = 8; deadline_ms = None }
 
-(* [storage_kills] of the driver at every budget and domain count, each
-   against the serial reference at the same budget. *)
-let storage_kills_agree prog =
-  List.for_all
+(* [groups] of the driver, at the default and a tight budget and at 1
+   and 2 domains, against the serial reference at the same budget: the
+   same groups, and equal wherever the reference decides. *)
+let agree groups prog =
+  List.iter
     (fun lims ->
       Omega.Budget.with_limits lims (fun () ->
-          let want = storage_kills prog ~reference:true in
-          List.for_all
+          let want =
+            let memo = !Depend.Analyses.Memo.enabled in
+            Depend.Analyses.Memo.enabled := false;
+            Fun.protect
+              ~finally:(fun () -> Depend.Analyses.Memo.enabled := memo)
+              (fun () -> groups (Depend.Driver.analyze prog) ~reference:true)
+          in
+          List.iter
             (fun n ->
               Depend.Par.set_domains n;
-              Fun.protect
-                ~finally:(fun () -> Depend.Par.set_domains 1)
-                (fun () -> storage_kills prog ~reference:false = want))
+              let got =
+                Fun.protect
+                  ~finally:(fun () -> Depend.Par.set_domains 1)
+                  (fun () ->
+                    groups (Depend.Driver.analyze prog) ~reference:false)
+              in
+              check (Alcotest.list Alcotest.string)
+                (Printf.sprintf "groups at %d domains" n)
+                (List.map fst want) (List.map fst got);
+              List.iter2
+                (fun (key, w) (_, g) ->
+                  match w with
+                  | Some w ->
+                    check (Alcotest.list Alcotest.string)
+                      (Printf.sprintf "%s at %d domains" key n)
+                      w (Option.get g)
+                  | None -> ())
+                want got)
             [ 1; 2 ]))
     [ Omega.Budget.default; tight ]
 
-let test_storage_kills_reference () =
-  let killed = ref 0 in
-  List.iter
-    (fun (name, src) ->
+(* [agree] over the corpus; the driver's outcomes there at the default
+   budget, to show the comparison is not vacuous. *)
+let agree_corpus groups =
+  List.concat_map
+    (fun (_, src) ->
       let prog = Sema.analyze (Parser.parse_string src) in
-      check bool_t (name ^ ": storage kills = reference") true
-        (storage_kills_agree prog);
-      List.iter
-        (fun (_, _, k) -> if k <> None then incr killed)
-        (storage_kills prog ~reference:false))
-    (Corpus.all @ Corpus.stress);
-  check bool_t "the corpus kills some storage dependence" true (!killed > 0)
+      agree groups prog;
+      List.concat_map
+        (fun (_, g) -> Option.value g ~default:[])
+        (groups (Depend.Driver.analyze prog) ~reference:false))
+    (Corpus.all @ Corpus.stress)
+
+(* Does some outcome contain [sub]? *)
+let some_outcome sub outcomes =
+  let n = String.length sub in
+  let rec at s i =
+    i + n <= String.length s && (String.sub s i n = sub || at s (i + 1))
+  in
+  List.exists (fun s -> at s 0) outcomes
+
+let test_storage_kills_reference () =
+  check bool_t "the corpus kills some storage dependence" true
+    (some_outcome "killed" (agree_corpus storage_groups))
+
+let test_flow_reference () =
+  let outcomes = agree_corpus flow_groups in
+  check bool_t "the corpus kills some flow dependence" true
+    (some_outcome "killed" outcomes);
+  check bool_t "the corpus covers some read" true
+    (some_outcome "covers true" outcomes);
+  check bool_t "the corpus refines some flow dependence" true
+    (some_outcome "refined [(" outcomes)
+
+let arb_opaque_program =
+  QCheck.make ~print:Ast.program_to_string Test_e2e.gen_opaque_program
 
 let storage_prop_tests =
   [
     QCheck.Test.make ~name:"storage kills = reference" ~count:40
-      Test_e2e.arb_program (fun ast -> storage_kills_agree (Sema.analyze ast));
+      Test_e2e.arb_program (fun ast ->
+        agree storage_groups (Sema.analyze ast);
+        true);
+    QCheck.Test.make ~name:"flow kills, covers, refinement = reference"
+      ~count:40 Test_e2e.arb_program (fun ast ->
+        agree flow_groups (Sema.analyze ast);
+        true);
+    QCheck.Test.make ~name:"section 4 results = reference, opaque nests"
+      ~count:40 arb_opaque_program (fun ast ->
+        agree section4_groups (Sema.analyze ast);
+        true);
   ]
 
 let suite =
@@ -568,6 +762,8 @@ let suite =
           test_storage_classification;
         Alcotest.test_case "storage kills = reference (corpus)" `Quick
           test_storage_kills_reference;
+        Alcotest.test_case "flow kills, covers, refinement = reference (corpus)"
+          `Quick test_flow_reference;
       ]
     @ List.map
         (QCheck_alcotest.to_alcotest ~long:false)
