@@ -179,8 +179,8 @@ let dep_problems ~in_bounds ctx a b levels : Problem.t list =
 let covers ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access)
     ~levels =
   proved @@ posed ~label:"cover" (fun () ->
-      let a = Depctx.instantiate ctx src ~tag:"i" in
-      let b = Depctx.instantiate ctx dst ~tag:"j" in
+      let a = Depctx.instantiate ctx src ~tag:Depctx.I in
+      let b = Depctx.instantiate ctx dst ~tag:Depctx.J in
       ( Depctx.assumes ctx,
         [ Problem.of_list (Depctx.domain ~in_bounds ctx b) ],
         Depctx.inst_vars a,
@@ -192,8 +192,8 @@ let covers ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access)
 let terminates ?(in_bounds = false) ctx ~(src : Ir.access)
     ~(dst : Ir.access) ~levels =
   proved @@ posed ~label:"terminate" (fun () ->
-      let a = Depctx.instantiate ctx src ~tag:"i" in
-      let b = Depctx.instantiate ctx dst ~tag:"j" in
+      let a = Depctx.instantiate ctx src ~tag:Depctx.I in
+      let b = Depctx.instantiate ctx dst ~tag:Depctx.J in
       ( Depctx.assumes ctx,
         [ Problem.of_list (Depctx.domain ~in_bounds ctx a) ],
         Depctx.inst_vars b,
@@ -213,9 +213,9 @@ let terminates ?(in_bounds = false) ctx ~(src : Ir.access)
 let kills ?(in_bounds = false) ctx ~(src : Ir.access) ~(killer : Ir.access)
     ~(dst : Ir.access) ~ac ~ab ~bc =
   proved @@ posed ~label:"kill" (fun () ->
-      let a = Depctx.instantiate ctx src ~tag:"i" in
-      let b = Depctx.instantiate ctx killer ~tag:"j" in
-      let c = Depctx.instantiate ctx dst ~tag:"k" in
+      let a = Depctx.instantiate ctx src ~tag:Depctx.I in
+      let b = Depctx.instantiate ctx killer ~tag:Depctx.J in
+      let c = Depctx.instantiate ctx dst ~tag:Depctx.K in
       let rhs =
         (* j in [B] and A(i) << B(j) << C(k) and B(j) =sub C(k); the two
            ordering disjunctions multiply out *)
@@ -271,9 +271,9 @@ let candidate_constraints (j : Depctx.inst) (k : Depctx.inst)
    so both range over its [levels] only. *)
 let refinement_query ~in_bounds ctx ~(src : Ir.access) ~(dst : Ir.access)
     ~levels (cand : candidate) () =
-  let i = Depctx.instantiate ctx src ~tag:"i" in
-  let j = Depctx.instantiate ctx src ~tag:"j" in
-  let k = Depctx.instantiate ctx dst ~tag:"k" in
+  let i = Depctx.instantiate ctx src ~tag:Depctx.I in
+  let j = Depctx.instantiate ctx src ~tag:Depctx.J in
+  let k = Depctx.instantiate ctx dst ~tag:Depctx.K in
   let rhs =
     let core =
       Depctx.domain ~in_bounds ctx j

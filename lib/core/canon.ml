@@ -3,8 +3,11 @@
    Variables are renumbered by first occurrence in a fixed traversal
    order (hypotheses, then LHS problems, then the existentials, then RHS
    problems) and tagged with their kind, so two alpha-equivalent queries
-   built in the same allocation order — on any domain, from any id slot
-   — serialize identically.  This is the key of the verdict memo
+   serialize identically on any domain, from any id slot, provided
+   their variables stand in the same relative id order.  [Depctx.create]
+   guarantees that order: it mints every access's i instance, then
+   every j, then every k (tag-major), before any query mints its own
+   distance variables and wildcards.  This is the key of the verdict memo
    ([Analyses.Memo], which is what lets domains share verdicts) and,
    prefixed with the query label, the fault-injection key that makes the
    injected-fault stream a pure function of query content. *)
@@ -26,28 +29,85 @@ let add_int buf n =
     add_digits buf (-n)
   end
 
-(* Canonical ids by variable id; ids are distinct ints already, so
-   they hash to themselves. *)
-module Ids = Hashtbl.Make (struct
-  type t = int
+(* Canonical ids by variable id: an open-addressing table with linear
+   probing, cleared in O(1) and reused across keys, so renumbering a
+   key allocates nothing.  Canonical ids are handed out densely in
+   first-occurrence order; [ids.(c)] is the variable id that got
+   canonical id [c] and [home.(c)] the slot holding [c].  A slot is
+   live exactly when the canonical id it holds is below [count] and
+   points back at it, so stale slots from earlier keys need no
+   clearing.  The table doubles whenever it would pass half full. *)
+type ids = {
+  mutable slots : int array; (* canonical id, or stale *)
+  mutable ids : int array; (* canonical id -> variable id *)
+  mutable home : int array; (* canonical id -> its slot *)
+  mutable count : int;
+  mutable bits : int; (* slots = 2^bits *)
+}
 
-  let equal = Int.equal
-  let hash id = id land max_int
-end)
+(* A table of [2^bits] slots. *)
+let make_ids bits =
+  {
+    slots = Array.make (1 lsl bits) 0;
+    ids = Array.make (1 lsl (bits - 1)) 0;
+    home = Array.make (1 lsl (bits - 1)) 0;
+    count = 0;
+    bits;
+  }
+
+(* Fibonacci hashing: the top [bits] bits of the product.  Variable ids
+   are dense within a domain's slot, so the multiply spreads runs of
+   consecutive ids across the table. *)
+let slot_of t id = (id * 0x1E3779B97F4A7C15) lsr (63 - t.bits)
+
+let rec probe t id h =
+  let c = t.slots.(h) in
+  if c < t.count && t.home.(c) = h then
+    if t.ids.(c) = id then c
+    else probe t id ((h + 1) land ((1 lsl t.bits) - 1))
+  else begin
+    (* [id] is absent and [h] is free: give it the next canonical id *)
+    let c = t.count in
+    t.slots.(h) <- c;
+    t.ids.(c) <- id;
+    t.home.(c) <- h;
+    t.count <- c + 1;
+    c
+  end
+
+let grow t =
+  let n = t.count in
+  let ids = t.ids in
+  t.bits <- t.bits + 1;
+  t.slots <- Array.make (1 lsl t.bits) 0;
+  t.ids <- Array.make (1 lsl (t.bits - 1)) 0;
+  t.home <- Array.make (1 lsl (t.bits - 1)) 0;
+  t.count <- 0;
+  for c = 0 to n - 1 do
+    ignore (probe t ids.(c) (slot_of t ids.(c)))
+  done
+
+(* The canonical id of variable id [id], numbering it next if new. *)
+let canonical t id =
+  if t.count = Array.length t.ids then grow t;
+  probe t id (slot_of t id)
 
 (* Kill-query keys run to several kilobytes, past the minor heap's
    object size limit, so a fresh buffer grown to that size leaves
    major-heap garbage on every lookup: most of a warm request's major
    allocation, and with it the daemon's peak memory.  One scratch
-   buffer is reused instead; a caller that finds it taken (another
-   thread or domain mid-key) serializes into a fresh one. *)
+   buffer and id table are reused instead; a caller that finds them
+   taken (another thread or domain mid-key) serializes with fresh
+   ones. *)
 let scratch = Buffer.create 4096
+let scratch_ids = make_ids 7
 let scratch_lock = Mutex.create ()
 
-let with_buffer f =
+let with_scratch f =
   if Mutex.try_lock scratch_lock then begin
     Buffer.clear scratch;
-    match f scratch with
+    scratch_ids.count <- 0;
+    match f scratch scratch_ids with
     | s ->
       Mutex.unlock scratch_lock;
       s
@@ -55,26 +115,17 @@ let with_buffer f =
       Mutex.unlock scratch_lock;
       raise e
   end
-  else f (Buffer.create 256)
+  else f (Buffer.create 256) (make_ids 5)
 
 let key ?tag ~(hyp : Constr.t list) (lhs : Problem.t list)
     ~(evars : Var.t list) (rhs : Problem.t list) : string =
-  with_buffer @@ fun buf ->
+  with_scratch @@ fun buf canon ->
   (match tag with
   | Some t ->
     Buffer.add_string buf t;
     Buffer.add_char buf ':'
   | None -> ());
-  let canon = Ids.create 16 in
-  let cid v =
-    let id = Var.id v in
-    match Ids.find_opt canon id with
-    | Some c -> c
-    | None ->
-      let c = Ids.length canon in
-      Ids.add canon id c;
-      c
-  in
+  let cid v = canonical canon (Var.id v) in
   let kind_char v =
     match Var.kind v with Var.Input -> 'i' | Var.Sym -> 's' | Var.Wild -> 'w'
   in

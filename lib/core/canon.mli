@@ -1,9 +1,11 @@
 (** Canonical, allocation-independent serialization of solver queries.
 
     Variables are renumbered by first occurrence in a fixed traversal
-    order and tagged with their kind, so alpha-equivalent queries built
-    in the same allocation order serialize identically no matter which
-    domain (hence which id slot) minted their variables.  Used as the
+    order and tagged with their kind, so alpha-equivalent queries whose
+    variables stand in the same relative id order (which
+    {!Depctx.create}'s tag-major instances guarantee) serialize
+    identically no matter which domain (hence which id slot) minted
+    their variables.  Used as the
     {!Analyses.Memo} key — which is what makes cached verdicts shareable
     across domains — and as the content-derived fault-injection key. *)
 

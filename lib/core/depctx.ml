@@ -1,27 +1,63 @@
 (* Building Omega problems from IR accesses.
 
-   An [inst] is an instantiation of an access: fresh integer variables for
-   its loop counters (the iteration vector), plus variables for the value
+   An [inst] is an instantiation of an access: integer variables for its
+   loop counters (the iteration vector), plus variables for the value
    and arguments of each opaque (non-affine) term it mentions.  Opaque
    value variables are the "different symbolic variable for each
-   appearance" of section 5. *)
+   appearance" of section 5.
+
+   [create] mints every instance a query can ask for up front, once per
+   analysis: the symbolic constants, then the [I] instance of every
+   access in [acc_id] order, then every [J], then every [K].  A query
+   names at most one instance per tag and pairs them as i < j < k, and
+   its distance variables and wildcards are minted after [create], so
+   each query sees its variables in the same relative id order that
+   minting fresh instances per query gave it (symbolic constants < i < j
+   < k < distance variables < wildcards).  That order is all the
+   canonical memo keys, the simplifier's bucket order and the
+   elimination tie-break read, so sharing instances changes no verdict,
+   key or counter.  Minting lazily, on first use, would not keep it: the
+   first query to ask for an access would fix its ids against whichever
+   instances happened to exist.
+
+   Each instance's default domain ([i in \[A\]] without in-bounds
+   assertions) is built beside it.  The in-bounds assertions, asked for
+   only under [--in-bounds] and by the section-5 dialog, are added per
+   call, so an analysis that never asks for them does not build them.
+
+   Nothing in [t] changes after [create]: one context is read by every
+   domain of a [Par.map].  (The shared constraints carry the solver's
+   own idempotent caches, the normalized flag of [Constr] and the hash
+   of [Linexpr]; any domain may fill them, always with the same
+   value.) *)
 
 open Omega
+
+type tag = I | J | K
+
+type inst = {
+  access : Ir.access;
+  tag : tag;
+  ivars : Var.t array;
+  opq_vals : (int * Var.t) list; (* opaque id -> value variable *)
+  opq_args : (int * Var.t list) list; (* opaque id -> argument variables *)
+}
+
+(* An instance with its default domain; [None] when a coefficient
+   overflowed while it was built, which [domain] raises again where the
+   query that asks for it meets it. *)
+type entry = { inst : inst; dom : Constr.t list option }
 
 type t = {
   prog : Ir.program;
   syms : (string * Var.t) list;
   (* declared array ranges, translated over symbolic constants *)
   ranges : (string * (Linexpr.t * Linexpr.t) list) list;
+  entries : entry array array; (* by tag, then by acc_id *)
 }
 
-type inst = {
-  access : Ir.access;
-  tag : string; (* used in variable names, e.g. "i", "j", "k" *)
-  ivars : Var.t array;
-  opq_vals : (int * Var.t) list; (* opaque id -> value variable *)
-  opq_args : (int * Var.t list) list; (* opaque id -> argument variables *)
-}
+let tag_index = function I -> 0 | J -> 1 | K -> 2
+let tag_name = function I -> "i" | J -> "j" | K -> "k"
 
 let sym_var t name =
   match List.assoc_opt name t.syms with
@@ -39,29 +75,18 @@ let affine_syms t (a : Ir.affine) : Linexpr.t =
     (Linexpr.of_int a.Ir.const)
     a.Ir.terms
 
-let create (prog : Ir.program) : t =
-  let syms =
-    List.map (fun s -> (s, Var.fresh ~kind:Var.Sym s)) prog.Ir.symbolics
-  in
-  let t0 = { prog; syms; ranges = [] } in
-  let ranges =
-    List.map
-      (fun (name, ranges) ->
-        (name, List.map (fun (lo, hi) -> (affine_syms t0 lo, affine_syms t0 hi)) ranges))
-      prog.Ir.arrays
-  in
-  { t0 with ranges }
-
-let instantiate t (access : Ir.access) ~tag : inst =
-  ignore t;
+(* Fresh variables for one instance of [access]: its iteration vector,
+   then its opaque values, then its opaque arguments. *)
+let mint (access : Ir.access) tag : inst =
+  let tag_s = tag_name tag in
   let d = Ir.depth access in
   let ivars =
-    Array.init d (fun i -> Var.fresh (Printf.sprintf "%s%d" tag (i + 1)))
+    Array.init d (fun i -> Var.fresh (Printf.sprintf "%s%d" tag_s (i + 1)))
   in
   let opq_vals =
     List.map
       (fun (o : Ir.opaque) ->
-        (o.Ir.opq_id, Var.fresh ~kind:Var.Sym (Printf.sprintf "%s_val%d" tag o.Ir.opq_id)))
+        (o.Ir.opq_id, Var.fresh ~kind:Var.Sym (Printf.sprintf "%s_val%d" tag_s o.Ir.opq_id)))
       access.Ir.opaques
   in
   let opq_args =
@@ -70,7 +95,7 @@ let instantiate t (access : Ir.access) ~tag : inst =
         ( o.Ir.opq_id,
           List.mapi
             (fun k _ ->
-              Var.fresh ~kind:Var.Sym (Printf.sprintf "%s_arg%d_%d" tag o.Ir.opq_id k))
+              Var.fresh ~kind:Var.Sym (Printf.sprintf "%s_arg%d_%d" tag_s o.Ir.opq_id k))
             o.Ir.args ))
       access.Ir.opaques
   in
@@ -91,9 +116,8 @@ let affine t (inst : inst) (a : Ir.affine) : Linexpr.t =
     a.Ir.terms
 
 (* i in [A]: the loop bounds of the access's nest, plus the defining
-   constraints of its opaque terms' arguments, plus (optionally) in-bounds
-   assertions for its subscripts and index-array arguments. *)
-let domain ?(in_bounds = false) t (inst : inst) : Constr.t list =
+   constraints of its opaque terms' arguments. *)
+let base_domain t (inst : inst) : Constr.t list =
   let bounds =
     List.concat
       (List.mapi
@@ -126,46 +150,84 @@ let domain ?(in_bounds = false) t (inst : inst) : Constr.t list =
           args o.Ir.args)
       inst.access.Ir.opaques
   in
-  let in_bounds_cs =
-    if not in_bounds then []
-    else begin
-      (* subscripts of this access within the declared range *)
-      let sub_bounds =
-        match List.assoc_opt inst.access.Ir.array t.ranges with
-        | Some ranges when List.length ranges = List.length inst.access.Ir.subs ->
-          List.concat
-            (List.map2
-               (fun s (lo, hi) ->
-                 let e = affine t inst s in
-                 [ Constr.ge e lo; Constr.le e hi ])
-               inst.access.Ir.subs ranges)
-        | _ -> []
-      in
-      (* index-array values and arguments within their declared ranges *)
-      let opq_bounds =
-        List.concat_map
-          (fun (o : Ir.opaque) ->
-            match o.Ir.base with
-            | Some base -> (
-              match List.assoc_opt base t.ranges with
-              | Some ranges when List.length ranges = List.length o.Ir.args ->
-                let args = List.assoc o.Ir.opq_id inst.opq_args in
-                List.concat
-                  (List.map2
-                     (fun var (lo, hi) ->
-                       [
-                         Constr.ge (Linexpr.var var) lo;
-                         Constr.le (Linexpr.var var) hi;
-                       ])
-                     args ranges)
-              | _ -> [])
-            | None -> [])
-          inst.access.Ir.opaques
-      in
-      sub_bounds @ opq_bounds
-    end
+  bounds @ opaque_defs
+
+(* In-bounds assertions for the instance's subscripts and index-array
+   values/arguments. *)
+let in_bounds_constraints t (inst : inst) : Constr.t list =
+  (* subscripts of this access within the declared range *)
+  let sub_bounds =
+    match List.assoc_opt inst.access.Ir.array t.ranges with
+    | Some ranges when List.length ranges = List.length inst.access.Ir.subs ->
+      List.concat
+        (List.map2
+           (fun s (lo, hi) ->
+             let e = affine t inst s in
+             [ Constr.ge e lo; Constr.le e hi ])
+           inst.access.Ir.subs ranges)
+    | _ -> []
   in
-  bounds @ opaque_defs @ in_bounds_cs
+  (* index-array values and arguments within their declared ranges *)
+  let opq_bounds =
+    List.concat_map
+      (fun (o : Ir.opaque) ->
+        match o.Ir.base with
+        | Some base -> (
+          match List.assoc_opt base t.ranges with
+          | Some ranges when List.length ranges = List.length o.Ir.args ->
+            let args = List.assoc o.Ir.opq_id inst.opq_args in
+            List.concat
+              (List.map2
+                 (fun var (lo, hi) ->
+                   [
+                     Constr.ge (Linexpr.var var) lo;
+                     Constr.le (Linexpr.var var) hi;
+                   ])
+                 args ranges)
+          | _ -> [])
+        | None -> [])
+      inst.access.Ir.opaques
+  in
+  sub_bounds @ opq_bounds
+
+let create (prog : Ir.program) : t =
+  let syms =
+    List.map (fun s -> (s, Var.fresh ~kind:Var.Sym s)) prog.Ir.symbolics
+  in
+  let t0 = { prog; syms; ranges = []; entries = [||] } in
+  let ranges =
+    List.map
+      (fun (name, ranges) ->
+        (name, List.map (fun (lo, hi) -> (affine_syms t0 lo, affine_syms t0 hi)) ranges))
+      prog.Ir.arrays
+  in
+  let t1 = { t0 with ranges } in
+  let entry tag access =
+    let inst = mint access tag in
+    let dom = try Some (base_domain t1 inst) with Zint.Overflow -> None in
+    { inst; dom }
+  in
+  (* tag-major: every I instance, then every J, then every K *)
+  let entries =
+    Array.map (fun tag -> Array.map (entry tag) prog.Ir.accesses) [| I; J; K |]
+  in
+  { t1 with entries }
+
+let entry t (access : Ir.access) tag =
+  let row = t.entries.(tag_index tag) in
+  let id = access.Ir.acc_id in
+  if id >= 0 && id < Array.length row && row.(id).inst.access == access then
+    row.(id)
+  else invalid_arg "Depctx: access of another program"
+
+let instantiate t (access : Ir.access) ~tag : inst = (entry t access tag).inst
+
+let domain ?(in_bounds = false) t (inst : inst) : Constr.t list =
+  let e = entry t inst.access inst.tag in
+  if e.inst != inst then invalid_arg "Depctx.domain: instance of another context";
+  match e.dom with
+  | None -> raise Zint.Overflow
+  | Some dom -> if in_bounds then dom @ in_bounds_constraints t inst else dom
 
 (* A(i) and B(j) touch the same array element. *)
 let subs_equal t (a : inst) (b : inst) : Constr.t list =
@@ -217,17 +279,8 @@ let order_before t (a : inst) (b : inst) : (int * Constr.t list) list =
     levels @ [ (0, eq_prefix c) ]
   else levels
 
-(* Formula version of A(i) << B(j). *)
-let order_before_formula t a b : Presburger.t =
-  Presburger.or_
-    (List.map
-       (fun (_, cs) -> Presburger.and_ (List.map Presburger.atom cs))
-       (order_before t a b))
-
 (* Variables of an instantiation, for quantification. *)
 let inst_vars (i : inst) : Var.t list =
   Array.to_list i.ivars
   @ List.map snd i.opq_vals
   @ List.concat_map snd i.opq_args
-
-let sym_vars t = List.map snd t.syms

@@ -1,23 +1,40 @@
 (** Building Omega problems from IR accesses.
 
-    An {!inst} is an instantiation of an access: fresh integer variables
-    for its loop counters (the iteration vector), plus variables for the
+    An {!inst} is an instantiation of an access: integer variables for
+    its loop counters (the iteration vector), plus variables for the
     value and arguments of each opaque (non-affine) term it mentions.
     Opaque value variables are the "different symbolic variable for each
-    appearance" of section 5. *)
+    appearance" of section 5.
+
+    {!create} mints every instance once, in tag-major order: the
+    symbolic constants, then the [I] instance of every access by
+    [acc_id], then every [J], then every [K].  A query built from
+    instances of distinct tags therefore sees them in the id order
+    i < j < k, below every variable it mints itself, exactly as if it
+    had minted fresh instances, so canonical memo keys and solver
+    choices do not depend on which queries ran before.  A context is
+    read-only after {!create} and may be shared across domains. *)
 
 open Omega
 
-type t = {
+type tag = I | J | K
+(** Which instance of an access: [I], [J] and [K] prefix the variable
+    names and order the ids, [I] lowest. *)
+
+type entry
+(** An instance with its prebuilt default domain. *)
+
+type t = private {
   prog : Ir.program;
   syms : (string * Var.t) list;  (** symbolic constants *)
   ranges : (string * (Linexpr.t * Linexpr.t) list) list;
       (** declared array ranges over the symbolic constants *)
+  entries : entry array array;  (** by tag, then by [acc_id] *)
 }
 
-type inst = {
+type inst = private {
   access : Ir.access;
-  tag : string;  (** prefix of the generated variable names: i, j, k *)
+  tag : tag;
   ivars : Var.t array;  (** iteration variables, outermost first *)
   opq_vals : (int * Var.t) list;  (** opaque id -> value variable *)
   opq_args : (int * Var.t list) list;  (** opaque id -> argument variables *)
@@ -31,7 +48,10 @@ val sym_var : t -> string -> Var.t
 val affine_syms : t -> Ir.affine -> Linexpr.t
 (** Translation of an affine form over symbolic constants only. *)
 
-val instantiate : t -> Ir.access -> tag:string -> inst
+val instantiate : t -> Ir.access -> tag:tag -> inst
+(** The [tag] instance of an access of the context's program, minted by
+    {!create}: every call returns the physically same instance.
+    @raise Invalid_argument on an access of another program. *)
 
 val affine : t -> inst -> Ir.affine -> Linexpr.t
 (** Translation of an affine form over the instance's variables. *)
@@ -39,7 +59,12 @@ val affine : t -> inst -> Ir.affine -> Linexpr.t
 val domain : ?in_bounds:bool -> t -> inst -> Constr.t list
 (** [i in \[A\]]: loop bounds of the nest, defining constraints of opaque
     arguments, and (with [in_bounds]) in-bounds assertions for subscripts
-    and index-array values/arguments. *)
+    and index-array values/arguments.  The default list (no [in_bounds])
+    is built by {!create} beside the instance, and every call returns
+    that same list; the in-bounds assertions are appended per call.
+    @raise Zint.Overflow when a coefficient overflowed while it was
+    built.
+    @raise Invalid_argument on an instance of another context. *)
 
 val subs_equal : t -> inst -> inst -> Constr.t list
 (** The two instances touch the same array element. *)
@@ -52,9 +77,5 @@ val order_before : t -> inst -> inst -> (int * Constr.t list) list
     (1-based); level 0 is the loop-independent case, present only when
     the first access is textually before the second. *)
 
-val order_before_formula : t -> inst -> inst -> Presburger.t
-
 val inst_vars : inst -> Var.t list
 (** All variables of an instantiation, for quantification. *)
-
-val sym_vars : t -> Var.t list

@@ -43,8 +43,8 @@ type pair = {
 
 let make_pair ?(in_bounds = false) ctx (src : Ir.access) (dst : Ir.access) :
     pair =
-  let a = Depctx.instantiate ctx src ~tag:"i" in
-  let b = Depctx.instantiate ctx dst ~tag:"j" in
+  let a = Depctx.instantiate ctx src ~tag:Depctx.I in
+  let b = Depctx.instantiate ctx dst ~tag:Depctx.J in
   let c = Ir.common_loops src dst in
   let dvars =
     Array.init c (fun l -> Var.fresh (Printf.sprintf "d%d" (l + 1)))

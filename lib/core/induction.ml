@@ -99,7 +99,7 @@ let affine_of_inst ctx (inst : Depctx.inst) (e : Ast.expr) : Linexpr.t option
 
 (* Is [e >= 1] whenever the write executes? *)
 let increment_positive ctx (write : Ir.access) (e : Ast.expr) : bool =
-  let inst = Depctx.instantiate ctx write ~tag:"i" in
+  let inst = Depctx.instantiate ctx write ~tag:Depctx.I in
   match affine_of_inst ctx inst e with
   | None -> false
   | Some le ->

@@ -1,13 +1,16 @@
 (* Memoized solver results, shared across requests.
 
    Repeated kill/cover/refinement queries over a corpus are often
-   textually identical problems in fresh variables ([Depctx.instantiate]
-   allocates per call, so raw ids never match).  Every key is a
-   canonical serialization ([Canon.key]): variables renumbered by first
-   occurrence in a fixed traversal order and tagged with their kind, the
-   distinguished variables listed explicitly.  Alpha-equivalent queries
-   in the same allocation order therefore share a key, and every cached
-   answer is invariant under renaming, so a hit is always sound.
+   textually identical problems in other variables: each analysis (each
+   [Depctx.create]) mints its own instances, and distance variables are
+   fresh per pair, so raw ids never match across requests.  Every key
+   is a canonical serialization ([Canon.key]): variables renumbered by
+   first occurrence in a fixed traversal order and tagged with their
+   kind, the distinguished variables listed explicitly.  Instances are
+   minted tag-major ([Depctx]), so the variables of any query keep one
+   relative order: alpha-equivalent queries share a key, and every
+   cached answer is invariant under renaming, so a hit is always
+   sound.
 
    One table holds two kinds of entry:
 

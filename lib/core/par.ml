@@ -17,10 +17,14 @@
    counters equal the serial run's.
 
    Verdicts are bit-identical to the serial run by construction: item
-   results depend only on each item's own problems, whose variables are
-   minted by one domain in the same relative order as serially (see
-   Var), and the shared [Analyses.Memo] is keyed canonically so a hit
-   from any domain replays the same deterministic verdict.  The only
+   results depend only on each item's own problems, whose variables
+   keep the serial run's relative id order (see Var): the instances
+   were minted by [Depctx.create] on the calling domain - the main
+   domain, slot 0, since a worker's nested [map] runs inline - and the
+   item's distance variables and wildcards are minted after them by the
+   one domain running the item.  The shared [Analyses.Memo] is keyed
+   canonically so a hit from any domain replays the same deterministic
+   verdict.  The only
    nondeterminism parallelism adds is *who computes*: when two domains
    ask a fresh memo key together, one computes and the other waits and
    replays (the memo's in-flight claims), so every key is still computed

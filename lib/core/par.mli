@@ -2,10 +2,12 @@
 
     {!map} runs an array of independent items over a process-wide pool
     of worker domains, keeping result order; the calling domain
-    participates.  Verdicts are bit-identical to the serial run: each
-    item's variables are minted by one domain in the same relative
-    order as serially, and the shared {!Analyses.Memo} is keyed
-    canonically.  Each task runs under the submitter's budget limits
+    participates.  Verdicts are bit-identical to the serial run: the
+    instances an item's queries share were minted by
+    {!Depctx.create} on the calling domain, whose id slot precedes every
+    worker's, and each item's own variables are minted after them by
+    one domain, so every query sees the same relative id order as
+    serially; the shared {!Analyses.Memo} is keyed canonically.  Each task runs under the submitter's budget limits
     with a fresh {!Omega.Metrics} record, merged into the submitter's
     record when the task ends, so sharded counters equal serial ones.
     Two domains asking one fresh memo key do not both compute it: the

@@ -80,8 +80,8 @@ let project_onto vars (p : Problem.t) : [ `Contra | `Ok of Problem.t ] =
 
 let analyze_exn ?(in_bounds = true) ctx ~(src : Ir.access) ~(dst : Ir.access)
     ~(restraint : restraint) ?(hide = []) () : analysis =
-  let a = Depctx.instantiate ctx src ~tag:"i" in
-  let b = Depctx.instantiate ctx dst ~tag:"j" in
+  let a = Depctx.instantiate ctx src ~tag:Depctx.I in
+  let b = Depctx.instantiate ctx dst ~tag:Depctx.J in
   let p_cs =
     Depctx.assumes ctx
     @ Depctx.domain ~in_bounds ctx a
@@ -120,8 +120,8 @@ let analyze ?in_bounds ctx ~src ~dst ~restraint ?hide () : analysis =
   with
   | Ok an -> an
   | Error r ->
-    let a = Depctx.instantiate ctx src ~tag:"i" in
-    let b = Depctx.instantiate ctx dst ~tag:"j" in
+    let a = Depctx.instantiate ctx src ~tag:Depctx.I in
+    let b = Depctx.instantiate ctx dst ~tag:Depctx.J in
     { cond = Unknown r; known = Problem.trivial; inst_a = a; inst_b = b; ctx }
 
 (* ------------------------------------------------------------------ *)
@@ -383,8 +383,8 @@ let accumulator_constraints (a : Depctx.inst) (b : Depctx.inst) ~level
    user-asserted properties of index arrays? *)
 let dependence_exists_with ?(in_bounds = true) ctx ~(src : Ir.access)
     ~(dst : Ir.access) ~(props : (string * array_property) list) : bool =
-  let a = Depctx.instantiate ctx src ~tag:"i" in
-  let b = Depctx.instantiate ctx dst ~tag:"j" in
+  let a = Depctx.instantiate ctx src ~tag:Depctx.I in
+  let b = Depctx.instantiate ctx dst ~tag:Depctx.J in
   let core =
     Depctx.assumes ctx
     @ Depctx.domain ~in_bounds ctx a

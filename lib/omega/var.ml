@@ -22,8 +22,10 @@ type t = { id : int; name : string; kind : kind }
    and within one domain ids still increase in allocation order — the
    property everything downstream leans on (constraint emission order,
    canonical memo keys, the elimination tie-break all depend only on
-   the {e relative} id order of variables that co-occur in a problem,
-   and co-occurring variables are minted by one domain). *)
+   the {e relative} id order of variables that co-occur in a problem).
+   Co-occurring variables are minted by one domain, or, for the
+   instances [Depctx.create] mints up front, by a domain whose slot
+   precedes the one minting the rest of the problem's variables. *)
 
 let slot_bits = 40
 

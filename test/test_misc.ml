@@ -103,8 +103,8 @@ endfor
         let prog = Lang.Sema.parse_and_analyze (Corpus.find "example3") in
         let ctx = Depctx.create prog in
         let w = List.hd (Lang.Ir.writes prog) in
-        let a = Depctx.instantiate ctx w ~tag:"i" in
-        let b = Depctx.instantiate ctx w ~tag:"j" in
+        let a = Depctx.instantiate ctx w ~tag:Depctx.I in
+        let b = Depctx.instantiate ctx w ~tag:Depctx.J in
         Alcotest.(check int) "(+,0) gives two constraints" 2
           (List.length
              (Symbolic.restraint_constraints a b [ Dirvec.Pos; Dirvec.Zero ]));

@@ -178,6 +178,202 @@ let prop_canon_key_domain_invariant =
       let there = Domain.join (Domain.spawn build) in
       here = there)
 
+(* [Depctx.create] mints every instance once, tag-major: the symbolic
+   constants first, then for tags [t < t'] every variable of any
+   access's [t] instance below every variable of any access's [t']
+   instance.  A query pairing distinct tags then sees the relative id
+   order that minting fresh instances per query gave it.  Repeated
+   [instantiate] and default [domain] calls return the very same
+   values, and in-bounds domains equal ones.  The failures found, [[]]
+   when the context keeps all three. *)
+let tag_major_failures (prog : Lang.Ir.program) =
+  let ctx = Depctx.create prog in
+  let accs = Array.to_list prog.Lang.Ir.accesses in
+  let tags = [ Depctx.I; Depctx.J; Depctx.K ] in
+  let ids tag =
+    List.concat_map
+      (fun a ->
+        List.map Var.id (Depctx.inst_vars (Depctx.instantiate ctx a ~tag)))
+      accs
+  in
+  let below xs ys =
+    List.for_all (fun x -> List.for_all (fun y -> x < y) ys) xs
+  in
+  let syms = List.map (fun (_, v) -> Var.id v) ctx.Depctx.syms in
+  let order =
+    (if below syms (List.concat_map ids tags) then []
+     else [ "symbolic constants not first" ])
+    @ (if below (ids Depctx.I) (ids Depctx.J) then [] else [ "i not below j" ])
+    @ if below (ids Depctx.J) (ids Depctx.K) then [] else [ "j not below k" ]
+  in
+  let same =
+    List.concat_map
+      (fun a ->
+        List.filter_map
+          (fun tag ->
+            let inst = Depctx.instantiate ctx a ~tag in
+            let stable =
+              Depctx.instantiate ctx a ~tag == inst
+              && List.for_all
+                   (fun (in_bounds, eq) ->
+                     match
+                       ( Depctx.domain ~in_bounds ctx inst,
+                         Depctx.domain ~in_bounds ctx inst )
+                     with
+                     | d1, d2 -> eq d1 d2
+                     | exception Zint.Overflow -> true)
+                   [ (false, ( == )); (true, List.equal Constr.equal) ]
+            in
+            if stable then None
+            else
+              Some
+                (Printf.sprintf "access %d: a second call built anew"
+                   a.Lang.Ir.acc_id))
+          tags)
+      accs
+  in
+  order @ same
+
+let test_tag_major_corpus () =
+  List.iter
+    (fun (name, src) ->
+      check slist name []
+        (tag_major_failures (Lang.Sema.parse_and_analyze src)))
+    (Corpus.all @ Corpus.stress)
+
+(* A loop from min_int overflows [i - lo] while [create] builds the
+   domain: [create] still succeeds, every [domain] call raises the
+   overflow, and the flow it would have decided is assumed, not lost. *)
+let test_domain_overflow () =
+  let prog =
+    Lang.Sema.parse_and_analyze
+      "real a[-5:5];\nfor i := -4611686018427387903 - 1 to 3 do\n  a(i) := \
+       a(i+1);\nendfor\n"
+  in
+  check slist "order" [] (tag_major_failures prog);
+  let ctx = Depctx.create prog in
+  let inst =
+    Depctx.instantiate ctx (List.hd (Lang.Ir.writes prog)) ~tag:Depctx.I
+  in
+  List.iter
+    (fun in_bounds ->
+      for _ = 1 to 2 do
+        match Depctx.domain ~in_bounds ctx inst with
+        | _ -> Alcotest.fail "the domain was built"
+        | exception Zint.Overflow -> ()
+      done)
+    [ false; true ];
+  let flows = (Driver.analyze prog).Driver.flows in
+  check Alcotest.bool "flow assumed" true
+    (flows <> []
+    && List.for_all
+         (fun (fr : Driver.flow_result) -> fr.Driver.dep.Deps.assumed)
+         flows)
+
+let prop_tag_major_opaque =
+  QCheck.Test.make ~count:60
+    ~name:"Depctx: instances minted once, tag-major (opaque programs)"
+    (QCheck.make ~print:Lang.Ast.program_to_string Test_e2e.gen_opaque_program)
+    (fun ast ->
+      match tag_major_failures (Lang.Sema.analyze ast) with
+      | [] -> true
+      | fs -> QCheck.Test.fail_report (String.concat "; " fs))
+
+(* [Canon.key] against a reference renumbering that keeps its
+   first-occurrence ids in a [Hashtbl], on keys over 65 to 200
+   variables: past the 64 the id table holds before it first grows.
+   The variables are used in a shuffled order, so first occurrence
+   differs from allocation order, and mix all three kinds. *)
+let reference_key ~tag ~hyp lhs ~evars rhs =
+  let buf = Buffer.create 1024 in
+  let canon = Hashtbl.create 16 in
+  let cid v =
+    match Hashtbl.find_opt canon (Var.id v) with
+    | Some c -> c
+    | None ->
+      let c = Hashtbl.length canon in
+      Hashtbl.add canon (Var.id v) c;
+      c
+  in
+  let kind_char v =
+    match Var.kind v with Var.Input -> 'i' | Var.Sym -> 's' | Var.Wild -> 'w'
+  in
+  let add_constr c =
+    Buffer.add_char buf
+      (match Constr.kind c with Constr.Eq -> 'E' | Constr.Geq -> 'G');
+    let e = Constr.expr c in
+    Linexpr.iter_terms
+      (fun v k ->
+        Buffer.add_string buf
+          (Printf.sprintf "%d*%c%d+" (Zint.to_int k) (kind_char v) (cid v)))
+      e;
+    Buffer.add_string buf (string_of_int (Zint.to_int (Linexpr.constant e)));
+    Buffer.add_char buf ';'
+  in
+  let add_problem p =
+    Buffer.add_char buf '[';
+    List.iter add_constr (Problem.constraints p);
+    Buffer.add_char buf ']'
+  in
+  Buffer.add_string buf (tag ^ ":");
+  List.iter add_constr hyp;
+  Buffer.add_char buf '|';
+  List.iter add_problem lhs;
+  Buffer.add_char buf '|';
+  List.iter (fun v -> Buffer.add_string buf (Printf.sprintf "%d," (cid v))) evars;
+  Buffer.add_char buf '|';
+  List.iter add_problem rhs;
+  Buffer.contents buf
+
+let prop_canon_key_reference =
+  QCheck.Test.make ~count:40
+    ~name:"Canon.key = Hashtbl reference renumbering, > 64 variables"
+    QCheck.(pair (int_range 65 200) small_nat)
+    (fun (n, seed) ->
+      let st = Random.State.make [| seed |] in
+      let vars =
+        Array.init n (fun i ->
+            match Random.State.int st 3 with
+            | 0 -> Var.fresh (Printf.sprintf "x%d" i)
+            | 1 -> Var.fresh ~kind:Var.Sym (Printf.sprintf "s%d" i)
+            | _ -> Var.fresh_wild ())
+      in
+      let order = Array.init n Fun.id in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let x = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- x
+      done;
+      (* one constraint per variable, in the shuffled order, each with a
+         few more variables drawn at random *)
+      let constr i =
+        let term v =
+          (* a coefficient in -3..-1 or 1..3 *)
+          let k = Random.State.int st 6 - 3 in
+          Linexpr.add_term Linexpr.zero (Zint.of_int (if k >= 0 then k + 1 else k)) v
+        in
+        let e =
+          List.fold_left
+            (fun e _ -> Linexpr.add e (term vars.(Random.State.int st n)))
+            (term vars.(order.(i)))
+            (List.init (Random.State.int st 3) Fun.id)
+        in
+        let e = Linexpr.add e (Linexpr.of_int (Random.State.int st 21 - 10)) in
+        if Random.State.bool st then Constr.geq e else Constr.eq e
+      in
+      let cs = Array.init n constr in
+      let slice lo hi = Array.to_list (Array.sub cs lo (hi - lo)) in
+      let q = n / 4 in
+      let hyp = slice 0 q in
+      let lhs = [ Problem.of_list (slice q (2 * q)) ] in
+      let evars = List.init 5 (fun _ -> vars.(Random.State.int st n)) in
+      let rhs =
+        [ Problem.of_list (slice (2 * q) (3 * q)); Problem.of_list (slice (3 * q) n) ]
+      in
+      Canon.key ~tag:"t" ~hyp lhs ~evars rhs
+      = reference_key ~tag:"t" ~hyp lhs ~evars rhs)
+
 (* ------------------------------------------------------------------ *)
 (* Memo bound                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -290,8 +486,8 @@ let test_memo_warm_repeat () =
 
 (* The key of a per-level family lists the distinguished variables, so
    the same problem stated over its distance variables in another order
-   is another key, while a fresh instantiation of the same pair (new
-   variables, same order) is the same key. *)
+   is another key, while a second pair built from the same accesses
+   (new distance variables, same order) is the same key. *)
 let test_memo_key_positions () =
   let prog = Lang.Sema.parse_and_analyze Corpus.cholsky in
   let ctx = Depctx.create prog in
@@ -305,7 +501,7 @@ let test_memo_key_positions () =
     Deps.levels_key (Result.get_ok p.Deps.base) levels
       ~evars:(if permute then List.rev dvars else dvars)
   in
-  check Alcotest.string "fresh instantiation, same key" (key_of ())
+  check Alcotest.string "second pair, same key" (key_of ())
     (key_of ());
   check Alcotest.bool "permuted distance variables, different key" false
     (key_of () = key_of ~permute:true ())
@@ -733,6 +929,10 @@ let unit_tests =
       test_screen_decides_corpus;
     Alcotest.test_case "cold analyses: live heap flat" `Quick
       test_cold_analyses_live_heap;
+    Alcotest.test_case "Depctx: instances minted once, tag-major (corpus)"
+      `Quick test_tag_major_corpus;
+    Alcotest.test_case "Depctx: a domain that overflows raises on every call"
+      `Quick test_domain_overflow;
   ]
 
 let suite =
@@ -744,6 +944,8 @@ let suite =
            [
              prop_var_ids_disjoint;
              prop_canon_key_domain_invariant;
+             prop_canon_key_reference;
+             prop_tag_major_opaque;
              prop_memo_pairs_sound;
              prop_refine_reference_pairs;
              prop_screen_sound_pairs;
