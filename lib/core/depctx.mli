@@ -45,16 +45,10 @@ val create : Ir.program -> t
 val sym_var : t -> string -> Var.t
 (** @raise Invalid_argument on an undeclared symbolic constant. *)
 
-val affine_syms : t -> Ir.affine -> Linexpr.t
-(** Translation of an affine form over symbolic constants only. *)
-
 val instantiate : t -> Ir.access -> tag:tag -> inst
 (** The [tag] instance of an access of the context's program, minted by
     {!create}: every call returns the physically same instance.
     @raise Invalid_argument on an access of another program. *)
-
-val affine : t -> inst -> Ir.affine -> Linexpr.t
-(** Translation of an affine form over the instance's variables. *)
 
 val domain : ?in_bounds:bool -> t -> inst -> Constr.t list
 (** [i in \[A\]]: loop bounds of the nest, defining constraints of opaque

@@ -34,9 +34,6 @@ val allows_all_zero : t -> bool
 val is_loop_independent : t -> bool
 (** Every entry is exactly zero. *)
 
-val sign_constr : Var.t -> sign -> Constr.t list
-(** Constraints pinning the sign of a variable. *)
-
 val range_of : Problem.t -> Var.t -> int option * int option
 (** Finite integer (min, max) of a variable subject to a problem, both
     read from one projection ({!Omega.bounds}). *)

@@ -102,7 +102,6 @@ val vectors : flow_result -> Dirvec.t list
     dependence's own. *)
 
 val status_string : flow_result -> string
-val vectors_string : flow_result -> string
 val live_flows : result -> flow_result list
 val dead_flows : result -> flow_result list
 

@@ -12,12 +12,5 @@ type accumulator = {
   increment : Ir.access;  (** the write access of the [x := x + e] statement *)
 }
 
-val split_increment : string -> Ast.expr -> Ast.expr option
-(** [rhs] as [x + e]: exactly one positive top-level additive occurrence
-    of the scalar; returns [e]. *)
-
-val increment_positive : Depctx.t -> Ir.access -> Ast.expr -> bool
-(** Is the increment provably [>= 1] whenever the write executes? *)
-
 val detect : Depctx.t -> accumulator list
 (** All strictly increasing accumulators of the program. *)

@@ -37,7 +37,6 @@ open Omega
 
 let width = ref 1
 let set_domains n = width := max 1 n
-let domains () = !width
 
 let pool : Taskpool.t option ref = ref None
 

@@ -20,8 +20,6 @@ val set_domains : int -> unit
 (** Number of domains (including the caller) future {!map} calls use;
     clamped to at least 1. *)
 
-val domains : unit -> int
-
 val map : ('a -> 'b) -> 'a array -> 'b array
 (** Order-preserving parallel map.  Runs inline when width is 1, the
     array is short, or the caller is already a pool worker (nested

@@ -59,10 +59,6 @@ type decl =
 type program = { decls : decl list; stmts : stmt list }
 
 val pp_expr : Format.formatter -> expr -> unit
-val pp_cond : Format.formatter -> cond -> unit
-val pp_stmt : indent:int -> Format.formatter -> stmt -> unit
-val pp_program : Format.formatter -> program -> unit
-val string_of_relop : relop -> string
 
 val program_to_string : program -> string
 (** Re-parseable rendering: [parse (program_to_string p)] pretty-prints

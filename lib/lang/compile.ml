@@ -51,6 +51,22 @@ type instr =
   | LoopUpi of int * int * int * int
   | LoopDowni of int * int * int * int
 
+let branch_target = function
+  | Bgt (_, _, t) | Blt (_, _, t)
+  | LoopUp (_, _, _, t) | LoopDown (_, _, _, t)
+  | LoopUpi (_, _, _, t) | LoopDowni (_, _, _, t) ->
+    Some t
+  | _ -> None
+
+let remap_target map = function
+  | Bgt (a, b, t) -> Bgt (a, b, map.(t))
+  | Blt (a, b, t) -> Blt (a, b, map.(t))
+  | LoopUp (v, s, l, t) -> LoopUp (v, s, l, map.(t))
+  | LoopDown (v, s, l, t) -> LoopDown (v, s, l, map.(t))
+  | LoopUpi (v, s, l, t) -> LoopUpi (v, s, l, map.(t))
+  | LoopDowni (v, s, l, t) -> LoopDowni (v, s, l, map.(t))
+  | i -> i
+
 type dim = { d_lo : int; d_hi : int; d_stride : int }
 
 type arr = {

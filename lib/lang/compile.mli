@@ -103,6 +103,16 @@ type instr =
       (** var += step; if var <= limit-imm then pc <- target *)
   | LoopDowni of int * int * int * int
 
+val branch_target : instr -> int option
+(** The jump target of a branch or back-edge ([Bgt], [Blt] and the
+    [LoopUp]/[LoopDown] family); [None] for every other opcode. *)
+
+val remap_target : int array -> instr -> instr
+(** [remap_target map i] moves a branch's target [t] to [map.(t)];
+    other opcodes are returned unchanged.  The rewriting passes ({!Opt}'s
+    fusion, the VM's counting copy) use it to keep jumps on their
+    instructions after inserting or deleting code. *)
+
 (** {1 Layout} *)
 
 type dim = { d_lo : int; d_hi : int; d_stride : int }

@@ -71,5 +71,4 @@ val memory_deps : trace -> [ `Flow | `Anti | `Output ] -> dep list
 val distance : dep -> int list
 (** Dependence distance on the common loops of the two accesses. *)
 
-val pp_instance : Format.formatter -> instance -> unit
 val pp_dep : Format.formatter -> dep -> unit

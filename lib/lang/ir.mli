@@ -12,8 +12,6 @@ type varref =
   | Symc of string  (** symbolic constant *)
   | Opq of int  (** opaque (non-affine) term, by id *)
 
-val compare_varref : varref -> varref -> int
-
 (** Affine form: constant + sorted coefficient list, no zero
     coefficients. *)
 type affine = { const : int; terms : (varref * int) list }
@@ -118,6 +116,4 @@ val textually_before : access -> access -> bool
 (** Is the first access textually before the second (at the point where
     their nests diverge)?  Reads of a statement precede its write. *)
 
-val pp_varref : Format.formatter -> varref -> unit
-val pp_affine : Format.formatter -> affine -> unit
 val access_to_string : access -> string

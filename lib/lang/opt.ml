@@ -55,22 +55,6 @@ let writes_of (i : instr) : int list =
   | MulSt _ | Chk _ | StH _ | Bgt _ | Blt _ | Region _ | Halt ->
     []
 
-let branch_target = function
-  | Bgt (_, _, t) | Blt (_, _, t)
-  | LoopUp (_, _, _, t) | LoopDown (_, _, _, t)
-  | LoopUpi (_, _, _, t) | LoopDowni (_, _, _, t) ->
-    Some t
-  | _ -> None
-
-let remap_target map = function
-  | Bgt (a, b, t) -> Bgt (a, b, map.(t))
-  | Blt (a, b, t) -> Blt (a, b, map.(t))
-  | LoopUp (v, s, l, t) -> LoopUp (v, s, l, map.(t))
-  | LoopDown (v, s, l, t) -> LoopDown (v, s, l, map.(t))
-  | LoopUpi (v, s, l, t) -> LoopUpi (v, s, l, map.(t))
-  | LoopDowni (v, s, l, t) -> LoopDowni (v, s, l, map.(t))
-  | i -> i
-
 (* ------------------------------------------------------------------ *)
 (* Region read/write attribution                                       *)
 (* ------------------------------------------------------------------ *)
@@ -129,15 +113,10 @@ let value_escapes ~rw code start d =
       let writes =
         match ins with Region rid -> rw.rw_writes rid | i -> writes_of i
       in
-      if not (List.mem d writes) then
-        match ins with
-        | Halt -> ()
-        | Bgt (_, _, t) | Blt (_, _, t)
-        | LoopUp (_, _, _, t) | LoopDown (_, _, _, t)
-        | LoopUpi (_, _, _, t) | LoopDowni (_, _, _, t) ->
-          visit t;
-          visit (p + 1)
-        | _ -> visit (p + 1)
+      if not (List.mem d writes || ins = Halt) then begin
+        Option.iter visit (branch_target ins);
+        visit (p + 1)
+      end
     end
   in
   try

@@ -44,9 +44,6 @@ val optimize : Compile.unit_ -> Compile.unit_ * report
 
 (** {1 Inspection} *)
 
-val opcode_name : Compile.instr -> string
-(** Short mnemonic, the key of {!static_counts}. *)
-
 val static_counts : Compile.unit_ -> (string * int) list
 (** Static per-opcode instruction counts over the main code and every
     region body, sorted descending. *)

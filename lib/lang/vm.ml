@@ -141,8 +141,7 @@ let sparse_st t regs id ks v = Cells.put t.t_sparse.(id) regs ks v
 let check_index x lo hi =
   if x < lo || x > hi then invalid_arg "index out of bounds"
 
-let region_trip (r : Compile.region) ~lo ~hi =
-  let step = r.Compile.rg_step in
+let trip_count ~lo ~hi ~step =
   if step > 0 then if lo > hi then 0 else ((hi - lo) / step) + 1
   else if lo < hi then 0
   else ((lo - hi) / -step) + 1
@@ -302,134 +301,62 @@ and region_serial t (r : Compile.region) ~lo ~hi =
 
 and no_region _ _ ~lo:_ ~hi:_ = false
 
-let run_region_serial = region_serial
-
 let run ?(on_region = no_region) t =
   exec t t.t_regs [||] Bytes.empty t.u.Compile.u_main on_region 0
 
-(* Counting twin of [exec]: same semantics (regions run serially), one
-   counter increment per dispatched instruction.  A separate function so
-   the hot loop above stays branch-free; this one is only used to
-   explain speedups (dynamic instruction counts in the bench artifact),
-   never to time them. *)
-let run_count t : int =
-  let n = ref 0 in
-  let arena = t.t_arena in
-  let regs = t.t_regs in
-  let rec go (code : Compile.instr array) pc =
-    incr n;
-    match code.(pc) with
-    | Compile.Li (d, x) ->
-      regs.(d) <- x;
-      go code (pc + 1)
-    | Compile.Mov (d, s) ->
-      regs.(d) <- regs.(s);
-      go code (pc + 1)
-    | Compile.Add (d, a, b) ->
-      regs.(d) <- regs.(a) + regs.(b);
-      go code (pc + 1)
-    | Compile.Sub (d, a, b) ->
-      regs.(d) <- regs.(a) - regs.(b);
-      go code (pc + 1)
-    | Compile.Mul (d, a, b) ->
-      regs.(d) <- regs.(a) * regs.(b);
-      go code (pc + 1)
-    | Compile.Maxr (d, a, b) ->
-      regs.(d) <- max regs.(a) regs.(b);
-      go code (pc + 1)
-    | Compile.Minr (d, a, b) ->
-      regs.(d) <- min regs.(a) regs.(b);
-      go code (pc + 1)
-    | Compile.Addi (d, s, x) ->
-      regs.(d) <- regs.(s) + x;
-      go code (pc + 1)
-    | Compile.Muli (d, s, x) ->
-      regs.(d) <- regs.(s) * x;
-      go code (pc + 1)
-    | Compile.Muladd (d, s, x, r) ->
-      regs.(d) <- regs.(s) + (x * regs.(r));
-      go code (pc + 1)
-    | Compile.Ld (d, a) ->
-      regs.(d) <- arena.(regs.(a));
-      go code (pc + 1)
-    | Compile.Ldi (d, a) ->
-      regs.(d) <- arena.(a);
-      go code (pc + 1)
-    | Compile.St (a, s) ->
-      arena.(regs.(a)) <- regs.(s);
-      go code (pc + 1)
-    | Compile.Sti (a, s) ->
-      arena.(a) <- regs.(s);
-      go code (pc + 1)
-    | Compile.MuladdLd (d, s, x, r) ->
-      regs.(d) <- arena.(regs.(s) + (x * regs.(r)));
-      go code (pc + 1)
-    | Compile.MuladdSt (s, x, r, v) ->
-      arena.(regs.(s) + (x * regs.(r))) <- regs.(v);
-      go code (pc + 1)
-    | Compile.AddiLd (d, s, x) ->
-      regs.(d) <- arena.(regs.(s) + x);
-      go code (pc + 1)
-    | Compile.AddiSt (s, x, v) ->
-      arena.(regs.(s) + x) <- regs.(v);
-      go code (pc + 1)
-    | Compile.AddSt (a, b, c) ->
-      arena.(regs.(a)) <- regs.(b) + regs.(c);
-      go code (pc + 1)
-    | Compile.SubSt (a, b, c) ->
-      arena.(regs.(a)) <- regs.(b) - regs.(c);
-      go code (pc + 1)
-    | Compile.MulSt (a, b, c) ->
-      arena.(regs.(a)) <- regs.(b) * regs.(c);
-      go code (pc + 1)
-    | Compile.Chk (r, lo, hi) ->
-      check_index regs.(r) lo hi;
-      go code (pc + 1)
-    | Compile.LdH (d, id, ks) ->
-      regs.(d) <- sparse_ld t regs id ks;
-      go code (pc + 1)
-    | Compile.StH (id, ks, s) ->
-      sparse_st t regs id ks regs.(s);
-      go code (pc + 1)
-    | Compile.LdS _ | Compile.LdSi _ | Compile.StS _ | Compile.StSi _ ->
-      invalid_arg "Vm.run_count: slab access outside a parallel chunk"
-    | Compile.Bgt (a, b, tgt) ->
-      go code (if regs.(a) > regs.(b) then tgt else pc + 1)
-    | Compile.Blt (a, b, tgt) ->
-      go code (if regs.(a) < regs.(b) then tgt else pc + 1)
-    | Compile.LoopUp (v, step, lim, top) ->
-      let x = regs.(v) + step in
-      regs.(v) <- x;
-      go code (if x <= regs.(lim) then top else pc + 1)
-    | Compile.LoopDown (v, step, lim, top) ->
-      let x = regs.(v) + step in
-      regs.(v) <- x;
-      go code (if x >= regs.(lim) then top else pc + 1)
-    | Compile.LoopUpi (v, step, lim, top) ->
-      let x = regs.(v) + step in
-      regs.(v) <- x;
-      go code (if x <= lim then top else pc + 1)
-    | Compile.LoopDowni (v, step, lim, top) ->
-      let x = regs.(v) + step in
-      regs.(v) <- x;
-      go code (if x >= lim then top else pc + 1)
-    | Compile.Region rid ->
-      let r = t.u.Compile.u_regions.(rid) in
-      let lo = regs.(r.Compile.rg_lo) and hi = regs.(r.Compile.rg_hi) in
-      let step = r.Compile.rg_step in
-      let rec iter v =
-        if (if step > 0 then v <= hi else v >= hi) then begin
-          regs.(r.Compile.rg_vreg) <- v;
-          go r.Compile.rg_serial 0;
-          iter (v + step)
-        end
-      in
-      iter lo;
-      go code (pc + 1)
-    | Compile.Halt -> ()
+(* Instruction counting runs [exec] itself, on a copy of the code in
+   which every basic block starts with [Addi (c, c, len)]: [c] is a
+   spare register past the unit's own, [len] the block's original
+   length.  A block starts at pc 0, at every branch target and after
+   every branch or [Halt]; targets move to their block's counter, so a
+   block entered by fall-through or by a jump is counted once either
+   way, and the timed loop carries no counter at all. *)
+let counted c (code : Compile.instr array) =
+  let n = Array.length code in
+  let leader = Array.make (n + 1) false in
+  leader.(0) <- true;
+  Array.iteri
+    (fun pc i ->
+      match Compile.branch_target i with
+      | Some tgt ->
+        leader.(tgt) <- true;
+        leader.(pc + 1) <- true
+      | None -> if i = Compile.Halt then leader.(pc + 1) <- true)
+    code;
+  let rec block_end pc = if pc = n || leader.(pc) then pc else block_end (pc + 1) in
+  let map = Array.make (n + 1) 0 and out = ref [] and len = ref 0 in
+  let emit i =
+    out := i :: !out;
+    incr len
   in
-  go t.u.Compile.u_main 0;
-  !n
+  Array.iteri
+    (fun pc i ->
+      map.(pc) <- !len;
+      if leader.(pc) then emit (Compile.Addi (c, c, block_end (pc + 1) - pc));
+      emit i)
+    code;
+  map.(n) <- !len;
+  Array.of_list (List.rev_map (Compile.remap_target map) !out)
+
+let run_count t : int =
+  let u = t.u in
+  let c = u.Compile.u_nregs in
+  let u' =
+    {
+      u with
+      Compile.u_main = counted c u.Compile.u_main;
+      u_regions =
+        Array.map
+          (fun (r : Compile.region) ->
+            { r with Compile.rg_serial = counted c r.Compile.rg_serial })
+          u.Compile.u_regions;
+    }
+  in
+  let regs = Array.make (c + 1) 0 in
+  Array.blit t.t_regs 0 regs 0 c;
+  run { t with u = u'; t_regs = regs };
+  Array.blit regs 0 t.t_regs 0 c;
+  regs.(c)
 
 (* ------------------------------------------------------------------ *)
 (* Chunks                                                              *)

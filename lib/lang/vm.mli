@@ -40,7 +40,8 @@ val run :
 (** Interpret the main code to [Halt].  [on_region] is called with the
     evaluated bounds of each dynamic region entry; returning [true]
     means the callback executed the whole region (e.g. in parallel),
-    [false] falls back to {!run_region_serial}.
+    [false] runs its iterations in order on the shared arena (the
+    [rg_serial] body).
     @raise Invalid_argument on an arena access outside [[0, arena)], a
     run-time subscript outside its dimension ([Chk]) or a sparse access
     naming no table: every memory opcode is checked, and the failing
@@ -48,15 +49,16 @@ val run :
 
 val run_count : t -> int
 (** Like {!run} with every region serial, returning the number of
-    dynamically dispatched instructions.  A separate (slower) counting
-    twin of the dispatch loop — use it to {e explain} measured speedups
-    (the bench artifact's dynamic instruction counts), never to time. *)
+    dynamically dispatched instructions; memory afterwards is as after
+    {!run}.  It runs the same dispatch loop on an instrumented copy of
+    the code (a counter add at the head of each basic block), so it is
+    slower than {!run} — use it to {e explain} measured speedups (the
+    bench artifact's dynamic instruction counts), never to time. *)
 
-val region_trip : Compile.region -> lo:int -> hi:int -> int
-(** Number of iterations of a region instance. *)
-
-val run_region_serial : t -> Compile.region -> lo:int -> hi:int -> unit
-(** All iterations in order, on the shared arena ([rg_serial] body). *)
+val trip_count : lo:int -> hi:int -> step:int -> int
+(** Number of iterations of [for v := lo to hi by step] ([step <> 0]):
+    of a region instance, or of a loop the interpreter runs in
+    parallel. *)
 
 (** {1 Chunks} *)
 

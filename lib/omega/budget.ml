@@ -170,8 +170,6 @@ let with_wall_deadline d f =
   w.w_wall_deadline <- d;
   Fun.protect ~finally:(fun () -> w.w_wall_deadline <- saved) f
 
-let wall_deadline () = (world ()).w_wall_deadline
-
 let wall_expired () =
   match (world ()).w_wall_deadline with
   | Some d -> Unix.gettimeofday () >= d

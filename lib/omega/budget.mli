@@ -83,9 +83,6 @@ val with_wall_deadline : float option -> (unit -> 'a) -> 'a
     other blown limit.  petitd installs the per-request [deadline_ms]
     here before solving. *)
 
-val wall_deadline : unit -> float option
-(** The current domain's wall deadline, if any. *)
-
 val wall_expired : unit -> bool
 (** Whether the current domain's wall deadline has already passed
     ([false] when none is set).  Checked at admission points that want

@@ -130,4 +130,3 @@ let pp fmt t =
   | Eq -> Format.fprintf fmt "%a = 0" Linexpr.pp t.expr
   | Geq -> Format.fprintf fmt "%a >= 0" Linexpr.pp t.expr
 
-let to_string t = Format.asprintf "%a" pp t

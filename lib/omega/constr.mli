@@ -50,7 +50,5 @@ val implies : t -> t -> bool
 (** Single-constraint implication; detects only the parallel /
     anti-parallel cases (used as a fast screen). *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

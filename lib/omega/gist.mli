@@ -21,11 +21,6 @@ val implies : Problem.t -> Problem.t -> bool
 
 (**/**)
 
-val negate_disjuncts : Constr.t -> Constr.t list
-(** The negation of one constraint as a list of alternatives (exposed for
-    tests): an inequality negates to one inequality, an equality to two,
-    an inert congruence to the other residues. *)
-
 val gist_project :
   keep:(Var.t -> bool) -> Problem.t -> given:Problem.t -> result
 (** [gist_project ~keep p ~given:q] is

@@ -76,7 +76,6 @@ let vars e = Var.Map.fold (fun v _ acc -> Var.Set.add v acc) e.terms Var.Set.emp
 
 let iter_terms f e = Var.Map.iter f e.terms
 let fold_terms f e acc = Var.Map.fold f e.terms acc
-let num_terms e = Var.Map.cardinal e.terms
 
 (* Gcd of the variable coefficients (not the constant); zero for a constant
    expression. *)
@@ -143,8 +142,6 @@ let cached e =
     e.cache <- Some c;
     c
 
-let hash e = (cached e).c_hash
-
 let canon e =
   let c = cached e in
   (c.c_key, c.c_flipped, c.c_khash)
@@ -160,13 +157,6 @@ let compare a b =
    parallel constraints. *)
 let compare_terms a b =
   if a == b then 0 else Var.Map.compare Zint.compare a.terms b.terms
-
-let equal a b =
-  a == b
-  ||
-  match a.cache, b.cache with
-  | Some ca, Some cb when ca.c_hash <> cb.c_hash -> false
-  | _ -> compare a b = 0
 
 (* Inner product of the coefficient vectors of two expressions, used by the
    gist fast checks ("normals with positive inner product"). *)
@@ -204,4 +194,3 @@ let pp fmt e =
       else fprintf fmt " - %a" Zint.pp (Zint.abs e.const)
   end
 
-let to_string e = Format.asprintf "%a" pp e

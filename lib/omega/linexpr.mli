@@ -7,9 +7,6 @@ val zero : t
 val const : Zint.t -> t
 val of_int : int -> t
 
-val term : Zint.t -> Var.t -> t
-(** [term c v] is [c * v]. *)
-
 val var : Var.t -> t
 
 val coeff : t -> Var.t -> Zint.t
@@ -35,7 +32,6 @@ val subst : t -> Var.t -> t -> t
 val vars : t -> Var.Set.t
 val iter_terms : (Var.t -> Zint.t -> unit) -> t -> unit
 val fold_terms : (Var.t -> Zint.t -> 'a -> 'a) -> t -> 'a -> 'a
-val num_terms : t -> int
 
 val content : t -> Zint.t
 (** Gcd of the variable coefficients (not the constant); zero for a
@@ -52,11 +48,6 @@ val compare_terms : t -> t -> int
 (** Linear parts only (ignoring the constants): equal iff parallel with
     the same scale. *)
 
-val equal : t -> t -> bool
-
-val hash : t -> int
-(** Structural hash (constant included), cached on the expression. *)
-
 val canon : t -> (Var.t * Zint.t) list * bool * int
 (** [canon e] is [(key, flipped, khash)]: the linear part in ascending
     variable order with the leading coefficient made positive, whether
@@ -69,4 +60,3 @@ val dot : t -> t -> Zint.t
     checks). *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

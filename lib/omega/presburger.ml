@@ -50,8 +50,6 @@ type t =
 (* Smart constructors                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let tt = True
-let ff = False
 let atom c = Atom c
 let ge e1 e2 = Atom (Constr.ge e1 e2)
 let gt e1 e2 = Atom (Constr.gt e1 e2)

@@ -37,16 +37,12 @@ type t =
 
 (** {1 Smart constructors} (they simplify on the fly) *)
 
-val tt : t
-val ff : t
 val atom : Constr.t -> t
 val ge : Linexpr.t -> Linexpr.t -> t
 val gt : Linexpr.t -> Linexpr.t -> t
 val le : Linexpr.t -> Linexpr.t -> t
 val lt : Linexpr.t -> Linexpr.t -> t
 val eq : Linexpr.t -> Linexpr.t -> t
-val geq0 : Linexpr.t -> t
-val eq0 : Linexpr.t -> t
 val and_ : t list -> t
 val or_ : t list -> t
 val not_ : t -> t
@@ -57,20 +53,12 @@ val cong : Zint.t -> Linexpr.t -> t
 
 (** {1 Conversions} *)
 
-val of_constr : Constr.t -> t
-(** Inert congruence equalities become [Cong] atoms, so the formula layer
-    never sees wildcards. *)
-
 val of_problem : Problem.t -> t
 
 val problem_of_conjuncts : t list -> Problem.t
 (** The atoms (and only atoms) of one DNF disjunct as a problem;
     congruences become fresh-wildcard equalities.
     @raise Invalid_argument on non-atoms. *)
-
-val neg_qf : t -> t
-(** Negation of a quantifier-free formula, staying quantifier-free.
-    @raise Invalid_argument on quantified formulas. *)
 
 val dnf : t -> t list list
 (** Disjunctive normal form of a quantifier-free formula: every leaf of

@@ -31,16 +31,11 @@ let add c t = mk (c :: t.cs)
 let add_list cs t = mk (cs @ t.cs)
 let conj a b = mk (a.cs @ b.cs)
 
-let eqs t = List.filter (fun c -> Constr.kind c = Constr.Eq) t.cs
-let geqs t = List.filter (fun c -> Constr.kind c = Constr.Geq) t.cs
-
 let vars t =
   List.fold_left (fun acc c -> Var.Set.union acc (Constr.vars c)) Var.Set.empty t.cs
 
 let map_constraints f t = mk (List.map f t.cs)
 let filter f t = mk (List.filter f t.cs)
-let exists f t = List.exists f t.cs
-let for_all f t = List.for_all f t.cs
 
 let subst v def t = mk (List.map (fun c -> Constr.subst c v def) t.cs)
 

@@ -29,14 +29,10 @@ val mark_grown : t -> unit
     interval-redundancy screen on it.  Purely a performance hint — the
     screen is equivalence-preserving either way. *)
 
-val eqs : t -> Constr.t list
-val geqs : t -> Constr.t list
 val vars : t -> Var.Set.t
 
 val map_constraints : (Constr.t -> Constr.t) -> t -> t
 val filter : (Constr.t -> bool) -> t -> t
-val exists : (Constr.t -> bool) -> t -> bool
-val for_all : (Constr.t -> bool) -> t -> bool
 
 val subst : Var.t -> Linexpr.t -> t -> t
 (** [subst v def t] replaces [v] by the affine expression [def] in every

@@ -58,13 +58,10 @@ let id t = t.id
 let name t = t.name
 let kind t = t.kind
 let is_wild t = t.kind = Wild
-let is_sym t = t.kind = Sym
 
 let compare a b = compare a.id b.id
 let equal a b = a.id = b.id
 let hash t = t.id
-
-let pp fmt t = Format.pp_print_string fmt t.name
 
 module Ord = struct
   type nonrec t = t

@@ -22,12 +22,10 @@ val id : t -> int
 val name : t -> string
 val kind : t -> kind
 val is_wild : t -> bool
-val is_sym : t -> bool
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
-val pp : Format.formatter -> t -> unit
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

@@ -359,6 +359,4 @@ let to_float_opt = function
   | Int n -> Some (float_of_int n)
   | _ -> None
 
-let to_str_opt = function Str s -> Some s | _ -> None
-let to_bool_opt = function Bool b -> Some b | _ -> None
 let to_list_opt = function List xs -> Some xs | _ -> None

@@ -17,7 +17,6 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-val to_buffer : Buffer.t -> t -> unit
 
 val pretty : t -> string
 (** Two-space indented rendering, for human-facing [--json] output. *)
@@ -40,6 +39,4 @@ val to_int_opt : t -> int option
 val to_float_opt : t -> float option
 (** [Int] widens to float. *)
 
-val to_str_opt : t -> string option
-val to_bool_opt : t -> bool option
 val to_list_opt : t -> t list option

@@ -64,7 +64,6 @@ type t = {
 }
 
 let service t = t.service
-let addr t = t.config.c_addr
 
 let sockaddr_of = function
   | Protocol.Unix_path p -> Unix.ADDR_UNIX p

@@ -54,7 +54,6 @@ val start : config -> t
     cannot spawn [c_domains] worker domains. *)
 
 val service : t -> Service.t
-val addr : t -> Protocol.addr
 
 val wait : t -> unit
 (** Block until the server shuts down (via a [shutdown] request or

@@ -79,7 +79,6 @@ let create ?memo_capacity ?(quota = Budget.default) ?(domains = 1)
     lifetime = Metrics.make ();
   }
 
-let quota t = t.quota
 let domains t = Taskpool.workers t.pool
 let shutdown t = Taskpool.shutdown t.pool
 

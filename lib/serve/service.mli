@@ -41,8 +41,6 @@ val create :
     smaller time budget; one whose deadline passed before any work could
     start is refused with [Gave_up]. *)
 
-val quota : t -> Omega.Budget.limits
-
 val domains : t -> int
 (** Worker domains serving solver work. *)
 
@@ -88,5 +86,3 @@ val governance_fields : Omega.Metrics.t -> (string * Json.t) list
     payload: a warm cache legitimately answers with fewer solver
     queries than a cold one. *)
 
-val memo_report : req_hits:int -> req_misses:int -> Protocol.memo_report
-(** Lifetime memo counters paired with the given per-request deltas. *)

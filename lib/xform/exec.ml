@@ -10,7 +10,10 @@
 
    - the normalized iteration range is cut into contiguous chunks,
      claimed dynamically by the pool's workers through an atomic
-     counter (so triangular inner work still balances);
+     counter (so triangular inner work still balances).  One scheduler,
+     [run_chunks], does this for both executors, this one and the
+     compiled backend below, and both count iterations with
+     [Vm.trip_count];
    - each chunk runs against an overlay store: writes land in a
      chunk-private table, reads check the private table first and fall
      through to the global store, which is frozen (read-only) for the
@@ -96,14 +99,38 @@ let with_pool ?size f =
   let pool = create_pool ?size () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
-(* Run [job] on every pool slot (the calling domain included) and wait
-   until all copies have drained.  [job] must be re-entrant and must
-   return only when no work is left (chunk claiming via an atomic
-   counter gives both); it must not raise — region bodies capture their
-   own faults for the serial-fallback path. *)
-let run_region pool job =
+(* Each region is cut into this many chunks per worker, for dynamic
+   load balancing. *)
+let chunks_per_worker = 4
+
+let chunk_count pool niters = min niters (pool.p_size * chunks_per_worker)
+
+(* The one chunk scheduler of both executors.  The [niters] normalized
+   iterations of a region are cut into [chunk_count pool niters]
+   contiguous chunks; [chunk c ~k0 ~k1] runs chunk [c], iterations
+   [k0, k1).  Every pool slot (the calling domain included) claims
+   chunks from an atomic counter.  The first exception cancels the
+   chunks not yet claimed — a slot still drains the counter, so the
+   pool never deadlocks — and the result says whether every chunk ran
+   to completion.  Faults are never re-raised here: each executor
+   discards its chunks' private state and re-runs a faulted region
+   serially on the submitting thread. *)
+let run_chunks pool niters chunk =
+  let nchunks = chunk_count pool niters in
+  let next = Atomic.make 0 and failed = Atomic.make false in
+  let rec job () =
+    let c = Atomic.fetch_and_add next 1 in
+    if c < nchunks then begin
+      (if not (Atomic.get failed) then
+         try
+           chunk c ~k0:(c * niters / nchunks) ~k1:((c + 1) * niters / nchunks)
+         with _ -> Atomic.set failed true);
+      job ()
+    end
+  in
   Taskpool.run_batch ~participate:true pool.p_tp
-    (List.init pool.p_size (fun _ -> job))
+    (List.init pool.p_size (fun _ -> job));
+  not (Atomic.get failed)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -134,15 +161,6 @@ let run_serial ?(init = zero_init) (prog : Ir.program) ~syms : mem =
   List.iter (Interp.exec_stmt env) prog.Ir.stmts;
   final tbl
 
-let iteration_count l h step =
-  if step > 0 then if l > h then 0 else ((h - l) / step) + 1
-  else if l < h then 0
-  else ((l - h) / -step) + 1
-
-(* Each region is cut into this many chunks per worker, for dynamic
-   load balancing. *)
-let chunks_per_worker = 4
-
 let run_parallel ?pool ?(init = zero_init) ?(no_copy_in = false)
     ?(chunk_fault = fun _ -> ()) (pl : plan) (prog : Ir.program) ~syms :
     mem * stats =
@@ -158,16 +176,13 @@ let run_parallel ?pool ?(init = zero_init) ?(no_copy_in = false)
   (* one parallel region: the iterations of [var] in [l..h by step], with
      [body] run serially inside each iteration *)
   let parallel_region var l h step body privs =
-    let niters = iteration_count l h step in
-    let nchunks = min niters (pool.p_size * chunks_per_worker) in
+    let niters = Vm.trip_count ~lo:l ~hi:h ~step in
+    let nchunks = chunk_count pool niters in
     incr regions;
     chunks := !chunks + nchunks;
     let locals = Array.init nchunks (fun _ -> Hashtbl.create 64) in
-    let next = Atomic.make 0 in
-    let err_lock = Mutex.create () in
-    let err = ref None in
     let outer = genv.Interp.e_loops in
-    let process c =
+    let process c ~k0 ~k1 =
       chunk_fault c;
       let local = locals.(c) in
       let ld loc =
@@ -187,38 +202,24 @@ let run_parallel ?pool ?(init = zero_init) ?(no_copy_in = false)
       let cenv =
         { Interp.e_syms = genv.Interp.e_syms; e_loops = outer; e_mem = store }
       in
-      (* chunk c covers normalized iterations [k0, k1) *)
-      let k0 = c * niters / nchunks and k1 = (c + 1) * niters / nchunks in
       for k = k0 to k1 - 1 do
         cenv.Interp.e_loops <- (var, (l + (k * step), k)) :: outer;
         List.iter (Interp.exec_stmt cenv) body
       done
     in
-    let job () =
-      let rec go () =
-        let c = Atomic.fetch_and_add next 1 in
-        if c < nchunks then begin
-          (if !err = None then
-             try process c
-             with e ->
-               Mutex.lock err_lock;
-               (if !err = None then err := Some e);
-               Mutex.unlock err_lock);
-          go ()
-        end
-      in
-      go ()
-    in
-    run_region pool job;
-    match !err with
-    | Some _ ->
-      (* A worker faulted.  The first exception was captured and the
-         remaining chunks cancelled (workers skip once [err] is set), so
-         the pool drains and never deadlocks.  The chunk overlays never
-         touched the global store, so discard them wholesale and re-run
-         the whole region serially against it: a deterministic program
-         fault then re-raises here, on the submitting thread, at the
-         exact iteration serial execution would reach — and a transient
+    if run_chunks pool niters process then
+      (* last-writer finalization: chunks merge in iteration order, so a
+         later chunk's write to an element overrides an earlier chunk's *)
+      Array.iter
+        (fun local ->
+          Hashtbl.iter (fun k v -> Hashtbl.replace global k v) local)
+        locals
+    else begin
+      (* A worker faulted.  The chunk overlays never touched the global
+         store, so discard them wholesale and re-run the whole region
+         serially against it: a deterministic program fault then
+         re-raises here, on the submitting thread, at the exact
+         iteration serial execution would reach — and a transient
          (injected) fault simply yields the serial result. *)
       incr fallbacks;
       for k = 0 to niters - 1 do
@@ -226,13 +227,7 @@ let run_parallel ?pool ?(init = zero_init) ?(no_copy_in = false)
         List.iter (Interp.exec_stmt genv) body
       done;
       genv.Interp.e_loops <- outer
-    | None ->
-      (* last-writer finalization: chunks merge in iteration order, so a
-         later chunk's write to an element overrides an earlier chunk's *)
-      Array.iter
-        (fun local ->
-          Hashtbl.iter (fun k v -> Hashtbl.replace global k v) local)
-        locals
+    end
   in
   let rec walk (s : Ir.istmt) =
     match s with
@@ -240,7 +235,7 @@ let run_parallel ?pool ?(init = zero_init) ?(no_copy_in = false)
     | Ir.IFor { node_id; var; lo; hi; step; body; _ } -> (
       let l = Interp.eval_expr genv lo and h = Interp.eval_expr genv hi in
       match List.assoc_opt node_id pl.pl_doall with
-      | Some privs when iteration_count l h step > 1 ->
+      | Some privs when Vm.trip_count ~lo:l ~hi:h ~step > 1 ->
         parallel_region var l h step body privs
       | _ ->
         (* serial loop; inner plan doalls still become parallel regions *)
@@ -275,8 +270,8 @@ let run_parallel ?pool ?(init = zero_init) ?(no_copy_in = false)
 (* The same execution model as [run_parallel], but over bytecode and
    flat memory (Lang.Compile / Lang.Vm) instead of the interpreter and
    overlay hashtables.  The VM surfaces each dynamic doall instance
-   through its [on_region] callback; we cut it into chunks claimed from
-   the pool exactly as above.  Chunk slabs subsume the overlay stores:
+   through its [on_region] callback, which hands it to [run_chunks] as
+   above.  Chunk slabs subsume the overlay stores:
    copy-in is an [Array.blit] prologue, finalization merges written
    slab cells in chunk order.  Sparse arrays never reach a chunk: the
    compiler keeps every plan loop that touches one serial.
@@ -310,57 +305,38 @@ let run_compiled_vm ?pool ?(par_threshold = default_par_threshold) ?init ?(no_co
   let regions = ref 0 and chunks = ref 0 and inline = ref 0 in
   let fallbacks = ref 0 in
   let on_region vt (r : Compile.region) ~lo ~hi =
-    let niters = Vm.region_trip r ~lo ~hi in
+    let niters = Vm.trip_count ~lo ~hi ~step:r.Compile.rg_step in
     if niters <= 1 || niters * max 1 r.Compile.rg_cost < par_threshold then begin
       if niters > 0 then incr inline;
       false (* the VM runs the region serially in place *)
     end
     else begin
       incr regions;
-      let nchunks = min niters (pool.p_size * chunks_per_worker) in
+      let nchunks = chunk_count pool niters in
       chunks := !chunks + nchunks;
       let cks = Array.make nchunks None in
-      let next = Atomic.make 0 in
-      let err_lock = Mutex.create () in
-      let err = ref None in
-      let job () =
-        let rec go () =
-          let c = Atomic.fetch_and_add next 1 in
-          if c < nchunks then begin
-            (if !err = None then
-               try
-                 chunk_fault c;
-                 let ck = Vm.make_chunk ~copy_in:(not no_copy_in) vt r in
-                 cks.(c) <- Some ck;
-                 let k0 = c * niters / nchunks
-                 and k1 = (c + 1) * niters / nchunks in
-                 Vm.run_chunk vt r ck ~lo ~k0 ~k1
-               with e ->
-                 Mutex.lock err_lock;
-                 (if !err = None then err := Some e);
-                 Mutex.unlock err_lock);
-            go ()
-          end
-        in
-        go ()
+      let process c ~k0 ~k1 =
+        chunk_fault c;
+        let ck = Vm.make_chunk ~copy_in:(not no_copy_in) vt r in
+        cks.(c) <- Some ck;
+        Vm.run_chunk vt r ck ~lo ~k0 ~k1
       in
-      run_region pool job;
-      match !err with
-      | Some _ ->
-        (* A worker faulted: the first exception was captured, the
-           remaining chunks cancelled, and the pool drained.  The chunk
-           slabs never merged into VM memory, so discard them and
-           return [false]: the VM runs this region serially in place,
-           re-raising any deterministic program fault on the submitting
-           thread with exact serial semantics. *)
-        incr fallbacks;
-        false
-      | None ->
+      if run_chunks pool niters process then begin
         (* last-writer finalization: merge in increasing iteration order *)
         Array.iter
           (function Some ck -> Vm.merge_chunk vt r ck | None -> ())
           cks;
         true
+      end
+      else begin
+        (* A worker faulted.  The chunk slabs never merged into VM
+           memory, so discard them and return [false]: the VM runs this
+           region serially in place, re-raising any deterministic
+           program fault on the submitting thread with exact serial
+           semantics. *)
+        incr fallbacks;
+        false
+      end
     end
   in
   Fun.protect

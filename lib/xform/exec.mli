@@ -6,7 +6,10 @@
     bench suite).
 
     Each parallel region cuts the loop's iteration range into chunks
-    claimed dynamically by the pool.  A chunk executes against an
+    claimed dynamically by the pool.  Both executors below (the
+    interpreter's and the compiled VM's) share one chunk scheduler: the
+    first chunk to raise cancels the chunks not yet claimed, and the
+    region is then re-run serially on the submitting thread.  A chunk executes against an
     overlay store: writes go to a chunk-private table, reads fall
     through to the (frozen) global state — the runtime {e copy-in} of a
     privatized array's first-read-before-written elements.  After the
@@ -117,8 +120,6 @@ val run_parallel :
     regions and their chunks only ever see the arena and their slabs.
     {!Lang.Compile.Unsupported} is left for an unbound symbol. *)
 
-val default_par_threshold : int
-
 val compile_plan : plan -> Ir.program -> syms:(string * int) list -> Compile.unit_
 (** Compile with the plan's doall loops as parallel regions (except
     those whose bodies touch a sparse array, which stay serial).
@@ -160,7 +161,7 @@ val run_parallel_vm :
 (** Execute compiled code with the plan's doall loops chunked over the
     pool.  A dynamic region whose static work estimate
     [trip * instructions-per-iteration] is below [par_threshold]
-    (default {!default_par_threshold}) runs serially in place, counted
+    (default 4096) runs serially in place, counted
     in [x_inline] — this is what keeps hundreds of tiny regions
     (example6, wavefront2) from re-synchronizing the pool.
     [no_copy_in] skips the slab copy-in blit — {b testing only}. *)
@@ -175,4 +176,3 @@ val diff_mem :
 
 val diff_string : (Interp.loc * int option * int option) list -> string
 
-val loc_string : Interp.loc -> string

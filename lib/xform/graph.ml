@@ -183,14 +183,6 @@ let build ?(in_bounds = false) (prog : Ir.program) : t =
   let outputs = classify res.Driver.outputs in
   assemble prog ~flows:res.Driver.flows ~antis ~outputs
 
-let of_result (prog : Ir.program) (res : Driver.result) : t =
-  let unclassified (d : Deps.dep) =
-    { Driver.dep = d; refined = None; covers = false; dead = None }
-  in
-  assemble prog ~flows:res.Driver.flows
-    ~antis:(List.map unclassified res.Driver.antis)
-    ~outputs:(List.map unclassified res.Driver.outputs)
-
 (* ------------------------------------------------------------------ *)
 (* DOT                                                                 *)
 (* ------------------------------------------------------------------ *)

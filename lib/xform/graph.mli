@@ -17,7 +17,7 @@ type edge = {
   e_kind : Deps.kind;
   e_status : status;
       (** flow status from {!Driver.analyze}; anti/output status from
-          {!Driver.classify_kind} (always [Live] via {!of_result}) *)
+          {!Driver.classify_kind} *)
   e_std_vectors : Dirvec.t list;  (** vectors of the standard analysis *)
   e_vectors : Dirvec.t list;
       (** vectors after extended refinement (= [e_std_vectors] when
@@ -60,16 +60,6 @@ val build : ?in_bounds:bool -> Ir.program -> t
     analysis already computed, and assemble the graph.  Each dependence
     is computed once; the anti and output edges equal a standalone
     {!Driver.classify_kind}. *)
-
-val of_result : Ir.program -> Driver.result -> t
-(** Assemble a graph from an existing analysis result; anti and output
-    dependences are taken unclassified (all live). *)
-
-val carried_levels : Dirvec.t list -> int list
-(** Levels a dependence with the given vectors can be carried at: level
-    [k >= 1] when some vector admits zero distance at every level before
-    [k] and a positive distance at [k]; level 0 when some vector admits
-    the all-zero distance (loop-independent). *)
 
 val carrier : edge -> int -> int option
 (** [carrier e node] is the level (1-based) at which loop [node] could

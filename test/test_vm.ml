@@ -228,7 +228,8 @@ let test_copy_in_load_bearing () =
    exception, not a wild read or write.  Each arena opcode, plain or
    fused, is run from a hand-built main body against an address just
    past either end of the arena; it must raise [Invalid_argument] with
-   the arena untouched, in both dispatch loops. *)
+   the arena untouched, under [run] and under [run_count]'s instrumented
+   copy of the code. *)
 let test_arena_bounds_checked () =
   let prog, _ =
     analyze_src "real a[0:3];\nfor i := 0 to 3 do a(i) := i; endfor"
@@ -285,7 +286,8 @@ let test_arena_bounds_checked () =
 (* The run-time address opcodes keep the contract: a dense subscript
    outside its dimension's extent ([chk]) and a sparse access naming a
    table the unit does not have ([ldh]/[sth]) raise [Invalid_argument]
-   with memory untouched, in both dispatch loops.  The unit has one
+   with memory untouched, under [run] and under [run_count]'s
+   instrumented copy of the code.  The unit has one
    sparse array ([a], through the index array [q]) and one dense
    dimension [0:3]. *)
 let test_runtime_address_checks () =
@@ -351,7 +353,19 @@ let prop_vm_matches_interp (ast : Ast.program) : bool =
       | exception Interp.Runtime_error _ -> true
       | serial ->
         let tvm = Xform.Exec.run_serial_vm ~init prog ~syms in
+        (* [run_count] runs the instrumented copy of a unit: without a
+           plan, and with the ext plan's regions (their serial bodies
+           are instrumented too) *)
+        let counted u =
+          let t = Vm.create ~init u in
+          ignore (Vm.run_count t);
+          Vm.check_against ~init t serial = []
+        in
         Vm.check_against ~init tvm serial = []
+        && counted (Compile.program prog ~syms)
+        && counted
+             (Xform.Exec.compile_plan (Xform.Exec.plan Xform.Exec.Ext vs) prog
+                ~syms)
         && List.for_all
              (fun side ->
                let pl = Xform.Exec.plan side vs in
