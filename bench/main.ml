@@ -1263,7 +1263,10 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
    in-process server on a private Unix socket, twice - a cold pass on
    a fresh cache, then a warm pass on the heated one - and every
    request's latency lands in a per-client slot, aggregated to
-   p50/p99 and throughput per pass. *)
+   p50/p99 and throughput per pass.  The warm pass must not miss at
+   all: a warm request that reports a verdict miss, or daemon verdict
+   or vector miss counts that move across the pass, fail the bench (a
+   key found by the wrong recipe would show there first). *)
 
 type serve_sample = {
   sv_name : string;
@@ -1355,6 +1358,14 @@ let settled_stats path =
       else Result.map (fun p -> (p, open_conns p)) (call Protocol.Stats)
   in
   settle ()
+
+(* The daemon's verdict and vector miss counts, from a stats payload. *)
+let memo_misses stats =
+  let count field =
+    Option.bind (Json.member "memo" stats) (fun m ->
+        Option.bind (Json.member field m) Json.to_int_opt)
+  in
+  (count "misses", count "vec_misses")
 
 let payload_or_exit what = function
   | Ok payload -> payload
@@ -1489,9 +1500,21 @@ let serve_suite ~smoke ~clients ~domains ~out () =
         try Unix.unlink path with Unix.Unix_error _ -> ())
       (fun () ->
         let cold, cold_wall = serve_pass path ~clients ~programs in
+        let before, _ =
+          payload_or_exit "serve bench: stats" (settled_stats path)
+        in
         let warm, warm_wall = serve_pass path ~clients ~programs in
         check_payloads "cold" cold;
         check_payloads "warm" warm;
+        List.iteri
+          (fun k samples ->
+            List.iter
+              (fun s ->
+                if s.sv_req_misses > 0 then
+                  fail "warm pass, client %d: %s %s reports %d memo misses" k
+                    s.sv_op s.sv_name s.sv_req_misses)
+              samples)
+          warm;
         (* Requests that did solver work cold must replay from the
            shared cache warm: hits > 0 on the matching warm request. *)
         let cold_traffic =
@@ -1520,6 +1543,12 @@ let serve_suite ~smoke ~clients ~domains ~out () =
         if open_conns <> Some 1 then
           fail "daemon stats: connections.open reads %s, not 1 (its own)"
             (Option.fold ~none:"nothing" ~some:string_of_int open_conns);
+        (let show = Option.fold ~none:"?" ~some:string_of_int in
+         let (m, v), (m', v') = (memo_misses before, memo_misses stats) in
+         if m = None || v = None || m <> m' || v <> v' then
+           fail
+             "warm pass: daemon memo misses %s -> %s, vector misses %s -> %s"
+             (show m) (show m') (show v) (show v'));
         let summary label samples wall =
           let lats = List.map (fun s -> s.sv_latency) samples in
           Printf.sprintf

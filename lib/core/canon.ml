@@ -8,15 +8,17 @@
    guarantees that order: it mints every access's i instance, then
    every j, then every k (tag-major), before any query mints its own
    distance variables and wildcards.  This is the key of the verdict memo
-   ([Analyses.Memo], which is what lets domains share verdicts) and,
+   ([Analyses.Memo], which is what lets domains share verdicts; a warm
+   query finds it by recipe instead of building it again) and,
    prefixed with the query label, the fault-injection key that makes the
    injected-fault stream a pure function of query content. *)
 
 open Omega
 
 (* Coefficients and canonical ids are written as decimal digits
-   straight into the buffer: the key is built on every memo lookup, and
-   a [string_of_int] per term would allocate and dominate its cost. *)
+   straight into the buffer: a key is built for every query the memo
+   has no recipe for ([Memo.keyed]) and every fault key, and a
+   [string_of_int] per term would allocate and dominate its cost. *)
 let rec add_digits buf n =
   if n >= 10 then add_digits buf (n / 10);
   Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))

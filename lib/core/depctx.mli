@@ -12,8 +12,17 @@
     instances of distinct tags therefore sees them in the id order
     i < j < k, below every variable it mints itself, exactly as if it
     had minted fresh instances, so canonical memo keys and solver
-    choices do not depend on which queries ran before.  A context is
-    read-only after {!create} and may be shared across domains. *)
+    choices do not depend on which queries ran before.
+
+    {!create} also resolves the program's {!Memo.recipes} table, under
+    an exact fingerprint (the [Marshal] image) of the IR fields a
+    context reads: [symbolics], [arrays], [assumes] and [accesses].  A
+    query's memo key is a function of those fields and its {!recipe},
+    so a warm query finds its key with {!Memo.keyed} and builds no
+    problem.
+
+    A context is read-only after {!create} and may be shared across
+    domains. *)
 
 open Omega
 
@@ -30,6 +39,7 @@ type t = private {
   ranges : (string * (Linexpr.t * Linexpr.t) list) list;
       (** declared array ranges over the symbolic constants *)
   entries : entry array array;  (** by tag, then by [acc_id] *)
+  recipes : Memo.recipes;  (** the program's recipe table *)
 }
 
 type inst = private {
@@ -66,10 +76,30 @@ val subs_equal : t -> inst -> inst -> Constr.t list
 val assumes : t -> Constr.t list
 (** User assumptions, over the symbolic constants. *)
 
-val order_before : t -> inst -> inst -> (int * Constr.t list) list
-(** [A(i) << B(j)] as a disjunction, one conjunction per carried level
-    (1-based); level 0 is the loop-independent case, present only when
-    the first access is textually before the second. *)
+val levels : Ir.access -> Ir.access -> int list
+(** The carried levels of [A(i) << B(j)], without their constraints:
+    [1 .. common loops], then [0], the loop-independent case, only when
+    [A] is textually before [B]. *)
+
+val ordering : inst -> inst -> int -> Constr.t list
+(** [ordering a b l]: the conjunction of [A(i) << B(j)] carried at
+    level [l] of {!levels}: equal counters in the loops outside [l] and
+    [i_l < j_l]; at level [0], equal counters in every common loop. *)
+
+val order_before : inst -> inst -> (int * Constr.t list) list
+(** [A(i) << B(j)] as a disjunction: each level of {!levels} with its
+    {!ordering}. *)
+
+val recipe :
+  t ->
+  query:string ->
+  in_bounds:bool ->
+  ?levels:int list list ->
+  ?dists:(int option * int option) list ->
+  Ir.access list ->
+  Memo.recipe
+(** The recipe of a query of this context over the given accesses.
+    @raise Invalid_argument on an access of another program. *)
 
 val inst_vars : inst -> Var.t list
 (** All variables of an instantiation, for quantification. *)

@@ -27,18 +27,27 @@ type dep = {
          edges precise runs keep. *)
 }
 
-(* The base problem of a pair: domains, subscript equality, user
-   assumptions (and optionally in-bounds assertions), plus distance
-   variables d_l = j_l - i_l for the common loops.  A coefficient that
-   overflows while the base is built leaves [Error Overflow] in its
-   place: the pair's queries give up, they do not fail the request. *)
+(* A pair of accesses with their instances and carried levels.  Its
+   problem - the base problem and the distance variables d_l = j_l - i_l
+   of the common loops - is built on first use: a warm query finds its
+   key by recipe and never needs it.  The base holds the domains, the
+   subscript equality and the user assumptions (and optionally the
+   in-bounds assertions).  A coefficient that overflows while the base is
+   built leaves [Error Overflow] in its place: the pair's queries give
+   up, they do not fail the request. *)
+type problem = {
+  base : (Problem.t, Budget.reason) result; (* no ordering constraints *)
+  dvars : Var.t array;
+}
+
 type pair = {
   ctx : Depctx.t;
   a : Depctx.inst;
   b : Depctx.inst;
-  base : (Problem.t, Budget.reason) result; (* no ordering constraints *)
-  dvars : Var.t array;
+  in_bounds : bool;
   common : int;
+  levels : int list;
+  problem : problem Lazy.t;
 }
 
 let make_pair ?(in_bounds = false) ctx (src : Ir.access) (dst : Ir.access) :
@@ -46,30 +55,34 @@ let make_pair ?(in_bounds = false) ctx (src : Ir.access) (dst : Ir.access) :
   let a = Depctx.instantiate ctx src ~tag:Depctx.I in
   let b = Depctx.instantiate ctx dst ~tag:Depctx.J in
   let c = Ir.common_loops src dst in
-  let dvars =
-    Array.init c (fun l -> Var.fresh (Printf.sprintf "d%d" (l + 1)))
+  let problem =
+    lazy
+      (let dvars =
+         Array.init c (fun l -> Var.fresh (Printf.sprintf "d%d" (l + 1)))
+       in
+       let dconstrs =
+         List.init c (fun l ->
+             (* d_l = j_l - i_l *)
+             Constr.eq2
+               (Linexpr.var dvars.(l))
+               (Linexpr.sub (Linexpr.var b.Depctx.ivars.(l))
+                  (Linexpr.var a.Depctx.ivars.(l))))
+       in
+       let base =
+         match
+           Problem.of_list
+             (Depctx.domain ~in_bounds ctx a
+             @ Depctx.domain ~in_bounds ctx b
+             @ Depctx.subs_equal ctx a b
+             @ Depctx.assumes ctx
+             @ dconstrs)
+         with
+         | base -> Ok base
+         | exception Zint.Overflow -> Error Budget.Overflow
+       in
+       { base; dvars })
   in
-  let dconstrs =
-    List.init c (fun l ->
-        (* d_l = j_l - i_l *)
-        Constr.eq2
-          (Linexpr.var dvars.(l))
-          (Linexpr.sub (Linexpr.var b.Depctx.ivars.(l))
-             (Linexpr.var a.Depctx.ivars.(l))))
-  in
-  let base =
-    match
-      Problem.of_list
-        (Depctx.domain ~in_bounds ctx a
-        @ Depctx.domain ~in_bounds ctx b
-        @ Depctx.subs_equal ctx a b
-        @ Depctx.assumes ctx
-        @ dconstrs)
-    with
-    | base -> Ok base
-    | exception Zint.Overflow -> Error Budget.Overflow
-  in
-  { ctx; a; b; base; dvars; common = c }
+  { ctx; a; b; in_bounds; common = c; levels = Depctx.levels src dst; problem }
 
 (* Memo key of the per-level vectors of a pair with base problem [base]
    under the pinned-distance constraints [fix]: [base], [fix] and each
@@ -85,47 +98,68 @@ let levels_key ?(fix = []) base levels ~evars =
     ~hyp:fix [ base ] ~evars
     (List.map (fun (_, constrs) -> Problem.of_list constrs) levels)
 
-(* The vectors of each ordering level of [p] under [fix], one governed
-   query per level ([label] in telemetry); the completed results of all
-   levels are one memo entry.  When the base could not be built, each
-   level's query runs and gives up at once, counted like a give-up
-   inside it. *)
-let level_vectors ~label ?(fix = []) (p : pair) levels =
-  match p.base with
-  | Error r ->
-    List.map
-      (fun _ -> Budget.run ~label (fun () -> raise (Budget.Exhausted r)))
-      levels
-  | Ok base ->
-    Memo.per_level
-      ~key:(fun () ->
-        levels_key ~fix base levels ~evars:(Array.to_list p.dvars))
-      (fun (lvl, constrs) ->
-        let prob = Problem.add_list (fix @ constrs) base in
-        Budget.run ~label
-          ~fault_key:(fun () -> Canon.of_problems ~tag:"vec" [ prob ])
-          (fun () -> Dirvec.vectors_of_level prob p.dvars ~carried:lvl))
-      levels
+(* The vectors of each carried level of [p] with the first distances
+   pinned to [pins], one governed query per level ([label] in
+   telemetry); the completed results of all levels are one memo entry,
+   whose key is found by recipe (the pair's accesses and the pins)
+   before the pair's problem is built.  The problem, the pins and each
+   level's ordering are built once, when a level is solved or the key
+   serialized: the key and the solver share the same constraints and
+   their caches.  When the base could not be built, each level's query
+   runs and gives up at once, counted like a give-up inside it. *)
+let level_vectors ~label ?(pins = []) (p : pair) =
+  let built =
+    lazy
+      (let q = Lazy.force p.problem in
+       let fix =
+         List.mapi
+           (fun l d -> Constr.eq2 (Linexpr.var q.dvars.(l)) (Linexpr.of_int d))
+           pins
+       in
+       (q, fix, List.map (fun l -> (l, Depctx.ordering p.a p.b l)) p.levels))
+  in
+  let solve lvl =
+    let q, fix, order = Lazy.force built in
+    match q.base with
+    | Error r -> Budget.run ~label (fun () -> raise (Budget.Exhausted r))
+    | Ok base ->
+      let prob = Problem.add_list (fix @ List.assoc lvl order) base in
+      Budget.run ~label
+        ~fault_key:(fun () -> Canon.of_problems ~tag:"vec" [ prob ])
+        (fun () -> Dirvec.vectors_of_level prob q.dvars ~carried:lvl)
+  in
+  let key () =
+    let recipe =
+      Depctx.recipe p.ctx ~query:"vec" ~in_bounds:p.in_bounds
+        ~dists:(List.map (fun d -> (Some d, Some d)) pins)
+        [ p.a.Depctx.access; p.b.Depctx.access ]
+    in
+    Memo.keyed p.ctx.Depctx.recipes recipe (fun () ->
+        let q, fix, order = Lazy.force built in
+        Result.to_option q.base
+        |> Option.map (fun base ->
+               levels_key ~fix base order ~evars:(Array.to_list q.dvars)))
+  in
+  Memo.per_level ~key solve p.levels
 
 (* Each carried level with its vectors from [level_vectors]; a level
    that gave up is assumed to carry a dependence with its weakest
    vectors. *)
-let vectors_by_level (p : pair) levels results =
+let vectors_by_level (p : pair) results =
   List.map2
-    (fun (lvl, _) r ->
+    (fun lvl r ->
       match r with
       | Ok vecs -> (lvl, vecs)
       | Error _ -> (lvl, Dirvec.conservative_of_level p.common ~carried:lvl))
-    levels results
+    p.levels results
 
 (* Compute the dependence (if any) from [src] to [dst]. *)
 let compute ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access)
     ~(kind : kind) : dep option =
   let p = make_pair ~in_bounds ctx src dst in
-  let levels = Depctx.order_before ctx p.a p.b in
-  let results = level_vectors ~label:"deps/vectors" p levels in
+  let results = level_vectors ~label:"deps/vectors" p in
   match
-    List.filter (fun (_, vecs) -> vecs <> []) (vectors_by_level p levels results)
+    List.filter (fun (_, vecs) -> vecs <> []) (vectors_by_level p results)
   with
   | [] -> None
   | found ->

@@ -22,20 +22,32 @@ type dep = {
           vacuous) *)
 }
 
-type pair = {
-  ctx : Depctx.t;
-  a : Depctx.inst;
-  b : Depctx.inst;
+type problem = {
   base : (Problem.t, Omega.Budget.reason) result;
       (** domains, subscript equality, assumptions, distance-variable
           definitions; no ordering.  [Error Overflow] when a coefficient
           overflowed while it was built: every query of the pair gives
           up. *)
   dvars : Var.t array;  (** one distance variable per common loop *)
+}
+
+type pair = {
+  ctx : Depctx.t;
+  a : Depctx.inst;
+  b : Depctx.inst;
+  in_bounds : bool;
   common : int;
+  levels : int list;  (** {!Depctx.levels} of the two accesses *)
+  problem : problem Lazy.t;
+      (** built on first use: a query whose key is found by recipe
+          never builds it *)
 }
 
 val make_pair : ?in_bounds:bool -> Depctx.t -> Ir.access -> Ir.access -> pair
+(** The pair from the [I] instance of the first access to the [J]
+    instance of the second.  Mints nothing until its [problem] is
+    forced (the distance variables are minted then).
+    @raise Invalid_argument on an access of another program. *)
 
 val levels_key :
   ?fix:Constr.t list ->
@@ -55,29 +67,28 @@ val levels_key :
 
 val level_vectors :
   label:string ->
-  ?fix:Constr.t list ->
+  ?pins:int list ->
   pair ->
-  (int * Constr.t list) list ->
   (Dirvec.t list, Omega.Budget.reason) result list
-(** The vectors of each ordering level of the pair under the extra
-    constraints [fix] (pinned distances): one governed query per level
-    ([label] names it in telemetry).  This is the one per-level query
-    family: {!compute} and {!Analyses.refine} read it.
+(** The vectors of each carried level of the pair ([pair.levels]) with
+    the distances of the first loops pinned to [pins]: one governed
+    query per level ([label] names it in telemetry).  This is the one
+    per-level query family: {!compute} and {!Analyses.refine} read it.
     With the {!Memo} active, the completed results of all levels are
-    one entry keyed by {!levels_key} over the distance variables; a
-    level that gives up returns [Error] and nothing is cached.  A pair
-    whose base could not be built gives up every level, each counted as
-    one governed query. *)
+    one entry keyed by {!levels_key} over the distance variables; the
+    key is found by recipe (the pair's accesses, [pins], [in_bounds]),
+    so a hit builds no problem.  A level that gives up returns [Error]
+    and nothing is cached.  A pair whose base could not be built gives
+    up every level, each counted as one governed query. *)
 
 val vectors_by_level :
   pair ->
-  (int * Constr.t list) list ->
   (Dirvec.t list, Omega.Budget.reason) result list ->
   (int * Dirvec.t list) list
-(** [vectors_by_level p levels results]: each carried level of
-    [levels] with its vectors from [results] (as {!level_vectors}
-    returns them); a level that gave up gets
-    {!Dirvec.conservative_of_level}, its weakest vectors. *)
+(** [vectors_by_level p results]: each carried level of [p] with its
+    vectors from [results] (as {!level_vectors} returns them); a level
+    that gave up gets {!Dirvec.conservative_of_level}, its weakest
+    vectors. *)
 
 val compute :
   ?in_bounds:bool ->

@@ -85,7 +85,7 @@ let cover_eliminates ~(cover_vectors : Dirvec.t list) (a : Ir.access)
 let extend ?(in_bounds = false) ctx ~outputs ~(src : Ir.access)
     ~(dst : Ir.access) : flow_result option =
   Deps.compute ~in_bounds ctx ~src ~dst ~kind:Deps.Flow
-  |> Option.map (fun dep ->
+  |> Option.map (fun (dep : Deps.dep) ->
          let refined =
            if Analyses.quick_screen (not (refinement_possible outputs src))
            then None

@@ -391,7 +391,7 @@ let dependence_exists_with ?(in_bounds = true) ctx ~(src : Ir.access)
     @ Depctx.domain ~in_bounds ctx b
     @ Depctx.subs_equal ctx a b
   in
-  let levels = Depctx.order_before ctx a b in
+  let levels = Depctx.order_before a b in
   let prop_fs = property_formulas ctx [ a; b ] props in
   List.exists
     (fun (level, order) ->

@@ -211,8 +211,10 @@ let session t slot peer =
             | `Continue -> if ok then loop ())))
   in
   (try loop () with _ -> ());
-  (try Unix.close fd with Unix.Unix_error _ -> ());
+  (* counted before the close: a peer that sees EOF and asks [Health]
+     next must find its reap *)
   if !reaped then Service.note_reaped t.service;
+  (try Unix.close fd with Unix.Unix_error _ -> ());
   Service.note_disconnect t.service;
   (* prune this connection's slot — the one fix for the unbounded
      session list a long-lived daemon used to accumulate *)
