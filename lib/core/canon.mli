@@ -25,3 +25,7 @@ val key :
 val of_problems : ?tag:string -> Problem.t list -> string
 (** Canonical form of a bare problem list (for fault keys of
     non-implication queries). *)
+
+val add_int : Buffer.t -> int -> unit
+(** [add_int buf n] appends [n] in decimal ([string_of_int n]) without
+    allocating. *)
