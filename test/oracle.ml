@@ -101,3 +101,225 @@ let arb_problem ?nvars ?ncons ?lo ?hi ?max_coeff ?max_const () =
   QCheck.make
     ~print:problem_print
     (gen_problem ?nvars ?ncons ?lo ?hi ?max_coeff ?max_const ())
+
+(* ------------------------------------------------------------------ *)
+(* Reference simplifier                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* [Problem.simplify] as a plain list implementation: every constraint
+   normalized (gcd reduction, inequality constants floored), grouped by
+   its linear direction (the linear part in ascending variable order,
+   leading coefficient positive, so [e] and [-e] share a key), the
+   tightest bound of each side kept, touching opposite bounds promoted to
+   an equality, and the buckets emitted in ascending key order.  On a
+   problem marked grown, with at least ten constraints and none red, the
+   interval screen first drops the multi-term inequalities the box of
+   single-variable bounds implies.  The kernel must make exactly these
+   choices: downstream substitution and red/black gist shapes depend on
+   the constraint order.  [simplify_ref ~grown p] returns the outcome
+   and the number of constraints the screen dropped. *)
+
+type ref_norm = R_tauto | R_contra | R_ok of Constr.t
+
+let normalize_ref c =
+  let e = Constr.expr c in
+  if Linexpr.is_const e then begin
+    let k = Linexpr.constant e in
+    match Constr.kind c with
+    | Constr.Eq -> if Zint.is_zero k then R_tauto else R_contra
+    | Constr.Geq -> if Zint.sign k >= 0 then R_tauto else R_contra
+  end
+  else begin
+    let g = Linexpr.content e in
+    if Zint.is_one g then R_ok c
+    else
+      match Constr.kind c with
+      | Constr.Eq ->
+        if Zint.divisible (Linexpr.constant e) g then
+          R_ok (Constr.eq ~color:(Constr.color c) (Linexpr.divexact e g))
+        else R_contra
+      | Constr.Geq ->
+        R_ok
+          (Constr.geq ~color:(Constr.color c)
+             (Linexpr.map_coeffs (fun x -> Zint.fdiv x g) e))
+  end
+
+let key_ref e =
+  let terms =
+    List.rev (Linexpr.fold_terms (fun v c acc -> (v, c) :: acc) e [])
+  in
+  match terms with
+  | (_, c0) :: _ when Zint.sign c0 < 0 ->
+    (List.map (fun (v, c) -> (v, Zint.neg c)) terms, true)
+  | _ -> (terms, false)
+
+let compare_key_ref a b =
+  List.compare
+    (fun (va, ca) (vb, cb) ->
+      let c = Var.compare va vb in
+      if c <> 0 then c else Zint.compare ca cb)
+    a b
+
+type ref_bucket = {
+  mutable r_lo : (Zint.t * Constr.t) option;
+  mutable r_hi : (Zint.t * Constr.t) option;
+  mutable r_eq : (Zint.t * Constr.t) option;
+  mutable r_contra : bool;
+}
+
+let interval_screen_ref buckets =
+  let bounds = Hashtbl.create 16 in
+  let tighten r better x =
+    match !r with
+    | None -> r := Some x
+    | Some y -> if better x y then r := Some x
+  in
+  List.iter
+    (fun (key, b) ->
+      match key with
+      | [ (v, c1) ] when Zint.is_one c1 ->
+        let lo, hi =
+          match Hashtbl.find_opt bounds (Var.id v) with
+          | Some cell -> cell
+          | None ->
+            let cell = (ref None, ref None) in
+            Hashtbl.add bounds (Var.id v) cell;
+            cell
+        in
+        Option.iter
+          (fun (ceq, _) ->
+            tighten lo Zint.( > ) (Zint.neg ceq);
+            tighten hi Zint.( < ) (Zint.neg ceq))
+          b.r_eq;
+        Option.iter
+          (fun (clo, _) -> tighten lo Zint.( > ) (Zint.neg clo))
+          b.r_lo;
+        Option.iter (fun (chi, _) -> tighten hi Zint.( < ) chi) b.r_hi
+      | _ -> ())
+    buckets;
+  let box_min key sign =
+    List.fold_left
+      (fun acc (v, c) ->
+        match acc with
+        | None -> None
+        | Some m -> (
+          let q = if sign then c else Zint.neg c in
+          let bound =
+            match Hashtbl.find_opt bounds (Var.id v) with
+            | None -> None
+            | Some (lo, hi) -> if Zint.sign q > 0 then !lo else !hi
+          in
+          match bound with
+          | None -> None
+          | Some b -> Some (Zint.add m (Zint.mul q b))))
+      (Some Zint.zero) key
+  in
+  let pruned = ref 0 in
+  List.iter
+    (fun (key, b) ->
+      if b.r_eq = None && (not b.r_contra) && List.length key > 1 then begin
+        (match b.r_lo with
+         | Some (clo, _) -> (
+           match box_min key true with
+           | Some m when Zint.(Zint.add m clo >= Zint.zero) ->
+             b.r_lo <- None;
+             incr pruned
+           | _ -> ())
+         | None -> ());
+        match b.r_hi with
+        | Some (chi, _) -> (
+          match box_min key false with
+          | Some m when Zint.(Zint.add m chi >= Zint.zero) ->
+            b.r_hi <- None;
+            incr pruned
+          | _ -> ())
+        | None -> ()
+      end)
+    buckets;
+  !pruned
+
+let simplify_ref ~grown (p : Problem.t) :
+    [ `Contra | `Ok of Constr.t list ] * int =
+  let exception Bail in
+  let cs = Problem.constraints p in
+  let buckets = ref [] in
+  let get key =
+    let same (k, _) = compare_key_ref k key = 0 in
+    match List.find_opt same !buckets with
+    | Some (_, b) -> b
+    | None ->
+      let b = { r_lo = None; r_hi = None; r_eq = None; r_contra = false } in
+      buckets := (key, b) :: !buckets;
+      b
+  in
+  let has_red = ref false in
+  let consider c0 =
+    match normalize_ref c0 with
+    | R_tauto -> ()
+    | R_contra -> raise Bail
+    | R_ok c -> (
+      if Constr.is_red c then has_red := true;
+      let e = Constr.expr c in
+      let key, flipped = key_ref e in
+      let b = get key in
+      let cst = Linexpr.constant e in
+      match Constr.kind c with
+      | Constr.Eq -> (
+        let cst = if flipped then Zint.neg cst else cst in
+        match b.r_eq with
+        | Some (c', _) when not (Zint.equal c' cst) -> b.r_contra <- true
+        | Some _ -> ()
+        | None -> b.r_eq <- Some (cst, c))
+      | Constr.Geq ->
+        let update = function
+          | Some (c', _) when Zint.(cst < c') -> Some (cst, c)
+          | None -> Some (cst, c)
+          | some -> some
+        in
+        if flipped then b.r_hi <- update b.r_hi else b.r_lo <- update b.r_lo)
+  in
+  match List.iter consider cs with
+  | exception Bail -> (`Contra, 0)
+  | () -> (
+    let sorted =
+      List.sort (fun (a, _) (b, _) -> compare_key_ref a b) !buckets
+    in
+    let pruned =
+      if grown && (not !has_red) && List.length cs >= 10 then
+        interval_screen_ref sorted
+      else 0
+    in
+    let out = ref [] in
+    let emit c = out := c :: !out in
+    let check (_, b) =
+      if b.r_contra then raise Bail;
+      match b.r_eq with
+      | Some (ceq, c) ->
+        (match b.r_lo with
+         | Some (clo, _) when Zint.(Zint.neg ceq < Zint.neg clo) -> raise Bail
+         | _ -> ());
+        (match b.r_hi with
+         | Some (chi, _) when Zint.(Zint.neg ceq > chi) -> raise Bail
+         | _ -> ());
+        emit c
+      | None -> (
+        match b.r_lo, b.r_hi with
+        | Some (clo, cl), Some (chi, ch) ->
+          if Zint.(chi < Zint.neg clo) then raise Bail
+          else if Zint.equal chi (Zint.neg clo) then
+            emit
+              (Constr.eq
+                 ~color:
+                   (Constr.combine_colors (Constr.color cl) (Constr.color ch))
+                 (Constr.expr cl))
+          else begin
+            emit cl;
+            emit ch
+          end
+        | Some (_, cl), None -> emit cl
+        | None, Some (_, ch) -> emit ch
+        | None, None -> ())
+    in
+    match List.iter check sorted with
+    | exception Bail -> (`Contra, pruned)
+    | () -> (`Ok (List.rev !out), pruned))

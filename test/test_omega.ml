@@ -484,6 +484,273 @@ let brute_bounds p others lo hi =
          (fun (l, h) (l', h') -> (join Zint.min l l', join Zint.max h h'))
          (l, h) rest)
 
+(* Problems that exercise every branch of [Problem.simplify]: a few
+   shared directions (so constraints meet parallel, opposite and scaled
+   copies of each other), duplicates in both colors, touching and
+   crossing opposite bounds, equalities that agree or clash, unit
+   single-variable bounds (the interval screen's box), and sizes up to
+   18 constraints, marked grown or not, with or without red ones. *)
+let gen_simplify_case =
+  QCheck.Gen.(
+    let nvars = 3 in
+    let* dirs =
+      list_size (int_range 1 4)
+        (Oracle.gen_linexpr ~nvars ~max_coeff:3 ~max_const:0)
+    in
+    let units = List.init nvars (fun k -> Linexpr.var Oracle.pool.(k)) in
+    let dirs = Array.of_list (dirs @ units) in
+    let* allow_red = bool in
+    let color =
+      if allow_red then
+        map (fun r -> if r then Constr.Red else Constr.Black) bool
+      else return Constr.Black
+    in
+    let one =
+      let* d = oneofa dirs in
+      let* scale = oneofl [ 1; 1; 1; -1; -1; 2; -2; 3 ] in
+      let* k = int_range (-3) 8 in
+      let* kind = int_range 0 7 and* col = color in
+      let e = Linexpr.add_const (Linexpr.scale_int scale d) (Zint.of_int k) in
+      return
+        [
+          (if kind = 0 then Constr.eq ~color:col e
+           else Constr.geq ~color:col e);
+        ]
+    in
+    (* e + k >= 0 with -e - k + t >= 0: touching at t = 0, crossing below *)
+    let pair =
+      let* d = oneofa dirs in
+      let* k = int_range (-4) 4 and* t = oneofl [ -1; 0; 0; 1; 2; 3 ] in
+      let* c1 = color and* c2 = color in
+      let e = Linexpr.add_const d (Zint.of_int k) in
+      return
+        [
+          Constr.geq ~color:c1 e;
+          Constr.geq ~color:c2
+            (Linexpr.add_const (Linexpr.neg e) (Zint.of_int t));
+        ]
+    in
+    let dup =
+      let* c = one in
+      let* col = color in
+      let recolor c = Constr.make ~color:col (Constr.kind c) (Constr.expr c) in
+      return (c @ List.map recolor c)
+    in
+    let* groups =
+      list_size (int_range 1 9) (frequency [ (5, one); (2, pair); (1, dup) ])
+    in
+    let* grown = frequency [ (3, return true); (1, return false) ] in
+    return (Problem.of_list (List.concat groups), grown))
+
+let arb_simplify_case =
+  QCheck.make
+    ~print:(fun (p, grown) ->
+      Printf.sprintf "%s (grown %b)" (Problem.to_string p) grown)
+    gen_simplify_case
+
+let same_constr a b =
+  Constr.kind a = Constr.kind b
+  && Constr.color a = Constr.color b
+  && Linexpr.compare (Constr.expr a) (Constr.expr b) = 0
+
+(* The solver's counters pinned over a seeded population of 300
+   problems from this file's generators: 100 harder boxed problems
+   (coefficients to 5), 100 wider ones (four variables, up to six
+   constraints on a box of 13, where Fourier-Motzkin grows the system
+   and the interval screen prunes) and 100 bounds problems with
+   wildcard congruences.  Each row reads
+   [sat: fm/split/pruned/peak-fuel | project: pieces fm/split/pruned/peak-fuel]
+   for [Elim.satisfiable] and for [Elim.project] keeping the first pool
+   variable, each run as one governed query from a zero counter record.
+   The kernel's variable, substitution and constraint-order choices
+   decide every count, so a rewrite that keeps its decisions leaves
+   every row as it is. *)
+let counter_population () =
+  let st = Random.State.make [| 34 |] in
+  let draw gen n =
+    List.init n (fun _ ->
+        let p, _, _, _ = gen st in
+        p)
+  in
+  draw (Oracle.gen_problem ~nvars:3 ~ncons:4 ~max_coeff:5 ~max_const:12 ()) 100
+  @ draw (Oracle.gen_problem ~nvars:4 ~ncons:6 ~lo:(-6) ~hi:6 ()) 100
+  @ draw gen_bounds_problem 100
+
+let counter_row p =
+  let one f =
+    let saved = Metrics.exchange (Metrics.make ()) in
+    let r = Budget.run f in
+    let m = Metrics.exchange saved in
+    Printf.sprintf "%s %d/%d/%d/%d"
+      (match r with
+       | Ok s -> s
+       | Error r -> "gave-up-" ^ Budget.reason_to_string r)
+      m.Metrics.fm_eliminations m.fm_split m.pruned_interval m.peak_fuel
+  in
+  let keep u = Var.equal u Oracle.pool.(0) in
+  one (fun () -> string_of_bool (Elim.satisfiable p))
+  ^ " | "
+  ^ one (fun () -> string_of_int (List.length (Elim.project ~keep p)))
+
+let expected_counter_rows =
+  [
+    "true 3/0/0/8 | 1 2/0/0/6"; "true 3/0/0/8 | 1 2/0/0/6";
+    "false 1/1/0/7 | 0 1/1/0/62"; "true 3/0/0/8 | 1 2/0/0/6";
+    "true 2/0/0/8 | 4 1/1/0/18"; "false 0/0/0/2 | 0 0/0/0/2";
+    "false 0/0/0/3 | 0 0/0/0/3"; "true 3/0/0/8 | 3 2/1/0/14";
+    "true 3/0/0/8 | 1 2/0/0/6"; "true 2/0/0/8 | 22 1/1/0/73";
+    "true 3/1/0/8 | 5 2/1/0/22"; "true 2/0/0/8 | 5 1/1/0/22";
+    "false 1/1/0/8 | 0 1/1/0/90"; "true 3/0/0/8 | 1 2/0/0/6";
+    "true 3/0/0/8 | 1 2/0/0/6"; "true 2/0/0/7 | 3 1/1/0/13";
+    "true 3/0/0/8 | 1 2/0/0/6"; "false 9/6/0/363 | 0 4/4/0/39";
+    "true 3/0/0/8 | 1 2/0/0/6"; "true 2/0/0/8 | 1 1/0/0/6";
+    "true 3/0/0/8 | 1 2/0/0/6"; "true 3/0/0/8 | 1 2/0/0/6";
+    "true 3/0/0/8 | 1 2/0/0/6"; "true 3/1/1/8 | 6 4/4/0/28";
+    "true 2/0/0/7 | 1 1/0/0/6"; "true 2/1/0/7 | 8 1/1/0/33";
+    "true 3/0/0/8 | 1 2/0/0/6"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 2/1/0/8 | 5 1/1/0/18"; "true 2/0/0/7 | 1 1/0/0/5";
+    "true 3/0/0/8 | 3 2/1/0/14"; "true 2/0/0/8 | 1 1/0/0/6";
+    "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/6 | 0 0/0/0/6";
+    "false 0/0/0/2 | 0 0/0/0/2"; "true 3/0/0/8 | 2 2/1/0/10";
+    "true 3/0/0/8 | 1 2/0/0/6"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 1/1/0/8 | 12 1/1/0/52"; "true 2/1/0/7 | 10 1/1/0/39";
+    "true 2/0/0/7 | 7 1/1/0/30"; "true 2/0/0/8 | 6 1/1/0/24";
+    "true 3/0/0/8 | 1 2/0/0/6"; "true 3/0/0/8 | 1 2/0/0/6";
+    "true 3/0/0/8 | 1 2/0/0/6"; "true 0/0/0/8 | 1 0/0/0/5";
+    "true 3/1/0/8 | 3 2/1/0/20"; "true 3/1/0/8 | 3 2/1/0/14";
+    "true 0/0/0/6 | 1 0/0/0/5"; "true 3/0/0/8 | 1 2/0/0/6";
+    "true 2/0/0/7 | 5 1/1/0/34"; "true 3/1/0/8 | 38 6/6/1/206";
+    "true 2/1/0/7 | 16 1/1/0/68"; "true 2/1/0/54 | 9 1/1/0/42";
+    "true 2/0/0/7 | 1 1/0/0/5"; "true 2/0/0/7 | 1 1/0/0/5";
+    "true 3/0/0/8 | 1 2/0/0/6"; "true 3/0/0/8 | 1 2/0/0/6";
+    "true 2/0/0/7 | 1 2/1/0/15"; "true 3/0/0/8 | 1 2/0/0/6";
+    "true 1/1/0/6 | 3 1/1/0/51"; "true 3/0/0/8 | 1 2/0/0/6";
+    "false 0/0/0/2 | 0 0/0/0/2"; "true 3/0/0/8 | 1 2/0/0/6";
+    "true 3/0/0/8 | 3 2/1/0/14"; "true 3/0/0/8 | 1 2/0/0/6";
+    "true 3/0/0/8 | 4 2/1/0/18"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 3/0/0/8 | 1 2/0/0/6"; "true 2/0/0/8 | 4 1/1/0/15";
+    "true 3/0/0/8 | 4 2/1/0/18"; "false 2/1/0/8 | 0 5/5/0/306";
+    "false 0/0/0/4 | 0 0/0/0/3"; "true 3/0/0/8 | 1 2/0/0/6";
+    "true 3/0/0/8 | 1 2/0/0/6"; "true 2/0/0/7 | 7 1/1/0/29";
+    "false 0/0/0/4 | 0 0/0/0/4"; "true 3/0/0/8 | 7 2/1/0/30";
+    "true 3/0/0/8 | 1 2/0/0/6"; "true 3/0/0/8 | 1 2/0/0/6";
+    "true 2/0/0/8 | 4 1/1/0/18"; "false 0/0/0/3 | 0 0/0/0/3";
+    "true 3/1/0/98 | 28 4/4/0/302"; "true 3/0/0/8 | 1 2/0/0/6";
+    "true 3/0/0/8 | 2 2/1/0/10"; "true 3/0/0/8 | 1 2/0/0/6";
+    "true 3/0/0/8 | 1 2/0/0/6"; "false 1/1/4/6 | 0 3/3/3/44";
+    "true 3/0/0/8 | 1 2/0/0/6"; "true 3/2/1/8 | 10 3/3/1/77";
+    "true 2/0/0/8 | 1 1/0/0/6"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 3/0/0/8 | 1 2/0/0/6"; "true 3/1/0/8 | 5 4/3/1/32";
+    "true 1/0/0/6 | 9 1/1/0/38"; "true 2/0/0/8 | 1 1/0/0/6";
+    "true 3/0/1/8 | 17 5/5/0/85"; "false 1/0/0/6 | 0 1/1/0/21";
+    "true 1/1/0/6 | 3 1/1/0/16"; "true 3/1/0/8 | 7 4/2/0/36";
+    "false 3/1/4/10 | 0 79/78/35/10844"; "true 4/0/0/10 | 6 5/4/0/53";
+    "true 4/0/0/10 | 133 9/8/9/837"; "true 4/0/0/10 | 1 3/0/0/8";
+    "false 0/0/0/4 | 0 0/0/0/4"; "true 1/0/0/8 | 9 1/1/0/73";
+    "true 3/0/0/9 | 1 2/0/0/7"; "true 3/1/0/9 | 36 8/7/2/169";
+    "true 4/0/0/10 | 1 3/0/0/8"; "true 3/2/0/9 | 58 9/8/1/322";
+    "true 3/1/0/9 | 2 2/1/0/35"; "true 3/0/1/9 | 1 2/0/1/7";
+    "true 3/0/0/9 | 2 2/1/0/11"; "true 4/2/9/10 | 192 13/12/3/1566";
+    "true 4/1/0/10 | 27 6/5/2/133"; "true 1/1/0/8 | 1 1/1/0/25";
+    "true 4/0/0/10 | 1 3/0/1/8"; "false 1/1/0/8 | 0 1/1/0/30";
+    "true 4/0/0/10 | 1 3/0/0/8"; "true 3/0/0/10 | 1 2/0/2/8";
+    "true 4/2/9/10 | 918 20/19/9/5648"; "true 4/0/0/10 | 1 3/0/0/8";
+    "true 3/2/0/9 | 83 4/4/0/414"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 4/0/0/10 | 1 3/0/0/8"; "true 3/0/0/9 | 1 2/0/1/7";
+    "true 4/1/4/10 | 3 3/1/4/58"; "true 4/0/0/10 | 1 3/1/1/11";
+    "true 3/1/0/9 | 7 3/2/5/51"; "true 4/0/0/10 | 1 3/0/0/8";
+    "true 3/0/0/9 | 1 2/0/0/7"; "true 4/0/0/10 | 1 3/0/0/8";
+    "false 2/1/0/9 | 0 2/1/0/128"; "true 4/0/0/10 | 1 3/1/0/14";
+    "true 3/0/0/9 | 4 2/1/0/34"; "true 2/0/0/10 | 1 1/1/0/11";
+    "true 3/0/0/10 | 3 2/1/0/14"; "false 0/0/0/2 | 0 0/0/0/2";
+    "false 0/0/0/4 | 0 0/0/0/4"; "false 1/1/0/8 | 0 1/1/0/46";
+    "true 4/0/0/10 | 1 3/0/0/8"; "true 4/3/6/10 | 27 9/8/8/253";
+    "true 4/0/0/10 | 1 3/0/0/8"; "true 3/0/0/9 | 1 2/0/0/7";
+    "true 4/0/1/10 | 7 3/1/0/32"; "true 3/0/4/9 | 15 3/3/3/68";
+    "true 3/2/0/9 | 1 2/1/0/17"; "true 3/1/1/9 | 10 2/1/1/49";
+    "true 3/1/0/9 | 3 2/1/0/15"; "true 4/0/0/10 | 1 3/0/0/8";
+    "true 4/0/1/10 | 2 3/1/1/12"; "true 3/1/0/9 | 3 2/1/0/22";
+    "true 4/0/0/10 | 1 3/0/0/8"; "true 1/0/0/9 | 10 1/1/0/40";
+    "true 3/0/0/9 | 2 2/1/1/11"; "true 4/1/0/10 | 2 3/1/0/18";
+    "true 4/0/0/10 | 1 3/0/0/8"; "true 3/1/11/9 | 10 8/6/11/267";
+    "true 2/0/0/8 | 2 1/1/0/10"; "false 0/0/0/9 | 0 0/0/0/5";
+    "false 1/1/0/8 | 0 1/1/0/54"; "true 4/3/3/10 | 87 16/15/12/1012";
+    "false 2/1/0/8 | 0 2/1/4/10"; "false 3/3/12/14 | 0 2/2/2/96";
+    "true 3/1/0/9 | 3 2/1/0/15"; "true 4/0/0/10 | 1 3/0/0/8";
+    "true 4/0/0/10 | 1 3/0/0/8"; "false 2/1/2/10 | 0 7/6/6/184";
+    "true 3/1/1/9 | 3 2/1/1/18"; "true 3/0/0/9 | 4 2/1/0/25";
+    "true 4/1/4/10 | 1 3/1/4/29"; "false 3/1/2/10 | 0 3/1/2/68";
+    "true 4/3/2/10 | 3 7/7/2/139"; "true 3/0/0/9 | 1 2/0/0/7";
+    "true 4/0/0/10 | 1 3/0/0/8"; "true 4/0/0/10 | 1 3/0/0/8";
+    "true 4/1/0/10 | 3 3/1/0/16"; "true 4/0/0/10 | 1 3/0/0/8";
+    "true 4/1/0/10 | 2 3/1/0/12"; "true 3/0/4/9 | 1 2/0/4/7";
+    "true 4/0/0/10 | 2 4/2/2/17"; "true 4/0/0/10 | 2 3/1/0/18";
+    "false 0/0/0/2 | 0 0/0/0/2"; "false 3/1/6/12 | 0 17/17/1/2219";
+    "false 0/0/0/3 | 0 0/0/0/5"; "true 4/0/0/10 | 1 3/0/0/8";
+    "true 0/0/0/7 | 1 0/0/0/8"; "true 4/0/0/10 | 1 3/0/0/8";
+    "false 0/0/0/3 | 0 0/0/0/3"; "true 3/0/0/9 | 18 11/11/2/568";
+    "false 1/1/0/9 | 0 1/1/0/114"; "true 3/0/0/9 | 28 5/5/0/121";
+    "true 3/0/4/10 | 7 2/1/0/26"; "true 1/0/0/8 | 2 1/1/0/61";
+    "true 1/1/0/8 | 9 1/1/0/61"; "true 4/0/0/10 | 1 3/0/0/8";
+    "true 4/0/0/10 | 1 3/0/0/8"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 4/0/0/10 | 1 3/0/0/8"; "true 4/0/0/10 | 1 3/0/0/8";
+    "true 2/1/0/7 | 13 1/1/0/41"; "true 3/0/0/8 | 1 2/0/0/6";
+    "true 2/1/0/10 | 8 1/1/0/29"; "false 1/1/0/10 | 0 1/1/0/18";
+    "true 2/0/0/7 | 2 2/1/0/17"; "false 0/0/0/2 | 0 0/0/0/2";
+    "false 0/0/0/2 | 0 0/0/0/2"; "true 2/0/0/7 | 4 1/1/0/13";
+    "true 2/0/0/7 | 2 1/1/0/7"; "true 3/0/0/10 | 5 2/1/0/21";
+    "true 2/0/0/8 | 1 2/0/0/8"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 3/1/0/9 | 4 2/1/0/13"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 1/1/0/7 | 5 1/1/0/39"; "true 2/1/0/7 | 5 1/1/0/15";
+    "true 1/1/0/8 | 3 1/1/0/13"; "true 1/0/0/6 | 1 0/0/0/4";
+    "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/2 | 0 0/0/0/2";
+    "false 0/0/0/2 | 0 0/0/0/2"; "true 2/1/0/9 | 5 1/1/0/18";
+    "false 0/0/0/3 | 0 0/0/0/3"; "true 2/1/0/7 | 3 2/1/0/11";
+    "true 3/1/0/12 | 5 2/1/0/16"; "true 0/0/0/3 | 1 0/0/0/3";
+    "true 0/0/0/7 | 1 0/0/0/4"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 3/0/0/10 | 3 2/1/0/12"; "true 1/0/0/9 | 1 0/0/0/7";
+    "true 1/0/0/8 | 1 0/0/0/4"; "false 0/0/0/2 | 0 0/0/0/2";
+    "false 0/0/0/2 | 0 0/0/0/2"; "true 3/0/0/8 | 2 2/1/1/10";
+    "false 0/0/0/3 | 0 0/0/0/3"; "true 1/0/0/8 | 1 1/0/0/6";
+    "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 3/0/0/10 | 1 2/0/0/8"; "false 0/0/0/3 | 0 0/0/0/3";
+    "false 0/0/0/2 | 0 0/0/0/2"; "true 0/0/0/6 | 1 0/0/0/6";
+    "true 2/0/0/6 | 1 1/0/0/4"; "true 3/0/0/8 | 1 2/0/0/6";
+    "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/2 | 0 0/0/0/2";
+    "false 0/0/0/2 | 0 0/0/0/2"; "true 3/1/0/10 | 5 2/1/0/15";
+    "false 0/0/0/4 | 0 0/0/0/3"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 3/0/0/8 | 1 2/0/0/6"; "true 3/0/0/12 | 1 2/0/0/6";
+    "false 0/0/0/2 | 0 0/0/0/2"; "true 2/0/0/10 | 3 1/1/0/10";
+    "true 2/0/0/7 | 1 1/0/0/5"; "true 2/0/0/7 | 2 1/1/0/8";
+    "true 3/0/0/10 | 3 2/1/0/14"; "false 0/0/0/2 | 0 0/0/0/2";
+    "false 0/0/0/2 | 0 0/0/0/2"; "true 2/0/0/7 | 1 1/0/0/6";
+    "false 0/0/0/2 | 0 0/0/0/2"; "true 3/0/0/10 | 2 2/1/0/10";
+    "true 2/0/0/7 | 2 1/1/0/9"; "true 2/0/0/7 | 13 1/1/0/42";
+    "false 0/0/0/2 | 0 0/0/0/2"; "true 0/0/0/4 | 1 0/0/0/4";
+    "true 2/0/0/8 | 1 2/0/0/7"; "true 3/0/0/8 | 1 2/0/0/6";
+    "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 2/0/0/7 | 3 1/1/0/9"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 3/1/0/10 | 2 2/1/0/9"; "true 2/0/0/8 | 3 1/1/0/10";
+    "false 0/0/0/5 | 0 0/0/0/5"; "false 0/0/0/2 | 0 0/0/0/2";
+    "false 0/0/0/4 | 0 0/0/0/4"; "true 2/0/0/12 | 1 1/0/0/8";
+    "true 2/0/0/7 | 1 1/0/0/5"; "false 0/0/0/2 | 0 0/0/0/2";
+    "false 0/0/0/3 | 3 2/1/0/14"; "true 3/0/0/11 | 1 2/0/0/7";
+    "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/2 | 0 0/0/0/2";
+    "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 3/0/0/9 | 1 2/0/0/7"; "true 3/0/0/10 | 2 2/1/0/11";
+    "true 2/0/0/6 | 1 1/0/0/4"; "false 0/0/0/2 | 0 0/0/0/2";
+    "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/2 | 0 0/0/0/2";
+    "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/4 | 0 0/0/0/4";
+    "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 2/0/0/7 | 5 2/1/0/17"; "true 1/0/0/8 | 2 1/1/0/14";
+    "false 0/0/0/2 | 0 0/0/0/2"; "false 1/0/0/8 | 1 1/0/0/5";
+  ]
+
+let test_counters_pinned () =
+  let got = List.map counter_row (counter_population ()) in
+  Alcotest.(check (list string))
+    "sat | project counters per seeded problem" expected_counter_rows got
+
 let prop_tests =
   [
     QCheck.Test.make ~name:"satisfiable matches brute force" ~count:300
@@ -741,6 +1008,35 @@ let presburger_tests =
             (Oracle.assignments vars lo hi)
         in
         imp = brute);
+    QCheck.Test.make ~name:"problem simplify matches the reference"
+      ~count:1000 arb_simplify_case
+      (fun (p, grown) ->
+        if grown then Problem.mark_grown p;
+        let stats = Metrics.current () in
+        let before = stats.Metrics.pruned_interval in
+        let got = Problem.simplify p in
+        let pruned = stats.Metrics.pruned_interval - before in
+        let want, want_pruned = Oracle.simplify_ref ~grown p in
+        let show = function
+          | `Contra -> "Contra"
+          | `Ok cs -> Problem.to_string (Problem.of_list cs)
+        in
+        let got' =
+          match got with
+          | Problem.Contra -> `Contra
+          | Problem.Ok q -> `Ok (Problem.constraints q)
+        in
+        let same =
+          match got', want with
+          | `Contra, `Contra -> true
+          | `Ok a, `Ok b ->
+            List.length a = List.length b && List.for_all2 same_constr a b
+          | _ -> false
+        in
+        (same && pruned = want_pruned)
+        || QCheck.Test.fail_reportf
+             "simplify %s (%d pruned), reference %s (%d pruned)" (show got')
+             pruned (show want) want_pruned);
     QCheck.Test.make ~name:"problem simplify preserves solutions" ~count:200
       (Oracle.arb_problem ())
       (fun (p, vars, lo, hi) ->
@@ -779,5 +1075,9 @@ let presburger_tests =
 let suite =
   ( "omega",
     unit_tests
+    @ [
+        Alcotest.test_case "solver counters pinned on a seeded population"
+          `Quick test_counters_pinned;
+      ]
     @ List.map (QCheck_alcotest.to_alcotest ~long:false)
         (prop_tests @ presburger_tests) )
