@@ -90,8 +90,17 @@ let normalize t =
     end
   end
 
-let subst t v def =
-  { t with expr = Linexpr.subst t.expr v def; norm = false }
+let normalized t = t.norm
+
+(* The substituted constraint absorbs [color], the color of the equality
+   driving the substitution ([Black] absorbs nothing). *)
+let subst color t v def =
+  {
+    t with
+    expr = Linexpr.subst t.expr v def;
+    color = combine_colors color t.color;
+    norm = false;
+  }
 
 let vars t = Linexpr.vars t.expr
 let mentions t v = Linexpr.mem t.expr v
@@ -106,9 +115,15 @@ let eval env t =
    component inequalities imply. *)
 let implies a b =
   let ca = Linexpr.constant a.expr and cb = Linexpr.constant b.expr in
-  let same = Linexpr.compare_terms a.expr b.expr = 0 in
+  (* linear parts are equal or opposite iff their canonical keys agree;
+     the keys' flips tell which (both, when the linear parts vanish) *)
+  let ka = Linexpr.canon a.expr and kb = Linexpr.canon b.expr in
+  let parallel = Linexpr.compare_key ka kb = 0 in
+  let same = parallel && Linexpr.key_flipped ka = Linexpr.key_flipped kb in
   let opposite =
-    Linexpr.compare_terms (Linexpr.neg a.expr) b.expr = 0
+    parallel
+    && (Linexpr.key_flipped ka <> Linexpr.key_flipped kb
+       || Linexpr.key_length ka = 0)
   in
   match a.kind, b.kind with
   | Eq, Eq -> same && Zint.equal ca cb

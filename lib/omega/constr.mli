@@ -41,7 +41,15 @@ val normalize : t -> norm_result
     tightened with floor division (an integer-only strengthening); an
     equality whose constant is not divisible is a contradiction. *)
 
-val subst : t -> Var.t -> Linexpr.t -> t
+val normalized : t -> bool
+(** [normalize] already returned this very constraint (normalizing it
+    again would return it unchanged). *)
+
+val subst : color -> t -> Var.t -> Linexpr.t -> t
+(** [subst color c v def] replaces [v] by [def] in [c]; the result
+    absorbs [color], the color of the equality driving the substitution
+    ([Black] absorbs nothing). *)
+
 val vars : t -> Var.Set.t
 val mentions : t -> Var.t -> bool
 val eval : (Var.t -> Zint.t) -> t -> bool

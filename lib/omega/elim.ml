@@ -34,26 +34,10 @@ let solve_for v (e : Linexpr.t) =
   let rest = Linexpr.set_coeff e v Zint.zero in
   if Zint.is_one c then Linexpr.neg rest else rest
 
-(* An equality is an inert congruence when its only eliminable variable is
-   a wildcard with |coeff| >= 2 occurring nowhere else in the problem. *)
-let eliminable_vars ~(keep : keep) e =
-  Var.Set.filter (fun v -> Var.is_wild v || not (keep v)) (Linexpr.vars e)
-
-let occurrences_excluding p c v =
-  List.fold_left
-    (fun n c' -> if c' != c && Constr.mentions c' v then n + 1 else n)
-    0 (Problem.constraints p)
-
-let is_inert ~keep p (c : Constr.t) =
-  Constr.kind c = Constr.Eq
-  &&
-  let e = Constr.expr c in
-  match Var.Set.elements (eliminable_vars ~keep e) with
-  | [ v ] ->
-    Var.is_wild v
-    && Zint.(Zint.abs (Linexpr.coeff e v) >= Zint.two)
-    && occurrences_excluding p c v = 0
-  | _ -> false
+(* Does [v] occur in a constraint of [cs] other than [c]? *)
+let rec occurs_elsewhere c v = function
+  | [] -> false
+  | c' :: rest -> (c' != c && Constr.mentions c' v) || occurs_elsewhere c v rest
 
 (* mod-hat reduction step on equality [c]: used when the equality entangles
    at least two eliminable variables, none with a unit coefficient.
@@ -117,80 +101,110 @@ let scale_out_step p (c : Constr.t) v =
       end)
     p
 
+(* What the equality phase needs to know of one equality, gathered in
+   one ascending pass over its terms: how many eliminable variables it
+   has (the only one when [elims = 1]), and the first wildcard and the
+   first variable among them with a unit coefficient. *)
+type eq_scan = {
+  mutable elims : int;
+  mutable first : Var.t option;  (* the first eliminable variable *)
+  mutable first_coeff : Zint.t;
+  mutable wild_unit : Var.t option;
+  mutable unit : Var.t option;
+}
+
+let scan_eq ~(keep : keep) e =
+  let s =
+    { elims = 0; first = None; first_coeff = Zint.zero; wild_unit = None; unit = None }
+  in
+  Linexpr.iter_terms
+    (fun v cv ->
+      if Var.is_wild v || not (keep v) then begin
+        if s.elims = 0 then begin
+          s.first <- Some v;
+          s.first_coeff <- cv
+        end;
+        s.elims <- s.elims + 1;
+        if Zint.is_one (Zint.abs cv) then begin
+          if s.unit = None then s.unit <- Some v;
+          if s.wild_unit = None && Var.is_wild v then s.wild_unit <- Some v
+        end
+      end)
+    e;
+  s
+
+(* The equality [c] with [s] its scan, all of whose eliminable variables
+   occur nowhere else: fold them into one congruence (or drop / refute
+   it). *)
+let collapse ~keep p (c : Constr.t) =
+  let e = Constr.expr c in
+  let eliminable v = Var.is_wild v || not (keep v) in
+  let g =
+    Linexpr.fold_terms
+      (fun v cv acc -> if eliminable v then Zint.gcd acc cv else acc)
+      e Zint.zero
+  in
+  let kept_part =
+    Linexpr.fold_terms
+      (fun v _ e -> if eliminable v then Linexpr.set_coeff e v Zint.zero else e)
+      e e
+  in
+  let p_rest = Problem.filter (fun c' -> c' != c) p in
+  if Zint.is_one g then p_rest
+  else if Linexpr.is_const kept_part then
+    if Zint.divisible (Linexpr.constant kept_part) g then p_rest
+    else raise Contradiction
+  else begin
+    (* kept_part + g * sigma = 0 for a fresh wildcard sigma *)
+    let sigma = Var.fresh_wild () in
+    let cong = Linexpr.add_term kept_part g sigma in
+    Problem.add (Constr.eq ~color:(Constr.color c) cong) p_rest
+  end
+
 (* One pass of the equality phase; raises [Contradiction].  Returns
    [`Progress p] when a step was taken, [`Done p] when every equality is
-   either purely over kept variables or an inert congruence. *)
+   either purely over kept variables or an inert congruence: its only
+   eliminable variable a wildcard with |coeff| >= 2 occurring nowhere
+   else in the problem. *)
 let eq_step ~keep (p : Problem.t) =
   let cs = Problem.constraints p in
+  let eliminable v = Var.is_wild v || not (keep v) in
   let rec find = function
     | [] -> `Done p
     | c :: rest when Constr.kind c <> Constr.Eq -> find rest
-    | c :: rest ->
+    | c :: rest -> (
       let e = Constr.expr c in
-      let elims = eliminable_vars ~keep e in
-      if Var.Set.is_empty elims then find rest
-      else if is_inert ~keep p c then find rest
-      else begin
-        (* 1: substitute through a unit-coefficient eliminable variable *)
-        let unit_var =
-          let candidates =
-            Var.Set.filter
-              (fun v -> Zint.is_one (Zint.abs (Linexpr.coeff e v)))
-              elims
-          in
-          (* prefer wildcards to keep problems small *)
-          match Var.Set.elements (Var.Set.filter Var.is_wild candidates) with
-          | v :: _ -> Some v
-          | [] -> (
-            match Var.Set.elements candidates with
-            | v :: _ -> Some v
-            | [] -> None)
-        in
-        match unit_var with
-        | Some v ->
-          let def = solve_for v e in
-          let p' =
-            Problem.filter (fun c' -> c' != c) p
-            |> Problem.subst_colored v def (Constr.color c)
-          in
-          `Progress p'
-        | None ->
-          (* 2: all eliminable vars occur only in this equality: collapse
-             them into a congruence (or drop / refute) *)
-          let all_local =
-            Var.Set.for_all (fun v -> occurrences_excluding p c v = 0) elims
-          in
-          if all_local then begin
-            let g =
-              Var.Set.fold
-                (fun v acc -> Zint.gcd acc (Linexpr.coeff e v))
-                elims Zint.zero
-            in
-            let kept_part =
-              Var.Set.fold (fun v e -> Linexpr.set_coeff e v Zint.zero) elims e
-            in
-            let p_rest = Problem.filter (fun c' -> c' != c) p in
-            if Zint.is_one g then `Progress p_rest
-            else if Linexpr.is_const kept_part then
-              if Zint.divisible (Linexpr.constant kept_part) g then
-                `Progress p_rest
-              else raise Contradiction
-            else begin
-              (* kept_part + g * sigma = 0 for a fresh wildcard sigma *)
-              let sigma = Var.fresh_wild () in
-              let cong = Linexpr.add_term kept_part g sigma in
-              `Progress
-                (Problem.add (Constr.eq ~color:(Constr.color c) cong) p_rest)
-            end
-          end
-          else if Var.Set.cardinal elims = 1 then
-            (* 3: a single eliminable variable entangled with other
-               constraints: scale it out of them, making it local *)
-            `Progress (scale_out_step p c (Var.Set.choose elims))
-          else
-            (* 4: several entangled eliminable variables: mod-hat *)
-            `Progress (mod_hat_step ~keep p c)
-      end
+      let s = scan_eq ~keep e in
+      match s.first with
+      | None -> find rest
+      | Some v1 ->
+        if
+          s.elims = 1 && Var.is_wild v1
+          && Zint.(Zint.abs s.first_coeff >= Zint.two)
+          && not (occurs_elsewhere c v1 cs)
+        then find rest
+        else begin
+          (* 1: substitute through a unit-coefficient eliminable
+             variable, preferring wildcards to keep problems small *)
+          match if s.wild_unit <> None then s.wild_unit else s.unit with
+          | Some v -> `Progress (Problem.subst_out c v (solve_for v e) p)
+          | None ->
+            (* 2: all eliminable vars occur only in this equality:
+               collapse them into a congruence (or drop / refute) *)
+            if
+              Linexpr.fold_terms
+                (fun v _ local ->
+                  local && not (eliminable v && occurs_elsewhere c v cs))
+                e true
+            then `Progress (collapse ~keep p c)
+            else if s.elims = 1 then
+              (* 3: a single eliminable variable entangled with other
+                 constraints: scale it out of them, making it local *)
+              `Progress (scale_out_step p c v1)
+            else
+              (* 4: several entangled eliminable variables: mod-hat *)
+              `Progress (mod_hat_step ~keep p c)
+        end)
   in
   find cs
 
@@ -226,19 +240,20 @@ and splinters = { count : int; build : unit -> Problem.t list }
 (* Split the constraints of [p] around variable [v].
    Lower bounds: cl*v + rl >= 0 with cl > 0.
    Upper bounds: -cu*v + ru >= 0 with cu > 0 (stored as (cu, ru)). *)
-let bounds_on p v =
-  List.fold_left
-    (fun (lows, ups, others) c ->
-      if Constr.kind c = Constr.Eq || not (Constr.mentions c v) then
-        (lows, ups, c :: others)
-      else begin
-        let e = Constr.expr c in
-        let cv = Linexpr.coeff e v in
-        let rest = Linexpr.set_coeff e v Zint.zero in
-        if Zint.sign cv > 0 then ((cv, rest, c) :: lows, ups, others)
-        else ((lows, (Zint.neg cv, rest, c) :: ups, others))
-      end)
-    ([], [], []) (Problem.constraints p)
+let rec split_bounds v lows ups others = function
+  | [] -> (lows, ups, others)
+  | c :: rest ->
+    if Constr.kind c = Constr.Eq || not (Constr.mentions c v) then
+      split_bounds v lows ups (c :: others) rest
+    else begin
+      let e = Constr.expr c in
+      let cv = Linexpr.coeff e v in
+      let r = Linexpr.set_coeff e v Zint.zero in
+      if Zint.sign cv > 0 then split_bounds v ((cv, r, c) :: lows) ups others rest
+      else split_bounds v lows ((Zint.neg cv, r, c) :: ups) others rest
+    end
+
+let bounds_on p v = split_bounds v [] [] [] (Problem.constraints p)
 
 (* Exactness of eliminating v: every lower/upper pair must have a unit
    coefficient on at least one side. *)
@@ -246,31 +261,30 @@ let fm_exact lows ups =
   List.for_all (fun (cl, _, _) -> Zint.is_one cl) lows
   || List.for_all (fun (cu, _, _) -> Zint.is_one cu) ups
 
+(* Every lower bound against every upper bound (lows outermost), then
+   [others]. *)
 let fm_combine ~dark lows ups others =
-  let combos =
-    List.concat_map
-      (fun (cl, rl, lc) ->
-        List.map
-          (fun (cu, ru, uc) ->
-            (* cl*v >= -rl and cu*v <= ru:
-               real: cl*ru + cu*rl >= 0
-               dark: cl*ru + cu*rl - (cl-1)(cu-1) >= 0 *)
-            let e =
-              Linexpr.add (Linexpr.scale cl ru) (Linexpr.scale cu rl)
-            in
-            let e =
-              if dark then
-                Linexpr.add_const e
-                  (Zint.neg (Zint.mul (Zint.pred cl) (Zint.pred cu)))
-              else e
-            in
-            Constr.geq
-              ~color:(Constr.combine_colors (Constr.color lc) (Constr.color uc))
-              e)
-          ups)
-      lows
-  in
-  Problem.of_list (combos @ others)
+  Problem.of_list
+    (List.fold_right
+       (fun (cl, rl, lc) acc ->
+         List.fold_right
+           (fun (cu, ru, uc) acc ->
+             (* cl*v >= -rl and cu*v <= ru:
+                real: cl*ru + cu*rl >= 0
+                dark: cl*ru + cu*rl - (cl-1)(cu-1) >= 0 *)
+             let e = Linexpr.lincomb cl ru cu rl in
+             let e =
+               if dark then
+                 Linexpr.add_const e
+                   (Zint.neg (Zint.mul (Zint.pred cl) (Zint.pred cu)))
+               else e
+             in
+             Constr.geq
+               ~color:(Constr.combine_colors (Constr.color lc) (Constr.color uc))
+               e
+             :: acc)
+           ups acc)
+       lows others)
 
 (* Pugh's splinter construction: an integer solution outside the dark
    shadow must satisfy [cl*v + rl = k] for some lower bound and some
@@ -348,6 +362,39 @@ type vinfo = {
   mutable vi_in_eq : bool;  (* still occurs in an equality: skip *)
 }
 
+let new_info v =
+  {
+    vi_var = v;
+    vi_lows = 0;
+    vi_ups = 0;
+    vi_low_unit = true;
+    vi_up_unit = true;
+    vi_in_eq = false;
+  }
+
+(* The tallies of [v] in [infos], a short list: one entry per eliminable
+   variable of the problem. *)
+let rec find_info v = function
+  | [] -> raise_notrace Not_found
+  | i :: rest -> if Var.equal i.vi_var v then i else find_info v rest
+
+(* (class, product) score, lower is better; class -1 when [v] cannot be
+   eliminated by Fourier-Motzkin now *)
+let vi_class i =
+  if i.vi_in_eq || (i.vi_lows = 0 && i.vi_ups = 0) then -1
+  else if i.vi_lows = 0 || i.vi_ups = 0 then 0
+  else if i.vi_low_unit || i.vi_up_unit then 1
+  else 2
+
+let vi_product i = if vi_class i = 0 then 0 else i.vi_lows * i.vi_ups
+
+let better i j =
+  let ci = vi_class i and cj = vi_class j in
+  ci < cj
+  || ci = cj
+     && (vi_product i < vi_product j
+        || (vi_product i = vi_product j && Var.id i.vi_var < Var.id j.vi_var))
+
 (* Pick the eliminable variable whose elimination is cheapest, per Pugh:
    free variables (one-sided bounds, no combinations at all) first, then
    exact eliminations (some side all-unit), then inexact ones, in each
@@ -360,69 +407,41 @@ type vinfo = {
    (A name-based tie-break would not be: wildcard names embed ids from
    the allocating domain's slot.) *)
 let pick_var ~keep p =
-  let tbl : (int, vinfo) Hashtbl.t = Hashtbl.create 16 in
-  let info v =
-    match Hashtbl.find_opt tbl (Var.id v) with
-    | Some i -> i
-    | None ->
+  let infos = ref [] and is_eq = ref false in
+  let tally v cv =
+    if Var.is_wild v || not (keep v) then begin
       let i =
-        {
-          vi_var = v;
-          vi_lows = 0;
-          vi_ups = 0;
-          vi_low_unit = true;
-          vi_up_unit = true;
-          vi_in_eq = false;
-        }
+        try find_info v !infos
+        with Not_found ->
+          let i = new_info v in
+          infos := i :: !infos;
+          i
       in
-      Hashtbl.add tbl (Var.id v) i;
-      i
+      if !is_eq then i.vi_in_eq <- true
+      else if Zint.sign cv > 0 then begin
+        i.vi_lows <- i.vi_lows + 1;
+        if not (Zint.is_one cv) then i.vi_low_unit <- false
+      end
+      else begin
+        i.vi_ups <- i.vi_ups + 1;
+        if not (Zint.is_one (Zint.neg cv)) then i.vi_up_unit <- false
+      end
+    end
   in
   List.iter
     (fun c ->
-      let is_eq = Constr.kind c = Constr.Eq in
-      Linexpr.iter_terms
-        (fun v cv ->
-          if Var.is_wild v || not (keep v) then begin
-            let i = info v in
-            if is_eq then i.vi_in_eq <- true
-            else if Zint.sign cv > 0 then begin
-              i.vi_lows <- i.vi_lows + 1;
-              if not (Zint.is_one cv) then i.vi_low_unit <- false
-            end
-            else begin
-              i.vi_ups <- i.vi_ups + 1;
-              if not (Zint.is_one (Zint.neg cv)) then i.vi_up_unit <- false
-            end
-          end)
-        (Constr.expr c))
+      is_eq := Constr.kind c = Constr.Eq;
+      Linexpr.iter_terms tally (Constr.expr c))
     (Problem.constraints p);
-  (* (class, product) score; lower is better *)
-  let score i =
-    if i.vi_in_eq || (i.vi_lows = 0 && i.vi_ups = 0) then None
-    else if i.vi_lows = 0 || i.vi_ups = 0 then Some (0, 0)
-    else if i.vi_low_unit || i.vi_up_unit then
-      Some (1, i.vi_lows * i.vi_ups)
-    else Some (2, i.vi_lows * i.vi_ups)
-  in
-  Hashtbl.fold
-    (fun _ i best ->
-      match score i with
-      | None -> best
-      | Some (cls, prod) -> (
+  List.fold_left
+    (fun best i ->
+      if vi_class i < 0 then best
+      else
         match best with
-        | Some (cls', prod', v') ->
-          let c = Stdlib.compare (cls, prod) (cls', prod') in
-          let better =
-            c < 0
-            || (c = 0
-                &&
-                Var.id i.vi_var < Var.id v')
-          in
-          if better then Some (cls, prod, i.vi_var) else best
-        | None -> Some (cls, prod, i.vi_var)))
-    tbl None
-  |> Option.map (fun (_, _, v) -> v)
+        | Some j when not (better i j) -> best
+        | _ -> Some i)
+    None !infos
+  |> Option.map (fun i -> i.vi_var)
 
 (* ------------------------------------------------------------------ *)
 (* Drivers                                                             *)

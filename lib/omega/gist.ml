@@ -79,7 +79,7 @@ let split_equalities cs =
       | Constr.Geq -> [ c ]
       | Constr.Eq ->
         let e = Constr.expr c in
-        if Var.Set.exists Var.is_wild (Linexpr.vars e) then
+        if Linexpr.exists_var Var.is_wild e then
           (* congruences are kept atomic *)
           [ c ]
         else

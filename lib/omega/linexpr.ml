@@ -3,21 +3,27 @@
    coefficients, so structural equality of the map coincides with equality
    of the linear part.
 
-   Each expression lazily caches a structural hash and the canonical
-   coefficient-vector key used by [Problem.simplify] to bucket parallel
-   constraints, so the hot loops stop re-walking coefficient lists. *)
+   Each expression lazily caches the canonical coefficient-vector key
+   [Problem.simplify] buckets parallel constraints by: one flat int array
+   of (variable id, coefficient) pairs in ascending variable order,
+   leading coefficient made positive, with whether that flipped the signs
+   and a hash of the array.  Keys compare by a plain loop over the array,
+   so the simplifier's hot loop allocates nothing to probe or order its
+   buckets. *)
 
-type cache = {
-  c_hash : int;  (* structural hash of constant + terms *)
-  c_key : (Var.t * Zint.t) list;
-      (* linear part in ascending variable order, leading coeff > 0 *)
-  c_flipped : bool;  (* whether the key negated the coefficients *)
-  c_khash : int;  (* hash of [c_key] alone *)
+type key = {
+  k_pairs : int array;
+      (* id0, c0, id1, c1, ...: ascending ids, c0 > 0 *)
+  k_flipped : bool;  (* whether the key negated the coefficients *)
+  k_hash : int;  (* hash of [k_pairs] *)
 }
 
-type t = { const : Zint.t; terms : Zint.t Var.Map.t; mutable cache : cache option }
+type t = { const : Zint.t; terms : Zint.t Var.Map.t; mutable key : key }
 
-let mk const terms = { const; terms; cache = None }
+(* The key not computed yet; compared physically. *)
+let no_key = { k_pairs = [||]; k_flipped = false; k_hash = 0 }
+
+let mk const terms = { const; terms; key = no_key }
 
 let zero = mk Zint.zero Var.Map.empty
 let const c = mk c Var.Map.empty
@@ -28,8 +34,12 @@ let term c v =
 
 let var v = term Zint.one v
 
-let coeff e v =
-  match Var.Map.find_opt v e.terms with Some c -> c | None -> Zint.zero
+(* [mem] then [find]: two walks of a map of a few terms cost less than
+   the option [find_opt] allocates. *)
+let find_coeff terms v =
+  if Var.Map.mem v terms then Var.Map.find v terms else Zint.zero
+
+let coeff e v = find_coeff e.terms v
 
 let constant e = e.const
 let mem e v = Var.Map.mem v e.terms
@@ -66,13 +76,38 @@ let scale c e =
 
 let scale_int n e = scale (Zint.of_int n) e
 
-(* Substitute [v := def] in [e]. *)
+(* [a*x + b*y]: each term [d*u] of [y] adds [b*d] to [a*x]. *)
+let lincomb a x b y =
+  let ax = scale a x in
+  let terms =
+    Var.Map.fold
+      (fun u d terms ->
+        let c = Zint.add (find_coeff terms u) (Zint.mul b d) in
+        if Zint.is_zero c then Var.Map.remove u terms
+        else Var.Map.add u c terms)
+      y.terms ax.terms
+  in
+  mk (Zint.add ax.const (Zint.mul b y.const)) terms
+
+(* Substitute [v := def] in [e]: each term [d*u] of [def] adds [c*d] to
+   the coefficient of [u] in [e] without [v]. *)
 let subst e v def =
   let c = coeff e v in
   if Zint.is_zero c then e
-  else add (set_coeff e v Zint.zero) (scale c def)
+  else
+    let terms =
+      Var.Map.fold
+        (fun u d terms ->
+          let x = Zint.add (find_coeff terms u) (Zint.mul c d) in
+          if Zint.is_zero x then Var.Map.remove u terms
+          else Var.Map.add u x terms)
+        def.terms
+        (Var.Map.remove v e.terms)
+    in
+    mk (Zint.add e.const (Zint.mul c def.const)) terms
 
 let vars e = Var.Map.fold (fun v _ acc -> Var.Set.add v acc) e.terms Var.Set.empty
+let exists_var f e = Var.Map.exists (fun v _ -> f v) e.terms
 
 let iter_terms f e = Var.Map.iter f e.terms
 let fold_terms f e acc = Var.Map.fold f e.terms acc
@@ -102,49 +137,59 @@ let eval env e =
     e.terms e.const
 
 (* ------------------------------------------------------------------ *)
-(* Cached hash / canonical key                                         *)
+(* Canonical key                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let mix h x = (((h * 65599) + x) lxor (h lsr 17)) land max_int
 
-let compute_cache e =
-  (* one walk in ascending variable order; [Var.Map.fold] already
-     iterates in increasing key order, so no sort is needed *)
-  let rev_key, khash, h =
-    Var.Map.fold
-      (fun v c (key, kh, h) ->
-        let hv = Var.hash v and hc = Zint.hash c in
-        ((v, c) :: key, mix (mix kh hv) hc, mix (mix h hv) hc))
-      e.terms
-      ([], 0x9dc5, mix 0x811c (Zint.hash e.const))
-  in
-  let bindings = List.rev rev_key in
-  let flipped =
-    match bindings with (_, c0) :: _ -> Zint.sign c0 < 0 | [] -> false
-  in
-  let key, khash =
-    if not flipped then (bindings, khash)
-    else
-      List.fold_left
-        (fun (key, kh) (v, c) ->
-          let c = Zint.neg c in
-          ((v, c) :: key, mix (mix kh (Var.hash v)) (Zint.hash c)))
-        ([], 0x9dc5) bindings
-      |> fun (rk, kh) -> (List.rev rk, kh)
-  in
-  { c_hash = h; c_key = key; c_flipped = flipped; c_khash = khash }
-
-let cached e =
-  match e.cache with
-  | Some c -> c
-  | None ->
-    let c = compute_cache e in
-    e.cache <- Some c;
-    c
+let compute_key e =
+  let pairs = Array.make (2 * Var.Map.cardinal e.terms) 0 in
+  (* [Var.Map.fold] walks in ascending variable order, so no sort *)
+  ignore
+    (Var.Map.fold
+       (fun v c i ->
+         pairs.(i) <- Var.id v;
+         pairs.(i + 1) <- Zint.to_int c;
+         i + 2)
+       e.terms 0);
+  let flipped = Array.length pairs > 0 && pairs.(1) < 0 in
+  let h = ref 0x9dc5 in
+  for i = 0 to (Array.length pairs / 2) - 1 do
+    if flipped then
+      pairs.((2 * i) + 1) <- Zint.to_int (Zint.neg (Zint.of_int pairs.((2 * i) + 1)));
+    h := mix (mix !h pairs.(2 * i)) pairs.((2 * i) + 1)
+  done;
+  { k_pairs = pairs; k_flipped = flipped; k_hash = !h }
 
 let canon e =
-  let c = cached e in
-  (c.c_key, c.c_flipped, c.c_khash)
+  if e.key != no_key then e.key
+  else begin
+    let k = compute_key e in
+    e.key <- k;
+    k
+  end
+
+let key_flipped k = k.k_flipped
+let key_hash k = k.k_hash
+let key_length k = Array.length k.k_pairs / 2
+let key_var_id k i = k.k_pairs.(2 * i)
+let key_coeff k i = Zint.of_int k.k_pairs.((2 * i) + 1)
+
+(* Lexicographic over the (id, coefficient) pairs, a proper prefix
+   first: the order of the pair lists compared by [Var.compare], then
+   [Zint.compare]. *)
+let compare_key a b =
+  if a.k_pairs == b.k_pairs then 0
+  else begin
+    let x = a.k_pairs and y = b.k_pairs in
+    let nx = Array.length x and ny = Array.length y in
+    let n = if nx < ny then nx else ny in
+    let i = ref 0 in
+    while !i < n && x.(!i) = y.(!i) do
+      incr i
+    done;
+    if !i < n then Int.compare x.(!i) y.(!i) else Int.compare nx ny
+  end
 
 (* Structural comparison, constant included. *)
 let compare a b =
@@ -153,19 +198,14 @@ let compare a b =
     let c = Zint.compare a.const b.const in
     if c <> 0 then c else Var.Map.compare Zint.compare a.terms b.terms
 
-(* Comparison of the linear parts only (ignoring constants): used to detect
-   parallel constraints. *)
-let compare_terms a b =
-  if a == b then 0 else Var.Map.compare Zint.compare a.terms b.terms
-
 (* Inner product of the coefficient vectors of two expressions, used by the
    gist fast checks ("normals with positive inner product"). *)
 let dot a b =
   Var.Map.fold
     (fun v c acc ->
-      match Var.Map.find_opt v b.terms with
-      | Some c' -> Zint.add acc (Zint.mul c c')
-      | None -> acc)
+      if Var.Map.mem v b.terms then
+        Zint.add acc (Zint.mul c (Var.Map.find v b.terms))
+      else acc)
     a.terms Zint.zero
 
 let pp fmt e =

@@ -26,10 +26,14 @@ val sub : t -> t -> t
 val scale : Zint.t -> t -> t
 val scale_int : int -> t -> t
 
+val lincomb : Zint.t -> t -> Zint.t -> t -> t
+(** [lincomb a x b y] is [a*x + b*y]. *)
+
 val subst : t -> Var.t -> t -> t
 (** [subst e v def] replaces [v] by [def] in [e]. *)
 
 val vars : t -> Var.Set.t
+val exists_var : (Var.t -> bool) -> t -> bool
 val iter_terms : (Var.t -> Zint.t -> unit) -> t -> unit
 val fold_terms : (Var.t -> Zint.t -> 'a -> 'a) -> t -> 'a -> 'a
 
@@ -44,16 +48,31 @@ val map_coeffs : (Zint.t -> Zint.t) -> t -> t
 val eval : (Var.t -> Zint.t) -> t -> Zint.t
 
 val compare : t -> t -> int
-val compare_terms : t -> t -> int
-(** Linear parts only (ignoring the constants): equal iff parallel with
-    the same scale. *)
+type key
+(** The canonical key of a linear part: its (variable, coefficient)
+    pairs in ascending variable order with the leading coefficient made
+    positive.  Two expressions share a key iff their linear parts are
+    equal or opposite. *)
 
-val canon : t -> (Var.t * Zint.t) list * bool * int
-(** [canon e] is [(key, flipped, khash)]: the linear part in ascending
-    variable order with the leading coefficient made positive, whether
-    the sign was flipped to achieve that, and a hash of the key.  Two
-    expressions share a key iff their linear parts are equal or
-    opposite.  Cached on the expression. *)
+val canon : t -> key
+(** Computed once and cached on the expression. *)
+
+val key_flipped : key -> bool
+(** Whether the key negated the expression's coefficients. *)
+
+val key_hash : key -> int
+(** Equal keys hash equally. *)
+
+val compare_key : key -> key -> int
+(** Lexicographic over the pairs (variable id, then coefficient), a
+    proper prefix first. *)
+
+val key_length : key -> int
+val key_var_id : key -> int -> int
+(** [key_var_id k i] is the id of the [i]th variable of [k]. *)
+
+val key_coeff : key -> int -> Zint.t
+(** [key_coeff k i] is the [i]th coefficient of [k]. *)
 
 val dot : t -> t -> Zint.t
 (** Inner product of the coefficient vectors (used by the gist fast

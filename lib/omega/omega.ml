@@ -57,7 +57,7 @@ let analyze_piece v (q : Problem.t) : piece =
       let cv = Linexpr.coeff e v in
       match Constr.kind c with
       | Constr.Eq ->
-        if Var.Set.exists Var.is_wild (Linexpr.vars e) then
+        if Linexpr.exists_var Var.is_wild e then
           congs := e :: !congs
         else if not (Zint.is_zero cv) then begin
           (* cv * v + const = 0; after normalization cv is +-1 *)
@@ -76,19 +76,16 @@ let analyze_piece v (q : Problem.t) : piece =
         end)
     (Problem.constraints q);
   let wild_gcd e =
-    Var.Set.fold
-      (fun w acc -> if Var.is_wild w then Zint.gcd acc (Linexpr.coeff e w) else acc)
-      (Linexpr.vars e) Zint.zero
+    Linexpr.fold_terms
+      (fun w c acc -> if Var.is_wild w then Zint.gcd acc c else acc)
+      e Zint.zero
   in
+  (* [e] at [v = x], its wildcard terms left out, divisible by their gcd *)
   let sat_at x =
     List.for_all
       (fun e ->
         let residual =
-          Linexpr.constant
-            (Var.Set.fold
-               (fun w acc -> Linexpr.set_coeff acc w Zint.zero)
-               (Var.Set.filter Var.is_wild (Linexpr.vars e))
-               (Linexpr.subst e v (Linexpr.const x)))
+          Zint.add (Linexpr.constant e) (Zint.mul (Linexpr.coeff e v) x)
         in
         Zint.divisible residual (wild_gcd e))
       !congs

@@ -125,15 +125,16 @@ let of_constr (c : Constr.t) : t =
 let of_problem (p : Problem.t) : t =
   and_ (List.map of_constr (Problem.constraints p))
 
+(* An atom as one constraint: a congruence mints its wildcard. *)
+let constr_of_atom = function
+  | Atom c -> c
+  | Cong (m, e) ->
+    let sigma = Var.fresh_wild () in
+    Constr.eq (Linexpr.add_term e m sigma)
+  | _ -> invalid_arg "Presburger.problem_of_conjuncts: not an atom"
+
 let problem_of_conjuncts (atoms : t list) : Problem.t =
-  let constr_of = function
-    | Atom c -> c
-    | Cong (m, e) ->
-      let sigma = Var.fresh_wild () in
-      Constr.eq (Linexpr.add_term e m sigma)
-    | _ -> invalid_arg "Presburger.problem_of_conjuncts: not an atom"
-  in
-  Problem.of_list (List.map constr_of atoms)
+  Problem.of_list (List.map constr_of_atom atoms)
 
 (* ------------------------------------------------------------------ *)
 (* Negation of quantifier-free formulas                                *)
@@ -197,8 +198,7 @@ let enumerate ?(witness = fun () -> false) (f : t) (k : Problem.t -> bool) :
       | True -> go p rest
       | False -> false
       | Atom _ | Cong _ -> (
-        let atom = problem_of_conjuncts [ f ] in
-        match Problem.simplify (Problem.conj p atom) with
+        match Problem.simplify_and p (constr_of_atom f) with
         | Problem.Contra -> false
         | Problem.Ok p -> go p rest)
       | Not g -> go p (neg_qf g :: rest)

@@ -43,6 +43,11 @@ val subst_colored : Var.t -> Linexpr.t -> Constr.color -> t -> t
     color of the equality driving the substitution (section 3.3.2's
     red/black tracking). *)
 
+val subst_out : Constr.t -> Var.t -> Linexpr.t -> t -> t
+(** [subst_out c v def t] drops the equality [c] (compared physically)
+    and substitutes [def] for [v], as {!subst_colored} with [c]'s color:
+    eliminating [v] through [c] in one pass. *)
+
 val eval : (Var.t -> Zint.t) -> t -> bool
 (** Evaluate under an assignment (which must cover every variable,
     including wildcards). *)
@@ -52,6 +57,10 @@ val simplify : t -> simplified
     drop tautologies and duplicates, keep only the tightest parallel
     bounds, promote touching opposite inequalities to equalities, and
     detect single- and two-constraint contradictions. *)
+
+val simplify_and : t -> Constr.t -> simplified
+(** [simplify_and t c] is [simplify] of the conjunction of [t]'s
+    constraints and then [c], without building it. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

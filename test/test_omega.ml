@@ -1037,6 +1037,47 @@ let presburger_tests =
         || QCheck.Test.fail_reportf
              "simplify %s (%d pruned), reference %s (%d pruned)" (show got')
              pruned (show want) want_pruned);
+    QCheck.Test.make ~name:"simplify_and matches the reference on the conjunction"
+      ~count:500 arb_simplify_case
+      (fun (p, _) ->
+        match List.rev (Problem.constraints p) with
+        | [] -> true
+        | c :: rest ->
+          let got =
+            match Problem.simplify_and (Problem.of_list (List.rev rest)) c with
+            | Problem.Contra -> `Contra
+            | Problem.Ok q -> `Ok (Problem.constraints q)
+          in
+          (match got, fst (Oracle.simplify_ref ~grown:false p) with
+           | `Contra, `Contra -> true
+           | `Ok a, `Ok b ->
+             List.length a = List.length b && List.for_all2 same_constr a b
+           | _ -> false));
+    QCheck.Test.make ~name:"constraint implies matches the parallel reference"
+      ~count:500 arb_simplify_case
+      (fun (p, _) ->
+        (* [a] alone implies [b] when their linear parts are equal (or, for
+           an equality [a], opposite) and [b]'s constant is large enough *)
+        let linear e = Linexpr.add_const e (Zint.neg (Linexpr.constant e)) in
+        let implies_ref a b =
+          let ea = Constr.expr a and eb = Constr.expr b in
+          let ca = Linexpr.constant ea and cb = Linexpr.constant eb in
+          let same = Linexpr.compare (linear ea) (linear eb) = 0 in
+          let opposite =
+            Linexpr.compare (linear (Linexpr.neg ea)) (linear eb) = 0
+          in
+          match Constr.kind a, Constr.kind b with
+          | Constr.Eq, Constr.Eq -> same && Zint.equal ca cb
+          | Constr.Eq, Constr.Geq ->
+            (same && Zint.(cb >= ca)) || (opposite && Zint.(cb >= Zint.neg ca))
+          | Constr.Geq, Constr.Geq -> same && Zint.(cb >= ca)
+          | Constr.Geq, Constr.Eq -> false
+        in
+        let cs = Problem.constraints p in
+        List.for_all
+          (fun a ->
+            List.for_all (fun b -> Constr.implies a b = implies_ref a b) cs)
+          cs);
     QCheck.Test.make ~name:"problem simplify preserves solutions" ~count:200
       (Oracle.arb_problem ())
       (fun (p, vars, lo, hi) ->
