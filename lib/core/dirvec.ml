@@ -76,9 +76,25 @@ let sign_constr v (s : sign) : Constr.t list =
 
 let range_of problem v =
   match Omega.bounds problem v with
-  | `Unsat -> (None, None)
+  | `Unsat -> None
   | `Range (lo, hi) ->
-    (Option.map Zint.to_int lo, Option.map Zint.to_int hi)
+    Some (Option.map Zint.to_int lo, Option.map Zint.to_int hi)
+
+(* Can [v] take a value of sign [s], given its attained range [lo, hi]
+   over [problem]?  The ends are values [v] takes, so a negative [lo] (or
+   none) shows a negative value, a positive [hi] a positive one, and an
+   end at 0 shows 0; only a 0 strictly inside the range needs a
+   satisfiability test, since congruences can leave holes. *)
+let sign_feasible problem v (lo, hi) s =
+  let below_zero = match lo with None -> true | Some a -> a < 0 in
+  let above_zero = match hi with None -> true | Some b -> b > 0 in
+  match s with
+  | Neg -> below_zero
+  | Pos -> above_zero
+  | _ ->
+    lo = Some 0 || hi = Some 0
+    || below_zero && above_zero
+       && Elim.satisfiable (Problem.add_list (sign_constr v s) problem)
 
 (* Analyze levels [d..] of [problem] over the distance variables [dvars];
    returns the list of vector tails. *)
@@ -86,16 +102,17 @@ let rec analyze problem (dvars : Var.t array) d : t list =
   if d >= Array.length dvars then [ [] ]
   else begin
     let v = dvars.(d) in
-    let lo, hi = range_of problem v in
-    match lo, hi with
-    | Some a, Some b when a = b ->
+    match range_of problem v with
+    | None -> [] (* no integer point: dead level *)
+    | Some (Some a, Some b) when a = b ->
       List.map (fun tail -> exact a :: tail) (analyze problem dvars (d + 1))
-    | _ ->
+    | Some range ->
       let branches =
         List.filter_map
           (fun s ->
-            let p = Problem.add_list (sign_constr v s) problem in
-            if Elim.satisfiable p then Some (s, p) else None)
+            if sign_feasible problem v range s then
+              Some (s, Problem.add_list (sign_constr v s) problem)
+            else None)
           [ Neg; Zero; Pos ]
       in
       (match branches with
@@ -127,9 +144,11 @@ let rec analyze problem (dvars : Var.t array) d : t list =
              let s = merged_sign signs in
              (* distance bounds for the merged sign *)
              let p = Problem.add_list (sign_constr v s) problem in
-             let lo, hi = range_of p v in
-             let entry = { sign = s; lo; hi } in
-             List.map (fun tail -> entry :: tail) tails)
+             match range_of p v with
+             | None -> []
+             | Some (lo, hi) ->
+               let entry = { sign = s; lo; hi } in
+               List.map (fun tail -> entry :: tail) tails)
            (group analyzed))
   end
 
@@ -179,13 +198,15 @@ let vectors_of_level problem (dvars : Var.t array) ~carried : t list =
         | [ piece ] -> piece
         | _ -> problem
       in
-      let lo, hi = range_of problem v in
-      let entry =
-        match lo, hi with
-        | Some a, Some b when a = b -> exact a
-        | _ -> { sign = Pos; lo; hi }
-      in
-      let tails = analyze problem dvars carried in
-      List.map (fun tail -> prefix @ (entry :: tail)) tails
+      match range_of problem v with
+      | None -> []
+      | Some range ->
+        let entry =
+          match range with
+          | Some a, Some b when a = b -> exact a
+          | lo, hi -> { sign = Pos; lo; hi }
+        in
+        let tails = analyze problem dvars carried in
+        List.map (fun tail -> prefix @ (entry :: tail)) tails
     end
   end

@@ -34,13 +34,17 @@ val allows_all_zero : t -> bool
 val is_loop_independent : t -> bool
 (** Every entry is exactly zero. *)
 
-val range_of : Problem.t -> Var.t -> int option * int option
-(** Finite integer (min, max) of a variable subject to a problem, both
-    read from one projection ({!Omega.bounds}). *)
+val range_of : Problem.t -> Var.t -> (int option * int option) option
+(** The attained integer (min, max) of a variable subject to a problem,
+    both read from one projection ({!Omega.bounds}): [None] when the
+    problem has no integer point, a [None] end when unbounded on that
+    side. *)
 
 val analyze : Problem.t -> Var.t array -> int -> t list
 (** [analyze p dvars d] enumerates the vectors of levels [d..] of the
-    distance variables under [p], with partial compression. *)
+    distance variables under [p], with partial compression.  Each level's
+    signs are read off its attained range; only a 0 strictly inside it
+    costs a satisfiability test. *)
 
 val conservative_of_level : int -> carried:int -> t list
 (** The weakest vectors of one ordering level over [count] common loops:

@@ -466,15 +466,74 @@ let per_query_vectors p (dvars : Var.t array) ~carried : Dirvec.t list =
   else if carried = 0 then
     [ List.init (Array.length dvars) (fun _ -> Dirvec.exact 0) ]
   else begin
-    let entry =
-      match Dirvec.range_of p dvars.(carried - 1) with
-      | Some a, Some b when a = b -> Dirvec.exact a
-      | lo, hi -> { Dirvec.sign = Dirvec.Pos; lo; hi }
+    match Dirvec.range_of p dvars.(carried - 1) with
+    | None -> []
+    | Some range ->
+      let entry =
+        match range with
+        | Some a, Some b when a = b -> Dirvec.exact a
+        | lo, hi -> { Dirvec.sign = Dirvec.Pos; lo; hi }
+      in
+      let prefix = List.init (carried - 1) (fun _ -> Dirvec.exact 0) in
+      List.map
+        (fun tail -> prefix @ (entry :: tail))
+        (Dirvec.analyze p dvars carried)
+  end
+
+(* [Dirvec.analyze] as the paper states it: every level sat-tests each
+   of the three signs on its own; a merged sign's entry is the range of
+   the problem under that sign.  [Dirvec.analyze] reads the signs off the
+   level's attained range instead and must give the same vectors. *)
+let rec analyze_ref p (dvars : Var.t array) d : Dirvec.t list =
+  if d >= Array.length dvars then [ [] ]
+  else begin
+    let v = dvars.(d) in
+    let sign_constr (s : Dirvec.sign) =
+      let e = Linexpr.var v in
+      match s with
+      | Dirvec.Neg -> [ Constr.lt e (Linexpr.of_int 0) ]
+      | Dirvec.Zero -> [ Constr.eq e ]
+      | Dirvec.Pos -> [ Constr.gt e (Linexpr.of_int 0) ]
+      | Dirvec.NonNeg -> [ Constr.ge e (Linexpr.of_int 0) ]
+      | Dirvec.NonPos -> [ Constr.le e (Linexpr.of_int 0) ]
+      | Dirvec.Any -> []
     in
-    let prefix = List.init (carried - 1) (fun _ -> Dirvec.exact 0) in
-    List.map
-      (fun tail -> prefix @ (entry :: tail))
-      (Dirvec.analyze p dvars carried)
+    match Dirvec.range_of p v with
+    | Some (Some a, Some b) when a = b ->
+      List.map (fun t -> Dirvec.exact a :: t) (analyze_ref p dvars (d + 1))
+    | _ ->
+      let analyzed =
+        List.filter_map
+          (fun s ->
+            let ps = Problem.add_list (sign_constr s) p in
+            if Elim.satisfiable ps then Some (s, analyze_ref ps dvars (d + 1))
+            else None)
+          [ Dirvec.Neg; Dirvec.Zero; Dirvec.Pos ]
+      in
+      let rec group = function
+        | [] -> []
+        | (s, tails) :: rest ->
+          let same, diff =
+            List.partition
+              (fun (_, t) -> List.compare Dirvec.compare tails t = 0)
+              rest
+          in
+          (s :: List.map fst same, tails) :: group diff
+      in
+      List.concat_map
+        (fun (signs, tails) ->
+          let s =
+            match List.sort Stdlib.compare signs with
+            | [ s ] -> s
+            | [ Dirvec.Neg; Dirvec.Zero ] -> Dirvec.NonPos
+            | [ Dirvec.Zero; Dirvec.Pos ] -> Dirvec.NonNeg
+            | _ -> Dirvec.Any
+          in
+          match Dirvec.range_of (Problem.add_list (sign_constr s) p) v with
+          | None -> []
+          | Some (lo, hi) ->
+            List.map (fun t -> { Dirvec.sign = s; lo; hi } :: t) tails)
+        (group analyzed)
   end
 
 (* A random pair problem over [c] common loops: source and sink
@@ -573,6 +632,35 @@ let qcheck_tests =
                    (String.concat " " (List.map Dirvec.to_string want))
             | _ -> true)
           (List.init (Array.length dv + 1) Fun.id));
+    QCheck.Test.make ~count:150
+      ~name:"signs read off the range = signs sat-tested one by one"
+      (QCheck.make
+         ~print:(fun (p, _) -> Problem.to_string p)
+         gen_pair_problem)
+      (fun (base, dv) ->
+        (* every level free, then the levels below each carried one *)
+        let cases =
+          (base, 0)
+          :: List.init
+               (Array.length dv - 1)
+               (fun l ->
+                 (Problem.add_list (level_constraints dv (l + 1)) base, l + 1))
+        in
+        List.for_all
+          (fun (p, d) ->
+            let run f = Budget.with_limits roomy (fun () -> Budget.run f) in
+            match
+              ( run (fun () -> Dirvec.analyze p dv d),
+                run (fun () -> analyze_ref p dv d) )
+            with
+            | Ok got, Ok want ->
+              List.compare Dirvec.compare got want = 0
+              || QCheck.Test.fail_reportf "from level %d: got [%s], want [%s]"
+                   d
+                   (String.concat " " (List.map Dirvec.to_string got))
+                   (String.concat " " (List.map Dirvec.to_string want))
+            | _ -> true)
+          cases);
   ]
 
 let suite =
