@@ -1072,13 +1072,34 @@ let time_subject ~reps ~iters s =
   let run () = outcome s.as_prog in
   if iters = 1 then snd (time run) else per_call ~reps ~iters run
 
-type measured = { me_subject : analysis_subject; me_iters : int; me_time : float }
+type measured = {
+  me_subject : analysis_subject;
+  me_iters : int;
+  me_time : float;
+  me_words : int;
+}
 
-let measure_subject ~reps s =
+(* Minor-heap words one serial analysis of [s] allocates, its verdict
+   memo reset first ([outcome] does), after one warm-up analysis.  For
+   one compiler the count does not depend on the host, so it shows an
+   allocation change through timing noise. *)
+let analysis_words s =
+  under_budget @@ fun () ->
+  ignore (outcome s.as_prog);
+  let w0 = Gc.minor_words () in
+  ignore (outcome s.as_prog);
+  int_of_float (Gc.minor_words () -. w0)
+
+let measure_subject ~reps (s, words) =
   let iters =
     under_budget (fun () -> calibrate ~floor:0.01 (fun () -> outcome s.as_prog))
   in
-  { me_subject = s; me_iters = iters; me_time = time_subject ~reps ~iters s }
+  {
+    me_subject = s;
+    me_iters = iters;
+    me_time = time_subject ~reps ~iters s;
+    me_words = words;
+  }
 
 let analysis_suite ~smoke ~repeat ~out ~domains () =
   section
@@ -1087,7 +1108,12 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
        repeat);
   let reps = repeat in
   let subjects = analysis_subjects () in
-  let measured = List.map (measure_subject ~reps) subjects in
+  (* words first, on a fresh process, before any timing loop whose
+     length depends on the host *)
+  let words = List.map analysis_words subjects in
+  let measured =
+    List.map (measure_subject ~reps) (List.combine subjects words)
+  in
   let corpus_pass () =
     under_budget (fun () ->
         List.iter (fun s -> ignore (outcome s.as_prog)) subjects)
@@ -1096,10 +1122,11 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
     under_budget (fun () ->
         warm_best ~reps (fun () -> ignore (pair_timings ())))
   in
-  Printf.printf "%-20s %12s\n" "program" "ms";
+  Printf.printf "%-20s %12s %12s\n" "program" "ms" "minor words";
   List.iter
     (fun m ->
-      Printf.printf "%-20s %12.2f\n" m.me_subject.as_name (ms m.me_time))
+      Printf.printf "%-20s %12.2f %12d\n" m.me_subject.as_name (ms m.me_time)
+        m.me_words)
     measured;
   Printf.printf "%-20s %12.2f\n" "fig6/7 pairs" (ms t_pairs);
   let t_corpus = List.fold_left (fun acc m -> acc +. m.me_time) 0. measured in
@@ -1245,6 +1272,7 @@ let analysis_suite ~smoke ~repeat ~out ~domains () =
                       [
                         ("name", Json.Str m.me_subject.as_name);
                         ("ms", jf (ms m.me_time));
+                        ("minor_words", Json.Int m.me_words);
                       ])
                   measured) );
          ]))
