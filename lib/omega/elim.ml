@@ -20,6 +20,9 @@
 
 type keep = Var.t -> bool
 
+(* Wildcards and the variables the caller does not keep. *)
+let eliminable ~(keep : keep) v = Var.is_wild v || not (keep v)
+
 exception Contradiction
 
 (* ------------------------------------------------------------------ *)
@@ -48,12 +51,11 @@ let rec occurs_elsewhere c v = function
    coefficients, guaranteeing termination [Pug91]. *)
 let mod_hat_step ~keep p (c : Constr.t) =
   let e = Constr.expr c in
-  let eliminable v = Var.is_wild v || not (keep v) in
   (* k = eliminable variable with the smallest |coefficient| *)
   let k, ak =
     Linexpr.fold_terms
       (fun v cv acc ->
-        if not (eliminable v) then acc
+        if not (eliminable ~keep v) then acc
         else
           match acc with
           | Some (_, best) when Zint.(Zint.abs best <= Zint.abs cv) -> acc
@@ -119,7 +121,7 @@ let scan_eq ~(keep : keep) e =
   in
   Linexpr.iter_terms
     (fun v cv ->
-      if Var.is_wild v || not (keep v) then begin
+      if eliminable ~keep v then begin
         if s.elims = 0 then begin
           s.first <- Some v;
           s.first_coeff <- cv
@@ -133,20 +135,19 @@ let scan_eq ~(keep : keep) e =
     e;
   s
 
-(* The equality [c] with [s] its scan, all of whose eliminable variables
-   occur nowhere else: fold them into one congruence (or drop / refute
-   it). *)
+(* The equality [c], all of whose eliminable variables occur nowhere
+   else: fold them into one congruence (or drop / refute it). *)
 let collapse ~keep p (c : Constr.t) =
   let e = Constr.expr c in
-  let eliminable v = Var.is_wild v || not (keep v) in
   let g =
     Linexpr.fold_terms
-      (fun v cv acc -> if eliminable v then Zint.gcd acc cv else acc)
+      (fun v cv acc -> if eliminable ~keep v then Zint.gcd acc cv else acc)
       e Zint.zero
   in
   let kept_part =
     Linexpr.fold_terms
-      (fun v _ e -> if eliminable v then Linexpr.set_coeff e v Zint.zero else e)
+      (fun v _ e ->
+        if eliminable ~keep v then Linexpr.set_coeff e v Zint.zero else e)
       e e
   in
   let p_rest = Problem.filter (fun c' -> c' != c) p in
@@ -168,7 +169,6 @@ let collapse ~keep p (c : Constr.t) =
    else in the problem. *)
 let eq_step ~keep (p : Problem.t) =
   let cs = Problem.constraints p in
-  let eliminable v = Var.is_wild v || not (keep v) in
   let rec find = function
     | [] -> `Done p
     | c :: rest when Constr.kind c <> Constr.Eq -> find rest
@@ -194,7 +194,7 @@ let eq_step ~keep (p : Problem.t) =
             if
               Linexpr.fold_terms
                 (fun v _ local ->
-                  local && not (eliminable v && occurs_elsewhere c v cs))
+                  local && not (eliminable ~keep v && occurs_elsewhere c v cs))
                 e true
             then `Progress (collapse ~keep p c)
             else if s.elims = 1 then
@@ -409,7 +409,7 @@ let better i j =
 let pick_var ~keep p =
   let infos = ref [] and is_eq = ref false in
   let tally v cv =
-    if Var.is_wild v || not (keep v) then begin
+    if eliminable ~keep v then begin
       let i =
         try find_info v !infos
         with Not_found ->

@@ -154,10 +154,10 @@ let compute_key e =
        e.terms 0);
   let flipped = Array.length pairs > 0 && pairs.(1) < 0 in
   let h = ref 0x9dc5 in
-  for i = 0 to (Array.length pairs / 2) - 1 do
-    if flipped then
-      pairs.((2 * i) + 1) <- Zint.to_int (Zint.neg (Zint.of_int pairs.((2 * i) + 1)));
-    h := mix (mix !h pairs.(2 * i)) pairs.((2 * i) + 1)
+  for i = 0 to Array.length pairs - 1 do
+    if flipped && i land 1 = 1 then
+      pairs.(i) <- Zint.to_int (Zint.neg (Zint.of_int pairs.(i)));
+    h := mix !h pairs.(i)
   done;
   { k_pairs = pairs; k_flipped = flipped; k_hash = !h }
 
