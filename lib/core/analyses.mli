@@ -41,9 +41,12 @@ val fast_tier :
   unit ->
   bool
 (** The fast path of every section-4 query: every [lhs] disjunct
-    (under [hyp]) is unsatisfiable or implies the dark-shadow projection
-    of some [rhs] disjunct with [evars] eliminated.  [true] proves the
-    query, [false] passes it to {!complete_tier}: it never disproves.
+    (under [hyp]) implies the dark-shadow projection of some [rhs]
+    disjunct with [evars] eliminated.  [true] proves the query, [false]
+    passes it to {!complete_tier}: it never disproves.  An [lhs]
+    disjunct is not tested for points first: the driver poses
+    satisfiable ones, and an empty one with no [rhs] dark shadow is
+    left to the complete tier.
     The dark shadow under-approximates, so a proof over it holds over
     the integers. *)
 

@@ -9,6 +9,9 @@
       shrinks the equality's coefficients until a unit coefficient appears.
       Equalities whose eliminable variables occur nowhere else collapse into
       congruences (a single wildcard with coefficient >= 2) or disappear.
+      Each pass simplifies once: it substitutes through every equality
+      that has a unit coefficient, or else takes one collapse, scale-out
+      or mod-hat step.
 
    2. Fourier-Motzkin elimination of the remaining eliminable variables,
       which by then occur only in inequalities.  Each pair of a lower and an
@@ -162,32 +165,66 @@ let collapse ~keep p (c : Constr.t) =
     Problem.add (Constr.eq ~color:(Constr.color c) cong) p_rest
   end
 
-(* One pass of the equality phase; raises [Contradiction].  Returns
-   [`Progress p] when a step was taken, [`Done p] when every equality is
-   either purely over kept variables or an inert congruence: its only
-   eliminable variable a wildcard with |coeff| >= 2 occurring nowhere
-   else in the problem. *)
+(* The variable a unit-coefficient substitution eliminates, if the
+   scanned equality has one: a wildcard first, to keep problems small. *)
+let unit_var s = if s.wild_unit <> None then s.wild_unit else s.unit
+
+(* Substitute through [c] for its unit-coefficient variable [v], then
+   through every later equality of the result, in order, that has one;
+   [i] is [c]'s index, where the constraints after it start once it is
+   dropped.  No simplification runs in between: each substitution is
+   exact on any equality with a unit coefficient, normalized or not,
+   and a constraint left unnormalized, tautological or contradictory
+   waits for the one [simplify] of the next pass.  The equalities
+   before [c] are inert congruences or over kept variables only, so no
+   substitution changes them. *)
+let rec subst_units ~keep p i c v =
+  let p = Problem.subst_out c v (solve_for v (Constr.expr c)) p in
+  let rec next j = function
+    | [] -> p
+    | c :: rest when Constr.kind c <> Constr.Eq -> next (j + 1) rest
+    | c :: rest -> (
+      match unit_var (scan_eq ~keep (Constr.expr c)) with
+      | Some v -> subst_units ~keep p j c v
+      | None -> next (j + 1) rest)
+  in
+  let rec drop j = function
+    | l when j = 0 -> l
+    | [] -> []
+    | _ :: rest -> drop (j - 1) rest
+  in
+  next i (drop i (Problem.constraints p))
+
+(* One pass of the equality phase over a simplified problem; raises
+   [Contradiction].  Returns [`Progress p] when a step was taken, [`Done
+   p] when every equality is either purely over kept variables or an
+   inert congruence: its only eliminable variable a wildcard with
+   |coeff| >= 2 occurring nowhere else in the problem.  A pass takes
+   every unit-coefficient substitution it can ([subst_units]), or else
+   one collapse, scale-out or mod-hat step: those read the normalized
+   equalities of a freshly simplified problem, and mod-hat's
+   termination rests on them. *)
 let eq_step ~keep (p : Problem.t) =
   let cs = Problem.constraints p in
-  let rec find = function
+  let rec find i = function
     | [] -> `Done p
-    | c :: rest when Constr.kind c <> Constr.Eq -> find rest
+    | c :: rest when Constr.kind c <> Constr.Eq -> find (i + 1) rest
     | c :: rest -> (
       let e = Constr.expr c in
       let s = scan_eq ~keep e in
       match s.first with
-      | None -> find rest
+      | None -> find (i + 1) rest
       | Some v1 ->
         if
           s.elims = 1 && Var.is_wild v1
           && Zint.(Zint.abs s.first_coeff >= Zint.two)
           && not (occurs_elsewhere c v1 cs)
-        then find rest
+        then find (i + 1) rest
         else begin
-          (* 1: substitute through a unit-coefficient eliminable
-             variable, preferring wildcards to keep problems small *)
-          match if s.wild_unit <> None then s.wild_unit else s.unit with
-          | Some v -> `Progress (Problem.subst_out c v (solve_for v e) p)
+          (* 1: substitute through unit-coefficient eliminable
+             variables *)
+          match unit_var s with
+          | Some v -> `Progress (subst_units ~keep p i c v)
           | None ->
             (* 2: all eliminable vars occur only in this equality:
                collapse them into a congruence (or drop / refute) *)
@@ -206,10 +243,10 @@ let eq_step ~keep (p : Problem.t) =
               `Progress (mod_hat_step ~keep p c)
         end)
   in
-  find cs
+  find 0 cs
 
 (* Run simplification and the equality phase to a fixed point, charging
-   the meter one tick per step. *)
+   the meter one tick per pass: each pass simplifies once. *)
 let rec eq_phase ~keep m (p : Problem.t) : Problem.t =
   Budget.tick m;
   match Problem.simplify p with

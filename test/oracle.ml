@@ -323,3 +323,209 @@ let simplify_ref ~grown (p : Problem.t) :
     match List.iter check sorted with
     | exception Bail -> (`Contra, pruned)
     | () -> (`Ok (List.rev !out), pruned))
+
+(* ------------------------------------------------------------------ *)
+(* Reference equality phase                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The Omega test with its equality phase one step per round, as
+   [Elim] ran it before a pass took every unit-coefficient substitution
+   at once: [Problem.simplify], then one step on the first equality
+   that is neither over kept variables only nor an inert congruence (a
+   lone wildcard with |coeff| >= 2 that no other constraint mentions).
+   The step substitutes through a unit-coefficient eliminable variable
+   (a wildcard first), else collapses the equality's eliminable
+   variables into a congruence when no other constraint mentions them,
+   else scales its lone eliminable variable out of the others, else
+   takes a mod-hat step.  Fourier-Motzkin then eliminates the
+   eliminable variable of smallest id that no equality mentions: at once
+   when one side's coefficients are all one, otherwise as the dark
+   shadow plus Pugh's splinters.  Colors are ignored (the generators
+   build black problems).  [project_ref] and [sat_ref] must denote the
+   sets [Elim.project] and [Elim.satisfiable] do. *)
+
+exception Ref_contra
+
+let ref_eliminable keep v = Var.is_wild v || not (keep v)
+
+let ref_solve_for v e =
+  let rest = Linexpr.set_coeff e v Zint.zero in
+  if Zint.is_one (Linexpr.coeff e v) then Linexpr.neg rest else rest
+
+(* [c] reads [g*(elims) + kept = 0] with no other constraint mentioning
+   its eliminable variables: [kept = 0 (mod g)]. *)
+let ref_collapse p c elims =
+  let e = Constr.expr c in
+  let g =
+    List.fold_left (fun g v -> Zint.gcd g (Linexpr.coeff e v)) Zint.zero elims
+  in
+  let kept =
+    List.fold_left (fun e v -> Linexpr.set_coeff e v Zint.zero) e elims
+  in
+  let rest = Problem.filter (fun c' -> c' != c) p in
+  if Zint.is_one g then rest
+  else if Linexpr.is_const kept then
+    if Zint.divisible (Linexpr.constant kept) g then rest else raise Ref_contra
+  else
+    Problem.add
+      (Constr.eq (Linexpr.add_term kept g (Var.fresh_wild ())))
+      rest
+
+(* [c] reads [m*v + r = 0]: every other constraint [a*v + s] becomes
+   [|m|*s - a*sign(m)*r]. *)
+let ref_scale_out p c v =
+  let e = Constr.expr c in
+  let m = Linexpr.coeff e v in
+  let r = Linexpr.set_coeff e v Zint.zero in
+  Problem.map_constraints
+    (fun c' ->
+      if c' == c || not (Constr.mentions c' v) then c'
+      else
+        let e' = Constr.expr c' in
+        let a = Linexpr.coeff e' v in
+        let s = Linexpr.set_coeff e' v Zint.zero in
+        Constr.make (Constr.kind c')
+          (Linexpr.sub
+             (Linexpr.scale (Zint.abs m) s)
+             (Linexpr.scale (Zint.mul a (Zint.of_int (Zint.sign m))) r)))
+    p
+
+(* Pugh's mod-hat step on [c] through its eliminable variable [k] of
+   smallest |coefficient|. *)
+let ref_mod_hat p c elims =
+  let e = Constr.expr c in
+  let smaller k v =
+    Zint.(Zint.abs (Linexpr.coeff e v) < Zint.abs (Linexpr.coeff e k))
+  in
+  let k =
+    List.fold_left (fun k v -> if smaller k v then v else k) (List.hd elims)
+      elims
+  in
+  let m = Zint.succ (Zint.abs (Linexpr.coeff e k)) in
+  let star =
+    Linexpr.add_term
+      (Linexpr.map_coeffs (fun a -> Zint.mod_hat a m) e)
+      (Zint.neg m) (Var.fresh_wild ())
+  in
+  Problem.subst k (ref_solve_for k star) p
+
+let ref_eq_step keep p =
+  let cs = Problem.constraints p in
+  let elsewhere c v =
+    List.exists (fun c' -> c' != c && Constr.mentions c' v) cs
+  in
+  let step c =
+    let e = Constr.expr c in
+    let elims =
+      List.rev
+        (Linexpr.fold_terms
+           (fun v _ acc -> if ref_eliminable keep v then v :: acc else acc)
+           e [])
+    in
+    let unit v = Zint.is_one (Zint.abs (Linexpr.coeff e v)) in
+    match elims with
+    | [] -> None
+    | [ w ]
+      when Var.is_wild w
+           && Zint.(Zint.abs (Linexpr.coeff e w) >= Zint.two)
+           && not (elsewhere c w) ->
+      None
+    | _ -> (
+      let units = List.filter unit elims in
+      match (List.find_opt Var.is_wild units, units) with
+      | Some v, _ | None, v :: _ ->
+        Some (Problem.subst_out c v (ref_solve_for v e) p)
+      | None, [] ->
+        if not (List.exists (elsewhere c) elims) then
+          Some (ref_collapse p c elims)
+        else if List.length elims = 1 then
+          Some (ref_scale_out p c (List.hd elims))
+        else Some (ref_mod_hat p c elims))
+  in
+  List.find_map
+    (fun c -> if Constr.kind c = Constr.Eq then step c else None)
+    cs
+
+(* The equality phase to its fixed point; [None] on a contradiction. *)
+let rec ref_eq_phase keep p =
+  match Problem.simplify p with
+  | Problem.Contra -> None
+  | Problem.Ok p -> (
+    match ref_eq_step keep p with
+    | exception Ref_contra -> None
+    | None -> Some p
+    | Some p -> ref_eq_phase keep p)
+
+(* One Fourier-Motzkin elimination: [None] when every eliminable
+   variable sits in an equality, else the problems whose union is the
+   projection. *)
+let ref_fm keep p =
+  let cs = Problem.constraints p in
+  let in_eq v =
+    List.exists (fun c -> Constr.kind c = Constr.Eq && Constr.mentions c v) cs
+  in
+  let candidates =
+    Var.Set.filter
+      (fun v -> ref_eliminable keep v && not (in_eq v))
+      (Problem.vars p)
+  in
+  Option.map
+    (fun v ->
+      let bounds sign =
+        List.filter_map
+          (fun c ->
+            let e = Constr.expr c in
+            let a = Linexpr.coeff e v in
+            if Zint.sign a = sign then
+              Some (Zint.abs a, Linexpr.set_coeff e v Zint.zero)
+            else None)
+          cs
+      in
+      let lows = bounds 1 and ups = bounds (-1) in
+      let others = List.filter (fun c -> not (Constr.mentions c v)) cs in
+      let shadow =
+        List.concat_map
+          (fun (cl, rl) ->
+            List.map
+              (fun (cu, ru) ->
+                Constr.geq
+                  (Linexpr.add_const
+                     (Linexpr.lincomb cl ru cu rl)
+                     (Zint.neg (Zint.mul (Zint.pred cl) (Zint.pred cu)))))
+              ups)
+          lows
+      in
+      let dark = Problem.of_list (shadow @ others) in
+      let all_unit = List.for_all (fun (a, _) -> Zint.is_one a) in
+      if all_unit lows || all_unit ups then [ dark ]
+      else
+        let amax =
+          List.fold_left (fun m (cu, _) -> Zint.max m cu) Zint.one ups
+        in
+        dark
+        :: List.concat_map
+             (fun (cl, rl) ->
+               let kmax =
+                 Zint.to_int Zint.(fdiv ((amax * cl) - (amax + cl)) amax)
+               in
+               List.init (max 0 (kmax + 1)) (fun k ->
+                   Problem.add
+                     (Constr.eq
+                        (Linexpr.add_term
+                           (Linexpr.add_const rl (Zint.of_int (-k)))
+                           cl v))
+                     p))
+             lows)
+    (Var.Set.min_elt_opt candidates)
+
+(* Exact projection onto the variables [keep] holds: the union of the
+   returned problems, their wildcards read existentially. *)
+let rec project_ref ~keep p =
+  match ref_eq_phase keep p with
+  | None -> []
+  | Some p -> (
+    match ref_fm keep p with
+    | None -> [ p ]
+    | Some pieces -> List.concat_map (project_ref ~keep) pieces)
+
+let sat_ref p = project_ref ~keep:(fun _ -> false) p <> []

@@ -632,7 +632,7 @@ let expected_counter_rows =
     "true 3/0/0/8 | 4 2/1/0/18"; "false 2/1/0/8 | 0 5/5/0/306";
     "false 0/0/0/4 | 0 0/0/0/3"; "true 3/0/0/8 | 1 2/0/0/6";
     "true 3/0/0/8 | 1 2/0/0/6"; "true 2/0/0/7 | 7 1/1/0/29";
-    "false 0/0/0/4 | 0 0/0/0/4"; "true 3/0/0/8 | 7 2/1/0/30";
+    "false 0/0/0/3 | 0 0/0/0/3"; "true 3/0/0/8 | 7 2/1/0/30";
     "true 3/0/0/8 | 1 2/0/0/6"; "true 3/0/0/8 | 1 2/0/0/6";
     "true 2/0/0/8 | 4 1/1/0/18"; "false 0/0/0/3 | 0 0/0/0/3";
     "true 3/1/0/98 | 28 4/4/0/302"; "true 3/0/0/8 | 1 2/0/0/6";
@@ -646,13 +646,13 @@ let expected_counter_rows =
     "true 1/1/0/6 | 3 1/1/0/16"; "true 3/1/0/8 | 7 4/2/0/36";
     "false 3/1/4/10 | 0 79/78/35/10844"; "true 4/0/0/10 | 6 5/4/0/53";
     "true 4/0/0/10 | 133 9/8/9/837"; "true 4/0/0/10 | 1 3/0/0/8";
-    "false 0/0/0/4 | 0 0/0/0/4"; "true 1/0/0/8 | 9 1/1/0/73";
+    "false 0/0/0/3 | 0 0/0/0/4"; "true 1/0/0/8 | 9 1/1/0/73";
     "true 3/0/0/9 | 1 2/0/0/7"; "true 3/1/0/9 | 36 8/7/2/169";
     "true 4/0/0/10 | 1 3/0/0/8"; "true 3/2/0/9 | 58 9/8/1/322";
     "true 3/1/0/9 | 2 2/1/0/35"; "true 3/0/1/9 | 1 2/0/1/7";
     "true 3/0/0/9 | 2 2/1/0/11"; "true 4/2/9/10 | 192 13/12/3/1566";
     "true 4/1/0/10 | 27 6/5/2/133"; "true 1/1/0/8 | 1 1/1/0/25";
-    "true 4/0/0/10 | 1 3/0/1/8"; "false 1/1/0/8 | 0 1/1/0/30";
+    "true 4/0/0/10 | 1 3/0/1/8"; "false 1/1/0/7 | 0 1/1/0/29";
     "true 4/0/0/10 | 1 3/0/0/8"; "true 3/0/0/10 | 1 2/0/2/8";
     "true 4/2/9/10 | 918 20/19/9/5648"; "true 4/0/0/10 | 1 3/0/0/8";
     "true 3/2/0/9 | 83 4/4/0/414"; "false 0/0/0/2 | 0 0/0/0/2";
@@ -663,7 +663,7 @@ let expected_counter_rows =
     "false 2/1/0/9 | 0 2/1/0/128"; "true 4/0/0/10 | 1 3/1/0/14";
     "true 3/0/0/9 | 4 2/1/0/34"; "true 2/0/0/10 | 1 1/1/0/11";
     "true 3/0/0/10 | 3 2/1/0/14"; "false 0/0/0/2 | 0 0/0/0/2";
-    "false 0/0/0/4 | 0 0/0/0/4"; "false 1/1/0/8 | 0 1/1/0/46";
+    "false 0/0/0/3 | 0 0/0/0/3"; "false 1/1/0/7 | 0 1/1/0/46";
     "true 4/0/0/10 | 1 3/0/0/8"; "true 4/3/6/10 | 27 9/8/8/253";
     "true 4/0/0/10 | 1 3/0/0/8"; "true 3/0/0/9 | 1 2/0/0/7";
     "true 4/0/1/10 | 7 3/1/0/32"; "true 3/0/4/9 | 15 3/3/3/68";
@@ -673,9 +673,9 @@ let expected_counter_rows =
     "true 4/0/0/10 | 1 3/0/0/8"; "true 1/0/0/9 | 10 1/1/0/40";
     "true 3/0/0/9 | 2 2/1/1/11"; "true 4/1/0/10 | 2 3/1/0/18";
     "true 4/0/0/10 | 1 3/0/0/8"; "true 3/1/11/9 | 10 8/6/11/267";
-    "true 2/0/0/8 | 2 1/1/0/10"; "false 0/0/0/9 | 0 0/0/0/5";
-    "false 1/1/0/8 | 0 1/1/0/54"; "true 4/3/3/10 | 87 16/15/12/1012";
-    "false 2/1/0/8 | 0 2/1/4/10"; "false 3/3/12/14 | 0 2/2/2/96";
+    "true 2/0/0/7 | 2 1/1/0/9"; "false 0/0/0/9 | 0 0/0/0/4";
+    "false 1/1/0/7 | 0 1/1/0/53"; "true 4/3/3/10 | 87 16/15/12/1011";
+    "false 2/1/0/8 | 0 2/1/4/10"; "false 3/3/12/14 | 0 2/2/2/94";
     "true 3/1/0/9 | 3 2/1/0/15"; "true 4/0/0/10 | 1 3/0/0/8";
     "true 4/0/0/10 | 1 3/0/0/8"; "false 2/1/2/10 | 0 7/6/6/184";
     "true 3/1/1/9 | 3 2/1/1/18"; "true 3/0/0/9 | 4 2/1/0/25";
@@ -687,11 +687,11 @@ let expected_counter_rows =
     "true 4/0/0/10 | 2 4/2/2/17"; "true 4/0/0/10 | 2 3/1/0/18";
     "false 0/0/0/2 | 0 0/0/0/2"; "false 3/1/6/12 | 0 17/17/1/2219";
     "false 0/0/0/3 | 0 0/0/0/5"; "true 4/0/0/10 | 1 3/0/0/8";
-    "true 0/0/0/7 | 1 0/0/0/8"; "true 4/0/0/10 | 1 3/0/0/8";
+    "true 0/0/0/6 | 1 0/0/0/8"; "true 4/0/0/10 | 1 3/0/0/8";
     "false 0/0/0/3 | 0 0/0/0/3"; "true 3/0/0/9 | 18 11/11/2/568";
-    "false 1/1/0/9 | 0 1/1/0/114"; "true 3/0/0/9 | 28 5/5/0/121";
+    "false 1/1/0/8 | 0 1/1/0/114"; "true 3/0/0/9 | 28 5/5/0/121";
     "true 3/0/4/10 | 7 2/1/0/26"; "true 1/0/0/8 | 2 1/1/0/61";
-    "true 1/1/0/8 | 9 1/1/0/61"; "true 4/0/0/10 | 1 3/0/0/8";
+    "true 1/1/0/8 | 9 1/1/0/60"; "true 4/0/0/10 | 1 3/0/0/8";
     "true 4/0/0/10 | 1 3/0/0/8"; "false 0/0/0/2 | 0 0/0/0/2";
     "true 4/0/0/10 | 1 3/0/0/8"; "true 4/0/0/10 | 1 3/0/0/8";
     "true 2/1/0/7 | 13 1/1/0/41"; "true 3/0/0/8 | 1 2/0/0/6";
@@ -699,7 +699,7 @@ let expected_counter_rows =
     "true 2/0/0/7 | 2 2/1/0/17"; "false 0/0/0/2 | 0 0/0/0/2";
     "false 0/0/0/2 | 0 0/0/0/2"; "true 2/0/0/7 | 4 1/1/0/13";
     "true 2/0/0/7 | 2 1/1/0/7"; "true 3/0/0/10 | 5 2/1/0/21";
-    "true 2/0/0/8 | 1 2/0/0/8"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 2/0/0/7 | 1 2/0/0/7"; "false 0/0/0/2 | 0 0/0/0/2";
     "true 3/1/0/9 | 4 2/1/0/13"; "false 0/0/0/2 | 0 0/0/0/2";
     "true 1/1/0/7 | 5 1/1/0/39"; "true 2/1/0/7 | 5 1/1/0/15";
     "true 1/1/0/8 | 3 1/1/0/13"; "true 1/0/0/6 | 1 0/0/0/4";
@@ -707,18 +707,18 @@ let expected_counter_rows =
     "false 0/0/0/2 | 0 0/0/0/2"; "true 2/1/0/9 | 5 1/1/0/18";
     "false 0/0/0/3 | 0 0/0/0/3"; "true 2/1/0/7 | 3 2/1/0/11";
     "true 3/1/0/12 | 5 2/1/0/16"; "true 0/0/0/3 | 1 0/0/0/3";
-    "true 0/0/0/7 | 1 0/0/0/4"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 0/0/0/5 | 1 0/0/0/4"; "false 0/0/0/2 | 0 0/0/0/2";
     "true 3/0/0/10 | 3 2/1/0/12"; "true 1/0/0/9 | 1 0/0/0/7";
-    "true 1/0/0/8 | 1 0/0/0/4"; "false 0/0/0/2 | 0 0/0/0/2";
+    "true 1/0/0/7 | 1 0/0/0/4"; "false 0/0/0/2 | 0 0/0/0/2";
     "false 0/0/0/2 | 0 0/0/0/2"; "true 3/0/0/8 | 2 2/1/1/10";
-    "false 0/0/0/3 | 0 0/0/0/3"; "true 1/0/0/8 | 1 1/0/0/6";
+    "false 0/0/0/3 | 0 0/0/0/3"; "true 1/0/0/7 | 1 1/0/0/5";
     "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/2 | 0 0/0/0/2";
-    "true 3/0/0/10 | 1 2/0/0/8"; "false 0/0/0/3 | 0 0/0/0/3";
-    "false 0/0/0/2 | 0 0/0/0/2"; "true 0/0/0/6 | 1 0/0/0/6";
+    "true 3/0/0/9 | 1 2/0/0/7"; "false 0/0/0/3 | 0 0/0/0/3";
+    "false 0/0/0/2 | 0 0/0/0/2"; "true 0/0/0/5 | 1 0/0/0/5";
     "true 2/0/0/6 | 1 1/0/0/4"; "true 3/0/0/8 | 1 2/0/0/6";
     "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/2 | 0 0/0/0/2";
-    "false 0/0/0/2 | 0 0/0/0/2"; "true 3/1/0/10 | 5 2/1/0/15";
-    "false 0/0/0/4 | 0 0/0/0/3"; "false 0/0/0/2 | 0 0/0/0/2";
+    "false 0/0/0/2 | 0 0/0/0/2"; "true 3/1/0/9 | 5 2/1/0/15";
+    "false 0/0/0/3 | 0 0/0/0/3"; "false 0/0/0/2 | 0 0/0/0/2";
     "true 3/0/0/8 | 1 2/0/0/6"; "true 3/0/0/12 | 1 2/0/0/6";
     "false 0/0/0/2 | 0 0/0/0/2"; "true 2/0/0/10 | 3 1/1/0/10";
     "true 2/0/0/7 | 1 1/0/0/5"; "true 2/0/0/7 | 2 1/1/0/8";
@@ -727,23 +727,23 @@ let expected_counter_rows =
     "false 0/0/0/2 | 0 0/0/0/2"; "true 3/0/0/10 | 2 2/1/0/10";
     "true 2/0/0/7 | 2 1/1/0/9"; "true 2/0/0/7 | 13 1/1/0/42";
     "false 0/0/0/2 | 0 0/0/0/2"; "true 0/0/0/4 | 1 0/0/0/4";
-    "true 2/0/0/8 | 1 2/0/0/7"; "true 3/0/0/8 | 1 2/0/0/6";
+    "true 2/0/0/7 | 1 2/0/0/7"; "true 3/0/0/8 | 1 2/0/0/6";
     "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/2 | 0 0/0/0/2";
     "true 2/0/0/7 | 3 1/1/0/9"; "false 0/0/0/2 | 0 0/0/0/2";
-    "true 3/1/0/10 | 2 2/1/0/9"; "true 2/0/0/8 | 3 1/1/0/10";
+    "true 3/1/0/9 | 2 2/1/0/9"; "true 2/0/0/8 | 3 1/1/0/10";
     "false 0/0/0/5 | 0 0/0/0/5"; "false 0/0/0/2 | 0 0/0/0/2";
     "false 0/0/0/4 | 0 0/0/0/4"; "true 2/0/0/12 | 1 1/0/0/8";
     "true 2/0/0/7 | 1 1/0/0/5"; "false 0/0/0/2 | 0 0/0/0/2";
-    "false 0/0/0/3 | 3 2/1/0/14"; "true 3/0/0/11 | 1 2/0/0/7";
+    "false 0/0/0/3 | 3 2/1/0/14"; "true 3/0/0/10 | 1 2/0/0/7";
     "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/2 | 0 0/0/0/2";
     "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/2 | 0 0/0/0/2";
     "true 3/0/0/9 | 1 2/0/0/7"; "true 3/0/0/10 | 2 2/1/0/11";
     "true 2/0/0/6 | 1 1/0/0/4"; "false 0/0/0/2 | 0 0/0/0/2";
     "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/2 | 0 0/0/0/2";
-    "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/4 | 0 0/0/0/4";
+    "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/3 | 0 0/0/0/3";
     "false 0/0/0/2 | 0 0/0/0/2"; "false 0/0/0/2 | 0 0/0/0/2";
     "true 2/0/0/7 | 5 2/1/0/17"; "true 1/0/0/8 | 2 1/1/0/14";
-    "false 0/0/0/2 | 0 0/0/0/2"; "false 1/0/0/8 | 1 1/0/0/5";
+    "false 0/0/0/2 | 0 0/0/0/2"; "false 1/0/0/7 | 1 1/0/0/5";
   ]
 
 let test_counters_pinned () =
@@ -1113,6 +1113,51 @@ let presburger_tests =
           (Problem.constraints p));
   ]
 
+(* The equality phase against the one-step-per-round reference
+   ([Oracle.project_ref]): the same satisfiability, and projection
+   pieces that agree at every point of a box over the kept variables.
+   Boxed problems keep their first two variables; bounds problems keep
+   [bx] (its range may be infinite and cut by wildcard congruences) and
+   the second pool variable, over a box wider than either's own. *)
+let agrees_with_ref p kept lo hi =
+  let keep v = List.exists (Var.equal v) kept in
+  let pieces = Elim.project ~keep p in
+  let ref_pieces = Oracle.project_ref ~keep p in
+  let sat = Elim.satisfiable p and ref_sat = Oracle.sat_ref p in
+  let disagree =
+    Seq.find
+      (fun env ->
+        List.exists (Oracle.holds_at env) pieces
+        <> List.exists (Oracle.holds_at env) ref_pieces)
+      (Oracle.assignments kept lo hi)
+  in
+  (sat = ref_sat && disagree = None)
+  || QCheck.Test.fail_reportf "satisfiable %b (reference %b), pieces %s%s" sat
+       ref_sat
+       (String.concat " | " (List.map Problem.to_string pieces))
+       (match disagree with
+        | None -> ""
+        | Some env ->
+          " disagree with the reference's at "
+          ^ String.concat ", "
+              (List.map
+                 (fun (v, x) -> Var.name v ^ "=" ^ Zint.to_string x)
+                 (Var.Map.bindings env)))
+
+let eq_phase_tests =
+  [
+    QCheck.Test.make ~count:200
+      ~name:"equality phase agrees with the one-step reference (boxed)"
+      (Oracle.arb_problem ~nvars:3 ~ncons:4 ~max_coeff:5 ~max_const:12 ())
+      (fun (p, vars, lo, hi) ->
+        agrees_with_ref p (List.filteri (fun i _ -> i < 2) vars) lo hi);
+    QCheck.Test.make ~count:200
+      ~name:"equality phase agrees with the one-step reference (congruences)"
+      arb_bounds_problem
+      (fun (p, _, lo, hi) ->
+        agrees_with_ref p [ bx; Oracle.pool.(1) ] (lo - 6) (hi + 6));
+  ]
+
 let suite =
   ( "omega",
     unit_tests
@@ -1121,4 +1166,4 @@ let suite =
           `Quick test_counters_pinned;
       ]
     @ List.map (QCheck_alcotest.to_alcotest ~long:false)
-        (prop_tests @ presburger_tests) )
+        (prop_tests @ eq_phase_tests @ presburger_tests) )

@@ -70,6 +70,29 @@ let unit_tests =
                 false !proved
             | Budget.Disproved -> Alcotest.fail "verdict flipped to Disproved")
           [ 1; 2; 5; 10; 25; 60; 100; 1_000; 10_000 ] );
+    ( "portfolio: an empty lhs is proved by the complete tier",
+      `Quick,
+      fun () ->
+        (* the fast tier does not test the lhs for points: with no rhs
+           dark shadow it passes, and the complete tier proves the
+           vacuous implication *)
+        let x = Var.fresh "x" and e = Var.fresh "e" in
+        let empty v = [ Constr.ge (t 1 v) (i 1); Constr.le (t 1 v) (i 0) ] in
+        let lhs = [ Problem.of_list (empty x) ] in
+        let rhs = [ Problem.of_list (Constr.eq2 (t 1 e) (t 1 x) :: empty e) ] in
+        match
+          Portfolio.decide ~label:"test/empty-lhs"
+            ~fast:(Analyses.fast_tier ~hyp:[] lhs ~evars:[ e ] rhs)
+            (Analyses.complete_tier ~hyp:[] lhs ~evars:[ e ] rhs)
+        with
+        | Budget.Proved, Some Portfolio.Tier_complete -> ()
+        | v, tier ->
+          Alcotest.failf "expected complete-tier Proved, got %s (%s)"
+            (Budget.verdict_to_string v)
+            (match tier with
+             | Some Portfolio.Tier_fast -> "fast"
+             | Some Portfolio.Tier_complete -> "complete"
+             | None -> "no tier") );
   ]
 
 (* ------------------------------------------------------------------ *)

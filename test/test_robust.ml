@@ -247,6 +247,174 @@ let test_fault_injection_parallel () =
         sharded);
   Analyses.Memo.reset ()
 
+(* ------------------------------------------------------------------ *)
+(* Hostile input                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The two text front ends must be total: every input, however
+   mangled, yields a result or the module's own typed error.  Inputs
+   are corpus programs and omega_calc formulas after a few byte
+   mutations (overwrite with any byte, insert, delete or duplicate a
+   run) or grammar mutations (delete, duplicate, swap or replace
+   tokens, or insert one of the language's own tokens, including
+   out-of-range literals and deep nesting). *)
+
+let byte_mutations src =
+  QCheck.Gen.(
+    let mutate s =
+      let n = String.length s in
+      let* op = int_range 0 3 and* i = int_range 0 (max 0 n) in
+      let* len = int_range 1 4 in
+      let* b = frequency [ (3, printable); (1, char) ] in
+      let i = min i n in
+      let len = min len (n - i) in
+      return
+        (match op with
+         | 0 when i < n -> String.mapi (fun j c -> if j = i then b else c) s
+         | 0 | 1 -> String.sub s 0 i ^ String.make 1 b ^ String.sub s i (n - i)
+         | 2 -> String.sub s 0 i ^ String.sub s (i + len) (n - i - len)
+         | _ -> String.sub s 0 (i + len) ^ String.sub s i (n - i))
+    in
+    let* k = frequency [ (3, return 1); (1, int_range 2 8) ] in
+    let rec go k s = if k = 0 then return s else mutate s >>= go (k - 1) in
+    go k src)
+
+let cls = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> 0
+  | ' ' | '\t' | '\n' | '\r' -> 1
+  | _ -> 2
+
+(* A name or a number, not a keyword of either language. *)
+let is_operand t =
+  cls t.[0] = 0
+  && not
+       (List.mem t
+          [ "for"; "doall"; "to"; "do"; "by"; "endfor"; "end"; "symbolic";
+            "real"; "int"; "array"; "assume"; "assert"; "max"; "min"; "and";
+            "or"; "forall"; "exists" ])
+
+(* Words, numbers and single punctuation characters, whitespace kept as
+   its own tokens so a mutated token list still reads as source. *)
+let tokens src =
+  let n = String.length src in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else
+      let k = cls src.[i] in
+      let j = ref (i + 1) in
+      if k <> 2 then
+        while !j < n && cls src.[!j] = k do
+          incr j
+        done;
+      go !j (String.sub src i (!j - i) :: acc)
+  in
+  go 0 []
+
+let deep n = String.make n '(' ^ "1" ^ String.make n ')'
+
+let grammar_mutations dictionary src =
+  QCheck.Gen.(
+    let mutate toks =
+      let n = Array.length toks in
+      let* op = frequency [ (5, int_range 0 4); (5, return 5) ] in
+      let* i = int_range 0 (max 0 (n - 1)) in
+      let* j = int_range 0 (max 0 (n - 1)) and* w = oneofl dictionary in
+      let l = Array.to_list toks in
+      let at f =
+        List.concat (List.mapi (fun k t -> if k = i then f t else [ t ]) l)
+      in
+      return
+        (Array.of_list
+           (if n = 0 then [ w ]
+            else
+              match op with
+              | 0 -> at (fun _ -> [])
+              | 1 -> at (fun t -> [ t; t ])
+              | 2 ->
+                List.mapi
+                  (fun k t ->
+                    if k = i then toks.(j) else if k = j then toks.(i) else t)
+                  l
+              | 3 -> at (fun _ -> [ w ])
+              | 4 -> at (fun t -> [ w; " "; t ])
+              | _ ->
+                (* one name or number for another of the same input:
+                   usually still parses, so it reaches the analysis *)
+                if is_operand toks.(i) && is_operand toks.(j) then
+                  at (fun _ -> [ toks.(j) ])
+                else at (fun _ -> [ w ])))
+    in
+    let* k = frequency [ (3, return 1); (1, int_range 2 6) ] in
+    let rec go k toks =
+      if k = 0 then return toks else mutate toks >>= go (k - 1)
+    in
+    map
+      (fun toks -> String.concat "" (Array.to_list toks))
+      (go k (Array.of_list (tokens src))))
+
+let program_words =
+  [ "for"; "doall"; "to"; "do"; "by"; "endfor"; "end"; "symbolic"; "real";
+    "int"; "array"; "assume"; "max"; "min"; "and"; ":="; ":"; ";"; ",";
+    "("; ")"; "["; "]"; "+"; "-"; "*"; "="; "!="; "<="; "<"; ">="; ">";
+    "0"; "1"; "-1"; "i"; "n"; "a"; "s1"; "4611686018427387903";
+    "99999999999999999999999"; "2305843009213693952*2*i"; deep 200 ]
+
+let formula_words =
+  [ "forall"; "exists"; ":"; "=>"; "or"; "and"; ","; "("; ")"; "+"; "-";
+    "*"; "="; "!="; "<="; "<"; ">="; ">"; "0"; "2"; "-1"; "x"; "y";
+    "max(x, y)"; "a(x)"; "4611686018427387903"; "99999999999999999999999";
+    "2305843009213693952*2*x"; deep 200 ]
+
+let formulas =
+  [ "forall x: 0 <= x and x <= 10 => exists y: x = 2*y or x = 2*y + 1";
+    "forall x: exists y: y >= x and y <= x";
+    "exists y: x = 2*y and x = 2*y + 1";
+    "2 <= 2*x + 3*y <= 7 and 0 <= x <= 4 and 0 <= y => x + y <= 4";
+    "forall x, y: 0 <= a <= 5 and b < a => exists c: 3*c = a + b" ]
+
+let from_seeds seeds mutations =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      oneofl seeds >>= fun s -> oneof [ byte_mutations s; mutations s ])
+
+let program_seeds = List.map snd (Corpus.all @ Corpus.stress)
+
+(* A result or [Parser.Error]/[Sema.Error]; any other exception fails
+   with its name. *)
+let program_total src =
+  match Lang.Sema.analyze (Lang.Parser.parse_string src) with
+  | _ -> true
+  | exception (Lang.Parser.Error _ | Lang.Sema.Error _) -> true
+  | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+
+let formula_total src =
+  match Fparse.formula_of_string src with
+  | _ -> true
+  | exception Fparse.Error _ -> true
+  | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+
+let hostile_tests =
+  [
+    QCheck.Test.make ~count:2000
+      ~name:"hostile input: mutated programs analyze or raise typed errors"
+      (from_seeds program_seeds (grammar_mutations program_words))
+      program_total;
+    QCheck.Test.make ~count:1000
+      ~name:"hostile input: mutated formulas parse or raise Fparse.Error"
+      (from_seeds formulas (grammar_mutations formula_words))
+      formula_total;
+  ]
+
+let test_deep_nesting () =
+  let n = 100_000 in
+  check bool_t "a deeply nested right-hand side analyzes" true
+    (program_total
+       (Printf.sprintf
+          "real a[0:10];\nfor i := 1 to 10 do\n  a(i) := %s;\nendfor\n"
+          (deep n)));
+  check bool_t "a deeply nested formula parses" true
+    (formula_total ("x >= " ^ deep n))
+
 let suite =
   ( "robust",
     [
@@ -261,4 +429,6 @@ let suite =
       Alcotest.test_case
         "fault injection: serial and sharded runs fault identically" `Quick
         test_fault_injection_parallel;
-    ] )
+      Alcotest.test_case "hostile input: deep nesting" `Quick test_deep_nesting;
+    ]
+    @ List.map (QCheck_alcotest.to_alcotest ~long:false) hostile_tests )
